@@ -338,6 +338,8 @@ def _add_model_arguments(parser):
 def _resolve_model_flags(args) -> None:
     """Reject flags foreign to the model, then fill in per-model defaults."""
     model = args.model
+    if args.top_words < 1:
+        raise CliError("--top-words must be >= 1")
     for flag, models in _MODEL_FLAGS.items():
         value = getattr(args, flag)
         if value is not None and model not in models:

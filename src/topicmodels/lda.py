@@ -11,11 +11,18 @@ hard assignment z with a per-token responsibility vector.
 """
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 from .core import CountTables, SamplingError, counts_from_assignments
 from .corpus import Corpus
+
+# Topic count from which the Gibbs sampler uses the SparseLDA bucketed token
+# kernel instead of the dense O(K) loop.  Below it the dense loop is faster
+# in pure Python; the measured crossover is in CHANGES.md.
+SPARSE_MIN_TOPICS = 12
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,12 @@ def gibbs_full_conditional(tables: CountTables, m: int, v: int,
 
 
 class LdaGibbsSampler:
-    """Owns the assignment vector z and its count tables for one chain."""
+    """Owns the assignment vector z and its count tables for one chain.
+
+    With at least ``SPARSE_MIN_TOPICS`` topics the sweep runs the SparseLDA
+    kernel, which also keeps ``word_topics``: for every word, a dict from
+    each topic holding it to n_kv.  ``tables`` stays the source of truth.
+    """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
         if corpus.n_docs == 0 or corpus.n_tokens == 0:
@@ -87,12 +99,37 @@ class LdaGibbsSampler:
         K = hyper.n_topics
         self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
         self.tables = counts_from_assignments(corpus.docword, self.z, K, corpus.n_words)
+        self.word_topics = None
+        if K >= SPARSE_MIN_TOPICS:
+            self.word_topics = [{} for _ in range(corpus.n_words)]
+            for doc, zm in zip(corpus.docword, self.z):
+                for v, k in zip(doc, zm):
+                    wt = self.word_topics[v]
+                    wt[k] = wt.get(k, 0) + 1
 
     def full_conditional(self, m: int, v: int) -> list:
         return gibbs_full_conditional(self.tables, m, v, self.hyper.alpha, self.hyper.beta)
 
+    def check(self) -> None:
+        """Check the count tables and the sparse word index; raises ValueError."""
+        self.tables.check()
+        if self.word_topics is None:
+            return
+        topic_word = self.tables.topic_word
+        for v, wt in enumerate(self.word_topics):
+            column = {k: row[v] for k, row in enumerate(topic_word) if row[v]}
+            if wt != column:
+                raise ValueError(f"word {v}: sparse index {wt} disagrees with "
+                                 f"topic_word column {column}")
+
     def sweep(self) -> None:
         """Resample every token once, documents then positions in index order."""
+        if self.word_topics is None:
+            self._sweep_dense()
+        else:
+            self._sweep_sparse()
+
+    def _sweep_dense(self) -> None:
         K = self.hyper.n_topics
         alpha = self.hyper.alpha
         beta = self.hyper.beta
@@ -130,22 +167,97 @@ class LdaGibbsSampler:
                 nkv[k_new][v] += 1
                 nk[k_new] += 1
 
+    def _sweep_sparse(self) -> None:
+        """SparseLDA (Yao, Mimno & McCallum, KDD 2009).
+
+        The dense loop's weight (alpha + n_mk)(beta + n_kv)/(n_k + V beta)
+        is split as
+          s_k = alpha beta / (n_k + V beta)            every topic
+          r_k = n_mk beta / (n_k + V beta)             the document's topics
+          q_k = (alpha + n_mk) n_kv / (n_k + V beta)   the word's topics
+        With coef_k = (alpha + n_mk)/(n_k + V beta), cached per topic,
+        q_k = coef_k n_kv and s_k + r_k = beta coef_k.  q is summed over the
+        word's index only; s + r is a running total, recomputed at the start
+        of each document so round-off cannot build up.  s and r share one
+        walk over all K topics: a cumulative sum at C speed costs less here
+        than keeping each document's topic list, and few draws land there.
+        """
+        K = self.hyper.n_topics
+        alpha = self.hyper.alpha
+        beta = self.hyper.beta
+        vbeta = self.corpus.n_words * beta
+        ndk = self.tables.doc_topic
+        nkv = self.tables.topic_word
+        nk = self.tables.topic_total
+        word_topics = self.word_topics
+        rng_random = self.rng.random
+        inv = [1.0 / (n + vbeta) for n in nk]  # 1/(n_k + V beta)
+        for m, doc in enumerate(self.corpus.docword):
+            zm = self.z[m]
+            nm = ndk[m]
+            coef = [(alpha + c) * i for c, i in zip(nm, inv)]
+            s_r = beta * sum(coef)
+            for n, v in enumerate(doc):
+                k = zm[n]
+                wt = word_topics[v]
+                c = nm[k] - 1
+                nm[k] = c
+                nkv[k][v] -= 1
+                t = nk[k] - 1
+                nk[k] = t
+                left = wt[k] - 1
+                if left:
+                    wt[k] = left
+                else:
+                    del wt[k]
+                i = 1.0 / (t + vbeta)
+                inv[k] = i
+                x = (alpha + c) * i
+                s_r += beta * (x - coef[k])
+                coef[k] = x
+
+                q = 0.0
+                for k, c in wt.items():
+                    q += coef[k] * c
+                u = rng_random() * (q + s_r)
+                if u < q:
+                    # round-off past the end leaves k at the bucket's last topic
+                    for k, c in wt.items():
+                        u -= coef[k] * c
+                        if u < 0.0:
+                            break
+                else:
+                    k = min(bisect_right(list(accumulate(coef)), (u - q) / beta), K - 1)
+
+                zm[n] = k
+                c = nm[k] + 1
+                nm[k] = c
+                nkv[k][v] += 1
+                t = nk[k] + 1
+                nk[k] = t
+                if k in wt:
+                    wt[k] += 1
+                else:
+                    wt[k] = 1
+                i = 1.0 / (t + vbeta)
+                inv[k] = i
+                x = (alpha + c) * i
+                s_r += beta * (x - coef[k])
+                coef[k] = x
+
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),
                          phi=estimate_phi(self.tables, self.hyper.beta))
 
 
 def fit_gibbs(corpus: Corpus, hyper: LdaHyper, rng: random.Random,
-              burn_in: int = 0,
               sweep_callback: Callable[[LdaGibbsSampler, int], None] | None = None) -> FittedLda:
     """Run the collapsed Gibbs chain and estimate theta/phi from the final state.
 
-    ``burn_in`` extra sweeps run before the counted iterations; the callback
-    fires after each counted sweep (used by diagnostics and progress display).
+    The callback fires after each sweep (used by diagnostics and progress
+    display).
     """
     sampler = LdaGibbsSampler(corpus, hyper, rng)
-    for _ in range(burn_in):
-        sampler.sweep()
     for it in range(hyper.iterations):
         sampler.sweep()
         if sweep_callback is not None:

@@ -119,6 +119,16 @@ class LinkLdaHyper:
     iterations: int = 1000
     top_words: int = 10
 
+    def __post_init__(self):
+        if self.n_topics < 1:
+            raise ValueError("n_topics must be >= 1")
+        if self.alpha <= 0 or self.beta <= 0:
+            raise ValueError("alpha and beta must be positive")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+
 
 @dataclass
 class LinkLdaFit:

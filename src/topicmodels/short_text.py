@@ -227,6 +227,16 @@ class BtmHyper:
     iterations: int = 1000
     top_words: int = 10
 
+    def __post_init__(self):
+        if self.n_topics < 1:
+            raise ValueError("n_topics must be >= 1")
+        if self.alpha <= 0 or self.beta <= 0:
+            raise ValueError("alpha and beta must be positive")
+        if self.window < 2:
+            raise ValueError("window must be >= 2")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+
 
 @dataclass
 class BtmFit:

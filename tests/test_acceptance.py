@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from topicmodels import lda as lda_mod
 from topicmodels.cli import main as cli_main
 from topicmodels.core import SeededRng
 from topicmodels.corpus import parse_plain, parse_sentences, parse_tagged, preprocess
@@ -48,7 +49,8 @@ def random_docs(rng, n_docs, v, lo=2, hi=6):
 # 1. exact-posterior oracle for the LDA collapsed Gibbs chain
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_exact_posterior_lda_gibbs():
+def _criterion_1(monkeypatch, kernel):
+    """Run criterion 1 with the Gibbs kernel named ``kernel`` ("dense" or "sparse")."""
     start = time.perf_counter()
     corpus = parse_plain(["w0 w1 w2", "w1 w2 w3", "w0 w3"])
     K, V = 2, corpus.n_words
@@ -68,7 +70,9 @@ def test_criterion_1_exact_posterior_lda_gibbs():
     total = sum(exact.values())
     exact = {k: v / total for k, v in exact.items()}
 
+    monkeypatch.setattr(lda_mod, "SPARSE_MIN_TOPICS", K if kernel == "sparse" else K + 1)
     sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta, 1), SeededRng(20240601))
+    assert (sampler.word_topics is not None) == (kernel == "sparse")
     for _ in range(2000):  # burn-in
         sampler.sweep()
     sweeps = 200000
@@ -82,7 +86,16 @@ def test_criterion_1_exact_posterior_lda_gibbs():
     elapsed = time.perf_counter() - start
     assert tv < 0.02, f"total-variation distance {tv:.4f}"
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
-    ok(1, f"TV distance {tv:.4f} < 0.02 over 2^8 assignments ({elapsed:.1f}s)")
+    ok(1, f"{kernel} kernel: TV distance {tv:.4f} < 0.02 over 2^8 assignments "
+          f"({elapsed:.1f}s)")
+
+
+def test_criterion_1_exact_posterior_lda_gibbs(monkeypatch):
+    _criterion_1(monkeypatch, "dense")
+
+
+def test_criterion_1_exact_posterior_lda_gibbs_sparse(monkeypatch):
+    _criterion_1(monkeypatch, "sparse")
 
 
 # ---------------------------------------------------------------------------

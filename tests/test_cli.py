@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from topicmodels import lda
 from topicmodels.cli import main
 from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
                                  parse_value_lines)
@@ -85,6 +88,45 @@ def test_fit_reruns_are_byte_identical(tmp_path, plain_file):
         outs.append(out)
     for fname in ("LDAGibbs_topic_word_2.txt", "LDAGibbs_doc_topic2.txt"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+GOLDEN = "\n".join([
+    "apple banana cherry apple date fig",
+    "banana cherry date grape kiwi lemon",
+    "apple date date mango melon banana",
+    "cherry cherry apple banana olive pear",
+    "grape kiwi lemon mango melon olive",
+    "pear plum quince apple kiwi kiwi",
+    "lemon lime lime mango plum quince",
+    "olive pear plum date fig grape",
+]) + "\n"
+
+# SHA-256 of the lda-gibbs output files for GOLDEN at seed 7, 20 sweeps,
+# --top-words 3.  K=5 runs the dense kernel, whose chain predates the sparse
+# one; K=20 runs the sparse kernel.  A change to either sampling sequence
+# must update these and say why.
+GOLDEN_LDA_GIBBS = {
+    5: {"LDAGibbs_doc_topic5.txt":
+        "cfbaf9ad2c5bee1a72f81e2e52053b818c446749a7e42dcab3294dc6e906d885",
+        "LDAGibbs_topic_word_5.txt":
+        "1c55c4b02ca97ec02fc017bfeae03367a1ca20013d34b4fa89d49b7465d740a3"},
+    20: {"LDAGibbs_doc_topic20.txt":
+         "4ccddd0831e7d611c60912d4b5d919581873552e9b67ef3d616c1d59e6c55003",
+         "LDAGibbs_topic_word_20.txt":
+         "eff911732647c8f39f052a700876c219375b8198c1a746379a1f2cc003954d93"},
+}
+
+
+@pytest.mark.parametrize("k", sorted(GOLDEN_LDA_GIBBS))
+def test_lda_gibbs_golden_bytes(tmp_path, k):
+    assert (k >= lda.SPARSE_MIN_TOPICS) == (k == 20)
+    corpus = tmp_path / "golden.txt"
+    corpus.write_text(GOLDEN)
+    out = tmp_path / "out"
+    assert run(["fit", "--model", "lda-gibbs", "--input", corpus, "--output-dir", out,
+                "-k", k, "--iterations", "20", "--top-words", "3", "--seed", "7"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GOLDEN_LDA_GIBBS[k]
 
 
 def test_fit_different_seeds_differ(tmp_path, plain_file):
@@ -223,6 +265,33 @@ def test_missing_required_flag_rejected(tmp_path, plain_file, capsys):
     assert "requires --topics" in capsys.readouterr().err
     assert run(["fit", "--model", "ptm", "--input", plain_file,
                 "--output-dir", out, "-k", "2"]) == 1
+
+
+def test_nonpositive_top_words_rejected_before_output(tmp_path, plain_file, capsys):
+    out = tmp_path / "out"
+    for value in ("0", "-1"):
+        rc = run(["fit", "--model", "lda-gibbs", "--input", plain_file,
+                  "--output-dir", out, "-k", "2", "--iterations", "2",
+                  "--top-words", value])
+        assert rc == 1
+        assert "--top-words must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("model, flags, message", [
+    ("btm", ["-k", "0"], "n_topics must be >= 1"),
+    ("link-lda", ["-k", "2", "--gamma", "0"], "gamma must be positive"),
+    ("link-lda", ["-k", "2", "--gamma", "-5"], "gamma must be positive"),
+])
+def test_invalid_hyperparameters_rejected(tmp_path, capsys, model, flags, message):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(LINKS if model == "link-lda" else PLAIN)
+    out = tmp_path / "out"
+    rc = run(["fit", "--model", model, "--input", corpus, "--output-dir", out,
+              "--iterations", "2", *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_parse_error_reports_line(tmp_path, capsys):

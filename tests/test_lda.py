@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from topicmodels import lda
 from topicmodels.core import CountTables, SeededRng
 from topicmodels.corpus import parse_plain
 from topicmodels.lda import (LdaCvb0, LdaGibbsSampler, LdaHyper, cvb0_update,
@@ -90,40 +91,105 @@ def test_estimates_are_row_stochastic_and_positive():
         assert all(p > 0 for p in row)
 
 
+def use_kernel(monkeypatch, kernel, n_topics):
+    """Make LdaGibbsSampler pick ``kernel`` ("dense" or "sparse") at n_topics."""
+    threshold = n_topics if kernel == "sparse" else n_topics + 1
+    monkeypatch.setattr(lda, "SPARSE_MIN_TOPICS", threshold)
+
+
 def test_gibbs_counts_stay_consistent():
     corpus = parse_plain(["a b c a", "c d", "a d d b"])
-    sampler = LdaGibbsSampler(corpus, LdaHyper(3, 0.1, 0.1, 1), SeededRng(3))
-    for _ in range(10):
-        sampler.sweep()
-        sampler.tables.check()
-        assert sampler.tables.grand_total() == corpus.n_tokens
+    for K in (lda.SPARSE_MIN_TOPICS - 1, lda.SPARSE_MIN_TOPICS):
+        sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1, 1), SeededRng(3))
+        assert (sampler.word_topics is not None) == (K >= lda.SPARSE_MIN_TOPICS)
+        for _ in range(10):
+            sampler.sweep()
+            sampler.check()
+            assert sampler.tables.grand_total() == corpus.n_tokens
 
 
-def test_gibbs_matches_enumerated_posterior_mini():
-    # 2 docs, 4 tokens, K=2: empirical assignment distribution vs brute force
-    corpus = parse_plain(["a b", "b a"])
-    K, V = 2, corpus.n_words
-    alpha = beta = 1.0
+def test_gibbs_check_catches_stale_sparse_index():
+    corpus = parse_plain(["a b c a", "c d", "a d d b"])
+    sampler = LdaGibbsSampler(corpus, LdaHyper(lda.SPARSE_MIN_TOPICS, 0.1, 0.1, 1),
+                              SeededRng(3))
+    sampler.sweep()
+    sampler.check()
+    v = corpus.docword[0][0]
+    k = sampler.z[0][0]
+    sampler.word_topics[v][k] += 1
+    with pytest.raises(ValueError, match="sparse index"):
+        sampler.check()
+    sampler.word_topics[v][k] -= 1
+    sampler.tables.topic_word[k][v] += 1
+    with pytest.raises(ValueError):
+        sampler.check()
+
+
+def test_gibbs_kernels_share_the_initial_state(monkeypatch):
+    corpus = parse_plain(["a b c a e f", "c d e", "a d d b f f"])
+    K = 6
+    use_kernel(monkeypatch, "dense", K)
+    dense = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1, 1), SeededRng(8))
+    use_kernel(monkeypatch, "sparse", K)
+    sparse = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1, 1), SeededRng(8))
+    assert sparse.z == dense.z
+    assert sparse.tables.topic_word == dense.tables.topic_word
+    sparse.check()
+
+
+def enumerated_posterior_tv(texts, K, alpha, beta, seed, sweeps):
+    """TV distance between a Gibbs chain's visits and the brute-force posterior."""
+    corpus = parse_plain(texts)
+    V = corpus.n_words
+    sizes = [len(d) for d in corpus.docword]
     log_post = {}
-    for flat in itertools.product(range(K), repeat=4):
-        z = [list(flat[:2]), list(flat[2:])]
+    for flat in itertools.product(range(K), repeat=sum(sizes)):
+        z, i = [], 0
+        for size in sizes:
+            z.append(list(flat[i:i + size]))
+            i += size
         log_post[flat] = lda_joint_log(corpus.docword, z, K, V, alpha, beta)
     mx = max(log_post.values())
     exact = {k: math.exp(v - mx) for k, v in log_post.items()}
     total = sum(exact.values())
     exact = {k: v / total for k, v in exact.items()}
 
-    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta, 1), SeededRng(42))
+    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta, 1), SeededRng(seed))
     for _ in range(500):
         sampler.sweep()
     counts = {}
-    sweeps = 30000
     for _ in range(sweeps):
         sampler.sweep()
-        key = tuple(sampler.z[0]) + tuple(sampler.z[1])
+        key = tuple(k for zm in sampler.z for k in zm)
         counts[key] = counts.get(key, 0) + 1
     empirical = {k: c / sweeps for k, c in counts.items()}
-    assert tv_distance(empirical, exact) < 0.05
+    return sampler, tv_distance(empirical, exact)
+
+
+def test_gibbs_matches_enumerated_posterior_mini(monkeypatch):
+    # 2 docs, 4 tokens, K=2: empirical assignment distribution vs brute force
+    use_kernel(monkeypatch, "dense", 2)
+    sampler, tv = enumerated_posterior_tv(["a b", "b a"], 2, 1.0, 1.0, 42, 30000)
+    assert sampler.word_topics is None
+    assert tv < 0.05
+
+
+def test_gibbs_matches_enumerated_posterior_mini_sparse(monkeypatch):
+    use_kernel(monkeypatch, "sparse", 2)
+    sampler, tv = enumerated_posterior_tv(["a b", "b a"], 2, 1.0, 1.0, 42, 30000)
+    sampler.check()
+    assert tv < 0.05
+
+
+@pytest.mark.parametrize("kernel", ["dense", "sparse"])
+def test_gibbs_matches_enumerated_posterior_k3(monkeypatch, kernel):
+    # K=3 with unequal alpha and beta, so every bucket of the sparse kernel
+    # carries a different share of the mass
+    use_kernel(monkeypatch, kernel, 3)
+    sampler, tv = enumerated_posterior_tv(["a b a", "c"], 3, 0.3, 0.5, 9, 30000)
+    assert (sampler.word_topics is not None) == (kernel == "sparse")
+    sampler.check()
+    assert tv < 0.05
 
 
 def test_cvb0_update_uniform_and_k1():
