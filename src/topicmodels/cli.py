@@ -47,13 +47,22 @@ def _words(corpus):
     return corpus.vocabulary.id_to_word
 
 
+def _output_ready(outdir) -> bool:
+    """Create the output directory once the fit has succeeded, so a failed
+    run leaves nothing behind; False when no files are to be written."""
+    if outdir is None:
+        return False
+    outdir.mkdir(parents=True, exist_ok=True)
+    return True
+
+
 def _run_lda_gibbs(args, outdir, rng):
     corpus = corpus_mod.parse_plain(_read(args))
     hyper = lda.LdaHyper(args.topics, args.alpha, args.beta, args.iterations,
                          args.top_words)
     fitted = lda.fit_gibbs(corpus, hyper, rng,
                            sweep_callback=_progress("lda-gibbs", args.iterations))
-    if outdir:
+    if _output_ready(outdir):
         reports.write_topic_word_file(outdir / f"LDAGibbs_topic_word_{args.topics}.txt",
                                       fitted.phi, _words(corpus), args.top_words)
         reports.write_doc_topic_file(outdir / f"LDAGibbs_doc_topic{args.topics}.txt",
@@ -67,7 +76,7 @@ def _run_lda_cvb0(args, outdir, rng):
                          args.top_words)
     fitted = lda.fit_cvb0(corpus, hyper, rng,
                           sweep_callback=_progress("lda-cvb0", args.iterations))
-    if outdir:
+    if _output_ready(outdir):
         reports.write_topic_word_file(outdir / f"CVBLDA_topic_word_{args.topics}.txt",
                                       fitted.phi, _words(corpus), args.top_words)
         reports.write_doc_topic_file(outdir / f"CVBLDA_doc_topic{args.topics}.txt",
@@ -81,7 +90,7 @@ def _run_sentence_lda(args, outdir, rng):
                          args.top_words)
     fitted = sentence_lda.fit(corpus, hyper, rng,
                               sweep_callback=_progress("sentence-lda", args.iterations))
-    if outdir:
+    if _output_ready(outdir):
         reports.write_topic_word_file(outdir / f"SentenceLDA_topic_word{args.topics}.txt",
                                       fitted.phi, _words(corpus), args.top_words)
         reports.write_doc_topic_file(outdir / f"SentenceLDA_doc_topic_{args.topics}.txt",
@@ -96,7 +105,7 @@ def _run_hdp(args, outdir, rng):
     fitted, n_topics = hdp.fit(corpus, hyper, rng,
                                sweep_callback=_progress("hdp", args.iterations))
     print(f"hdp: converged to {n_topics} topics", file=sys.stderr)
-    if outdir:
+    if _output_ready(outdir):
         reports.write_topic_word_file(outdir / f"HDP_topic_word_{n_topics}.txt",
                                       fitted.phi, _words(corpus), args.top_words)
         reports.write_doc_topic_file(outdir / f"HDP_doc_topic{n_topics}.txt",
@@ -110,7 +119,7 @@ def _run_dmm(args, outdir, rng):
                                  args.iterations, args.top_words)
     fitted = mixture.dmm_fit(corpus, hyper, rng,
                              sweep_callback=_progress("dmm", args.iterations))
-    if outdir:
+    if _output_ready(outdir):
         k = args.topics
         reports.write_value_lines(outdir / f"DMM_doc_cluster{k}.txt", fitted.doc_cluster)
         reports.write_topic_word_file(outdir / f"DMM_cluster_word_{k}.txt",
@@ -126,7 +135,7 @@ def _run_dpmm(args, outdir, rng):
     fitted, n_clusters = mixture.dpmm_fit(corpus, hyper, rng,
                                           sweep_callback=_progress("dpmm", args.iterations))
     print(f"dpmm: converged to {n_clusters} clusters", file=sys.stderr)
-    if outdir:
+    if _output_ready(outdir):
         reports.write_value_lines(outdir / f"DPMM_doc_cluster{n_clusters}.txt",
                                   fitted.doc_cluster)
         reports.write_topic_word_file(outdir / f"DPMM_cluster_word_{n_clusters}.txt",
@@ -141,7 +150,7 @@ def _run_ptm(args, outdir, rng):
                                 getattr(args, "lambda"), args.iterations, args.top_words)
     fitted = short_text.ptm_fit(corpus, hyper, rng,
                                 sweep_callback=_progress("ptm", args.iterations))
-    if outdir:
+    if _output_ready(outdir):
         k = args.topics
         reports.write_topic_word_file(outdir / f"PseudoDTM_topic_word_{k}.txt",
                                       fitted.phi, _words(corpus), args.top_words)
@@ -158,7 +167,7 @@ def _run_btm(args, outdir, rng):
                                 args.iterations, args.top_words)
     fitted = short_text.btm_fit(corpus, hyper, rng,
                                 sweep_callback=_progress("btm", args.iterations))
-    if outdir:
+    if _output_ready(outdir):
         k = args.topics
         reports.write_topic_word_file(outdir / f"BTM_topic_word_{k}.txt",
                                       fitted.phi, _words(corpus), args.top_words)
@@ -173,7 +182,7 @@ def _run_atm(args, outdir, rng):
                          args.top_words)
     fitted = linked.atm_fit(corpus, hyper, rng,
                             sweep_callback=_progress("atm", args.iterations))
-    if outdir:
+    if _output_ready(outdir):
         k = args.topics
         names = corpus.meta_vocabulary.id_to_word
         reports.write_topic_word_file(outdir / f"authorTM_topic_word{k}.txt",
@@ -191,7 +200,7 @@ def _run_link_lda(args, outdir, rng):
                                 args.iterations, args.top_words)
     fitted = linked.linklda_fit(corpus, hyper, rng,
                                 sweep_callback=_progress("link-lda", args.iterations))
-    if outdir:
+    if _output_ready(outdir):
         k = args.topics
         reports.write_topic_word_file(outdir / f"LinkLDA_topic_word_{k}.txt",
                                       fitted.phi, _words(corpus), args.top_words)
@@ -209,7 +218,7 @@ def _run_labeled_lda(args, outdir, rng):
     fitted = supervised.labeled_fit(corpus, hyper, rng,
                                     sweep_callback=_progress("labeled-lda", args.iterations))
     k = len(fitted.topic_labels)
-    if outdir:
+    if _output_ready(outdir):
         reports.write_topic_word_file(outdir / f"LabeledLDA_topic_word_{k}.txt",
                                       fitted.phi, _words(corpus), args.top_words,
                                       paren_labels=fitted.topic_labels)
@@ -224,7 +233,7 @@ def _run_plda(args, outdir, rng):
     fitted = supervised.plda_fit(corpus, hyper, rng,
                                  sweep_callback=_progress("plda", args.iterations))
     n_labels = len(corpus.meta_vocabulary) + 1  # user labels plus background
-    if outdir:
+    if _output_ready(outdir):
         reports.write_topic_word_file(outdir / f"PLDA_topic_word_{n_labels}.txt",
                                       fitted.phi, _words(corpus), args.top_words,
                                       related_labels=fitted.topic_labels)
@@ -240,7 +249,7 @@ def _run_dual_sparse(args, outdir, rng):
         args.iterations, args.top_words)
     fitted = dual_sparse.fit(corpus, hyper, rng,
                              sweep_callback=_progress("dual-sparse", args.iterations))
-    if outdir:
+    if _output_ready(outdir):
         k = args.topics
         reports.write_topic_word_file(outdir / f"dualSLDA_topic_word_{k}.txt",
                                       fitted.phi, _words(corpus), args.top_words)
@@ -355,10 +364,8 @@ def _resolve_model_flags(args) -> None:
 
 def _cmd_fit(args) -> int:
     _resolve_model_flags(args)
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     rng = SeededRng(args.seed)
-    _RUNNERS[args.model](args, outdir, rng)
+    _RUNNERS[args.model](args, Path(args.output_dir), rng)
     return 0
 
 

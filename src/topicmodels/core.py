@@ -26,6 +26,13 @@ class SeededRng(random.Random):
         super().__init__(self.seed_value)
 
 
+def require_positive(values: dict) -> None:
+    """Raise ValueError naming the first value that is not > 0 (NaN included)."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+
+
 def sample_categorical(weights: Sequence[float], rng: random.Random) -> int:
     """Draw an index with probability weights[i] / sum(weights).
 
@@ -68,6 +75,29 @@ def log_rising_factorial(x: float, n: int) -> float:
     for j in range(n):
         acc += math.log(x + j)
     return acc
+
+
+class LogRisingMemo(dict):
+    """log_rising_factorial(n + offset, c), memoised by the integer pair (n, c).
+
+    Every sampler that needs rising factorials evaluates them at an integer
+    count plus a constant offset (a smoothing prior), so a lookup returns
+    the very float the direct sum gives.  The memo never outgrows the corpus:
+    n is a count of tokens (at most the corpus total N) and c a multiplicity
+    within one document or sentence (at most its length L), so it holds at
+    most (N + 1) * (L + 1) entries however long the chain runs.
+    """
+
+    __slots__ = ("offset",)
+
+    def __init__(self, offset: float):
+        super().__init__()
+        self.offset = offset
+
+    def __missing__(self, key):
+        n, c = key
+        value = self[key] = log_rising_factorial(n + self.offset, c)
+        return value
 
 
 def exp_normalize(log_weights: Sequence[float]) -> list[float]:

@@ -43,7 +43,7 @@ class HdpSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        V = corpus.n_words
+        self.n_words = V = corpus.n_words
         K0 = hyper.n_topics_init
         self.n_kv = [[0] * V for _ in range(K0)]
         self.n_k = [0] * K0
@@ -82,6 +82,45 @@ class HdpSampler:
     def n_topics(self) -> int:
         return len(self.n_k)
 
+    def check(self) -> None:
+        """Recount the franchise from the seating plan; raises ValueError.
+
+        Every table and topic must be live, each table's count must match
+        the tokens seated there, and m_k, m_total, n_kv and n_k must match
+        the recount.
+        """
+        K = self.n_topics
+        if any(mk <= 0 for mk in self.m_k):
+            raise ValueError(f"a topic serves no table: m_k = {self.m_k}")
+        if sum(self.m_k) != self.m_total:
+            raise ValueError(f"m_total {self.m_total} != sum of m_k {sum(self.m_k)}")
+        n_kv = [[0] * self.n_words for _ in range(K)]
+        m_k = [0] * K
+        for m, doc in enumerate(self.corpus.docword):
+            tt = self.table_topic[m]
+            counts = [0] * len(tt)
+            for n, v in enumerate(doc):
+                t = self.token_table[m][n]
+                if not 0 <= t < len(tt):
+                    raise ValueError(f"doc {m} token {n}: table {t} does not exist")
+                counts[t] += 1
+                n_kv[tt[t]][v] += 1
+            if counts != self.table_count[m]:
+                raise ValueError(f"doc {m}: table counts {self.table_count[m]} "
+                                 f"!= seated tokens {counts}")
+            if 0 in counts:
+                raise ValueError(f"doc {m}: an empty table is still open")
+            for k in tt:
+                if not 0 <= k < K:
+                    raise ValueError(f"doc {m}: table serves topic {k} out of range")
+                m_k[k] += 1
+        if m_k != self.m_k:
+            raise ValueError(f"m_k {self.m_k} != recount {m_k}")
+        if n_kv != self.n_kv:
+            raise ValueError("n_kv disagrees with the recount from the seating plan")
+        if [sum(r) for r in n_kv] != self.n_k:
+            raise ValueError(f"n_k {self.n_k} != recount {[sum(r) for r in n_kv]}")
+
     # -- structural edits ---------------------------------------------------
 
     def _delete_topic(self, k: int) -> None:
@@ -115,7 +154,7 @@ class HdpSampler:
             self._delete_topic(k)
 
     def _new_topic(self) -> int:
-        self.n_kv.append([0] * self.corpus.n_words)
+        self.n_kv.append([0] * self.n_words)
         self.n_k.append(0)
         self.m_k.append(0)
         return self.n_topics - 1
@@ -134,21 +173,26 @@ class HdpSampler:
 
         (n_kv + beta)/(n_k + V beta) for a live topic; 1/V for a new one.
         """
-        V = self.corpus.n_words
+        V = self.n_words
         if k is None:
             return 1.0 / V
         return (self.n_kv[k][v] + self.hyper.beta) / (self.n_k[k] + V * self.hyper.beta)
+
+    # The three weight builders below evaluate cond_density inline, with the
+    # same operations in the same order.
 
     def new_table_likelihood(self, v: int) -> float:
         """Mixture over topics a fresh table could serve.
 
         sum_k m_k/(m_total + g) f_k(v) + g/(m_total + g) * 1/V
         """
-        gamma = self.hyper.gamma
+        gamma, beta = self.hyper.gamma, self.hyper.beta
+        V = self.n_words
+        v_beta = V * beta
         denom = self.m_total + gamma
-        acc = gamma / denom * (1.0 / self.corpus.n_words)
-        for k in range(self.n_topics):
-            acc += self.m_k[k] / denom * self.cond_density(k, v)
+        acc = gamma / denom * (1.0 / V)
+        for mk, row, nk in zip(self.m_k, self.n_kv, self.n_k):
+            acc += mk / denom * ((row[v] + beta) / (nk + v_beta))
         return acc
 
     def table_weights(self, m: int, v: int) -> list:
@@ -156,9 +200,11 @@ class HdpSampler:
 
         existing t: n_mt * f_{k_mt}(v);  new: alpha0 * new_table_likelihood(v)
         """
-        tt = self.table_topic[m]
-        tc = self.table_count[m]
-        weights = [tc[t] * self.cond_density(tt[t], v) for t in range(len(tt))]
+        beta = self.hyper.beta
+        v_beta = self.n_words * beta
+        n_kv, n_k = self.n_kv, self.n_k
+        weights = [c * ((n_kv[k][v] + beta) / (n_k[k] + v_beta))
+                   for c, k in zip(self.table_count[m], self.table_topic[m])]
         weights.append(self.hyper.alpha0 * self.new_table_likelihood(v))
         return weights
 
@@ -167,8 +213,12 @@ class HdpSampler:
 
         existing k: m_k * f_k(v);  new: gamma / V
         """
-        out = [self.m_k[k] * self.cond_density(k, v) for k in range(self.n_topics)]
-        out.append(self.hyper.gamma * (1.0 / self.corpus.n_words))
+        beta = self.hyper.beta
+        V = self.n_words
+        v_beta = V * beta
+        out = [mk * ((row[v] + beta) / (nk + v_beta))
+               for mk, row, nk in zip(self.m_k, self.n_kv, self.n_k)]
+        out.append(self.hyper.gamma * (1.0 / V))
         return out
 
     # -- chain ----------------------------------------------------------------

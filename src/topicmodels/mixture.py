@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import exp_normalize, log_rising_factorial, sample_categorical
+from .core import LogRisingMemo, exp_normalize, sample_categorical
 from .corpus import Corpus
 from .lda import smoothed_rows
 
@@ -42,20 +42,24 @@ class MixtureFit:
 
 
 class _ClusterTables:
-    def __init__(self, corpus: Corpus):
+    def __init__(self, corpus: Corpus, beta: float):
         self.doc_items = [sorted(Counter(doc).items()) for doc in corpus.docword]
         self.doc_len = [len(doc) for doc in corpus.docword]
+        self.n_words = corpus.n_words
         self.n_docs_in: list = []
         self.cluster_word: list = []
         self.cluster_total: list = []
+        # rising factorials of n_kw + beta and of n_k + V beta
+        self.word_logs = LogRisingMemo(beta)
+        self.total_logs = LogRisingMemo(corpus.n_words * beta)
 
     @property
     def n_clusters(self) -> int:
         return len(self.n_docs_in)
 
-    def new_cluster(self, n_words: int) -> int:
+    def new_cluster(self) -> int:
         self.n_docs_in.append(0)
-        self.cluster_word.append([0] * n_words)
+        self.cluster_word.append([0] * self.n_words)
         self.cluster_total.append(0)
         return self.n_clusters - 1
 
@@ -73,13 +77,36 @@ class _ClusterTables:
             row[v] -= c
         self.cluster_total[k] -= self.doc_len[m]
 
-    def log_word_term(self, k: int, m: int, beta: float, v_beta: float) -> float:
+    def log_word_term(self, k: int, m: int) -> float:
         """log of prod_w rising(n_kw + beta, N_m^w) / rising(n_k + V beta, N_m)."""
         row = self.cluster_word[k]
+        word_logs = self.word_logs
+        beta = word_logs.offset
         lw = 0.0
         for v, c in self.doc_items[m]:
-            lw += log_rising_factorial(row[v] + beta, c)
-        return lw - log_rising_factorial(self.cluster_total[k] + v_beta, self.doc_len[m])
+            lw += math.log(row[v] + beta) if c == 1 else word_logs[row[v], c]
+        return lw - self.total_logs[self.cluster_total[k], self.doc_len[m]]
+
+    def check(self, z: list) -> None:
+        """Recount the tables from the document labels z; raises ValueError."""
+        K = self.n_clusters
+        n_docs_in = [0] * K
+        cluster_word = [[0] * self.n_words for _ in range(K)]
+        cluster_total = [0] * K
+        for m, k in enumerate(z):
+            if not 0 <= k < K:
+                raise ValueError(f"doc {m}: cluster {k} out of range [0, {K})")
+            n_docs_in[k] += 1
+            for v, c in self.doc_items[m]:
+                cluster_word[k][v] += c
+            cluster_total[k] += self.doc_len[m]
+        if n_docs_in != self.n_docs_in:
+            raise ValueError(f"document counts {self.n_docs_in} != recount {n_docs_in}")
+        if cluster_total != self.cluster_total:
+            raise ValueError(f"cluster totals {self.cluster_total} != recount {cluster_total}")
+        for k in range(K):
+            if cluster_word[k] != self.cluster_word[k]:
+                raise ValueError(f"cluster {k}: word counts disagree with the recount")
 
 
 class DmmSampler:
@@ -91,14 +118,18 @@ class DmmSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        self.tables = _ClusterTables(corpus)
+        self.tables = _ClusterTables(corpus, hyper.beta)
         for _ in range(hyper.n_clusters):
-            self.tables.new_cluster(corpus.n_words)
+            self.tables.new_cluster()
         self.z = []
         for m in range(corpus.n_docs):
             k = rng.randrange(hyper.n_clusters)
             self.z.append(k)
             self.tables.add_doc(m, k)
+
+    def check(self) -> None:
+        """Recount the cluster tables from z; raises ValueError on a mismatch."""
+        self.tables.check(self.z)
 
     def full_conditional(self, m: int) -> list:
         """Cluster weights for document m, its counts already removed.
@@ -108,7 +139,6 @@ class DmmSampler:
         hyper = self.hyper
         K = hyper.n_clusters
         M = self.corpus.n_docs
-        v_beta = self.corpus.n_words * hyper.beta
         log_prior_denom = math.log(M - 1 + K * hyper.alpha)
         logs = []
         for k in range(K):
@@ -117,7 +147,7 @@ class DmmSampler:
                 logs.append(float("-inf"))
                 continue
             lw = math.log(prior) - log_prior_denom
-            lw += self.tables.log_word_term(k, m, hyper.beta, v_beta)
+            lw += self.tables.log_word_term(k, m)
             logs.append(lw)
         return exp_normalize(logs)
 
@@ -158,9 +188,9 @@ class DpmmSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        self.tables = _ClusterTables(corpus)
+        self.tables = _ClusterTables(corpus, hyper.beta)
         for _ in range(hyper.n_clusters):
-            self.tables.new_cluster(corpus.n_words)
+            self.tables.new_cluster()
         self.z = []
         for m in range(corpus.n_docs):
             k = rng.randrange(hyper.n_clusters)
@@ -170,6 +200,8 @@ class DpmmSampler:
         for k in range(self.tables.n_clusters - 1, -1, -1):
             if self.tables.n_docs_in[k] == 0:
                 self._delete_cluster(k)
+        # the new-cluster term depends on the document alone
+        self._new_cluster_log = [self._new_cluster_term(m) for m in range(corpus.n_docs)]
 
     @property
     def n_clusters(self) -> int:
@@ -188,30 +220,41 @@ class DpmmSampler:
         self.tables.cluster_word.pop()
         self.tables.cluster_total.pop()
 
+    def check(self) -> None:
+        """Recount the cluster tables from z and require every cluster live;
+        raises ValueError on a mismatch."""
+        self.tables.check(self.z)
+        for k, n in enumerate(self.tables.n_docs_in):
+            if n <= 0:
+                raise ValueError(f"cluster {k} is not live ({n} documents)")
+
+    def _log_denom(self) -> float:
+        return math.log(self.corpus.n_docs - 1 + self.hyper.alpha)
+
+    def _new_cluster_term(self, m: int) -> float:
+        """log of a/(M - 1 + a) * word term with zero counts."""
+        alpha = self.hyper.alpha
+        if not alpha > 0:
+            return float("-inf")
+        tables = self.tables
+        lw = math.log(alpha) - self._log_denom()
+        for _, c in tables.doc_items[m]:
+            lw += tables.word_logs[0, c]
+        return lw - tables.total_logs[0, tables.doc_len[m]]
+
     def full_conditional(self, m: int) -> list:
         """K live-cluster weights plus one new-cluster weight (last entry).
 
         live k: n_k/(M - 1 + a) * word term with cluster counts
         new:    a/(M - 1 + a) * word term with zero counts
         """
-        hyper = self.hyper
-        M = self.corpus.n_docs
-        beta = hyper.beta
-        v_beta = self.corpus.n_words * beta
-        log_denom = math.log(M - 1 + hyper.alpha)
+        log_denom = self._log_denom()
         logs = []
         for k in range(self.tables.n_clusters):
             lw = math.log(self.tables.n_docs_in[k]) - log_denom
-            lw += self.tables.log_word_term(k, m, beta, v_beta)
+            lw += self.tables.log_word_term(k, m)
             logs.append(lw)
-        if hyper.alpha > 0:
-            lw = math.log(hyper.alpha) - log_denom
-            for _, c in self.tables.doc_items[m]:
-                lw += log_rising_factorial(beta, c)
-            lw -= log_rising_factorial(v_beta, self.tables.doc_len[m])
-            logs.append(lw)
-        else:
-            logs.append(float("-inf"))
+        logs.append(self._new_cluster_log[m])
         return exp_normalize(logs)
 
     def sweep(self) -> None:
@@ -224,7 +267,7 @@ class DpmmSampler:
             weights = self.full_conditional(m)
             k = sample_categorical(weights, self.rng)
             if k == self.tables.n_clusters:
-                k = self.tables.new_cluster(self.corpus.n_words)
+                k = self.tables.new_cluster()
             self.z[m] = k
             self.tables.add_doc(m, k)
 

@@ -10,8 +10,7 @@ import random
 from collections import Counter
 from typing import Callable
 
-from .core import (CountTables, exp_normalize, log_rising_factorial,
-                   sample_categorical)
+from .core import CountTables, LogRisingMemo, exp_normalize, sample_categorical
 from .corpus import Corpus
 from .lda import FittedLda, LdaHyper, estimate_phi, estimate_theta
 
@@ -44,6 +43,9 @@ class SentenceLdaSampler:
                 k = self.z[m][s]
                 for v, c in items:
                     self.tables.increment(m, k, v, c)
+        # rising factorials of n_kw + b and of n_k + V b
+        self._word_logs = LogRisingMemo(hyper.beta)
+        self._total_logs = LogRisingMemo(corpus.n_words * hyper.beta)
 
     def _remove_sentence(self, m: int, s: int) -> int:
         k = self.z[m][s]
@@ -65,7 +67,8 @@ class SentenceLdaSampler:
         """
         hyper = self.hyper
         K = hyper.n_topics
-        V = self.corpus.n_words
+        beta = hyper.beta
+        word_logs = self._word_logs
         items = self.sentence_words[m][s]
         n_s = sum(c for _, c in items)
         n_mk = self.tables.doc_topic[m]
@@ -75,8 +78,8 @@ class SentenceLdaSampler:
             lw = math.log(n_mk[k] + hyper.alpha) - doc_log_denom
             row = self.tables.topic_word[k]
             for v, c in items:
-                lw += log_rising_factorial(row[v] + hyper.beta, c)
-            lw -= log_rising_factorial(self.tables.topic_total[k] + V * hyper.beta, n_s)
+                lw += math.log(row[v] + beta) if c == 1 else word_logs[row[v], c]
+            lw -= self._total_logs[self.tables.topic_total[k], n_s]
             logs.append(lw)
         return exp_normalize(logs)
 

@@ -12,11 +12,12 @@ sum_v n_kv = 2 n_k at all times.
 import logging
 import math
 import random
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
-from .core import exp_normalize, log_rising_factorial, sample_categorical
+from .core import LogRisingMemo, exp_normalize, require_positive, sample_categorical
 from .corpus import Corpus
 from .lda import smoothed_rows
 
@@ -36,6 +37,9 @@ class PtmHyper:
     def __post_init__(self):
         if self.n_pseudo_docs < 1 or self.n_topics < 1:
             raise ValueError("n_pseudo_docs and n_topics must be >= 1")
+        require_positive({"alpha": self.alpha, "beta": self.beta, "lambda": self.doc_lambda})
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
 
 @dataclass
@@ -74,6 +78,39 @@ class PtmSampler:
                 self.doc_topic[m][k] += 1
                 self.topic_word[k][v] += 1
                 self.topic_total[k] += 1
+        # rising factorials of N_lk + a and of N_l + K a
+        self._topic_logs = LogRisingMemo(hyper.alpha)
+        self._total_logs = LogRisingMemo(K * hyper.alpha)
+
+    def check(self) -> None:
+        """Recount every table from the assignments l and z; raises ValueError."""
+        P, K, V = self.hyper.n_pseudo_docs, self.hyper.n_topics, self.corpus.n_words
+        n_l = [0] * P
+        pseudo_topic = [[0] * K for _ in range(P)]
+        doc_topic = [[0] * K for _ in range(self.corpus.n_docs)]
+        topic_word = [[0] * V for _ in range(K)]
+        for m, doc in enumerate(self.corpus.docword):
+            l = self.l[m]
+            if not 0 <= l < P:
+                raise ValueError(f"doc {m}: pseudo document {l} out of range [0, {P})")
+            n_l[l] += 1
+            if len(self.z[m]) != len(doc):
+                raise ValueError(f"doc {m}: {len(self.z[m])} topics for {len(doc)} tokens")
+            for v, k in zip(doc, self.z[m]):
+                if not 0 <= k < K:
+                    raise ValueError(f"doc {m}: topic {k} out of range [0, {K})")
+                pseudo_topic[l][k] += 1
+                doc_topic[m][k] += 1
+                topic_word[k][v] += 1
+        for name, want, got in (
+                ("n_l", n_l, self.n_l),
+                ("pseudo_topic", pseudo_topic, self.pseudo_topic),
+                ("pseudo_total", [sum(r) for r in pseudo_topic], self.pseudo_total),
+                ("doc_topic", doc_topic, self.doc_topic),
+                ("topic_word", topic_word, self.topic_word),
+                ("topic_total", [sum(r) for r in topic_word], self.topic_total)):
+            if want != got:
+                raise ValueError(f"{name} disagrees with the recount from l and z")
 
     def pseudo_doc_conditional(self, m: int) -> list:
         """Pseudo-document weights for document m, its contribution removed.
@@ -82,21 +119,26 @@ class PtmSampler:
                    * prod_k rising(N_lk + a, n_mk) / rising(N_l + K a, N_m)
         """
         hyper = self.hyper
-        P, K = hyper.n_pseudo_docs, hyper.n_topics
+        P = hyper.n_pseudo_docs
         M = self.corpus.n_docs
         n_m = len(self.corpus.docword[m])
         doc_counts = [(k, c) for k, c in enumerate(self.doc_topic[m]) if c]
         log_denom = math.log(M - 1 + P * hyper.doc_lambda)
-        k_alpha = K * hyper.alpha
-        logs = []
-        for l in range(P):
-            lw = math.log(self.n_l[l] + hyper.doc_lambda) - log_denom
-            row = self.pseudo_topic[l]
-            for k, c in doc_counts:
-                lw += log_rising_factorial(row[k] + hyper.alpha, c)
-            lw -= log_rising_factorial(self.pseudo_total[l] + k_alpha, n_m)
-            logs.append(lw)
-        return exp_normalize(logs)
+        alpha = hyper.alpha
+        log = math.log
+        topic_logs = self._topic_logs
+        total_logs = self._total_logs
+        pseudo_topic = self.pseudo_topic
+        # one pass over the P pseudo documents per factor, each adding its
+        # term in the order of the formula
+        logs = [log(n + hyper.doc_lambda) - log_denom for n in self.n_l]
+        for k, c in doc_counts:
+            if c == 1:
+                logs = [lw + log(row[k] + alpha) for lw, row in zip(logs, pseudo_topic)]
+            else:
+                logs = [lw + topic_logs[row[k], c] for lw, row in zip(logs, pseudo_topic)]
+        return exp_normalize([lw - total_logs[t, n_m]
+                              for lw, t in zip(logs, self.pseudo_total)])
 
     def topic_conditional(self, m: int, v: int) -> list:
         """Topic weights for one token, excluded from its pseudo doc and word tables.
@@ -146,25 +188,40 @@ class PtmSampler:
                 if c:
                     self.pseudo_topic[l_new][k] += c
             self.l[m] = l_new
-        # phase 2: token topics
+        # phase 2: token topics, drawing from topic_conditional inline
+        K = hyper.n_topics
+        alpha, beta = hyper.alpha, hyper.beta
+        k_alpha = K * alpha
+        v_beta = self.corpus.n_words * beta
+        topic_word = self.topic_word
+        topic_total = self.topic_total
+        rng_random = self.rng.random
         for m, doc in enumerate(self.corpus.docword):
             l = self.l[m]
             p_row = self.pseudo_topic[l]
             d_row = self.doc_topic[m]
+            zm = self.z[m]
+            # N_l with the current token excluded is the same for every token
+            denom = self.pseudo_total[l] - 1 + k_alpha
             for n, v in enumerate(doc):
-                k = self.z[m][n]
+                k = zm[n]
                 p_row[k] -= 1
-                self.pseudo_total[l] -= 1
                 d_row[k] -= 1
-                self.topic_word[k][v] -= 1
-                self.topic_total[k] -= 1
-                k = sample_categorical(self.topic_conditional(m, v), self.rng)
-                self.z[m][n] = k
+                topic_word[k][v] -= 1
+                topic_total[k] -= 1
+                # the weights are positive, so a draw past the last running
+                # sum (round-off) takes K - 1, as sample_categorical would
+                cumulative = list(accumulate(
+                    [(p + alpha) / denom * (row[v] + beta) / (t + v_beta)
+                     for p, row, t in zip(p_row, topic_word, topic_total)]))
+                k = bisect_right(cumulative, rng_random() * cumulative[-1])
+                if k == K:
+                    k = K - 1
+                zm[n] = k
                 p_row[k] += 1
-                self.pseudo_total[l] += 1
                 d_row[k] += 1
-                self.topic_word[k][v] += 1
-                self.topic_total[k] += 1
+                topic_word[k][v] += 1
+                topic_total[k] += 1
 
     def estimate(self) -> PtmFit:
         alpha, beta = self.hyper.alpha, self.hyper.beta
@@ -272,6 +329,24 @@ class BtmSampler:
     def n_biterms(self) -> int:
         return len(self.instances)
 
+    def check(self) -> None:
+        """Recount the tables from the biterm topics z; raises ValueError."""
+        K, V = self.hyper.n_topics, self.corpus.n_words
+        n_b = [0] * K
+        topic_word = [[0] * V for _ in range(K)]
+        for i, ((w1, w2), k) in enumerate(zip(self.instances, self.z)):
+            if not 0 <= k < K:
+                raise ValueError(f"biterm {i}: topic {k} out of range [0, {K})")
+            n_b[k] += 1
+            topic_word[k][w1] += 1
+            topic_word[k][w2] += 1
+        if n_b != self.n_b:
+            raise ValueError(f"biterm counts {self.n_b} != recount {n_b}")
+        if topic_word != self.topic_word:
+            raise ValueError("topic_word disagrees with the recount from z")
+        if [2 * n for n in n_b] != self.topic_total:
+            raise ValueError(f"topic totals {self.topic_total} != 2 * biterm counts")
+
     def full_conditional(self, w1: int, w2: int) -> list:
         """Topic weights for one biterm, its counts already removed.
 
@@ -292,18 +367,57 @@ class BtmSampler:
         return out
 
     def sweep(self) -> None:
+        """Resample every biterm's topic, drawing from full_conditional inline.
+
+        The two biterm-independent factors of each weight are kept per topic,
+        in the order full_conditional multiplies them, and only the topics a
+        draw touches are refreshed:
+          prior[k] = (n_k + a)/(N_B - 1 + K a)
+          norms[k] = (n_k* + V b + 1)(n_k* + V b)
+        """
+        hyper = self.hyper
+        K = hyper.n_topics
+        alpha, beta = hyper.alpha, hyper.beta
+        denom = self.n_biterms - 1 + K * alpha
+        v_beta = self.corpus.n_words * beta
+        n_b = self.n_b
+        topic_word = self.topic_word
+        topic_total = self.topic_total
+        z = self.z
+        rng_random = self.rng.random
+        prior = [(n + alpha) / denom for n in n_b]
+        norms = [(t + v_beta + 1) * (t + v_beta) for t in topic_total]
         for i, (w1, w2) in enumerate(self.instances):
-            k = self.z[i]
-            self.n_b[k] -= 1
-            self.topic_word[k][w1] -= 1
-            self.topic_word[k][w2] -= 1
-            self.topic_total[k] -= 2
-            k = sample_categorical(self.full_conditional(w1, w2), self.rng)
-            self.z[i] = k
-            self.n_b[k] += 1
-            self.topic_word[k][w1] += 1
-            self.topic_word[k][w2] += 1
-            self.topic_total[k] += 2
+            k = z[i]
+            row = topic_word[k]
+            row[w1] -= 1
+            row[w2] -= 1
+            n = n_b[k] - 1
+            n_b[k] = n
+            prior[k] = (n + alpha) / denom
+            t = topic_total[k] - 2
+            topic_total[k] = t
+            tot = t + v_beta
+            norms[k] = (tot + 1) * tot
+            # the weights are positive, so a draw past the last running sum
+            # (round-off) takes K - 1, as sample_categorical would
+            cumulative = list(accumulate(
+                [a * (row[w1] + beta) * (row[w2] + beta) / d
+                 for a, row, d in zip(prior, topic_word, norms)]))
+            k = bisect_right(cumulative, rng_random() * cumulative[-1])
+            if k == K:
+                k = K - 1
+            z[i] = k
+            row = topic_word[k]
+            row[w1] += 1
+            row[w2] += 1
+            n = n_b[k] + 1
+            n_b[k] = n
+            prior[k] = (n + alpha) / denom
+            t = topic_total[k] + 2
+            topic_total[k] = t
+            tot = t + v_beta
+            norms[k] = (tot + 1) * tot
 
     def estimate(self) -> BtmFit:
         hyper = self.hyper

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import sample_categorical
+from .core import require_positive, sample_categorical
 from .corpus import Corpus
 from .lda import smoothed_rows
 
@@ -24,6 +24,11 @@ class LabeledLdaHyper:
     beta: float = 0.01
     iterations: int = 1000
     top_words: int = 10
+
+    def __post_init__(self):
+        require_positive({"alpha": self.alpha, "beta": self.beta})
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
 
 @dataclass
@@ -133,6 +138,9 @@ class PldaHyper:
     def __post_init__(self):
         if self.topics_per_label < 1:
             raise ValueError("topics_per_label must be >= 1")
+        require_positive({"alpha": self.alpha, "beta": self.beta})
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
 
 class PldaLabelSpace:

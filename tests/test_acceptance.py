@@ -393,59 +393,21 @@ def test_criterion_4_dual_sparse_reduction():
 # 5. HDP / DPMM bookkeeping and no-growth limits
 # ---------------------------------------------------------------------------
 
-def _check_hdp(sampler):
-    corpus = sampler.corpus
-    K = sampler.n_topics
-    assert sum(sampler.m_k) == sampler.m_total
-    assert all(mk > 0 for mk in sampler.m_k)
-    n_kv = [[0] * corpus.n_words for _ in range(K)]
-    m_k = [0] * K
-    for m, doc in enumerate(corpus.docword):
-        assert sum(sampler.table_count[m]) == len(doc)
-        assert all(c > 0 for c in sampler.table_count[m])
-        counts = [0] * len(sampler.table_topic[m])
-        for n, v in enumerate(doc):
-            t = sampler.token_table[m][n]
-            counts[t] += 1
-            n_kv[sampler.table_topic[m][t]][v] += 1
-        assert counts == sampler.table_count[m]
-        for k in sampler.table_topic[m]:
-            m_k[k] += 1
-    assert m_k == sampler.m_k
-    assert n_kv == sampler.n_kv
-    assert [sum(r) for r in n_kv] == sampler.n_k
-
-
-def _check_dpmm(sampler):
-    corpus = sampler.corpus
-    K = sampler.n_clusters
-    assert all(n > 0 for n in sampler.tables.n_docs_in)
-    assert sum(sampler.tables.n_docs_in) == corpus.n_docs
-    for k in range(K):
-        members = [m for m, z in enumerate(sampler.z) if z == k]
-        assert sampler.tables.n_docs_in[k] == len(members)
-        assert sampler.tables.cluster_total[k] == sum(
-            len(corpus.docword[m]) for m in members)
-        for v in range(corpus.n_words):
-            assert sampler.tables.cluster_word[k][v] == sum(
-                corpus.docword[m].count(v) for m in members)
-
-
 def test_criterion_5_hdp_dpmm_bookkeeping():
     start = time.perf_counter()
     rng = SeededRng(500)
     for trial in range(3):
         corpus = parse_plain(random_docs(rng, rng.randrange(6, 21), 7))
         hdp_sampler = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.7, 1), rng)
-        _check_hdp(hdp_sampler)
+        hdp_sampler.check()
         for _ in range(10):
             hdp_sampler.sweep()
-            _check_hdp(hdp_sampler)
+            hdp_sampler.check()
         dpmm_sampler = DpmmSampler(corpus, MixtureHyper(3, 0.7, 0.15, 1), rng)
-        _check_dpmm(dpmm_sampler)
+        dpmm_sampler.check()
         for _ in range(10):
             dpmm_sampler.sweep()
-            _check_dpmm(dpmm_sampler)
+            dpmm_sampler.check()
 
     # gamma = 0 (HDP) and alpha = 0 (DPMM) must never grow the component count
     corpus = parse_plain(random_docs(rng, 15, 7))

@@ -129,6 +129,61 @@ def test_lda_gibbs_golden_bytes(tmp_path, k):
     assert digests == GOLDEN_LDA_GIBBS[k]
 
 
+# SHA-256 of the short-text models' output files for GOLDEN at seed 7,
+# 20 sweeps, --top-words 3.  The flags make DPMM and HDP open and close
+# clusters, tables and topics during the chain, and GOLDEN repeats words
+# inside documents, so the multiplicity-2 rising factorials are used too.
+# The sweeps inline their conditionals, so these hashes (not the
+# full_conditional oracles) are what pin the kernels.
+GOLDEN_SHORT_TEXT = {
+    "dmm": (["-k", "4", "--alpha", "1", "--beta", "0.5"], {
+        "DMM_cluster_word_4.txt":
+        "1af02c4b739a8788f2e1bad0a5e06f268a71e6773fa8dedc542dbf42b3fe2c8a",
+        "DMM_doc_cluster4.txt":
+        "d6b0cabb313f82da4a6c6f0cf0a26069ef6fb6dc44b4273fd14295a692e2241c",
+        "DMM_theta_4.txt":
+        "8b06ca005e7f39afad68b195c243b1b47d33030589501cb6b570a374d703580b"}),
+    "dpmm": (["-k", "2", "--alpha", "2", "--beta", "0.2"], {
+        "DPMM_cluster_word_5.txt":
+        "c3b1e7ec05c8a031d5540c35217c12b1fe4d24f6eed0c6800d825ae97c6edb72",
+        "DPMM_doc_cluster5.txt":
+        "4734488c44bcced3c82e77374e349bb9dcb67b459a7819b6f69548e32589cb7d",
+        "DPMM_theta_5.txt":
+        "371ba0764a087cbc4bcc92ff214093b949dbc57bcc1a0917c900701e4223b217"}),
+    "ptm": (["-k", "3", "--pseudo-docs", "3", "--alpha", "0.5"], {
+        "PseudoDTM_doc_topic3.txt":
+        "d5c47bf2f70a353d12556fa993e16b0841bae71ad86f59494e98373404096191",
+        "PseudoDTM_pseudo_topic3.txt":
+        "cbadab904f5a9bb0767a9026b16a6fe5c06869a955cf89b6980f67482508210e",
+        "PseudoDTM_topic_word_3.txt":
+        "49ff783cd8c52a630b2628a014c9c33797b343e3fb3e0fbc216f6a4757e9df52"}),
+    "btm": (["-k", "3"], {
+        "BTM_doc_topic_3.txt":
+        "7c25542b247999d8f79092e4d457b420c6326b3d1775c34016a741209707284b",
+        "BTM_topic_theta_3.txt":
+        "40de2d714c6359800647a258f9475c2356bb94e5e761114cc37ed47e0e6a574a",
+        "BTM_topic_word_3.txt":
+        "01f04a0456c51f19a2ac4dd3ac549cebdeae583ced039d22fcc00ea640bd197b"}),
+    "hdp": (["-k", "3", "--alpha", "1.0", "--gamma", "1.0"], {
+        "HDP_doc_topic7.txt":
+        "9163aa5a9c6862cb858de593e59a919113de87e244460aa01ad2b3b7c1c483d7",
+        "HDP_topic_word_7.txt":
+        "8bfa9f935c70964decb0c2cc541ab061e943c2808ca2db5b635a2545431f4094"}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_SHORT_TEXT))
+def test_short_text_golden_bytes(tmp_path, model):
+    flags, want = GOLDEN_SHORT_TEXT[model]
+    corpus = tmp_path / "golden.txt"
+    corpus.write_text(GOLDEN)
+    out = tmp_path / "out"
+    assert run(["fit", "--model", model, "--input", corpus, "--output-dir", out,
+                *flags, "--iterations", "20", "--top-words", "3", "--seed", "7"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == want
+
+
 def test_fit_different_seeds_differ(tmp_path, plain_file):
     texts = []
     for seed in ("1", "2"):
@@ -282,16 +337,27 @@ def test_nonpositive_top_words_rejected_before_output(tmp_path, plain_file, caps
     ("btm", ["-k", "0"], "n_topics must be >= 1"),
     ("link-lda", ["-k", "2", "--gamma", "0"], "gamma must be positive"),
     ("link-lda", ["-k", "2", "--gamma", "-5"], "gamma must be positive"),
+    ("ptm", ["-k", "2", "--pseudo-docs", "2", "--lambda", "-1"], "lambda must be positive"),
+    ("ptm", ["-k", "2", "--pseudo-docs", "2", "--alpha", "0"], "alpha must be positive"),
+    ("ptm", ["-k", "2", "--pseudo-docs", "2", "--beta", "-0.5"], "beta must be positive"),
+    ("ptm", ["-k", "2", "--pseudo-docs", "2", "--iterations", "0"],
+     "iterations must be >= 1"),
+    ("labeled-lda", ["--alpha", "-1"], "alpha must be positive"),
+    ("labeled-lda", ["--beta", "0"], "beta must be positive"),
+    ("labeled-lda", ["--iterations", "0"], "iterations must be >= 1"),
+    ("plda", ["--alpha", "-1"], "alpha must be positive"),
+    ("plda", ["--beta", "0"], "beta must be positive"),
+    ("plda", ["--iterations", "0"], "iterations must be >= 1"),
 ])
 def test_invalid_hyperparameters_rejected(tmp_path, capsys, model, flags, message):
     corpus = tmp_path / "corpus.txt"
-    corpus.write_text(LINKS if model == "link-lda" else PLAIN)
+    corpus.write_text({"link-lda": LINKS, "labeled-lda": LABELS, "plda": LABELS}.get(model, PLAIN))
     out = tmp_path / "out"
     rc = run(["fit", "--model", model, "--input", corpus, "--output-dir", out,
               "--iterations", "2", *flags])
     assert rc == 1
     assert message in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_parse_error_reports_line(tmp_path, capsys):

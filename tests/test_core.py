@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from topicmodels.core import (CountTables, SamplingError, SeededRng,
+from topicmodels.core import (CountTables, LogRisingMemo, SamplingError, SeededRng,
                               counts_from_assignments, exp_normalize,
-                              log_rising_factorial, sample_categorical)
+                              log_rising_factorial, require_positive,
+                              sample_categorical)
 
 
 def test_seeded_rng_reproducible():
@@ -78,6 +79,34 @@ def test_log_rising_factorial_domain():
         log_rising_factorial(0.0, 3)
     with pytest.raises(ValueError):
         log_rising_factorial(-1.0, 3)
+
+
+def test_log_rising_memo_equals_direct_sum_exactly():
+    # the samplers' offsets: beta, alpha, V * beta and K * alpha
+    for offset in (0.01, 0.1, 0.5, 1.0, 2.5, 452 * 0.01, 10 * 0.1, 1e-12):
+        memo = LogRisingMemo(offset)
+        for _ in range(2):  # the second pass reads the memo
+            for n in range(60):
+                for c in range(9):
+                    assert memo[n, c] == log_rising_factorial(n + offset, c)
+        assert len(memo) == 60 * 9
+        for n in range(60):
+            # the kernels evaluate multiplicity 1 as a bare log
+            assert log_rising_factorial(n + offset, 1) == math.log(n + offset)
+
+
+def test_log_rising_memo_keeps_the_domain_check():
+    memo = LogRisingMemo(0.0)
+    with pytest.raises(ValueError):
+        memo[0, 2]
+    assert len(memo) == 0
+
+
+def test_require_positive_names_the_parameter():
+    require_positive({"alpha": 0.1, "beta": 1e-12})
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^beta must be positive$"):
+            require_positive({"alpha": 0.1, "beta": bad})
 
 
 def test_exp_normalize_handles_large_logs():

@@ -162,9 +162,25 @@ def test_franchise_invariants_every_sweep():
         corpus = toy_corpus(rng, n_docs=7)
         sampler = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.6, 1), rng)
         check_franchise_invariants(sampler)
+        sampler.check()
         for _ in range(12):
             sampler.sweep()
             check_franchise_invariants(sampler)
+            sampler.check()
+
+
+def test_check_catches_a_stale_seating_plan():
+    corpus = toy_corpus(SeededRng(78), n_docs=5)
+    sampler = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.6, 1), SeededRng(1))
+    sampler.sweep()
+    sampler.check()
+    sampler.table_count[0][0] += 1
+    with pytest.raises(ValueError, match="table counts"):
+        sampler.check()
+    sampler.table_count[0][0] -= 1
+    sampler.m_total += 1
+    with pytest.raises(ValueError, match="m_total"):
+        sampler.check()
 
 
 def test_fit_reports_surviving_topic_count():

@@ -185,6 +185,32 @@ def test_dpmm_bookkeeping_recount_every_sweep():
                 assert sampler.tables.cluster_word[k][v] == want
 
 
+@pytest.mark.parametrize("sampler_cls", [DmmSampler, DpmmSampler])
+def test_check_recounts_the_cluster_tables(sampler_cls):
+    corpus = parse_plain(["a b a", "b c", "c c a", "a", "d b"])
+    sampler = sampler_cls(corpus, MixtureHyper(2, 0.5, 0.2, 1), SeededRng(3))
+    sampler.check()
+    for _ in range(5):
+        sampler.sweep()
+        sampler.check()
+    k = sampler.z[0]
+    sampler.tables.cluster_word[k][0] += 1
+    with pytest.raises(ValueError, match="word counts"):
+        sampler.check()
+    sampler.tables.cluster_word[k][0] -= 1
+    sampler.tables.n_docs_in[k] += 1
+    with pytest.raises(ValueError, match="document counts"):
+        sampler.check()
+
+
+def test_dpmm_check_rejects_a_dead_cluster():
+    corpus = parse_plain(["a b", "b c"])
+    sampler = DpmmSampler(corpus, MixtureHyper(2, 0.5, 0.2, 1), SeededRng(3))
+    sampler.tables.new_cluster()
+    with pytest.raises(ValueError, match="not live"):
+        sampler.check()
+
+
 def test_dpmm_fit_reports_final_cluster_count():
     corpus = parse_plain(["a a", "b b", "a b", "c c c"])
     fit, n_clusters = dpmm_fit(corpus, MixtureHyper(2, 0.5, 0.2, 20), SeededRng(2))

@@ -93,6 +93,18 @@ def test_ptm_doc_counts_conserved():
                 assert sampler.doc_topic[m][k] == sum(1 for z in sampler.z[m] if z == k)
 
 
+def test_ptm_check_recounts_every_table():
+    corpus = make_corpus(SeededRng(6), n_docs=8)
+    sampler = PtmSampler(corpus, PtmHyper(3, 2, iterations=1), SeededRng(2))
+    for _ in range(5):
+        sampler.sweep()
+        sampler.check()
+    l = sampler.l[0]
+    sampler.pseudo_topic[l][sampler.z[0][0]] += 1
+    with pytest.raises(ValueError, match="pseudo_topic"):
+        sampler.check()
+
+
 def test_ptm_fit_outputs_are_stochastic():
     corpus = parse_plain(["a b a", "c d", "b d d"])
     fit = ptm_fit(corpus, PtmHyper(2, 3, iterations=10), SeededRng(3))
@@ -197,6 +209,18 @@ def test_btm_word_slots_invariant():
             assert sum(sampler.topic_word[k]) == 2 * sampler.n_b[k]
             assert sampler.topic_total[k] == 2 * sampler.n_b[k]
         assert sum(sampler.n_b) == sampler.n_biterms
+
+
+def test_btm_check_recounts_every_table():
+    corpus = make_corpus(SeededRng(9), n_docs=6)
+    sampler = BtmSampler(corpus, BtmHyper(3, window=4, iterations=1), SeededRng(4))
+    for _ in range(5):
+        sampler.sweep()
+        sampler.check()
+    w1, _ = sampler.instances[0]
+    sampler.topic_word[sampler.z[0]][w1] += 1
+    with pytest.raises(ValueError, match="topic_word"):
+        sampler.check()
 
 
 def test_btm_theta_sums_to_one():
