@@ -12,6 +12,7 @@ Input layouts:
                 (author lists, citation links, label lists)
 """
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -88,7 +89,9 @@ class StopList:
             return cls.from_words(f)
 
     @classmethod
+    @functools.cache
     def default(cls) -> "StopList":
+        """The bundled English list; read once, then shared (it is frozen)."""
         text = resources.files("topicmodels.data").joinpath("default_stopwords.txt").read_text("utf-8")
         return cls.from_words(text.split())
 
@@ -161,18 +164,26 @@ def lemmatize(token: str) -> str:
     return token
 
 
+# Distinct raw tokens whose cleaning is remembered.  Cleaning is a pure
+# function of the token, and a corpus repeats its tokens many times over.
+CLEAN_CACHE_SIZE = 1 << 16
+
+
+@functools.lru_cache(maxsize=CLEAN_CACHE_SIZE)
+def _clean_token(raw: str) -> tuple[str, str] | None:
+    """(surface, lemma) of one raw token; None for URL, punctuation or number noise."""
+    raw = raw.lower()
+    if _URL_RE.match(raw):
+        return None
+    token = _EDGE_PUNCT_RE.sub("", raw)
+    if not token or not _LETTER_RE.search(token):
+        return None  # pure punctuation or pure digits
+    return token, lemmatize(token)
+
+
 def clean_tokens(line: str) -> list[tuple[str, str]]:
     """(surface, lemma) pairs after lowercasing and noise removal.  No stopwording."""
-    out = []
-    for raw in line.split():
-        raw = raw.lower()
-        if _URL_RE.match(raw):
-            continue
-        token = _EDGE_PUNCT_RE.sub("", raw)
-        if not token or not _LETTER_RE.search(token):
-            continue  # pure punctuation or pure digits
-        out.append((token, lemmatize(token)))
-    return out
+    return [pair for pair in map(_clean_token, line.split()) if pair is not None]
 
 
 def preprocess(line: str, stoplist: StopList | None = None) -> str:
@@ -182,10 +193,9 @@ def preprocess(line: str, stoplist: StopList | None = None) -> str:
     stopword, so inflected stopwords ("novels", "wishing") vanish even
     though the suffix rules run first.
     """
-    if stoplist is None:
-        stoplist = StopList.default()
+    stop = (StopList.default() if stoplist is None else stoplist).words
     kept = [lemma for token, lemma in clean_tokens(line)
-            if token not in stoplist and lemma not in stoplist]
+            if token not in stop and lemma not in stop]
     return " ".join(kept)
 
 

@@ -50,6 +50,8 @@ class SparseHyper:
         # plain CVB0 LDA when the selectors are pinned open)
         if not 0 <= self.pi_bar < self.pi or not 0 <= self.word_gamma_bar < self.word_gamma:
             raise ValueError("weak priors must sit in [0, strong prior)")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
 
 @dataclass

@@ -8,49 +8,69 @@ where D counts documents, not tokens: D(v) is the number of documents
 containing v and D(v_n, v_l) the number containing both.  The conditioning
 word of each pair, v_l, is the earlier-ranked one, exactly as the score is
 defined.
+
+Document sets are int bitsets (bit m set when document m contains the
+word), so D is ``bit_count()`` and a pair's D is one ``&``; both are exact
+integer counts.
 """
 
+import heapq
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
-def document_sets(docword: Sequence[Sequence[int]], words: Sequence[int]) -> dict:
-    """Map each listed word to the set of document ids containing it."""
+def document_sets(docword: Sequence[Sequence[int]], words: Iterable[int]) -> dict:
+    """Map each listed word to the bitset of the documents containing it."""
     wanted = set(words)
-    sets: dict = {v: set() for v in wanted}
+    rows = {v: bytearray((len(docword) + 7) // 8) for v in wanted}
     for m, doc in enumerate(docword):
-        for v in doc:
-            if v in wanted:
-                sets[v].add(m)
-    return sets
+        byte, bit = m >> 3, 1 << (m & 7)
+        for v in wanted.intersection(doc):
+            rows[v][byte] |= bit
+    return {v: int.from_bytes(row, "little") for v, row in rows.items()}
 
 
-def topic_coherence(docword: Sequence[Sequence[int]], top_words: Sequence[int]) -> float:
-    """Coherence of one ordered top-word list; 0.0 for fewer than two words."""
-    sets = document_sets(docword, top_words)
+def topic_coherence(docword: Sequence[Sequence[int]], top_words: Sequence[int],
+                    sets: dict | None = None) -> float:
+    """Coherence of one ordered top-word list; 0.0 for fewer than two words.
+
+    ``sets`` may be ``document_sets`` over any superset of ``top_words``, so
+    several topics can share one corpus scan; by default it is built here.
+    """
+    if sets is None:
+        sets = document_sets(docword, top_words)
     for v in top_words:
         if not sets[v]:
             raise ValueError(f"word id {v} occurs in no document")
+    bits = [sets[v] for v in top_words]
+    counts = [b.bit_count() for b in bits]
     score = 0.0
-    for n in range(1, len(top_words)):
-        v_n = top_words[n]
+    for n in range(1, len(bits)):
+        b_n = bits[n]
         for l in range(n):
-            v_l = top_words[l]
-            co = len(sets[v_n] & sets[v_l])
-            score += math.log((co + 1) / len(sets[v_l]))
+            co = (b_n & bits[l]).bit_count()
+            score += math.log((co + 1) / counts[l])
     return score
 
 
 def top_word_ids(phi_row: Sequence[float], n: int) -> list:
-    """Indices of the n largest probabilities, ties broken by vocabulary index."""
-    order = sorted(range(len(phi_row)), key=lambda v: (-phi_row[v], v))
-    return order[:n]
+    """Indices of the n largest probabilities, ties broken by vocabulary index.
+
+    ``heapq.nlargest`` equals ``sorted(..., reverse=True)[:n]``, and that
+    sort is stable, so equal entries keep index order.
+    """
+    return heapq.nlargest(n, range(len(phi_row)), key=phi_row.__getitem__)
 
 
 def average_coherence(docword: Sequence[Sequence[int]], phi: Sequence[Sequence[float]],
                       top_n: int) -> float:
-    """Mean topic coherence over all topics, each using its top_n words."""
+    """Mean topic coherence over all topics, each using its top_n words.
+
+    The corpus is scanned once, for the union of every topic's top words.
+    """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    scores = [topic_coherence(docword, top_word_ids(row, top_n)) for row in phi]
+    tops = [top_word_ids(row, top_n) for row in phi]
+    sets = document_sets(docword, (v for top in tops for v in top))
+    scores = [topic_coherence(docword, top, sets) for top in tops]
     return sum(scores) / len(scores)

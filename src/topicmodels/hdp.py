@@ -34,6 +34,8 @@ class HdpHyper:
             raise ValueError("n_topics_init must be >= 1")
         if self.alpha0 < 0 or self.beta <= 0 or self.gamma < 0:
             raise ValueError("concentrations must be nonnegative and beta positive")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
 
 class HdpSampler:

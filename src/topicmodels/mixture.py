@@ -32,6 +32,8 @@ class MixtureHyper:
             raise ValueError("n_clusters must be >= 1")
         if self.alpha < 0 or self.beta <= 0:
             raise ValueError("alpha must be >= 0 and beta > 0")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
 
 @dataclass

@@ -16,11 +16,7 @@ exactly.
 from pathlib import Path
 from typing import Sequence
 
-
-def rank_top(row: Sequence[float], n: int) -> list:
-    """Indices of the n largest entries; ties broken by the smaller index."""
-    order = sorted(range(len(row)), key=lambda i: (-row[i], i))
-    return order[:n]
+from .evaluation import top_word_ids
 
 
 def _fmt(p: float) -> str:
@@ -43,7 +39,7 @@ def write_topic_word_file(path, phi: Sequence[Sequence[float]], words: Sequence[
         elif related_labels is not None:
             header += f"\tRelated label:{related_labels[k]}"
         lines.append(header)
-        for v in rank_top(row, top_n):
+        for v in top_word_ids(row, top_n):
             lines.append(f"{words[v]} :{_fmt(row[v])}")
         lines.append("")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -79,7 +75,7 @@ def write_topic_author_file(path, author_theta: Sequence[Sequence[float]],
     lines = []
     for k in range(n_topics):
         column = [author_theta[a][k] for a in range(len(names))]
-        top = rank_top(column, top_n)
+        top = top_word_ids(column, top_n)
         total = sum(column[a] for a in top)
         lines.append(f"Topic:{k + 1}")
         for a in top:

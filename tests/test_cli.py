@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -117,16 +118,46 @@ GOLDEN_LDA_GIBBS = {
 }
 
 
+# Python 3.12 made the builtin sum() of floats compensated (Neumaier
+# summation).  BTM's document mixtures, the CVB0 and dual-sparse updates and
+# the eval mean over topics all sum floats, so from 3.12 on the files below
+# have these hashes instead of the ones in the GOLDEN_* tables.  Running 3.12
+# with a left-to-right sum() gives the GOLDEN_* hashes again.
+SUM_IS_COMPENSATED = sys.version_info >= (3, 12)
+GOLDEN_PY312 = {
+    "BTM_doc_topic_3.txt":
+    "e88374ef6bd9602e52617246ba0e960248c3b4dd5729562d0b05633a79ab65f5",
+    "CVBLDA_doc_topic3.txt":
+    "fb59cd262354acc004ec7946f50bc73817e24c681531e2298dcd990757687b6d",
+    "CVBLDA_topic_word_3.txt":
+    "ad7c6b9962b860612cebfb8680e3a667e7ddb0aeaa56807ace4f03d7157c1467",
+    "dualSLDA_doc_topic_3.txt":
+    "dd53c1c92d220c1b3a457bcaf40545f61a936193b1404eb86af941d2bc26fd03",
+    "dualSLDA_sparseRatio_DT3.txt":
+    "e1927f6953eb73842a398c721867e737119a97a604e037241d5bbe7537d77f22",
+    "dualSLDA_topic_word_3.txt":
+    "b6008357868035d48f5815573a4844ecd2aa366f847d80dee2c7817df3f37acc",
+}
+
+
+def assert_golden(tmp_path, model, text, flags, want):
+    """Fit GOLDEN-sized input at seed 7, 20 sweeps, --top-words 3 and
+    compare the SHA-256 of every output file with ``want``."""
+    if SUM_IS_COMPENSATED:
+        want = {name: GOLDEN_PY312.get(name, digest) for name, digest in want.items()}
+    corpus = tmp_path / "golden.txt"
+    corpus.write_text(text)
+    out = tmp_path / "out"
+    assert run(["fit", "--model", model, "--input", corpus, "--output-dir", out,
+                *flags, "--iterations", "20", "--top-words", "3", "--seed", "7"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == want
+
+
 @pytest.mark.parametrize("k", sorted(GOLDEN_LDA_GIBBS))
 def test_lda_gibbs_golden_bytes(tmp_path, k):
     assert (k >= lda.SPARSE_MIN_TOPICS) == (k == 20)
-    corpus = tmp_path / "golden.txt"
-    corpus.write_text(GOLDEN)
-    out = tmp_path / "out"
-    assert run(["fit", "--model", "lda-gibbs", "--input", corpus, "--output-dir", out,
-                "-k", k, "--iterations", "20", "--top-words", "3", "--seed", "7"]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == GOLDEN_LDA_GIBBS[k]
+    assert_golden(tmp_path, "lda-gibbs", GOLDEN, ["-k", k], GOLDEN_LDA_GIBBS[k])
 
 
 # SHA-256 of the short-text models' output files for GOLDEN at seed 7,
@@ -175,13 +206,119 @@ GOLDEN_SHORT_TEXT = {
 @pytest.mark.parametrize("model", sorted(GOLDEN_SHORT_TEXT))
 def test_short_text_golden_bytes(tmp_path, model):
     flags, want = GOLDEN_SHORT_TEXT[model]
+    assert_golden(tmp_path, model, GOLDEN, flags, want)
+
+
+def _golden_tagged(meta):
+    return "".join(f"{m}\t{line}\n" for m, line in zip(meta, GOLDEN.splitlines()))
+
+
+# GOLDEN in the other input layouts: two sentences per document, and
+# authors, links or labels in front of each line (five authors and five
+# links, so the top-3 author and link lists must choose).
+GOLDEN_LAYOUTS = {
+    "plain": GOLDEN,
+    "sentences": "".join(" ".join(line.split()[:3]) + "--" + " ".join(line.split()[3:]) + "\n"
+                         for line in GOLDEN.splitlines()),
+    "authors": _golden_tagged(["Ann", "Bo,Cy", "Ann,Dee", "Cy", "Bo,Eve", "Dee,Ann",
+                               "Eve", "Cy,Bo"]),
+    "links": _golden_tagged(["100--200", "200", "300--100", "", "400--200", "100",
+                             "500--300", "200--400"]),
+    "labels": _golden_tagged(["Fruit,Sweet", "Sweet", "Fruit", "Fruit,Tart", "Tart",
+                              "Sweet,Tart", "Tart,Fruit", "Fruit"]),
+}
+
+# SHA-256 of the output files of the remaining seven models, same run
+# settings as above, recorded before the topic-word and topic-author
+# writers switched to evaluation.top_word_ids.
+GOLDEN_OTHER_MODELS = {
+    "lda-cvb0": ("plain", ["-k", "3"], {
+        "CVBLDA_doc_topic3.txt":
+        "1c754239d214b07eefe5b3e7bf21276fca118a8763888225ef1c78c3e1450446",
+        "CVBLDA_topic_word_3.txt":
+        "a95f97bda64abdfd040b3939acb469b97004d950123fb4f22d469cb9b4821575"}),
+    "sentence-lda": ("sentences", ["-k", "3"], {
+        "SentenceLDA_doc_topic_3.txt":
+        "e882070ad52113c18c549b01b6a06b69830d0995f803c1da6de3bd1b1cda6b41",
+        "SentenceLDA_topic_word3.txt":
+        "d4da8db14157e2d8fedf893fa78776ceac2e609a3d83d2023e777836a4004004"}),
+    "atm": ("authors", ["-k", "3"], {
+        "authorTM_author_topic_3.txt":
+        "c985743e1b3f4281304cf6abab9c88e05a5ad13604691c4789472cb917dbb556",
+        "authorTM_topic_author_3.txt":
+        "8371e44d6a41413a95085a9a2abe2aa8f16b018d0920b086d49cc3ce18ae5cd8",
+        "authorTM_topic_word3.txt":
+        "6239084e2c34ebe025672bf28530fa1f814f08b8954e9f549f0ef87eff5775b8"}),
+    "link-lda": ("links", ["-k", "3"], {
+        "LinkLDA_doc_topic_3.txt":
+        "de1ce78c3780341ad0fc996dce9b76f2f45d88eb517683a76bac6323b64d12d5",
+        "LinkLDA_topic_link_3.txt":
+        "7feb1b3230dc43af0a03b80571b03ff33756ffe05bc98093eddfa27f8805df1c",
+        "LinkLDA_topic_word_3.txt":
+        "22f198796006187f36c78306babce9963ffe34c7b8428e16cde78b8500efff88"}),
+    "labeled-lda": ("labels", [], {
+        "LabeledLDA_doc_topic3.txt":
+        "ef729ea7cd873cf823377bcca0d91973e24f93ef148d3c5caf189f3beb3752c9",
+        "LabeledLDA_topic_word_3.txt":
+        "22a1975274803e813c2e9a4a5588c513e1b267f38469441e69357619579a1700"}),
+    "plda": ("labels", ["--label-topics", "2"], {
+        "PLDA_doc_topic4.txt":
+        "c0af7e922aad072f2e8f725724e48d764a9c0b57403126639547345228011c86",
+        "PLDA_topic_word_4.txt":
+        "0a8a44f382b574225c43976e87c70a6817a3e385e67b097d8b2001987ce45213"}),
+    "dual-sparse": ("plain", ["-k", "3"], {
+        "dualSLDA_doc_topic_3.txt":
+        "a80caa0833d0cc55b56299be36e39079502b2ff8116b0cb15a047ae7e87e465f",
+        "dualSLDA_sparseRatio_DT3.txt":
+        "71946e6f2d5ee512c3238f327a7fb77e3acc3635f8993a4b42b267fc09f17b41",
+        "dualSLDA_sparseRatio_TV3.txt":
+        "41cbb53df772cc3f9a4aef0e973e05050a46ef17c9f7dd83c709697c0400fd12",
+        "dualSLDA_topic_word_3.txt":
+        "95847667b022265238c3c6c08de57c2f51c401a9d9a83ee84b3885ee6fdb29e6"}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_OTHER_MODELS))
+def test_other_models_golden_bytes(tmp_path, model):
+    layout, flags, want = GOLDEN_OTHER_MODELS[model]
+    assert_golden(tmp_path, model, GOLDEN_LAYOUTS[layout], flags, want)
+
+
+# stdout of `eval --model lda-gibbs` on GOLDEN at seed 7, 20 sweeps, recorded
+# before coherence shared one corpus scan across topics.  V = 15, so the
+# top-20 lists hold every word; at K = 20 each topic holds a few of the 48
+# tokens (three hold none), so most of each list is tied words.  From
+# Python 3.12 the mean over 20 topics rounds differently (see
+# SUM_IS_COMPENSATED).
+GOLDEN_EVAL = {
+    5: ("average_coherence_2:\t-0.21972245773362195\n"
+        "average_coherence_3:\t-0.716703787691222\n"
+        "average_coherence_5:\t-2.866815150764888\n"
+        "average_coherence_10:\t-19.685797554377324\n"
+        "average_coherence_20:\t-55.5526741660967\n"),
+    20: ("average_coherence_2:\t-0.17068099508303566\n"
+         "average_coherence_3:\t-0.5231437371458276\n"
+         "average_coherence_5:\t-2.4371158838565288\n"
+         "average_coherence_10:\t-21.2714367112067\n"
+         "average_coherence_20:\t-58.86664722588097\n"),
+}
+GOLDEN_EVAL_PY312 = {
+    20: ("average_coherence_2:\t-0.17068099508303564\n"
+         "average_coherence_3:\t-0.5231437371458274\n"
+         "average_coherence_5:\t-2.437115883856529\n"
+         "average_coherence_10:\t-21.271436711206704\n"
+         "average_coherence_20:\t-58.86664722588097\n"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(GOLDEN_EVAL))
+def test_eval_golden_stdout(tmp_path, capsys, k):
     corpus = tmp_path / "golden.txt"
     corpus.write_text(GOLDEN)
-    out = tmp_path / "out"
-    assert run(["fit", "--model", model, "--input", corpus, "--output-dir", out,
-                *flags, "--iterations", "20", "--top-words", "3", "--seed", "7"]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == want
+    assert run(["eval", "--model", "lda-gibbs", "--input", corpus, "-k", k,
+                "--iterations", "20", "--seed", "7", "--top-n", "2", "3", "5", "10", "20"]) == 0
+    want = GOLDEN_EVAL_PY312.get(k, GOLDEN_EVAL[k]) if SUM_IS_COMPENSATED else GOLDEN_EVAL[k]
+    assert capsys.readouterr().out == want
 
 
 def test_fit_different_seeds_differ(tmp_path, plain_file):
@@ -348,6 +485,10 @@ def test_nonpositive_top_words_rejected_before_output(tmp_path, plain_file, caps
     ("plda", ["--alpha", "-1"], "alpha must be positive"),
     ("plda", ["--beta", "0"], "beta must be positive"),
     ("plda", ["--iterations", "0"], "iterations must be >= 1"),
+    ("dmm", ["-k", "2", "--iterations", "-3"], "iterations must be >= 1"),
+    ("dpmm", ["--iterations", "0"], "iterations must be >= 1"),
+    ("hdp", ["--iterations", "-3"], "iterations must be >= 1"),
+    ("dual-sparse", ["-k", "2", "--iterations", "0"], "iterations must be >= 1"),
 ])
 def test_invalid_hyperparameters_rejected(tmp_path, capsys, model, flags, message):
     corpus = tmp_path / "corpus.txt"

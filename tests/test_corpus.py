@@ -1,7 +1,9 @@
 import logging
+from pathlib import Path
 
 import pytest
 
+from topicmodels import corpus as corpus_mod
 from topicmodels.corpus import (Corpus, CorpusError, ParseError, StopList,
                                 lemmatize, parse_plain, parse_sentences,
                                 parse_tagged, preprocess)
@@ -34,6 +36,36 @@ def test_preprocess_custom_stoplist_overrides_default():
 
 def test_preprocess_drops_numbers_and_punctuation():
     assert preprocess("2023 ... !!! 42 covid-19 x86", StopList.from_words([])) == "covid-19 x86"
+
+
+NOISY = ("Visit https://Example.com/Path or www.Foo.org NOW!!! The 3 quick-brown "
+         "Foxes were RUNNING, 42 times... and it's 2023's best: Studies stopped; "
+         "(the) THE-END 1,000 -- novels wishing Analyses")
+
+
+def _uncached_preprocess(line, stop):
+    pairs = [corpus_mod._clean_token.__wrapped__(raw) for raw in line.split()]
+    return " ".join(lemma for token, lemma in filter(None, pairs)
+                    if token not in stop and lemma not in stop)
+
+
+def test_cached_preprocess_equals_uncached_pipeline():
+    bundled = StopList.load(Path(corpus_mod.__file__).parent / "data" / "default_stopwords.txt")
+    assert bundled == StopList.default()
+    corpus_mod._clean_token.cache_clear()
+    first = preprocess(NOISY)
+    second = preprocess(NOISY)  # every token now comes from the cache
+    assert corpus_mod._clean_token.cache_info().hits >= len(NOISY.split())
+    want = _uncached_preprocess(NOISY, bundled.words)
+    assert first == second == want
+    assert want.split()[:3] == ["visit", "quick-brown", "fox"]
+    # an empty stop list keeps stopwords: it is not replaced by the default
+    assert preprocess(NOISY, StopList.from_words([])) == _uncached_preprocess(NOISY, set())
+    assert "the" in preprocess(NOISY, StopList.from_words([])).split()
+
+
+def test_default_stoplist_is_read_once():
+    assert StopList.default() is StopList.default()
 
 
 def test_default_stoplist_size_and_members():

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from topicmodels.core import SeededRng
-from topicmodels.evaluation import average_coherence, topic_coherence, top_word_ids
+from topicmodels.evaluation import (average_coherence, document_sets, topic_coherence,
+                                    top_word_ids)
 
 
 def test_coherence_hand_count_equal_docs():
@@ -67,6 +68,68 @@ def test_coherence_permutation_invariant_in_documents():
 
 def test_top_word_ids_tie_break_by_index():
     assert top_word_ids([0.2, 0.5, 0.2, 0.1], 3) == [1, 0, 2]
+
+
+def test_top_word_ids_stable_tie_break():
+    assert top_word_ids([0.1, 0.4, 0.4, 0.2], 3) == [1, 2, 3]
+    assert top_word_ids([1.0], 5) == [0]
+
+
+def test_top_word_ids_equals_full_sort():
+    rng = SeededRng(11)
+    for _ in range(200):
+        size = rng.randrange(1, 30)
+        # three probability levels, so most rows are full of ties
+        row = [rng.choice((0.0, 0.25, 0.5)) for _ in range(size)]
+        want_order = sorted(range(size), key=lambda v: (-row[v], v))
+        for n in range(1, size + 5):
+            assert top_word_ids(row, n) == want_order[:n]
+
+
+def test_document_sets_are_bitsets_of_documents():
+    docword = [[0, 1], [1], [2, 2], [1, 0]]
+    assert document_sets(docword, [1, 2, 5, 1]) == {1: 0b1011, 2: 0b0100, 5: 0}
+    assert document_sets([], [3]) == {3: 0}
+
+
+def _reference_coherence(docword, top):
+    """The score restated with Python sets of document ids."""
+    docs = {v: {m for m, doc in enumerate(docword) if v in doc} for v in top}
+    score = 0.0
+    for n in range(1, len(top)):
+        for l in range(n):
+            score += math.log((len(docs[top[n]] & docs[top[l]]) + 1) / len(docs[top[l]]))
+    return score
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_average_coherence_equals_mean_of_single_topic_scores(seed):
+    rng = SeededRng(seed)
+    n_words = 14
+    docword = [[rng.randrange(n_words) for _ in range(rng.randrange(1, 9))]
+               for _ in range(70)]
+    docword.append(list(range(n_words)))  # every word occurs somewhere
+    # few distinct levels: rows tie, top lists overlap, one topic repeats
+    phi = [[rng.choice((0.05, 0.1, 0.2)) for _ in range(n_words)] for _ in range(6)]
+    phi.append(list(phi[2]))
+    for n in (1, 2, 5, 9, n_words, n_words + 3):
+        single = [topic_coherence(docword, top_word_ids(row, n)) for row in phi]
+        assert average_coherence(docword, phi, n) == sum(single) / len(single)
+        tops = [sorted(range(n_words), key=lambda v: (-row[v], v))[:n] for row in phi]
+        assert single == [_reference_coherence(docword, top) for top in tops]
+
+
+def test_topic_coherence_accepts_sets_of_a_superset():
+    rng = SeededRng(4)
+    docword = [[rng.randrange(9) for _ in range(5)] for _ in range(30)] + [list(range(9))]
+    shared = document_sets(docword, range(9))
+    for top in ([3, 1, 4], [8, 0, 2, 7, 5], [6]):
+        assert topic_coherence(docword, top, shared) == topic_coherence(docword, top)
+
+
+def test_average_coherence_unseen_top_word_names_it():
+    with pytest.raises(ValueError, match="word id 2"):
+        average_coherence([[0, 1], [1]], [[0.3, 0.2, 0.5]], 2)
 
 
 def test_average_coherence_k1_and_identical_topics():

@@ -1,15 +1,10 @@
 import pytest
 
 from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
-                                 parse_value_lines, rank_top,
-                                 write_author_topic_file, write_doc_topic_file,
-                                 write_sparse_ratio_file, write_topic_word_file,
+                                 parse_value_lines, write_author_topic_file,
+                                 write_doc_topic_file, write_sparse_ratio_file,
+                                 write_topic_author_file, write_topic_word_file,
                                  write_value_lines)
-
-
-def test_rank_top_stable_tie_break():
-    assert rank_top([0.1, 0.4, 0.4, 0.2], 3) == [1, 2, 3]
-    assert rank_top([1.0], 5) == [0]
 
 
 def test_topic_word_round_trip(tmp_path):
@@ -94,6 +89,14 @@ def test_author_topic_file_uses_tab(tmp_path):
     name, row = lines[0].split("\t")
     assert name == "Jane Q. Doe"
     assert [float(x) for x in row.split()] == [0.9, 0.1]
+
+
+def test_topic_author_file_ties_keep_author_order(tmp_path):
+    path = tmp_path / "ta.txt"
+    theta = [[0.25, 0.75], [0.5, 0.5], [0.25, 0.75], [0.5, 0.5]]
+    write_topic_author_file(path, theta, ["A", "B", "C", "D"], 2, 3)
+    assert path.read_text() == ("Topic:1\nB :0.4\nD :0.4\nA :0.2\n\n"
+                                "Topic:2\nA :0.375\nC :0.375\nB :0.25\n\n")
 
 
 def test_sparse_ratio_file_grammar(tmp_path):
