@@ -4,20 +4,29 @@
     topicmodels fit --model lda-gibbs --input clean.txt --output-dir out -k 30
     topicmodels eval --model lda-gibbs --input clean.txt -k 30 --top-n 5 10 20
 
-Each model writes the output files of its reference layout (topic-word
-blocks, doc-topic matrices, cluster/theta vectors, sparsity ratios) into
-the output directory; file names carry the fitted topic count.  Flags that
-do not apply to the chosen model are rejected.
+Every model is one ``ModelSpec`` in ``MODELS``: its input layout, its Hyper
+dataclass, a factory for its sampler and its output files.  One runner
+serves all of them: it parses the input, runs the chain with
+``core.run_chain`` and writes the files of the model's reference layout
+(topic-word blocks, doc-topic matrices, cluster/theta vectors, sparsity
+ratios) into the output directory; file names carry the fitted topic count.
+
+The model flags are derived from the Hyper fields: a model accepts the
+flags its Hyper has a field for, requires those whose field has no default
+and otherwise takes the field's default.  Flags that do not apply to the
+chosen model are rejected.
 """
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import (corpus as corpus_mod, dual_sparse, evaluation, hdp, linked,
                lda, mixture, reports, sentence_lda, short_text, supervised)
-from .core import SeededRng
+from .core import SeededRng, run_chain
 
 DEFAULT_SEED = 42
 
@@ -35,344 +44,216 @@ def _progress(label: str, total: int):
 
 
 # --------------------------------------------------------------------------
-# one runner per model: parse the right layout, fit, optionally write files,
-# and hand back (docword, phi) for coherence evaluation
+# the model registry: one ModelSpec per model, read by one generic runner
 # --------------------------------------------------------------------------
 
-def _read(args):
-    return corpus_mod.read_lines(args.input, args.encoding)
+class Output(NamedTuple):
+    template: str  # file name; {k} is the fitted topic, cluster or label count
+    writer: str    # key of _WRITERS
+    field: str     # the fit field the file holds
 
 
-def _words(corpus):
-    return corpus.vocabulary.id_to_word
+class _Run(NamedTuple):
+    """What a writer may need besides the value it writes."""
+    fitted: object
+    words: list         # vocabulary, by word id
+    names: list | None  # authors, links or labels, by id
+    top_words: int
+    k: int
 
 
-def _output_ready(outdir) -> bool:
-    """Create the output directory once the fit has succeeded, so a failed
-    run leaves nothing behind; False when no files are to be written."""
-    if outdir is None:
-        return False
-    outdir.mkdir(parents=True, exist_ok=True)
-    return True
-
-
-def _run_lda_gibbs(args, outdir, rng):
-    corpus = corpus_mod.parse_plain(_read(args))
-    hyper = lda.LdaHyper(args.topics, args.alpha, args.beta, args.iterations,
-                         args.top_words)
-    fitted = lda.fit_gibbs(corpus, hyper, rng,
-                           sweep_callback=_progress("lda-gibbs", args.iterations))
-    if _output_ready(outdir):
-        reports.write_topic_word_file(outdir / f"LDAGibbs_topic_word_{args.topics}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_doc_topic_file(outdir / f"LDAGibbs_doc_topic{args.topics}.txt",
-                                     fitted.theta)
-    return corpus.docword, fitted.phi
-
-
-def _run_lda_cvb0(args, outdir, rng):
-    corpus = corpus_mod.parse_plain(_read(args))
-    hyper = lda.LdaHyper(args.topics, args.alpha, args.beta, args.iterations,
-                         args.top_words)
-    fitted = lda.fit_cvb0(corpus, hyper, rng,
-                          sweep_callback=_progress("lda-cvb0", args.iterations))
-    if _output_ready(outdir):
-        reports.write_topic_word_file(outdir / f"CVBLDA_topic_word_{args.topics}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_doc_topic_file(outdir / f"CVBLDA_doc_topic{args.topics}.txt",
-                                     fitted.theta)
-    return corpus.docword, fitted.phi
-
-
-def _run_sentence_lda(args, outdir, rng):
-    corpus = corpus_mod.parse_sentences(_read(args))
-    hyper = lda.LdaHyper(args.topics, args.alpha, args.beta, args.iterations,
-                         args.top_words)
-    fitted = sentence_lda.fit(corpus, hyper, rng,
-                              sweep_callback=_progress("sentence-lda", args.iterations))
-    if _output_ready(outdir):
-        reports.write_topic_word_file(outdir / f"SentenceLDA_topic_word{args.topics}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_doc_topic_file(outdir / f"SentenceLDA_doc_topic_{args.topics}.txt",
-                                     fitted.theta)
-    return corpus.docword, fitted.phi
-
-
-def _run_hdp(args, outdir, rng):
-    corpus = corpus_mod.parse_plain(_read(args))
-    hyper = hdp.HdpHyper(args.topics, args.alpha, args.beta, args.gamma,
-                         args.iterations, args.top_words)
-    fitted, n_topics = hdp.fit(corpus, hyper, rng,
-                               sweep_callback=_progress("hdp", args.iterations))
-    print(f"hdp: converged to {n_topics} topics", file=sys.stderr)
-    if _output_ready(outdir):
-        reports.write_topic_word_file(outdir / f"HDP_topic_word_{n_topics}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_doc_topic_file(outdir / f"HDP_doc_topic{n_topics}.txt",
-                                     fitted.theta)
-    return corpus.docword, fitted.phi
-
-
-def _run_dmm(args, outdir, rng):
-    corpus = corpus_mod.parse_plain(_read(args))
-    hyper = mixture.MixtureHyper(args.topics, args.alpha, args.beta,
-                                 args.iterations, args.top_words)
-    fitted = mixture.dmm_fit(corpus, hyper, rng,
-                             sweep_callback=_progress("dmm", args.iterations))
-    if _output_ready(outdir):
-        k = args.topics
-        reports.write_value_lines(outdir / f"DMM_doc_cluster{k}.txt", fitted.doc_cluster)
-        reports.write_topic_word_file(outdir / f"DMM_cluster_word_{k}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_value_lines(outdir / f"DMM_theta_{k}.txt", fitted.theta)
-    return corpus.docword, fitted.phi
-
-
-def _run_dpmm(args, outdir, rng):
-    corpus = corpus_mod.parse_plain(_read(args))
-    hyper = mixture.MixtureHyper(args.topics, args.alpha, args.beta,
-                                 args.iterations, args.top_words)
-    fitted, n_clusters = mixture.dpmm_fit(corpus, hyper, rng,
-                                          sweep_callback=_progress("dpmm", args.iterations))
-    print(f"dpmm: converged to {n_clusters} clusters", file=sys.stderr)
-    if _output_ready(outdir):
-        reports.write_value_lines(outdir / f"DPMM_doc_cluster{n_clusters}.txt",
-                                  fitted.doc_cluster)
-        reports.write_topic_word_file(outdir / f"DPMM_cluster_word_{n_clusters}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_value_lines(outdir / f"DPMM_theta_{n_clusters}.txt", fitted.theta)
-    return corpus.docword, fitted.phi
-
-
-def _run_ptm(args, outdir, rng):
-    corpus = corpus_mod.parse_plain(_read(args))
-    hyper = short_text.PtmHyper(args.pseudo_docs, args.topics, args.alpha, args.beta,
-                                getattr(args, "lambda"), args.iterations, args.top_words)
-    fitted = short_text.ptm_fit(corpus, hyper, rng,
-                                sweep_callback=_progress("ptm", args.iterations))
-    if _output_ready(outdir):
-        k = args.topics
-        reports.write_topic_word_file(outdir / f"PseudoDTM_topic_word_{k}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_doc_topic_file(outdir / f"PseudoDTM_pseudo_topic{k}.txt",
-                                     fitted.pseudo_theta)
-        reports.write_doc_topic_file(outdir / f"PseudoDTM_doc_topic{k}.txt",
-                                     fitted.theta)
-    return corpus.docword, fitted.phi
-
-
-def _run_btm(args, outdir, rng):
-    corpus = corpus_mod.parse_plain(_read(args))
-    hyper = short_text.BtmHyper(args.topics, args.alpha, args.beta, args.window,
-                                args.iterations, args.top_words)
-    fitted = short_text.btm_fit(corpus, hyper, rng,
-                                sweep_callback=_progress("btm", args.iterations))
-    if _output_ready(outdir):
-        k = args.topics
-        reports.write_topic_word_file(outdir / f"BTM_topic_word_{k}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_value_lines(outdir / f"BTM_topic_theta_{k}.txt", fitted.theta)
-        reports.write_doc_topic_file(outdir / f"BTM_doc_topic_{k}.txt", fitted.doc_topic)
-    return corpus.docword, fitted.phi
-
-
-def _run_atm(args, outdir, rng):
-    corpus = corpus_mod.parse_tagged(_read(args), kind="authors", item_sep=",")
-    hyper = lda.LdaHyper(args.topics, args.alpha, args.beta, args.iterations,
-                         args.top_words)
-    fitted = linked.atm_fit(corpus, hyper, rng,
-                            sweep_callback=_progress("atm", args.iterations))
-    if _output_ready(outdir):
-        k = args.topics
-        names = corpus.meta_vocabulary.id_to_word
-        reports.write_topic_word_file(outdir / f"authorTM_topic_word{k}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_author_topic_file(outdir / f"authorTM_author_topic_{k}.txt",
-                                        names, fitted.theta)
-        reports.write_topic_author_file(outdir / f"authorTM_topic_author_{k}.txt",
-                                        fitted.theta, names, k, args.top_words)
-    return corpus.docword, fitted.phi
-
-
-def _run_link_lda(args, outdir, rng):
-    corpus = corpus_mod.parse_tagged(_read(args), kind="links", item_sep="--")
-    hyper = linked.LinkLdaHyper(args.topics, args.alpha, args.beta, args.gamma,
-                                args.iterations, args.top_words)
-    fitted = linked.linklda_fit(corpus, hyper, rng,
-                                sweep_callback=_progress("link-lda", args.iterations))
-    if _output_ready(outdir):
-        k = args.topics
-        reports.write_topic_word_file(outdir / f"LinkLDA_topic_word_{k}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_topic_word_file(outdir / f"LinkLDA_topic_link_{k}.txt",
-                                      fitted.link_phi, corpus.meta_vocabulary.id_to_word,
-                                      args.top_words)
-        reports.write_doc_topic_file(outdir / f"LinkLDA_doc_topic_{k}.txt", fitted.theta)
-    return corpus.docword, fitted.phi
-
-
-def _run_labeled_lda(args, outdir, rng):
-    corpus = corpus_mod.parse_tagged(_read(args), kind="labels", item_sep=",")
-    hyper = supervised.LabeledLdaHyper(args.alpha, args.beta, args.iterations,
-                                       args.top_words)
-    fitted = supervised.labeled_fit(corpus, hyper, rng,
-                                    sweep_callback=_progress("labeled-lda", args.iterations))
-    k = len(fitted.topic_labels)
-    if _output_ready(outdir):
-        reports.write_topic_word_file(outdir / f"LabeledLDA_topic_word_{k}.txt",
-                                      fitted.phi, _words(corpus), args.top_words,
-                                      paren_labels=fitted.topic_labels)
-        reports.write_doc_topic_file(outdir / f"LabeledLDA_doc_topic{k}.txt", fitted.theta)
-    return corpus.docword, fitted.phi
-
-
-def _run_plda(args, outdir, rng):
-    corpus = corpus_mod.parse_tagged(_read(args), kind="labels", item_sep=",")
-    hyper = supervised.PldaHyper(args.label_topics, args.alpha, args.beta,
-                                 args.iterations, args.top_words)
-    fitted = supervised.plda_fit(corpus, hyper, rng,
-                                 sweep_callback=_progress("plda", args.iterations))
-    n_labels = len(corpus.meta_vocabulary) + 1  # user labels plus background
-    if _output_ready(outdir):
-        reports.write_topic_word_file(outdir / f"PLDA_topic_word_{n_labels}.txt",
-                                      fitted.phi, _words(corpus), args.top_words,
-                                      related_labels=fitted.topic_labels)
-        reports.write_doc_topic_file(outdir / f"PLDA_doc_topic{n_labels}.txt", fitted.theta)
-    return corpus.docword, fitted.phi
-
-
-def _run_dual_sparse(args, outdir, rng):
-    corpus = corpus_mod.parse_plain(_read(args))
-    hyper = dual_sparse.SparseHyper(
-        args.topics, args.s, args.t, args.x, args.y,
-        args.pi, args.pi_bar, args.gamma_strong, args.gamma_bar,
-        args.iterations, args.top_words)
-    fitted = dual_sparse.fit(corpus, hyper, rng,
-                             sweep_callback=_progress("dual-sparse", args.iterations))
-    if _output_ready(outdir):
-        k = args.topics
-        reports.write_topic_word_file(outdir / f"dualSLDA_topic_word_{k}.txt",
-                                      fitted.phi, _words(corpus), args.top_words)
-        reports.write_doc_topic_file(outdir / f"dualSLDA_doc_topic_{k}.txt", fitted.theta)
-        reports.write_sparse_ratio_file(outdir / f"dualSLDA_sparseRatio_TV{k}.txt",
-                                        fitted.sparsity_topic, fitted.avg_sparsity_topic,
-                                        "topic_word")
-        reports.write_sparse_ratio_file(outdir / f"dualSLDA_sparseRatio_DT{k}.txt",
-                                        fitted.sparsity_doc, fitted.avg_sparsity_doc,
-                                        "doc_topic")
-    return corpus.docword, fitted.phi
-
-
-_RUNNERS = {
-    "lda-gibbs": _run_lda_gibbs,
-    "lda-cvb0": _run_lda_cvb0,
-    "sentence-lda": _run_sentence_lda,
-    "hdp": _run_hdp,
-    "dmm": _run_dmm,
-    "dpmm": _run_dpmm,
-    "ptm": _run_ptm,
-    "btm": _run_btm,
-    "atm": _run_atm,
-    "link-lda": _run_link_lda,
-    "labeled-lda": _run_labeled_lda,
-    "plda": _run_plda,
-    "dual-sparse": _run_dual_sparse,
+# writer(path, value, run) for each kind of output file.  The reports
+# functions are looked up on every call rather than bound here, so that
+# wrapping them (as a tracer does) takes effect.
+_WRITERS = {
+    "topic_word": lambda path, phi, run: reports.write_topic_word_file(
+        path, phi, run.words, run.top_words),
+    "topic_link": lambda path, phi, run: reports.write_topic_word_file(
+        path, phi, run.names, run.top_words),
+    "labeled_topic_word": lambda path, phi, run: reports.write_topic_word_file(
+        path, phi, run.words, run.top_words, paren_labels=run.fitted.topic_labels),
+    "related_topic_word": lambda path, phi, run: reports.write_topic_word_file(
+        path, phi, run.words, run.top_words, related_labels=run.fitted.topic_labels),
+    "doc_topic": lambda path, rows, run: reports.write_doc_topic_file(path, rows),
+    "values": lambda path, values, run: reports.write_value_lines(path, values),
+    "author_topic": lambda path, theta, run: reports.write_author_topic_file(
+        path, run.names, theta),
+    "topic_author": lambda path, theta, run: reports.write_topic_author_file(
+        path, theta, run.names, run.k, run.top_words),
+    "topic_sparsity": lambda path, ratios, run: reports.write_sparse_ratio_file(
+        path, ratios, run.fitted.avg_sparsity_topic, "topic_word"),
+    "doc_sparsity": lambda path, ratios, run: reports.write_sparse_ratio_file(
+        path, ratios, run.fitted.avg_sparsity_doc, "doc_topic"),
 }
 
-# flag -> models it applies to, plus per-model defaults where they differ
-_MODEL_FLAGS = {
-    "topics": {"lda-gibbs", "lda-cvb0", "sentence-lda", "hdp", "dmm", "dpmm",
-               "ptm", "btm", "atm", "link-lda", "dual-sparse"},
-    "alpha": {"lda-gibbs", "lda-cvb0", "sentence-lda", "hdp", "dmm", "dpmm",
-              "ptm", "btm", "atm", "link-lda", "labeled-lda", "plda"},
-    "beta": {"lda-gibbs", "lda-cvb0", "sentence-lda", "hdp", "dmm", "dpmm",
-             "ptm", "btm", "atm", "link-lda", "labeled-lda", "plda"},
-    "gamma": {"hdp", "link-lda"},
-    "lambda": {"ptm"},
-    "pseudo_docs": {"ptm"},
-    "window": {"btm"},
-    "label_topics": {"plda"},
-    "s": {"dual-sparse"}, "t": {"dual-sparse"},
-    "x": {"dual-sparse"}, "y": {"dual-sparse"},
-    "pi": {"dual-sparse"}, "pi_bar": {"dual-sparse"},
-    "gamma_strong": {"dual-sparse"}, "gamma_bar": {"dual-sparse"},
+
+@dataclasses.dataclass(frozen=True)
+class ModelSpec:
+    hyper: type        # the Hyper dataclass; its fields are the model's flags
+    sampler: Callable  # (corpus, hyper, rng) -> sampler with sweep() and estimate()
+    outputs: tuple     # one Output per file, in writing order
+    layout: str = "plain"  # input layout: plain, sentences, authors, links or labels
+    converged: str = ""    # for a learnt count: its unit in the stderr report
+    count: Callable | None = None  # (hyper, fitted) -> k; None means len(fitted.phi)
+
+
+def _cvb0_sampler(cls):
+    """Factory for a CVB0 solver that starts from random responsibilities,
+    drawn from the rng before the solver is built, as ``fit_cvb0`` does."""
+    return lambda corpus, hyper, rng: cls(
+        corpus, hyper, lda.random_responsibilities(corpus, hyper.n_topics, rng))
+
+
+MODELS = {
+    "lda-gibbs": ModelSpec(lda.LdaHyper, lda.LdaGibbsSampler, (
+        Output("LDAGibbs_topic_word_{k}.txt", "topic_word", "phi"),
+        Output("LDAGibbs_doc_topic{k}.txt", "doc_topic", "theta"))),
+    "lda-cvb0": ModelSpec(lda.LdaHyper, _cvb0_sampler(lda.LdaCvb0), (
+        Output("CVBLDA_topic_word_{k}.txt", "topic_word", "phi"),
+        Output("CVBLDA_doc_topic{k}.txt", "doc_topic", "theta"))),
+    "sentence-lda": ModelSpec(lda.LdaHyper, sentence_lda.SentenceLdaSampler, (
+        Output("SentenceLDA_topic_word{k}.txt", "topic_word", "phi"),
+        Output("SentenceLDA_doc_topic_{k}.txt", "doc_topic", "theta")),
+        layout="sentences"),
+    "hdp": ModelSpec(hdp.HdpHyper, hdp.HdpSampler, (
+        Output("HDP_topic_word_{k}.txt", "topic_word", "phi"),
+        Output("HDP_doc_topic{k}.txt", "doc_topic", "theta")),
+        converged="topics"),
+    "dmm": ModelSpec(mixture.MixtureHyper, mixture.DmmSampler, (
+        Output("DMM_doc_cluster{k}.txt", "values", "doc_cluster"),
+        Output("DMM_cluster_word_{k}.txt", "topic_word", "phi"),
+        Output("DMM_theta_{k}.txt", "values", "theta"))),
+    "dpmm": ModelSpec(mixture.DpmmHyper, mixture.DpmmSampler, (
+        Output("DPMM_doc_cluster{k}.txt", "values", "doc_cluster"),
+        Output("DPMM_cluster_word_{k}.txt", "topic_word", "phi"),
+        Output("DPMM_theta_{k}.txt", "values", "theta")),
+        converged="clusters"),
+    "ptm": ModelSpec(short_text.PtmHyper, short_text.PtmSampler, (
+        Output("PseudoDTM_topic_word_{k}.txt", "topic_word", "phi"),
+        Output("PseudoDTM_pseudo_topic{k}.txt", "doc_topic", "pseudo_theta"),
+        Output("PseudoDTM_doc_topic{k}.txt", "doc_topic", "theta"))),
+    "btm": ModelSpec(short_text.BtmHyper, short_text.BtmSampler, (
+        Output("BTM_topic_word_{k}.txt", "topic_word", "phi"),
+        Output("BTM_topic_theta_{k}.txt", "values", "theta"),
+        Output("BTM_doc_topic_{k}.txt", "doc_topic", "doc_topic"))),
+    "atm": ModelSpec(lda.LdaHyper, linked.AtmSampler, (
+        Output("authorTM_topic_word{k}.txt", "topic_word", "phi"),
+        Output("authorTM_author_topic_{k}.txt", "author_topic", "theta"),
+        Output("authorTM_topic_author_{k}.txt", "topic_author", "theta")),
+        layout="authors"),
+    "link-lda": ModelSpec(linked.LinkLdaHyper, linked.LinkLdaSampler, (
+        Output("LinkLDA_topic_word_{k}.txt", "topic_word", "phi"),
+        Output("LinkLDA_topic_link_{k}.txt", "topic_link", "link_phi"),
+        Output("LinkLDA_doc_topic_{k}.txt", "doc_topic", "theta")),
+        layout="links"),
+    "labeled-lda": ModelSpec(supervised.LabeledLdaHyper, supervised.LabeledLdaSampler, (
+        Output("LabeledLDA_topic_word_{k}.txt", "labeled_topic_word", "phi"),
+        Output("LabeledLDA_doc_topic{k}.txt", "doc_topic", "theta")),
+        layout="labels"),
+    # PLDA file names count the labels, the background label included
+    "plda": ModelSpec(supervised.PldaHyper, supervised.PldaSampler, (
+        Output("PLDA_topic_word_{k}.txt", "related_topic_word", "phi"),
+        Output("PLDA_doc_topic{k}.txt", "doc_topic", "theta")),
+        layout="labels", count=lambda hyper, fitted: len(fitted.phi) // hyper.topics_per_label),
+    "dual-sparse": ModelSpec(dual_sparse.SparseHyper, _cvb0_sampler(dual_sparse.DualSparseCvb0), (
+        Output("dualSLDA_topic_word_{k}.txt", "topic_word", "phi"),
+        Output("dualSLDA_doc_topic_{k}.txt", "doc_topic", "theta"),
+        Output("dualSLDA_sparseRatio_TV{k}.txt", "topic_sparsity", "sparsity_topic"),
+        Output("dualSLDA_sparseRatio_DT{k}.txt", "doc_sparsity", "sparsity_doc"))),
 }
 
-_REQUIRED = {
-    "topics": {"lda-gibbs", "lda-cvb0", "sentence-lda", "dmm", "ptm", "btm",
-               "atm", "link-lda", "dual-sparse"},
-    "pseudo_docs": {"ptm"},
-}
+# Hyper field -> model flag (argparse dest), where the two names differ
+_FLAG_OF_FIELD = {"n_topics": "topics", "n_clusters": "topics", "n_topics_init": "topics",
+                  "alpha0": "alpha", "n_pseudo_docs": "pseudo_docs", "doc_lambda": "lambda",
+                  "topics_per_label": "label_topics", "word_gamma": "gamma_strong",
+                  "word_gamma_bar": "gamma_bar"}
 
-_DEFAULTS = {
-    "topics": {"hdp": 3, "dpmm": 3},
-    "alpha": {"default": 0.1},
-    "beta": {"ptm": 0.1, "default": 0.01},
-    "gamma": {"hdp": 0.1, "link-lda": 0.01},
-    "lambda": {"default": 0.01},
-    "window": {"default": 5},
-    "label_topics": {"default": 2},
-    "s": {"default": 1.0}, "t": {"default": 1.0},
-    "x": {"default": 1.0}, "y": {"default": 1.0},
-    "pi": {"default": 0.1}, "pi_bar": {"default": 1e-12},
-    "gamma_strong": {"default": 0.1}, "gamma_bar": {"default": 1e-12},
-}
+
+def _model_flags(spec: ModelSpec) -> dict:
+    """Model flag -> Hyper field for every field but ``iterations``, which
+    the shared --iterations flag sets."""
+    return {_FLAG_OF_FIELD.get(f.name, f.name): f
+            for f in dataclasses.fields(spec.hyper) if f.name != "iterations"}
+
+
+# every model flag with its type, in the order the models first use them
+_FLAG_TYPES = {flag: f.type for spec in MODELS.values() for flag, f in _model_flags(spec).items()}
+
+
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _parse(layout: str, lines):
+    """Index ``lines`` in the given input layout (parsers looked up per call,
+    as the writers are)."""
+    if layout == "plain":
+        return corpus_mod.parse_plain(lines)
+    if layout == "sentences":
+        return corpus_mod.parse_sentences(lines)
+    return corpus_mod.parse_tagged(lines, kind=layout, item_sep="--" if layout == "links" else ",")
 
 
 def _add_model_arguments(parser):
-    parser.add_argument("--model", required=True, choices=sorted(_RUNNERS))
+    parser.add_argument("--model", required=True, choices=sorted(MODELS))
     parser.add_argument("--input", required=True)
     parser.add_argument("--encoding", default="utf-8")
-    parser.add_argument("--topics", "-k", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--lambda", type=float, dest="lambda")
-    parser.add_argument("--pseudo-docs", type=int, dest="pseudo_docs")
-    parser.add_argument("--window", type=int)
-    parser.add_argument("--label-topics", type=int, dest="label_topics")
-    parser.add_argument("--s", type=float)
-    parser.add_argument("--t", type=float)
-    parser.add_argument("--x", type=float)
-    parser.add_argument("--y", type=float)
-    parser.add_argument("--pi", type=float)
-    parser.add_argument("--pi-bar", type=float, dest="pi_bar")
-    parser.add_argument("--gamma-strong", type=float, dest="gamma_strong")
-    parser.add_argument("--gamma-bar", type=float, dest="gamma_bar")
+    for flag, kind in _FLAG_TYPES.items():
+        parser.add_argument(_option(flag), *(["-k"] if flag == "topics" else []), type=kind)
     parser.add_argument("--iterations", type=int, default=1000)
     parser.add_argument("--top-words", type=int, default=5, dest="top_words")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
-def _resolve_model_flags(args) -> None:
-    """Reject flags foreign to the model, then fill in per-model defaults."""
+def _hyper_options(args) -> dict:
+    """Reject flags foreign to the model and require the flags whose Hyper
+    field has no default; return the Hyper fields the given flags set."""
     model = args.model
     if args.top_words < 1:
         raise CliError("--top-words must be >= 1")
-    for flag, models in _MODEL_FLAGS.items():
-        value = getattr(args, flag)
-        if value is not None and model not in models:
-            raise CliError(f"--{flag.replace('_', '-')} is not applicable to model {model}")
-    for flag, models in _REQUIRED.items():
-        if model in models and getattr(args, flag) is None:
-            raise CliError(f"model {model} requires --{flag.replace('_', '-')}")
-    for flag, models in _MODEL_FLAGS.items():
-        if getattr(args, flag) is None and model in models:
-            table = _DEFAULTS.get(flag, {})
-            setattr(args, flag, table.get(model, table.get("default")))
+    flags = _model_flags(MODELS[model])
+    given = {flag: getattr(args, flag) for flag in _FLAG_TYPES if getattr(args, flag) is not None}
+    for flag in given:
+        if flag not in flags:
+            raise CliError(f"{_option(flag)} is not applicable to model {model}")
+    for flag in _FLAG_TYPES:
+        if flag in flags and flag not in given and flags[flag].default is dataclasses.MISSING:
+            raise CliError(f"model {model} requires {_option(flag)}")
+    return {flags[flag].name: value for flag, value in given.items()}
+
+
+def _run(args, outdir):
+    """Parse, fit and, unless ``outdir`` is None, write the model's files.
+
+    Returns (docword, phi) for coherence evaluation.
+    """
+    spec = MODELS[args.model]
+    options = _hyper_options(args)
+    corpus = _parse(spec.layout, corpus_mod.read_lines(args.input, args.encoding))
+    hyper = spec.hyper(iterations=args.iterations, **options)
+    sampler = spec.sampler(corpus, hyper, SeededRng(args.seed))
+    fitted = run_chain(sampler, args.iterations, _progress(args.model, args.iterations))
+    k = spec.count(hyper, fitted) if spec.count else len(fitted.phi)
+    if spec.converged:
+        print(f"{args.model}: converged to {k} {spec.converged}", file=sys.stderr)
+    if outdir is not None:
+        # created only now, so a run that fails leaves nothing behind
+        outdir.mkdir(parents=True, exist_ok=True)
+        meta = corpus.meta_vocabulary
+        names = None if meta is None else meta.id_to_word
+        run = _Run(fitted, corpus.vocabulary.id_to_word, names, args.top_words, k)
+        for out in spec.outputs:
+            _WRITERS[out.writer](outdir / out.template.format(k=k), getattr(fitted, out.field), run)
+    return corpus.docword, fitted.phi
 
 
 def _cmd_fit(args) -> int:
-    _resolve_model_flags(args)
-    rng = SeededRng(args.seed)
-    _RUNNERS[args.model](args, Path(args.output_dir), rng)
+    _run(args, Path(args.output_dir))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    _resolve_model_flags(args)
-    rng = SeededRng(args.seed)
-    docword, phi = _RUNNERS[args.model](args, None, rng)
+    docword, phi = _run(args, None)
     for n in args.top_n:
         value = evaluation.average_coherence(docword, phi, n)
         print(f"average_coherence_{n}:\t{value!r}")

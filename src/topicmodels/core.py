@@ -27,10 +27,46 @@ class SeededRng(random.Random):
 
 
 def require_positive(values: dict) -> None:
-    """Raise ValueError naming the first value that is not > 0 (NaN included)."""
+    """Raise ValueError naming the first value that is not a finite number > 0.
+
+    Written as ``not value > 0`` so that NaN, which fails every comparison,
+    is rejected too.
+    """
     for name, value in values.items():
         if not value > 0:
             raise ValueError(f"{name} must be positive")
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite")
+
+
+def require_nonnegative(values: dict) -> None:
+    """Raise ValueError naming the first value that is not a finite number >= 0."""
+    for name, value in values.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0")
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite")
+
+
+def require_at_least(values: dict, low: int = 1) -> None:
+    """Raise ValueError naming the first count below ``low``."""
+    for name, value in values.items():
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}")
+
+
+def run_chain(sampler, iterations: int, sweep_callback=None):
+    """Sweep ``sampler`` ``iterations`` times and return ``sampler.estimate()``.
+
+    Every sampler in the package runs through this loop.  The callback, if
+    given, fires after each sweep as ``sweep_callback(sampler, index)`` (used
+    by diagnostics and progress display).
+    """
+    for it in range(iterations):
+        sampler.sweep()
+        if sweep_callback is not None:
+            sweep_callback(sampler, it)
+    return sampler.estimate()
 
 
 def sample_categorical(weights: Sequence[float], rng: random.Random) -> int:

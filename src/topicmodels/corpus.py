@@ -92,7 +92,10 @@ class StopList:
     @functools.cache
     def default(cls) -> "StopList":
         """The bundled English list; read once, then shared (it is frozen)."""
-        text = resources.files("topicmodels.data").joinpath("default_stopwords.txt").read_text("utf-8")
+        # reached from the package itself, so it reads from a zip install too,
+        # where the data directory cannot be imported as a namespace package
+        path = resources.files("topicmodels") / "data" / "default_stopwords.txt"
+        text = path.read_text("utf-8")
         return cls.from_words(text.split())
 
 
@@ -270,16 +273,12 @@ class Corpus:
             raise CorpusError(f"corpus has no {attribute}; parse the matching input layout first")
 
 
-def _tokenize_clean_line(line: str) -> list[str]:
-    return line.split()
-
-
 def parse_plain(lines: Iterable[str]) -> Corpus:
     """Index one preprocessed document per line."""
     corpus = Corpus()
     dropped = 0
     for lineno, line in enumerate(lines, start=1):
-        tokens = _tokenize_clean_line(line)
+        tokens = line.split()
         if not tokens:
             dropped += 1
             log.warning("line %d: empty document dropped", lineno)
@@ -302,7 +301,7 @@ def parse_sentences(lines: Iterable[str], sep: str = "--") -> Corpus:
         token_ids = []
         offsets = []
         for chunk in line.split(sep):
-            tokens = _tokenize_clean_line(chunk)
+            tokens = chunk.split()
             if not tokens:
                 continue  # empty sentence (e.g. trailing separator)
             token_ids.extend(corpus.vocabulary.add(t) for t in tokens)
@@ -355,7 +354,7 @@ def parse_tagged(lines: Iterable[str], kind: str, item_sep: str,
                 items.append(item)
         if not items and kind == "authors":
             raise ParseError(f"line {lineno}: document has no {kind}")
-        tokens = _tokenize_clean_line(right)
+        tokens = right.split()
         if not tokens:
             dropped += 1
             log.warning("line %d: empty document dropped", lineno)

@@ -11,13 +11,10 @@ token responsibility kappa.
 """
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import CountTables
+from .core import CountTables, require_at_least, require_nonnegative, require_positive
 from .corpus import Corpus
-from .lda import random_responsibilities
 
 # selector means are kept strictly inside (0, 1) so the excluded sums
 # A_hat - alpha_hat stay positive even when the sigmoid saturates
@@ -37,21 +34,18 @@ class SparseHyper:
     word_gamma: float = 0.1       # strong word smoothing
     word_gamma_bar: float = 1e-12  # weak word smoothing
     iterations: int = 1000
-    top_words: int = 10
 
     def __post_init__(self):
-        if self.n_topics < 1:
-            raise ValueError("n_topics must be >= 1")
-        if min(self.s, self.t, self.x, self.y) <= 0:
-            raise ValueError("Beta prior parameters must be positive")
-        if self.pi <= 0 or self.word_gamma <= 0:
-            raise ValueError("strong smoothing priors must be positive")
+        require_at_least({"n_topics": self.n_topics, "iterations": self.iterations})
+        require_positive({"s": self.s, "t": self.t, "x": self.x, "y": self.y, "pi": self.pi,
+                          "word_gamma": self.word_gamma})
         # the weak priors may be zero (the model then degenerates towards
         # plain CVB0 LDA when the selectors are pinned open)
-        if not 0 <= self.pi_bar < self.pi or not 0 <= self.word_gamma_bar < self.word_gamma:
-            raise ValueError("weak priors must sit in [0, strong prior)")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        require_nonnegative({"pi_bar": self.pi_bar, "word_gamma_bar": self.word_gamma_bar})
+        if not self.pi_bar < self.pi:
+            raise ValueError("pi_bar must be < pi")
+        if not self.word_gamma_bar < self.word_gamma:
+            raise ValueError("word_gamma_bar must be < word_gamma")
 
 
 @dataclass
@@ -204,10 +198,9 @@ class DualSparseCvb0:
                     nkv[k][v] += gk
                     nk[k] += gk
 
-    def sweep(self, update_selectors: bool = True) -> None:
-        if update_selectors:
-            self.alpha_pass()
-            self.beta_pass()
+    def sweep(self) -> None:
+        self.alpha_pass()
+        self.beta_pass()
         self.kappa_pass()
 
     # -- estimates ---------------------------------------------------------------
@@ -235,33 +228,3 @@ class DualSparseCvb0:
             sparsity_doc=sparsity_doc, sparsity_topic=sparsity_topic,
             avg_sparsity_doc=sum(sparsity_doc) / M,
             avg_sparsity_topic=sum(sparsity_topic) / K)
-
-
-def fit(corpus: Corpus, hyper: SparseHyper, rng: random.Random | None = None,
-        init_kappa: list | None = None, random_selector_init: bool = False,
-        update_selectors: bool = True,
-        sweep_callback: Callable[[DualSparseCvb0, int], None] | None = None) -> SparseFit:
-    """Run full CVB0 sweeps and report distributions plus sparsity ratios.
-
-    Selector means start at 0.5 (deterministic) unless random_selector_init;
-    pass init_kappa for a reproducible responsibility initialization,
-    otherwise an rng is required.
-    """
-    if init_kappa is None:
-        if rng is None:
-            raise ValueError("fit needs an rng or an explicit init_kappa")
-        init_kappa = random_responsibilities(corpus, hyper.n_topics, rng)
-    alpha_hat = beta_hat = None
-    if random_selector_init:
-        if rng is None:
-            raise ValueError("random_selector_init requires an rng")
-        alpha_hat = [[_clamp(rng.random()) for _ in range(hyper.n_topics)]
-                     for _ in range(corpus.n_docs)]
-        beta_hat = [[_clamp(rng.random()) for _ in range(corpus.n_words)]
-                    for _ in range(hyper.n_topics)]
-    solver = DualSparseCvb0(corpus, hyper, init_kappa, alpha_hat, beta_hat)
-    for it in range(hyper.iterations):
-        solver.sweep(update_selectors=update_selectors)
-        if sweep_callback is not None:
-            sweep_callback(solver, it)
-    return solver.estimate()

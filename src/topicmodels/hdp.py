@@ -13,9 +13,8 @@ compacted away the moment they empty, so live indices stay contiguous:
 
 import random
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import sample_categorical
+from .core import require_at_least, require_nonnegative, require_positive, sample_categorical
 from .corpus import Corpus
 from .lda import FittedLda, smoothed_rows
 
@@ -27,15 +26,11 @@ class HdpHyper:
     beta: float = 0.01    # topic-word smoothing
     gamma: float = 0.1    # franchise-level concentration
     iterations: int = 1000
-    top_words: int = 10
 
     def __post_init__(self):
-        if self.n_topics_init < 1:
-            raise ValueError("n_topics_init must be >= 1")
-        if self.alpha0 < 0 or self.beta <= 0 or self.gamma < 0:
-            raise ValueError("concentrations must be nonnegative and beta positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        require_at_least({"n_topics_init": self.n_topics_init, "iterations": self.iterations})
+        require_nonnegative({"alpha0": self.alpha0, "gamma": self.gamma})
+        require_positive({"beta": self.beta})
 
 
 class HdpSampler:
@@ -266,15 +261,3 @@ class HdpSampler:
         return FittedLda(
             theta=smoothed_rows(doc_topic, doc_totals, self.hyper.alpha0),
             phi=smoothed_rows(self.n_kv, self.n_k, self.hyper.beta))
-
-
-def fit(corpus: Corpus, hyper: HdpHyper, rng: random.Random,
-        sweep_callback: Callable[[HdpSampler, int], None] | None = None
-        ) -> tuple[FittedLda, int]:
-    """Returns the fit and the surviving topic count."""
-    sampler = HdpSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate(), sampler.n_topics

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
-from .core import CountTables, SamplingError, counts_from_assignments
+from .core import (CountTables, SamplingError, counts_from_assignments, require_at_least,
+                   require_positive, run_chain)
 from .corpus import Corpus
 
 # Topic count from which the Gibbs sampler uses the SparseLDA bucketed token
@@ -31,15 +32,10 @@ class LdaHyper:
     alpha: float = 0.1
     beta: float = 0.01
     iterations: int = 1000
-    top_words: int = 10
 
     def __post_init__(self):
-        if self.n_topics < 1:
-            raise ValueError("n_topics must be >= 1")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        require_at_least({"n_topics": self.n_topics, "iterations": self.iterations})
+        require_positive({"alpha": self.alpha, "beta": self.beta})
 
 
 @dataclass
@@ -254,15 +250,9 @@ def fit_gibbs(corpus: Corpus, hyper: LdaHyper, rng: random.Random,
               sweep_callback: Callable[[LdaGibbsSampler, int], None] | None = None) -> FittedLda:
     """Run the collapsed Gibbs chain and estimate theta/phi from the final state.
 
-    The callback fires after each sweep (used by diagnostics and progress
-    display).
+    The callback fires after each sweep (see ``core.run_chain``).
     """
-    sampler = LdaGibbsSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate()
+    return run_chain(LdaGibbsSampler(corpus, hyper, rng), hyper.iterations, sweep_callback)
 
 
 def cvb0_update(expected: CountTables, m: int, v: int,
@@ -358,9 +348,4 @@ def fit_cvb0(corpus: Corpus, hyper: LdaHyper, rng: random.Random | None = None,
         if rng is None:
             raise ValueError("fit_cvb0 needs an rng or an explicit init_gamma")
         init_gamma = random_responsibilities(corpus, hyper.n_topics, rng)
-    solver = LdaCvb0(corpus, hyper, init_gamma)
-    for it in range(hyper.iterations):
-        solver.sweep()
-        if sweep_callback is not None:
-            sweep_callback(solver, it)
-    return solver.estimate()
+    return run_chain(LdaCvb0(corpus, hyper, init_gamma), hyper.iterations, sweep_callback)

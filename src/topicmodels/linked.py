@@ -8,9 +8,8 @@ per-document topic factor.
 
 import random
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import sample_categorical
+from .core import require_at_least, require_positive, sample_categorical
 from .corpus import Corpus
 from .lda import LdaHyper, smoothed_rows
 
@@ -100,16 +99,6 @@ class AtmSampler:
                                         self.hyper.beta))
 
 
-def atm_fit(corpus: Corpus, hyper: LdaHyper, rng: random.Random,
-            sweep_callback: Callable[[AtmSampler, int], None] | None = None) -> AtmFit:
-    sampler = AtmSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate()
-
-
 @dataclass(frozen=True)
 class LinkLdaHyper:
     n_topics: int
@@ -117,17 +106,10 @@ class LinkLdaHyper:
     beta: float = 0.01
     gamma: float = 0.01  # topic-link smoothing
     iterations: int = 1000
-    top_words: int = 10
 
     def __post_init__(self):
-        if self.n_topics < 1:
-            raise ValueError("n_topics must be >= 1")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        require_at_least({"n_topics": self.n_topics, "iterations": self.iterations})
+        require_positive({"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma})
 
 
 @dataclass
@@ -229,14 +211,3 @@ class LinkLdaSampler:
         phi = smoothed_rows(self.topic_word, self.topic_total, hyper.beta)
         link_phi = smoothed_rows(self.topic_link, self.link_total, hyper.gamma)
         return LinkLdaFit(theta=theta, phi=phi, link_phi=link_phi)
-
-
-def linklda_fit(corpus: Corpus, hyper: LinkLdaHyper, rng: random.Random,
-                sweep_callback: Callable[[LinkLdaSampler, int], None] | None = None
-                ) -> LinkLdaFit:
-    sampler = LinkLdaSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate()

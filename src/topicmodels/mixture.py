@@ -12,9 +12,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import LogRisingMemo, exp_normalize, sample_categorical
+from .core import (LogRisingMemo, exp_normalize, require_at_least, require_nonnegative,
+                   require_positive, sample_categorical)
 from .corpus import Corpus
 from .lda import smoothed_rows
 
@@ -25,15 +25,16 @@ class MixtureHyper:
     alpha: float = 0.1
     beta: float = 0.01
     iterations: int = 1000
-    top_words: int = 10
 
     def __post_init__(self):
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
-        if self.alpha < 0 or self.beta <= 0:
-            raise ValueError("alpha must be >= 0 and beta > 0")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        require_at_least({"n_clusters": self.n_clusters, "iterations": self.iterations})
+        require_nonnegative({"alpha": self.alpha})
+        require_positive({"beta": self.beta})
+
+
+@dataclass(frozen=True)
+class DpmmHyper(MixtureHyper):
+    n_clusters: int = 3  # initial K; clusters are born and die during the chain
 
 
 @dataclass
@@ -170,16 +171,6 @@ class DmmSampler:
         return MixtureFit(theta=theta, phi=phi, doc_cluster=list(self.z))
 
 
-def dmm_fit(corpus: Corpus, hyper: MixtureHyper, rng: random.Random,
-            sweep_callback: Callable[[DmmSampler, int], None] | None = None) -> MixtureFit:
-    sampler = DmmSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate()
-
-
 class DpmmSampler:
     """Nonparametric variant: clusters are born with new documents and die
     when their last document leaves; live indices stay contiguous."""
@@ -281,15 +272,3 @@ class DpmmSampler:
         phi = smoothed_rows(self.tables.cluster_word, self.tables.cluster_total,
                             self.hyper.beta)
         return MixtureFit(theta=theta, phi=phi, doc_cluster=list(self.z))
-
-
-def dpmm_fit(corpus: Corpus, hyper: MixtureHyper, rng: random.Random,
-             sweep_callback: Callable[[DpmmSampler, int], None] | None = None
-             ) -> tuple[MixtureFit, int]:
-    """Returns the fit and the surviving cluster count."""
-    sampler = DpmmSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate(), sampler.n_clusters

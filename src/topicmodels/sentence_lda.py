@@ -8,7 +8,6 @@ against the per-sentence maximum.
 import math
 import random
 from collections import Counter
-from typing import Callable
 
 from .core import CountTables, LogRisingMemo, exp_normalize, sample_categorical
 from .corpus import Corpus
@@ -93,13 +92,3 @@ class SentenceLdaSampler:
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),
                          phi=estimate_phi(self.tables, self.hyper.beta))
-
-
-def fit(corpus: Corpus, hyper: LdaHyper, rng: random.Random,
-        sweep_callback: Callable[[SentenceLdaSampler, int], None] | None = None) -> FittedLda:
-    sampler = SentenceLdaSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate()

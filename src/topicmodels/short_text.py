@@ -15,9 +15,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
 
-from .core import LogRisingMemo, exp_normalize, require_positive, sample_categorical
+from .core import (LogRisingMemo, exp_normalize, require_at_least, require_positive,
+                   sample_categorical)
 from .corpus import Corpus
 from .lda import smoothed_rows
 
@@ -32,14 +32,11 @@ class PtmHyper:
     beta: float = 0.1
     doc_lambda: float = 0.01  # pseudo-document assignment smoothing
     iterations: int = 1000
-    top_words: int = 10
 
     def __post_init__(self):
-        if self.n_pseudo_docs < 1 or self.n_topics < 1:
-            raise ValueError("n_pseudo_docs and n_topics must be >= 1")
+        require_at_least({"n_pseudo_docs": self.n_pseudo_docs, "n_topics": self.n_topics,
+                          "iterations": self.iterations})
         require_positive({"alpha": self.alpha, "beta": self.beta, "lambda": self.doc_lambda})
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
 
 
 @dataclass
@@ -155,21 +152,6 @@ class PtmSampler:
                 * (self.topic_word[k][v] + hyper.beta) / (self.topic_total[k] + v_beta)
                 for k in range(K)]
 
-    def _move_doc(self, m: int, l_new: int) -> None:
-        l_old = self.l[m]
-        if l_new == l_old:
-            return
-        n_m = len(self.corpus.docword[m])
-        for k, c in enumerate(self.doc_topic[m]):
-            if c:
-                self.pseudo_topic[l_old][k] -= c
-                self.pseudo_topic[l_new][k] += c
-        self.pseudo_total[l_old] -= n_m
-        self.pseudo_total[l_new] += n_m
-        self.n_l[l_old] -= 1
-        self.n_l[l_new] += 1
-        self.l[m] = l_new
-
     def sweep(self) -> None:
         hyper = self.hyper
         # phase 1: pseudo-document assignments
@@ -233,16 +215,6 @@ class PtmSampler:
                       doc_pseudo=list(self.l))
 
 
-def ptm_fit(corpus: Corpus, hyper: PtmHyper, rng: random.Random,
-            sweep_callback: Callable[[PtmSampler, int], None] | None = None) -> PtmFit:
-    sampler = PtmSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate()
-
-
 @dataclass(frozen=True)
 class Biterm:
     """Unordered word pair from one document; w1 <= w2 after canonicalization."""
@@ -282,17 +254,11 @@ class BtmHyper:
     beta: float = 0.01
     window: int = 5
     iterations: int = 1000
-    top_words: int = 10
 
     def __post_init__(self):
-        if self.n_topics < 1:
-            raise ValueError("n_topics must be >= 1")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        require_at_least({"n_topics": self.n_topics, "iterations": self.iterations})
+        require_positive({"alpha": self.alpha, "beta": self.beta})
+        require_at_least({"window": self.window}, 2)
 
 
 @dataclass
@@ -446,13 +412,3 @@ class BtmSampler:
             for k in range(K):
                 out[k] += joint[k] / total * b.count / n_m
         return out
-
-
-def btm_fit(corpus: Corpus, hyper: BtmHyper, rng: random.Random,
-            sweep_callback: Callable[[BtmSampler, int], None] | None = None) -> BtmFit:
-    sampler = BtmSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate()

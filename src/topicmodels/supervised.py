@@ -9,9 +9,8 @@ blocks plus the background block.
 
 import random
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import require_positive, sample_categorical
+from .core import require_at_least, require_positive, sample_categorical
 from .corpus import Corpus
 from .lda import smoothed_rows
 
@@ -23,12 +22,10 @@ class LabeledLdaHyper:
     alpha: float = 0.1
     beta: float = 0.01
     iterations: int = 1000
-    top_words: int = 10
 
     def __post_init__(self):
+        require_at_least({"iterations": self.iterations})
         require_positive({"alpha": self.alpha, "beta": self.beta})
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
 
 
 @dataclass
@@ -116,31 +113,17 @@ class LabeledLdaSampler:
             topic_labels=list(self.corpus.meta_vocabulary.id_to_word))
 
 
-def labeled_fit(corpus: Corpus, hyper: LabeledLdaHyper, rng: random.Random,
-                sweep_callback: Callable[[LabeledLdaSampler, int], None] | None = None
-                ) -> LabeledLdaFit:
-    sampler = LabeledLdaSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate()
-
-
 @dataclass(frozen=True)
 class PldaHyper:
-    topics_per_label: int
+    topics_per_label: int = 2
     alpha: float = 0.1
     beta: float = 0.01
     iterations: int = 1000
-    top_words: int = 10
 
     def __post_init__(self):
-        if self.topics_per_label < 1:
-            raise ValueError("topics_per_label must be >= 1")
+        require_at_least({"topics_per_label": self.topics_per_label,
+                          "iterations": self.iterations})
         require_positive({"alpha": self.alpha, "beta": self.beta})
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
 
 
 class PldaLabelSpace:
@@ -253,13 +236,3 @@ class PldaSampler:
             theta=smoothed_rows(self.doc_topic, doc_totals, self.hyper.alpha),
             phi=smoothed_rows(self.topic_word, self.topic_total, self.hyper.beta),
             topic_labels=names)
-
-
-def plda_fit(corpus: Corpus, hyper: PldaHyper, rng: random.Random,
-             sweep_callback: Callable[[PldaSampler, int], None] | None = None) -> PldaFit:
-    sampler = PldaSampler(corpus, hyper, rng)
-    for it in range(hyper.iterations):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(sampler, it)
-    return sampler.estimate()

@@ -489,6 +489,23 @@ def test_nonpositive_top_words_rejected_before_output(tmp_path, plain_file, caps
     ("dpmm", ["--iterations", "0"], "iterations must be >= 1"),
     ("hdp", ["--iterations", "-3"], "iterations must be >= 1"),
     ("dual-sparse", ["-k", "2", "--iterations", "0"], "iterations must be >= 1"),
+    ("lda-gibbs", ["-k", "2", "--alpha", "nan"], "alpha must be positive"),
+    ("lda-gibbs", ["-k", "2", "--beta", "inf"], "beta must be finite"),
+    ("btm", ["-k", "2", "--beta", "nan"], "beta must be positive"),
+    ("btm", ["-k", "2", "--alpha", "inf"], "alpha must be finite"),
+    ("dmm", ["-k", "2", "--alpha", "nan"], "alpha must be >= 0"),
+    ("dmm", ["-k", "2", "--beta", "inf"], "beta must be finite"),
+    ("dpmm", ["--alpha", "inf"], "alpha must be finite"),
+    ("hdp", ["--alpha", "nan"], "alpha0 must be >= 0"),
+    ("hdp", ["--gamma", "inf"], "gamma must be finite"),
+    ("hdp", ["--beta", "nan"], "beta must be positive"),
+    ("dual-sparse", ["-k", "2", "--s", "nan"], "s must be positive"),
+    ("dual-sparse", ["-k", "2", "--pi", "inf"], "pi must be finite"),
+    ("dual-sparse", ["-k", "2", "--pi-bar", "nan"], "pi_bar must be >= 0"),
+    ("dual-sparse", ["-k", "2", "--gamma-bar", "inf"], "word_gamma_bar must be finite"),
+    ("dual-sparse", ["-k", "2", "--pi-bar", "0.5"], "pi_bar must be < pi"),
+    ("dual-sparse", ["-k", "2", "--gamma-bar", "0.1"], "word_gamma_bar must be < word_gamma"),
+    ("ptm", ["-k", "2", "--pseudo-docs", "0"], "n_pseudo_docs must be >= 1"),
 ])
 def test_invalid_hyperparameters_rejected(tmp_path, capsys, model, flags, message):
     corpus = tmp_path / "corpus.txt"
@@ -534,3 +551,117 @@ def test_eval_defaults_need_twenty_words(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     assert [l.split(":")[0] for l in lines] == [
         "average_coherence_5", "average_coherence_10", "average_coherence_20"]
+
+
+# The CLI surface: which of the sixteen model flags each model accepts and
+# which it requires, and the value each omitted flag takes.  Recorded from
+# the hand-written flag tables the CLI had before it derived them from the
+# Hyper dataclasses; the derived tables must give the same answers.
+MODEL_FLAGS = ("topics", "alpha", "beta", "gamma", "lambda", "pseudo-docs", "window",
+               "label-topics", "s", "t", "x", "y", "pi", "pi-bar", "gamma-strong",
+               "gamma-bar")
+LDA_FLAGS = {"topics", "alpha", "beta"}
+SURFACE = {  # model: (accepted flags, required flags)
+    "lda-gibbs": (LDA_FLAGS, {"topics"}),
+    "lda-cvb0": (LDA_FLAGS, {"topics"}),
+    "sentence-lda": (LDA_FLAGS, {"topics"}),
+    "hdp": (LDA_FLAGS | {"gamma"}, set()),
+    "dmm": (LDA_FLAGS, {"topics"}),
+    "dpmm": (LDA_FLAGS, set()),
+    "ptm": (LDA_FLAGS | {"lambda", "pseudo-docs"}, {"topics", "pseudo-docs"}),
+    "btm": (LDA_FLAGS | {"window"}, {"topics"}),
+    "atm": (LDA_FLAGS, {"topics"}),
+    "link-lda": (LDA_FLAGS | {"gamma"}, {"topics"}),
+    "labeled-lda": ({"alpha", "beta"}, set()),
+    "plda": ({"alpha", "beta", "label-topics"}, set()),
+    "dual-sparse": ({"topics", "s", "t", "x", "y", "pi", "pi-bar", "gamma-strong",
+                     "gamma-bar"}, {"topics"}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SURFACE))
+def test_model_flag_surface(tmp_path, capsys, model):
+    accepted, required = SURFACE[model]
+    # flags are resolved before the input is read, so a missing input file
+    # is the first thing an accepted flag set runs into
+    base = ["fit", "--model", model, "--input", tmp_path / "missing.txt",
+            "--output-dir", tmp_path / "out"]
+    needed = [a for flag in sorted(required) for a in (f"--{flag}", "2")]
+    for flag in MODEL_FLAGS:
+        assert run(base + needed + [f"--{flag}", "2"]) == 1
+        err = capsys.readouterr().err
+        if flag in accepted:
+            assert "not applicable" not in err and "requires" not in err, (flag, err)
+        else:
+            assert f"error: --{flag} is not applicable to model {model}\n" == err, flag
+    for flag in sorted(required):
+        rest = [a for other in sorted(required - {flag}) for a in (f"--{other}", "2")]
+        assert run(base + rest) == 1
+        assert capsys.readouterr().err == f"error: model {model} requires --{flag}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# Every default of an optional flag, spelled out; "shared" holds the flags
+# every model takes.
+SPELLED_DEFAULTS = {
+    "shared": ["--top-words", "5", "--seed", "42"],
+    "lda-gibbs": ["--alpha", "0.1", "--beta", "0.01"],
+    "lda-cvb0": ["--alpha", "0.1", "--beta", "0.01"],
+    "sentence-lda": ["--alpha", "0.1", "--beta", "0.01"],
+    "hdp": ["-k", "3", "--alpha", "0.1", "--beta", "0.01", "--gamma", "0.1"],
+    "dmm": ["--alpha", "0.1", "--beta", "0.01"],
+    "dpmm": ["-k", "3", "--alpha", "0.1", "--beta", "0.01"],
+    "ptm": ["--alpha", "0.1", "--beta", "0.1", "--lambda", "0.01"],
+    "btm": ["--alpha", "0.1", "--beta", "0.01", "--window", "5"],
+    "atm": ["--alpha", "0.1", "--beta", "0.01"],
+    "link-lda": ["--alpha", "0.1", "--beta", "0.01", "--gamma", "0.01"],
+    "labeled-lda": ["--alpha", "0.1", "--beta", "0.01"],
+    "plda": ["--alpha", "0.1", "--beta", "0.01", "--label-topics", "2"],
+    "dual-sparse": ["--s", "1.0", "--t", "1.0", "--x", "1.0", "--y", "1.0", "--pi", "0.1",
+                    "--pi-bar", "1e-12", "--gamma-strong", "0.1", "--gamma-bar", "1e-12"],
+}
+SURFACE_LAYOUT = {"sentence-lda": "sentences", "atm": "authors", "link-lda": "links",
+                  "labeled-lda": "labels", "plda": "labels"}
+# Uneven clusters, so that the plain-layout models' outputs move with each
+# of their defaults (on GOLDEN, DPMM and HDP settle into the same state from
+# 3 or 4 initial components).  With 10 pseudo documents for 12 documents,
+# PTM keeps empty pseudo documents, whose weight is set by --lambda.
+DEFAULTS_PLAIN = "\n".join([
+    "banana fig fig", "lime kiwi", "lemon quince olive", "fig apple apple", "mango grape fig",
+    "plum plum quince olive banana", "banana date", "kiwi lime mango mango lemon grape mango",
+    "pear quince melon olive quince melon plum", "apple banana", "lime apple",
+    "melon quince pear melon melon quince"]) + "\n"
+
+
+def fit_outputs(tmp_path, name, model, flags):
+    """Output file bytes of a 10-sweep fit on the model's defaults corpus."""
+    layout = SURFACE_LAYOUT.get(model, "plain")
+    corpus = tmp_path / f"{layout}.txt"
+    corpus.write_text(DEFAULTS_PLAIN if layout == "plain" else GOLDEN_LAYOUTS[layout])
+    needed = {"topics": ["-k", "3"], "pseudo-docs": ["--pseudo-docs", "10"]}
+    required = [a for flag in sorted(SURFACE[model][1]) for a in needed[flag]]
+    out = tmp_path / name
+    assert run(["fit", "--model", model, "--input", corpus, "--output-dir", out,
+                "--iterations", "10", *required, *flags]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("model", sorted(SURFACE))
+def test_omitted_flags_take_their_defaults(tmp_path, model):
+    spelled = SPELLED_DEFAULTS[model] + SPELLED_DEFAULTS["shared"]
+    omitted = fit_outputs(tmp_path, "omitted", model, [])
+    assert omitted
+    assert omitted == fit_outputs(tmp_path, "spelled", model, spelled)
+
+
+def test_learnt_counts_are_reported_on_stderr(tmp_path, capsys):
+    corpus = tmp_path / "golden.txt"
+    corpus.write_text(GOLDEN)
+    for model, flags, line in (
+            ("hdp", ["--alpha", "1.0", "--gamma", "1.0"], "hdp: converged to 7 topics\n"),
+            ("dpmm", ["-k", "2", "--alpha", "2", "--beta", "0.2"],
+             "dpmm: converged to 5 clusters\n")):
+        assert run(["eval", "--model", model, "--input", corpus, *flags, "--iterations", "20",
+                    "--seed", "7", "--top-n", "2"]) == 0
+        err = capsys.readouterr().err
+        assert err.endswith(f"{model}: iteration 20/20\n{line}"), err

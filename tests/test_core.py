@@ -4,7 +4,8 @@ import pytest
 
 from topicmodels.core import (CountTables, LogRisingMemo, SamplingError, SeededRng,
                               counts_from_assignments, exp_normalize,
-                              log_rising_factorial, require_positive,
+                              log_rising_factorial, require_at_least,
+                              require_nonnegative, require_positive, run_chain,
                               sample_categorical)
 
 
@@ -107,6 +108,50 @@ def test_require_positive_names_the_parameter():
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="^beta must be positive$"):
             require_positive({"alpha": 0.1, "beta": bad})
+
+
+def test_require_positive_rejects_infinity():
+    with pytest.raises(ValueError, match="^alpha must be finite$"):
+        require_positive({"alpha": math.inf, "beta": 1.0})
+    with pytest.raises(ValueError, match="^alpha must be positive$"):
+        require_positive({"alpha": -math.inf})
+
+
+def test_require_nonnegative_names_the_parameter():
+    require_nonnegative({"alpha": 0.0, "gamma": 2.5})
+    for bad, message in ((-1e-12, ">= 0"), (float("nan"), ">= 0"), (-math.inf, ">= 0"),
+                         (math.inf, "finite")):
+        with pytest.raises(ValueError, match=f"^gamma must be {message}$"):
+            require_nonnegative({"alpha": 0.0, "gamma": bad})
+
+
+def test_require_at_least_names_the_count():
+    require_at_least({"n_topics": 1, "iterations": 5})
+    require_at_least({"window": 2}, 2)
+    with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+        require_at_least({"n_topics": 3, "iterations": 0})
+    with pytest.raises(ValueError, match="^window must be >= 2$"):
+        require_at_least({"window": 1}, 2)
+
+
+class _CountingSampler:
+    def __init__(self):
+        self.sweeps = 0
+
+    def sweep(self):
+        self.sweeps += 1
+
+    def estimate(self):
+        return ("estimate after", self.sweeps)
+
+
+def test_run_chain_sweeps_then_estimates():
+    seen = []
+    sampler = _CountingSampler()
+    result = run_chain(sampler, 3, lambda s, it: seen.append((s is sampler, it, s.sweeps)))
+    assert result == ("estimate after", 3)
+    assert seen == [(True, 0, 1), (True, 1, 2), (True, 2, 3)]
+    assert run_chain(_CountingSampler(), 2) == ("estimate after", 2)
 
 
 def test_exp_normalize_handles_large_logs():

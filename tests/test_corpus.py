@@ -1,4 +1,8 @@
 import logging
+import os
+import subprocess
+import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -66,6 +70,22 @@ def test_cached_preprocess_equals_uncached_pipeline():
 
 def test_default_stoplist_is_read_once():
     assert StopList.default() is StopList.default()
+
+
+def test_default_stoplist_reads_from_a_zipped_package(tmp_path):
+    # inside a zip the data directory cannot be imported as a namespace package
+    package = Path(corpus_mod.__file__).parent
+    archive = tmp_path / "topicmodels.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        for path in package.rglob("*"):
+            if path.suffix in (".py", ".txt"):
+                z.write(path, path.relative_to(package.parent))
+    code = ("from topicmodels import corpus; "
+            f"print(corpus.__file__.startswith({str(archive)!r}), len(corpus.StopList.default()))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(archive)})
+    assert done.stderr == ""
+    assert done.stdout == "True 524\n"
 
 
 def test_default_stoplist_size_and_members():

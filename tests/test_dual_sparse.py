@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from topicmodels.core import SeededRng
+from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain
-from topicmodels.dual_sparse import DualSparseCvb0, SparseHyper, fit
+from topicmodels.dual_sparse import DualSparseCvb0, SparseHyper
 from topicmodels.lda import LdaCvb0, LdaHyper, random_responsibilities
 
 from oracles import assert_close_distribution
@@ -32,6 +32,11 @@ def linear_beta_oracle(h, V, b_ex, n_kv, n_k):
     off = ((h.y + V - 1 - b_ex) * math.gamma(g + gbar)
            * B(V * gbar + g * b_ex, n_k + g + g * b_ex + V * gbar))
     return on / (on + off)
+
+
+def dual_sparse_solver(corpus, hyper, rng):
+    """The solver as the CLI builds it: random responsibilities drawn from rng."""
+    return DualSparseCvb0(corpus, hyper, random_responsibilities(corpus, hyper.n_topics, rng))
 
 
 def small_solver(hyper, kappa=None):
@@ -159,7 +164,7 @@ def test_pinned_selectors_reduce_to_plain_cvb0():
 def test_fit_sparsity_outputs():
     corpus = parse_plain(["w0 w0 w1", "w2 w3", "w0 w3 w3"])
     hyper = SparseHyper(4, iterations=10)
-    fitted = fit(corpus, hyper, SeededRng(3))
+    fitted = run_chain(dual_sparse_solver(corpus, hyper, SeededRng(3)), hyper.iterations)
     assert len(fitted.sparsity_doc) == 3
     assert len(fitted.sparsity_topic) == 4
     for s in fitted.sparsity_doc + fitted.sparsity_topic:
@@ -184,7 +189,8 @@ def test_fit_conserves_kappa_mass():
             corpus.n_tokens, abs=1e-6)
         seen.append(it)
 
-    fit(corpus, SparseHyper(2, iterations=8), SeededRng(4), sweep_callback=callback)
+    hyper = SparseHyper(2, iterations=8)
+    run_chain(dual_sparse_solver(corpus, hyper, SeededRng(4)), hyper.iterations, callback)
     assert len(seen) == 8
 
 
@@ -197,7 +203,8 @@ def test_selectors_stay_in_open_interval_during_fit():
         for row in solver.beta_hat:
             assert all(0.0 < b < 1.0 for b in row)
 
-    fit(corpus, SparseHyper(3, iterations=10), SeededRng(5), sweep_callback=callback)
+    hyper = SparseHyper(3, iterations=10)
+    run_chain(dual_sparse_solver(corpus, hyper, SeededRng(5)), hyper.iterations, callback)
 
 
 def test_hyper_validation():

@@ -1,8 +1,8 @@
 import pytest
 
-from topicmodels.core import SeededRng
+from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain
-from topicmodels.hdp import HdpHyper, HdpSampler, fit
+from topicmodels.hdp import HdpHyper, HdpSampler
 
 from oracles import normalize
 
@@ -149,8 +149,8 @@ def test_gamma_zero_never_spawns_topics():
 def test_gamma_zero_k1_phi_is_smoothed_frequency():
     corpus = parse_plain(["a a b", "b c"])
     hyper = HdpHyper(1, alpha0=0.5, beta=0.5, gamma=0.0, iterations=10)
-    fitted, n_topics = fit(corpus, hyper, SeededRng(6))
-    assert n_topics == 1
+    fitted = run_chain(HdpSampler(corpus, hyper, SeededRng(6)), hyper.iterations)
+    assert len(fitted.phi) == 1
     N, V = corpus.n_tokens, corpus.n_words
     freqs = [2, 2, 1]
     assert fitted.phi[0] == pytest.approx([(f + 0.5) / (N + V * 0.5) for f in freqs])
@@ -186,8 +186,10 @@ def test_check_catches_a_stale_seating_plan():
 def test_fit_reports_surviving_topic_count():
     rng = SeededRng(9)
     corpus = toy_corpus(rng, n_docs=10)
-    fitted, n_topics = fit(corpus, HdpHyper(3, iterations=15), SeededRng(10))
-    assert n_topics >= 1
-    assert len(fitted.phi) == n_topics
+    hyper = HdpHyper(3, iterations=15)
+    sampler = HdpSampler(corpus, hyper, SeededRng(10))
+    fitted = run_chain(sampler, hyper.iterations)
+    assert sampler.n_topics >= 1
+    assert len(fitted.phi) == sampler.n_topics
     for row in fitted.theta + fitted.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)

@@ -1,10 +1,9 @@
 import pytest
 
-from topicmodels.core import SeededRng
+from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_tagged
 from topicmodels.lda import LdaHyper
-from topicmodels.linked import (AtmSampler, LinkLdaHyper, LinkLdaSampler,
-                                atm_fit, linklda_fit)
+from topicmodels.linked import AtmSampler, LinkLdaHyper, LinkLdaSampler
 
 from oracles import (assert_close_distribution, atm_joint_oracle, linklda_word_oracle,
                      linklda_link_oracle, normalize)
@@ -228,7 +227,8 @@ def test_linklda_tables_never_cross_contaminate():
 
 def test_linklda_fit_rows_stochastic():
     corpus = link_corpus(["100--200\tw0 w1", "200\tw2 w0"])
-    fit = linklda_fit(corpus, LinkLdaHyper(2, iterations=10), SeededRng(7))
+    hyper = LinkLdaHyper(2, iterations=10)
+    fit = run_chain(LinkLdaSampler(corpus, hyper, SeededRng(7)), hyper.iterations)
     for row in fit.theta + fit.phi + fit.link_phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
         assert all(p > 0 for p in row)
@@ -236,6 +236,7 @@ def test_linklda_fit_rows_stochastic():
 
 def test_atm_fit_runs():
     corpus = author_corpus(["A,B\tw0 w1 w2", "B\tw1 w3"])
-    fit = atm_fit(corpus, LdaHyper(2, iterations=10), SeededRng(8))
+    hyper = LdaHyper(2, iterations=10)
+    fit = run_chain(AtmSampler(corpus, hyper, SeededRng(8)), hyper.iterations)
     for row in fit.theta + fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)

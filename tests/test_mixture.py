@@ -3,10 +3,9 @@ import math
 
 import pytest
 
-from topicmodels.core import SeededRng
+from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain
-from topicmodels.mixture import (DmmSampler, DpmmSampler, MixtureHyper,
-                                 dmm_fit, dpmm_fit)
+from topicmodels.mixture import DmmSampler, DpmmSampler, MixtureHyper
 
 from oracles import (assert_close_distribution, dmm_doc_oracle, dpmm_doc_oracle, normalize,
                      rising, tv_distance)
@@ -81,7 +80,8 @@ def test_dmm_label_permutation_symmetry():
 
 def test_dmm_theta_sums_to_one():
     corpus = parse_plain(["a b", "c d", "a d"])
-    fit = dmm_fit(corpus, MixtureHyper(4, 0.2, 0.1, 10), SeededRng(1))
+    hyper = MixtureHyper(4, 0.2, 0.1, 10)
+    fit = run_chain(DmmSampler(corpus, hyper, SeededRng(1)), hyper.iterations)
     assert sum(fit.theta) == pytest.approx(1.0, abs=1e-9)
     for row in fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
@@ -213,6 +213,8 @@ def test_dpmm_check_rejects_a_dead_cluster():
 
 def test_dpmm_fit_reports_final_cluster_count():
     corpus = parse_plain(["a a", "b b", "a b", "c c c"])
-    fit, n_clusters = dpmm_fit(corpus, MixtureHyper(2, 0.5, 0.2, 20), SeededRng(2))
-    assert n_clusters == len(fit.phi) == len(fit.theta)
+    hyper = MixtureHyper(2, 0.5, 0.2, 20)
+    sampler = DpmmSampler(corpus, hyper, SeededRng(2))
+    fit = run_chain(sampler, hyper.iterations)
+    assert sampler.n_clusters == len(fit.phi) == len(fit.theta)
     assert sum(fit.theta) == pytest.approx(1.0, abs=1e-9)

@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from topicmodels.core import SeededRng
+from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import CorpusError, parse_plain, parse_sentences
 from topicmodels.lda import LdaHyper, gibbs_full_conditional
-from topicmodels.sentence_lda import SentenceLdaSampler, fit
+from topicmodels.sentence_lda import SentenceLdaSampler
 
 from oracles import assert_close_distribution, sentence_topic_oracle, lda_joint_log, normalize, tv_distance
 
@@ -14,7 +14,8 @@ from oracles import assert_close_distribution, sentence_topic_oracle, lda_joint_
 def test_requires_sentence_structure():
     corpus = parse_plain(["a b", "c"])
     with pytest.raises(CorpusError):
-        fit(corpus, LdaHyper(2, iterations=1), SeededRng(0))
+        hyper = LdaHyper(2, iterations=1)
+        run_chain(SentenceLdaSampler(corpus, hyper, SeededRng(0)), hyper.iterations)
 
 
 def test_one_word_sentences_reduce_to_lda_conditional():

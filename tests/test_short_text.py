@@ -1,9 +1,9 @@
 import pytest
 
-from topicmodels.core import SeededRng
+from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.short_text import (BtmHyper, BtmSampler, PtmHyper, PtmSampler,
-                                    btm_fit, extract_biterms, ptm_fit)
+                                    extract_biterms)
 
 from oracles import assert_close_distribution, ptm_pseudo_doc_oracle, ptm_token_oracle, btm_biterm_oracle, normalize
 
@@ -107,7 +107,8 @@ def test_ptm_check_recounts_every_table():
 
 def test_ptm_fit_outputs_are_stochastic():
     corpus = parse_plain(["a b a", "c d", "b d d"])
-    fit = ptm_fit(corpus, PtmHyper(2, 3, iterations=10), SeededRng(3))
+    hyper = PtmHyper(2, 3, iterations=10)
+    fit = run_chain(PtmSampler(corpus, hyper, SeededRng(3)), hyper.iterations)
     for row in fit.theta + fit.pseudo_theta + fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
     assert len(fit.doc_pseudo) == 3
@@ -225,7 +226,8 @@ def test_btm_check_recounts_every_table():
 
 def test_btm_theta_sums_to_one():
     corpus = parse_plain(["a b c", "b c d"])
-    fit = btm_fit(corpus, BtmHyper(4, window=3, iterations=10), SeededRng(2))
+    hyper = BtmHyper(4, window=3, iterations=10)
+    fit = run_chain(BtmSampler(corpus, hyper, SeededRng(2)), hyper.iterations)
     assert sum(fit.theta) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -253,15 +255,17 @@ def test_btm_doc_topic_matches_independent_evaluation():
 
 def test_btm_k1_doc_rows_are_one():
     corpus = parse_plain(["a b", "c d e"])
-    fit = btm_fit(corpus, BtmHyper(1, window=3, iterations=3), SeededRng(0))
+    hyper = BtmHyper(1, window=3, iterations=3)
+    fit = run_chain(BtmSampler(corpus, hyper, SeededRng(0)), hyper.iterations)
     assert fit.doc_topic == [[1.0], [1.0]]
 
 
 def test_btm_biterm_free_doc_gets_uniform_row(caplog):
     import logging
     corpus = parse_plain(["a b c", "solo"])
+    hyper = BtmHyper(2, window=3, iterations=3)
     with caplog.at_level(logging.WARNING):
-        fit = btm_fit(corpus, BtmHyper(2, window=3, iterations=3), SeededRng(0))
+        fit = run_chain(BtmSampler(corpus, hyper, SeededRng(0)), hyper.iterations)
     assert fit.doc_topic[1] == [0.5, 0.5]
     assert any("no biterms" in r.message for r in caplog.records)
 
@@ -269,4 +273,5 @@ def test_btm_biterm_free_doc_gets_uniform_row(caplog):
 def test_btm_rejects_corpus_without_biterms():
     corpus = parse_plain(["a", "b"])
     with pytest.raises(ValueError):
-        btm_fit(corpus, BtmHyper(2, window=5, iterations=1), SeededRng(0))
+        hyper = BtmHyper(2, window=5, iterations=1)
+        run_chain(BtmSampler(corpus, hyper, SeededRng(0)), hyper.iterations)

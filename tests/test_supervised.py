@@ -3,14 +3,13 @@ import math
 
 import pytest
 
-from topicmodels.core import SeededRng
+from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import Corpus, Vocabulary, parse_plain, parse_tagged
 from topicmodels.lda import LdaGibbsSampler, LdaHyper
 from topicmodels.supervised import (BACKGROUND_LABEL, LabeledLdaHyper,
                                     LabeledLdaSampler, PldaHyper,
                                     PldaLabelSpace, PldaSampler,
-                                    admissible_topics_labeled, labeled_fit,
-                                    plda_fit)
+                                    admissible_topics_labeled)
 
 from oracles import assert_close_distribution, labeled_token_oracle, plda_token_oracle, normalize
 
@@ -113,7 +112,8 @@ def test_labeled_vacuous_constraint_equals_lda_conditional():
 
 def test_labeled_theta_single_label_forced_mass():
     corpus = label_corpus(["Security\tw0 w1 w0"])
-    fit = labeled_fit(corpus, LabeledLdaHyper(0.1, 0.1, 3), SeededRng(1))
+    hyper = LabeledLdaHyper(0.1, 0.1, 3)
+    fit = run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(1)), hyper.iterations)
     K = len(fit.topic_labels)
     assert K == 1
     assert fit.theta[0][0] == pytest.approx((3 + 0.1) / (3 + K * 0.1))
@@ -121,7 +121,8 @@ def test_labeled_theta_single_label_forced_mass():
 
 def test_labeled_theta_forced_mass_two_topics():
     corpus = label_corpus(["Security\tw0 w1 w0", "Cloud\tw2"])
-    fit = labeled_fit(corpus, LabeledLdaHyper(0.1, 0.1, 3), SeededRng(1))
+    hyper = LabeledLdaHyper(0.1, 0.1, 3)
+    fit = run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(1)), hyper.iterations)
     sec = corpus.meta_vocabulary.id("Security")
     assert fit.theta[0][sec] == pytest.approx((3 + 0.1) / (3 + 2 * 0.1))
     assert fit.topic_labels == ["Security", "Cloud"]
@@ -130,7 +131,8 @@ def test_labeled_theta_forced_mass_two_topics():
 def test_labeled_rejects_unlabeled_document():
     corpus = label_corpus([" \tw0 w1", "A\tw2"])
     with pytest.raises(ValueError):
-        labeled_fit(corpus, LabeledLdaHyper(iterations=1), SeededRng(0))
+        hyper = LabeledLdaHyper(iterations=1)
+        run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(0)), hyper.iterations)
 
 
 def test_labeled_chain_matches_enumerated_constrained_posterior():
@@ -236,7 +238,8 @@ def test_plda_background_only_document_uses_background_block():
 
 def test_plda_topic_labels_include_background_last():
     corpus = label_corpus(["A\tw0", "B\tw1"])
-    fit = plda_fit(corpus, PldaHyper(2, iterations=2), SeededRng(3))
+    hyper = PldaHyper(2, iterations=2)
+    fit = run_chain(PldaSampler(corpus, hyper, SeededRng(3)), hyper.iterations)
     assert fit.topic_labels == ["A", "A", "B", "B",
                                 BACKGROUND_LABEL, BACKGROUND_LABEL]
 
@@ -259,6 +262,7 @@ def test_plda_block_bookkeeping_recount():
 
 def test_plda_theta_phi_stochastic():
     corpus = label_corpus(["A\tw0 w1", "B\tw2"])
-    fit = plda_fit(corpus, PldaHyper(2, iterations=5), SeededRng(5))
+    hyper = PldaHyper(2, iterations=5)
+    fit = run_chain(PldaSampler(corpus, hyper, SeededRng(5)), hyper.iterations)
     for row in fit.theta + fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
