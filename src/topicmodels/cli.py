@@ -20,6 +20,7 @@ chosen model are rejected.
 import argparse
 import dataclasses
 import logging
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -184,6 +185,16 @@ def _option(flag: str) -> str:
     return "--" + flag.replace("_", "-")
 
 
+def _in_flag_terms(spec: ModelSpec, message: str) -> str:
+    """``message`` with every field or flag name of the model's Hyper
+    replaced by the option that sets it (PTM checks ``doc_lambda`` as
+    "lambda")."""
+    option_of = {"iterations": "--iterations"}
+    for flag, f in _model_flags(spec).items():
+        option_of[f.name] = option_of[flag] = _option(flag)
+    return re.sub(r"\w+", lambda word: option_of.get(word[0], word[0]), message)
+
+
 def _parse(layout: str, lines):
     """Index ``lines`` in the given input layout (parsers looked up per call,
     as the writers are)."""
@@ -211,6 +222,8 @@ def _hyper_options(args) -> dict:
     model = args.model
     if args.top_words < 1:
         raise CliError("--top-words must be >= 1")
+    if any(n < 1 for n in getattr(args, "top_n", ())):
+        raise CliError("--top-n must be >= 1")
     flags = _model_flags(MODELS[model])
     given = {flag: getattr(args, flag) for flag in _FLAG_TYPES if getattr(args, flag) is not None}
     for flag in given:
@@ -229,8 +242,11 @@ def _run(args, outdir):
     """
     spec = MODELS[args.model]
     options = _hyper_options(args)
+    try:
+        hyper = spec.hyper(iterations=args.iterations, **options)
+    except ValueError as exc:
+        raise CliError(_in_flag_terms(spec, str(exc))) from None
     corpus = _parse(spec.layout, corpus_mod.read_lines(args.input, args.encoding))
-    hyper = spec.hyper(iterations=args.iterations, **options)
     sampler = spec.sampler(corpus, hyper, SeededRng(args.seed))
     fitted = run_chain(sampler, args.iterations, _progress(args.model, args.iterations))
     k = spec.count(hyper, fitted) if spec.count else len(fitted.phi)

@@ -1,6 +1,10 @@
 """Latent Dirichlet allocation, fitted by collapsed Gibbs sampling or by
 zero-order collapsed variational Bayes (CVB0).
 
+The Gibbs sampler also runs LDA with a set of allowed topics per document:
+Labeled LDA and PLDA are that chain, with the sets built from the labels
+(see ``supervised``).
+
 Count-table notation (mirrored across the whole package):
   n_mk  tokens of document m assigned to topic k
   n_kv  tokens of word v assigned to topic k
@@ -42,6 +46,7 @@ class LdaHyper:
 class FittedLda:
     theta: list  # M x K, rows sum to 1
     phi: list    # K x V, rows sum to 1
+    topic_labels: list | None = None  # a name per topic, where topics stand for labels
 
 
 def smoothed_rows(counts, totals, smooth: float) -> list:
@@ -81,22 +86,39 @@ def gibbs_full_conditional(tables: CountTables, m: int, v: int,
 class LdaGibbsSampler:
     """Owns the assignment vector z and its count tables for one chain.
 
-    With at least ``SPARSE_MIN_TOPICS`` topics the sweep runs the SparseLDA
-    kernel, which also keeps ``word_topics``: for every word, a dict from
-    each topic holding it to n_kv.  ``tables`` stays the source of truth.
+    ``allowed[m]``, if given, lists the topic ids document m may use: its
+    tokens start on a uniform draw from that list and are only resampled
+    within it, and a document with a single allowed topic is never
+    resampled.  ``None`` lets every document use all K topics.
+    ``topic_labels`` names the topics in the estimate.
+
+    An unrestricted chain with at least ``SPARSE_MIN_TOPICS`` topics runs the
+    SparseLDA kernel, which also keeps ``word_topics``: for every word, a
+    dict from each topic holding it to n_kv.  ``tables`` stays the source of
+    truth.
     """
 
-    def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
+    def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random,
+                 allowed: list | None = None, topic_labels: list | None = None):
         if corpus.n_docs == 0 or corpus.n_tokens == 0:
             raise ValueError("corpus is empty")
+        if allowed is not None and (len(allowed) != corpus.n_docs or not all(allowed)):
+            raise ValueError("allowed needs a nonempty topic list for every document")
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
+        self.topic_labels = topic_labels
         K = hyper.n_topics
-        self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
+        if allowed is None:
+            self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
+        else:
+            self.z = [[rng.choice(topics) for _ in doc]
+                      for topics, doc in zip(allowed, corpus.docword)]
         self.tables = counts_from_assignments(corpus.docword, self.z, K, corpus.n_words)
+        # the sweep walks each document's topics in id order
+        self.allowed = None if allowed is None else [sorted(set(ks)) for ks in allowed]
         self.word_topics = None
-        if K >= SPARSE_MIN_TOPICS:
+        if allowed is None and K >= SPARSE_MIN_TOPICS:
             self.word_topics = [{} for _ in range(corpus.n_words)]
             for doc, zm in zip(corpus.docword, self.z):
                 for v, k in zip(doc, zm):
@@ -104,11 +126,24 @@ class LdaGibbsSampler:
                     wt[k] = wt.get(k, 0) + 1
 
     def full_conditional(self, m: int, v: int) -> list:
-        return gibbs_full_conditional(self.tables, m, v, self.hyper.alpha, self.hyper.beta)
+        """Length-K weights, zero outside the document's allowed topics."""
+        weights = gibbs_full_conditional(self.tables, m, v, self.hyper.alpha, self.hyper.beta)
+        if self.allowed is None:
+            return weights
+        allowed = set(self.allowed[m])
+        return [w if k in allowed else 0.0 for k, w in enumerate(weights)]
 
     def check(self) -> None:
-        """Check the count tables and the sparse word index; raises ValueError."""
-        self.tables.check()
+        """Check the count tables against a recount of z, z against the
+        allowed topics and the sparse word index; raises ValueError."""
+        recount = counts_from_assignments(self.corpus.docword, self.z,
+                                          self.hyper.n_topics, self.corpus.n_words)
+        if vars(recount) != vars(self.tables):
+            raise ValueError("count tables disagree with a recount of z")
+        for m, (topics, zm) in enumerate(zip(self.allowed or (), self.z)):
+            outside = set(zm).difference(topics)
+            if outside:
+                raise ValueError(f"doc {m}: topics {sorted(outside)} are not allowed")
         if self.word_topics is None:
             return
         topic_word = self.tables.topic_word
@@ -135,7 +170,13 @@ class LdaGibbsSampler:
         nk = self.tables.topic_total
         rng_random = self.rng.random
         weights = [0.0] * K
+        all_topics = range(K)
+        allowed = self.allowed
         for m, doc in enumerate(self.corpus.docword):
+            topics = all_topics if allowed is None else allowed[m]
+            if len(topics) == 1:
+                continue  # nothing to draw
+            last = topics[-1]
             zm = self.z[m]
             nm = ndk[m]
             for n, v in enumerate(doc):
@@ -146,14 +187,14 @@ class LdaGibbsSampler:
                 # the per-document denominator is constant in k, so the
                 # proportional form of the full conditional is enough here
                 total = 0.0
-                for kk in range(K):
+                for kk in topics:
                     w = (nm[kk] + alpha) * (nkv[kk][v] + beta) / (nk[kk] + vbeta)
                     weights[kk] = w
                     total += w
                 r = rng_random() * total
                 acc = 0.0
-                k_new = K - 1
-                for kk in range(K):
+                k_new = last
+                for kk in topics:
                     acc += weights[kk]
                     if r < acc:
                         k_new = kk
@@ -243,7 +284,8 @@ class LdaGibbsSampler:
 
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),
-                         phi=estimate_phi(self.tables, self.hyper.beta))
+                         phi=estimate_phi(self.tables, self.hyper.beta),
+                         topic_labels=self.topic_labels)
 
 
 def fit_gibbs(corpus: Corpus, hyper: LdaHyper, rng: random.Random,

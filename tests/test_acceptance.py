@@ -27,8 +27,7 @@ from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
                                  write_value_lines)
 from topicmodels.sentence_lda import SentenceLdaSampler
 from topicmodels.short_text import BtmHyper, BtmSampler, PtmHyper, PtmSampler, extract_biterms
-from topicmodels.supervised import (LabeledLdaHyper, LabeledLdaSampler,
-                                    PldaHyper, PldaSampler)
+from topicmodels.supervised import LabeledLdaHyper, LabeledLdaSampler, PldaHyper, PldaSampler
 
 from oracles import (assert_close_distribution, cosine, lda_token_oracle, sentence_topic_oracle,
                      dmm_doc_oracle, dpmm_doc_oracle, ptm_pseudo_doc_oracle, ptm_token_oracle, btm_biterm_oracle,
@@ -283,17 +282,15 @@ def test_criterion_2_full_conditional_scalar_oracles():
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels", item_sep=",")
         sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.4, 0.15, 1), rng)
-        K = sampler.n_topics
+        tables = sampler.tables
+        K = tables.n_topics
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
         v = corpus.docword[m][n]
-        k = sampler.z[m][n]
-        sampler.doc_topic[m][k] -= 1
-        sampler.topic_word[k][v] -= 1
-        sampler.topic_total[k] -= 1
-        want = labeled_token_oracle([sampler.topic_word[kk][v] for kk in range(K)],
-                            sampler.topic_total, sampler.doc_topic[m],
-                            set(sampler.admissible[m]), 0.4, 0.15, K, corpus.n_words)
+        tables.decrement(m, sampler.z[m][n], v)
+        want = labeled_token_oracle([tables.topic_word[kk][v] for kk in range(K)],
+                            tables.topic_total, tables.doc_topic[m],
+                            set(sampler.allowed[m]), 0.4, 0.15, K, corpus.n_words)
         assert_close_distribution(sampler.full_conditional(m, v), want)
 
     def plda_case(rng):
@@ -302,17 +299,15 @@ def test_criterion_2_full_conditional_scalar_oracles():
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels", item_sep=",")
         sampler = PldaSampler(corpus, PldaHyper(2, 0.4, 0.15, 1), rng)
-        K = sampler.n_topics
+        tables = sampler.tables
+        K = tables.n_topics
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
         v = corpus.docword[m][n]
-        t = sampler.z[m][n]
-        sampler.doc_topic[m][t] -= 1
-        sampler.topic_word[t][v] -= 1
-        sampler.topic_total[t] -= 1
-        want = plda_token_oracle(sampler.doc_topic[m],
-                         [sampler.topic_word[tt][v] for tt in range(K)],
-                         sampler.topic_total, set(sampler.admissible[m]),
+        tables.decrement(m, sampler.z[m][n], v)
+        want = plda_token_oracle(tables.doc_topic[m],
+                         [tables.topic_word[tt][v] for tt in range(K)],
+                         tables.topic_total, set(sampler.allowed[m]),
                          0.4, 0.15, K, corpus.n_words)
         assert_close_distribution(sampler.full_conditional(m, v), want)
 

@@ -470,8 +470,18 @@ def test_nonpositive_top_words_rejected_before_output(tmp_path, plain_file, caps
         assert not out.exists()
 
 
+def test_nonpositive_top_n_rejected_before_sampling(tmp_path, plain_file, capsys):
+    for values in (["0"], ["5", "-1"]):
+        rc = run(["eval", "--model", "lda-gibbs", "--input", plain_file, "-k", "2",
+                  "--iterations", "2", "--top-n", *values])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--top-n must be >= 1" in err
+        assert "iteration" not in err
+
+
 @pytest.mark.parametrize("model, flags, message", [
-    ("btm", ["-k", "0"], "n_topics must be >= 1"),
+    ("btm", ["-k", "0"], "--topics must be >= 1"),
     ("link-lda", ["-k", "2", "--gamma", "0"], "gamma must be positive"),
     ("link-lda", ["-k", "2", "--gamma", "-5"], "gamma must be positive"),
     ("ptm", ["-k", "2", "--pseudo-docs", "2", "--lambda", "-1"], "lambda must be positive"),
@@ -496,16 +506,16 @@ def test_nonpositive_top_words_rejected_before_output(tmp_path, plain_file, caps
     ("dmm", ["-k", "2", "--alpha", "nan"], "alpha must be >= 0"),
     ("dmm", ["-k", "2", "--beta", "inf"], "beta must be finite"),
     ("dpmm", ["--alpha", "inf"], "alpha must be finite"),
-    ("hdp", ["--alpha", "nan"], "alpha0 must be >= 0"),
+    ("hdp", ["--alpha", "nan"], "--alpha must be >= 0"),
     ("hdp", ["--gamma", "inf"], "gamma must be finite"),
     ("hdp", ["--beta", "nan"], "beta must be positive"),
     ("dual-sparse", ["-k", "2", "--s", "nan"], "s must be positive"),
     ("dual-sparse", ["-k", "2", "--pi", "inf"], "pi must be finite"),
-    ("dual-sparse", ["-k", "2", "--pi-bar", "nan"], "pi_bar must be >= 0"),
-    ("dual-sparse", ["-k", "2", "--gamma-bar", "inf"], "word_gamma_bar must be finite"),
-    ("dual-sparse", ["-k", "2", "--pi-bar", "0.5"], "pi_bar must be < pi"),
-    ("dual-sparse", ["-k", "2", "--gamma-bar", "0.1"], "word_gamma_bar must be < word_gamma"),
-    ("ptm", ["-k", "2", "--pseudo-docs", "0"], "n_pseudo_docs must be >= 1"),
+    ("dual-sparse", ["-k", "2", "--pi-bar", "nan"], "--pi-bar must be >= 0"),
+    ("dual-sparse", ["-k", "2", "--gamma-bar", "inf"], "--gamma-bar must be finite"),
+    ("dual-sparse", ["-k", "2", "--pi-bar", "0.5"], "--pi-bar must be < --pi"),
+    ("dual-sparse", ["-k", "2", "--gamma-bar", "0.1"], "--gamma-bar must be < --gamma-strong"),
+    ("ptm", ["-k", "2", "--pseudo-docs", "0"], "--pseudo-docs must be >= 1"),
 ])
 def test_invalid_hyperparameters_rejected(tmp_path, capsys, model, flags, message):
     corpus = tmp_path / "corpus.txt"
@@ -514,7 +524,10 @@ def test_invalid_hyperparameters_rejected(tmp_path, capsys, model, flags, messag
     rc = run(["fit", "--model", model, "--input", corpus, "--output-dir", out,
               "--iterations", "2", *flags])
     assert rc == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # the message names the option the user typed, not the Hyper field
+    assert err.startswith("error: --"), err
     assert not out.exists()
 
 
@@ -665,3 +678,10 @@ def test_learnt_counts_are_reported_on_stderr(tmp_path, capsys):
                     "--seed", "7", "--top-n", "2"]) == 0
         err = capsys.readouterr().err
         assert err.endswith(f"{model}: iteration 20/20\n{line}"), err
+
+
+def test_bad_hyperparameter_rejected_before_the_input_is_read(tmp_path, capsys):
+    rc = run(["fit", "--model", "lda-gibbs", "--input", tmp_path / "missing.txt",
+              "--output-dir", tmp_path / "out", "-k", "2", "--alpha", "nan"])
+    assert rc == 1
+    assert "--alpha must be positive" in capsys.readouterr().err

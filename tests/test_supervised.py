@@ -1,17 +1,18 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from topicmodels.core import SeededRng, run_chain
-from topicmodels.corpus import Corpus, Vocabulary, parse_plain, parse_tagged
+from topicmodels import cli
+from topicmodels.core import SeededRng, counts_from_assignments, run_chain
+from topicmodels.corpus import parse_plain, parse_tagged
 from topicmodels.lda import LdaGibbsSampler, LdaHyper
-from topicmodels.supervised import (BACKGROUND_LABEL, LabeledLdaHyper,
-                                    LabeledLdaSampler, PldaHyper,
-                                    PldaLabelSpace, PldaSampler,
-                                    admissible_topics_labeled)
+from topicmodels.supervised import (BACKGROUND_LABEL, LabeledLdaHyper, LabeledLdaSampler,
+                                    PldaHyper, PldaSampler)
 
-from oracles import assert_close_distribution, labeled_token_oracle, plda_token_oracle, normalize
+from oracles import (assert_close_distribution, labeled_token_oracle, lda_joint_log,
+                     normalize, plda_token_oracle, tv_distance)
 
 
 def label_corpus(lines):
@@ -21,39 +22,70 @@ def label_corpus(lines):
 def remove_token(sampler, m, n):
     k = sampler.z[m][n]
     v = sampler.corpus.docword[m][n]
-    sampler.doc_topic[m][k] -= 1
-    sampler.topic_word[k][v] -= 1
-    sampler.topic_total[k] -= 1
+    sampler.tables.decrement(m, k, v)
     return v
 
 
-# ---------------------------------------------------------------- admissible sets
+def enumerated_posterior(corpus, supports, K, alpha, beta):
+    """Exact p(z | w) of the LDA chain over the product of per-token supports,
+    keyed by the flattened assignment."""
+    sizes = [len(d) for d in corpus.docword]
+    log_post = {}
+    for flat in itertools.product(*supports):
+        z, i = [], 0
+        for s in sizes:
+            z.append(list(flat[i:i + s]))
+            i += s
+        log_post[flat] = lda_joint_log(corpus.docword, z, K, corpus.n_words, alpha, beta)
+    mx = max(log_post.values())
+    exact = {k: math.exp(v - mx) for k, v in log_post.items()}
+    total = sum(exact.values())
+    return {k: v / total for k, v in exact.items()}
+
+
+def chain_frequencies(sampler, burn_in, sweeps):
+    for _ in range(burn_in):
+        sampler.sweep()
+    counts = {}
+    for _ in range(sweeps):
+        sampler.sweep()
+        key = tuple(z for doc in sampler.z for z in doc)
+        counts[key] = counts.get(key, 0) + 1
+    return {k: c / sweeps for k, c in counts.items()}
+
+
+# ---------------------------------------------------------------- allowed sets
 
 def test_labeled_admissible_is_label_set():
-    assert admissible_topics_labeled([3]) == [3]
-    assert admissible_topics_labeled([0, 2]) == [0, 2]
+    corpus = label_corpus(["D\tw0", "A,C\tw1", "C,B\tw2", "B,D\tw3"])  # D A C B -> 0 1 2 3
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(iterations=1), SeededRng(0))
+    assert sampler.allowed == [[0], [1, 2], [2, 3], [0, 3]]
+    assert sampler.tables.n_topics == 4
     with pytest.raises(ValueError):
-        admissible_topics_labeled([])
+        LabeledLdaSampler(label_corpus(["A\tw0", " \tw1"]), LabeledLdaHyper(iterations=1),
+                          SeededRng(0))
 
 
 def test_plda_admissible_blocks():
-    space = PldaLabelSpace(["Security", "Cloud"], topics_per_label=2)
-    assert space.n_topics == 6
-    assert list(space.block(0)) == [0, 1]
+    corpus = label_corpus(["Security\tw0", "Security,Cloud\tw1", " \tw2"])
+    sampler = PldaSampler(corpus, PldaHyper(2, iterations=1), SeededRng(0))
+    assert sampler.tables.n_topics == 6
     # one label -> its 2 topics plus 2 background topics
-    assert space.admissible([0]) == [0, 1, 4, 5]
+    assert sampler.allowed[0] == [0, 1, 4, 5]
     # all labels -> every topic
-    assert space.admissible([0, 1]) == [0, 1, 2, 3, 4, 5]
+    assert sampler.allowed[1] == [0, 1, 2, 3, 4, 5]
     # background-only document
-    assert space.admissible([]) == [4, 5]
-    assert space.label_names[space.background_label] == BACKGROUND_LABEL
+    assert sampler.allowed[2] == [4, 5]
+    assert sampler.topic_labels == ["Security", "Security", "Cloud", "Cloud",
+                                    BACKGROUND_LABEL, BACKGROUND_LABEL]
 
 
 def test_plda_reference_sizing():
     # 81 labels plus background at 2 topics per label: 164 topics
-    space = PldaLabelSpace([f"L{i}" for i in range(81)], topics_per_label=2)
-    assert space.n_labels == 82
-    assert space.n_topics == 164
+    corpus = label_corpus([f"L{i}\tw0" for i in range(81)])
+    sampler = PldaSampler(corpus, PldaHyper(2, iterations=1), SeededRng(0))
+    assert len(set(sampler.topic_labels)) == 82
+    assert sampler.tables.n_topics == 164
 
 
 # ---------------------------------------------------------------- Labeled LDA
@@ -80,14 +112,15 @@ def test_labeled_conditional_matches_oracle():
         corpus = label_corpus(lines)
         hyper = LabeledLdaHyper(0.4, 0.15, 1)
         sampler = LabeledLdaSampler(corpus, hyper, rng)
-        K = sampler.n_topics
+        tables = sampler.tables
+        K = tables.n_topics
         m = rng.randrange(3)
         n = rng.randrange(len(corpus.docword[m]))
         v = remove_token(sampler, m, n)
         got = sampler.full_conditional(m, v)
-        want = labeled_token_oracle([sampler.topic_word[k][v] for k in range(K)],
-                            sampler.topic_total, sampler.doc_topic[m],
-                            set(sampler.admissible[m]), 0.4, 0.15, K, corpus.n_words)
+        want = labeled_token_oracle([tables.topic_word[k][v] for k in range(K)],
+                            tables.topic_total, tables.doc_topic[m],
+                            set(sampler.allowed[m]), 0.4, 0.15, K, corpus.n_words)
         assert_close_distribution(got, want)
 
 
@@ -100,7 +133,6 @@ def test_labeled_vacuous_constraint_equals_lda_conditional():
     lda_sampler = LdaGibbsSampler(plain, LdaHyper(2, 0.3, 0.2, 1), SeededRng(9))
     # align the LDA sampler's state with the labeled one
     lda_sampler.z = [list(r) for r in sampler.z]
-    from topicmodels.core import counts_from_assignments
     lda_sampler.tables = counts_from_assignments(plain.docword, lda_sampler.z, 2,
                                                  plain.n_words)
     m, n = 1, 0
@@ -136,35 +168,11 @@ def test_labeled_rejects_unlabeled_document():
 
 
 def test_labeled_chain_matches_enumerated_constrained_posterior():
-    from oracles import lda_joint_log, tv_distance
     corpus = label_corpus(["A,B\tw0 w1", "B\tw1 w2", "A,B\tw0"])
     sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(1.0, 0.5, 1), SeededRng(61))
-    K, V = sampler.n_topics, corpus.n_words
-    sizes = [len(d) for d in corpus.docword]
-    supports = []
-    for m, n_tokens in enumerate(sizes):
-        supports.extend([sampler.admissible[m]] * n_tokens)
-    log_post = {}
-    for flat in itertools.product(*supports):
-        z, i = [], 0
-        for s in sizes:
-            z.append(list(flat[i:i + s]))
-            i += s
-        log_post[flat] = lda_joint_log(corpus.docword, z, K, V, 1.0, 0.5)
-    mx = max(log_post.values())
-    exact = {k: math.exp(v - mx) for k, v in log_post.items()}
-    total = sum(exact.values())
-    exact = {k: v / total for k, v in exact.items()}
-
-    for _ in range(500):
-        sampler.sweep()
-    sweeps = 30000
-    counts = {}
-    for _ in range(sweeps):
-        sampler.sweep()
-        key = tuple(z for doc in sampler.z for z in doc)
-        counts[key] = counts.get(key, 0) + 1
-    empirical = {k: c / sweeps for k, c in counts.items()}
+    supports = [topics for topics, doc in zip(sampler.allowed, corpus.docword) for _ in doc]
+    exact = enumerated_posterior(corpus, supports, sampler.tables.n_topics, 1.0, 0.5)
+    empirical = chain_frequencies(sampler, 500, 30000)
     assert set(empirical) <= set(exact)  # never an inadmissible assignment
     assert tv_distance(empirical, exact) < 0.05
 
@@ -174,8 +182,9 @@ def test_labeled_never_assigns_inadmissible():
     sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(iterations=1), SeededRng(5))
     for _ in range(20):
         sampler.sweep()
+        sampler.check()
         for m in range(corpus.n_docs):
-            admissible = set(sampler.admissible[m])
+            admissible = set(sampler.allowed[m])
             assert all(z in admissible for z in sampler.z[m])
 
 
@@ -185,11 +194,10 @@ def test_plda_single_admissible_cell_certain():
     corpus = label_corpus(["A\tw0 w1"])
     sampler = PldaSampler(corpus, PldaHyper(1, iterations=1), SeededRng(0))
     # probe the op contract directly: one admissible (label, topic) cell
-    sampler.admissible[0] = [0]
+    sampler.allowed[0] = [0]
     sampler.z[0] = [0, 0]
-    sampler.doc_topic[0] = [2, 0]
-    sampler.topic_word = [[1, 1], [0, 0]]
-    sampler.topic_total = [2, 0]
+    sampler.tables = counts_from_assignments(corpus.docword, sampler.z, 2, corpus.n_words)
+    assert sampler.tables.topic_word == [[1, 1], [0, 0]]
     v = remove_token(sampler, 0, 0)
     ws = sampler.full_conditional(0, v)
     assert [i for i, w in enumerate(ws) if w > 0] == [0]
@@ -200,7 +208,7 @@ def test_plda_zero_counts_uniform_over_admissible():
     sampler = PldaSampler(corpus, PldaHyper(2, 0.2, 0.3, 1), SeededRng(0))
     remove_token(sampler, 0, 0)
     ws = normalize(sampler.full_conditional(0, 0))
-    admissible = sampler.admissible[0]
+    admissible = sampler.allowed[0]
     assert len(admissible) == 4
     for t in admissible:
         assert ws[t] == pytest.approx(0.25)
@@ -214,14 +222,15 @@ def test_plda_conditional_matches_oracle():
         corpus = label_corpus(lines)
         hyper = PldaHyper(2, 0.4, 0.15, 1)
         sampler = PldaSampler(corpus, hyper, rng)
-        K = sampler.n_topics
+        tables = sampler.tables
+        K = tables.n_topics
         m = rng.randrange(3)
         n = rng.randrange(len(corpus.docword[m]))
         v = remove_token(sampler, m, n)
         got = sampler.full_conditional(m, v)
-        want = plda_token_oracle(sampler.doc_topic[m],
-                         [sampler.topic_word[t][v] for t in range(K)],
-                         sampler.topic_total, set(sampler.admissible[m]),
+        want = plda_token_oracle(tables.doc_topic[m],
+                         [tables.topic_word[t][v] for t in range(K)],
+                         tables.topic_total, set(sampler.allowed[m]),
                          0.4, 0.15, K, corpus.n_words)
         assert_close_distribution(got, want)
 
@@ -229,8 +238,9 @@ def test_plda_conditional_matches_oracle():
 def test_plda_background_only_document_uses_background_block():
     corpus = label_corpus([" \tw0 w1", "A\tw2"])
     sampler = PldaSampler(corpus, PldaHyper(2, iterations=1), SeededRng(2))
-    background = sampler.label_space.block(sampler.label_space.background_label)
-    assert sampler.admissible[0] == list(background)
+    background = range(sampler.tables.n_topics - 2, sampler.tables.n_topics)
+    assert sampler.allowed[0] == list(background)
+    assert {sampler.topic_labels[t] for t in background} == {BACKGROUND_LABEL}
     for _ in range(5):
         sampler.sweep()
         assert all(z in background for z in sampler.z[0])
@@ -250,14 +260,14 @@ def test_plda_block_bookkeeping_recount():
     for _ in range(10):
         sampler.sweep()
         for m, doc in enumerate(corpus.docword):
-            assert sum(sampler.doc_topic[m]) == len(doc)
-            admissible = set(sampler.admissible[m])
+            assert sum(sampler.tables.doc_topic[m]) == len(doc)
+            admissible = set(sampler.allowed[m])
             assert all(z in admissible for z in sampler.z[m])
-        recount = [[0] * corpus.n_words for _ in range(sampler.n_topics)]
+        recount = [[0] * corpus.n_words for _ in range(sampler.tables.n_topics)]
         for m, doc in enumerate(corpus.docword):
             for n, v in enumerate(doc):
                 recount[sampler.z[m][n]][v] += 1
-        assert recount == sampler.topic_word
+        assert recount == sampler.tables.topic_word
 
 
 def test_plda_theta_phi_stochastic():
@@ -266,3 +276,87 @@ def test_plda_theta_phi_stochastic():
     fit = run_chain(PldaSampler(corpus, hyper, SeededRng(5)), hyper.iterations)
     for row in fit.theta + fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_plda_chain_matches_enumerated_posterior():
+    # one topic per label: A -> 0, B -> 1, background -> 2.  The second
+    # document lists its labels out of id order; the third is background
+    # only, so its tokens have a single allowed topic and are never drawn.
+    corpus = label_corpus(["A\tw0 w1", "B,A\tw1 w2", " \tw0 w2"])
+    sampler = PldaSampler(corpus, PldaHyper(1, 1.0, 0.5, 1), SeededRng(67))
+    assert corpus.labels[1] == [1, 0]
+    assert sampler.allowed == [[0, 2], [0, 1, 2], [2]]
+    supports = [topics for topics, doc in zip(sampler.allowed, corpus.docword) for _ in doc]
+    exact = enumerated_posterior(corpus, supports, sampler.tables.n_topics, 1.0, 0.5)
+    empirical = chain_frequencies(sampler, 500, 30000)
+    assert set(empirical) <= set(exact)  # never an inadmissible assignment
+    assert tv_distance(empirical, exact) < 0.05
+
+
+@pytest.mark.parametrize("name, flags", [("lda-gibbs", {"n_topics": 3}),
+                                         ("lda-gibbs", {"n_topics": 20}),
+                                         ("labeled-lda", {}),
+                                         ("plda", {"topics_per_label": 2})],
+                         ids=["lda-gibbs-k3", "lda-gibbs-k20", "labeled-lda", "plda"])
+def test_registry_samplers_pass_check_after_every_sweep(name, flags):
+    rng = random.Random(71)
+    labels = ["A", "B", "C", "D"]
+    lines = [",".join(rng.sample(labels, rng.randrange(1, 3))) + "\t"
+             + " ".join(f"w{rng.randrange(12)}" for _ in range(rng.randrange(2, 8)))
+             for _ in range(10)]
+    corpus = label_corpus(lines)
+    spec = cli.MODELS[name]
+    sampler = spec.sampler(corpus, spec.hyper(iterations=8, **flags), SeededRng(5))
+    # K = 20 runs the sparse kernel, K = 3 and the label models the dense one
+    assert (getattr(sampler, "word_topics", None) is not None) == (flags.get("n_topics") == 20)
+    sampler.check()
+    for _ in range(8):
+        sampler.sweep()
+        sampler.check()
+
+
+def test_check_rejects_a_disallowed_or_uncounted_topic():
+    corpus = label_corpus(["A\tw0 w1", "B\tw1 w2", "A,B\tw0 w2"])
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(iterations=1), SeededRng(5))
+    sampler.check()
+    m, n, v = 0, 0, corpus.docword[0][0]
+    sampler.tables.decrement(m, sampler.z[m][n], v)
+    sampler.z[m][n] = 1  # label B, which document 0 does not carry
+    sampler.tables.increment(m, 1, v)
+    with pytest.raises(ValueError, match="not allowed"):
+        sampler.check()
+    # an allowed topic, but the tables are not told
+    sampler.z[0][0] = 0
+    with pytest.raises(ValueError, match="recount"):
+        sampler.check()
+
+
+class CountingRng(SeededRng):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.uniforms = 0
+
+    def random(self):
+        self.uniforms += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("second, make", [
+    ("B", lambda corpus, rng: LabeledLdaSampler(corpus, LabeledLdaHyper(iterations=1), rng)),
+    (" ", lambda corpus, rng: PldaSampler(corpus, PldaHyper(1, iterations=1), rng))],
+    ids=["labeled-lda-one-label", "plda-background-only"])
+def test_single_topic_documents_make_no_draw(second, make):
+    corpus = label_corpus(["A,B\tw0 w1 w2", second + "\tw1 w2 w3 w3"])
+    rng = CountingRng(3)
+    sampler = make(corpus, rng)
+    assert len(sampler.allowed[1]) == 1
+    rng.uniforms = 0
+    sampler.sweep()
+    assert rng.uniforms == len(corpus.docword[0])  # one uniform per token of document 0
+
+
+def test_allowed_needs_a_nonempty_list_per_document():
+    corpus = parse_plain(["w0 w1", "w1 w2"])
+    for allowed in ([[0]], [[0], []], [[0], [1], [0]]):
+        with pytest.raises(ValueError, match="allowed"):
+            LdaGibbsSampler(corpus, LdaHyper(2, iterations=1), SeededRng(0), allowed=allowed)
