@@ -253,14 +253,32 @@ def _run(args, outdir):
     if spec.converged:
         print(f"{args.model}: converged to {k} {spec.converged}", file=sys.stderr)
     if outdir is not None:
-        # created only now, so a run that fails leaves nothing behind
-        outdir.mkdir(parents=True, exist_ok=True)
         meta = corpus.meta_vocabulary
         names = None if meta is None else meta.id_to_word
-        run = _Run(fitted, corpus.vocabulary.id_to_word, names, args.top_words, k)
-        for out in spec.outputs:
-            _WRITERS[out.writer](outdir / out.template.format(k=k), getattr(fitted, out.field), run)
+        _write_outputs(spec, outdir, _Run(fitted, corpus.vocabulary.id_to_word, names,
+                                          args.top_words, k))
     return corpus.docword, fitted.phi
+
+
+def _write_outputs(spec: ModelSpec, outdir: Path, run: _Run) -> None:
+    """Write the model's files under temporary names in ``outdir`` and give
+    them their names only once every writer has succeeded; a failed writer
+    leaves no file behind, nor the directory if this call created it."""
+    created = not outdir.exists()
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = [outdir / out.template.format(k=run.k) for out in spec.outputs]
+    parts = [path.with_name(f".{path.name}.part") for path in paths]
+    try:
+        for out, part in zip(spec.outputs, parts):
+            _WRITERS[out.writer](part, getattr(run.fitted, out.field), run)
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        if created:
+            outdir.rmdir()
+        raise
+    for part, path in zip(parts, paths):
+        part.replace(path)
 
 
 def _cmd_fit(args) -> int:

@@ -142,14 +142,6 @@ def exp_normalize(log_weights: Sequence[float]) -> list[float]:
     return [math.exp(lw - m) for lw in log_weights]
 
 
-def normalize(weights: Sequence[float]) -> list[float]:
-    """Scale a nonnegative weight vector to sum to one."""
-    total = sum(weights)
-    if total <= 0.0:
-        raise SamplingError("cannot normalize an all-zero weight vector")
-    return [w / total for w in weights]
-
-
 class CountTables:
     """Sufficient statistics of a token-level topic assignment.
 
@@ -169,9 +161,8 @@ class CountTables:
         self.topic_total = [zero] * n_topics
         self.doc_total = [zero] * n_docs
 
-    @property
-    def n_docs(self) -> int:
-        return len(self.doc_topic)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CountTables) and vars(self) == vars(other)
 
     @property
     def n_topics(self) -> int:
@@ -210,16 +201,86 @@ class CountTables:
 
 
 def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequence[int]],
-                            n_topics: int, n_words: int) -> CountTables:
-    """Build fresh count tables from per-token topic assignments."""
-    tables = CountTables(len(docword), n_topics, n_words)
+                            n_topics: int, n_words: int,
+                            rows: Sequence[Sequence[int]] | None = None,
+                            n_rows: int | None = None) -> CountTables:
+    """Build fresh count tables from per-token topic assignments.
+
+    Row m of ``doc_topic`` and ``doc_total`` counts document m, unless
+    ``rows[m][n]`` in [0, n_rows) names a row for each token (in ATM its
+    author, in PTM its document's pseudo document).
+    """
+    if rows is None:
+        n_rows = len(docword)
+    tables = CountTables(n_rows, n_topics, n_words)
+    doc_topic, topic_word = tables.doc_topic, tables.topic_word
+    topic_total, doc_total = tables.topic_total, tables.doc_total
     for m, doc in enumerate(docword):
         zm = z[m]
-        if len(zm) != len(doc):
-            raise ValueError(f"doc {m}: {len(zm)} assignments for {len(doc)} tokens")
-        for n, v in enumerate(doc):
-            k = zm[n]
-            if not 0 <= k < n_topics:
-                raise ValueError(f"doc {m} token {n}: topic {k} out of range [0, {n_topics})")
-            tables.increment(m, k, v)
+        rm = [m] if rows is None else rows[m]
+        if len(zm) != len(doc) or rows is not None and len(rm) != len(doc):
+            raise ValueError(f"doc {m}: topics or rows do not match its {len(doc)} tokens")
+        if doc and not (0 <= min(zm) and max(zm) < n_topics and 0 <= min(rm)
+                        and max(rm) < n_rows):
+            raise ValueError(f"doc {m}: a topic or row out of range "
+                             f"[0, {n_topics}) x [0, {n_rows})")
+        if rows is None:
+            row = doc_topic[m]
+            for v, k in zip(doc, zm):
+                row[k] += 1
+                topic_word[k][v] += 1
+                topic_total[k] += 1
+            doc_total[m] = len(doc)
+            continue
+        for v, k, r in zip(doc, zm, rm):
+            doc_topic[r][k] += 1
+            topic_word[k][v] += 1
+            topic_total[k] += 1
+            doc_total[r] += 1
     return tables
+
+
+def expected_counts(docword: Sequence[Sequence[int]], gamma: Sequence[Sequence[Sequence[float]]],
+                    n_topics: int, n_words: int) -> CountTables:
+    """Real-valued count tables of per-token responsibilities gamma[m][n][k].
+
+    Every cell adds the responsibilities in token order, then topic order,
+    so float round-off is the same wherever the tables are built.
+    """
+    tables = CountTables(len(docword), n_topics, n_words, real=True)
+    topic_word, topic_total, doc_total = tables.topic_word, tables.topic_total, tables.doc_total
+    for m, doc in enumerate(docword):
+        row = tables.doc_topic[m]
+        total = 0.0
+        for v, g in zip(doc, gamma[m]):
+            for k, gk in enumerate(g):
+                row[k] += gk
+                topic_word[k][v] += gk
+                topic_total[k] += gk
+                total += gk
+        doc_total[m] = total
+    return tables
+
+
+def _within(got, want, tolerance: float) -> bool:
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(_within(g, w, tolerance) for g, w in zip(got, want)))
+    return abs(got - want) <= tolerance
+
+
+def require_recount(owner, recount: dict, source: str, tolerance: float = 0.0,
+                    prefix: str = "") -> None:
+    """Raise ValueError naming the first table of ``owner`` that differs from
+    its recount in ``recount`` (attribute name -> table).  A CountTables is
+    compared table by table (the message names, say, ``tables.topic_word``);
+    float cells may differ by ``tolerance``.
+    """
+    for name, want in recount.items():
+        got = getattr(owner, name)
+        if got == want:
+            continue
+        if isinstance(want, CountTables):
+            require_recount(got, vars(want), source, tolerance, f"{prefix}{name}.")
+        elif not (tolerance and _within(got, want, tolerance)):
+            raise ValueError(f"{prefix}{name} disagrees with a recount of {source}")

@@ -13,8 +13,10 @@ token responsibility kappa.
 import math
 from dataclasses import dataclass
 
-from .core import CountTables, require_at_least, require_nonnegative, require_positive
+from .core import (expected_counts, require_at_least, require_nonnegative, require_positive,
+                   require_recount)
 from .corpus import Corpus
+from .lda import EXPECTED_TOLERANCE
 
 # selector means are kept strictly inside (0, 1) so the excluded sums
 # A_hat - alpha_hat stay positive even when the sigmoid saturates
@@ -82,17 +84,26 @@ class DualSparseCvb0:
         self.hyper = hyper
         self.kappa = kappa
         K, V, M = hyper.n_topics, corpus.n_words, corpus.n_docs
-        self.expected = CountTables(M, K, V, real=True)
-        for m, doc in enumerate(corpus.docword):
-            for n, v in enumerate(doc):
-                for k, g in enumerate(kappa[m][n]):
-                    self.expected.increment(m, k, v, g)
         self.alpha_hat = alpha_hat if alpha_hat is not None \
             else [[0.5] * K for _ in range(M)]
         self.beta_hat = beta_hat if beta_hat is not None \
             else [[0.5] * V for _ in range(K)]
-        self.A_hat = [sum(row) for row in self.alpha_hat]
-        self.B_hat = [sum(row) for row in self.beta_hat]
+        vars(self).update(self._counts())
+
+    def _counts(self) -> dict:
+        """The expected counts of kappa and the selector row sums A_hat and
+        B_hat, by attribute name."""
+        return {"expected": expected_counts(self.corpus.docword, self.kappa,
+                                            self.hyper.n_topics, self.corpus.n_words),
+                "A_hat": [sum(row) for row in self.alpha_hat],
+                "B_hat": [sum(row) for row in self.beta_hat]}
+
+    def check(self) -> None:
+        """Check the expected counts, A_hat and B_hat against a recount, and the
+        expected counts' closure, within ``lda.EXPECTED_TOLERANCE``; raises ValueError."""
+        tolerance = EXPECTED_TOLERANCE * self.corpus.n_tokens
+        require_recount(self, self._counts(), "kappa and the selector means", tolerance)
+        self.expected.check(tolerance)
 
     # -- selector updates -----------------------------------------------------
 

@@ -12,11 +12,13 @@ compacted away the moment they empty, so live indices stay contiguous:
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
-from .core import require_at_least, require_nonnegative, require_positive, sample_categorical
+from .core import (counts_from_assignments, require_at_least, require_nonnegative,
+                   require_positive, require_recount, sample_categorical)
 from .corpus import Corpus
-from .lda import FittedLda, smoothed_rows
+from .lda import FittedLda, estimate_theta, smoothed_rows
 
 
 @dataclass(frozen=True)
@@ -40,37 +42,17 @@ class HdpSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        self.n_words = V = corpus.n_words
+        self.n_words = corpus.n_words
         K0 = hyper.n_topics_init
-        self.n_kv = [[0] * V for _ in range(K0)]
-        self.n_k = [0] * K0
-        self.m_k = [0] * K0
-        self.m_total = 0
+        # uniform topic per token, one table per (doc, topic) in use
         self.token_table = []
         self.table_topic = []
-        self.table_count = []
-        # uniform topic per token, one table per (doc, topic) in use
-        for m, doc in enumerate(corpus.docword):
-            topics = [rng.randrange(K0) for _ in doc]
-            topic_to_table = {}
-            tt, tc, assignment = [], [], []
-            for n, v in enumerate(doc):
-                k = topics[n]
-                t = topic_to_table.get(k)
-                if t is None:
-                    t = len(tt)
-                    topic_to_table[k] = t
-                    tt.append(k)
-                    tc.append(0)
-                    self.m_k[k] += 1
-                    self.m_total += 1
-                tc[t] += 1
-                assignment.append(t)
-                self.n_kv[k][v] += 1
-                self.n_k[k] += 1
-            self.token_table.append(assignment)
-            self.table_topic.append(tt)
-            self.table_count.append(tc)
+        for doc in corpus.docword:
+            table_of = {}  # topic -> its table, in order of first use
+            self.token_table.append([table_of.setdefault(rng.randrange(K0), len(table_of))
+                                     for _ in doc])
+            self.table_topic.append(list(table_of))
+        vars(self).update(self._counts(K0))
         for k in range(self.n_topics - 1, -1, -1):
             if self.m_k[k] == 0:
                 self._delete_topic(k)
@@ -79,44 +61,33 @@ class HdpSampler:
     def n_topics(self) -> int:
         return len(self.n_k)
 
-    def check(self) -> None:
-        """Recount the franchise from the seating plan; raises ValueError.
+    def _token_topics(self) -> list:
+        """The topic of every token: the topic its table serves."""
+        return [[tt[t] for t in seats] for tt, seats in zip(self.table_topic, self.token_table)]
 
-        Every table and topic must be live, each table's count must match
-        the tokens seated there, and m_k, m_total, n_kv and n_k must match
-        the recount.
-        """
-        K = self.n_topics
-        if any(mk <= 0 for mk in self.m_k):
+    def _counts(self, n_topics: int) -> dict:
+        """The counts of the seating plan over ``n_topics`` topics, by attribute name."""
+        for m, (tt, seats) in enumerate(zip(self.table_topic, self.token_table)):
+            if not all(0 <= t < len(tt) for t in seats):
+                raise ValueError(f"doc {m}: a token sits at a table that does not exist")
+        tokens = counts_from_assignments(self.corpus.docword, self._token_topics(), n_topics,
+                                         self.n_words)
+        served = Counter(k for tt in self.table_topic for k in tt)
+        return {"table_count": [[seats.count(t) for t in range(len(tt))]
+                                for tt, seats in zip(self.table_topic, self.token_table)],
+                "n_kv": tokens.topic_word, "n_k": tokens.topic_total,
+                "m_k": [served[k] for k in range(n_topics)],
+                "m_total": sum(map(len, self.table_topic))}
+
+    def check(self) -> None:
+        """Check the counts against a recount of the seating plan, and that
+        every table and topic is live; raises ValueError."""
+        require_recount(self, self._counts(self.n_topics), "the seating plan")
+        if 0 in self.m_k:
             raise ValueError(f"a topic serves no table: m_k = {self.m_k}")
-        if sum(self.m_k) != self.m_total:
-            raise ValueError(f"m_total {self.m_total} != sum of m_k {sum(self.m_k)}")
-        n_kv = [[0] * self.n_words for _ in range(K)]
-        m_k = [0] * K
-        for m, doc in enumerate(self.corpus.docword):
-            tt = self.table_topic[m]
-            counts = [0] * len(tt)
-            for n, v in enumerate(doc):
-                t = self.token_table[m][n]
-                if not 0 <= t < len(tt):
-                    raise ValueError(f"doc {m} token {n}: table {t} does not exist")
-                counts[t] += 1
-                n_kv[tt[t]][v] += 1
-            if counts != self.table_count[m]:
-                raise ValueError(f"doc {m}: table counts {self.table_count[m]} "
-                                 f"!= seated tokens {counts}")
+        for m, counts in enumerate(self.table_count):
             if 0 in counts:
                 raise ValueError(f"doc {m}: an empty table is still open")
-            for k in tt:
-                if not 0 <= k < K:
-                    raise ValueError(f"doc {m}: table serves topic {k} out of range")
-                m_k[k] += 1
-        if m_k != self.m_k:
-            raise ValueError(f"m_k {self.m_k} != recount {m_k}")
-        if n_kv != self.n_kv:
-            raise ValueError("n_kv disagrees with the recount from the seating plan")
-        if [sum(r) for r in n_kv] != self.n_k:
-            raise ValueError(f"n_k {self.n_k} != recount {[sum(r) for r in n_kv]}")
 
     # -- structural edits ---------------------------------------------------
 
@@ -246,18 +217,8 @@ class HdpSampler:
             for n, v in enumerate(doc):
                 self._resample_token(m, n, v)
 
-    def doc_topic_counts(self) -> list:
-        """n_m^k recovered from the seating plan."""
-        counts = [[0] * self.n_topics for _ in range(self.corpus.n_docs)]
-        for m, assignment in enumerate(self.token_table):
-            tt = self.table_topic[m]
-            for t in assignment:
-                counts[m][tt[t]] += 1
-        return counts
-
     def estimate(self) -> FittedLda:
-        doc_topic = self.doc_topic_counts()
-        doc_totals = [len(d) for d in self.corpus.docword]
-        return FittedLda(
-            theta=smoothed_rows(doc_topic, doc_totals, self.hyper.alpha0),
-            phi=smoothed_rows(self.n_kv, self.n_k, self.hyper.beta))
+        tokens = counts_from_assignments(self.corpus.docword, self._token_topics(),
+                                         self.n_topics, self.n_words)
+        return FittedLda(theta=estimate_theta(tokens, self.hyper.alpha0),
+                         phi=smoothed_rows(self.n_kv, self.n_k, self.hyper.beta))

@@ -20,14 +20,19 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
-from .core import (CountTables, SamplingError, counts_from_assignments, require_at_least,
-                   require_positive, run_chain)
+from .core import (CountTables, SamplingError, counts_from_assignments, expected_counts,
+                   require_at_least, require_positive, require_recount, run_chain)
 from .corpus import Corpus
 
 # Topic count from which the Gibbs sampler uses the SparseLDA bucketed token
 # kernel instead of the dense O(K) loop.  Below it the dense loop is faster
 # in pure Python; the measured crossover is in CHANGES.md.
 SPARSE_MIN_TOPICS = 12
+
+# The CVB0 sweeps move expected counts by differences, so the tables drift
+# from a recount of the responsibilities by round-off; check() allows this
+# much per token of the corpus.
+EXPECTED_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,16 +119,9 @@ class LdaGibbsSampler:
         else:
             self.z = [[rng.choice(topics) for _ in doc]
                       for topics, doc in zip(allowed, corpus.docword)]
-        self.tables = counts_from_assignments(corpus.docword, self.z, K, corpus.n_words)
         # the sweep walks each document's topics in id order
         self.allowed = None if allowed is None else [sorted(set(ks)) for ks in allowed]
-        self.word_topics = None
-        if allowed is None and K >= SPARSE_MIN_TOPICS:
-            self.word_topics = [{} for _ in range(corpus.n_words)]
-            for doc, zm in zip(corpus.docword, self.z):
-                for v, k in zip(doc, zm):
-                    wt = self.word_topics[v]
-                    wt[k] = wt.get(k, 0) + 1
+        vars(self).update(self._counts(allowed is None and K >= SPARSE_MIN_TOPICS))
 
     def full_conditional(self, m: int, v: int) -> list:
         """Length-K weights, zero outside the document's allowed topics."""
@@ -133,25 +131,30 @@ class LdaGibbsSampler:
         allowed = set(self.allowed[m])
         return [w if k in allowed else 0.0 for k, w in enumerate(weights)]
 
+    def _counts(self, sparse: bool) -> dict:
+        """The count tables of z, and for the sparse kernel its word index,
+        by attribute name: set by __init__ and compared by check()."""
+        docword = self.corpus.docword
+        word_topics = None
+        if sparse:
+            # keys in order of first use, which the sparse walk follows
+            word_topics = [{} for _ in range(self.corpus.n_words)]
+            for doc, zm in zip(docword, self.z):
+                for v, k in zip(doc, zm):
+                    wt = word_topics[v]
+                    wt[k] = wt.get(k, 0) + 1
+        return {"tables": counts_from_assignments(docword, self.z, self.hyper.n_topics,
+                                                  self.corpus.n_words),
+                "word_topics": word_topics}
+
     def check(self) -> None:
-        """Check the count tables against a recount of z, z against the
-        allowed topics and the sparse word index; raises ValueError."""
-        recount = counts_from_assignments(self.corpus.docword, self.z,
-                                          self.hyper.n_topics, self.corpus.n_words)
-        if vars(recount) != vars(self.tables):
-            raise ValueError("count tables disagree with a recount of z")
+        """Check the count tables and the sparse word index against a recount
+        of z, and z against the allowed topics; raises ValueError."""
+        require_recount(self, self._counts(self.word_topics is not None), "z")
         for m, (topics, zm) in enumerate(zip(self.allowed or (), self.z)):
             outside = set(zm).difference(topics)
             if outside:
                 raise ValueError(f"doc {m}: topics {sorted(outside)} are not allowed")
-        if self.word_topics is None:
-            return
-        topic_word = self.tables.topic_word
-        for v, wt in enumerate(self.word_topics):
-            column = {k: row[v] for k, row in enumerate(topic_word) if row[v]}
-            if wt != column:
-                raise ValueError(f"word {v}: sparse index {wt} disagrees with "
-                                 f"topic_word column {column}")
 
     def sweep(self) -> None:
         """Resample every token once, documents then positions in index order."""
@@ -338,11 +341,19 @@ class LdaCvb0:
         self.corpus = corpus
         self.hyper = hyper
         self.gamma = gamma
-        self.expected = CountTables(corpus.n_docs, hyper.n_topics, corpus.n_words, real=True)
-        for m, doc in enumerate(corpus.docword):
-            for n, v in enumerate(doc):
-                for k, g in enumerate(gamma[m][n]):
-                    self.expected.increment(m, k, v, g)
+        vars(self).update(self._counts())
+
+    def _counts(self) -> dict:
+        """The expected counts of gamma, by attribute name."""
+        return {"expected": expected_counts(self.corpus.docword, self.gamma,
+                                            self.hyper.n_topics, self.corpus.n_words)}
+
+    def check(self) -> None:
+        """Check the expected counts against a recount of gamma and their
+        closure, both within ``EXPECTED_TOLERANCE``; raises ValueError."""
+        tolerance = EXPECTED_TOLERANCE * self.corpus.n_tokens
+        require_recount(self, self._counts(), "gamma", tolerance)
+        self.expected.check(tolerance)
 
     def sweep(self) -> None:
         K = self.hyper.n_topics

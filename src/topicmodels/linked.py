@@ -9,9 +9,10 @@ per-document topic factor.
 import random
 from dataclasses import dataclass
 
-from .core import require_at_least, require_positive, sample_categorical
+from .core import (counts_from_assignments, require_at_least, require_positive, require_recount,
+                   sample_categorical)
 from .corpus import Corpus
-from .lda import LdaHyper, smoothed_rows
+from .lda import LdaHyper, estimate_phi, estimate_theta, smoothed_rows
 
 
 @dataclass
@@ -24,7 +25,8 @@ class AtmSampler:
     """Joint (author, topic) collapsed Gibbs chain.
 
     x[m][n] is the author responsible for token n of document m, always a
-    member of the document's author list.
+    member of the document's author list.  ``tables`` has one row per
+    author: doc_topic[a][k] is n_a^k and doc_total[a] is n_a^*.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
@@ -36,22 +38,27 @@ class AtmSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        K, V = hyper.n_topics, corpus.n_words
-        self.n_authors = len(corpus.meta_vocabulary)
+        K = hyper.n_topics
         self.x = [[rng.choice(corpus.authors[m]) for _ in doc]
                   for m, doc in enumerate(corpus.docword)]
         self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
-        self.author_topic = [[0] * K for _ in range(self.n_authors)]  # n_a^k
-        self.author_total = [0] * self.n_authors                      # n_a^*
-        self.topic_word = [[0] * V for _ in range(K)]
-        self.topic_total = [0] * K
-        for m, doc in enumerate(corpus.docword):
-            for n, v in enumerate(doc):
-                a, k = self.x[m][n], self.z[m][n]
-                self.author_topic[a][k] += 1
-                self.author_total[a] += 1
-                self.topic_word[k][v] += 1
-                self.topic_total[k] += 1
+        vars(self).update(self._counts())
+
+    def _counts(self) -> dict:
+        """The count tables of x and z, by attribute name."""
+        return {"tables": counts_from_assignments(self.corpus.docword, self.z,
+                                                  self.hyper.n_topics, self.corpus.n_words,
+                                                  rows=self.x,
+                                                  n_rows=len(self.corpus.meta_vocabulary))}
+
+    def check(self) -> None:
+        """Check every token's author against its document's author list and
+        the tables against a recount of x and z; raises ValueError."""
+        for m, (authors, xm) in enumerate(zip(self.corpus.authors, self.x)):
+            strangers = set(xm).difference(authors)
+            if strangers:
+                raise ValueError(f"doc {m}: authors {sorted(strangers)} are not its authors")
+        require_recount(self, self._counts(), "x and z")
 
     def full_conditional(self, m: int, v: int) -> tuple[list, list]:
         """(flat weights, author list) for the joint draw, token excluded.
@@ -60,43 +67,45 @@ class AtmSampler:
         flattened author-major.
         """
         hyper = self.hyper
+        tables = self.tables
         K, V = hyper.n_topics, self.corpus.n_words
         v_beta = V * hyper.beta
-        word_factor = [(self.topic_word[k][v] + hyper.beta)
-                       / (self.topic_total[k] + v_beta) for k in range(K)]
+        word_factor = [(tables.topic_word[k][v] + hyper.beta)
+                       / (tables.topic_total[k] + v_beta) for k in range(K)]
         authors = self.corpus.authors[m]
         weights = []
         for a in authors:
-            row = self.author_topic[a]
-            denom = self.author_total[a] + K * hyper.alpha
+            row = tables.doc_topic[a]
+            denom = tables.doc_total[a] + K * hyper.alpha
             for k in range(K):
                 weights.append((row[k] + hyper.alpha) / denom * word_factor[k])
         return weights, authors
 
     def sweep(self) -> None:
         K = self.hyper.n_topics
+        nak, na = self.tables.doc_topic, self.tables.doc_total
+        nkv, nk = self.tables.topic_word, self.tables.topic_total
         for m, doc in enumerate(self.corpus.docword):
+            xm, zm = self.x[m], self.z[m]
             for n, v in enumerate(doc):
-                a, k = self.x[m][n], self.z[m][n]
-                self.author_topic[a][k] -= 1
-                self.author_total[a] -= 1
-                self.topic_word[k][v] -= 1
-                self.topic_total[k] -= 1
+                a, k = xm[n], zm[n]
+                nak[a][k] -= 1
+                na[a] -= 1
+                nkv[k][v] -= 1
+                nk[k] -= 1
                 weights, authors = self.full_conditional(m, v)
                 cell = sample_categorical(weights, self.rng)
                 a, k = authors[cell // K], cell % K
-                self.x[m][n] = a
-                self.z[m][n] = k
-                self.author_topic[a][k] += 1
-                self.author_total[a] += 1
-                self.topic_word[k][v] += 1
-                self.topic_total[k] += 1
+                xm[n] = a
+                zm[n] = k
+                nak[a][k] += 1
+                na[a] += 1
+                nkv[k][v] += 1
+                nk[k] += 1
 
     def estimate(self) -> AtmFit:
-        return AtmFit(theta=smoothed_rows(self.author_topic, self.author_total,
-                                          self.hyper.alpha),
-                      phi=smoothed_rows(self.topic_word, self.topic_total,
-                                        self.hyper.beta))
+        return AtmFit(theta=estimate_theta(self.tables, self.hyper.alpha),
+                      phi=estimate_phi(self.tables, self.hyper.beta))
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,11 @@ class LinkLdaFit:
 
 
 class LinkLdaSampler:
-    """Words and links resampled against a shared per-document topic mixture."""
+    """Words and links resampled against a shared per-document topic mixture.
+
+    ``words`` counts the word topics z (n_m^k, n_k^v, n_k) and ``links`` the
+    link topics x (c_m^k, c_k^l, c_k), each a CountTables over the documents.
+    """
 
     def __init__(self, corpus: Corpus, hyper: LinkLdaHyper, rng: random.Random):
         corpus.require("links")
@@ -129,85 +142,63 @@ class LinkLdaSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        K, V = hyper.n_topics, corpus.n_words
+        K = hyper.n_topics
         self.n_links = len(corpus.meta_vocabulary)
         self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
         self.x = [[rng.randrange(K) for _ in links] for links in corpus.links]
-        M = corpus.n_docs
-        self.word_doc_topic = [[0] * K for _ in range(M)]   # n_m^k
-        self.link_doc_topic = [[0] * K for _ in range(M)]   # c_m^k
-        self.topic_word = [[0] * V for _ in range(K)]
-        self.topic_total = [0] * K
-        self.topic_link = [[0] * self.n_links for _ in range(K)]  # c_k^l
-        self.link_total = [0] * K                                 # c_k^*
-        for m, doc in enumerate(corpus.docword):
-            for n, v in enumerate(doc):
-                k = self.z[m][n]
-                self.word_doc_topic[m][k] += 1
-                self.topic_word[k][v] += 1
-                self.topic_total[k] += 1
-            for e, l in enumerate(corpus.links[m]):
-                k = self.x[m][e]
-                self.link_doc_topic[m][k] += 1
-                self.topic_link[k][l] += 1
-                self.link_total[k] += 1
+        vars(self).update(self._counts())
+
+    def _counts(self) -> dict:
+        """The word tables of z and the link tables of x, by attribute name."""
+        K = self.hyper.n_topics
+        return {"words": counts_from_assignments(self.corpus.docword, self.z, K,
+                                                 self.corpus.n_words),
+                "links": counts_from_assignments(self.corpus.links, self.x, K, self.n_links)}
+
+    def check(self) -> None:
+        """Check both tables against a recount of z and x; raises ValueError."""
+        require_recount(self, self._counts(), "z and x")
+
+    def _conditional(self, own, other, m: int, v: int, smooth: float) -> list:
+        """weight_k = (own_kv + s)/(own_k + |own vocabulary| s) * (own_mk + other_mk + a)."""
+        vocab_smooth = own.n_words * smooth
+        own_mk, other_mk = own.doc_topic[m], other.doc_topic[m]
+        alpha = self.hyper.alpha
+        return [(row[v] + smooth) / (total + vocab_smooth) * (own_mk[k] + other_mk[k] + alpha)
+                for k, (row, total) in enumerate(zip(own.topic_word, own.topic_total))]
 
     def word_conditional(self, m: int, v: int) -> list:
         """weight_k = (n_kv + b)/(n_k + V b) * (n_mk + c_mk + a), token excluded."""
-        hyper = self.hyper
-        K, V = hyper.n_topics, self.corpus.n_words
-        v_beta = V * hyper.beta
-        n_mk = self.word_doc_topic[m]
-        c_mk = self.link_doc_topic[m]
-        return [(self.topic_word[k][v] + hyper.beta) / (self.topic_total[k] + v_beta)
-                * (n_mk[k] + c_mk[k] + hyper.alpha)
-                for k in range(K)]
+        return self._conditional(self.words, self.links, m, v, self.hyper.beta)
 
     def link_conditional(self, m: int, l: int) -> list:
         """weight_k = (c_kl + g)/(c_k + L g) * (c_mk + n_mk + a), link excluded."""
-        hyper = self.hyper
-        K = hyper.n_topics
-        l_gamma = self.n_links * hyper.gamma
-        n_mk = self.word_doc_topic[m]
-        c_mk = self.link_doc_topic[m]
-        return [(self.topic_link[k][l] + hyper.gamma) / (self.link_total[k] + l_gamma)
-                * (c_mk[k] + n_mk[k] + hyper.alpha)
-                for k in range(K)]
+        return self._conditional(self.links, self.words, m, l, self.hyper.gamma)
+
+    def _resample(self, tables, m: int, items: list, topics: list, conditional) -> None:
+        """Redraw the topic of every word or link of document m in turn."""
+        row, counts, totals = tables.doc_topic[m], tables.topic_word, tables.topic_total
+        for n, v in enumerate(items):
+            k = topics[n]
+            row[k] -= 1
+            counts[k][v] -= 1
+            totals[k] -= 1
+            k = sample_categorical(conditional(m, v), self.rng)
+            topics[n] = k
+            row[k] += 1
+            counts[k][v] += 1
+            totals[k] += 1
 
     def sweep(self) -> None:
         for m, doc in enumerate(self.corpus.docword):
-            n_mk = self.word_doc_topic[m]
-            c_mk = self.link_doc_topic[m]
-            for n, v in enumerate(doc):
-                k = self.z[m][n]
-                n_mk[k] -= 1
-                self.topic_word[k][v] -= 1
-                self.topic_total[k] -= 1
-                k = sample_categorical(self.word_conditional(m, v), self.rng)
-                self.z[m][n] = k
-                n_mk[k] += 1
-                self.topic_word[k][v] += 1
-                self.topic_total[k] += 1
-            for e, l in enumerate(self.corpus.links[m]):
-                k = self.x[m][e]
-                c_mk[k] -= 1
-                self.topic_link[k][l] -= 1
-                self.link_total[k] -= 1
-                k = sample_categorical(self.link_conditional(m, l), self.rng)
-                self.x[m][e] = k
-                c_mk[k] += 1
-                self.topic_link[k][l] += 1
-                self.link_total[k] += 1
+            self._resample(self.words, m, doc, self.z[m], self.word_conditional)
+            self._resample(self.links, m, self.corpus.links[m], self.x[m], self.link_conditional)
 
     def estimate(self) -> LinkLdaFit:
+        """theta pools each document's word and link topic counts."""
         hyper = self.hyper
-        K = hyper.n_topics
-        theta = []
-        for m in range(self.corpus.n_docs):
-            pooled = [self.word_doc_topic[m][k] + self.link_doc_topic[m][k]
-                      for k in range(K)]
-            denom = sum(pooled) + K * hyper.alpha
-            theta.append([(c + hyper.alpha) / denom for c in pooled])
-        phi = smoothed_rows(self.topic_word, self.topic_total, hyper.beta)
-        link_phi = smoothed_rows(self.topic_link, self.link_total, hyper.gamma)
-        return LinkLdaFit(theta=theta, phi=phi, link_phi=link_phi)
+        pooled = [[n + c for n, c in zip(n_mk, c_mk)]
+                  for n_mk, c_mk in zip(self.words.doc_topic, self.links.doc_topic)]
+        return LinkLdaFit(theta=smoothed_rows(pooled, [sum(row) for row in pooled], hyper.alpha),
+                          phi=estimate_phi(self.words, hyper.beta),
+                          link_phi=estimate_phi(self.links, hyper.gamma))

@@ -13,8 +13,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import (LogRisingMemo, exp_normalize, require_at_least, require_nonnegative,
-                   require_positive, sample_categorical)
+from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, require_at_least,
+                   require_nonnegative, require_positive, require_recount, sample_categorical)
 from .corpus import Corpus
 from .lda import smoothed_rows
 
@@ -45,13 +45,14 @@ class MixtureFit:
 
 
 class _ClusterTables:
-    def __init__(self, corpus: Corpus, beta: float):
+    """The cluster counts of document labels z over K clusters."""
+
+    def __init__(self, corpus: Corpus, beta: float, z: list, n_clusters: int):
         self.doc_items = [sorted(Counter(doc).items()) for doc in corpus.docword]
         self.doc_len = [len(doc) for doc in corpus.docword]
+        self.docword = corpus.docword
         self.n_words = corpus.n_words
-        self.n_docs_in: list = []
-        self.cluster_word: list = []
-        self.cluster_total: list = []
+        vars(self).update(self.counts(z, n_clusters))
         # rising factorials of n_kw + beta and of n_k + V beta
         self.word_logs = LogRisingMemo(beta)
         self.total_logs = LogRisingMemo(corpus.n_words * beta)
@@ -90,26 +91,20 @@ class _ClusterTables:
             lw += math.log(row[v] + beta) if c == 1 else word_logs[row[v], c]
         return lw - self.total_logs[self.cluster_total[k], self.doc_len[m]]
 
-    def check(self, z: list) -> None:
-        """Recount the tables from the document labels z; raises ValueError."""
-        K = self.n_clusters
-        n_docs_in = [0] * K
-        cluster_word = [[0] * self.n_words for _ in range(K)]
-        cluster_total = [0] * K
-        for m, k in enumerate(z):
-            if not 0 <= k < K:
-                raise ValueError(f"doc {m}: cluster {k} out of range [0, {K})")
-            n_docs_in[k] += 1
-            for v, c in self.doc_items[m]:
-                cluster_word[k][v] += c
-            cluster_total[k] += self.doc_len[m]
-        if n_docs_in != self.n_docs_in:
-            raise ValueError(f"document counts {self.n_docs_in} != recount {n_docs_in}")
-        if cluster_total != self.cluster_total:
-            raise ValueError(f"cluster totals {self.cluster_total} != recount {cluster_total}")
-        for k in range(K):
-            if cluster_word[k] != self.cluster_word[k]:
-                raise ValueError(f"cluster {k}: word counts disagree with the recount")
+    def counts(self, z: list, n_clusters: int) -> dict:
+        """The counts of the labels z over ``n_clusters`` clusters, by
+        attribute name: every token takes its document's cluster."""
+        tokens = counts_from_assignments(self.docword, [[k] * n for k, n in zip(z, self.doc_len)],
+                                         n_clusters, self.n_words)
+        return {"n_docs_in": [z.count(k) for k in range(n_clusters)],
+                "cluster_word": tokens.topic_word, "cluster_total": tokens.topic_total}
+
+    def fit(self, z: list, alpha: float, beta: float) -> MixtureFit:
+        """The estimate from these counts and the labels z."""
+        denom = len(z) + self.n_clusters * alpha
+        return MixtureFit(theta=[(n + alpha) / denom for n in self.n_docs_in],
+                          phi=smoothed_rows(self.cluster_word, self.cluster_total, beta),
+                          doc_cluster=list(z))
 
 
 class DmmSampler:
@@ -121,18 +116,12 @@ class DmmSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        self.tables = _ClusterTables(corpus, hyper.beta)
-        for _ in range(hyper.n_clusters):
-            self.tables.new_cluster()
-        self.z = []
-        for m in range(corpus.n_docs):
-            k = rng.randrange(hyper.n_clusters)
-            self.z.append(k)
-            self.tables.add_doc(m, k)
+        self.z = [rng.randrange(hyper.n_clusters) for _ in range(corpus.n_docs)]
+        self.tables = _ClusterTables(corpus, hyper.beta, self.z, hyper.n_clusters)
 
     def check(self) -> None:
         """Recount the cluster tables from z; raises ValueError on a mismatch."""
-        self.tables.check(self.z)
+        require_recount(self.tables, self.tables.counts(self.z, self.tables.n_clusters), "z")
 
     def full_conditional(self, m: int) -> list:
         """Cluster weights for document m, its counts already removed.
@@ -162,13 +151,7 @@ class DmmSampler:
             self.tables.add_doc(m, k)
 
     def estimate(self) -> MixtureFit:
-        M = self.corpus.n_docs
-        K = self.hyper.n_clusters
-        denom = M + K * self.hyper.alpha
-        theta = [(n + self.hyper.alpha) / denom for n in self.tables.n_docs_in]
-        phi = smoothed_rows(self.tables.cluster_word, self.tables.cluster_total,
-                            self.hyper.beta)
-        return MixtureFit(theta=theta, phi=phi, doc_cluster=list(self.z))
+        return self.tables.fit(self.z, self.hyper.alpha, self.hyper.beta)
 
 
 class DpmmSampler:
@@ -181,14 +164,8 @@ class DpmmSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        self.tables = _ClusterTables(corpus, hyper.beta)
-        for _ in range(hyper.n_clusters):
-            self.tables.new_cluster()
-        self.z = []
-        for m in range(corpus.n_docs):
-            k = rng.randrange(hyper.n_clusters)
-            self.z.append(k)
-            self.tables.add_doc(m, k)
+        self.z = [rng.randrange(hyper.n_clusters) for _ in range(corpus.n_docs)]
+        self.tables = _ClusterTables(corpus, hyper.beta, self.z, hyper.n_clusters)
         # initial clusters that attracted no document are not live
         for k in range(self.tables.n_clusters - 1, -1, -1):
             if self.tables.n_docs_in[k] == 0:
@@ -216,7 +193,7 @@ class DpmmSampler:
     def check(self) -> None:
         """Recount the cluster tables from z and require every cluster live;
         raises ValueError on a mismatch."""
-        self.tables.check(self.z)
+        require_recount(self.tables, self.tables.counts(self.z, self.tables.n_clusters), "z")
         for k, n in enumerate(self.tables.n_docs_in):
             if n <= 0:
                 raise ValueError(f"cluster {k} is not live ({n} documents)")
@@ -265,10 +242,4 @@ class DpmmSampler:
             self.tables.add_doc(m, k)
 
     def estimate(self) -> MixtureFit:
-        M = self.corpus.n_docs
-        K = self.tables.n_clusters
-        denom = M + K * self.hyper.alpha
-        theta = [(n + self.hyper.alpha) / denom for n in self.tables.n_docs_in]
-        phi = smoothed_rows(self.tables.cluster_word, self.tables.cluster_total,
-                            self.hyper.beta)
-        return MixtureFit(theta=theta, phi=phi, doc_cluster=list(self.z))
+        return self.tables.fit(self.z, self.hyper.alpha, self.hyper.beta)

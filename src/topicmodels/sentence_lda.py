@@ -9,7 +9,8 @@ import math
 import random
 from collections import Counter
 
-from .core import CountTables, LogRisingMemo, exp_normalize, sample_categorical
+from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, require_recount,
+                   sample_categorical)
 from .corpus import Corpus
 from .lda import FittedLda, LdaHyper, estimate_phi, estimate_theta
 
@@ -36,15 +37,23 @@ class SentenceLdaSampler:
                 [sorted(Counter(s).items()) for s in corpus.doc_sentences(m)])
         self.z = [[rng.randrange(K) for _ in doc_sents]
                   for doc_sents in self.sentence_words]
-        self.tables = CountTables(corpus.n_docs, K, corpus.n_words)
-        for m, doc_sents in enumerate(self.sentence_words):
-            for s, items in enumerate(doc_sents):
-                k = self.z[m][s]
-                for v, c in items:
-                    self.tables.increment(m, k, v, c)
+        vars(self).update(self._counts())
         # rising factorials of n_kw + b and of n_k + V b
         self._word_logs = LogRisingMemo(hyper.beta)
         self._total_logs = LogRisingMemo(corpus.n_words * hyper.beta)
+
+    def _counts(self) -> dict:
+        """The count tables of z, by attribute name: every token takes its
+        sentence's topic."""
+        corpus = self.corpus
+        token_z = [[k for k, sentence in zip(zm, corpus.doc_sentences(m)) for _ in sentence]
+                   for m, zm in enumerate(self.z)]
+        return {"tables": counts_from_assignments(corpus.docword, token_z,
+                                                  self.hyper.n_topics, corpus.n_words)}
+
+    def check(self) -> None:
+        """Check the count tables against a recount of z; raises ValueError."""
+        require_recount(self, self._counts(), "z")
 
     def _remove_sentence(self, m: int, s: int) -> int:
         k = self.z[m][s]

@@ -16,10 +16,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import (LogRisingMemo, exp_normalize, require_at_least, require_positive,
-                   sample_categorical)
+from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, require_at_least,
+                   require_positive, require_recount, sample_categorical)
 from .corpus import Corpus
-from .lda import smoothed_rows
+from .lda import estimate_phi, estimate_theta, smoothed_rows
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +48,13 @@ class PtmFit:
 
 
 class PtmSampler:
-    """Collapsed Gibbs chain over (document -> pseudo document, token -> topic)."""
+    """Collapsed Gibbs chain over (document -> pseudo document, token -> topic).
+
+    ``pseudo`` counts tokens by pseudo document: doc_topic[l][k] is N_l^k,
+    doc_total[l] is N_l^*, and topic_word and topic_total are n_k^v and n_k.
+    ``n_l`` counts short documents per pseudo document and ``doc_topic[m][k]``
+    the tokens of short document m in topic k.
+    """
 
     def __init__(self, corpus: Corpus, hyper: PtmHyper, rng: random.Random):
         if corpus.n_docs == 0 or corpus.n_tokens == 0:
@@ -56,58 +62,27 @@ class PtmSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        P, K, V = hyper.n_pseudo_docs, hyper.n_topics, corpus.n_words
+        P, K = hyper.n_pseudo_docs, hyper.n_topics
         self.l = [rng.randrange(P) for _ in range(corpus.n_docs)]
         self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
-        self.n_l = [0] * P             # short docs per pseudo doc
-        self.pseudo_topic = [[0] * K for _ in range(P)]   # N_l^k
-        self.pseudo_total = [0] * P    # N_l^*
-        self.doc_topic = [[0] * K for _ in range(corpus.n_docs)]  # n_m^k
-        self.topic_word = [[0] * V for _ in range(K)]
-        self.topic_total = [0] * K
-        for m, doc in enumerate(corpus.docword):
-            l = self.l[m]
-            self.n_l[l] += 1
-            for n, v in enumerate(doc):
-                k = self.z[m][n]
-                self.pseudo_topic[l][k] += 1
-                self.pseudo_total[l] += 1
-                self.doc_topic[m][k] += 1
-                self.topic_word[k][v] += 1
-                self.topic_total[k] += 1
+        vars(self).update(self._counts())
         # rising factorials of N_lk + a and of N_l + K a
         self._topic_logs = LogRisingMemo(hyper.alpha)
         self._total_logs = LogRisingMemo(K * hyper.alpha)
 
+    def _counts(self) -> dict:
+        """The count tables of l and z, by attribute name."""
+        P, K = self.hyper.n_pseudo_docs, self.hyper.n_topics
+        docword = self.corpus.docword
+        rows = [[l] * len(doc) for l, doc in zip(self.l, docword)]
+        return {"n_l": [self.l.count(l) for l in range(P)],
+                "pseudo": counts_from_assignments(docword, self.z, K, self.corpus.n_words,
+                                                  rows=rows, n_rows=P),
+                "doc_topic": [[zm.count(k) for k in range(K)] for zm in self.z]}
+
     def check(self) -> None:
-        """Recount every table from the assignments l and z; raises ValueError."""
-        P, K, V = self.hyper.n_pseudo_docs, self.hyper.n_topics, self.corpus.n_words
-        n_l = [0] * P
-        pseudo_topic = [[0] * K for _ in range(P)]
-        doc_topic = [[0] * K for _ in range(self.corpus.n_docs)]
-        topic_word = [[0] * V for _ in range(K)]
-        for m, doc in enumerate(self.corpus.docword):
-            l = self.l[m]
-            if not 0 <= l < P:
-                raise ValueError(f"doc {m}: pseudo document {l} out of range [0, {P})")
-            n_l[l] += 1
-            if len(self.z[m]) != len(doc):
-                raise ValueError(f"doc {m}: {len(self.z[m])} topics for {len(doc)} tokens")
-            for v, k in zip(doc, self.z[m]):
-                if not 0 <= k < K:
-                    raise ValueError(f"doc {m}: topic {k} out of range [0, {K})")
-                pseudo_topic[l][k] += 1
-                doc_topic[m][k] += 1
-                topic_word[k][v] += 1
-        for name, want, got in (
-                ("n_l", n_l, self.n_l),
-                ("pseudo_topic", pseudo_topic, self.pseudo_topic),
-                ("pseudo_total", [sum(r) for r in pseudo_topic], self.pseudo_total),
-                ("doc_topic", doc_topic, self.doc_topic),
-                ("topic_word", topic_word, self.topic_word),
-                ("topic_total", [sum(r) for r in topic_word], self.topic_total)):
-            if want != got:
-                raise ValueError(f"{name} disagrees with the recount from l and z")
+        """Check every table against a recount of l and z; raises ValueError."""
+        require_recount(self, self._counts(), "l and z")
 
     def pseudo_doc_conditional(self, m: int) -> list:
         """Pseudo-document weights for document m, its contribution removed.
@@ -125,7 +100,7 @@ class PtmSampler:
         log = math.log
         topic_logs = self._topic_logs
         total_logs = self._total_logs
-        pseudo_topic = self.pseudo_topic
+        pseudo_topic = self.pseudo.doc_topic
         # one pass over the P pseudo documents per factor, each adding its
         # term in the order of the formula
         logs = [log(n + hyper.doc_lambda) - log_denom for n in self.n_l]
@@ -135,7 +110,7 @@ class PtmSampler:
             else:
                 logs = [lw + topic_logs[row[k], c] for lw, row in zip(logs, pseudo_topic)]
         return exp_normalize([lw - total_logs[t, n_m]
-                              for lw, t in zip(logs, self.pseudo_total)])
+                              for lw, t in zip(logs, self.pseudo.doc_total)])
 
     def topic_conditional(self, m: int, v: int) -> list:
         """Topic weights for one token, excluded from its pseudo doc and word tables.
@@ -143,48 +118,51 @@ class PtmSampler:
         weight_k = (N_lk + a)/(N_l + K a) * (n_kv + b)/(n_k + V b)
         """
         hyper = self.hyper
+        pseudo = self.pseudo
         K, V = hyper.n_topics, self.corpus.n_words
         l = self.l[m]
-        row = self.pseudo_topic[l]
-        denom = self.pseudo_total[l] + K * hyper.alpha
+        row = pseudo.doc_topic[l]
+        denom = pseudo.doc_total[l] + K * hyper.alpha
         v_beta = V * hyper.beta
         return [(row[k] + hyper.alpha) / denom
-                * (self.topic_word[k][v] + hyper.beta) / (self.topic_total[k] + v_beta)
+                * (pseudo.topic_word[k][v] + hyper.beta) / (pseudo.topic_total[k] + v_beta)
                 for k in range(K)]
 
     def sweep(self) -> None:
         hyper = self.hyper
+        pseudo_topic = self.pseudo.doc_topic
+        pseudo_total = self.pseudo.doc_total
         # phase 1: pseudo-document assignments
         for m in range(self.corpus.n_docs):
             l_old = self.l[m]
             n_m = len(self.corpus.docword[m])
             self.n_l[l_old] -= 1
-            self.pseudo_total[l_old] -= n_m
+            pseudo_total[l_old] -= n_m
             for k, c in enumerate(self.doc_topic[m]):
                 if c:
-                    self.pseudo_topic[l_old][k] -= c
+                    pseudo_topic[l_old][k] -= c
             l_new = sample_categorical(self.pseudo_doc_conditional(m), self.rng)
             self.n_l[l_new] += 1
-            self.pseudo_total[l_new] += n_m
+            pseudo_total[l_new] += n_m
             for k, c in enumerate(self.doc_topic[m]):
                 if c:
-                    self.pseudo_topic[l_new][k] += c
+                    pseudo_topic[l_new][k] += c
             self.l[m] = l_new
         # phase 2: token topics, drawing from topic_conditional inline
         K = hyper.n_topics
         alpha, beta = hyper.alpha, hyper.beta
         k_alpha = K * alpha
         v_beta = self.corpus.n_words * beta
-        topic_word = self.topic_word
-        topic_total = self.topic_total
+        topic_word = self.pseudo.topic_word
+        topic_total = self.pseudo.topic_total
         rng_random = self.rng.random
         for m, doc in enumerate(self.corpus.docword):
             l = self.l[m]
-            p_row = self.pseudo_topic[l]
+            p_row = pseudo_topic[l]
             d_row = self.doc_topic[m]
             zm = self.z[m]
             # N_l with the current token excluded is the same for every token
-            denom = self.pseudo_total[l] - 1 + k_alpha
+            denom = pseudo_total[l] - 1 + k_alpha
             for n, v in enumerate(doc):
                 k = zm[n]
                 p_row[k] -= 1
@@ -208,11 +186,9 @@ class PtmSampler:
     def estimate(self) -> PtmFit:
         alpha, beta = self.hyper.alpha, self.hyper.beta
         doc_totals = [len(d) for d in self.corpus.docword]
-        theta = smoothed_rows(self.doc_topic, doc_totals, alpha)
-        pseudo_theta = smoothed_rows(self.pseudo_topic, self.pseudo_total, alpha)
-        phi = smoothed_rows(self.topic_word, self.topic_total, beta)
-        return PtmFit(theta=theta, pseudo_theta=pseudo_theta, phi=phi,
-                      doc_pseudo=list(self.l))
+        return PtmFit(theta=smoothed_rows(self.doc_topic, doc_totals, alpha),
+                      pseudo_theta=estimate_theta(self.pseudo, alpha),
+                      phi=estimate_phi(self.pseudo, beta), doc_pseudo=list(self.l))
 
 
 @dataclass(frozen=True)
@@ -280,38 +256,27 @@ class BtmSampler:
         self.instances = [(b.w1, b.w2) for b in self.biterms for _ in range(b.count)]
         if not self.instances:
             raise ValueError("no document contains two words within the window")
-        K, V = hyper.n_topics, corpus.n_words
-        self.z = [rng.randrange(K) for _ in self.instances]
-        self.n_b = [0] * K  # biterms per topic
-        self.topic_word = [[0] * V for _ in range(K)]
-        self.topic_total = [0] * K
-        for (w1, w2), k in zip(self.instances, self.z):
-            self.n_b[k] += 1
-            self.topic_word[k][w1] += 1
-            self.topic_word[k][w2] += 1
-            self.topic_total[k] += 2
+        self.z = [rng.randrange(hyper.n_topics) for _ in self.instances]
+        vars(self).update(self._counts())
 
     @property
     def n_biterms(self) -> int:
         return len(self.instances)
 
+    def _counts(self) -> dict:
+        """The count tables of the biterm topics z, by attribute name: n_b[k]
+        biterms per topic, and both word slots of every biterm in topic_word
+        and topic_total (counted as one document of all the slots)."""
+        K = self.hyper.n_topics
+        slots = counts_from_assignments([[w for pair in self.instances for w in pair]],
+                                        [[k for k in self.z for _ in range(2)]],
+                                        K, self.corpus.n_words)
+        return {"n_b": [self.z.count(k) for k in range(K)], "topic_word": slots.topic_word,
+                "topic_total": slots.topic_total}
+
     def check(self) -> None:
-        """Recount the tables from the biterm topics z; raises ValueError."""
-        K, V = self.hyper.n_topics, self.corpus.n_words
-        n_b = [0] * K
-        topic_word = [[0] * V for _ in range(K)]
-        for i, ((w1, w2), k) in enumerate(zip(self.instances, self.z)):
-            if not 0 <= k < K:
-                raise ValueError(f"biterm {i}: topic {k} out of range [0, {K})")
-            n_b[k] += 1
-            topic_word[k][w1] += 1
-            topic_word[k][w2] += 1
-        if n_b != self.n_b:
-            raise ValueError(f"biterm counts {self.n_b} != recount {n_b}")
-        if topic_word != self.topic_word:
-            raise ValueError("topic_word disagrees with the recount from z")
-        if [2 * n for n in n_b] != self.topic_total:
-            raise ValueError(f"topic totals {self.topic_total} != 2 * biterm counts")
+        """Check the tables against a recount of z; raises ValueError."""
+        require_recount(self, self._counts(), "z")
 
     def full_conditional(self, w1: int, w2: int) -> list:
         """Topic weights for one biterm, its counts already removed.

@@ -172,12 +172,12 @@ def test_criterion_2_full_conditional_scalar_oracles():
         l = sampler.l[m]
         n_m = len(corpus.docword[m])
         sampler.n_l[l] -= 1
-        sampler.pseudo_total[l] -= n_m
+        sampler.pseudo.doc_total[l] -= n_m
         for k, c in enumerate(sampler.doc_topic[m]):
             if c:
-                sampler.pseudo_topic[l][k] -= c
+                sampler.pseudo.doc_topic[l][k] -= c
         doc_counts = {k: c for k, c in enumerate(sampler.doc_topic[m]) if c}
-        want = ptm_pseudo_doc_oracle(sampler.n_l, sampler.pseudo_topic, sampler.pseudo_total,
+        want = ptm_pseudo_doc_oracle(sampler.n_l, sampler.pseudo.doc_topic, sampler.pseudo.doc_total,
                         doc_counts, n_m, corpus.n_docs, P, K, 0.3, 0.4)
         assert_close_distribution(sampler.pseudo_doc_conditional(m), want)
 
@@ -190,14 +190,14 @@ def test_criterion_2_full_conditional_scalar_oracles():
         v = corpus.docword[m][n]
         k = sampler.z[m][n]
         l = sampler.l[m]
-        sampler.pseudo_topic[l][k] -= 1
-        sampler.pseudo_total[l] -= 1
+        sampler.pseudo.doc_topic[l][k] -= 1
+        sampler.pseudo.doc_total[l] -= 1
         sampler.doc_topic[m][k] -= 1
-        sampler.topic_word[k][v] -= 1
-        sampler.topic_total[k] -= 1
-        want = ptm_token_oracle(sampler.pseudo_topic[l], sampler.pseudo_total[l],
-                        [sampler.topic_word[kk][v] for kk in range(K)],
-                        sampler.topic_total, 0.4, 0.2, K, corpus.n_words)
+        sampler.pseudo.topic_word[k][v] -= 1
+        sampler.pseudo.topic_total[k] -= 1
+        want = ptm_token_oracle(sampler.pseudo.doc_topic[l], sampler.pseudo.doc_total[l],
+                        [sampler.pseudo.topic_word[kk][v] for kk in range(K)],
+                        sampler.pseudo.topic_total, 0.4, 0.2, K, corpus.n_words)
         assert_close_distribution(sampler.topic_conditional(m, v), want)
 
     def btm_case(rng):
@@ -228,14 +228,14 @@ def test_criterion_2_full_conditional_scalar_oracles():
         n = rng.randrange(len(corpus.docword[m]))
         a, k = sampler.x[m][n], sampler.z[m][n]
         v = corpus.docword[m][n]
-        sampler.author_topic[a][k] -= 1
-        sampler.author_total[a] -= 1
-        sampler.topic_word[k][v] -= 1
-        sampler.topic_total[k] -= 1
+        sampler.tables.doc_topic[a][k] -= 1
+        sampler.tables.doc_total[a] -= 1
+        sampler.tables.topic_word[k][v] -= 1
+        sampler.tables.topic_total[k] -= 1
         got, authors = sampler.full_conditional(m, v)
-        rows = atm_joint_oracle(sampler.author_topic, sampler.author_total,
-                        [sampler.topic_word[kk][v] for kk in range(K)],
-                        sampler.topic_total, authors, 0.4, 0.15, K, corpus.n_words)
+        rows = atm_joint_oracle(sampler.tables.doc_topic, sampler.tables.doc_total,
+                        [sampler.tables.topic_word[kk][v] for kk in range(K)],
+                        sampler.tables.topic_total, authors, 0.4, 0.15, K, corpus.n_words)
         assert_close_distribution(got, [w for row in rows for w in row])
 
     def link_word_case(rng):
@@ -248,12 +248,12 @@ def test_criterion_2_full_conditional_scalar_oracles():
         n = rng.randrange(len(corpus.docword[m]))
         v = corpus.docword[m][n]
         k = sampler.z[m][n]
-        sampler.word_doc_topic[m][k] -= 1
-        sampler.topic_word[k][v] -= 1
-        sampler.topic_total[k] -= 1
+        sampler.words.doc_topic[m][k] -= 1
+        sampler.words.topic_word[k][v] -= 1
+        sampler.words.topic_total[k] -= 1
         want = linklda_word_oracle(
-            [sampler.topic_word[kk][v] for kk in range(K)], sampler.topic_total,
-            sampler.word_doc_topic[m], sampler.link_doc_topic[m], 0.3, 0.2,
+            [sampler.words.topic_word[kk][v] for kk in range(K)], sampler.words.topic_total,
+            sampler.words.doc_topic[m], sampler.links.doc_topic[m], 0.3, 0.2,
             K, corpus.n_words)
         assert_close_distribution(sampler.word_conditional(m, v), want)
 
@@ -267,12 +267,12 @@ def test_criterion_2_full_conditional_scalar_oracles():
         e = rng.randrange(len(corpus.links[m]))
         l = corpus.links[m][e]
         k = sampler.x[m][e]
-        sampler.link_doc_topic[m][k] -= 1
-        sampler.topic_link[k][l] -= 1
-        sampler.link_total[k] -= 1
+        sampler.links.doc_topic[m][k] -= 1
+        sampler.links.topic_word[k][l] -= 1
+        sampler.links.topic_total[k] -= 1
         want = linklda_link_oracle(
-            [sampler.topic_link[kk][l] for kk in range(K)], sampler.link_total,
-            sampler.link_doc_topic[m], sampler.word_doc_topic[m], 0.3, 0.4,
+            [sampler.links.topic_word[kk][l] for kk in range(K)], sampler.links.topic_total,
+            sampler.links.doc_topic[m], sampler.words.doc_topic[m], 0.3, 0.4,
             K, sampler.n_links)
         assert_close_distribution(sampler.link_conditional(m, l), want)
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from topicmodels import lda
+from topicmodels import lda, reports
 from topicmodels.cli import main
 from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
                                  parse_value_lines)
@@ -284,6 +284,22 @@ def test_other_models_golden_bytes(tmp_path, model):
     assert_golden(tmp_path, model, GOLDEN_LAYOUTS[layout], flags, want)
 
 
+# labeled-lda at --alpha 1, same run settings.  At the default alpha every
+# GOLDEN document ends in one topic, so the hashes above barely see the
+# chain's draws; here the multi-label documents keep a mixture, so the bytes
+# change with any change to the random stream.
+GOLDEN_LABELED_LDA_ALPHA_1 = {
+    "LabeledLDA_doc_topic3.txt":
+    "ab739e579924d84619748c650d1fa1693eda3d93cb8b244c50e3f2c02d098652",
+    "LabeledLDA_topic_word_3.txt":
+    "0995c0e1a124a94085ea7f8659f585274d20a54dd2a550a8dc3c3bd3eab5cbdc"}
+
+
+def test_labeled_lda_golden_bytes_at_a_large_alpha(tmp_path):
+    assert_golden(tmp_path, "labeled-lda", GOLDEN_LAYOUTS["labels"], ["--alpha", "1"],
+                  GOLDEN_LABELED_LDA_ALPHA_1)
+
+
 # stdout of `eval --model lda-gibbs` on GOLDEN at seed 7, 20 sweeps, recorded
 # before coherence shared one corpus scan across topics.  V = 15, so the
 # top-20 lists hold every word; at K = 20 each topic holds a few of the 48
@@ -468,6 +484,32 @@ def test_nonpositive_top_words_rejected_before_output(tmp_path, plain_file, caps
         assert rc == 1
         assert "--top-words must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_failing_writer_leaves_no_output_behind(tmp_path, plain_file, monkeypatch, capsys):
+    """A writer that fails after an earlier file was written, and after writing
+    part of its own file, leaves neither file, nor the directory the run made,
+    and keeps what the directory already held."""
+    real = reports.write_doc_topic_file
+
+    def failing(path, rows):
+        real(path, rows)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(reports, "write_doc_topic_file", failing)
+    out = tmp_path / "out"
+    args = ["fit", "--model", "lda-gibbs", "--input", plain_file, "-k", "2", "--iterations", "2"]
+    assert run([*args, "--output-dir", out]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert not out.exists()
+    out.mkdir()
+    (out / "notes.txt").write_text("mine")
+    assert run([*args, "--output-dir", out]) == 1
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    monkeypatch.setattr(reports, "write_doc_topic_file", real)
+    assert run([*args, "--output-dir", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "LDAGibbs_doc_topic2.txt", "LDAGibbs_topic_word_2.txt", "notes.txt"]
 
 
 def test_nonpositive_top_n_rejected_before_sampling(tmp_path, plain_file, capsys):

@@ -213,3 +213,21 @@ def test_hyper_validation():
     with pytest.raises(ValueError):
         SparseHyper(2, s=0.0)
     SparseHyper(2, pi_bar=0.0, word_gamma_bar=0.0)  # zero weak priors allowed
+
+
+def test_check_rejects_a_stale_count_or_selector_sum():
+    corpus, solver = small_solver(SparseHyper(3, iterations=1))
+    for _ in range(10):
+        solver.sweep()
+        solver.check()
+    solver.expected.doc_topic[1][2] += 1.0
+    with pytest.raises(ValueError, match="expected.doc_topic"):
+        solver.check()
+    solver.expected.doc_topic[1][2] -= 1.0
+    solver.check()
+    for table in ("A_hat", "B_hat"):
+        getattr(solver, table)[0] += 0.25
+        with pytest.raises(ValueError, match=table):
+            solver.check()
+        getattr(solver, table)[0] -= 0.25
+    solver.check()

@@ -175,7 +175,7 @@ def test_check_catches_a_stale_seating_plan():
     sampler.sweep()
     sampler.check()
     sampler.table_count[0][0] += 1
-    with pytest.raises(ValueError, match="table counts"):
+    with pytest.raises(ValueError, match="table_count"):
         sampler.check()
     sampler.table_count[0][0] -= 1
     sampler.m_total += 1

@@ -117,7 +117,7 @@ def test_gibbs_check_catches_stale_sparse_index():
     v = corpus.docword[0][0]
     k = sampler.z[0][0]
     sampler.word_topics[v][k] += 1
-    with pytest.raises(ValueError, match="sparse index"):
+    with pytest.raises(ValueError, match="word_topics"):
         sampler.check()
     sampler.word_topics[v][k] -= 1
     sampler.tables.topic_word[k][v] += 1
@@ -280,3 +280,20 @@ def test_top_word_ranking_scale_invariant():
     order = sorted(range(4), key=lambda v: (-row[v], v))
     order2 = sorted(range(4), key=lambda v: (-scaled[v], v))
     assert order == order2
+
+
+def test_cvb0_check_rejects_a_stale_expected_count():
+    corpus = parse_plain(["a b c a", "c d", "a d d b"])
+    hyper = LdaHyper(3, 0.1, 0.1, 1)
+    solver = LdaCvb0(corpus, hyper, random_responsibilities(corpus, 3, SeededRng(2)))
+    for _ in range(20):
+        solver.sweep()
+        solver.check()
+    solver.expected.topic_total[1] += 1.0
+    with pytest.raises(ValueError, match="expected.topic_total"):
+        solver.check()
+    solver.expected.topic_total[1] -= 1.0
+    solver.check()
+    solver.gamma[0][0][0] += 0.5  # a responsibility the tables are not told of
+    with pytest.raises(ValueError, match="expected.doc_topic"):
+        solver.check()

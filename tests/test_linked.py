@@ -20,10 +20,10 @@ def link_corpus(lines):
 def remove_token(sampler, m, n):
     a, k = sampler.x[m][n], sampler.z[m][n]
     v = sampler.corpus.docword[m][n]
-    sampler.author_topic[a][k] -= 1
-    sampler.author_total[a] -= 1
-    sampler.topic_word[k][v] -= 1
-    sampler.topic_total[k] -= 1
+    sampler.tables.doc_topic[a][k] -= 1
+    sampler.tables.doc_total[a] -= 1
+    sampler.tables.topic_word[k][v] -= 1
+    sampler.tables.topic_total[k] -= 1
     return v
 
 
@@ -42,8 +42,8 @@ def test_atm_author_marginal_uniform_for_identical_counts():
     corpus = author_corpus(["A,B\tx y x y"])
     sampler = AtmSampler(corpus, LdaHyper(2, 0.3, 0.2, 1), SeededRng(1))
     # overwrite the (already excluded) state with identical author rows
-    sampler.author_topic = [[1, 2], [1, 2]]
-    sampler.author_total = [3, 3]
+    sampler.tables.doc_topic = [[1, 2], [1, 2]]
+    sampler.tables.doc_total = [3, 3]
     weights, authors = sampler.full_conditional(0, 0)
     K = 2
     marginals = [sum(weights[i * K:(i + 1) * K]) for i in range(len(authors))]
@@ -62,9 +62,9 @@ def test_atm_matches_scalar_oracle():
         n = rng.randrange(len(corpus.docword[m]))
         v = remove_token(sampler, m, n)
         got, authors = sampler.full_conditional(m, v)
-        want_rows = atm_joint_oracle(sampler.author_topic, sampler.author_total,
-                             [sampler.topic_word[k][v] for k in range(K)],
-                             sampler.topic_total, authors, 0.4, 0.15,
+        want_rows = atm_joint_oracle(sampler.tables.doc_topic, sampler.tables.doc_total,
+                             [sampler.tables.topic_word[k][v] for k in range(K)],
+                             sampler.tables.topic_total, authors, 0.4, 0.15,
                              K, corpus.n_words)
         want = [w for row in want_rows for w in row]
         assert_close_distribution(got, want)
@@ -86,7 +86,7 @@ def test_atm_single_author_theta_is_corpus_mixture():
     fit = sampler.estimate()
     n_total = corpus.n_tokens
     for k in range(2):
-        n_k = sampler.author_topic[0][k]
+        n_k = sampler.tables.doc_topic[0][k]
         assert fit.theta[0][k] == pytest.approx((n_k + 0.3) / (n_total + 0.6))
 
 
@@ -98,10 +98,10 @@ def test_atm_unseen_author_row_uniform():
         a, k = sampler.x[0][n], sampler.z[0][n]
         v = corpus.docword[0][n]
         if a != 0:
-            sampler.author_topic[a][k] -= 1
-            sampler.author_total[a] -= 1
-            sampler.author_topic[0][k] += 1
-            sampler.author_total[0] += 1
+            sampler.tables.doc_topic[a][k] -= 1
+            sampler.tables.doc_total[a] -= 1
+            sampler.tables.doc_topic[0][k] += 1
+            sampler.tables.doc_total[0] += 1
             sampler.x[0][n] = 0
     fit = sampler.estimate()
     assert fit.theta[1] == pytest.approx([0.25] * 4)
@@ -119,8 +119,8 @@ def test_atm_recount_each_sweep():
                 assert sampler.x[m][n] in corpus.authors[m]
                 author_topic[sampler.x[m][n]][sampler.z[m][n]] += 1
                 topic_word[sampler.z[m][n]][v] += 1
-        assert author_topic == sampler.author_topic
-        assert topic_word == sampler.topic_word
+        assert author_topic == sampler.tables.doc_topic
+        assert topic_word == sampler.tables.topic_word
 
 
 # ---------------------------------------------------------------- Link LDA
@@ -136,13 +136,13 @@ def test_linklda_word_conditional_oracle():
         m, n = rng.randrange(3), 0
         v = corpus.docword[m][n]
         k = sampler.z[m][n]
-        sampler.word_doc_topic[m][k] -= 1
-        sampler.topic_word[k][v] -= 1
-        sampler.topic_total[k] -= 1
+        sampler.words.doc_topic[m][k] -= 1
+        sampler.words.topic_word[k][v] -= 1
+        sampler.words.topic_total[k] -= 1
         got = sampler.word_conditional(m, v)
         want = linklda_word_oracle(
-            [sampler.topic_word[kk][v] for kk in range(K)], sampler.topic_total,
-            sampler.word_doc_topic[m], sampler.link_doc_topic[m],
+            [sampler.words.topic_word[kk][v] for kk in range(K)], sampler.words.topic_total,
+            sampler.words.doc_topic[m], sampler.links.doc_topic[m],
             0.3, 0.2, K, corpus.n_words)
         assert_close_distribution(got, want)
 
@@ -158,13 +158,13 @@ def test_linklda_link_conditional_oracle():
         m, e = 0, rng.randrange(2)
         l = corpus.links[m][e]
         k = sampler.x[m][e]
-        sampler.link_doc_topic[m][k] -= 1
-        sampler.topic_link[k][l] -= 1
-        sampler.link_total[k] -= 1
+        sampler.links.doc_topic[m][k] -= 1
+        sampler.links.topic_word[k][l] -= 1
+        sampler.links.topic_total[k] -= 1
         got = sampler.link_conditional(m, l)
         want = linklda_link_oracle(
-            [sampler.topic_link[kk][l] for kk in range(K)], sampler.link_total,
-            sampler.link_doc_topic[m], sampler.word_doc_topic[m],
+            [sampler.links.topic_word[kk][l] for kk in range(K)], sampler.links.topic_total,
+            sampler.links.doc_topic[m], sampler.words.doc_topic[m],
             0.3, 0.4, K, sampler.n_links)
         assert_close_distribution(got, want)
 
@@ -173,12 +173,12 @@ def test_linklda_zero_counts_uniform():
     corpus = link_corpus(["100\tw0 w1"])
     sampler = LinkLdaSampler(corpus, LinkLdaHyper(3, iterations=1), SeededRng(0))
     K = 3
-    sampler.word_doc_topic[0] = [0] * K
-    sampler.link_doc_topic[0] = [0] * K
-    sampler.topic_word = [[0, 0] for _ in range(K)]
-    sampler.topic_total = [0] * K
-    sampler.topic_link = [[0] for _ in range(K)]
-    sampler.link_total = [0] * K
+    sampler.words.doc_topic[0] = [0] * K
+    sampler.links.doc_topic[0] = [0] * K
+    sampler.words.topic_word = [[0, 0] for _ in range(K)]
+    sampler.words.topic_total = [0] * K
+    sampler.links.topic_word = [[0] for _ in range(K)]
+    sampler.links.topic_total = [0] * K
     assert normalize(sampler.word_conditional(0, 0)) == pytest.approx([1 / 3] * 3)
     assert normalize(sampler.link_conditional(0, 0)) == pytest.approx([1 / 3] * 3)
 
@@ -188,11 +188,11 @@ def test_linklda_single_link_vocabulary_factor_constant():
     sampler = LinkLdaSampler(corpus, LinkLdaHyper(2, 0.3, 0.2, 0.4, 1), SeededRng(1))
     m, e = 0, 0
     k = sampler.x[m][e]
-    sampler.link_doc_topic[m][k] -= 1
-    sampler.topic_link[k][0] -= 1
-    sampler.link_total[k] -= 1
+    sampler.links.doc_topic[m][k] -= 1
+    sampler.links.topic_word[k][0] -= 1
+    sampler.links.topic_total[k] -= 1
     got = normalize(sampler.link_conditional(m, 0))
-    doc_factor = [sampler.link_doc_topic[m][k] + sampler.word_doc_topic[m][k] + 0.3
+    doc_factor = [sampler.links.doc_topic[m][k] + sampler.words.doc_topic[m][k] + 0.3
                   for k in range(2)]
     # with L=1 the link factor is (c_k + g)/(c_k + g) = 1 for every topic
     assert got == pytest.approx(normalize(doc_factor), rel=1e-12)
@@ -206,7 +206,7 @@ def test_linklda_doc_without_links_theta_is_lda_form():
     for _ in range(5):
         sampler.sweep()
     fit = sampler.estimate()
-    n_mk = sampler.word_doc_topic[0]
+    n_mk = sampler.words.doc_topic[0]
     want = [(n_mk[k] + 0.3) / (3 + 2 * 0.3) for k in range(2)]
     assert fit.theta[0] == pytest.approx(want, rel=1e-12)
 
@@ -218,11 +218,11 @@ def test_linklda_tables_never_cross_contaminate():
     n_links_total = sum(len(ls) for ls in corpus.links)
     for _ in range(10):
         sampler.sweep()
-        assert sum(sampler.topic_total) == n_words_total
-        assert sum(sampler.link_total) == n_links_total
+        assert sum(sampler.words.topic_total) == n_words_total
+        assert sum(sampler.links.topic_total) == n_links_total
         for m in range(corpus.n_docs):
-            assert sum(sampler.word_doc_topic[m]) == len(corpus.docword[m])
-            assert sum(sampler.link_doc_topic[m]) == len(corpus.links[m])
+            assert sum(sampler.words.doc_topic[m]) == len(corpus.docword[m])
+            assert sum(sampler.links.doc_topic[m]) == len(corpus.links[m])
 
 
 def test_linklda_fit_rows_stochastic():
@@ -240,3 +240,37 @@ def test_atm_fit_runs():
     fit = run_chain(AtmSampler(corpus, hyper, SeededRng(8)), hyper.iterations)
     for row in fit.theta + fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_atm_check_rejects_a_stale_count_or_a_stranger_author():
+    corpus = author_corpus(["A\tw0 w1", "B,C\tw1 w2", "A,C\tw0 w2"])
+    sampler = AtmSampler(corpus, LdaHyper(2, iterations=1), SeededRng(5))
+    sampler.sweep()
+    sampler.check()
+    a, k = sampler.x[0][0], sampler.z[0][0]
+    sampler.tables.doc_topic[a][k] += 1
+    with pytest.raises(ValueError, match="tables.doc_topic"):
+        sampler.check()
+    sampler.tables.doc_topic[a][k] -= 1
+    # author B (id 1) did not write document 0; the tables follow the move
+    v = corpus.docword[0][0]
+    sampler.tables.decrement(a, k, v)
+    sampler.tables.increment(1, k, v)
+    sampler.x[0][0] = 1
+    with pytest.raises(ValueError, match="not its authors"):
+        sampler.check()
+
+
+def test_linklda_check_rejects_a_stale_count():
+    corpus = link_corpus(["100--200\tw0 w1", "200\tw2 w0"])
+    sampler = LinkLdaSampler(corpus, LinkLdaHyper(2, iterations=1), SeededRng(6))
+    sampler.sweep()
+    sampler.check()
+    k = sampler.x[0][0]
+    sampler.links.topic_word[k][corpus.links[0][0]] += 1
+    with pytest.raises(ValueError, match="links.topic_word"):
+        sampler.check()
+    sampler.links.topic_word[k][corpus.links[0][0]] -= 1
+    sampler.words.doc_topic[1][sampler.z[1][0]] -= 1
+    with pytest.raises(ValueError, match="words.doc_topic"):
+        sampler.check()

@@ -195,11 +195,11 @@ def test_check_recounts_the_cluster_tables(sampler_cls):
         sampler.check()
     k = sampler.z[0]
     sampler.tables.cluster_word[k][0] += 1
-    with pytest.raises(ValueError, match="word counts"):
+    with pytest.raises(ValueError, match="cluster_word"):
         sampler.check()
     sampler.tables.cluster_word[k][0] -= 1
     sampler.tables.n_docs_in[k] += 1
-    with pytest.raises(ValueError, match="document counts"):
+    with pytest.raises(ValueError, match="n_docs_in"):
         sampler.check()
 
 

@@ -117,3 +117,14 @@ def test_chain_matches_enumerated_posterior():
         counts[key] = counts.get(key, 0) + 1
     empirical = {k: c / sweeps for k, c in counts.items()}
     assert tv_distance(empirical, exact) < 0.05
+
+
+def test_check_rejects_a_stale_count():
+    corpus = parse_sentences(["a b--c a", "b c--c"])
+    sampler = SentenceLdaSampler(corpus, LdaHyper(2, iterations=1), SeededRng(4))
+    sampler.sweep()
+    sampler.check()
+    k = sampler.z[0][1]
+    sampler.tables.topic_word[k][corpus.docword[0][2]] -= 1
+    with pytest.raises(ValueError, match="tables.topic_word"):
+        sampler.check()

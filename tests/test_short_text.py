@@ -20,10 +20,10 @@ def remove_doc_from_pseudo(sampler, m):
     l = sampler.l[m]
     n_m = len(sampler.corpus.docword[m])
     sampler.n_l[l] -= 1
-    sampler.pseudo_total[l] -= n_m
+    sampler.pseudo.doc_total[l] -= n_m
     for k, c in enumerate(sampler.doc_topic[m]):
         if c:
-            sampler.pseudo_topic[l][k] -= c
+            sampler.pseudo.doc_topic[l][k] -= c
 
 
 def test_ptm_single_pseudo_doc_certain():
@@ -44,7 +44,7 @@ def test_ptm_pseudo_doc_conditional_matches_oracle():
         remove_doc_from_pseudo(sampler, m)
         got = sampler.pseudo_doc_conditional(m)
         doc_counts = {k: c for k, c in enumerate(sampler.doc_topic[m]) if c}
-        want = ptm_pseudo_doc_oracle(sampler.n_l, sampler.pseudo_topic, sampler.pseudo_total,
+        want = ptm_pseudo_doc_oracle(sampler.n_l, sampler.pseudo.doc_topic, sampler.pseudo.doc_total,
                         doc_counts, len(corpus.docword[m]), corpus.n_docs,
                         P, K, 0.3, 0.4)
         assert_close_distribution(got, want)
@@ -61,15 +61,15 @@ def test_ptm_topic_conditional_matches_oracle():
         v = corpus.docword[m][n]
         k = sampler.z[m][n]
         l = sampler.l[m]
-        sampler.pseudo_topic[l][k] -= 1
-        sampler.pseudo_total[l] -= 1
+        sampler.pseudo.doc_topic[l][k] -= 1
+        sampler.pseudo.doc_total[l] -= 1
         sampler.doc_topic[m][k] -= 1
-        sampler.topic_word[k][v] -= 1
-        sampler.topic_total[k] -= 1
+        sampler.pseudo.topic_word[k][v] -= 1
+        sampler.pseudo.topic_total[k] -= 1
         got = sampler.topic_conditional(m, v)
-        want = ptm_token_oracle(sampler.pseudo_topic[l], sampler.pseudo_total[l],
-                        [sampler.topic_word[kk][v] for kk in range(K)],
-                        sampler.topic_total, 0.4, 0.2, K, corpus.n_words)
+        want = ptm_token_oracle(sampler.pseudo.doc_topic[l], sampler.pseudo.doc_total[l],
+                        [sampler.pseudo.topic_word[kk][v] for kk in range(K)],
+                        sampler.pseudo.topic_total, 0.4, 0.2, K, corpus.n_words)
         assert_close_distribution(got, want)
 
 
@@ -80,14 +80,14 @@ def test_ptm_doc_counts_conserved():
     for _ in range(10):
         sampler.sweep()
         assert sum(sampler.n_l) == corpus.n_docs
-        assert sum(sampler.pseudo_total) == corpus.n_tokens
+        assert sum(sampler.pseudo.doc_total) == corpus.n_tokens
         # recount every table from the latent state
         for l in range(3):
             members = [m for m in range(corpus.n_docs) if sampler.l[m] == l]
             assert sampler.n_l[l] == len(members)
             for k in range(2):
                 want = sum(1 for m in members for z in sampler.z[m] if z == k)
-                assert sampler.pseudo_topic[l][k] == want
+                assert sampler.pseudo.doc_topic[l][k] == want
         for m in range(corpus.n_docs):
             for k in range(2):
                 assert sampler.doc_topic[m][k] == sum(1 for z in sampler.z[m] if z == k)
@@ -100,8 +100,8 @@ def test_ptm_check_recounts_every_table():
         sampler.sweep()
         sampler.check()
     l = sampler.l[0]
-    sampler.pseudo_topic[l][sampler.z[0][0]] += 1
-    with pytest.raises(ValueError, match="pseudo_topic"):
+    sampler.pseudo.doc_topic[l][sampler.z[0][0]] += 1
+    with pytest.raises(ValueError, match="pseudo.doc_topic"):
         sampler.check()
 
 

@@ -293,19 +293,43 @@ def test_plda_chain_matches_enumerated_posterior():
     assert tv_distance(empirical, exact) < 0.05
 
 
-@pytest.mark.parametrize("name, flags", [("lda-gibbs", {"n_topics": 3}),
-                                         ("lda-gibbs", {"n_topics": 20}),
-                                         ("labeled-lda", {}),
-                                         ("plda", {"topics_per_label": 2})],
-                         ids=["lda-gibbs-k3", "lda-gibbs-k20", "labeled-lda", "plda"])
-def test_registry_samplers_pass_check_after_every_sweep(name, flags):
+def tiny_corpus(layout):
+    """Ten seeded documents over 12 words, each with one or two of four tags,
+    rendered in ``layout``: tags as labels, authors or links; two sentences
+    per document; or plain text (the words are the same in every layout)."""
     rng = random.Random(71)
-    labels = ["A", "B", "C", "D"]
-    lines = [",".join(rng.sample(labels, rng.randrange(1, 3))) + "\t"
-             + " ".join(f"w{rng.randrange(12)}" for _ in range(rng.randrange(2, 8)))
-             for _ in range(10)]
-    corpus = label_corpus(lines)
+    lines = []
+    for _ in range(10):
+        tags = rng.sample(["A", "B", "C", "D"], rng.randrange(1, 3))
+        words = [f"w{rng.randrange(12)}" for _ in range(rng.randrange(2, 8))]
+        half = len(words) // 2
+        text = (" ".join(words[:half]) + "--" + " ".join(words[half:])
+                if layout == "sentences" else " ".join(words))
+        if layout not in ("plain", "sentences"):
+            text = ("--" if layout == "links" else ",").join(tags) + "\t" + text
+        lines.append(text)
+    return cli._parse(layout, lines)
+
+
+REGISTRY_CASES = [("lda-gibbs", {"n_topics": 3}), ("lda-gibbs", {"n_topics": 20}),
+                  ("labeled-lda", {}), ("plda", {"topics_per_label": 2}),
+                  ("lda-cvb0", {"n_topics": 3}), ("sentence-lda", {"n_topics": 3}),
+                  ("hdp", {}), ("dmm", {"n_clusters": 3}), ("dpmm", {}),
+                  ("ptm", {"n_pseudo_docs": 3, "n_topics": 3}), ("btm", {"n_topics": 3}),
+                  ("atm", {"n_topics": 3}), ("link-lda", {"n_topics": 3}),
+                  ("dual-sparse", {"n_topics": 3})]
+
+
+def test_registry_cases_cover_every_model():
+    assert {name for name, _ in REGISTRY_CASES} == set(cli.MODELS)
+
+
+@pytest.mark.parametrize("name, flags", REGISTRY_CASES,
+                         ids=["lda-gibbs-k3", "lda-gibbs-k20", "labeled-lda", "plda"]
+                         + [name for name, _ in REGISTRY_CASES[4:]])
+def test_registry_samplers_pass_check_after_every_sweep(name, flags):
     spec = cli.MODELS[name]
+    corpus = tiny_corpus(spec.layout)
     sampler = spec.sampler(corpus, spec.hyper(iterations=8, **flags), SeededRng(5))
     # K = 20 runs the sparse kernel, K = 3 and the label models the dense one
     assert (getattr(sampler, "word_topics", None) is not None) == (flags.get("n_topics") == 20)
