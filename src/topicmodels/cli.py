@@ -5,33 +5,29 @@
     topicmodels eval --model lda-gibbs --input clean.txt -k 30 --top-n 5 10 20
 
 Every model is one ``ModelSpec`` in ``MODELS``: its input layout, its Hyper
-dataclass, a factory for its sampler and its output files.  One runner
-serves all of them: it parses the input, runs the chain with
+class (a ``core.record``), a factory for its sampler and its output files.
+One runner serves all of them: it parses the input, runs the chain with
 ``core.run_chain`` and writes the files of the model's reference layout
 (topic-word blocks, doc-topic matrices, cluster/theta vectors, sparsity
 ratios) into the output directory; file names carry the fitted topic count.
 
-The model flags are derived from the Hyper fields: a model accepts the
-flags its Hyper has a field for, requires those whose field has no default
-and otherwise takes the field's default.  Flags that do not apply to the
-chosen model are rejected.
+The model flags are derived from the Hyper fields (``core.fields``): a model
+accepts the flags its Hyper has a field for, requires those whose field has
+no default and otherwise takes the field's default.  Flags that do not apply
+to the chosen model are rejected.
 """
 
 import argparse
-import dataclasses
-import logging
 import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import (corpus as corpus_mod, dual_sparse, evaluation, hdp, linked,
+from . import (core, corpus as corpus_mod, dual_sparse, evaluation, hdp, linked,
                lda, mixture, reports, sentence_lda, short_text, supervised)
-from .core import SeededRng, run_chain
+from .core import MISSING, SeededRng, fields, run_chain
 
 DEFAULT_SEED = 42
-
-log = logging.getLogger(__name__)
 
 
 class CliError(Exception):
@@ -88,9 +84,8 @@ _WRITERS = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class ModelSpec:
-    hyper: type        # the Hyper dataclass; its fields are the model's flags
+class ModelSpec(NamedTuple):
+    hyper: type        # the Hyper record; its fields are the model's flags
     sampler: Callable  # (corpus, hyper, rng) -> sampler with sweep() and estimate()
     outputs: tuple     # one Output per file, in writing order
     layout: str = "plain"  # input layout: plain, sentences, authors, links or labels
@@ -174,7 +169,7 @@ def _model_flags(spec: ModelSpec) -> dict:
     """Model flag -> Hyper field for every field but ``iterations``, which
     the shared --iterations flag sets."""
     return {_FLAG_OF_FIELD.get(f.name, f.name): f
-            for f in dataclasses.fields(spec.hyper) if f.name != "iterations"}
+            for f in fields(spec.hyper) if f.name != "iterations"}
 
 
 # every model flag with its type, in the order the models first use them
@@ -230,7 +225,7 @@ def _hyper_options(args) -> dict:
         if flag not in flags:
             raise CliError(f"{_option(flag)} is not applicable to model {model}")
     for flag in _FLAG_TYPES:
-        if flag in flags and flag not in given and flags[flag].default is dataclasses.MISSING:
+        if flag in flags and flag not in given and flags[flag].default is MISSING:
             raise CliError(f"model {model} requires {_option(flag)}")
     return {flags[flag].name: value for flag, value in given.items()}
 
@@ -307,7 +302,7 @@ def _cmd_preprocess(args) -> int:
         else:
             dropped += 1
     if dropped:
-        log.warning("dropped %d line(s) left empty by cleaning", dropped)
+        core.warn(__name__, "dropped %d line(s) left empty by cleaning", dropped)
     Path(args.output).write_text(
         "\n".join(cleaned) + ("\n" if cleaned else ""), encoding=args.encoding)
     print(f"preprocess: wrote {len(cleaned)} documents ({dropped} dropped)",
@@ -341,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
+    core.warning_format = "%(levelname)s: %(message)s"
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -7,7 +7,97 @@ floats for the expected-count twins used by the variational algorithms).
 
 import math
 import random
-from typing import Sequence
+import sys
+from typing import NamedTuple, Sequence
+
+
+class _Missing:
+    def __repr__(self) -> str:
+        return "MISSING"
+
+
+MISSING = _Missing()  # the default of a record field that has none
+
+
+class Field(NamedTuple):
+    name: str
+    type: object     # the annotation itself, e.g. int or float
+    default: object  # MISSING if the field has none
+
+
+def record(cls=None, *, frozen: bool = False):
+    """Class decorator: a small stand-in for ``dataclasses.dataclass``.
+    Importing that module (with ``inspect``) and running its decorator took
+    most of the import time of ``topicmodels.cli``, which every CLI call pays.
+
+    The fields are the class annotations over the MRO, base class first; a
+    subclass that annotates a field again replaces its default but keeps its
+    place.  The class gets an ``__init__`` taking the fields in order (then
+    calling ``__post_init__`` if there is one), ``__eq__`` and ``__repr__``;
+    a frozen class also rejects assignment and gets a ``__hash__``.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    found = {}
+    for klass in reversed(cls.__mro__):
+        for name, kind in vars(klass).get("__annotations__", {}).items():
+            found[name] = Field(name, kind, vars(klass).get(name, MISSING))
+    cls._record_fields = tuple(found.values())
+    names = tuple(found)
+    params = [n if f.default is MISSING else f"{n}=_default_{n}" for n, f in found.items()]
+    assign = "_set(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
+    body = [assign.format(n) for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    scope = {f"_default_{n}": f.default for n, f in found.items()}
+    scope["_set"] = object.__setattr__
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def values(self) -> tuple:
+        return tuple(getattr(self, n) for n in names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    cls.__eq__, cls.__repr__ = __eq__, __repr__
+    cls.__hash__ = (lambda self: hash(values(self))) if frozen else None
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+def fields(cls) -> tuple:
+    """The ``Field``s of a ``record`` class, in ``__init__`` order."""
+    return cls._record_fields
+
+
+# the logging format warn() puts on the root logger (through logging.basicConfig,
+# so not where logging is configured already); None leaves logging alone
+warning_format: str | None = None
+
+
+def warn(name: str, msg: str, *args) -> None:
+    """``logging.getLogger(name).warning(msg, *args)``, importing ``logging``
+    only when a warning is issued: most runs issue none, and the import (with
+    ``traceback``) costs a CLI call about as much as importing the package."""
+    import logging
+    if warning_format is not None:
+        logging.basicConfig(stream=sys.stderr, format=warning_format)
+    logging.getLogger(name).warning(msg, *args)
 
 
 class SamplingError(ValueError):

@@ -13,13 +13,10 @@ Input layouts:
 """
 
 import functools
-import logging
 import re
-from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterable, Sequence
 
-log = logging.getLogger(__name__)
+from .core import record, warn
 
 VOWELS = "aeiou"
 
@@ -62,7 +59,7 @@ class ParseError(CorpusError):
     """Raised for a malformed input line; the message names the line number."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StopList:
     """A set of lowercase stopword tokens."""
 
@@ -93,7 +90,9 @@ class StopList:
     def default(cls) -> "StopList":
         """The bundled English list; read once, then shared (it is frozen)."""
         # reached from the package itself, so it reads from a zip install too,
-        # where the data directory cannot be imported as a namespace package
+        # where the data directory cannot be imported as a namespace package;
+        # imported here, as only preprocess needs it
+        from importlib import resources
         path = resources.files("topicmodels") / "data" / "default_stopwords.txt"
         text = path.read_text("utf-8")
         return cls.from_words(text.split())
@@ -230,7 +229,7 @@ class Vocabulary:
         return self.word_to_id[word]
 
 
-@dataclass
+@record
 class Corpus:
     """Indexed documents plus optional per-document structure.
 
@@ -241,13 +240,19 @@ class Corpus:
     meta_vocabulary.
     """
 
-    docword: list = field(default_factory=list)
-    vocabulary: Vocabulary = field(default_factory=Vocabulary)
+    docword: list | None = None          # None: a new empty list
+    vocabulary: Vocabulary | None = None  # None: a new empty Vocabulary
     sentences: list | None = None
     authors: list | None = None
     links: list | None = None
     labels: list | None = None
     meta_vocabulary: Vocabulary | None = None
+
+    def __post_init__(self):
+        if self.docword is None:
+            self.docword = []
+        if self.vocabulary is None:
+            self.vocabulary = Vocabulary()
 
     @property
     def n_docs(self) -> int:
@@ -281,13 +286,13 @@ def parse_plain(lines: Iterable[str]) -> Corpus:
         tokens = line.split()
         if not tokens:
             dropped += 1
-            log.warning("line %d: empty document dropped", lineno)
+            warn(__name__, "line %d: empty document dropped", lineno)
             continue
         corpus.docword.append([corpus.vocabulary.add(t) for t in tokens])
     if not corpus.docword:
         raise CorpusError("corpus is empty: no line contained any token")
     if dropped:
-        log.warning("dropped %d empty document(s)", dropped)
+        warn(__name__, "dropped %d empty document(s)", dropped)
     return corpus
 
 
@@ -307,7 +312,7 @@ def parse_sentences(lines: Iterable[str], sep: str = "--") -> Corpus:
             token_ids.extend(corpus.vocabulary.add(t) for t in tokens)
             offsets.append(len(token_ids))
         if not offsets:
-            log.warning("line %d: document with no non-empty sentence dropped", lineno)
+            warn(__name__, "line %d: document with no non-empty sentence dropped", lineno)
             continue
         corpus.docword.append(token_ids)
         corpus.sentences.append(offsets)
@@ -340,7 +345,7 @@ def parse_tagged(lines: Iterable[str], kind: str, item_sep: str,
         line = line.rstrip("\n")
         if not line.strip():
             dropped += 1
-            log.warning("line %d: empty document dropped", lineno)
+            warn(__name__, "line %d: empty document dropped", lineno)
             continue
         if line.count(field_sep) != 1:
             raise ParseError(
@@ -357,14 +362,14 @@ def parse_tagged(lines: Iterable[str], kind: str, item_sep: str,
         tokens = right.split()
         if not tokens:
             dropped += 1
-            log.warning("line %d: empty document dropped", lineno)
+            warn(__name__, "line %d: empty document dropped", lineno)
             continue
         corpus.docword.append([corpus.vocabulary.add(t) for t in tokens])
         meta_lists.append([corpus.meta_vocabulary.add(i) for i in items])
     if not corpus.docword:
         raise CorpusError("corpus is empty: no line contained any token")
     if dropped:
-        log.warning("dropped %d empty document(s)", dropped)
+        warn(__name__, "dropped %d empty document(s)", dropped)
     setattr(corpus, kind, meta_lists)
     return corpus
 

@@ -11,10 +11,9 @@ token responsibility kappa.
 """
 
 import math
-from dataclasses import dataclass
 
-from .core import (expected_counts, require_at_least, require_nonnegative, require_positive,
-                   require_recount)
+from .core import (expected_counts, record, require_at_least, require_nonnegative,
+                   require_positive, require_recount)
 from .corpus import Corpus
 from .lda import EXPECTED_TOLERANCE
 
@@ -24,7 +23,7 @@ SELECTOR_FLOOR = 1e-12
 SELECTOR_CEIL = 1.0 - 1e-12
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SparseHyper:
     n_topics: int
     s: float = 1.0          # Beta prior on the document selector rate
@@ -50,7 +49,7 @@ class SparseHyper:
             raise ValueError("word_gamma_bar must be < word_gamma")
 
 
-@dataclass
+@record
 class SparseFit:
     theta: list
     phi: list

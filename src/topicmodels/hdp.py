@@ -13,15 +13,14 @@ compacted away the moment they empty, so live indices stay contiguous:
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 
-from .core import (counts_from_assignments, require_at_least, require_nonnegative,
+from .core import (counts_from_assignments, record, require_at_least, require_nonnegative,
                    require_positive, require_recount, sample_categorical)
 from .corpus import Corpus
 from .lda import FittedLda, estimate_theta, smoothed_rows
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HdpHyper:
     n_topics_init: int = 3
     alpha0: float = 0.1   # table-level concentration

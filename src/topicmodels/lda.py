@@ -16,11 +16,10 @@ hard assignment z with a per-token responsibility vector.
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
-from .core import (CountTables, SamplingError, counts_from_assignments, expected_counts,
+from .core import (CountTables, SamplingError, counts_from_assignments, expected_counts, record,
                    require_at_least, require_positive, require_recount, run_chain)
 from .corpus import Corpus
 
@@ -35,7 +34,7 @@ SPARSE_MIN_TOPICS = 12
 EXPECTED_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LdaHyper:
     n_topics: int
     alpha: float = 0.1
@@ -47,7 +46,7 @@ class LdaHyper:
         require_positive({"alpha": self.alpha, "beta": self.beta})
 
 
-@dataclass
+@record
 class FittedLda:
     theta: list  # M x K, rows sum to 1
     phi: list    # K x V, rows sum to 1

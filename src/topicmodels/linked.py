@@ -7,15 +7,14 @@ per-document topic factor.
 """
 
 import random
-from dataclasses import dataclass
 
-from .core import (counts_from_assignments, require_at_least, require_positive, require_recount,
-                   sample_categorical)
+from .core import (counts_from_assignments, record, require_at_least, require_positive,
+                   require_recount, sample_categorical)
 from .corpus import Corpus
 from .lda import LdaHyper, estimate_phi, estimate_theta, smoothed_rows
 
 
-@dataclass
+@record
 class AtmFit:
     theta: list  # A x K, one topic mixture per author
     phi: list    # K x V
@@ -108,7 +107,7 @@ class AtmSampler:
                       phi=estimate_phi(self.tables, self.hyper.beta))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinkLdaHyper:
     n_topics: int
     alpha: float = 0.1
@@ -121,7 +120,7 @@ class LinkLdaHyper:
         require_positive({"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma})
 
 
-@dataclass
+@record
 class LinkLdaFit:
     theta: list     # M x K, words and links pooled
     phi: list       # K x V

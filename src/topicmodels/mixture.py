@@ -11,15 +11,14 @@ Document word multisets are cached as sorted (word, count) item lists.
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 
-from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, require_at_least,
+from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, record, require_at_least,
                    require_nonnegative, require_positive, require_recount, sample_categorical)
 from .corpus import Corpus
 from .lda import smoothed_rows
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MixtureHyper:
     n_clusters: int  # fixed K for DMM, initial K for DPMM
     alpha: float = 0.1
@@ -32,12 +31,12 @@ class MixtureHyper:
         require_positive({"beta": self.beta})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DpmmHyper(MixtureHyper):
     n_clusters: int = 3  # initial K; clusters are born and die during the chain
 
 
-@dataclass
+@record
 class MixtureFit:
     theta: list        # K cluster weights, sums to 1
     phi: list          # K x V

@@ -9,22 +9,18 @@ window.  Each biterm carries two word slots, so the topic-word tables obey
 sum_v n_kv = 2 n_k at all times.
 """
 
-import logging
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, require_at_least,
-                   require_positive, require_recount, sample_categorical)
+from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, record, require_at_least,
+                   require_positive, require_recount, sample_categorical, warn)
 from .corpus import Corpus
 from .lda import estimate_phi, estimate_theta, smoothed_rows
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
+@record(frozen=True)
 class PtmHyper:
     n_pseudo_docs: int
     n_topics: int
@@ -39,7 +35,7 @@ class PtmHyper:
         require_positive({"alpha": self.alpha, "beta": self.beta, "lambda": self.doc_lambda})
 
 
-@dataclass
+@record
 class PtmFit:
     theta: list         # per short document, from its own token-topic counts
     pseudo_theta: list  # per pseudo document
@@ -191,7 +187,7 @@ class PtmSampler:
                       phi=estimate_phi(self.pseudo, beta), doc_pseudo=list(self.l))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Biterm:
     """Unordered word pair from one document; w1 <= w2 after canonicalization."""
     w1: int
@@ -223,7 +219,7 @@ def extract_biterms(corpus: Corpus, window: int) -> list:
     return biterms
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BtmHyper:
     n_topics: int
     alpha: float = 0.1
@@ -237,7 +233,7 @@ class BtmHyper:
         require_at_least({"window": self.window}, 2)
 
 
-@dataclass
+@record
 class BtmFit:
     theta: list      # global topic weights, sums to 1
     phi: list        # K x V
@@ -367,7 +363,7 @@ class BtmSampler:
         """p(k|m): biterm-posterior mixture over the document's biterms."""
         K = self.hyper.n_topics
         if not doc_biterms:
-            log.warning("document %d has no biterms; emitting a uniform topic row", m)
+            warn(__name__, "document %d has no biterms; emitting a uniform topic row", m)
             return [1.0 / K] * K
         n_m = sum(b.count for b in doc_biterms)
         out = [0.0] * K

@@ -11,16 +11,15 @@ build those sets and the topic names.
 """
 
 import random
-from dataclasses import dataclass
 
-from .core import require_at_least, require_positive
+from .core import record, require_at_least, require_positive
 from .corpus import Corpus
 from .lda import LdaGibbsSampler, LdaHyper
 
 BACKGROUND_LABEL = "global label"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabeledLdaHyper:
     alpha: float = 0.1
     beta: float = 0.01
@@ -31,7 +30,7 @@ class LabeledLdaHyper:
         require_positive({"alpha": self.alpha, "beta": self.beta})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PldaHyper:
     topics_per_label: int = 2
     alpha: float = 0.1

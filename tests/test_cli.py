@@ -1,5 +1,8 @@
 import hashlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -727,3 +730,43 @@ def test_bad_hyperparameter_rejected_before_the_input_is_read(tmp_path, capsys):
               "--output-dir", tmp_path / "out", "-k", "2", "--alpha", "nan"])
     assert rc == 1
     assert "--alpha must be positive" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SAMPLER_MODULES = ("lda", "sentence_lda", "hdp", "mixture", "short_text", "linked",
+                   "supervised", "dual_sparse")
+
+
+def python(*args, cwd=None):
+    """Run a fresh interpreter on the source tree; return the finished process."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_cli_import_leaves_out_the_slow_stdlib_modules():
+    # -S: no site module, so no .pth file imports anything before the package
+    done = python("-S", "-c", "import sys, topicmodels.cli; print(*sorted(sys.modules))")
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "logging", "importlib.resources"}
+    # every sampler class must exist once the CLI is imported: the benchmark
+    # launcher (perfbench/child.py) hooks the samplers it finds then
+    assert {f"topicmodels.{m}" for m in SAMPLER_MODULES} <= loaded
+
+
+def test_cli_warnings_keep_their_stderr_format(tmp_path):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("apples and bananas\nthe and of\nfig trees grow\n")
+    done = python("-m", "topicmodels", "preprocess", "--input", raw,
+                  "--output", tmp_path / "clean.txt")
+    assert done.returncode == 0
+    assert done.stderr == ("WARNING: dropped 1 line(s) left empty by cleaning\n"
+                           "preprocess: wrote 2 documents (1 dropped)\n")
+    clean = tmp_path / "blank.txt"
+    clean.write_text("apple fig\n\nfig tree\n")
+    done = python("-m", "topicmodels", "fit", "--model", "lda-gibbs", "--input", clean,
+                  "--output-dir", tmp_path / "out", "-k", "2", "--iterations", "1")
+    assert done.returncode == 0
+    assert done.stderr == ("WARNING: line 2: empty document dropped\n"
+                           "WARNING: dropped 1 empty document(s)\n"
+                           "lda-gibbs: iteration 1/1\n")

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from topicmodels.core import (CountTables, LogRisingMemo, SamplingError, SeededRng,
-                              counts_from_assignments, exp_normalize,
-                              log_rising_factorial, require_at_least,
+from topicmodels.core import (MISSING, CountTables, LogRisingMemo, SamplingError, SeededRng,
+                              counts_from_assignments, exp_normalize, fields,
+                              log_rising_factorial, record, require_at_least,
                               require_nonnegative, require_positive, run_chain,
                               sample_categorical)
 
@@ -205,3 +205,68 @@ def test_increment_decrement_keeps_invariants():
     tables.increment(0, 1, 0)
     tables.check()
     assert tables.grand_total() == 3
+
+
+@record(frozen=True)
+class _Base:
+    size: int
+    rate: float = 0.5
+    count: int = 1
+
+    def __post_init__(self):
+        require_at_least({"size": self.size})
+
+
+@record(frozen=True)
+class _Child(_Base):
+    size: int = 3  # a default for an inherited field keeps the field's place
+
+
+@record
+class _Loose:
+    items: list
+    note: str | None = None
+
+
+def test_record_fields_follow_the_mro_base_first():
+    assert [(f.name, f.type, f.default) for f in fields(_Base)] == [
+        ("size", int, MISSING), ("rate", float, 0.5), ("count", int, 1)]
+    assert [(f.name, f.default) for f in fields(_Child)] == [
+        ("size", 3), ("rate", 0.5), ("count", 1)]
+    assert repr(MISSING) == "MISSING"
+
+
+def test_record_init_takes_fields_in_order_and_runs_post_init():
+    assert (_Base(2).size, _Base(2).rate, _Base(2).count) == (2, 0.5, 1)
+    b = _Base(4, 0.25, count=7)
+    assert (b.size, b.rate, b.count) == (4, 0.25, 7)
+    assert _Child().size == 3 and _Child(5, 1.0).rate == 1.0
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        _Base(0)
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        _Child(0)
+    with pytest.raises(TypeError):
+        _Base()
+    with pytest.raises(TypeError):
+        _Base(1, bogus=2)
+
+
+def test_record_eq_repr_and_hash():
+    assert _Base(2) == _Base(2, 0.5, 1) and _Base(2) != _Base(2, 0.25)
+    assert _Child(2) != _Base(2)  # equal values, different classes
+    assert repr(_Base(2)) == "_Base(size=2, rate=0.5, count=1)"
+    assert hash(_Base(2)) == hash(_Base(2)) and len({_Base(2), _Base(2), _Base(3)}) == 2
+    assert _Loose([1]) == _Loose([1]) and repr(_Loose([1])) == "_Loose(items=[1], note=None)"
+    with pytest.raises(TypeError):
+        hash(_Loose([1]))
+
+
+def test_frozen_record_rejects_assignment():
+    b = _Base(2)
+    with pytest.raises(AttributeError, match="frozen"):
+        b.size = 3
+    with pytest.raises(AttributeError, match="frozen"):
+        del b.rate
+    loose = _Loose([])
+    loose.note = "set"
+    assert loose.note == "set"
