@@ -40,7 +40,10 @@ def record(cls=None, *, frozen: bool = False):
         return lambda cls: record(cls, frozen=frozen)
     found = {}
     for klass in reversed(cls.__mro__):
-        for name, kind in vars(klass).get("__annotations__", {}).items():
+        # the attribute, not the class __dict__: since 3.10 it gives only the
+        # class's own annotations, and from 3.14 (PEP 649) the __dict__ holds
+        # __annotate__ instead of __annotations__ until the attribute is read
+        for name, kind in getattr(klass, "__annotations__", {}).items():
             found[name] = Field(name, kind, vars(klass).get(name, MISSING))
     cls._record_fields = tuple(found.values())
     names = tuple(found)

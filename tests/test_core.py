@@ -236,6 +236,39 @@ def test_record_fields_follow_the_mro_base_first():
     assert repr(MISSING) == "MISSING"
 
 
+class _LazyAnnotations(type):
+    """Keeps a class's annotations out of its __dict__ and serves them through
+    the attribute only, as Python 3.14 (PEP 649) does until they are read."""
+
+    def __new__(mcs, name, bases, namespace):
+        lazy = namespace.pop("__annotations__", {})
+        cls = super().__new__(mcs, name, bases, namespace)
+        cls._lazy = lazy
+        return cls
+
+    @property
+    def __annotations__(cls):
+        return vars(cls).get("_lazy", {})
+
+
+def test_record_reads_annotations_through_the_attribute():
+    class Lazy(metaclass=_LazyAnnotations):
+        size: int
+        rate: float = 0.5
+
+    assert "__annotations__" not in vars(Lazy)
+    Lazy = record(Lazy)
+    assert [(f.name, f.type, f.default) for f in fields(Lazy)] == [
+        ("size", int, MISSING), ("rate", float, 0.5)]
+    assert Lazy(2) == Lazy(2, 0.5) and repr(Lazy(3)).endswith(".Lazy(size=3, rate=0.5)")
+
+    @record
+    class Plain(_Base):  # annotates nothing itself, so adds no field
+        pass
+
+    assert fields(Plain) == fields(_Base)
+
+
 def test_record_init_takes_fields_in_order_and_runs_post_init():
     assert (_Base(2).size, _Base(2).rate, _Base(2).count) == (2, 0.5, 1)
     b = _Base(4, 0.25, count=7)
