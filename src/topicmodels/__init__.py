@@ -6,7 +6,7 @@ from .core import SeededRng, sample_categorical, log_rising_factorial, CountTabl
 from .corpus import (Corpus, CorpusError, ParseError, StopList, Vocabulary,
                      lemmatize, parse_plain, parse_sentences, parse_tagged,
                      preprocess)
-from .lda import FittedLda, LdaHyper, fit_cvb0, fit_gibbs
+from .lda import FittedLda, LdaCvb0, LdaGibbsSampler, LdaHyper
 from .evaluation import average_coherence, topic_coherence
 
 __version__ = "0.1.0"
@@ -15,6 +15,6 @@ __all__ = [
     "SeededRng", "sample_categorical", "log_rising_factorial", "CountTables", "run_chain",
     "Corpus", "CorpusError", "ParseError", "StopList", "Vocabulary",
     "lemmatize", "parse_plain", "parse_sentences", "parse_tagged", "preprocess",
-    "FittedLda", "LdaHyper", "fit_cvb0", "fit_gibbs",
+    "FittedLda", "LdaCvb0", "LdaGibbsSampler", "LdaHyper",
     "average_coherence", "topic_coherence",
 ]

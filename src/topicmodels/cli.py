@@ -95,7 +95,7 @@ class ModelSpec(NamedTuple):
 
 def _cvb0_sampler(cls):
     """Factory for a CVB0 solver that starts from random responsibilities,
-    drawn from the rng before the solver is built, as ``fit_cvb0`` does."""
+    drawn from the rng before the solver is built."""
     return lambda corpus, hyper, rng: cls(
         corpus, hyper, lda.random_responsibilities(corpus, hyper.n_topics, rng))
 
@@ -166,10 +166,8 @@ _FLAG_OF_FIELD = {"n_topics": "topics", "n_clusters": "topics", "n_topics_init":
 
 
 def _model_flags(spec: ModelSpec) -> dict:
-    """Model flag -> Hyper field for every field but ``iterations``, which
-    the shared --iterations flag sets."""
-    return {_FLAG_OF_FIELD.get(f.name, f.name): f
-            for f in fields(spec.hyper) if f.name != "iterations"}
+    """Model flag -> Hyper field, for every field of the model's Hyper."""
+    return {_FLAG_OF_FIELD.get(f.name, f.name): f for f in fields(spec.hyper)}
 
 
 # every model flag with its type, in the order the models first use them
@@ -184,10 +182,19 @@ def _in_flag_terms(spec: ModelSpec, message: str) -> str:
     """``message`` with every field or flag name of the model's Hyper
     replaced by the option that sets it (PTM checks ``doc_lambda`` as
     "lambda")."""
-    option_of = {"iterations": "--iterations"}
+    option_of = {}
     for flag, f in _model_flags(spec).items():
         option_of[f.name] = option_of[flag] = _option(flag)
     return re.sub(r"\w+", lambda word: option_of.get(word[0], word[0]), message)
+
+
+def _in_flag_terms_on_error(spec: ModelSpec, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, raising a ValueError from it (a Hyper or
+    sampler rejecting a setting) as a CliError in flag terms."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(_in_flag_terms(spec, str(exc))) from None
 
 
 def _parse(layout: str, lines):
@@ -215,6 +222,8 @@ def _hyper_options(args) -> dict:
     """Reject flags foreign to the model and require the flags whose Hyper
     field has no default; return the Hyper fields the given flags set."""
     model = args.model
+    if args.iterations < 1:
+        raise CliError("--iterations must be >= 1")
     if args.top_words < 1:
         raise CliError("--top-words must be >= 1")
     if any(n < 1 for n in getattr(args, "top_n", ())):
@@ -237,12 +246,9 @@ def _run(args, outdir):
     """
     spec = MODELS[args.model]
     options = _hyper_options(args)
-    try:
-        hyper = spec.hyper(iterations=args.iterations, **options)
-    except ValueError as exc:
-        raise CliError(_in_flag_terms(spec, str(exc))) from None
+    hyper = _in_flag_terms_on_error(spec, spec.hyper, **options)
     corpus = _parse(spec.layout, corpus_mod.read_lines(args.input, args.encoding))
-    sampler = spec.sampler(corpus, hyper, SeededRng(args.seed))
+    sampler = _in_flag_terms_on_error(spec, spec.sampler, corpus, hyper, SeededRng(args.seed))
     fitted = run_chain(sampler, args.iterations, _progress(args.model, args.iterations))
     k = spec.count(hyper, fitted) if spec.count else len(fitted.phi)
     if spec.converged:

@@ -153,13 +153,26 @@ def run_chain(sampler, iterations: int, sweep_callback=None):
 
     Every sampler in the package runs through this loop.  The callback, if
     given, fires after each sweep as ``sweep_callback(sampler, index)`` (used
-    by diagnostics and progress display).
+    by diagnostics and progress display).  ``iterations`` below 1 raises
+    ValueError before any sweep.
     """
+    require_at_least({"iterations": iterations})
     for it in range(iterations):
         sampler.sweep()
         if sweep_callback is not None:
             sweep_callback(sampler, it)
     return sampler.estimate()
+
+
+def fold_sum(values) -> float:
+    """Add float ``values`` one by one, left to right, as the builtin ``sum()``
+    did before Python 3.12.  From 3.12 ``sum()`` compensates float round-off,
+    so every float sum that reaches an output or a draw goes through here to
+    give the same bytes on every supported Python."""
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
 
 
 def sample_categorical(weights: Sequence[float], rng: random.Random) -> int:
@@ -273,9 +286,6 @@ class CountTables:
 
     def decrement(self, m: int, k: int, v: int, amount=1) -> None:
         self.increment(m, k, v, -amount)
-
-    def grand_total(self):
-        return sum(self.topic_total)
 
     def check(self, tolerance: float = 0.0) -> None:
         """Assert the closure invariants; raises ValueError on violation."""

@@ -12,7 +12,7 @@ token responsibility kappa.
 
 import math
 
-from .core import (expected_counts, record, require_at_least, require_nonnegative,
+from .core import (expected_counts, fold_sum, record, require_at_least, require_nonnegative,
                    require_positive, require_recount)
 from .corpus import Corpus
 from .lda import EXPECTED_TOLERANCE
@@ -34,10 +34,9 @@ class SparseHyper:
     pi_bar: float = 1e-12   # weak topic smoothing
     word_gamma: float = 0.1       # strong word smoothing
     word_gamma_bar: float = 1e-12  # weak word smoothing
-    iterations: int = 1000
 
     def __post_init__(self):
-        require_at_least({"n_topics": self.n_topics, "iterations": self.iterations})
+        require_at_least({"n_topics": self.n_topics})
         require_positive({"s": self.s, "t": self.t, "x": self.x, "y": self.y, "pi": self.pi,
                           "word_gamma": self.word_gamma})
         # the weak priors may be zero (the model then degenerates towards
@@ -94,8 +93,8 @@ class DualSparseCvb0:
         B_hat, by attribute name."""
         return {"expected": expected_counts(self.corpus.docword, self.kappa,
                                             self.hyper.n_topics, self.corpus.n_words),
-                "A_hat": [sum(row) for row in self.alpha_hat],
-                "B_hat": [sum(row) for row in self.beta_hat]}
+                "A_hat": [fold_sum(row) for row in self.alpha_hat],
+                "B_hat": [fold_sum(row) for row in self.beta_hat]}
 
     def check(self) -> None:
         """Check the expected counts, A_hat and B_hat against a recount, and the
@@ -200,7 +199,7 @@ class DualSparseCvb0:
                     nkv[k][v] -= gk
                     nk[k] -= gk
                 weights = self.kappa_weights(m, v)
-                total = sum(weights)
+                total = fold_sum(weights)
                 for k in range(K):
                     gk = weights[k] / total
                     g[k] = gk
@@ -236,5 +235,5 @@ class DualSparseCvb0:
         return SparseFit(
             theta=theta, phi=phi,
             sparsity_doc=sparsity_doc, sparsity_topic=sparsity_topic,
-            avg_sparsity_doc=sum(sparsity_doc) / M,
-            avg_sparsity_topic=sum(sparsity_topic) / K)
+            avg_sparsity_doc=fold_sum(sparsity_doc) / M,
+            avg_sparsity_topic=fold_sum(sparsity_topic) / K)

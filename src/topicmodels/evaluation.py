@@ -18,6 +18,8 @@ import heapq
 import math
 from typing import Iterable, Sequence
 
+from .core import fold_sum
+
 
 def document_sets(docword: Sequence[Sequence[int]], words: Iterable[int]) -> dict:
     """Map each listed word to the bitset of the documents containing it."""
@@ -73,4 +75,4 @@ def average_coherence(docword: Sequence[Sequence[int]], phi: Sequence[Sequence[f
     tops = [top_word_ids(row, top_n) for row in phi]
     sets = document_sets(docword, (v for top in tops for v in top))
     scores = [topic_coherence(docword, top, sets) for top in tops]
-    return sum(scores) / len(scores)
+    return fold_sum(scores) / len(scores)

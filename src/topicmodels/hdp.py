@@ -26,10 +26,9 @@ class HdpHyper:
     alpha0: float = 0.1   # table-level concentration
     beta: float = 0.01    # topic-word smoothing
     gamma: float = 0.1    # franchise-level concentration
-    iterations: int = 1000
 
     def __post_init__(self):
-        require_at_least({"n_topics_init": self.n_topics_init, "iterations": self.iterations})
+        require_at_least({"n_topics_init": self.n_topics_init})
         require_nonnegative({"alpha0": self.alpha0, "gamma": self.gamma})
         require_positive({"beta": self.beta})
 
@@ -38,6 +37,12 @@ class HdpSampler:
     def __init__(self, corpus: Corpus, hyper: HdpHyper, rng: random.Random):
         if corpus.n_docs == 0 or corpus.n_tokens == 0:
             raise ValueError("corpus is empty")
+        # at alpha0 = 0 a token alone in its document has no table to sit at,
+        # and at gamma = 0 the only token of a corpus has no topic to take
+        if not hyper.alpha0 > 0 and any(len(doc) == 1 for doc in corpus.docword):
+            raise ValueError("alpha0 must be > 0 when a document has one token")
+        if not hyper.gamma > 0 and corpus.n_tokens == 1:
+            raise ValueError("gamma must be > 0 when the corpus has one token")
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng

@@ -17,10 +17,9 @@ hard assignment z with a per-token responsibility vector.
 import random
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Callable
 
-from .core import (CountTables, SamplingError, counts_from_assignments, expected_counts, record,
-                   require_at_least, require_positive, require_recount, run_chain)
+from .core import (CountTables, SamplingError, counts_from_assignments, expected_counts, fold_sum,
+                   record, require_at_least, require_positive, require_recount)
 from .corpus import Corpus
 
 # Topic count from which the Gibbs sampler uses the SparseLDA bucketed token
@@ -39,10 +38,9 @@ class LdaHyper:
     n_topics: int
     alpha: float = 0.1
     beta: float = 0.01
-    iterations: int = 1000
 
     def __post_init__(self):
-        require_at_least({"n_topics": self.n_topics, "iterations": self.iterations})
+        require_at_least({"n_topics": self.n_topics})
         require_positive({"alpha": self.alpha, "beta": self.beta})
 
 
@@ -235,7 +233,7 @@ class LdaGibbsSampler:
             zm = self.z[m]
             nm = ndk[m]
             coef = [(alpha + c) * i for c, i in zip(nm, inv)]
-            s_r = beta * sum(coef)
+            s_r = beta * fold_sum(coef)
             for n, v in enumerate(doc):
                 k = zm[n]
                 wt = word_topics[v]
@@ -290,15 +288,6 @@ class LdaGibbsSampler:
                          topic_labels=self.topic_labels)
 
 
-def fit_gibbs(corpus: Corpus, hyper: LdaHyper, rng: random.Random,
-              sweep_callback: Callable[[LdaGibbsSampler, int], None] | None = None) -> FittedLda:
-    """Run the collapsed Gibbs chain and estimate theta/phi from the final state.
-
-    The callback fires after each sweep (see ``core.run_chain``).
-    """
-    return run_chain(LdaGibbsSampler(corpus, hyper, rng), hyper.iterations, sweep_callback)
-
-
 def cvb0_update(expected: CountTables, m: int, v: int,
                 alpha: float, beta: float) -> list:
     """New responsibility vector for one token whose own mass is excluded.
@@ -312,7 +301,7 @@ def cvb0_update(expected: CountTables, m: int, v: int,
     weights = [(n_mk[k] + alpha)
                * (expected.topic_word[k][v] + beta) / (expected.topic_total[k] + vbeta)
                for k in range(K)]
-    total = sum(weights)
+    total = fold_sum(weights)
     if total <= 0.0:
         raise SamplingError("CVB0 update produced no positive weight")
     return [w / total for w in weights]
@@ -325,7 +314,7 @@ def random_responsibilities(corpus: Corpus, n_topics: int, rng: random.Random) -
         rows = []
         for _ in doc:
             u = [rng.random() + 1e-12 for _ in range(n_topics)]
-            s = sum(u)
+            s = fold_sum(u)
             rows.append([x / s for x in u])
         gamma.append(rows)
     return gamma
@@ -386,18 +375,3 @@ class LdaCvb0:
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.expected, self.hyper.alpha),
                          phi=estimate_phi(self.expected, self.hyper.beta))
-
-
-def fit_cvb0(corpus: Corpus, hyper: LdaHyper, rng: random.Random | None = None,
-             init_gamma: list | None = None,
-             sweep_callback: Callable[[LdaCvb0, int], None] | None = None) -> FittedLda:
-    """Run CVB0; deterministic given the initial responsibilities.
-
-    Either pass ``init_gamma`` explicitly or an rng to draw the random
-    initialization from.
-    """
-    if init_gamma is None:
-        if rng is None:
-            raise ValueError("fit_cvb0 needs an rng or an explicit init_gamma")
-        init_gamma = random_responsibilities(corpus, hyper.n_topics, rng)
-    return run_chain(LdaCvb0(corpus, hyper, init_gamma), hyper.iterations, sweep_callback)

@@ -113,10 +113,9 @@ class LinkLdaHyper:
     alpha: float = 0.1
     beta: float = 0.01
     gamma: float = 0.01  # topic-link smoothing
-    iterations: int = 1000
 
     def __post_init__(self):
-        require_at_least({"n_topics": self.n_topics, "iterations": self.iterations})
+        require_at_least({"n_topics": self.n_topics})
         require_positive({"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma})
 
 

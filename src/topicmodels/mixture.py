@@ -23,10 +23,9 @@ class MixtureHyper:
     n_clusters: int  # fixed K for DMM, initial K for DPMM
     alpha: float = 0.1
     beta: float = 0.01
-    iterations: int = 1000
 
     def __post_init__(self):
-        require_at_least({"n_clusters": self.n_clusters, "iterations": self.iterations})
+        require_at_least({"n_clusters": self.n_clusters})
         require_nonnegative({"alpha": self.alpha})
         require_positive({"beta": self.beta})
 
@@ -106,12 +105,21 @@ class _ClusterTables:
                           doc_cluster=list(z))
 
 
+def _require_usable(corpus: Corpus, hyper: MixtureHyper) -> None:
+    """Reject an empty corpus, and alpha = 0 on a corpus of one document,
+    where the prior's denominator (M - 1 + K alpha, or M - 1 + alpha in
+    DPMM) is zero."""
+    if corpus.n_docs == 0 or corpus.n_tokens == 0:
+        raise ValueError("corpus is empty")
+    if corpus.n_docs == 1 and not hyper.alpha > 0:
+        raise ValueError("alpha must be > 0 when the corpus has one document")
+
+
 class DmmSampler:
     """Collapsed Gibbs chain over per-document cluster labels, K fixed."""
 
     def __init__(self, corpus: Corpus, hyper: MixtureHyper, rng: random.Random):
-        if corpus.n_docs == 0 or corpus.n_tokens == 0:
-            raise ValueError("corpus is empty")
+        _require_usable(corpus, hyper)
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
@@ -158,8 +166,7 @@ class DpmmSampler:
     when their last document leaves; live indices stay contiguous."""
 
     def __init__(self, corpus: Corpus, hyper: MixtureHyper, rng: random.Random):
-        if corpus.n_docs == 0 or corpus.n_tokens == 0:
-            raise ValueError("corpus is empty")
+        _require_usable(corpus, hyper)
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng

@@ -16,6 +16,7 @@ exactly.
 from pathlib import Path
 from typing import Sequence
 
+from .core import fold_sum
 from .evaluation import top_word_ids
 
 
@@ -76,7 +77,7 @@ def write_topic_author_file(path, author_theta: Sequence[Sequence[float]],
     for k in range(n_topics):
         column = [author_theta[a][k] for a in range(len(names))]
         top = top_word_ids(column, top_n)
-        total = sum(column[a] for a in top)
+        total = fold_sum(column[a] for a in top)
         lines.append(f"Topic:{k + 1}")
         for a in top:
             lines.append(f"{names[a]} :{_fmt(column[a] / total)}")

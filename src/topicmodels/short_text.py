@@ -14,8 +14,8 @@ import random
 from bisect import bisect_right
 from itertools import accumulate
 
-from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, record, require_at_least,
-                   require_positive, require_recount, sample_categorical, warn)
+from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, fold_sum, record,
+                   require_at_least, require_positive, require_recount, sample_categorical, warn)
 from .corpus import Corpus
 from .lda import estimate_phi, estimate_theta, smoothed_rows
 
@@ -27,11 +27,9 @@ class PtmHyper:
     alpha: float = 0.1
     beta: float = 0.1
     doc_lambda: float = 0.01  # pseudo-document assignment smoothing
-    iterations: int = 1000
 
     def __post_init__(self):
-        require_at_least({"n_pseudo_docs": self.n_pseudo_docs, "n_topics": self.n_topics,
-                          "iterations": self.iterations})
+        require_at_least({"n_pseudo_docs": self.n_pseudo_docs, "n_topics": self.n_topics})
         require_positive({"alpha": self.alpha, "beta": self.beta, "lambda": self.doc_lambda})
 
 
@@ -225,10 +223,9 @@ class BtmHyper:
     alpha: float = 0.1
     beta: float = 0.01
     window: int = 5
-    iterations: int = 1000
 
     def __post_init__(self):
-        require_at_least({"n_topics": self.n_topics, "iterations": self.iterations})
+        require_at_least({"n_topics": self.n_topics})
         require_positive({"alpha": self.alpha, "beta": self.beta})
         require_at_least({"window": self.window}, 2)
 
@@ -369,7 +366,7 @@ class BtmSampler:
         out = [0.0] * K
         for b in doc_biterms:
             joint = [theta[k] * phi[k][b.w1] * phi[k][b.w2] for k in range(K)]
-            total = sum(joint)
+            total = fold_sum(joint)
             for k in range(K):
                 out[k] += joint[k] / total * b.count / n_m
         return out

@@ -23,10 +23,8 @@ BACKGROUND_LABEL = "global label"
 class LabeledLdaHyper:
     alpha: float = 0.1
     beta: float = 0.01
-    iterations: int = 1000
 
     def __post_init__(self):
-        require_at_least({"iterations": self.iterations})
         require_positive({"alpha": self.alpha, "beta": self.beta})
 
 
@@ -35,11 +33,9 @@ class PldaHyper:
     topics_per_label: int = 2
     alpha: float = 0.1
     beta: float = 0.01
-    iterations: int = 1000
 
     def __post_init__(self):
-        require_at_least({"topics_per_label": self.topics_per_label,
-                          "iterations": self.iterations})
+        require_at_least({"topics_per_label": self.topics_per_label})
         require_positive({"alpha": self.alpha, "beta": self.beta})
 
 
@@ -51,8 +47,8 @@ class LabeledLdaSampler(LdaGibbsSampler):
         if any(not ls for ls in corpus.labels):
             raise ValueError("every document needs at least one label")
         names = list(corpus.meta_vocabulary.id_to_word)
-        super().__init__(corpus, LdaHyper(len(names), hyper.alpha, hyper.beta, hyper.iterations),
-                         rng, allowed=corpus.labels, topic_labels=names)
+        super().__init__(corpus, LdaHyper(len(names), hyper.alpha, hyper.beta), rng,
+                         allowed=corpus.labels, topic_labels=names)
 
 
 class PldaSampler(LdaGibbsSampler):
@@ -67,6 +63,5 @@ class PldaSampler(LdaGibbsSampler):
         background = list(range(K - T, K))
         allowed = [[t for l in ls for t in range(l * T, (l + 1) * T)] + background
                    for ls in corpus.labels]
-        super().__init__(corpus, LdaHyper(K, hyper.alpha, hyper.beta, hyper.iterations),
-                         rng, allowed=allowed,
+        super().__init__(corpus, LdaHyper(K, hyper.alpha, hyper.beta), rng, allowed=allowed,
                          topic_labels=[name for name in names for _ in range(T)])

@@ -13,13 +13,12 @@ import pytest
 
 from topicmodels import lda as lda_mod
 from topicmodels.cli import main as cli_main
-from topicmodels.core import SeededRng
+from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain, parse_sentences, parse_tagged, preprocess
 from topicmodels.dual_sparse import DualSparseCvb0, SparseHyper
 from topicmodels.evaluation import average_coherence, topic_coherence
 from topicmodels.hdp import HdpHyper, HdpSampler
-from topicmodels.lda import (LdaCvb0, LdaGibbsSampler, LdaHyper, fit_cvb0,
-                             fit_gibbs, random_responsibilities)
+from topicmodels.lda import LdaCvb0, LdaGibbsSampler, LdaHyper, random_responsibilities
 from topicmodels.linked import AtmSampler, LinkLdaHyper, LinkLdaSampler
 from topicmodels.mixture import DmmSampler, DpmmSampler, MixtureHyper
 from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
@@ -70,7 +69,7 @@ def _criterion_1(monkeypatch, kernel):
     exact = {k: v / total for k, v in exact.items()}
 
     monkeypatch.setattr(lda_mod, "SPARSE_MIN_TOPICS", K if kernel == "sparse" else K + 1)
-    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta, 1), SeededRng(20240601))
+    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta), SeededRng(20240601))
     assert (sampler.word_topics is not None) == (kernel == "sparse")
     for _ in range(2000):  # burn-in
         sampler.sweep()
@@ -113,7 +112,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
     def lda_case(rng):
         corpus = parse_plain(random_docs(rng, 4, 5))
         K = rng.randrange(2, 5)
-        sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.37, 0.08, 1), rng)
+        sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.37, 0.08), rng)
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
         v = corpus.docword[m][n]
@@ -129,7 +128,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
                            for _ in range(rng.randrange(1, 4)))
                  for _ in range(3)]
         corpus = parse_sentences(lines)
-        sampler = SentenceLdaSampler(corpus, LdaHyper(3, 0.7, 0.15, 1), rng)
+        sampler = SentenceLdaSampler(corpus, LdaHyper(3, 0.7, 0.15), rng)
         m = rng.randrange(corpus.n_docs)
         s = rng.randrange(len(corpus.sentences[m]))
         sampler._remove_sentence(m, s)
@@ -142,7 +141,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
     def dmm_case(rng):
         corpus = parse_plain(random_docs(rng, 5, 5))
         K = rng.randrange(2, 5)
-        sampler = DmmSampler(corpus, MixtureHyper(K, 0.45, 0.12, 1), rng)
+        sampler = DmmSampler(corpus, MixtureHyper(K, 0.45, 0.12), rng)
         m = rng.randrange(corpus.n_docs)
         sampler.tables.remove_doc(m, sampler.z[m])
         want = dmm_doc_oracle(sampler.tables.n_docs_in, sampler.tables.cluster_word,
@@ -152,7 +151,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
 
     def dpmm_case(rng):
         corpus = parse_plain(random_docs(rng, 6, 5))
-        sampler = DpmmSampler(corpus, MixtureHyper(3, 0.85, 0.2, 1), rng)
+        sampler = DpmmSampler(corpus, MixtureHyper(3, 0.85, 0.2), rng)
         m = rng.randrange(corpus.n_docs)
         old = sampler.z[m]
         sampler.tables.remove_doc(m, old)
@@ -167,7 +166,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
     def ptm_pseudo_case(rng):
         corpus = parse_plain(random_docs(rng, 5, 5))
         P, K = rng.randrange(2, 4), rng.randrange(2, 4)
-        sampler = PtmSampler(corpus, PtmHyper(P, K, 0.4, 0.2, 0.3, 1), rng)
+        sampler = PtmSampler(corpus, PtmHyper(P, K, 0.4, 0.2, 0.3), rng)
         m = rng.randrange(corpus.n_docs)
         l = sampler.l[m]
         n_m = len(corpus.docword[m])
@@ -184,7 +183,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
     def ptm_topic_case(rng):
         corpus = parse_plain(random_docs(rng, 5, 5))
         K = 3
-        sampler = PtmSampler(corpus, PtmHyper(2, K, 0.4, 0.2, 0.3, 1), rng)
+        sampler = PtmSampler(corpus, PtmHyper(2, K, 0.4, 0.2, 0.3), rng)
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
         v = corpus.docword[m][n]
@@ -203,7 +202,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
     def btm_case(rng):
         corpus = parse_plain(random_docs(rng, 5, 5))
         K = rng.randrange(2, 4)
-        sampler = BtmSampler(corpus, BtmHyper(K, 0.3, 0.15, 3, 1), rng)
+        sampler = BtmSampler(corpus, BtmHyper(K, 0.3, 0.15, 3), rng)
         i = rng.randrange(len(sampler.instances))
         w1, w2 = sampler.instances[i]
         k = sampler.z[i]
@@ -223,7 +222,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
                  for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="authors", item_sep=",")
         K = rng.randrange(2, 4)
-        sampler = AtmSampler(corpus, LdaHyper(K, 0.4, 0.15, 1), rng)
+        sampler = AtmSampler(corpus, LdaHyper(K, 0.4, 0.15), rng)
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
         a, k = sampler.x[m][n], sampler.z[m][n]
@@ -243,7 +242,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
                  for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="links", item_sep="--")
         K = rng.randrange(2, 4)
-        sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, 0.3, 0.2, 0.4, 1), rng)
+        sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, 0.3, 0.2, 0.4), rng)
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
         v = corpus.docword[m][n]
@@ -262,7 +261,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
                  for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="links", item_sep="--")
         K = rng.randrange(2, 4)
-        sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, 0.3, 0.2, 0.4, 1), rng)
+        sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, 0.3, 0.2, 0.4), rng)
         m = rng.randrange(corpus.n_docs)
         e = rng.randrange(len(corpus.links[m]))
         l = corpus.links[m][e]
@@ -281,7 +280,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         lines = [",".join(sorted(set(rng.choices(labels, k=rng.randrange(1, 3)))))
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels", item_sep=",")
-        sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.4, 0.15, 1), rng)
+        sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.4, 0.15), rng)
         tables = sampler.tables
         K = tables.n_topics
         m = rng.randrange(corpus.n_docs)
@@ -298,7 +297,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         lines = [",".join(sorted(set(rng.choices(labels, k=rng.randrange(1, 3)))))
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels", item_sep=",")
-        sampler = PldaSampler(corpus, PldaHyper(2, 0.4, 0.15, 1), rng)
+        sampler = PldaSampler(corpus, PldaHyper(2, 0.4, 0.15), rng)
         tables = sampler.tables
         K = tables.n_topics
         m = rng.randrange(corpus.n_docs)
@@ -345,8 +344,8 @@ def test_criterion_3_cvb0_conservation():
         assert abs(sum(solver.expected.topic_total) - corpus.n_tokens) <= 1e-6
         sweeps_seen.append(it)
 
-    fit_cvb0(corpus, LdaHyper(5, 0.1, 0.01, iterations=20), SeededRng(271),
-             sweep_callback=check)
+    gamma = random_responsibilities(corpus, 5, SeededRng(271))
+    run_chain(LdaCvb0(corpus, LdaHyper(5, 0.1, 0.01), gamma), 20, check)
     assert len(sweeps_seen) == 20
     ok(3, "responsibilities sum to 1 (1e-9) and expected counts to "
           f"{corpus.n_tokens} tokens (1e-6) after each of 20 sweeps")
@@ -367,10 +366,10 @@ def test_criterion_4_dual_sparse_reduction():
 
     sparse = DualSparseCvb0(
         corpus, SparseHyper(K, pi=pi, pi_bar=0.0, word_gamma=word_gamma,
-                            word_gamma_bar=0.0, iterations=1),
+                            word_gamma_bar=0.0),
         init, alpha_hat=[[1.0] * K for _ in range(corpus.n_docs)],
         beta_hat=[[1.0] * corpus.n_words for _ in range(K)])
-    plain = LdaCvb0(corpus, LdaHyper(K, alpha=pi, beta=word_gamma, iterations=1),
+    plain = LdaCvb0(corpus, LdaHyper(K, alpha=pi, beta=word_gamma),
                     init_copy)
     for sweep in range(20):
         sparse.kappa_pass()  # selectors pinned: only the kappa family moves
@@ -393,12 +392,12 @@ def test_criterion_5_hdp_dpmm_bookkeeping():
     rng = SeededRng(500)
     for trial in range(3):
         corpus = parse_plain(random_docs(rng, rng.randrange(6, 21), 7))
-        hdp_sampler = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.7, 1), rng)
+        hdp_sampler = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.7), rng)
         hdp_sampler.check()
         for _ in range(10):
             hdp_sampler.sweep()
             hdp_sampler.check()
-        dpmm_sampler = DpmmSampler(corpus, MixtureHyper(3, 0.7, 0.15, 1), rng)
+        dpmm_sampler = DpmmSampler(corpus, MixtureHyper(3, 0.7, 0.15), rng)
         dpmm_sampler.check()
         for _ in range(10):
             dpmm_sampler.sweep()
@@ -406,9 +405,9 @@ def test_criterion_5_hdp_dpmm_bookkeeping():
 
     # gamma = 0 (HDP) and alpha = 0 (DPMM) must never grow the component count
     corpus = parse_plain(random_docs(rng, 15, 7))
-    frozen_hdp = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.0, 1), rng)
+    frozen_hdp = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.0), rng)
     k0 = frozen_hdp.n_topics
-    frozen_dpmm = DpmmSampler(corpus, MixtureHyper(3, 0.0, 0.15, 1), rng)
+    frozen_dpmm = DpmmSampler(corpus, MixtureHyper(3, 0.0, 0.15), rng)
     c0 = frozen_dpmm.n_clusters
     for _ in range(10):
         frozen_hdp.sweep()
@@ -474,7 +473,7 @@ def synthetic_recovery():
     assert corpus.n_words == V
     # map vocabulary ids back to the generator's word ids
     remap = [int(w[1:]) for w in corpus.vocabulary.id_to_word]
-    fitted = fit_gibbs(corpus, LdaHyper(K, 0.1, 0.01, iterations=1000), SeededRng(888))
+    fitted = run_chain(LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.01), SeededRng(888)), 1000)
     phi = []
     for row in fitted.phi:
         out = [0.0] * V

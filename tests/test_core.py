@@ -3,7 +3,7 @@ import math
 import pytest
 
 from topicmodels.core import (MISSING, CountTables, LogRisingMemo, SamplingError, SeededRng,
-                              counts_from_assignments, exp_normalize, fields,
+                              counts_from_assignments, exp_normalize, fields, fold_sum,
                               log_rising_factorial, record, require_at_least,
                               require_nonnegative, require_positive, run_chain,
                               sample_categorical)
@@ -154,6 +154,21 @@ def test_run_chain_sweeps_then_estimates():
     assert run_chain(_CountingSampler(), 2) == ("estimate after", 2)
 
 
+def test_run_chain_rejects_a_chain_without_sweeps():
+    for iterations in (0, -3):
+        sampler = _CountingSampler()
+        with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+            run_chain(sampler, iterations)
+        assert sampler.sweeps == 0
+
+
+def test_fold_sum_adds_left_to_right():
+    # each + 1.0 rounds back to 1e16; a compensated sum gives 1e16 + 2
+    assert fold_sum([1e16, 1.0, 1.0]) == 1e16
+    assert fold_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert fold_sum([]) == 0.0
+
+
 def test_exp_normalize_handles_large_logs():
     ws = exp_normalize([-1000.0, -1001.0])
     assert ws[0] == pytest.approx(1.0)
@@ -190,7 +205,7 @@ def test_counts_from_assignments_recount_oracle():
             want = sum(1 for m, doc in enumerate(docword)
                        for n, vv in enumerate(doc) if vv == v and z[m][n] == k)
             assert tables.topic_word[k][v] == want
-    assert tables.grand_total() == sum(len(d) for d in docword)
+    assert sum(tables.topic_total) == sum(len(d) for d in docword)
     tables.check()
 
 
@@ -204,7 +219,7 @@ def test_increment_decrement_keeps_invariants():
     tables.decrement(0, 0, 0)
     tables.increment(0, 1, 0)
     tables.check()
-    assert tables.grand_total() == 3
+    assert sum(tables.topic_total) == 3
 
 
 @record(frozen=True)

@@ -48,7 +48,7 @@ def small_solver(hyper, kappa=None):
 
 def test_alpha_selector_matches_linear_oracle():
     hyper = SparseHyper(3, s=1.5, t=2.0, pi=0.4, pi_bar=0.01,
-                        word_gamma=0.3, word_gamma_bar=0.005, iterations=1)
+                        word_gamma=0.3, word_gamma_bar=0.005)
     corpus, solver = small_solver(hyper)
     for m in range(corpus.n_docs):
         for k in range(hyper.n_topics):
@@ -63,7 +63,7 @@ def test_alpha_selector_matches_linear_oracle():
 
 def test_beta_selector_matches_linear_oracle():
     hyper = SparseHyper(2, x=1.2, y=0.8, pi=0.4, pi_bar=0.01,
-                        word_gamma=0.6, word_gamma_bar=0.02, iterations=1)
+                        word_gamma=0.6, word_gamma_bar=0.02)
     corpus, solver = small_solver(hyper)
     V = corpus.n_words
     for k in range(2):
@@ -80,7 +80,7 @@ def test_beta_selector_matches_linear_oracle():
 def test_alpha_selector_monotone_in_expected_count():
     # the gamma function dips below Gamma(pi) on (0, 1), so the selector is
     # only monotone once the expected count clears that well; sweep the tail
-    hyper = SparseHyper(4, pi=0.3, pi_bar=1e-6, iterations=1)
+    hyper = SparseHyper(4, pi=0.3, pi_bar=1e-6)
     corpus, solver = small_solver(hyper)
     rest = 2.0
     values = []
@@ -95,7 +95,7 @@ def test_alpha_selector_monotone_in_expected_count():
 
 
 def test_beta_selector_monotone_in_expected_count():
-    hyper = SparseHyper(2, word_gamma=0.3, word_gamma_bar=1e-6, iterations=1)
+    hyper = SparseHyper(2, word_gamma=0.3, word_gamma_bar=1e-6)
     corpus, solver = small_solver(hyper)
     V = corpus.n_words
     values = []
@@ -111,7 +111,7 @@ def test_beta_selector_monotone_in_expected_count():
 
 def test_kappa_weights_match_scalar_oracle():
     hyper = SparseHyper(3, pi=0.4, pi_bar=0.01, word_gamma=0.3,
-                        word_gamma_bar=0.005, iterations=1)
+                        word_gamma_bar=0.005)
     corpus, solver = small_solver(hyper)
     m, n = 0, 1
     v = corpus.docword[m][n]
@@ -134,7 +134,7 @@ def test_kappa_weights_match_scalar_oracle():
 
 
 def test_kappa_k1_certain():
-    hyper = SparseHyper(1, iterations=1)
+    hyper = SparseHyper(1)
     corpus, solver = small_solver(hyper)
     ws = solver.kappa_weights(0, 0)
     assert len(ws) == 1 and ws[0] > 0
@@ -145,14 +145,13 @@ def test_pinned_selectors_reduce_to_plain_cvb0():
     # plain CVB0 update with alpha := pi, beta := word_gamma
     corpus = parse_plain(["w0 w1 w2 w0", "w1 w3", "w2 w0 w3"])
     pi, g = 0.25, 0.15
-    hyper = SparseHyper(3, pi=pi, pi_bar=0.0, word_gamma=g, word_gamma_bar=0.0,
-                        iterations=1)
+    hyper = SparseHyper(3, pi=pi, pi_bar=0.0, word_gamma=g, word_gamma_bar=0.0)
     init = random_responsibilities(corpus, 3, SeededRng(7))
     copy = [[list(r) for r in doc] for doc in init]
     solver = DualSparseCvb0(corpus, hyper, init,
                             alpha_hat=[[1.0] * 3 for _ in range(corpus.n_docs)],
                             beta_hat=[[1.0] * corpus.n_words for _ in range(3)])
-    plain = LdaCvb0(corpus, LdaHyper(3, alpha=pi, beta=g, iterations=1), copy)
+    plain = LdaCvb0(corpus, LdaHyper(3, alpha=pi, beta=g), copy)
     for _ in range(5):
         solver.kappa_pass()
         plain.sweep()
@@ -163,8 +162,8 @@ def test_pinned_selectors_reduce_to_plain_cvb0():
 
 def test_fit_sparsity_outputs():
     corpus = parse_plain(["w0 w0 w1", "w2 w3", "w0 w3 w3"])
-    hyper = SparseHyper(4, iterations=10)
-    fitted = run_chain(dual_sparse_solver(corpus, hyper, SeededRng(3)), hyper.iterations)
+    hyper = SparseHyper(4)
+    fitted = run_chain(dual_sparse_solver(corpus, hyper, SeededRng(3)), 10)
     assert len(fitted.sparsity_doc) == 3
     assert len(fitted.sparsity_topic) == 4
     for s in fitted.sparsity_doc + fitted.sparsity_topic:
@@ -189,8 +188,8 @@ def test_fit_conserves_kappa_mass():
             corpus.n_tokens, abs=1e-6)
         seen.append(it)
 
-    hyper = SparseHyper(2, iterations=8)
-    run_chain(dual_sparse_solver(corpus, hyper, SeededRng(4)), hyper.iterations, callback)
+    hyper = SparseHyper(2)
+    run_chain(dual_sparse_solver(corpus, hyper, SeededRng(4)), 8, callback)
     assert len(seen) == 8
 
 
@@ -203,8 +202,8 @@ def test_selectors_stay_in_open_interval_during_fit():
         for row in solver.beta_hat:
             assert all(0.0 < b < 1.0 for b in row)
 
-    hyper = SparseHyper(3, iterations=10)
-    run_chain(dual_sparse_solver(corpus, hyper, SeededRng(5)), hyper.iterations, callback)
+    hyper = SparseHyper(3)
+    run_chain(dual_sparse_solver(corpus, hyper, SeededRng(5)), 10, callback)
 
 
 def test_hyper_validation():
@@ -216,7 +215,7 @@ def test_hyper_validation():
 
 
 def test_check_rejects_a_stale_count_or_selector_sum():
-    corpus, solver = small_solver(SparseHyper(3, iterations=1))
+    corpus, solver = small_solver(SparseHyper(3))
     for _ in range(10):
         solver.sweep()
         solver.check()

@@ -53,13 +53,13 @@ def check_franchise_invariants(sampler):
 
 def test_cond_density_new_topic_is_uniform():
     corpus = parse_plain(["a b c d e"])
-    sampler = HdpSampler(corpus, HdpHyper(2, iterations=1), SeededRng(0))
+    sampler = HdpSampler(corpus, HdpHyper(2), SeededRng(0))
     assert sampler.cond_density(None, 3) == pytest.approx(1 / 5)
 
 
 def test_cond_density_zero_count_topic_matches_new():
     corpus = parse_plain(["a b c d e"])
-    sampler = HdpSampler(corpus, HdpHyper(2, iterations=1), SeededRng(0))
+    sampler = HdpSampler(corpus, HdpHyper(2), SeededRng(0))
     sampler.n_kv.append([0] * 5)
     sampler.n_k.append(0)
     sampler.m_k.append(1)
@@ -68,7 +68,7 @@ def test_cond_density_zero_count_topic_matches_new():
 
 def test_cond_density_direct_arithmetic():
     corpus = parse_plain(["a b c d e"])
-    sampler = HdpSampler(corpus, HdpHyper(1, beta=0.1, iterations=1), SeededRng(0))
+    sampler = HdpSampler(corpus, HdpHyper(1, beta=0.1), SeededRng(0))
     sampler.n_kv[0] = [3, 1, 1, 1, 1]
     sampler.n_k[0] = 7
     assert sampler.cond_density(0, 0) == pytest.approx(3.1 / 7.5, rel=1e-12)
@@ -76,7 +76,7 @@ def test_cond_density_direct_arithmetic():
 
 def test_table_weights_single_table_alpha_zero():
     corpus = parse_plain(["a a a", "b b"])
-    hyper = HdpHyper(1, alpha0=0.0, beta=0.1, gamma=0.5, iterations=1)
+    hyper = HdpHyper(1, alpha0=0.0, beta=0.1, gamma=0.5)
     sampler = HdpSampler(corpus, hyper, SeededRng(1))
     v = remove_token(sampler, 0, 0)
     ws = sampler.table_weights(0, v)
@@ -87,7 +87,7 @@ def test_table_weights_single_table_alpha_zero():
 
 def test_table_weights_no_tables_forces_new():
     corpus = parse_plain(["a", "b c"])
-    sampler = HdpSampler(corpus, HdpHyper(2, iterations=1), SeededRng(2))
+    sampler = HdpSampler(corpus, HdpHyper(2), SeededRng(2))
     v = remove_token(sampler, 0, 0)  # doc 0's only token: its table dies
     assert sampler.table_topic[0] == []
     ws = sampler.table_weights(0, v)
@@ -98,7 +98,7 @@ def test_table_and_topic_weights_match_hand_evaluation():
     rng = SeededRng(71)
     for _ in range(6):
         corpus = toy_corpus(rng)
-        hyper = HdpHyper(3, alpha0=0.7, beta=0.2, gamma=0.9, iterations=1)
+        hyper = HdpHyper(3, alpha0=0.7, beta=0.2, gamma=0.9)
         sampler = HdpSampler(corpus, hyper, rng)
         for _ in range(3):
             sampler.sweep()
@@ -126,7 +126,7 @@ def test_table_and_topic_weights_match_hand_evaluation():
 
 def test_topic_weights_no_live_topics_forces_new():
     corpus = parse_plain(["a"])
-    sampler = HdpSampler(corpus, HdpHyper(1, iterations=1), SeededRng(3))
+    sampler = HdpSampler(corpus, HdpHyper(1), SeededRng(3))
     remove_token(sampler, 0, 0)
     assert sampler.n_topics == 0
     ws = sampler.topic_weights_for_new_table(0)
@@ -136,7 +136,7 @@ def test_topic_weights_no_live_topics_forces_new():
 def test_gamma_zero_never_spawns_topics():
     rng = SeededRng(5)
     corpus = toy_corpus(rng, n_docs=8)
-    hyper = HdpHyper(2, alpha0=0.5, beta=0.1, gamma=0.0, iterations=1)
+    hyper = HdpHyper(2, alpha0=0.5, beta=0.1, gamma=0.0)
     sampler = HdpSampler(corpus, hyper, rng)
     start = sampler.n_topics
     for _ in range(15):
@@ -148,8 +148,8 @@ def test_gamma_zero_never_spawns_topics():
 
 def test_gamma_zero_k1_phi_is_smoothed_frequency():
     corpus = parse_plain(["a a b", "b c"])
-    hyper = HdpHyper(1, alpha0=0.5, beta=0.5, gamma=0.0, iterations=10)
-    fitted = run_chain(HdpSampler(corpus, hyper, SeededRng(6)), hyper.iterations)
+    hyper = HdpHyper(1, alpha0=0.5, beta=0.5, gamma=0.0)
+    fitted = run_chain(HdpSampler(corpus, hyper, SeededRng(6)), 10)
     assert len(fitted.phi) == 1
     N, V = corpus.n_tokens, corpus.n_words
     freqs = [2, 2, 1]
@@ -160,7 +160,7 @@ def test_franchise_invariants_every_sweep():
     rng = SeededRng(77)
     for trial in range(3):
         corpus = toy_corpus(rng, n_docs=7)
-        sampler = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.6, 1), rng)
+        sampler = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.6), rng)
         check_franchise_invariants(sampler)
         sampler.check()
         for _ in range(12):
@@ -171,7 +171,7 @@ def test_franchise_invariants_every_sweep():
 
 def test_check_catches_a_stale_seating_plan():
     corpus = toy_corpus(SeededRng(78), n_docs=5)
-    sampler = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.6, 1), SeededRng(1))
+    sampler = HdpSampler(corpus, HdpHyper(3, 0.8, 0.1, 0.6), SeededRng(1))
     sampler.sweep()
     sampler.check()
     sampler.table_count[0][0] += 1
@@ -186,9 +186,9 @@ def test_check_catches_a_stale_seating_plan():
 def test_fit_reports_surviving_topic_count():
     rng = SeededRng(9)
     corpus = toy_corpus(rng, n_docs=10)
-    hyper = HdpHyper(3, iterations=15)
+    hyper = HdpHyper(3)
     sampler = HdpSampler(corpus, hyper, SeededRng(10))
-    fitted = run_chain(sampler, hyper.iterations)
+    fitted = run_chain(sampler, 15)
     assert sampler.n_topics >= 1
     assert len(fitted.phi) == sampler.n_topics
     for row in fitted.theta + fitted.phi:

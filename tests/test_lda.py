@@ -4,11 +4,10 @@ import math
 import pytest
 
 from topicmodels import lda
-from topicmodels.core import CountTables, SeededRng
+from topicmodels.core import CountTables, SeededRng, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.lda import (LdaCvb0, LdaGibbsSampler, LdaHyper, cvb0_update,
-                             fit_cvb0, fit_gibbs, gibbs_full_conditional,
-                             random_responsibilities)
+                             gibbs_full_conditional, random_responsibilities)
 
 from oracles import assert_close_distribution, lda_token_oracle, lda_joint_log, normalize, tv_distance
 
@@ -51,7 +50,7 @@ def test_full_conditional_matches_scalar_oracle():
         K, V = rng.randrange(2, 5), rng.randrange(2, 6)
         docword = [[rng.randrange(V) for _ in range(rng.randrange(1, 7))] for _ in range(3)]
         corpus = parse_plain([" ".join(f"w{v}" for v in doc) for doc in docword])
-        sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.3, 0.05, 1), rng)
+        sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.3, 0.05), rng)
         m, n = 1, 0
         v = corpus.docword[m][n]
         k = sampler.z[m][n]
@@ -65,8 +64,8 @@ def test_full_conditional_matches_scalar_oracle():
 
 def test_fit_gibbs_one_token_theta():
     corpus = parse_plain(["solo"])
-    hyper = LdaHyper(n_topics=3, alpha=0.1, beta=0.01, iterations=5)
-    fitted = fit_gibbs(corpus, hyper, SeededRng(0))
+    hyper = LdaHyper(n_topics=3, alpha=0.1, beta=0.01)
+    fitted = run_chain(LdaGibbsSampler(corpus, hyper, SeededRng(0)), 5)
     row = sorted(fitted.theta[0], reverse=True)
     assert row[0] == pytest.approx((1 + 0.1) / (1 + 0.3))
     assert row[1] == pytest.approx(0.1 / 1.3)
@@ -78,14 +77,14 @@ def test_fit_rejects_empty_corpus():
     corpus = parse_plain(["a"])
     corpus.docword = []
     with pytest.raises(ValueError):
-        fit_gibbs(corpus, LdaHyper(2), SeededRng(0))
+        LdaGibbsSampler(corpus, LdaHyper(2), SeededRng(0))
     with pytest.raises(ValueError):
-        fit_cvb0(corpus, LdaHyper(2), SeededRng(0))
+        LdaCvb0(corpus, LdaHyper(2), random_responsibilities(corpus, 2, SeededRng(0)))
 
 
 def test_estimates_are_row_stochastic_and_positive():
     corpus = parse_plain(["a b c a", "c d", "a d d"])
-    fitted = fit_gibbs(corpus, LdaHyper(4, 0.2, 0.3, iterations=20), SeededRng(5))
+    fitted = run_chain(LdaGibbsSampler(corpus, LdaHyper(4, 0.2, 0.3), SeededRng(5)), 20)
     for row in fitted.theta + fitted.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
         assert all(p > 0 for p in row)
@@ -100,17 +99,17 @@ def use_kernel(monkeypatch, kernel, n_topics):
 def test_gibbs_counts_stay_consistent():
     corpus = parse_plain(["a b c a", "c d", "a d d b"])
     for K in (lda.SPARSE_MIN_TOPICS - 1, lda.SPARSE_MIN_TOPICS):
-        sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1, 1), SeededRng(3))
+        sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1), SeededRng(3))
         assert (sampler.word_topics is not None) == (K >= lda.SPARSE_MIN_TOPICS)
         for _ in range(10):
             sampler.sweep()
             sampler.check()
-            assert sampler.tables.grand_total() == corpus.n_tokens
+            assert sum(sampler.tables.topic_total) == corpus.n_tokens
 
 
 def test_gibbs_check_catches_stale_sparse_index():
     corpus = parse_plain(["a b c a", "c d", "a d d b"])
-    sampler = LdaGibbsSampler(corpus, LdaHyper(lda.SPARSE_MIN_TOPICS, 0.1, 0.1, 1),
+    sampler = LdaGibbsSampler(corpus, LdaHyper(lda.SPARSE_MIN_TOPICS, 0.1, 0.1),
                               SeededRng(3))
     sampler.sweep()
     sampler.check()
@@ -129,9 +128,9 @@ def test_gibbs_kernels_share_the_initial_state(monkeypatch):
     corpus = parse_plain(["a b c a e f", "c d e", "a d d b f f"])
     K = 6
     use_kernel(monkeypatch, "dense", K)
-    dense = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1, 1), SeededRng(8))
+    dense = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1), SeededRng(8))
     use_kernel(monkeypatch, "sparse", K)
-    sparse = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1, 1), SeededRng(8))
+    sparse = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1), SeededRng(8))
     assert sparse.z == dense.z
     assert sparse.tables.topic_word == dense.tables.topic_word
     sparse.check()
@@ -154,7 +153,7 @@ def enumerated_posterior_tv(texts, K, alpha, beta, seed, sweeps):
     total = sum(exact.values())
     exact = {k: v / total for k, v in exact.items()}
 
-    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta, 1), SeededRng(seed))
+    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta), SeededRng(seed))
     for _ in range(500):
         sampler.sweep()
     counts = {}
@@ -205,7 +204,7 @@ def test_cvb0_one_sweep_matches_hand_iteration():
     alpha, beta = 0.4, 0.2
     K, V = 2, 2
     init = [[[0.3, 0.7], [0.6, 0.4]]]
-    solver = LdaCvb0(corpus, LdaHyper(K, alpha, beta, 1), [[list(g) for g in init[0]]])
+    solver = LdaCvb0(corpus, LdaHyper(K, alpha, beta), [[list(g) for g in init[0]]])
     solver.sweep()
 
     # hand iteration
@@ -234,10 +233,10 @@ def test_cvb0_one_sweep_matches_hand_iteration():
 
 def test_cvb0_deterministic():
     corpus = parse_plain(["a b c", "b c d", "a d"])
-    hyper = LdaHyper(3, 0.1, 0.01, iterations=15)
+    hyper = LdaHyper(3, 0.1, 0.01)
     init = random_responsibilities(corpus, 3, SeededRng(8))
-    a = fit_cvb0(corpus, hyper, init_gamma=[[list(g) for g in doc] for doc in init])
-    b = fit_cvb0(corpus, hyper, init_gamma=[[list(g) for g in doc] for doc in init])
+    a = run_chain(LdaCvb0(corpus, hyper, [[list(g) for g in doc] for doc in init]), 15)
+    b = run_chain(LdaCvb0(corpus, hyper, [[list(g) for g in doc] for doc in init]), 15)
     assert a.theta == b.theta
     assert a.phi == b.phi
 
@@ -245,7 +244,8 @@ def test_cvb0_deterministic():
 def test_cvb0_k1_phi_is_smoothed_frequency():
     corpus = parse_plain(["a a b", "b c"])
     beta = 0.5
-    fitted = fit_cvb0(corpus, LdaHyper(1, 0.1, beta, iterations=3), SeededRng(1))
+    gamma = random_responsibilities(corpus, 1, SeededRng(1))
+    fitted = run_chain(LdaCvb0(corpus, LdaHyper(1, 0.1, beta), gamma), 3)
     assert fitted.theta == [[1.0], [1.0]]
     N, V = corpus.n_tokens, corpus.n_words
     freqs = [2, 2, 1]
@@ -268,8 +268,8 @@ def test_cvb0_conserves_totals_each_sweep():
         assert total == pytest.approx(corpus.n_tokens, abs=1e-6)
         seen.append(it)
 
-    fit_cvb0(corpus, LdaHyper(3, 0.1, 0.05, iterations=10), SeededRng(2),
-             sweep_callback=callback)
+    gamma = random_responsibilities(corpus, 3, SeededRng(2))
+    run_chain(LdaCvb0(corpus, LdaHyper(3, 0.1, 0.05), gamma), 10, callback)
     assert len(seen) == 10
 
 
@@ -284,7 +284,7 @@ def test_top_word_ranking_scale_invariant():
 
 def test_cvb0_check_rejects_a_stale_expected_count():
     corpus = parse_plain(["a b c a", "c d", "a d d b"])
-    hyper = LdaHyper(3, 0.1, 0.1, 1)
+    hyper = LdaHyper(3, 0.1, 0.1)
     solver = LdaCvb0(corpus, hyper, random_responsibilities(corpus, 3, SeededRng(2)))
     for _ in range(20):
         solver.sweep()

@@ -31,7 +31,7 @@ def remove_token(sampler, m, n):
 
 def test_atm_single_author_k1_certain():
     corpus = author_corpus(["A\tx y"])
-    sampler = AtmSampler(corpus, LdaHyper(1, iterations=1), SeededRng(0))
+    sampler = AtmSampler(corpus, LdaHyper(1), SeededRng(0))
     remove_token(sampler, 0, 0)
     weights, authors = sampler.full_conditional(0, 0)
     assert authors == [0]
@@ -40,7 +40,7 @@ def test_atm_single_author_k1_certain():
 
 def test_atm_author_marginal_uniform_for_identical_counts():
     corpus = author_corpus(["A,B\tx y x y"])
-    sampler = AtmSampler(corpus, LdaHyper(2, 0.3, 0.2, 1), SeededRng(1))
+    sampler = AtmSampler(corpus, LdaHyper(2, 0.3, 0.2), SeededRng(1))
     # overwrite the (already excluded) state with identical author rows
     sampler.tables.doc_topic = [[1, 2], [1, 2]]
     sampler.tables.doc_total = [3, 3]
@@ -56,7 +56,7 @@ def test_atm_matches_scalar_oracle():
     for _ in range(6):
         corpus = author_corpus(lines)
         K = rng.randrange(2, 4)
-        hyper = LdaHyper(K, 0.4, 0.15, 1)
+        hyper = LdaHyper(K, 0.4, 0.15)
         sampler = AtmSampler(corpus, hyper, rng)
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
@@ -74,12 +74,12 @@ def test_atm_requires_authors():
     corpus = author_corpus(["A\tx"])
     corpus.authors = None
     with pytest.raises(Exception):
-        AtmSampler(corpus, LdaHyper(2, iterations=1), SeededRng(0))
+        AtmSampler(corpus, LdaHyper(2), SeededRng(0))
 
 
 def test_atm_single_author_theta_is_corpus_mixture():
     corpus = author_corpus(["A\ta b", "A\tb c c"])
-    hyper = LdaHyper(2, 0.3, 0.2, 5)
+    hyper = LdaHyper(2, 0.3, 0.2)
     sampler = AtmSampler(corpus, hyper, SeededRng(2))
     for _ in range(5):
         sampler.sweep()
@@ -92,7 +92,7 @@ def test_atm_single_author_theta_is_corpus_mixture():
 
 def test_atm_unseen_author_row_uniform():
     corpus = author_corpus(["A,B\tx y"])
-    sampler = AtmSampler(corpus, LdaHyper(4, 0.1, 0.1, 1), SeededRng(3))
+    sampler = AtmSampler(corpus, LdaHyper(4, 0.1, 0.1), SeededRng(3))
     # push every token onto author 0
     for n in range(2):
         a, k = sampler.x[0][n], sampler.z[0][n]
@@ -109,7 +109,7 @@ def test_atm_unseen_author_row_uniform():
 
 def test_atm_recount_each_sweep():
     corpus = author_corpus(["A,B\tw0 w1", "C\tw2 w0 w1", "B,C\tw2"])
-    sampler = AtmSampler(corpus, LdaHyper(3, iterations=1), SeededRng(5))
+    sampler = AtmSampler(corpus, LdaHyper(3), SeededRng(5))
     for _ in range(10):
         sampler.sweep()
         author_topic = [[0] * 3 for _ in range(3)]
@@ -131,7 +131,7 @@ def test_linklda_word_conditional_oracle():
     for _ in range(6):
         corpus = link_corpus(lines)
         K = rng.randrange(2, 4)
-        hyper = LinkLdaHyper(K, 0.3, 0.2, 0.4, 1)
+        hyper = LinkLdaHyper(K, 0.3, 0.2, 0.4)
         sampler = LinkLdaSampler(corpus, hyper, rng)
         m, n = rng.randrange(3), 0
         v = corpus.docword[m][n]
@@ -153,7 +153,7 @@ def test_linklda_link_conditional_oracle():
     for _ in range(6):
         corpus = link_corpus(lines)
         K = rng.randrange(2, 4)
-        hyper = LinkLdaHyper(K, 0.3, 0.2, 0.4, 1)
+        hyper = LinkLdaHyper(K, 0.3, 0.2, 0.4)
         sampler = LinkLdaSampler(corpus, hyper, rng)
         m, e = 0, rng.randrange(2)
         l = corpus.links[m][e]
@@ -171,7 +171,7 @@ def test_linklda_link_conditional_oracle():
 
 def test_linklda_zero_counts_uniform():
     corpus = link_corpus(["100\tw0 w1"])
-    sampler = LinkLdaSampler(corpus, LinkLdaHyper(3, iterations=1), SeededRng(0))
+    sampler = LinkLdaSampler(corpus, LinkLdaHyper(3), SeededRng(0))
     K = 3
     sampler.words.doc_topic[0] = [0] * K
     sampler.links.doc_topic[0] = [0] * K
@@ -185,7 +185,7 @@ def test_linklda_zero_counts_uniform():
 
 def test_linklda_single_link_vocabulary_factor_constant():
     corpus = link_corpus(["100\tw0 w1", "100\tw1"])
-    sampler = LinkLdaSampler(corpus, LinkLdaHyper(2, 0.3, 0.2, 0.4, 1), SeededRng(1))
+    sampler = LinkLdaSampler(corpus, LinkLdaHyper(2, 0.3, 0.2, 0.4), SeededRng(1))
     m, e = 0, 0
     k = sampler.x[m][e]
     sampler.links.doc_topic[m][k] -= 1
@@ -201,7 +201,7 @@ def test_linklda_single_link_vocabulary_factor_constant():
 def test_linklda_doc_without_links_theta_is_lda_form():
     corpus = link_corpus([" \tw0 w1 w0", "100--200\tw1 w2"])
     assert corpus.links[0] == []
-    hyper = LinkLdaHyper(2, 0.3, 0.2, 0.4, 5)
+    hyper = LinkLdaHyper(2, 0.3, 0.2, 0.4)
     sampler = LinkLdaSampler(corpus, hyper, SeededRng(4))
     for _ in range(5):
         sampler.sweep()
@@ -213,7 +213,7 @@ def test_linklda_doc_without_links_theta_is_lda_form():
 
 def test_linklda_tables_never_cross_contaminate():
     corpus = link_corpus(["100--200\tw0 w1", "200\tw2"])
-    sampler = LinkLdaSampler(corpus, LinkLdaHyper(2, iterations=1), SeededRng(6))
+    sampler = LinkLdaSampler(corpus, LinkLdaHyper(2), SeededRng(6))
     n_words_total = corpus.n_tokens
     n_links_total = sum(len(ls) for ls in corpus.links)
     for _ in range(10):
@@ -227,8 +227,8 @@ def test_linklda_tables_never_cross_contaminate():
 
 def test_linklda_fit_rows_stochastic():
     corpus = link_corpus(["100--200\tw0 w1", "200\tw2 w0"])
-    hyper = LinkLdaHyper(2, iterations=10)
-    fit = run_chain(LinkLdaSampler(corpus, hyper, SeededRng(7)), hyper.iterations)
+    hyper = LinkLdaHyper(2)
+    fit = run_chain(LinkLdaSampler(corpus, hyper, SeededRng(7)), 10)
     for row in fit.theta + fit.phi + fit.link_phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
         assert all(p > 0 for p in row)
@@ -236,15 +236,15 @@ def test_linklda_fit_rows_stochastic():
 
 def test_atm_fit_runs():
     corpus = author_corpus(["A,B\tw0 w1 w2", "B\tw1 w3"])
-    hyper = LdaHyper(2, iterations=10)
-    fit = run_chain(AtmSampler(corpus, hyper, SeededRng(8)), hyper.iterations)
+    hyper = LdaHyper(2)
+    fit = run_chain(AtmSampler(corpus, hyper, SeededRng(8)), 10)
     for row in fit.theta + fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_atm_check_rejects_a_stale_count_or_a_stranger_author():
     corpus = author_corpus(["A\tw0 w1", "B,C\tw1 w2", "A,C\tw0 w2"])
-    sampler = AtmSampler(corpus, LdaHyper(2, iterations=1), SeededRng(5))
+    sampler = AtmSampler(corpus, LdaHyper(2), SeededRng(5))
     sampler.sweep()
     sampler.check()
     a, k = sampler.x[0][0], sampler.z[0][0]
@@ -263,7 +263,7 @@ def test_atm_check_rejects_a_stale_count_or_a_stranger_author():
 
 def test_linklda_check_rejects_a_stale_count():
     corpus = link_corpus(["100--200\tw0 w1", "200\tw2 w0"])
-    sampler = LinkLdaSampler(corpus, LinkLdaHyper(2, iterations=1), SeededRng(6))
+    sampler = LinkLdaSampler(corpus, LinkLdaHyper(2), SeededRng(6))
     sampler.sweep()
     sampler.check()
     k = sampler.x[0][0]

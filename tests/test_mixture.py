@@ -32,7 +32,7 @@ def dmm_joint_log(docword, z, K, V, alpha, beta):
 
 def test_dmm_single_document_prior_only_uniform():
     corpus = parse_plain(["a b a"])
-    sampler = DmmSampler(corpus, MixtureHyper(3, 0.5, 0.5, 1), SeededRng(0))
+    sampler = DmmSampler(corpus, MixtureHyper(3, 0.5, 0.5), SeededRng(0))
     sampler.tables.remove_doc(0, sampler.z[0])
     ws = normalize(sampler.full_conditional(0))
     assert ws == pytest.approx([1 / 3] * 3)
@@ -40,7 +40,7 @@ def test_dmm_single_document_prior_only_uniform():
 
 def test_dmm_k1_certain():
     corpus = parse_plain(["a b", "c"])
-    sampler = DmmSampler(corpus, MixtureHyper(1, 0.5, 0.5, 1), SeededRng(0))
+    sampler = DmmSampler(corpus, MixtureHyper(1, 0.5, 0.5), SeededRng(0))
     sampler.tables.remove_doc(0, sampler.z[0])
     assert normalize(sampler.full_conditional(0)) == [1.0]
 
@@ -52,7 +52,7 @@ def test_dmm_matches_direct_product_oracle():
         docs = [" ".join(f"w{rng.randrange(V)}" for _ in range(rng.randrange(1, 6)))
                 for _ in range(4)]
         corpus = parse_plain(docs)
-        sampler = DmmSampler(corpus, MixtureHyper(K, 0.3, 0.2, 1), rng)
+        sampler = DmmSampler(corpus, MixtureHyper(K, 0.3, 0.2), rng)
         m = rng.randrange(4)
         sampler.tables.remove_doc(m, sampler.z[m])
         got = sampler.full_conditional(m)
@@ -65,7 +65,7 @@ def test_dmm_matches_direct_product_oracle():
 
 def test_dmm_label_permutation_symmetry():
     corpus = parse_plain(["a b", "b c", "a c c"])
-    sampler = DmmSampler(corpus, MixtureHyper(2, 0.4, 0.3, 1), SeededRng(5))
+    sampler = DmmSampler(corpus, MixtureHyper(2, 0.4, 0.3), SeededRng(5))
     m = 0
     sampler.tables.remove_doc(m, sampler.z[m])
     before = normalize(sampler.full_conditional(m))
@@ -80,8 +80,8 @@ def test_dmm_label_permutation_symmetry():
 
 def test_dmm_theta_sums_to_one():
     corpus = parse_plain(["a b", "c d", "a d"])
-    hyper = MixtureHyper(4, 0.2, 0.1, 10)
-    fit = run_chain(DmmSampler(corpus, hyper, SeededRng(1)), hyper.iterations)
+    hyper = MixtureHyper(4, 0.2, 0.1)
+    fit = run_chain(DmmSampler(corpus, hyper, SeededRng(1)), 10)
     assert sum(fit.theta) == pytest.approx(1.0, abs=1e-9)
     for row in fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
@@ -100,7 +100,7 @@ def test_dmm_chain_matches_enumerated_posterior():
     tot = sum(exact.values())
     exact = {k: v / tot for k, v in exact.items()}
 
-    sampler = DmmSampler(corpus, MixtureHyper(K, alpha, beta, 1), SeededRng(23))
+    sampler = DmmSampler(corpus, MixtureHyper(K, alpha, beta), SeededRng(23))
     for _ in range(500):
         sampler.sweep()
     sweeps = 30000
@@ -115,7 +115,7 @@ def test_dmm_chain_matches_enumerated_posterior():
 
 def test_dpmm_first_document_always_births():
     corpus = parse_plain(["a b"])
-    sampler = DpmmSampler(corpus, MixtureHyper(1, 0.5, 0.5, 1), SeededRng(0))
+    sampler = DpmmSampler(corpus, MixtureHyper(1, 0.5, 0.5), SeededRng(0))
     sampler.sweep()
     assert sampler.n_clusters == 1
     assert sampler.z == [0]
@@ -123,7 +123,7 @@ def test_dpmm_first_document_always_births():
 
 def test_dpmm_alpha_zero_never_grows():
     corpus = parse_plain(["a b", "c d", "a c", "b d", "a a"])
-    sampler = DpmmSampler(corpus, MixtureHyper(2, 0.0, 0.5, 1), SeededRng(7))
+    sampler = DpmmSampler(corpus, MixtureHyper(2, 0.0, 0.5), SeededRng(7))
     start = sampler.n_clusters
     for _ in range(20):
         sampler.sweep()
@@ -137,7 +137,7 @@ def test_dpmm_matches_combined_rule_oracle():
         docs = [" ".join(f"w{rng.randrange(V)}" for _ in range(rng.randrange(1, 6)))
                 for _ in range(5)]
         corpus = parse_plain(docs)
-        sampler = DpmmSampler(corpus, MixtureHyper(3, 0.8, 0.25, 1), rng)
+        sampler = DpmmSampler(corpus, MixtureHyper(3, 0.8, 0.25), rng)
         m = rng.randrange(5)
         old = sampler.z[m]
         sampler.tables.remove_doc(m, old)
@@ -168,7 +168,7 @@ def test_dpmm_bookkeeping_recount_every_sweep():
     docs = [" ".join(f"w{rng.randrange(6)}" for _ in range(rng.randrange(1, 5)))
             for _ in range(8)]
     corpus = parse_plain(docs)
-    sampler = DpmmSampler(corpus, MixtureHyper(3, 0.6, 0.2, 1), rng)
+    sampler = DpmmSampler(corpus, MixtureHyper(3, 0.6, 0.2), rng)
     for _ in range(15):
         sampler.sweep()
         K = sampler.n_clusters
@@ -188,7 +188,7 @@ def test_dpmm_bookkeeping_recount_every_sweep():
 @pytest.mark.parametrize("sampler_cls", [DmmSampler, DpmmSampler])
 def test_check_recounts_the_cluster_tables(sampler_cls):
     corpus = parse_plain(["a b a", "b c", "c c a", "a", "d b"])
-    sampler = sampler_cls(corpus, MixtureHyper(2, 0.5, 0.2, 1), SeededRng(3))
+    sampler = sampler_cls(corpus, MixtureHyper(2, 0.5, 0.2), SeededRng(3))
     sampler.check()
     for _ in range(5):
         sampler.sweep()
@@ -205,7 +205,7 @@ def test_check_recounts_the_cluster_tables(sampler_cls):
 
 def test_dpmm_check_rejects_a_dead_cluster():
     corpus = parse_plain(["a b", "b c"])
-    sampler = DpmmSampler(corpus, MixtureHyper(2, 0.5, 0.2, 1), SeededRng(3))
+    sampler = DpmmSampler(corpus, MixtureHyper(2, 0.5, 0.2), SeededRng(3))
     sampler.tables.new_cluster()
     with pytest.raises(ValueError, match="not live"):
         sampler.check()
@@ -213,8 +213,8 @@ def test_dpmm_check_rejects_a_dead_cluster():
 
 def test_dpmm_fit_reports_final_cluster_count():
     corpus = parse_plain(["a a", "b b", "a b", "c c c"])
-    hyper = MixtureHyper(2, 0.5, 0.2, 20)
+    hyper = MixtureHyper(2, 0.5, 0.2)
     sampler = DpmmSampler(corpus, hyper, SeededRng(2))
-    fit = run_chain(sampler, hyper.iterations)
+    fit = run_chain(sampler, 20)
     assert sampler.n_clusters == len(fit.phi) == len(fit.theta)
     assert sum(fit.theta) == pytest.approx(1.0, abs=1e-9)

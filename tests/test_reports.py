@@ -208,9 +208,9 @@ def test_every_output_file_parses_back_to_the_written_values(tmp_path, model):
         required = {"n_pseudo_docs": 2}
         options = {f.name: required.get(f.name, rng.randint(2, 3))
                    for f in fields(spec.hyper) if f.default is MISSING}
-        hyper = spec.hyper(iterations=3, **options)
+        hyper = spec.hyper(**options)
         corpus = cli._parse(spec.layout, random_lines(spec.layout, rng))
-        fitted = run_chain(spec.sampler(corpus, hyper, SeededRng(seed)), hyper.iterations)
+        fitted = run_chain(spec.sampler(corpus, hyper, SeededRng(seed)), 3)
         meta = corpus.meta_vocabulary
         run = cli._Run(fitted, corpus.vocabulary.id_to_word,
                        None if meta is None else meta.id_to_word, 3,

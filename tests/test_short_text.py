@@ -28,7 +28,7 @@ def remove_doc_from_pseudo(sampler, m):
 
 def test_ptm_single_pseudo_doc_certain():
     corpus = parse_plain(["a b", "c"])
-    sampler = PtmSampler(corpus, PtmHyper(1, 2, iterations=1), SeededRng(0))
+    sampler = PtmSampler(corpus, PtmHyper(1, 2), SeededRng(0))
     remove_doc_from_pseudo(sampler, 0)
     assert normalize(sampler.pseudo_doc_conditional(0)) == [1.0]
 
@@ -38,7 +38,7 @@ def test_ptm_pseudo_doc_conditional_matches_oracle():
     for _ in range(6):
         corpus = make_corpus(rng)
         P, K = rng.randrange(2, 4), rng.randrange(2, 4)
-        hyper = PtmHyper(P, K, alpha=0.4, beta=0.2, doc_lambda=0.3, iterations=1)
+        hyper = PtmHyper(P, K, alpha=0.4, beta=0.2, doc_lambda=0.3)
         sampler = PtmSampler(corpus, hyper, rng)
         m = rng.randrange(corpus.n_docs)
         remove_doc_from_pseudo(sampler, m)
@@ -55,7 +55,7 @@ def test_ptm_topic_conditional_matches_oracle():
     for _ in range(6):
         corpus = make_corpus(rng)
         P, K = 2, 3
-        hyper = PtmHyper(P, K, alpha=0.4, beta=0.2, iterations=1)
+        hyper = PtmHyper(P, K, alpha=0.4, beta=0.2)
         sampler = PtmSampler(corpus, hyper, rng)
         m, n = rng.randrange(corpus.n_docs), 0
         v = corpus.docword[m][n]
@@ -76,7 +76,7 @@ def test_ptm_topic_conditional_matches_oracle():
 def test_ptm_doc_counts_conserved():
     rng = SeededRng(5)
     corpus = make_corpus(rng, n_docs=8)
-    sampler = PtmSampler(corpus, PtmHyper(3, 2, iterations=1), SeededRng(1))
+    sampler = PtmSampler(corpus, PtmHyper(3, 2), SeededRng(1))
     for _ in range(10):
         sampler.sweep()
         assert sum(sampler.n_l) == corpus.n_docs
@@ -95,7 +95,7 @@ def test_ptm_doc_counts_conserved():
 
 def test_ptm_check_recounts_every_table():
     corpus = make_corpus(SeededRng(6), n_docs=8)
-    sampler = PtmSampler(corpus, PtmHyper(3, 2, iterations=1), SeededRng(2))
+    sampler = PtmSampler(corpus, PtmHyper(3, 2), SeededRng(2))
     for _ in range(5):
         sampler.sweep()
         sampler.check()
@@ -107,8 +107,8 @@ def test_ptm_check_recounts_every_table():
 
 def test_ptm_fit_outputs_are_stochastic():
     corpus = parse_plain(["a b a", "c d", "b d d"])
-    hyper = PtmHyper(2, 3, iterations=10)
-    fit = run_chain(PtmSampler(corpus, hyper, SeededRng(3)), hyper.iterations)
+    hyper = PtmHyper(2, 3)
+    fit = run_chain(PtmSampler(corpus, hyper, SeededRng(3)), 10)
     for row in fit.theta + fit.pseudo_theta + fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
     assert len(fit.doc_pseudo) == 3
@@ -167,13 +167,13 @@ def test_extract_biterms_rejects_small_window():
 
 def test_btm_conditional_uniform_and_k1():
     corpus = parse_plain(["a b", "c d"])
-    sampler = BtmSampler(corpus, BtmHyper(3, window=2, iterations=1), SeededRng(0))
+    sampler = BtmSampler(corpus, BtmHyper(3, window=2), SeededRng(0))
     sampler.n_b = [0] * 3
     sampler.topic_word = [[0] * corpus.n_words for _ in range(3)]
     sampler.topic_total = [0] * 3
     ws = normalize(sampler.full_conditional(0, 1))
     assert ws == pytest.approx([1 / 3] * 3)
-    single = BtmSampler(corpus, BtmHyper(1, window=2, iterations=1), SeededRng(0))
+    single = BtmSampler(corpus, BtmHyper(1, window=2), SeededRng(0))
     assert normalize(single.full_conditional(0, 1)) == [1.0]
 
 
@@ -182,8 +182,7 @@ def test_btm_conditional_matches_oracle():
     for _ in range(6):
         corpus = make_corpus(rng)
         K = rng.randrange(2, 4)
-        sampler = BtmSampler(corpus, BtmHyper(K, alpha=0.3, beta=0.15, window=3,
-                                              iterations=1), rng)
+        sampler = BtmSampler(corpus, BtmHyper(K, alpha=0.3, beta=0.15, window=3), rng)
         i = rng.randrange(len(sampler.instances))
         w1, w2 = sampler.instances[i]
         k = sampler.z[i]
@@ -203,7 +202,7 @@ def test_btm_conditional_matches_oracle():
 def test_btm_word_slots_invariant():
     rng = SeededRng(8)
     corpus = make_corpus(rng, n_docs=6)
-    sampler = BtmSampler(corpus, BtmHyper(3, window=4, iterations=1), rng)
+    sampler = BtmSampler(corpus, BtmHyper(3, window=4), rng)
     for _ in range(10):
         sampler.sweep()
         for k in range(3):
@@ -214,7 +213,7 @@ def test_btm_word_slots_invariant():
 
 def test_btm_check_recounts_every_table():
     corpus = make_corpus(SeededRng(9), n_docs=6)
-    sampler = BtmSampler(corpus, BtmHyper(3, window=4, iterations=1), SeededRng(4))
+    sampler = BtmSampler(corpus, BtmHyper(3, window=4), SeededRng(4))
     for _ in range(5):
         sampler.sweep()
         sampler.check()
@@ -226,17 +225,17 @@ def test_btm_check_recounts_every_table():
 
 def test_btm_theta_sums_to_one():
     corpus = parse_plain(["a b c", "b c d"])
-    hyper = BtmHyper(4, window=3, iterations=10)
-    fit = run_chain(BtmSampler(corpus, hyper, SeededRng(2)), hyper.iterations)
+    hyper = BtmHyper(4, window=3)
+    fit = run_chain(BtmSampler(corpus, hyper, SeededRng(2)), 10)
     assert sum(fit.theta) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_btm_doc_topic_matches_independent_evaluation():
     corpus = parse_plain(["a b c", "b d", "a d d a"])
-    hyper = BtmHyper(3, alpha=0.2, beta=0.1, window=3, iterations=10)
+    hyper = BtmHyper(3, alpha=0.2, beta=0.1, window=3)
     rng = SeededRng(11)
     sampler = BtmSampler(corpus, hyper, rng)
-    for _ in range(hyper.iterations):
+    for _ in range(10):
         sampler.sweep()
     fit = sampler.estimate()
     biterms = extract_biterms(corpus, 3)
@@ -255,17 +254,17 @@ def test_btm_doc_topic_matches_independent_evaluation():
 
 def test_btm_k1_doc_rows_are_one():
     corpus = parse_plain(["a b", "c d e"])
-    hyper = BtmHyper(1, window=3, iterations=3)
-    fit = run_chain(BtmSampler(corpus, hyper, SeededRng(0)), hyper.iterations)
+    hyper = BtmHyper(1, window=3)
+    fit = run_chain(BtmSampler(corpus, hyper, SeededRng(0)), 3)
     assert fit.doc_topic == [[1.0], [1.0]]
 
 
 def test_btm_biterm_free_doc_gets_uniform_row(caplog):
     import logging
     corpus = parse_plain(["a b c", "solo"])
-    hyper = BtmHyper(2, window=3, iterations=3)
+    hyper = BtmHyper(2, window=3)
     with caplog.at_level(logging.WARNING):
-        fit = run_chain(BtmSampler(corpus, hyper, SeededRng(0)), hyper.iterations)
+        fit = run_chain(BtmSampler(corpus, hyper, SeededRng(0)), 3)
     assert fit.doc_topic[1] == [0.5, 0.5]
     assert any("no biterms" in r.message for r in caplog.records)
 
@@ -273,5 +272,5 @@ def test_btm_biterm_free_doc_gets_uniform_row(caplog):
 def test_btm_rejects_corpus_without_biterms():
     corpus = parse_plain(["a", "b"])
     with pytest.raises(ValueError):
-        hyper = BtmHyper(2, window=5, iterations=1)
-        run_chain(BtmSampler(corpus, hyper, SeededRng(0)), hyper.iterations)
+        hyper = BtmHyper(2, window=5)
+        run_chain(BtmSampler(corpus, hyper, SeededRng(0)), 1)

@@ -58,17 +58,17 @@ def chain_frequencies(sampler, burn_in, sweeps):
 
 def test_labeled_admissible_is_label_set():
     corpus = label_corpus(["D\tw0", "A,C\tw1", "C,B\tw2", "B,D\tw3"])  # D A C B -> 0 1 2 3
-    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(iterations=1), SeededRng(0))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(), SeededRng(0))
     assert sampler.allowed == [[0], [1, 2], [2, 3], [0, 3]]
     assert sampler.tables.n_topics == 4
     with pytest.raises(ValueError):
-        LabeledLdaSampler(label_corpus(["A\tw0", " \tw1"]), LabeledLdaHyper(iterations=1),
+        LabeledLdaSampler(label_corpus(["A\tw0", " \tw1"]), LabeledLdaHyper(),
                           SeededRng(0))
 
 
 def test_plda_admissible_blocks():
     corpus = label_corpus(["Security\tw0", "Security,Cloud\tw1", " \tw2"])
-    sampler = PldaSampler(corpus, PldaHyper(2, iterations=1), SeededRng(0))
+    sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(0))
     assert sampler.tables.n_topics == 6
     # one label -> its 2 topics plus 2 background topics
     assert sampler.allowed[0] == [0, 1, 4, 5]
@@ -83,7 +83,7 @@ def test_plda_admissible_blocks():
 def test_plda_reference_sizing():
     # 81 labels plus background at 2 topics per label: 164 topics
     corpus = label_corpus([f"L{i}\tw0" for i in range(81)])
-    sampler = PldaSampler(corpus, PldaHyper(2, iterations=1), SeededRng(0))
+    sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(0))
     assert len(set(sampler.topic_labels)) == 82
     assert sampler.tables.n_topics == 164
 
@@ -92,7 +92,7 @@ def test_plda_reference_sizing():
 
 def test_labeled_single_label_document_certain():
     corpus = label_corpus(["Security\tw0 w1", "Cloud\tw1"])
-    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(iterations=1), SeededRng(0))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(), SeededRng(0))
     v = remove_token(sampler, 0, 0)
     ws = sampler.full_conditional(0, v)
     assert [i for i, w in enumerate(ws) if w > 0] == [corpus.labels[0][0]]
@@ -100,7 +100,7 @@ def test_labeled_single_label_document_certain():
 
 def test_labeled_all_labels_zero_counts_uniform():
     corpus = label_corpus(["A,B,C\tw0"])
-    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.2, 0.3, 1), SeededRng(0))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.2, 0.3), SeededRng(0))
     remove_token(sampler, 0, 0)
     assert normalize(sampler.full_conditional(0, 0)) == pytest.approx([1 / 3] * 3)
 
@@ -110,7 +110,7 @@ def test_labeled_conditional_matches_oracle():
     lines = ["A,B\tw0 w1 w2", "B,C\tw1 w3", "A,C\tw2 w0 w0"]
     for _ in range(6):
         corpus = label_corpus(lines)
-        hyper = LabeledLdaHyper(0.4, 0.15, 1)
+        hyper = LabeledLdaHyper(0.4, 0.15)
         sampler = LabeledLdaSampler(corpus, hyper, rng)
         tables = sampler.tables
         K = tables.n_topics
@@ -127,10 +127,10 @@ def test_labeled_conditional_matches_oracle():
 def test_labeled_vacuous_constraint_equals_lda_conditional():
     # every doc carries every label: conditionals must match plain LDA's values
     corpus = label_corpus(["A,B\tw0 w1", "A,B\tw1 w2"])
-    hyper = LabeledLdaHyper(0.3, 0.2, 1)
+    hyper = LabeledLdaHyper(0.3, 0.2)
     sampler = LabeledLdaSampler(corpus, hyper, SeededRng(3))
     plain = parse_plain(["w0 w1", "w1 w2"])
-    lda_sampler = LdaGibbsSampler(plain, LdaHyper(2, 0.3, 0.2, 1), SeededRng(9))
+    lda_sampler = LdaGibbsSampler(plain, LdaHyper(2, 0.3, 0.2), SeededRng(9))
     # align the LDA sampler's state with the labeled one
     lda_sampler.z = [list(r) for r in sampler.z]
     lda_sampler.tables = counts_from_assignments(plain.docword, lda_sampler.z, 2,
@@ -144,8 +144,8 @@ def test_labeled_vacuous_constraint_equals_lda_conditional():
 
 def test_labeled_theta_single_label_forced_mass():
     corpus = label_corpus(["Security\tw0 w1 w0"])
-    hyper = LabeledLdaHyper(0.1, 0.1, 3)
-    fit = run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(1)), hyper.iterations)
+    hyper = LabeledLdaHyper(0.1, 0.1)
+    fit = run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(1)), 3)
     K = len(fit.topic_labels)
     assert K == 1
     assert fit.theta[0][0] == pytest.approx((3 + 0.1) / (3 + K * 0.1))
@@ -153,8 +153,8 @@ def test_labeled_theta_single_label_forced_mass():
 
 def test_labeled_theta_forced_mass_two_topics():
     corpus = label_corpus(["Security\tw0 w1 w0", "Cloud\tw2"])
-    hyper = LabeledLdaHyper(0.1, 0.1, 3)
-    fit = run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(1)), hyper.iterations)
+    hyper = LabeledLdaHyper(0.1, 0.1)
+    fit = run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(1)), 3)
     sec = corpus.meta_vocabulary.id("Security")
     assert fit.theta[0][sec] == pytest.approx((3 + 0.1) / (3 + 2 * 0.1))
     assert fit.topic_labels == ["Security", "Cloud"]
@@ -163,13 +163,13 @@ def test_labeled_theta_forced_mass_two_topics():
 def test_labeled_rejects_unlabeled_document():
     corpus = label_corpus([" \tw0 w1", "A\tw2"])
     with pytest.raises(ValueError):
-        hyper = LabeledLdaHyper(iterations=1)
-        run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(0)), hyper.iterations)
+        hyper = LabeledLdaHyper()
+        run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(0)), 1)
 
 
 def test_labeled_chain_matches_enumerated_constrained_posterior():
     corpus = label_corpus(["A,B\tw0 w1", "B\tw1 w2", "A,B\tw0"])
-    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(1.0, 0.5, 1), SeededRng(61))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(1.0, 0.5), SeededRng(61))
     supports = [topics for topics, doc in zip(sampler.allowed, corpus.docword) for _ in doc]
     exact = enumerated_posterior(corpus, supports, sampler.tables.n_topics, 1.0, 0.5)
     empirical = chain_frequencies(sampler, 500, 30000)
@@ -179,7 +179,7 @@ def test_labeled_chain_matches_enumerated_constrained_posterior():
 
 def test_labeled_never_assigns_inadmissible():
     corpus = label_corpus(["A\tw0 w1", "B\tw1 w2", "A,B\tw0 w2"])
-    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(iterations=1), SeededRng(5))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(), SeededRng(5))
     for _ in range(20):
         sampler.sweep()
         sampler.check()
@@ -192,7 +192,7 @@ def test_labeled_never_assigns_inadmissible():
 
 def test_plda_single_admissible_cell_certain():
     corpus = label_corpus(["A\tw0 w1"])
-    sampler = PldaSampler(corpus, PldaHyper(1, iterations=1), SeededRng(0))
+    sampler = PldaSampler(corpus, PldaHyper(1), SeededRng(0))
     # probe the op contract directly: one admissible (label, topic) cell
     sampler.allowed[0] = [0]
     sampler.z[0] = [0, 0]
@@ -205,7 +205,7 @@ def test_plda_single_admissible_cell_certain():
 
 def test_plda_zero_counts_uniform_over_admissible():
     corpus = label_corpus(["A\tw0"])
-    sampler = PldaSampler(corpus, PldaHyper(2, 0.2, 0.3, 1), SeededRng(0))
+    sampler = PldaSampler(corpus, PldaHyper(2, 0.2, 0.3), SeededRng(0))
     remove_token(sampler, 0, 0)
     ws = normalize(sampler.full_conditional(0, 0))
     admissible = sampler.allowed[0]
@@ -220,7 +220,7 @@ def test_plda_conditional_matches_oracle():
     lines = ["A,B\tw0 w1 w2", "B\tw1 w3", "A\tw2 w0 w0"]
     for _ in range(6):
         corpus = label_corpus(lines)
-        hyper = PldaHyper(2, 0.4, 0.15, 1)
+        hyper = PldaHyper(2, 0.4, 0.15)
         sampler = PldaSampler(corpus, hyper, rng)
         tables = sampler.tables
         K = tables.n_topics
@@ -237,7 +237,7 @@ def test_plda_conditional_matches_oracle():
 
 def test_plda_background_only_document_uses_background_block():
     corpus = label_corpus([" \tw0 w1", "A\tw2"])
-    sampler = PldaSampler(corpus, PldaHyper(2, iterations=1), SeededRng(2))
+    sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(2))
     background = range(sampler.tables.n_topics - 2, sampler.tables.n_topics)
     assert sampler.allowed[0] == list(background)
     assert {sampler.topic_labels[t] for t in background} == {BACKGROUND_LABEL}
@@ -248,15 +248,15 @@ def test_plda_background_only_document_uses_background_block():
 
 def test_plda_topic_labels_include_background_last():
     corpus = label_corpus(["A\tw0", "B\tw1"])
-    hyper = PldaHyper(2, iterations=2)
-    fit = run_chain(PldaSampler(corpus, hyper, SeededRng(3)), hyper.iterations)
+    hyper = PldaHyper(2)
+    fit = run_chain(PldaSampler(corpus, hyper, SeededRng(3)), 2)
     assert fit.topic_labels == ["A", "A", "B", "B",
                                 BACKGROUND_LABEL, BACKGROUND_LABEL]
 
 
 def test_plda_block_bookkeeping_recount():
     corpus = label_corpus(["A,B\tw0 w1 w2", "B\tw1 w3"])
-    sampler = PldaSampler(corpus, PldaHyper(2, iterations=1), SeededRng(4))
+    sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(4))
     for _ in range(10):
         sampler.sweep()
         for m, doc in enumerate(corpus.docword):
@@ -272,8 +272,8 @@ def test_plda_block_bookkeeping_recount():
 
 def test_plda_theta_phi_stochastic():
     corpus = label_corpus(["A\tw0 w1", "B\tw2"])
-    hyper = PldaHyper(2, iterations=5)
-    fit = run_chain(PldaSampler(corpus, hyper, SeededRng(5)), hyper.iterations)
+    hyper = PldaHyper(2)
+    fit = run_chain(PldaSampler(corpus, hyper, SeededRng(5)), 5)
     for row in fit.theta + fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
@@ -283,7 +283,7 @@ def test_plda_chain_matches_enumerated_posterior():
     # document lists its labels out of id order; the third is background
     # only, so its tokens have a single allowed topic and are never drawn.
     corpus = label_corpus(["A\tw0 w1", "B,A\tw1 w2", " \tw0 w2"])
-    sampler = PldaSampler(corpus, PldaHyper(1, 1.0, 0.5, 1), SeededRng(67))
+    sampler = PldaSampler(corpus, PldaHyper(1, 1.0, 0.5), SeededRng(67))
     assert corpus.labels[1] == [1, 0]
     assert sampler.allowed == [[0, 2], [0, 1, 2], [2]]
     supports = [topics for topics, doc in zip(sampler.allowed, corpus.docword) for _ in doc]
@@ -330,7 +330,7 @@ def test_registry_cases_cover_every_model():
 def test_registry_samplers_pass_check_after_every_sweep(name, flags):
     spec = cli.MODELS[name]
     corpus = tiny_corpus(spec.layout)
-    sampler = spec.sampler(corpus, spec.hyper(iterations=8, **flags), SeededRng(5))
+    sampler = spec.sampler(corpus, spec.hyper(**flags), SeededRng(5))
     # K = 20 runs the sparse kernel, K = 3 and the label models the dense one
     assert (getattr(sampler, "word_topics", None) is not None) == (flags.get("n_topics") == 20)
     sampler.check()
@@ -341,7 +341,7 @@ def test_registry_samplers_pass_check_after_every_sweep(name, flags):
 
 def test_check_rejects_a_disallowed_or_uncounted_topic():
     corpus = label_corpus(["A\tw0 w1", "B\tw1 w2", "A,B\tw0 w2"])
-    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(iterations=1), SeededRng(5))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(), SeededRng(5))
     sampler.check()
     m, n, v = 0, 0, corpus.docword[0][0]
     sampler.tables.decrement(m, sampler.z[m][n], v)
@@ -366,8 +366,8 @@ class CountingRng(SeededRng):
 
 
 @pytest.mark.parametrize("second, make", [
-    ("B", lambda corpus, rng: LabeledLdaSampler(corpus, LabeledLdaHyper(iterations=1), rng)),
-    (" ", lambda corpus, rng: PldaSampler(corpus, PldaHyper(1, iterations=1), rng))],
+    ("B", lambda corpus, rng: LabeledLdaSampler(corpus, LabeledLdaHyper(), rng)),
+    (" ", lambda corpus, rng: PldaSampler(corpus, PldaHyper(1), rng))],
     ids=["labeled-lda-one-label", "plda-background-only"])
 def test_single_topic_documents_make_no_draw(second, make):
     corpus = label_corpus(["A,B\tw0 w1 w2", second + "\tw1 w2 w3 w3"])
@@ -383,4 +383,4 @@ def test_allowed_needs_a_nonempty_list_per_document():
     corpus = parse_plain(["w0 w1", "w1 w2"])
     for allowed in ([[0]], [[0], []], [[0], [1], [0]]):
         with pytest.raises(ValueError, match="allowed"):
-            LdaGibbsSampler(corpus, LdaHyper(2, iterations=1), SeededRng(0), allowed=allowed)
+            LdaGibbsSampler(corpus, LdaHyper(2), SeededRng(0), allowed=allowed)
