@@ -289,8 +289,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_eval(args) -> int:
     docword, phi = _run(args, None)
-    for n in args.top_n:
-        value = evaluation.average_coherence(docword, phi, n)
+    for n, value in zip(args.top_n, evaluation.average_coherence(docword, phi, args.top_n)):
         print(f"average_coherence_{n}:\t{value!r}")
     return 0
 

@@ -348,14 +348,23 @@ def expected_counts(docword: Sequence[Sequence[int]], gamma: Sequence[Sequence[S
     """Real-valued count tables of per-token responsibilities gamma[m][n][k].
 
     Every cell adds the responsibilities in token order, then topic order,
-    so float round-off is the same wherever the tables are built.
+    so float round-off is the same wherever the tables are built.  Raises
+    ValueError naming the first document whose responsibilities are not one
+    row of n_topics values per token.
     """
+    if len(gamma) != len(docword):
+        raise ValueError(f"responsibilities for {len(gamma)} documents, "
+                         f"the corpus has {len(docword)}")
     tables = CountTables(len(docword), n_topics, n_words, real=True)
     topic_word, topic_total, doc_total = tables.topic_word, tables.topic_total, tables.doc_total
     for m, doc in enumerate(docword):
+        gm = gamma[m]
+        if len(gm) != len(doc) or any(len(g) != n_topics for g in gm):
+            raise ValueError(f"doc {m}: responsibilities are not {len(doc)} rows "
+                             f"of {n_topics} topics")
         row = tables.doc_topic[m]
         total = 0.0
-        for v, g in zip(doc, gamma[m]):
+        for v, g in zip(doc, gm):
             for k, gk in enumerate(g):
                 row[k] += gk
                 topic_word[k][v] += gk

@@ -11,6 +11,7 @@ token responsibility kappa.
 """
 
 import math
+from array import array
 
 from .core import (expected_counts, fold_sum, record, require_at_least, require_nonnegative,
                    require_positive, require_recount)
@@ -50,8 +51,8 @@ class SparseHyper:
 
 @record
 class SparseFit:
-    theta: list
-    phi: list
+    theta: list  # M rows of array('d') over K topics
+    phi: list    # K rows of array('d') over V words
     sparsity_doc: list    # per document: 1 - A_hat/K
     sparsity_topic: list  # per topic:    1 - B_hat/V
     avg_sparsity_doc: float
@@ -220,16 +221,16 @@ class DualSparseCvb0:
         theta = []
         for m in range(M):
             denom = (self.expected.doc_total[m] + h.pi * self.A_hat[m] + K * h.pi_bar)
-            theta.append([(self.expected.doc_topic[m][k]
-                           + h.pi * self.alpha_hat[m][k] + h.pi_bar) / denom
-                          for k in range(K)])
+            theta.append(array("d", [(self.expected.doc_topic[m][k]
+                                      + h.pi * self.alpha_hat[m][k] + h.pi_bar) / denom
+                                     for k in range(K)]))
         phi = []
         for k in range(K):
             denom = (self.expected.topic_total[k]
                      + h.word_gamma * self.B_hat[k] + V * h.word_gamma_bar)
-            phi.append([(self.expected.topic_word[k][v]
-                         + h.word_gamma * self.beta_hat[k][v] + h.word_gamma_bar) / denom
-                        for v in range(V)])
+            phi.append(array("d", [(self.expected.topic_word[k][v]
+                                    + h.word_gamma * self.beta_hat[k][v]
+                                    + h.word_gamma_bar) / denom for v in range(V)]))
         sparsity_doc = [1.0 - self.A_hat[m] / K for m in range(M)]
         sparsity_topic = [1.0 - self.B_hat[k] / V for k in range(K)]
         return SparseFit(

@@ -59,20 +59,30 @@ def top_word_ids(phi_row: Sequence[float], n: int) -> list:
     """Indices of the n largest probabilities, ties broken by vocabulary index.
 
     ``heapq.nlargest`` equals ``sorted(..., reverse=True)[:n]``, and that
-    sort is stable, so equal entries keep index order.
+    sort is stable, so equal entries keep index order and the top n are a
+    prefix of the top n + 1.  The row is ranked as a list: a list hands
+    back its stored floats, where an ``array('d')`` key would box a new
+    float for every comparison.
     """
-    return heapq.nlargest(n, range(len(phi_row)), key=phi_row.__getitem__)
+    values = list(phi_row)
+    return heapq.nlargest(n, range(len(values)), key=values.__getitem__)
 
 
 def average_coherence(docword: Sequence[Sequence[int]], phi: Sequence[Sequence[float]],
-                      top_n: int) -> float:
+                      top_n: int | Sequence[int]) -> float | list:
     """Mean topic coherence over all topics, each using its top_n words.
 
-    The corpus is scanned once, for the union of every topic's top words.
+    ``top_n`` may also be a sequence of N values; the result is then the
+    list of means, one per N.  Every topic is ranked once, at the largest
+    N, and the corpus is scanned once, for the union of those words; each N
+    scores the first N words of each ranking, so every mean is the float
+    that a call for that N alone gives.
     """
-    if top_n < 1:
+    top_ns = [top_n] if isinstance(top_n, int) else list(top_n)
+    if not top_ns or min(top_ns) < 1:
         raise ValueError("top_n must be >= 1")
-    tops = [top_word_ids(row, top_n) for row in phi]
+    tops = [top_word_ids(row, max(top_ns)) for row in phi]
     sets = document_sets(docword, (v for top in tops for v in top))
-    scores = [topic_coherence(docword, top, sets) for top in tops]
-    return fold_sum(scores) / len(scores)
+    means = [fold_sum(topic_coherence(docword, top[:n], sets) for top in tops) / len(tops)
+             for n in top_ns]
+    return means[0] if isinstance(top_n, int) else means

@@ -16,8 +16,8 @@ from .lda import LdaHyper, estimate_phi, estimate_theta, smoothed_rows
 
 @record
 class AtmFit:
-    theta: list  # A x K, one topic mixture per author
-    phi: list    # K x V
+    theta: list  # A rows of array('d'), one topic mixture per author
+    phi: list    # K rows of array('d') over V words
 
 
 class AtmSampler:
@@ -121,9 +121,9 @@ class LinkLdaHyper:
 
 @record
 class LinkLdaFit:
-    theta: list     # M x K, words and links pooled
-    phi: list       # K x V
-    link_phi: list  # K x L
+    theta: list     # M rows of array('d') over K, words and links pooled
+    phi: list       # K rows of array('d') over V words
+    link_phi: list  # K rows of array('d') over L links
 
 
 class LinkLdaSampler:

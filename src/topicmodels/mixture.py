@@ -38,7 +38,7 @@ class DpmmHyper(MixtureHyper):
 @record
 class MixtureFit:
     theta: list        # K cluster weights, sums to 1
-    phi: list          # K x V
+    phi: list          # K rows of array('d') over V words
     doc_cluster: list  # final assignment per document
 
 

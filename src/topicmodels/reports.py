@@ -10,11 +10,12 @@ Topic-word files are blocks of
 Doc-topic files carry a "Topic1 Topic2 ... TopicK" header and one
 space-separated probability row per document.  Probabilities are written
 with ``repr`` so identical fits serialize byte-identically and parse back
-exactly.
+exactly.  The writers stream a file line by line, so no file is ever held
+whole in memory.
 """
 
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import fold_sum
 from .evaluation import top_word_ids
@@ -22,6 +23,13 @@ from .evaluation import top_word_ids
 
 def _fmt(p: float) -> str:
     return repr(float(p))
+
+
+def _write_lines(path, lines: Iterable[str]) -> None:
+    """Write each line with its newline, one line at a time."""
+    with open(path, "w", encoding="utf-8") as out:
+        for line in lines:
+            out.write(line + "\n")
 
 
 def write_topic_word_file(path, phi: Sequence[Sequence[float]], words: Sequence[str],
@@ -32,57 +40,54 @@ def write_topic_word_file(path, phi: Sequence[Sequence[float]], words: Sequence[
     paren_labels annotate headers as "Topic:1(label)"; related_labels as
     "Topic:1<TAB>Related label:label".
     """
-    lines = []
-    for k, row in enumerate(phi):
-        header = f"Topic:{k + 1}"
-        if paren_labels is not None:
-            header += f"({paren_labels[k]})"
-        elif related_labels is not None:
-            header += f"\tRelated label:{related_labels[k]}"
-        lines.append(header)
-        for v in top_word_ids(row, top_n):
-            lines.append(f"{words[v]} :{_fmt(row[v])}")
-        lines.append("")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def lines():
+        for k, row in enumerate(phi):
+            header = f"Topic:{k + 1}"
+            if paren_labels is not None:
+                header += f"({paren_labels[k]})"
+            elif related_labels is not None:
+                header += f"\tRelated label:{related_labels[k]}"
+            yield header
+            for v in top_word_ids(row, top_n):
+                yield f"{words[v]} :{_fmt(row[v])}"
+            yield ""
+    _write_lines(path, lines())
 
 
 def write_doc_topic_file(path, theta: Sequence[Sequence[float]]) -> None:
-    n_topics = len(theta[0])
-    lines = [" ".join(f"Topic{k + 1}" for k in range(n_topics))]
-    for row in theta:
-        lines.append(" ".join(_fmt(p) for p in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def lines():
+        yield " ".join(f"Topic{k + 1}" for k in range(len(theta[0])))
+        for row in theta:
+            yield " ".join(_fmt(p) for p in row)
+    _write_lines(path, lines())
 
 
 def write_value_lines(path, values: Sequence) -> None:
     """One value per line (cluster weights, cluster ids, ...)."""
-    Path(path).write_text(
-        "\n".join(_fmt(v) if isinstance(v, float) else str(v) for v in values) + "\n",
-        encoding="utf-8")
+    _write_lines(path, (_fmt(v) if isinstance(v, float) else str(v) for v in values))
 
 
 def write_author_topic_file(path, names: Sequence[str],
                             theta: Sequence[Sequence[float]]) -> None:
     """Author name, TAB, space-separated topic mixture."""
-    lines = [f"{name}\t" + " ".join(_fmt(p) for p in row)
-             for name, row in zip(names, theta)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, (f"{name}\t" + " ".join(_fmt(p) for p in row)
+                        for name, row in zip(names, theta)))
 
 
 def write_topic_author_file(path, author_theta: Sequence[Sequence[float]],
                             names: Sequence[str], n_topics: int, top_n: int) -> None:
     """Per topic, the top authors by their affinity theta[a][k], renormalized
     over the listed authors."""
-    lines = []
-    for k in range(n_topics):
-        column = [author_theta[a][k] for a in range(len(names))]
-        top = top_word_ids(column, top_n)
-        total = fold_sum(column[a] for a in top)
-        lines.append(f"Topic:{k + 1}")
-        for a in top:
-            lines.append(f"{names[a]} :{_fmt(column[a] / total)}")
-        lines.append("")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def lines():
+        for k in range(n_topics):
+            column = [author_theta[a][k] for a in range(len(names))]
+            top = top_word_ids(column, top_n)
+            total = fold_sum(column[a] for a in top)
+            yield f"Topic:{k + 1}"
+            for a in top:
+                yield f"{names[a]} :{_fmt(column[a] / total)}"
+            yield ""
+    _write_lines(path, lines())
 
 
 def write_sparse_ratio_file(path, ratios: Sequence[float], average: float,
@@ -92,9 +97,10 @@ def write_sparse_ratio_file(path, ratios: Sequence[float], average: float,
     ``kind`` is "topic_word" or "doc_topic"; the summary line reproduces the
     reference output spelling ("saprse") verbatim.
     """
-    lines = [_fmt(r) for r in ratios]
-    lines.append(f"average saprse ratio of {kind}:{_fmt(average)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def lines():
+        yield from map(_fmt, ratios)
+        yield f"average saprse ratio of {kind}:{_fmt(average)}"
+    _write_lines(path, lines())
 
 
 # -- parsers (round-trip checks and downstream tooling) -------------------------

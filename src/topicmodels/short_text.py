@@ -11,6 +11,7 @@ sum_v n_kv = 2 n_k at all times.
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -35,9 +36,9 @@ class PtmHyper:
 
 @record
 class PtmFit:
-    theta: list         # per short document, from its own token-topic counts
-    pseudo_theta: list  # per pseudo document
-    phi: list
+    theta: list         # per short document, an array('d') row from its own topic counts
+    pseudo_theta: list  # per pseudo document, an array('d') row
+    phi: list           # K rows of array('d') over V words
     doc_pseudo: list    # final pseudo-document assignment per short document
 
 
@@ -233,8 +234,8 @@ class BtmHyper:
 @record
 class BtmFit:
     theta: list      # global topic weights, sums to 1
-    phi: list        # K x V
-    doc_topic: list  # per-document p(k|m) rows
+    phi: list        # K rows of array('d') over V words
+    doc_topic: list  # per document, an array('d') row of p(k|m)
 
 
 class BtmSampler:
@@ -356,12 +357,12 @@ class BtmSampler:
                      for m in range(self.corpus.n_docs)]
         return BtmFit(theta=theta, phi=phi, doc_topic=doc_topic)
 
-    def _doc_distribution(self, m: int, doc_biterms: list, theta: list, phi: list) -> list:
+    def _doc_distribution(self, m: int, doc_biterms: list, theta: list, phi: list) -> array:
         """p(k|m): biterm-posterior mixture over the document's biterms."""
         K = self.hyper.n_topics
         if not doc_biterms:
             warn(__name__, "document %d has no biterms; emitting a uniform topic row", m)
-            return [1.0 / K] * K
+            return array("d", [1.0 / K]) * K
         n_m = sum(b.count for b in doc_biterms)
         out = [0.0] * K
         for b in doc_biterms:
@@ -369,4 +370,4 @@ class BtmSampler:
             total = fold_sum(joint)
             for k in range(K):
                 out[k] += joint[k] / total * b.count / n_m
-        return out
+        return array("d", out)

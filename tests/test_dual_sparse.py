@@ -214,6 +214,15 @@ def test_hyper_validation():
     SparseHyper(2, pi_bar=0.0, word_gamma_bar=0.0)  # zero weak priors allowed
 
 
+@pytest.mark.parametrize("kappa, doc", [
+    ([[[0.5, 0.5]] * 3, [[0.5, 0.5]], [[0.5, 0.5]] * 2], 1),  # one row for two tokens
+    ([[[0.5, 0.5]] * 3, [[0.5, 0.5]] * 2, [[0.5, 0.5], [0.5]]], 2),  # a row of one topic
+])
+def test_rejects_mis_shaped_responsibilities(kappa, doc):
+    with pytest.raises(ValueError, match=f"doc {doc}: responsibilities"):
+        small_solver(SparseHyper(2), kappa)
+
+
 def test_check_rejects_a_stale_count_or_selector_sum():
     corpus, solver = small_solver(SparseHyper(3))
     for _ in range(10):

@@ -112,11 +112,16 @@ def test_average_coherence_equals_mean_of_single_topic_scores(seed):
     # few distinct levels: rows tie, top lists overlap, one topic repeats
     phi = [[rng.choice((0.05, 0.1, 0.2)) for _ in range(n_words)] for _ in range(6)]
     phi.append(list(phi[2]))
-    for n in (1, 2, 5, 9, n_words, n_words + 3):
+    top_ns = (1, 2, 5, 9, n_words, n_words + 3)
+    for n in top_ns:
         single = [topic_coherence(docword, top_word_ids(row, n)) for row in phi]
         assert average_coherence(docword, phi, n) == sum(single) / len(single)
         tops = [sorted(range(n_words), key=lambda v: (-row[v], v))[:n] for row in phi]
         assert single == [_reference_coherence(docword, top) for top in tops]
+    # all N from one ranking: the same floats as one call per N, in the order asked
+    mixed = [5, n_words + 3, 1, 9, 5]
+    assert average_coherence(docword, phi, mixed) == [average_coherence(docword, phi, n)
+                                                      for n in mixed]
 
 
 def test_topic_coherence_accepts_sets_of_a_superset():
@@ -141,5 +146,6 @@ def test_average_coherence_k1_and_identical_topics():
 
 
 def test_average_coherence_rejects_bad_top_n():
-    with pytest.raises(ValueError):
-        average_coherence([[0]], [[1.0]], 0)
+    for top_n in (0, [2, 0], []):
+        with pytest.raises(ValueError, match="top_n must be >= 1"):
+            average_coherence([[0]], [[1.0]], top_n)

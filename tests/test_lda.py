@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -246,7 +247,7 @@ def test_cvb0_k1_phi_is_smoothed_frequency():
     beta = 0.5
     gamma = random_responsibilities(corpus, 1, SeededRng(1))
     fitted = run_chain(LdaCvb0(corpus, LdaHyper(1, 0.1, beta), gamma), 3)
-    assert fitted.theta == [[1.0], [1.0]]
+    assert [row.tolist() for row in fitted.theta] == [[1.0], [1.0]]
     N, V = corpus.n_tokens, corpus.n_words
     freqs = [2, 2, 1]
     want = [(f + beta) / (N + V * beta) for f in freqs]
@@ -280,6 +281,32 @@ def test_top_word_ranking_scale_invariant():
     order = sorted(range(4), key=lambda v: (-row[v], v))
     order2 = sorted(range(4), key=lambda v: (-scaled[v], v))
     assert order == order2
+
+
+def test_phi_estimate_allocates_eight_bytes_a_cell():
+    # rows are array('d'), not lists of float objects (about 40 bytes a cell)
+    K, V = 50, 2000
+    tables = CountTables(1, K, V)
+    for k in range(K):
+        tables.topic_word[k] = [(k * v) % 7 for v in range(V)]
+        tables.topic_total[k] = sum(tables.topic_word[k])
+    tracemalloc.start()
+    try:
+        phi = lda.estimate_phi(tables, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(phi) == K and all(len(row) == V for row in phi)
+    assert peak < 12 * K * V, peak / (K * V)
+
+
+@pytest.mark.parametrize("gamma, doc", [
+    ([[[0.5, 0.5]], [[0.5, 0.5]] * 2], 0),          # one row for three tokens
+    ([[[0.5, 0.5]] * 3, [[0.5, 0.5], [1.0]]], 1),   # a row of one topic
+])
+def test_cvb0_rejects_mis_shaped_responsibilities(gamma, doc):
+    with pytest.raises(ValueError, match=f"doc {doc}: responsibilities"):
+        LdaCvb0(parse_plain(["a b c", "b c"]), LdaHyper(2), gamma)
 
 
 def test_cvb0_check_rejects_a_stale_expected_count():

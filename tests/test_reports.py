@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -184,10 +186,11 @@ ROUND_TRIPS = {
         phi, run.words, run.top_words, run.fitted.topic_labels)),
     "related_topic_word": (parse_topic_word_file, lambda phi, run: top_blocks(
         phi, run.words, run.top_words, run.fitted.topic_labels)),
-    "doc_topic": (parse_doc_topic_file, lambda rows, run: rows),
+    "doc_topic": (parse_doc_topic_file, lambda rows, run: [row.tolist() for row in rows]),
     "values": (parse_value_lines, lambda values, run: [float(v) for v in values]),
     "author_topic": (parse_author_topic_file,
-                     lambda theta, run: list(zip(run.names, theta))),
+                     lambda theta, run: [(name, row.tolist())
+                                         for name, row in zip(run.names, theta)]),
     "topic_author": (parse_topic_word_file, topic_author_blocks),
     "topic_sparsity": (parse_sparse_ratio_file, lambda ratios, run: (
         ratios, "topic_word", run.fitted.avg_sparsity_topic)),
@@ -198,6 +201,27 @@ ROUND_TRIPS = {
 
 def test_round_trips_cover_every_writer():
     assert set(ROUND_TRIPS) == set(cli._WRITERS)
+
+
+# the writers whose value is a matrix, one row per topic, document or author
+MATRIX_WRITERS = {"topic_word", "topic_link", "labeled_topic_word", "related_topic_word",
+                  "doc_topic", "author_topic", "topic_author"}
+
+
+def test_doc_topic_writer_streams(tmp_path):
+    # the file is written a line at a time, never held whole in memory
+    rng = random.Random(5)
+    theta = [array("d", [rng.random() for _ in range(20)]) for _ in range(5000)]
+    path = tmp_path / "dt.txt"
+    tracemalloc.start()
+    try:
+        write_doc_topic_file(path, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    assert written > 1_000_000
+    assert peak < written / 4, (peak, written)
 
 
 @pytest.mark.parametrize("model", sorted(cli.MODELS))
@@ -221,4 +245,8 @@ def test_every_output_file_parses_back_to_the_written_values(tmp_path, model):
         for out in spec.outputs:
             parse, written = ROUND_TRIPS[out.writer]
             path = outdir / out.template.format(k=run.k)
-            assert parse(path) == written(getattr(fitted, out.field), run), (seed, path.name)
+            value = getattr(fitted, out.field)
+            assert parse(path) == written(value, run), (seed, path.name)
+            if out.writer in MATRIX_WRITERS:  # estimate rows are arrays of doubles
+                assert all(isinstance(row, array) and row.typecode == "d"
+                           for row in value), out.field

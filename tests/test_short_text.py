@@ -256,7 +256,7 @@ def test_btm_k1_doc_rows_are_one():
     corpus = parse_plain(["a b", "c d e"])
     hyper = BtmHyper(1, window=3)
     fit = run_chain(BtmSampler(corpus, hyper, SeededRng(0)), 3)
-    assert fit.doc_topic == [[1.0], [1.0]]
+    assert [row.tolist() for row in fit.doc_topic] == [[1.0], [1.0]]
 
 
 def test_btm_biterm_free_doc_gets_uniform_row(caplog):
@@ -265,7 +265,7 @@ def test_btm_biterm_free_doc_gets_uniform_row(caplog):
     hyper = BtmHyper(2, window=3)
     with caplog.at_level(logging.WARNING):
         fit = run_chain(BtmSampler(corpus, hyper, SeededRng(0)), 3)
-    assert fit.doc_topic[1] == [0.5, 0.5]
+    assert fit.doc_topic[1].tolist() == [0.5, 0.5]
     assert any("no biterms" in r.message for r in caplog.records)
 
 
