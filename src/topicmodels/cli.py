@@ -18,6 +18,7 @@ to the chosen model are rejected.
 """
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -239,6 +240,28 @@ def _hyper_options(args) -> dict:
     return {flags[flag].name: value for flag, value in given.items()}
 
 
+def _require_text_encoding(encoding: str) -> None:
+    """Raise CliError unless ``encoding`` names a text encoding (not, say,
+    ``rot13``, a str-to-str codec that ``open`` rejects too)."""
+    try:
+        "".encode(encoding)
+    except LookupError as exc:
+        raise CliError(f"--encoding: {exc}") from None
+
+
+def _require_writable_dir(outdir: Path) -> None:
+    """Raise CliError unless the nearest existing one of ``outdir`` and its
+    ancestors is a writable directory, where the outputs can be created.
+    Creates nothing."""
+    ancestor = outdir.absolute()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise CliError(f"--output-dir {outdir}: {ancestor} is not a directory")
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        raise CliError(f"--output-dir {outdir}: {ancestor} is not writable")
+
+
 def _run(args, outdir):
     """Parse, fit and, unless ``outdir`` is None, write the model's files.
 
@@ -247,6 +270,8 @@ def _run(args, outdir):
     spec = MODELS[args.model]
     options = _hyper_options(args)
     hyper = _in_flag_terms_on_error(spec, spec.hyper, **options)
+    if outdir is not None:
+        _require_writable_dir(outdir)
     corpus = _parse(spec.layout, corpus_mod.read_lines(args.input, args.encoding))
     sampler = _in_flag_terms_on_error(spec, spec.sampler, corpus, hyper, SeededRng(args.seed))
     fitted = run_chain(sampler, args.iterations, _progress(args.model, args.iterations))
@@ -345,6 +370,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_text_encoding(args.encoding)
         return args.func(args)
     except (CliError, corpus_mod.CorpusError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

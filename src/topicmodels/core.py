@@ -8,6 +8,8 @@ floats for the expected-count twins used by the variational algorithms).
 import math
 import random
 import sys
+from bisect import bisect_right
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 
@@ -200,6 +202,22 @@ def sample_categorical(weights: Sequence[float], rng: random.Random) -> int:
         if weights[i] > 0.0:
             return i
     raise SamplingError("unreachable: no positive weight found")
+
+
+def sample_running_sums(weights: Sequence[float], rng: random.Random) -> int:
+    """``sample_categorical(weights, rng)``, found by bisect over the running
+    sums of ``weights`` rather than a Python scan: the same index for the
+    same uniform.  The weights are not checked; all zero raises."""
+    cumulative = list(accumulate(weights))
+    i = bisect_right(cumulative, rng.random() * cumulative[-1])
+    if i < len(weights):
+        return i
+    # round-off past the final sum takes the last index carrying mass, as in
+    # sample_categorical
+    for i in range(len(weights) - 1, -1, -1):
+        if weights[i] > 0.0:
+            return i
+    raise SamplingError("all categorical weights are zero")
 
 
 def log_rising_factorial(x: float, n: int) -> float:

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 
 from .core import (counts_from_assignments, record, require_at_least, require_nonnegative,
-                   require_positive, require_recount, sample_categorical)
+                   require_positive, require_recount, sample_running_sums)
 from .corpus import Corpus
 from .lda import FittedLda, estimate_theta, smoothed_rows
 
@@ -150,8 +150,9 @@ class HdpSampler:
             return 1.0 / V
         return (self.n_kv[k][v] + self.hyper.beta) / (self.n_k[k] + V * self.hyper.beta)
 
-    # The three weight builders below evaluate cond_density inline, with the
-    # same operations in the same order.
+    # The three weight builders below evaluate cond_density inline, and the
+    # sweep evaluates all four inline, with the same operations in the same
+    # order.
 
     def new_table_likelihood(self, v: int) -> float:
         """Mixture over topics a fresh table could serve.
@@ -195,31 +196,57 @@ class HdpSampler:
 
     # -- chain ----------------------------------------------------------------
 
-    def _resample_token(self, m: int, n: int, v: int) -> None:
-        t = self.token_table[m][n]
-        k = self.table_topic[m][t]
-        self.n_kv[k][v] -= 1
-        self.n_k[k] -= 1
-        self.table_count[m][t] -= 1
-        if self.table_count[m][t] == 0:
-            self._delete_table(m, t)
-
-        choice = sample_categorical(self.table_weights(m, v), self.rng)
-        if choice == len(self.table_topic[m]):
-            topic_choice = sample_categorical(self.topic_weights_for_new_table(v), self.rng)
-            if topic_choice == self.n_topics:
-                topic_choice = self._new_topic()
-            choice = self._new_table(m, topic_choice)
-        k = self.table_topic[m][choice]
-        self.token_table[m][n] = choice
-        self.table_count[m][choice] += 1
-        self.n_kv[k][v] += 1
-        self.n_k[k] += 1
-
     def sweep(self) -> None:
+        """Reseat every token once, documents then positions in index order.
+
+        A token's draw is ``table_weights`` and, when it opens a table,
+        ``topic_weights_for_new_table``, with each live topic's f_k(v)
+        computed once for both.  The structural edits swap the last table or
+        topic into a freed slot, in place, so the lists held here stay the
+        sampler's own.
+        """
+        n_kv, n_k, m_k = self.n_kv, self.n_k, self.m_k
+        beta, gamma, alpha0 = self.hyper.beta, self.hyper.gamma, self.hyper.alpha0
+        inv_v = 1.0 / self.n_words
+        v_beta = self.n_words * beta
+        new_topic = gamma * inv_v
+        rng = self.rng
         for m, doc in enumerate(self.corpus.docword):
+            seats = self.token_table[m]
+            table_topic = self.table_topic[m]
+            table_count = self.table_count[m]
             for n, v in enumerate(doc):
-                self._resample_token(m, n, v)
+                t = seats[n]
+                k = table_topic[t]
+                n_kv[k][v] -= 1
+                n_k[k] -= 1
+                table_count[t] -= 1
+                if table_count[t] == 0:
+                    self._delete_table(m, t)
+
+                denom = self.m_total + gamma
+                acc = gamma / denom * inv_v
+                f = []
+                append = f.append
+                for mk, row, nk in zip(m_k, n_kv, n_k):
+                    fk = (row[v] + beta) / (nk + v_beta)
+                    append(fk)
+                    acc += mk / denom * fk
+                weights = [c * f[k] for c, k in zip(table_count, table_topic)]
+                weights.append(alpha0 * acc)
+                choice = sample_running_sums(weights, rng)
+                if choice == len(table_topic):
+                    weights = [mk * fk for mk, fk in zip(m_k, f)]
+                    weights.append(new_topic)
+                    k = sample_running_sums(weights, rng)
+                    if k == self.n_topics:
+                        k = self._new_topic()
+                    choice = self._new_table(m, k)
+                k = table_topic[choice]
+                seats[n] = choice
+                table_count[choice] += 1
+                n_kv[k][v] += 1
+                n_k[k] += 1
 
     def estimate(self) -> FittedLda:
         tokens = counts_from_assignments(self.corpus.docword, self._token_topics(),

@@ -90,6 +90,99 @@ def gibbs_full_conditional(tables: CountTables, m: int, v: int,
             for k in range(K)]
 
 
+def word_topic_index(docword, z, n_words: int) -> list:
+    """For every word v, a dict from each topic k holding it to n_kv: the
+    word index of the SparseLDA draw.  Keys are in order of first use, which
+    the draw's walk follows."""
+    index = [{} for _ in range(n_words)]
+    for doc, zm in zip(docword, z):
+        for v, k in zip(doc, zm):
+            wt = index[v]
+            wt[k] = wt.get(k, 0) + 1
+    return index
+
+
+def sweep_sparse_tokens(docword, z, rows, tables: CountTables, word_topics: list,
+                        alpha: float, beta: float, rng: random.Random) -> None:
+    """Resample every token once, documents then positions in index order,
+    with the SparseLDA draw (Yao, Mimno & McCallum, KDD 2009).
+
+    Token n of document m, with topic z[m][n], is drawn from
+      (alpha + row_k)(beta + n_kv)/(n_k + V beta)
+    where ``row = rows[m]`` is the count row the draw uses: the document's
+    own n_mk in LDA, its pseudo document's N_lk in PTM.  The row, the
+    ``topic_word`` and ``topic_total`` of ``tables`` and ``word_topics``
+    (see ``word_topic_index``) move with every draw.
+
+    The weight is split as
+      s_k = alpha beta / (n_k + V beta)            every topic
+      r_k = row_k beta / (n_k + V beta)            the row's topics
+      q_k = (alpha + row_k) n_kv / (n_k + V beta)  the word's topics
+    With coef_k = (alpha + row_k)/(n_k + V beta), cached per topic,
+    q_k = coef_k n_kv and s_k + r_k = beta coef_k.  q is summed over the
+    word's index only; s + r is a running total, recomputed at the start
+    of each document so round-off cannot build up.  s and r share one
+    walk over all K topics: a cumulative sum at C speed costs less here
+    than keeping each row's topic list, and few draws land there.
+    """
+    nkv = tables.topic_word
+    nk = tables.topic_total
+    K = len(nk)
+    vbeta = len(word_topics) * beta
+    rng_random = rng.random
+    inv = [1.0 / (n + vbeta) for n in nk]  # 1/(n_k + V beta)
+    for doc, zm, nm in zip(docword, z, rows):
+        coef = [(alpha + c) * i for c, i in zip(nm, inv)]
+        s_r = beta * fold_sum(coef)
+        for n, v in enumerate(doc):
+            k = zm[n]
+            wt = word_topics[v]
+            c = nm[k] - 1
+            nm[k] = c
+            nkv[k][v] -= 1
+            t = nk[k] - 1
+            nk[k] = t
+            left = wt[k] - 1
+            if left:
+                wt[k] = left
+            else:
+                del wt[k]
+            i = 1.0 / (t + vbeta)
+            inv[k] = i
+            x = (alpha + c) * i
+            s_r += beta * (x - coef[k])
+            coef[k] = x
+
+            q = 0.0
+            for k, c in wt.items():
+                q += coef[k] * c
+            u = rng_random() * (q + s_r)
+            if u < q:
+                # round-off past the end leaves k at the bucket's last topic
+                for k, c in wt.items():
+                    u -= coef[k] * c
+                    if u < 0.0:
+                        break
+            else:
+                k = min(bisect_right(list(accumulate(coef)), (u - q) / beta), K - 1)
+
+            zm[n] = k
+            c = nm[k] + 1
+            nm[k] = c
+            nkv[k][v] += 1
+            t = nk[k] + 1
+            nk[k] = t
+            if k in wt:
+                wt[k] += 1
+            else:
+                wt[k] = 1
+            i = 1.0 / (t + vbeta)
+            inv[k] = i
+            x = (alpha + c) * i
+            s_r += beta * (x - coef[k])
+            coef[k] = x
+
+
 class LdaGibbsSampler:
     """Owns the assignment vector z and its count tables for one chain.
 
@@ -100,9 +193,9 @@ class LdaGibbsSampler:
     ``topic_labels`` names the topics in the estimate.
 
     An unrestricted chain with at least ``SPARSE_MIN_TOPICS`` topics runs the
-    SparseLDA kernel, which also keeps ``word_topics``: for every word, a
-    dict from each topic holding it to n_kv.  ``tables`` stays the source of
-    truth.
+    SparseLDA kernel (``sweep_sparse_tokens``), which also keeps
+    ``word_topics``: for every word, a dict from each topic holding it to
+    n_kv.  ``tables`` stays the source of truth.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random,
@@ -136,18 +229,9 @@ class LdaGibbsSampler:
     def _counts(self, sparse: bool) -> dict:
         """The count tables of z, and for the sparse kernel its word index,
         by attribute name: set by __init__ and compared by check()."""
-        docword = self.corpus.docword
-        word_topics = None
-        if sparse:
-            # keys in order of first use, which the sparse walk follows
-            word_topics = [{} for _ in range(self.corpus.n_words)]
-            for doc, zm in zip(docword, self.z):
-                for v, k in zip(doc, zm):
-                    wt = word_topics[v]
-                    wt[k] = wt.get(k, 0) + 1
-        return {"tables": counts_from_assignments(docword, self.z, self.hyper.n_topics,
-                                                  self.corpus.n_words),
-                "word_topics": word_topics}
+        docword, n_words = self.corpus.docword, self.corpus.n_words
+        return {"tables": counts_from_assignments(docword, self.z, self.hyper.n_topics, n_words),
+                "word_topics": word_topic_index(docword, self.z, n_words) if sparse else None}
 
     def check(self) -> None:
         """Check the count tables and the sparse word index against a recount
@@ -163,7 +247,8 @@ class LdaGibbsSampler:
         if self.word_topics is None:
             self._sweep_dense()
         else:
-            self._sweep_sparse()
+            sweep_sparse_tokens(self.corpus.docword, self.z, self.tables.doc_topic, self.tables,
+                                self.word_topics, self.hyper.alpha, self.hyper.beta, self.rng)
 
     def _sweep_dense(self) -> None:
         K = self.hyper.n_topics
@@ -208,84 +293,6 @@ class LdaGibbsSampler:
                 nm[k_new] += 1
                 nkv[k_new][v] += 1
                 nk[k_new] += 1
-
-    def _sweep_sparse(self) -> None:
-        """SparseLDA (Yao, Mimno & McCallum, KDD 2009).
-
-        The dense loop's weight (alpha + n_mk)(beta + n_kv)/(n_k + V beta)
-        is split as
-          s_k = alpha beta / (n_k + V beta)            every topic
-          r_k = n_mk beta / (n_k + V beta)             the document's topics
-          q_k = (alpha + n_mk) n_kv / (n_k + V beta)   the word's topics
-        With coef_k = (alpha + n_mk)/(n_k + V beta), cached per topic,
-        q_k = coef_k n_kv and s_k + r_k = beta coef_k.  q is summed over the
-        word's index only; s + r is a running total, recomputed at the start
-        of each document so round-off cannot build up.  s and r share one
-        walk over all K topics: a cumulative sum at C speed costs less here
-        than keeping each document's topic list, and few draws land there.
-        """
-        K = self.hyper.n_topics
-        alpha = self.hyper.alpha
-        beta = self.hyper.beta
-        vbeta = self.corpus.n_words * beta
-        ndk = self.tables.doc_topic
-        nkv = self.tables.topic_word
-        nk = self.tables.topic_total
-        word_topics = self.word_topics
-        rng_random = self.rng.random
-        inv = [1.0 / (n + vbeta) for n in nk]  # 1/(n_k + V beta)
-        for m, doc in enumerate(self.corpus.docword):
-            zm = self.z[m]
-            nm = ndk[m]
-            coef = [(alpha + c) * i for c, i in zip(nm, inv)]
-            s_r = beta * fold_sum(coef)
-            for n, v in enumerate(doc):
-                k = zm[n]
-                wt = word_topics[v]
-                c = nm[k] - 1
-                nm[k] = c
-                nkv[k][v] -= 1
-                t = nk[k] - 1
-                nk[k] = t
-                left = wt[k] - 1
-                if left:
-                    wt[k] = left
-                else:
-                    del wt[k]
-                i = 1.0 / (t + vbeta)
-                inv[k] = i
-                x = (alpha + c) * i
-                s_r += beta * (x - coef[k])
-                coef[k] = x
-
-                q = 0.0
-                for k, c in wt.items():
-                    q += coef[k] * c
-                u = rng_random() * (q + s_r)
-                if u < q:
-                    # round-off past the end leaves k at the bucket's last topic
-                    for k, c in wt.items():
-                        u -= coef[k] * c
-                        if u < 0.0:
-                            break
-                else:
-                    k = min(bisect_right(list(accumulate(coef)), (u - q) / beta), K - 1)
-
-                zm[n] = k
-                c = nm[k] + 1
-                nm[k] = c
-                nkv[k][v] += 1
-                t = nk[k] + 1
-                nk[k] = t
-                if k in wt:
-                    wt[k] += 1
-                else:
-                    wt[k] = 1
-                i = 1.0 / (t + vbeta)
-                inv[k] = i
-                x = (alpha + c) * i
-                s_r += beta * (x - coef[k])
-                coef[k] = x
 
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),

@@ -18,7 +18,16 @@ from itertools import accumulate
 from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, fold_sum, record,
                    require_at_least, require_positive, require_recount, sample_categorical, warn)
 from .corpus import Corpus
-from .lda import estimate_phi, estimate_theta, smoothed_rows
+from .lda import estimate_phi, estimate_theta, smoothed_rows, sweep_sparse_tokens, word_topic_index
+
+# Topic count from which BTM draws from the two-bucket kernel instead of the
+# dense O(K) walk.  The measured crossover is in CHANGES.md.
+BTM_BUCKET_MIN_TOPICS = 8
+
+
+def _topic_counts(z: list, n_topics: int) -> list:
+    """Per document, its tokens in each topic."""
+    return [[zm.count(k) for k in range(n_topics)] for zm in z]
 
 
 @record(frozen=True)
@@ -48,7 +57,9 @@ class PtmSampler:
     ``pseudo`` counts tokens by pseudo document: doc_topic[l][k] is N_l^k,
     doc_total[l] is N_l^*, and topic_word and topic_total are n_k^v and n_k.
     ``n_l`` counts short documents per pseudo document and ``doc_topic[m][k]``
-    the tokens of short document m in topic k.
+    the tokens of short document m in topic k.  The token step is the
+    SparseLDA draw of ``lda.sweep_sparse_tokens`` against each document's
+    pseudo-document row, with its word index ``word_topics``.
     """
 
     def __init__(self, corpus: Corpus, hyper: PtmHyper, rng: random.Random):
@@ -73,7 +84,8 @@ class PtmSampler:
         return {"n_l": [self.l.count(l) for l in range(P)],
                 "pseudo": counts_from_assignments(docword, self.z, K, self.corpus.n_words,
                                                   rows=rows, n_rows=P),
-                "doc_topic": [[zm.count(k) for k in range(K)] for zm in self.z]}
+                "doc_topic": _topic_counts(self.z, K),
+                "word_topics": word_topic_index(docword, self.z, self.corpus.n_words)}
 
     def check(self) -> None:
         """Check every table against a recount of l and z; raises ValueError."""
@@ -143,40 +155,10 @@ class PtmSampler:
                 if c:
                     pseudo_topic[l_new][k] += c
             self.l[m] = l_new
-        # phase 2: token topics, drawing from topic_conditional inline
-        K = hyper.n_topics
-        alpha, beta = hyper.alpha, hyper.beta
-        k_alpha = K * alpha
-        v_beta = self.corpus.n_words * beta
-        topic_word = self.pseudo.topic_word
-        topic_total = self.pseudo.topic_total
-        rng_random = self.rng.random
-        for m, doc in enumerate(self.corpus.docword):
-            l = self.l[m]
-            p_row = pseudo_topic[l]
-            d_row = self.doc_topic[m]
-            zm = self.z[m]
-            # N_l with the current token excluded is the same for every token
-            denom = pseudo_total[l] - 1 + k_alpha
-            for n, v in enumerate(doc):
-                k = zm[n]
-                p_row[k] -= 1
-                d_row[k] -= 1
-                topic_word[k][v] -= 1
-                topic_total[k] -= 1
-                # the weights are positive, so a draw past the last running
-                # sum (round-off) takes K - 1, as sample_categorical would
-                cumulative = list(accumulate(
-                    [(p + alpha) / denom * (row[v] + beta) / (t + v_beta)
-                     for p, row, t in zip(p_row, topic_word, topic_total)]))
-                k = bisect_right(cumulative, rng_random() * cumulative[-1])
-                if k == K:
-                    k = K - 1
-                zm[n] = k
-                p_row[k] += 1
-                d_row[k] += 1
-                topic_word[k][v] += 1
-                topic_total[k] += 1
+        # phase 2: token topics, each drawn against its pseudo document's row
+        sweep_sparse_tokens(self.corpus.docword, self.z, [pseudo_topic[l] for l in self.l],
+                            self.pseudo, self.word_topics, hyper.alpha, hyper.beta, self.rng)
+        self.doc_topic = _topic_counts(self.z, hyper.n_topics)
 
     def estimate(self) -> PtmFit:
         alpha, beta = self.hyper.alpha, self.hyper.beta
@@ -251,26 +233,29 @@ class BtmSampler:
         if not self.instances:
             raise ValueError("no document contains two words within the window")
         self.z = [rng.randrange(hyper.n_topics) for _ in self.instances]
-        vars(self).update(self._counts())
+        vars(self).update(self._counts(hyper.n_topics >= BTM_BUCKET_MIN_TOPICS))
 
     @property
     def n_biterms(self) -> int:
         return len(self.instances)
 
-    def _counts(self) -> dict:
+    def _counts(self, buckets: bool) -> dict:
         """The count tables of the biterm topics z, by attribute name: n_b[k]
         biterms per topic, and both word slots of every biterm in topic_word
-        and topic_total (counted as one document of all the slots)."""
+        and topic_total (counted as one document of all the slots); for the
+        bucketed kernel also their word index, word_topics."""
         K = self.hyper.n_topics
-        slots = counts_from_assignments([[w for pair in self.instances for w in pair]],
-                                        [[k for k in self.z for _ in range(2)]],
-                                        K, self.corpus.n_words)
+        words = [[w for pair in self.instances for w in pair]]
+        topics = [[k for k in self.z for _ in range(2)]]
+        slots = counts_from_assignments(words, topics, K, self.corpus.n_words)
         return {"n_b": [self.z.count(k) for k in range(K)], "topic_word": slots.topic_word,
-                "topic_total": slots.topic_total}
+                "topic_total": slots.topic_total,
+                "word_topics": (word_topic_index(words, topics, self.corpus.n_words)
+                                if buckets else None)}
 
     def check(self) -> None:
         """Check the tables against a recount of z; raises ValueError."""
-        require_recount(self, self._counts(), "z")
+        require_recount(self, self._counts(self.word_topics is not None), "z")
 
     def full_conditional(self, w1: int, w2: int) -> list:
         """Topic weights for one biterm, its counts already removed.
@@ -292,6 +277,109 @@ class BtmSampler:
         return out
 
     def sweep(self) -> None:
+        """Resample every biterm's topic once, in index order."""
+        if self.word_topics is None:
+            self._sweep_dense()
+        else:
+            self._sweep_buckets()
+
+    def _sweep_buckets(self) -> None:
+        """The draw of full_conditional, split into two buckets.
+
+        The weight of topic k is A_k (c1 + b)(c2 + b), where c1 and c2 are
+        n_kw1 and n_kw2 and
+          A_k = (n_k + a)/(N_B - 1 + K a) / ((n_k* + V b + 1)(n_k* + V b))
+        does not depend on the biterm.  It is split as
+          smoothing  A_k b^2                  every topic
+          word       A_k (c1 c2 + b (c1 + c2))  the topics holding w1 or w2
+        The word bucket is walked first, over the word index: the topics of
+        w1, then those of w2 that w1 lacks (a biterm of one word twice reads
+        one dict, so c1 = c2).  The smoothing bucket is b^2 times a running
+        total of A, summed afresh at the start of each sweep, and a draw
+        landing there is found by bisect over the running sums of A.
+        """
+        hyper = self.hyper
+        K = hyper.n_topics
+        alpha, beta = hyper.alpha, hyper.beta
+        beta2 = beta * beta
+        denom = self.n_biterms - 1 + K * alpha
+        v_beta = self.corpus.n_words * beta
+        n_b = self.n_b
+        topic_word = self.topic_word
+        topic_total = self.topic_total
+        word_topics = self.word_topics
+        z = self.z
+        rng_random = self.rng.random
+        A = [(n + alpha) / denom / ((t + v_beta + 1) * (t + v_beta))
+             for n, t in zip(n_b, topic_total)]
+        a_sum = fold_sum(A)
+        for i, (w1, w2) in enumerate(self.instances):
+            k = z[i]
+            row = topic_word[k]
+            row[w1] -= 1
+            row[w2] -= 1
+            wt1 = word_topics[w1]
+            wt2 = word_topics[w2]
+            left = wt1[k] - 1
+            if left:
+                wt1[k] = left
+            else:
+                del wt1[k]
+            left = wt2[k] - 1
+            if left:
+                wt2[k] = left
+            else:
+                del wt2[k]
+            n = n_b[k] - 1
+            n_b[k] = n
+            t = topic_total[k] - 2
+            topic_total[k] = t
+            tot = t + v_beta
+            x = (n + alpha) / denom / ((tot + 1) * tot)
+            a_sum += x - A[k]
+            A[k] = x
+
+            q = 0.0
+            for k, c in wt1.items():
+                c2 = wt2.get(k, 0)
+                q += A[k] * (c * c2 + beta * (c + c2))
+            for k, c in wt2.items():
+                if k not in wt1:
+                    q += A[k] * beta * c
+            u = rng_random() * (q + beta2 * a_sum)
+            if u < q:
+                # the same walk; round-off past its end leaves k at a topic
+                # holding w2 (or w1)
+                for k, c in wt1.items():
+                    c2 = wt2.get(k, 0)
+                    u -= A[k] * (c * c2 + beta * (c + c2))
+                    if u < 0.0:
+                        break
+                else:
+                    for k, c in wt2.items():
+                        if k not in wt1:
+                            u -= A[k] * beta * c
+                            if u < 0.0:
+                                break
+            else:
+                k = min(bisect_right(list(accumulate(A)), (u - q) / beta2), K - 1)
+
+            z[i] = k
+            row = topic_word[k]
+            row[w1] += 1
+            row[w2] += 1
+            wt1[k] = wt1.get(k, 0) + 1
+            wt2[k] = wt2.get(k, 0) + 1
+            n = n_b[k] + 1
+            n_b[k] = n
+            t = topic_total[k] + 2
+            topic_total[k] = t
+            tot = t + v_beta
+            x = (n + alpha) / denom / ((tot + 1) * tot)
+            a_sum += x - A[k]
+            A[k] = x
+
+    def _sweep_dense(self) -> None:
         """Resample every biterm's topic, drawing from full_conditional inline.
 
         The two biterm-independent factors of each weight are kept per topic,

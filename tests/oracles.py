@@ -195,3 +195,49 @@ def plda_token_oracle(n_mt, n_tv_col, n_t, admissible, alpha, beta, K, V):
     return [((n_mt[t] + alpha) * (n_tv_col[t] + beta) / (n_t[t] + V * beta))
             if t in admissible else 0.0
             for t in range(K)]
+
+
+def ptm_joint_log(docword, l, z, P, K, V, lam, alpha, beta):
+    """Collapsed log joint p(w, z, l) for PTM up to assignment-independent
+    constants: short document m joins pseudo document l[m] (Dirichlet lam),
+    each pseudo document mixes topics (Dirichlet alpha) and each topic
+    words (Dirichlet beta)."""
+    n_l = [0] * P
+    N_lk = [[0] * K for _ in range(P)]
+    n_kv = [[0] * V for _ in range(K)]
+    for m, doc in enumerate(docword):
+        n_l[l[m]] += 1
+        for n, v in enumerate(doc):
+            N_lk[l[m]][z[m][n]] += 1
+            n_kv[z[m][n]][v] += 1
+    ll = 0.0
+    for p in range(P):
+        ll += math.lgamma(n_l[p] + lam)
+        for k in range(K):
+            ll += math.lgamma(N_lk[p][k] + alpha)
+        ll -= math.lgamma(sum(N_lk[p]) + K * alpha)
+    for k in range(K):
+        for v in range(V):
+            ll += math.lgamma(n_kv[k][v] + beta)
+        ll -= math.lgamma(sum(n_kv[k]) + V * beta)
+    return ll
+
+
+def btm_joint_log(biterms, z, K, V, alpha, beta):
+    """Collapsed log joint p(B, z) for BTM up to assignment-independent
+    constants: biterm (w1, w2) takes topic z from one corpus-wide topic
+    mixture (Dirichlet alpha), and both its words are drawn from that
+    topic's word distribution (Dirichlet beta)."""
+    n_k = [0] * K
+    n_kv = [[0] * V for _ in range(K)]
+    for (w1, w2), k in zip(biterms, z):
+        n_k[k] += 1
+        n_kv[k][w1] += 1
+        n_kv[k][w2] += 1
+    ll = 0.0
+    for k in range(K):
+        ll += math.lgamma(n_k[k] + alpha)
+        for v in range(V):
+            ll += math.lgamma(n_kv[k][v] + beta)
+        ll -= math.lgamma(2 * n_k[k] + V * beta)
+    return ll

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from topicmodels import lda as lda_mod
+from topicmodels import short_text as short_text_mod
 from topicmodels.cli import main as cli_main
 from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain, parse_sentences, parse_tagged, preprocess
@@ -31,7 +32,8 @@ from topicmodels.supervised import LabeledLdaHyper, LabeledLdaSampler, PldaHyper
 from oracles import (assert_close_distribution, cosine, lda_token_oracle, sentence_topic_oracle,
                      dmm_doc_oracle, dpmm_doc_oracle, ptm_pseudo_doc_oracle, ptm_token_oracle, btm_biterm_oracle,
                      atm_joint_oracle, linklda_word_oracle, linklda_link_oracle,
-                     labeled_token_oracle, plda_token_oracle, lda_joint_log, tv_distance)
+                     labeled_token_oracle, plda_token_oracle, lda_joint_log, ptm_joint_log,
+                     btm_joint_log, tv_distance)
 
 
 def ok(criterion, detail):
@@ -46,6 +48,28 @@ def random_docs(rng, n_docs, v, lo=2, hi=6):
 # ---------------------------------------------------------------------------
 # 1. exact-posterior oracle for the LDA collapsed Gibbs chain
 # ---------------------------------------------------------------------------
+
+def _normalized(log_post):
+    """The distribution with these unnormalised log probabilities."""
+    mx = max(log_post.values())
+    exact = {k: math.exp(v - mx) for k, v in log_post.items()}
+    total = sum(exact.values())
+    return {k: v / total for k, v in exact.items()}
+
+
+def _chain_tv(sampler, state, exact):
+    """Total-variation distance between ``exact`` and the frequencies of
+    ``state(sampler)`` after each of 200,000 sweeps past a 2,000-sweep burn-in."""
+    for _ in range(2000):
+        sampler.sweep()
+    sweeps = 200000
+    counts = {}
+    for _ in range(sweeps):
+        sampler.sweep()
+        key = state(sampler)
+        counts[key] = counts.get(key, 0) + 1
+    return tv_distance({k: c / sweeps for k, c in counts.items()}, exact)
+
 
 def _criterion_1(monkeypatch, kernel):
     """Run criterion 1 with the Gibbs kernel named ``kernel`` ("dense" or "sparse")."""
@@ -63,24 +87,12 @@ def _criterion_1(monkeypatch, kernel):
             z.append(list(flat[i:i + s]))
             i += s
         log_post[flat] = lda_joint_log(corpus.docword, z, K, V, alpha, beta)
-    mx = max(log_post.values())
-    exact = {k: math.exp(v - mx) for k, v in log_post.items()}
-    total = sum(exact.values())
-    exact = {k: v / total for k, v in exact.items()}
+    exact = _normalized(log_post)
 
     monkeypatch.setattr(lda_mod, "SPARSE_MIN_TOPICS", K if kernel == "sparse" else K + 1)
     sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta), SeededRng(20240601))
     assert (sampler.word_topics is not None) == (kernel == "sparse")
-    for _ in range(2000):  # burn-in
-        sampler.sweep()
-    sweeps = 200000
-    counts = {}
-    for _ in range(sweeps):
-        sampler.sweep()
-        key = (*sampler.z[0], *sampler.z[1], *sampler.z[2])
-        counts[key] = counts.get(key, 0) + 1
-    empirical = {k: c / sweeps for k, c in counts.items()}
-    tv = tv_distance(empirical, exact)
+    tv = _chain_tv(sampler, lambda s: (*s.z[0], *s.z[1], *s.z[2]), exact)
     elapsed = time.perf_counter() - start
     assert tv < 0.02, f"total-variation distance {tv:.4f}"
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
@@ -94,6 +106,61 @@ def test_criterion_1_exact_posterior_lda_gibbs(monkeypatch):
 
 def test_criterion_1_exact_posterior_lda_gibbs_sparse(monkeypatch):
     _criterion_1(monkeypatch, "sparse")
+
+
+def test_criterion_1_exact_posterior_ptm():
+    """PTM's chain over (pseudo document of each document, topic of each
+    token), P = K = 2: 2^3 x 2^5 states against the collapsed joint."""
+    start = time.perf_counter()
+    corpus = parse_plain(["w0 w1", "w1 w2", "w2"])
+    P, K, V = 2, 2, corpus.n_words
+    lam, alpha, beta = 0.8, 0.7, 0.6
+    log_post = {}
+    for ls in itertools.product(range(P), repeat=3):
+        for zs in itertools.product(range(K), repeat=5):
+            z = [list(zs[0:2]), list(zs[2:4]), list(zs[4:5])]
+            log_post[(*ls, *zs)] = ptm_joint_log(corpus.docword, ls, z, P, K, V,
+                                                 lam, alpha, beta)
+    exact = _normalized(log_post)
+    sampler = PtmSampler(corpus, PtmHyper(P, K, alpha, beta, lam), SeededRng(20240602))
+    tv = _chain_tv(sampler, lambda s: (*s.l, *s.z[0], *s.z[1], *s.z[2]), exact)
+    elapsed = time.perf_counter() - start
+    assert tv < 0.02, f"total-variation distance {tv:.4f}"
+    assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
+    ok(1, f"ptm: TV distance {tv:.4f} < 0.02 over 2^3 x 2^5 assignments ({elapsed:.1f}s)")
+
+
+def _criterion_1_btm(monkeypatch, kernel):
+    """BTM's chain over the topics of eight biterms, K = 2, with the kernel
+    named ``kernel`` ("dense" or "buckets").  No biterm is one word twice,
+    so the sampler's conditional is the exact one of the joint."""
+    start = time.perf_counter()
+    corpus = parse_plain(["w0 w1 w2", "w1 w3", "w2 w3 w0", "w1 w2"])
+    K, V = 2, corpus.n_words
+    alpha, beta = 0.9, 0.5
+    biterms = [(b.w1, b.w2) for b in extract_biterms(corpus, 3) for _ in range(b.count)]
+    assert len(biterms) == 8 and all(w1 != w2 for w1, w2 in biterms)
+    exact = _normalized({zs: btm_joint_log(biterms, zs, K, V, alpha, beta)
+                         for zs in itertools.product(range(K), repeat=8)})
+    monkeypatch.setattr(short_text_mod, "BTM_BUCKET_MIN_TOPICS",
+                        K if kernel == "buckets" else K + 1)
+    sampler = BtmSampler(corpus, BtmHyper(K, alpha, beta, 3), SeededRng(20240603))
+    assert sampler.instances == biterms
+    assert (sampler.word_topics is not None) == (kernel == "buckets")
+    tv = _chain_tv(sampler, lambda s: tuple(s.z), exact)
+    elapsed = time.perf_counter() - start
+    assert tv < 0.02, f"total-variation distance {tv:.4f}"
+    assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
+    ok(1, f"btm {kernel} kernel: TV distance {tv:.4f} < 0.02 over 2^8 assignments "
+          f"({elapsed:.1f}s)")
+
+
+def test_criterion_1_exact_posterior_btm(monkeypatch):
+    _criterion_1_btm(monkeypatch, "dense")
+
+
+def test_criterion_1_exact_posterior_btm_buckets(monkeypatch):
+    _criterion_1_btm(monkeypatch, "buckets")
 
 
 # ---------------------------------------------------------------------------

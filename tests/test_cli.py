@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import topicmodels
-from topicmodels import cli, lda, reports
+from topicmodels import cli, lda, reports, short_text
 from topicmodels.cli import main
 from topicmodels.core import fields
 from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
@@ -187,11 +187,11 @@ GOLDEN_SHORT_TEXT = {
         "371ba0764a087cbc4bcc92ff214093b949dbc57bcc1a0917c900701e4223b217"}),
     "ptm": (["-k", "3", "--pseudo-docs", "3", "--alpha", "0.5"], {
         "PseudoDTM_doc_topic3.txt":
-        "d5c47bf2f70a353d12556fa993e16b0841bae71ad86f59494e98373404096191",
+        "914eb1722cc8bf4c91ffa5090e57b50db77cab72f1e44d701ce7826841ce2ec6",
         "PseudoDTM_pseudo_topic3.txt":
-        "cbadab904f5a9bb0767a9026b16a6fe5c06869a955cf89b6980f67482508210e",
+        "c5cf289ff4805b25e1b70ada5c4e50d7520a2987bce52173365578ec973121f3",
         "PseudoDTM_topic_word_3.txt":
-        "49ff783cd8c52a630b2628a014c9c33797b343e3fb3e0fbc216f6a4757e9df52"}),
+        "48d6318ab2657f2a4829eedb06ff11ab821f724fa5e4acc617f3f25620b95e37"}),
     "btm": (["-k", "3"], {
         "BTM_doc_topic_3.txt":
         "7c25542b247999d8f79092e4d457b420c6326b3d1775c34016a741209707284b",
@@ -210,6 +210,33 @@ GOLDEN_SHORT_TEXT = {
 @pytest.mark.parametrize("model", sorted(GOLDEN_SHORT_TEXT))
 def test_short_text_golden_bytes(tmp_path, model):
     flags, want = GOLDEN_SHORT_TEXT[model]
+    assert_golden(tmp_path, model, GOLDEN, flags, want)
+
+
+# The same for PTM and BTM at K = 10, where both run their bucketed kernels;
+# the K = 3 entries above run PTM's (its only one) and BTM's dense walk.
+GOLDEN_SHORT_TEXT_K10 = {
+    "ptm": (["-k", "10", "--pseudo-docs", "3", "--alpha", "0.5"], {
+        "PseudoDTM_doc_topic10.txt":
+        "62b99bfc838099849539b648acdab339c6d74cbccc3b9029b7556fa89c8d5dc5",
+        "PseudoDTM_pseudo_topic10.txt":
+        "1a1dcdabf07a0a8bc93bc3fc1f1808b96772948412343e56c15e4b0f89ca8459",
+        "PseudoDTM_topic_word_10.txt":
+        "ab430807792ac3aacd912f512e6ab131475e683603bf77009dbf36e10a9990b9"}),
+    "btm": (["-k", "10"], {
+        "BTM_doc_topic_10.txt":
+        "d4a55f367df962ef7111c7db9dbaa4181f879d64faf8e25ece937966282b6c3e",
+        "BTM_topic_theta_10.txt":
+        "97d3f5f4fa0958b91be3f73d3f530afa691fae04bac801839e4afb83f68a2637",
+        "BTM_topic_word_10.txt":
+        "e5365baa438b0763c709f92641aea7a58957fa608784de4462a19653bdcd16ef"}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_SHORT_TEXT_K10))
+def test_short_text_golden_bytes_at_k10(tmp_path, model):
+    assert 3 < short_text.BTM_BUCKET_MIN_TOPICS <= 10
+    flags, want = GOLDEN_SHORT_TEXT_K10[model]
     assert_golden(tmp_path, model, GOLDEN, flags, want)
 
 
@@ -505,6 +532,45 @@ def test_failing_writer_leaves_no_output_behind(tmp_path, plain_file, monkeypatc
     assert run([*args, "--output-dir", out]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "LDAGibbs_doc_topic2.txt", "LDAGibbs_topic_word_2.txt", "notes.txt"]
+
+
+@pytest.mark.parametrize("encoding", ["no-such-codec", "rot13"])
+@pytest.mark.parametrize("command", ["fit", "eval", "preprocess"])
+def test_unknown_encoding_is_one_error_line(tmp_path, plain_file, capsys, command, encoding):
+    out = tmp_path / "out"
+    args = {"fit": ["--model", "lda-gibbs", "-k", "2", "--iterations", "2", "--output-dir", out],
+            "eval": ["--model", "lda-gibbs", "-k", "2", "--iterations", "2"],
+            "preprocess": ["--output", out]}[command]
+    assert run([command, "--input", plain_file, *args, "--encoding", encoding]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --encoding: ")
+    assert encoding in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [["out"], ["a", "b", "out"]])
+def test_output_dir_under_a_regular_file_fails_before_sampling(tmp_path, plain_file, capsys,
+                                                               below):
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("not a directory")
+    out = blocker.joinpath(*below)
+    before = sorted(tmp_path.iterdir())
+    assert run(["fit", "--model", "lda-gibbs", "--input", plain_file, "-k", "2",
+                "--iterations", "2", "--output-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: --output-dir {out}: {blocker} is not a directory"]
+    assert sorted(tmp_path.iterdir()) == before
+    assert blocker.read_text() == "not a directory"
+
+
+def test_output_dir_check_creates_nothing(tmp_path, plain_file):
+    out = tmp_path / "new" / "deeper"
+    cli._require_writable_dir(out)
+    assert not (tmp_path / "new").exists()
+    assert run(["fit", "--model", "lda-gibbs", "--input", plain_file, "-k", "2",
+                "--iterations", "2", "--output-dir", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "LDAGibbs_doc_topic2.txt", "LDAGibbs_topic_word_2.txt"]
 
 
 def test_nonpositive_top_n_rejected_before_sampling(tmp_path, plain_file, capsys):

@@ -331,8 +331,10 @@ def test_registry_samplers_pass_check_after_every_sweep(name, flags):
     spec = cli.MODELS[name]
     corpus = tiny_corpus(spec.layout)
     sampler = spec.sampler(corpus, spec.hyper(**flags), SeededRng(5))
-    # K = 20 runs the sparse kernel, K = 3 and the label models the dense one
-    assert (getattr(sampler, "word_topics", None) is not None) == (flags.get("n_topics") == 20)
+    # lda-gibbs at K = 20 and ptm at any K run a SparseLDA draw, with its word
+    # index; lda-gibbs at K = 3, the label models and btm at K = 3 the dense one
+    assert ((getattr(sampler, "word_topics", None) is not None)
+            == (flags.get("n_topics") == 20 or name == "ptm"))
     sampler.check()
     for _ in range(8):
         sampler.sweep()
