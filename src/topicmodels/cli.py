@@ -252,9 +252,10 @@ def _require_text_encoding(encoding: str) -> None:
 def _require_writable_dir(outdir: Path) -> None:
     """Raise CliError unless the nearest existing one of ``outdir`` and its
     ancestors is a writable directory, where the outputs can be created.
-    Creates nothing."""
+    A dangling symlink counts as existing, and is not a directory.  Creates
+    nothing."""
     ancestor = outdir.absolute()
-    while not ancestor.exists():
+    while not (ancestor.exists() or ancestor.is_symlink()):
         ancestor = ancestor.parent
     if not ancestor.is_dir():
         raise CliError(f"--output-dir {outdir}: {ancestor} is not a directory")

@@ -180,44 +180,23 @@ def fold_sum(values) -> float:
 def sample_categorical(weights: Sequence[float], rng: random.Random) -> int:
     """Draw an index with probability weights[i] / sum(weights).
 
-    Cumulative-sum inversion of a single uniform draw.  Weights must be
-    nonnegative, free of NaN, and not all zero.
+    Cumulative-sum inversion of a single uniform draw, found by bisect over
+    the running sums.  Weights must be nonnegative, free of NaN, and not all
+    zero.
     """
-    total = 0.0
-    for w in weights:
-        if w < 0.0 or w != w:
-            raise SamplingError(f"invalid weight {w!r} in categorical draw")
-        total += w
-    if total <= 0.0:
-        raise SamplingError("all categorical weights are zero")
-    r = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    # float round-off can leave r microscopically past the final cumsum;
+    cumulative = list(accumulate(weights))
+    # a NaN weight makes the final sum NaN, which fails the first test
+    if not (cumulative and cumulative[-1] > 0.0) or min(weights) < 0.0:
+        raise SamplingError("categorical weights must be nonnegative numbers, not all zero")
+    i = bisect_right(cumulative, rng.random() * cumulative[-1])
+    if i < len(cumulative):
+        return i
+    # float round-off can leave the draw microscopically past the final sum;
     # fall back to the last index carrying mass
-    for i in range(len(weights) - 1, -1, -1):
+    for i in range(len(cumulative) - 1, -1, -1):
         if weights[i] > 0.0:
             return i
     raise SamplingError("unreachable: no positive weight found")
-
-
-def sample_running_sums(weights: Sequence[float], rng: random.Random) -> int:
-    """``sample_categorical(weights, rng)``, found by bisect over the running
-    sums of ``weights`` rather than a Python scan: the same index for the
-    same uniform.  The weights are not checked; all zero raises."""
-    cumulative = list(accumulate(weights))
-    i = bisect_right(cumulative, rng.random() * cumulative[-1])
-    if i < len(weights):
-        return i
-    # round-off past the final sum takes the last index carrying mass, as in
-    # sample_categorical
-    for i in range(len(weights) - 1, -1, -1):
-        if weights[i] > 0.0:
-            return i
-    raise SamplingError("all categorical weights are zero")
 
 
 def log_rising_factorial(x: float, n: int) -> float:

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 
 from .core import (counts_from_assignments, record, require_at_least, require_nonnegative,
-                   require_positive, require_recount, sample_running_sums)
+                   require_positive, require_recount, sample_categorical)
 from .corpus import Corpus
 from .lda import FittedLda, estimate_theta, smoothed_rows
 
@@ -234,11 +234,11 @@ class HdpSampler:
                     acc += mk / denom * fk
                 weights = [c * f[k] for c, k in zip(table_count, table_topic)]
                 weights.append(alpha0 * acc)
-                choice = sample_running_sums(weights, rng)
+                choice = sample_categorical(weights, rng)
                 if choice == len(table_topic):
                     weights = [mk * fk for mk, fk in zip(m_k, f)]
                     weights.append(new_topic)
-                    k = sample_running_sums(weights, rng)
+                    k = sample_categorical(weights, rng)
                     if k == self.n_topics:
                         k = self._new_topic()
                     choice = self._new_table(m, k)

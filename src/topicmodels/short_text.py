@@ -20,10 +20,6 @@ from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, fold_s
 from .corpus import Corpus
 from .lda import estimate_phi, estimate_theta, smoothed_rows, sweep_sparse_tokens, word_topic_index
 
-# Topic count from which BTM draws from the two-bucket kernel instead of the
-# dense O(K) walk.  The measured crossover is in CHANGES.md.
-BTM_BUCKET_MIN_TOPICS = 8
-
 
 def _topic_counts(z: list, n_topics: int) -> list:
     """Per document, its tokens in each topic."""
@@ -233,29 +229,28 @@ class BtmSampler:
         if not self.instances:
             raise ValueError("no document contains two words within the window")
         self.z = [rng.randrange(hyper.n_topics) for _ in self.instances]
-        vars(self).update(self._counts(hyper.n_topics >= BTM_BUCKET_MIN_TOPICS))
+        vars(self).update(self._counts())
 
     @property
     def n_biterms(self) -> int:
         return len(self.instances)
 
-    def _counts(self, buckets: bool) -> dict:
+    def _counts(self) -> dict:
         """The count tables of the biterm topics z, by attribute name: n_b[k]
         biterms per topic, and both word slots of every biterm in topic_word
-        and topic_total (counted as one document of all the slots); for the
-        bucketed kernel also their word index, word_topics."""
+        and topic_total (counted as one document of all the slots) and in
+        their word index, word_topics."""
         K = self.hyper.n_topics
         words = [[w for pair in self.instances for w in pair]]
         topics = [[k for k in self.z for _ in range(2)]]
         slots = counts_from_assignments(words, topics, K, self.corpus.n_words)
         return {"n_b": [self.z.count(k) for k in range(K)], "topic_word": slots.topic_word,
                 "topic_total": slots.topic_total,
-                "word_topics": (word_topic_index(words, topics, self.corpus.n_words)
-                                if buckets else None)}
+                "word_topics": word_topic_index(words, topics, self.corpus.n_words)}
 
     def check(self) -> None:
         """Check the tables against a recount of z; raises ValueError."""
-        require_recount(self, self._counts(self.word_topics is not None), "z")
+        require_recount(self, self._counts(), "z")
 
     def full_conditional(self, w1: int, w2: int) -> list:
         """Topic weights for one biterm, its counts already removed.
@@ -277,14 +272,8 @@ class BtmSampler:
         return out
 
     def sweep(self) -> None:
-        """Resample every biterm's topic once, in index order."""
-        if self.word_topics is None:
-            self._sweep_dense()
-        else:
-            self._sweep_buckets()
-
-    def _sweep_buckets(self) -> None:
-        """The draw of full_conditional, split into two buckets.
+        """Resample every biterm's topic once, in index order, drawing from
+        full_conditional split into two buckets.
 
         The weight of topic k is A_k (c1 + b)(c2 + b), where c1 and c2 are
         n_kw1 and n_kw2 and
@@ -378,59 +367,6 @@ class BtmSampler:
             x = (n + alpha) / denom / ((tot + 1) * tot)
             a_sum += x - A[k]
             A[k] = x
-
-    def _sweep_dense(self) -> None:
-        """Resample every biterm's topic, drawing from full_conditional inline.
-
-        The two biterm-independent factors of each weight are kept per topic,
-        in the order full_conditional multiplies them, and only the topics a
-        draw touches are refreshed:
-          prior[k] = (n_k + a)/(N_B - 1 + K a)
-          norms[k] = (n_k* + V b + 1)(n_k* + V b)
-        """
-        hyper = self.hyper
-        K = hyper.n_topics
-        alpha, beta = hyper.alpha, hyper.beta
-        denom = self.n_biterms - 1 + K * alpha
-        v_beta = self.corpus.n_words * beta
-        n_b = self.n_b
-        topic_word = self.topic_word
-        topic_total = self.topic_total
-        z = self.z
-        rng_random = self.rng.random
-        prior = [(n + alpha) / denom for n in n_b]
-        norms = [(t + v_beta + 1) * (t + v_beta) for t in topic_total]
-        for i, (w1, w2) in enumerate(self.instances):
-            k = z[i]
-            row = topic_word[k]
-            row[w1] -= 1
-            row[w2] -= 1
-            n = n_b[k] - 1
-            n_b[k] = n
-            prior[k] = (n + alpha) / denom
-            t = topic_total[k] - 2
-            topic_total[k] = t
-            tot = t + v_beta
-            norms[k] = (tot + 1) * tot
-            # the weights are positive, so a draw past the last running sum
-            # (round-off) takes K - 1, as sample_categorical would
-            cumulative = list(accumulate(
-                [a * (row[w1] + beta) * (row[w2] + beta) / d
-                 for a, row, d in zip(prior, topic_word, norms)]))
-            k = bisect_right(cumulative, rng_random() * cumulative[-1])
-            if k == K:
-                k = K - 1
-            z[i] = k
-            row = topic_word[k]
-            row[w1] += 1
-            row[w2] += 1
-            n = n_b[k] + 1
-            n_b[k] = n
-            prior[k] = (n + alpha) / denom
-            t = topic_total[k] + 2
-            topic_total[k] = t
-            tot = t + v_beta
-            norms[k] = (tot + 1) * tot
 
     def estimate(self) -> BtmFit:
         hyper = self.hyper

@@ -12,7 +12,6 @@ import time
 import pytest
 
 from topicmodels import lda as lda_mod
-from topicmodels import short_text as short_text_mod
 from topicmodels.cli import main as cli_main
 from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain, parse_sentences, parse_tagged, preprocess
@@ -130,10 +129,9 @@ def test_criterion_1_exact_posterior_ptm():
     ok(1, f"ptm: TV distance {tv:.4f} < 0.02 over 2^3 x 2^5 assignments ({elapsed:.1f}s)")
 
 
-def _criterion_1_btm(monkeypatch, kernel):
-    """BTM's chain over the topics of eight biterms, K = 2, with the kernel
-    named ``kernel`` ("dense" or "buckets").  No biterm is one word twice,
-    so the sampler's conditional is the exact one of the joint."""
+def test_criterion_1_exact_posterior_btm():
+    """BTM's chain over the topics of eight biterms, K = 2.  No biterm is one
+    word twice, so the sampler's conditional is the exact one of the joint."""
     start = time.perf_counter()
     corpus = parse_plain(["w0 w1 w2", "w1 w3", "w2 w3 w0", "w1 w2"])
     K, V = 2, corpus.n_words
@@ -142,25 +140,13 @@ def _criterion_1_btm(monkeypatch, kernel):
     assert len(biterms) == 8 and all(w1 != w2 for w1, w2 in biterms)
     exact = _normalized({zs: btm_joint_log(biterms, zs, K, V, alpha, beta)
                          for zs in itertools.product(range(K), repeat=8)})
-    monkeypatch.setattr(short_text_mod, "BTM_BUCKET_MIN_TOPICS",
-                        K if kernel == "buckets" else K + 1)
     sampler = BtmSampler(corpus, BtmHyper(K, alpha, beta, 3), SeededRng(20240603))
     assert sampler.instances == biterms
-    assert (sampler.word_topics is not None) == (kernel == "buckets")
     tv = _chain_tv(sampler, lambda s: tuple(s.z), exact)
     elapsed = time.perf_counter() - start
     assert tv < 0.02, f"total-variation distance {tv:.4f}"
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
-    ok(1, f"btm {kernel} kernel: TV distance {tv:.4f} < 0.02 over 2^8 assignments "
-          f"({elapsed:.1f}s)")
-
-
-def test_criterion_1_exact_posterior_btm(monkeypatch):
-    _criterion_1_btm(monkeypatch, "dense")
-
-
-def test_criterion_1_exact_posterior_btm_buckets(monkeypatch):
-    _criterion_1_btm(monkeypatch, "buckets")
+    ok(1, f"btm: TV distance {tv:.4f} < 0.02 over 2^8 assignments ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import topicmodels
-from topicmodels import cli, lda, reports, short_text
+from topicmodels import cli, lda, reports
 from topicmodels.cli import main
 from topicmodels.core import fields
 from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
@@ -194,11 +194,11 @@ GOLDEN_SHORT_TEXT = {
         "48d6318ab2657f2a4829eedb06ff11ab821f724fa5e4acc617f3f25620b95e37"}),
     "btm": (["-k", "3"], {
         "BTM_doc_topic_3.txt":
-        "7c25542b247999d8f79092e4d457b420c6326b3d1775c34016a741209707284b",
+        "01952c598db1040af350c93f6d12b46c85d7fdf6b0eecc2227ee95734fb791a6",
         "BTM_topic_theta_3.txt":
-        "40de2d714c6359800647a258f9475c2356bb94e5e761114cc37ed47e0e6a574a",
+        "aa5016cd1dc276d773da9af8adafbfa0bd8a8b15e47d3e61b8b6420a23a68456",
         "BTM_topic_word_3.txt":
-        "01f04a0456c51f19a2ac4dd3ac549cebdeae583ced039d22fcc00ea640bd197b"}),
+        "b4539cc2ed48c8268266d43d287c8f40870f2dca6f78001419fa5453b4f9f2c5"}),
     "hdp": (["-k", "3", "--alpha", "1.0", "--gamma", "1.0"], {
         "HDP_doc_topic7.txt":
         "9163aa5a9c6862cb858de593e59a919113de87e244460aa01ad2b3b7c1c483d7",
@@ -213,8 +213,8 @@ def test_short_text_golden_bytes(tmp_path, model):
     assert_golden(tmp_path, model, GOLDEN, flags, want)
 
 
-# The same for PTM and BTM at K = 10, where both run their bucketed kernels;
-# the K = 3 entries above run PTM's (its only one) and BTM's dense walk.
+# The same for PTM and BTM at K = 10.  Both have one kernel, the bucketed
+# one, at every K; this pins it above the K = 3 of the entries above.
 GOLDEN_SHORT_TEXT_K10 = {
     "ptm": (["-k", "10", "--pseudo-docs", "3", "--alpha", "0.5"], {
         "PseudoDTM_doc_topic10.txt":
@@ -235,7 +235,6 @@ GOLDEN_SHORT_TEXT_K10 = {
 
 @pytest.mark.parametrize("model", sorted(GOLDEN_SHORT_TEXT_K10))
 def test_short_text_golden_bytes_at_k10(tmp_path, model):
-    assert 3 < short_text.BTM_BUCKET_MIN_TOPICS <= 10
     flags, want = GOLDEN_SHORT_TEXT_K10[model]
     assert_golden(tmp_path, model, GOLDEN, flags, want)
 
@@ -548,11 +547,15 @@ def test_unknown_encoding_is_one_error_line(tmp_path, plain_file, capsys, comman
     assert not out.exists()
 
 
-@pytest.mark.parametrize("below", [["out"], ["a", "b", "out"]])
+@pytest.mark.parametrize("below", [[], ["out"], ["a", "b", "out"]])
+@pytest.mark.parametrize("blocker_kind", ["file", "dangling-symlink"])
 def test_output_dir_under_a_regular_file_fails_before_sampling(tmp_path, plain_file, capsys,
-                                                               below):
+                                                               blocker_kind, below):
     blocker = tmp_path / "plain.txt"
-    blocker.write_text("not a directory")
+    if blocker_kind == "file":
+        blocker.write_text("not a directory")
+    else:
+        blocker.symlink_to(tmp_path / "missing")
     out = blocker.joinpath(*below)
     before = sorted(tmp_path.iterdir())
     assert run(["fit", "--model", "lda-gibbs", "--input", plain_file, "-k", "2",
@@ -560,7 +563,10 @@ def test_output_dir_under_a_regular_file_fails_before_sampling(tmp_path, plain_f
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: --output-dir {out}: {blocker} is not a directory"]
     assert sorted(tmp_path.iterdir()) == before
-    assert blocker.read_text() == "not a directory"
+    if blocker_kind == "file":
+        assert blocker.read_text() == "not a directory"
+    else:
+        assert blocker.is_symlink() and not (tmp_path / "missing").exists()
 
 
 def test_output_dir_check_creates_nothing(tmp_path, plain_file):

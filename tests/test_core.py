@@ -6,7 +6,7 @@ from topicmodels.core import (MISSING, CountTables, LogRisingMemo, SamplingError
                               counts_from_assignments, exp_normalize, fields, fold_sum,
                               log_rising_factorial, record, require_at_least,
                               require_nonnegative, require_positive, run_chain,
-                              sample_categorical, sample_running_sums)
+                              sample_categorical)
 
 
 def test_seeded_rng_reproducible():
@@ -52,16 +52,6 @@ def test_sample_categorical_frequencies():
     for c, p in zip(counts, probs):
         sigma = math.sqrt(draws * p * (1 - p))
         assert abs(c - draws * p) < 3 * sigma
-
-
-def test_sample_running_sums_draws_as_sample_categorical():
-    weights = [[1.0], [0.0, 5.0], [0.3, 0.0, 0.7], [2e-3, 1.0, 0.0, 4e-6, 0.5], [0.1] * 10]
-    a, b = SeededRng(21), SeededRng(21)
-    for _ in range(500):
-        for w in weights:
-            assert sample_running_sums(w, a) == sample_categorical(w, b)
-    with pytest.raises(SamplingError):
-        sample_running_sums([0.0, 0.0], a)
 
 
 def test_log_rising_factorial_trivial():

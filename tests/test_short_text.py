@@ -1,6 +1,5 @@
 import pytest
 
-from topicmodels import short_text
 from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.short_text import (BtmHyper, BtmSampler, PtmHyper, PtmSampler,
@@ -288,20 +287,17 @@ def sweep_checked(sampler, sweeps=10):
 
 def test_btm_buckets_biterm_of_one_word_twice():
     corpus = parse_plain(["a a b", "a a", "b c a a"])
-    K = short_text.BTM_BUCKET_MIN_TOPICS
-    sampler = BtmSampler(corpus, BtmHyper(K, window=3), SeededRng(12))
-    assert sampler.word_topics is not None
+    sampler = BtmSampler(corpus, BtmHyper(3, window=3), SeededRng(12))
     assert (0, 0) in sampler.instances  # "a a"
     sweep_checked(sampler, 30)
 
 
 @pytest.mark.parametrize("model", ["btm", "ptm"])
-def test_buckets_word_whose_topic_dict_empties(model, monkeypatch):
+def test_buckets_word_whose_topic_dict_empties(model):
     # "solo" occurs once, so its word index holds one topic with count 1,
     # which the draw removes: the dict is empty while the draw is made
     corpus = parse_plain(["solo a b", "a b c", "b c a"])
     solo = corpus.vocabulary.word_to_id["solo"]
-    monkeypatch.setattr(short_text, "BTM_BUCKET_MIN_TOPICS", 3)
     if model == "btm":
         sampler = BtmSampler(corpus, BtmHyper(3, window=2), SeededRng(13))
     else:
@@ -311,11 +307,9 @@ def test_buckets_word_whose_topic_dict_empties(model, monkeypatch):
     assert list(sampler.word_topics[solo].values()) == [1]
 
 
-def test_btm_buckets_k1(monkeypatch):
-    monkeypatch.setattr(short_text, "BTM_BUCKET_MIN_TOPICS", 1)
+def test_btm_buckets_k1():
     corpus = parse_plain(["a b c", "b b d", "d a"])
     sampler = BtmSampler(corpus, BtmHyper(1, window=3), SeededRng(14))
-    assert sampler.word_topics is not None
     sweep_checked(sampler)
     assert sampler.z == [0] * sampler.n_biterms
     assert sampler.n_b == [sampler.n_biterms]
@@ -327,10 +321,3 @@ def test_ptm_k1():
     sweep_checked(sampler)
     assert sampler.z == [[0] * len(doc) for doc in corpus.docword]
     assert sampler.doc_topic == [[len(doc)] for doc in corpus.docword]
-
-
-def test_btm_kernel_follows_the_crossover():
-    corpus = parse_plain(["a b c", "b c d"])
-    K = short_text.BTM_BUCKET_MIN_TOPICS
-    assert BtmSampler(corpus, BtmHyper(K - 1), SeededRng(0)).word_topics is None
-    assert BtmSampler(corpus, BtmHyper(K), SeededRng(0)).word_topics is not None

@@ -331,10 +331,10 @@ def test_registry_samplers_pass_check_after_every_sweep(name, flags):
     spec = cli.MODELS[name]
     corpus = tiny_corpus(spec.layout)
     sampler = spec.sampler(corpus, spec.hyper(**flags), SeededRng(5))
-    # lda-gibbs at K = 20 and ptm at any K run a SparseLDA draw, with its word
-    # index; lda-gibbs at K = 3, the label models and btm at K = 3 the dense one
+    # lda-gibbs at K = 20, ptm and btm at any K run a bucketed draw, with its
+    # word index; lda-gibbs at K = 3 and the label models the dense one
     assert ((getattr(sampler, "word_topics", None) is not None)
-            == (flags.get("n_topics") == 20 or name == "ptm"))
+            == (flags.get("n_topics") == 20 or name in ("ptm", "btm")))
     sampler.check()
     for _ in range(8):
         sampler.sweep()
