@@ -138,72 +138,19 @@ class HdpSampler:
         self.m_total += 1
         return len(self.table_topic[m]) - 1
 
-    # -- conditional pieces ---------------------------------------------------
-
-    def cond_density(self, k: int | None, v: int) -> float:
-        """Predictive word density f_k(v) with the current token excluded.
-
-        (n_kv + beta)/(n_k + V beta) for a live topic; 1/V for a new one.
-        """
-        V = self.n_words
-        if k is None:
-            return 1.0 / V
-        return (self.n_kv[k][v] + self.hyper.beta) / (self.n_k[k] + V * self.hyper.beta)
-
-    # The three weight builders below evaluate cond_density inline, and the
-    # sweep evaluates all four inline, with the same operations in the same
-    # order.
-
-    def new_table_likelihood(self, v: int) -> float:
-        """Mixture over topics a fresh table could serve.
-
-        sum_k m_k/(m_total + g) f_k(v) + g/(m_total + g) * 1/V
-        """
-        gamma, beta = self.hyper.gamma, self.hyper.beta
-        V = self.n_words
-        v_beta = V * beta
-        denom = self.m_total + gamma
-        acc = gamma / denom * (1.0 / V)
-        for mk, row, nk in zip(self.m_k, self.n_kv, self.n_k):
-            acc += mk / denom * ((row[v] + beta) / (nk + v_beta))
-        return acc
-
-    def table_weights(self, m: int, v: int) -> list:
-        """Seating weights for the doc's live tables plus one new-table entry.
-
-        existing t: n_mt * f_{k_mt}(v);  new: alpha0 * new_table_likelihood(v)
-        """
-        beta = self.hyper.beta
-        v_beta = self.n_words * beta
-        n_kv, n_k = self.n_kv, self.n_k
-        weights = [c * ((n_kv[k][v] + beta) / (n_k[k] + v_beta))
-                   for c, k in zip(self.table_count[m], self.table_topic[m])]
-        weights.append(self.hyper.alpha0 * self.new_table_likelihood(v))
-        return weights
-
-    def topic_weights_for_new_table(self, v: int) -> list:
-        """Dish weights for a fresh table: live topics then one new-topic entry.
-
-        existing k: m_k * f_k(v);  new: gamma / V
-        """
-        beta = self.hyper.beta
-        V = self.n_words
-        v_beta = V * beta
-        out = [mk * ((row[v] + beta) / (nk + v_beta))
-               for mk, row, nk in zip(self.m_k, self.n_kv, self.n_k)]
-        out.append(self.hyper.gamma * (1.0 / V))
-        return out
-
     # -- chain ----------------------------------------------------------------
 
     def sweep(self) -> None:
         """Reseat every token once, documents then positions in index order.
 
-        A token's draw is ``table_weights`` and, when it opens a table,
-        ``topic_weights_for_new_table``, with each live topic's f_k(v)
-        computed once for both.  The structural edits swap the last table or
-        topic into a freed slot, in place, so the lists held here stay the
-        sampler's own.
+        With the token removed, f_k(v) = (n_kv + beta)/(n_k + V beta) for a
+        live topic and 1/V for a new one.  The token sits at table t of its
+        document with weight n_mt f_{k_mt}(v), or at a new table with weight
+          alpha0 (sum_k m_k/(m_total + gamma) f_k(v) + gamma/(m_total + gamma) 1/V)
+        and a new table serves topic k with weight m_k f_k(v), or a new topic
+        with weight gamma/V; each live topic's f_k(v) is computed once for
+        both draws.  The structural edits swap the last table or topic into a
+        freed slot, in place, so the lists held here stay the sampler's own.
         """
         n_kv, n_k, m_k = self.n_kv, self.n_k, self.m_k
         beta, gamma, alpha0 = self.hyper.beta, self.hyper.gamma, self.hyper.alpha0

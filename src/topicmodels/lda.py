@@ -19,7 +19,7 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
-from .core import (CountTables, SamplingError, counts_from_assignments, expected_counts, fold_sum,
+from .core import (CountTables, counts_from_assignments, expected_counts, fold_sum,
                    record, require_at_least, require_positive, require_recount)
 from .corpus import Corpus
 
@@ -71,23 +71,6 @@ def estimate_theta(tables: CountTables, alpha: float) -> list:
 
 def estimate_phi(tables: CountTables, beta: float) -> list:
     return smoothed_rows(tables.topic_word, tables.topic_total, beta)
-
-
-def gibbs_full_conditional(tables: CountTables, m: int, v: int,
-                           alpha: float, beta: float) -> list:
-    """Unnormalized topic weights for one token, counts already excluded.
-
-    weight_k = (n_mk + alpha)/(n_m + K alpha) * (n_kv + beta)/(n_k + V beta)
-    """
-    K = tables.n_topics
-    V = tables.n_words
-    n_m = tables.doc_total[m]
-    doc_denom = n_m + K * alpha
-    n_mk = tables.doc_topic[m]
-    vbeta = V * beta
-    return [(n_mk[k] + alpha) / doc_denom
-            * (tables.topic_word[k][v] + beta) / (tables.topic_total[k] + vbeta)
-            for k in range(K)]
 
 
 def word_topic_index(docword, z, n_words: int) -> list:
@@ -218,14 +201,6 @@ class LdaGibbsSampler:
         self.allowed = None if allowed is None else [sorted(set(ks)) for ks in allowed]
         vars(self).update(self._counts(allowed is None and K >= SPARSE_MIN_TOPICS))
 
-    def full_conditional(self, m: int, v: int) -> list:
-        """Length-K weights, zero outside the document's allowed topics."""
-        weights = gibbs_full_conditional(self.tables, m, v, self.hyper.alpha, self.hyper.beta)
-        if self.allowed is None:
-            return weights
-        allowed = set(self.allowed[m])
-        return [w if k in allowed else 0.0 for k, w in enumerate(weights)]
-
     def _counts(self, sparse: bool) -> dict:
         """The count tables of z, and for the sparse kernel its word index,
         by attribute name: set by __init__ and compared by check()."""
@@ -298,25 +273,6 @@ class LdaGibbsSampler:
         return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),
                          phi=estimate_phi(self.tables, self.hyper.beta),
                          topic_labels=self.topic_labels)
-
-
-def cvb0_update(expected: CountTables, m: int, v: int,
-                alpha: float, beta: float) -> list:
-    """New responsibility vector for one token whose own mass is excluded.
-
-    gamma_k proportional to (nhat_mk + alpha) * (nhat_kv + beta)/(nhat_k + V beta),
-    returned normalized to sum one.
-    """
-    K = expected.n_topics
-    vbeta = expected.n_words * beta
-    n_mk = expected.doc_topic[m]
-    weights = [(n_mk[k] + alpha)
-               * (expected.topic_word[k][v] + beta) / (expected.topic_total[k] + vbeta)
-               for k in range(K)]
-    total = fold_sum(weights)
-    if total <= 0.0:
-        raise SamplingError("CVB0 update produced no positive weight")
-    return [w / total for w in weights]
 
 
 def random_responsibilities(corpus: Corpus, n_topics: int, rng: random.Random) -> list:

@@ -115,22 +115,6 @@ class PtmSampler:
         return exp_normalize([lw - total_logs[t, n_m]
                               for lw, t in zip(logs, self.pseudo.doc_total)])
 
-    def topic_conditional(self, m: int, v: int) -> list:
-        """Topic weights for one token, excluded from its pseudo doc and word tables.
-
-        weight_k = (N_lk + a)/(N_l + K a) * (n_kv + b)/(n_k + V b)
-        """
-        hyper = self.hyper
-        pseudo = self.pseudo
-        K, V = hyper.n_topics, self.corpus.n_words
-        l = self.l[m]
-        row = pseudo.doc_topic[l]
-        denom = pseudo.doc_total[l] + K * hyper.alpha
-        v_beta = V * hyper.beta
-        return [(row[k] + hyper.alpha) / denom
-                * (pseudo.topic_word[k][v] + hyper.beta) / (pseudo.topic_total[k] + v_beta)
-                for k in range(K)]
-
     def sweep(self) -> None:
         hyper = self.hyper
         pseudo_topic = self.pseudo.doc_topic
@@ -252,33 +236,15 @@ class BtmSampler:
         """Check the tables against a recount of z; raises ValueError."""
         require_recount(self, self._counts(), "z")
 
-    def full_conditional(self, w1: int, w2: int) -> list:
-        """Topic weights for one biterm, its counts already removed.
-
-        weight_k = (n_k + a)/(N_B - 1 + K a)
-                   * (n_kw1 + b)(n_kw2 + b) / ((n_k* + V b + 1)(n_k* + V b))
-        """
-        hyper = self.hyper
-        K, V = hyper.n_topics, self.corpus.n_words
-        denom = self.n_biterms - 1 + K * hyper.alpha
-        v_beta = V * hyper.beta
-        out = []
-        for k in range(K):
-            tot = self.topic_total[k] + v_beta
-            out.append((self.n_b[k] + hyper.alpha) / denom
-                       * (self.topic_word[k][w1] + hyper.beta)
-                       * (self.topic_word[k][w2] + hyper.beta)
-                       / ((tot + 1) * tot))
-        return out
-
     def sweep(self) -> None:
         """Resample every biterm's topic once, in index order, drawing from
-        full_conditional split into two buckets.
+        its full conditional split into two buckets.
 
-        The weight of topic k is A_k (c1 + b)(c2 + b), where c1 and c2 are
-        n_kw1 and n_kw2 and
+        With the biterm (w1, w2) removed, the weight of topic k is
+        A_k (c1 + b)(c2 + b), where c1 and c2 are n_kw1 and n_kw2 and
           A_k = (n_k + a)/(N_B - 1 + K a) / ((n_k* + V b + 1)(n_k* + V b))
-        does not depend on the biterm.  It is split as
+        (n_k biterms and n_k* word slots in topic k) does not depend on the
+        biterm.  It is split as
           smoothing  A_k b^2                  every topic
           word       A_k (c1 c2 + b (c1 + c2))  the topics holding w1 or w2
         The word bucket is walked first, over the word index: the topics of

@@ -1,0 +1,174 @@
+"""Read a sampler kernel's normalised weights off its first draw.
+
+A kernel draws an item by inverting one uniform u from ``rng.random()``
+over the item's weights, walked in whatever order its buckets keep.  With
+the rng scripted to hand that draw a chosen u, the outcome as a function of
+u cuts [0, 1) into intervals, and each outcome's total length is its
+normalised weight.  ``first_draw_shares`` finds the cuts with a coarse grid
+and then bisects each one down to one ulp, so the shares can be compared
+with ``oracles.py`` at the oracles' 1e-10 tolerance.  A SparseLDA topic can
+own two intervals (its q share in the word index's order, its s + r share
+in id order), so the intervals are summed per outcome.
+
+The tests put the item to check first in the sampler's state (or hand the
+kernel a slice holding only that item), because later draws of a sweep
+reuse running totals that an oracle does not see.
+"""
+
+import pickle
+from math import nextafter
+
+from topicmodels.lda import sweep_sparse_tokens
+
+from oracles import assert_close_distribution
+
+# The coarse probes before the cuts are bisected: a uniform grid of [0, 1),
+# and grids uniform in log u and in log(1 - u) down to 2^-44, eight to a
+# halving.  The log grids find the intervals of a bucket that holds little of
+# the mass, such as the smoothing bucket at the end of a bucketed walk.
+_LOG_GRID = [2.0 ** (-j / 8) for j in range(1, 8 * 44)]
+PROBES = sorted({i / 128 for i in range(128)} | set(_LOG_GRID) | {1 - x for x in _LOG_GRID}
+                | {nextafter(1.0, 0.0)})
+
+
+class ScriptEnd(Exception):
+    """The kernel asked for a uniform past the end of the script."""
+
+
+class ScriptedRng:
+    """Hands out the scripted uniforms, then raises ``ScriptEnd``."""
+
+    def __init__(self, uniforms):
+        self._uniforms = iter(uniforms)
+
+    def random(self) -> float:
+        try:
+            return next(self._uniforms)
+        except StopIteration:
+            raise ScriptEnd from None
+
+
+def first_draw_shares(run, read, prefix=()) -> dict:
+    """Each outcome's share of [0, 1) for the draw that gets the uniform
+    after ``prefix``.
+
+    ``run(rng)`` puts the state back as it was and runs the kernel on
+    ``rng``, which stops it (``ScriptEnd``) at the first uniform past the
+    script; ``read()`` then returns that draw's outcome.
+    """
+    def outcome(u):
+        try:
+            run(ScriptedRng([*prefix, u]))
+        except ScriptEnd:
+            pass
+        return read()
+
+    def cut(lo, hi, at_lo):
+        """The least u in (lo, hi] whose outcome is not ``at_lo``, given
+        that the outcome at hi is not."""
+        while True:
+            mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                return hi
+            if outcome(mid) == at_lo:
+                lo = mid
+            else:
+                hi = mid
+
+    shares = {}
+    start, current = 0.0, outcome(0.0)
+    for lo, hi in zip(PROBES, PROBES[1:]):
+        at_hi = outcome(hi)
+        while at_hi != current:
+            edge = cut(max(lo, start), hi, current)
+            shares[current] = shares.get(current, 0.0) + edge - start
+            start, current = edge, outcome(edge)
+    shares[current] = shares.get(current, 0.0) + 1.0 - start
+    return shares
+
+
+def assert_shares_match(shares: dict, want: list, rel=1e-10) -> None:
+    """Compare the shares of outcomes 0..len(want)-1 with the oracle's
+    weights ``want`` at ``rel``.  An outcome the oracle weighs but the grid
+    never found fails here by name, so a grid too coarse fails the test."""
+    missing = [k for k, w in enumerate(want) if w > 0 and k not in shares]
+    assert not missing, f"no interval found for outcomes {missing}; shares {shares}"
+    assert set(shares) <= set(range(len(want))), (shares, want)
+    assert_close_distribution([shares.get(k, 0.0) for k in range(len(want))], want, rel)
+
+
+def move_to_front(seq: list, i: int) -> None:
+    seq.insert(0, seq.pop(i))
+
+
+def put_lda_token_first(sampler, m: int, n: int):
+    """Move token n of document m to the front of an ``LdaGibbsSampler``'s
+    state, documents and their allowed topics too, and return the count
+    tables with that token excluded, as the oracles take them."""
+    docword = sampler.corpus.docword
+    for seq in (docword, sampler.z, sampler.allowed):
+        if seq is not None:
+            move_to_front(seq, m)
+    move_to_front(docword[0], n)
+    move_to_front(sampler.z[0], n)
+    tables = sampler._counts(False)["tables"]
+    tables.decrement(0, sampler.z[0][0], docword[0][0])
+    return tables
+
+
+def rerun_sweep(sampler, *count_args):
+    """A ``run`` for ``first_draw_shares``: recount the sampler's ``z`` as
+    it is now with its own ``_counts(*count_args)``, then each run puts that
+    state back and sweeps once with the scripted rng."""
+    counts = sampler._counts(*count_args)
+    vars(sampler).update(counts)
+    state = pickle.dumps({"z": sampler.z, **counts})
+
+    def run(rng):
+        vars(sampler).update(pickle.loads(state))
+        sampler.rng = rng
+        sampler.sweep()
+    return run
+
+
+def lda_token_shares(sampler, sparse: bool) -> dict:
+    """``first_draw_shares`` of an ``LdaGibbsSampler``'s first token, on the
+    SparseLDA walk or the dense one (restricted to the allowed topics where
+    the sampler has them)."""
+    return first_draw_shares(rerun_sweep(sampler, sparse), lambda: sampler.z[0][0])
+
+
+def put_biterm_first(sampler, i: int) -> dict:
+    """Move biterm instance i to the front of a ``BtmSampler``'s state and
+    return its count tables, by name, with that biterm excluded."""
+    move_to_front(sampler.instances, i)
+    move_to_front(sampler.z, i)
+    counts = sampler._counts()
+    (w1, w2), k = sampler.instances[0], sampler.z[0]
+    counts["n_b"][k] -= 1
+    counts["topic_word"][k][w1] -= 1
+    counts["topic_word"][k][w2] -= 1
+    counts["topic_total"][k] -= 2
+    return counts
+
+
+def biterm_shares(sampler) -> dict:
+    """``first_draw_shares`` of a ``BtmSampler``'s first biterm instance."""
+    return first_draw_shares(rerun_sweep(sampler), lambda: sampler.z[0])
+
+
+def ptm_token_draw(sampler, m: int, n: int):
+    """``run`` and ``read`` for the draw of token n of short document m in
+    a ``PtmSampler``'s token step: ``lda.sweep_sparse_tokens`` on a slice
+    holding that token alone, against its pseudo document's row, from a
+    recount of the sampler's state."""
+    v, l, hyper = sampler.corpus.docword[m][n], sampler.l[m], sampler.hyper
+    state = pickle.dumps(sampler._counts())
+    z = []
+
+    def run(rng):
+        vars(sampler).update(pickle.loads(state))
+        z[:] = [[sampler.z[m][n]]]
+        sweep_sparse_tokens([[v]], z, [sampler.pseudo.doc_topic[l]], sampler.pseudo,
+                            sampler.word_topics, hyper.alpha, hyper.beta, rng)
+    return run, lambda: z[0][0]

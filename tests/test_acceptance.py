@@ -33,6 +33,8 @@ from oracles import (assert_close_distribution, cosine, lda_token_oracle, senten
                      atm_joint_oracle, linklda_word_oracle, linklda_link_oracle,
                      labeled_token_oracle, plda_token_oracle, lda_joint_log, ptm_joint_log,
                      btm_joint_log, tv_distance)
+from first_draw import (assert_shares_match, biterm_shares, first_draw_shares, lda_token_shares,
+                        ptm_token_draw, put_biterm_first, put_lda_token_first)
 
 
 def ok(criterion, detail):
@@ -168,12 +170,13 @@ def test_criterion_2_full_conditional_scalar_oracles():
         sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.37, 0.08), rng)
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
-        v = corpus.docword[m][n]
-        sampler.tables.decrement(m, sampler.z[m][n], v)
-        want = lda_token_oracle(sampler.tables.doc_topic[m], sampler.tables.doc_total[m],
-                       [sampler.tables.topic_word[k][v] for k in range(K)],
-                       sampler.tables.topic_total, 0.37, 0.08, corpus.n_words)
-        assert_close_distribution(sampler.full_conditional(m, v), want)
+        tables = put_lda_token_first(sampler, m, n)
+        v = corpus.docword[0][0]
+        want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0],
+                       [tables.topic_word[k][v] for k in range(K)],
+                       tables.topic_total, 0.37, 0.08, corpus.n_words)
+        for sparse in (False, True):  # the dense walk and the SparseLDA walk
+            assert_shares_match(lda_token_shares(sampler, sparse), want)
 
     def sentence_case(rng):
         lines = ["--".join(" ".join(f"w{rng.randrange(5)}"
@@ -244,31 +247,26 @@ def test_criterion_2_full_conditional_scalar_oracles():
         l = sampler.l[m]
         sampler.pseudo.doc_topic[l][k] -= 1
         sampler.pseudo.doc_total[l] -= 1
-        sampler.doc_topic[m][k] -= 1
         sampler.pseudo.topic_word[k][v] -= 1
         sampler.pseudo.topic_total[k] -= 1
         want = ptm_token_oracle(sampler.pseudo.doc_topic[l], sampler.pseudo.doc_total[l],
                         [sampler.pseudo.topic_word[kk][v] for kk in range(K)],
                         sampler.pseudo.topic_total, 0.4, 0.2, K, corpus.n_words)
-        assert_close_distribution(sampler.topic_conditional(m, v), want)
+        assert_shares_match(first_draw_shares(*ptm_token_draw(sampler, m, n)), want)
 
     def btm_case(rng):
         corpus = parse_plain(random_docs(rng, 5, 5))
         K = rng.randrange(2, 4)
         sampler = BtmSampler(corpus, BtmHyper(K, 0.3, 0.15, 3), rng)
         i = rng.randrange(len(sampler.instances))
-        w1, w2 = sampler.instances[i]
-        k = sampler.z[i]
-        sampler.n_b[k] -= 1
-        sampler.topic_word[k][w1] -= 1
-        sampler.topic_word[k][w2] -= 1
-        sampler.topic_total[k] -= 2
-        want = btm_biterm_oracle(sampler.n_b,
-                        [sampler.topic_word[kk][w1] for kk in range(K)],
-                        [sampler.topic_word[kk][w2] for kk in range(K)],
-                        sampler.topic_total, sampler.n_biterms, 0.3, 0.15,
+        counts = put_biterm_first(sampler, i)
+        w1, w2 = sampler.instances[0]
+        want = btm_biterm_oracle(counts["n_b"],
+                        [counts["topic_word"][kk][w1] for kk in range(K)],
+                        [counts["topic_word"][kk][w2] for kk in range(K)],
+                        counts["topic_total"], sampler.n_biterms, 0.3, 0.15,
                         K, corpus.n_words)
-        assert_close_distribution(sampler.full_conditional(w1, w2), want)
+        assert_shares_match(biterm_shares(sampler), want)
 
     def atm_case(rng):
         lines = [f"A{rng.randrange(3)},A{rng.randrange(3, 5)}\t" + doc
@@ -334,16 +332,15 @@ def test_criterion_2_full_conditional_scalar_oracles():
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels", item_sep=",")
         sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.4, 0.15), rng)
-        tables = sampler.tables
-        K = tables.n_topics
+        K = sampler.tables.n_topics
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
-        v = corpus.docword[m][n]
-        tables.decrement(m, sampler.z[m][n], v)
+        tables = put_lda_token_first(sampler, m, n)
+        v = corpus.docword[0][0]
         want = labeled_token_oracle([tables.topic_word[kk][v] for kk in range(K)],
-                            tables.topic_total, tables.doc_topic[m],
-                            set(sampler.allowed[m]), 0.4, 0.15, K, corpus.n_words)
-        assert_close_distribution(sampler.full_conditional(m, v), want)
+                            tables.topic_total, tables.doc_topic[0],
+                            set(sampler.allowed[0]), 0.4, 0.15, K, corpus.n_words)
+        assert_shares_match(lda_token_shares(sampler, False), want)
 
     def plda_case(rng):
         labels = ["A", "B"]
@@ -351,17 +348,16 @@ def test_criterion_2_full_conditional_scalar_oracles():
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels", item_sep=",")
         sampler = PldaSampler(corpus, PldaHyper(2, 0.4, 0.15), rng)
-        tables = sampler.tables
-        K = tables.n_topics
+        K = sampler.tables.n_topics
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
-        v = corpus.docword[m][n]
-        tables.decrement(m, sampler.z[m][n], v)
-        want = plda_token_oracle(tables.doc_topic[m],
+        tables = put_lda_token_first(sampler, m, n)
+        v = corpus.docword[0][0]
+        want = plda_token_oracle(tables.doc_topic[0],
                          [tables.topic_word[tt][v] for tt in range(K)],
-                         tables.topic_total, set(sampler.allowed[m]),
+                         tables.topic_total, set(sampler.allowed[0]),
                          0.4, 0.15, K, corpus.n_words)
-        assert_close_distribution(sampler.full_conditional(m, v), want)
+        assert_shares_match(lda_token_shares(sampler, False), want)
 
     cases = [("LDA token", 101, lda_case),
              ("Sentence-LDA sentence", 103, sentence_case),

@@ -168,8 +168,8 @@ def test_lda_gibbs_golden_bytes(tmp_path, k):
 # 20 sweeps, --top-words 3.  The flags make DPMM and HDP open and close
 # clusters, tables and topics during the chain, and GOLDEN repeats words
 # inside documents, so the multiplicity-2 rising factorials are used too.
-# The sweeps inline their conditionals, so these hashes (not the
-# full_conditional oracles) are what pin the kernels.
+# The oracle tests check each kernel's draws against tests/oracles.py;
+# these hashes pin the bytes of whole chains.
 GOLDEN_SHORT_TEXT = {
     "dmm": (["-k", "4", "--alpha", "1", "--beta", "0.5"], {
         "DMM_cluster_word_4.txt":

@@ -1,10 +1,13 @@
+import pickle
+
 import pytest
 
-from topicmodels.core import SeededRng, run_chain
+from topicmodels import hdp
+from topicmodels.core import SeededRng, run_chain, sample_categorical
 from topicmodels.corpus import parse_plain
 from topicmodels.hdp import HdpHyper, HdpSampler
 
-from oracles import normalize
+from first_draw import assert_shares_match, first_draw_shares, move_to_front
 
 
 def toy_corpus(rng, n_docs=6, v=5, max_len=5):
@@ -51,50 +54,76 @@ def check_franchise_invariants(sampler):
     assert sum(sampler.n_k) == corpus.n_tokens
 
 
-def test_cond_density_new_topic_is_uniform():
-    corpus = parse_plain(["a b c d e"])
-    sampler = HdpSampler(corpus, HdpHyper(2), SeededRng(0))
-    assert sampler.cond_density(None, 3) == pytest.approx(1 / 5)
+def first_token_shares(sampler, monkeypatch):
+    """The shares of the first two draws of a sweep, for token 0 of document 0:
+    its table (the document's tables once it has left them, then a new table)
+    and, where a new table has a share, that table's dish (the live topics,
+    then a new topic), else None.  The sampler is left as it was."""
+    # the draws are read off sample_categorical, not off the seating plan:
+    # the next token's removal can renumber the document's tables
+    drawn = []
+
+    def recording(weights, rng):
+        drawn.append(sample_categorical(weights, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(hdp, "sample_categorical", recording)
+    counts = sampler._counts(sampler.n_topics)
+    vars(sampler).update(counts)
+    state = pickle.dumps({"token_table": sampler.token_table,
+                          "table_topic": sampler.table_topic, **counts})
+    rng = sampler.rng
+
+    def restore():
+        vars(sampler).update(pickle.loads(state))
+
+    def run(script):
+        restore()
+        drawn.clear()
+        sampler.rng = script
+        sampler.sweep()
+
+    seats = sampler.token_table[0]
+    new_table = len(sampler.table_topic[0]) - (seats.count(seats[0]) == 1)
+    tables = first_draw_shares(run, lambda: drawn[0])
+    dishes = None
+    if tables.get(new_table, 0.0) > 0.0:
+        # the first uniform lands in the new table's interval, the last one
+        dishes = first_draw_shares(run, lambda: drawn[1] if drawn[0] == new_table else None,
+                                   prefix=(1.0 - tables[new_table] / 2,))
+    restore()
+    sampler.rng = rng
+    return tables, dishes
 
 
-def test_cond_density_zero_count_topic_matches_new():
-    corpus = parse_plain(["a b c d e"])
-    sampler = HdpSampler(corpus, HdpHyper(2), SeededRng(0))
-    sampler.n_kv.append([0] * 5)
-    sampler.n_k.append(0)
-    sampler.m_k.append(1)
-    assert sampler.cond_density(sampler.n_topics - 1, 2) == pytest.approx(1 / 5)
+def put_token_first(sampler, m, n):
+    for seq in (sampler.corpus.docword, sampler.token_table, sampler.table_topic):
+        move_to_front(seq, m)
+    for seq in (sampler.corpus.docword[0], sampler.token_table[0]):
+        move_to_front(seq, n)
 
 
-def test_cond_density_direct_arithmetic():
-    corpus = parse_plain(["a b c d e"])
-    sampler = HdpSampler(corpus, HdpHyper(1, beta=0.1), SeededRng(0))
-    sampler.n_kv[0] = [3, 1, 1, 1, 1]
-    sampler.n_k[0] = 7
-    assert sampler.cond_density(0, 0) == pytest.approx(3.1 / 7.5, rel=1e-12)
-
-
-def test_table_weights_single_table_alpha_zero():
+def test_table_weights_single_table_alpha_zero(monkeypatch):
+    # at alpha0 = 0 the new table (index 1, after the one open table) gets no share
     corpus = parse_plain(["a a a", "b b"])
     hyper = HdpHyper(1, alpha0=0.0, beta=0.1, gamma=0.5)
     sampler = HdpSampler(corpus, hyper, SeededRng(1))
-    v = remove_token(sampler, 0, 0)
-    ws = sampler.table_weights(0, v)
-    assert len(ws) == len(sampler.table_topic[0]) + 1
-    assert ws[-1] == 0.0
-    assert sum(w > 0 for w in ws) >= 1
+    assert sampler.table_count[0] == [3]
+    tables, dishes = first_token_shares(sampler, monkeypatch)
+    assert tables == {0: 1.0} and dishes is None
 
 
-def test_table_weights_no_tables_forces_new():
+def test_table_weights_no_tables_forces_new(monkeypatch):
+    # doc 0's only token: its table dies, so the new table (index 0) gets all
     corpus = parse_plain(["a", "b c"])
     sampler = HdpSampler(corpus, HdpHyper(2), SeededRng(2))
-    v = remove_token(sampler, 0, 0)  # doc 0's only token: its table dies
+    tables, _ = first_token_shares(sampler, monkeypatch)
+    remove_token(sampler, 0, 0)
     assert sampler.table_topic[0] == []
-    ws = sampler.table_weights(0, v)
-    assert len(ws) == 1 and ws[0] > 0
+    assert tables == {0: 1.0}
 
 
-def test_table_and_topic_weights_match_hand_evaluation():
+def test_table_and_topic_weights_match_hand_evaluation(monkeypatch):
     rng = SeededRng(71)
     for _ in range(6):
         corpus = toy_corpus(rng)
@@ -104,46 +133,53 @@ def test_table_and_topic_weights_match_hand_evaluation():
             sampler.sweep()
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
-        v = remove_token(sampler, m, n)
+        put_token_first(sampler, m, n)
+        tables, dishes = first_token_shares(sampler, monkeypatch)
+        v = remove_token(sampler, 0, 0)
         K = sampler.n_topics
         V = corpus.n_words
 
         def f(k):
             return (sampler.n_kv[k][v] + 0.2) / (sampler.n_k[k] + V * 0.2)
 
-        want_tables = [sampler.table_count[m][t] * f(sampler.table_topic[m][t])
-                       for t in range(len(sampler.table_topic[m]))]
+        want_tables = [sampler.table_count[0][t] * f(sampler.table_topic[0][t])
+                       for t in range(len(sampler.table_topic[0]))]
         mix = sum(sampler.m_k[k] / (sampler.m_total + 0.9) * f(k) for k in range(K))
         mix += 0.9 / (sampler.m_total + 0.9) / V
         want_tables.append(0.7 * mix)
-        got = sampler.table_weights(m, v)
-        assert got == pytest.approx(want_tables, rel=1e-12)
+        assert_shares_match(tables, want_tables, rel=1e-12)
 
         want_topics = [sampler.m_k[k] * f(k) for k in range(K)] + [0.9 / V]
-        assert sampler.topic_weights_for_new_table(v) == pytest.approx(
-            want_topics, rel=1e-12)
+        assert_shares_match(dishes, want_topics, rel=1e-12)
 
 
-def test_topic_weights_no_live_topics_forces_new():
+def test_topic_weights_no_live_topics_forces_new(monkeypatch):
+    # the corpus's only token: its topic dies, so the new topic (index 0) gets all
     corpus = parse_plain(["a"])
     sampler = HdpSampler(corpus, HdpHyper(1), SeededRng(3))
+    tables, dishes = first_token_shares(sampler, monkeypatch)
     remove_token(sampler, 0, 0)
     assert sampler.n_topics == 0
-    ws = sampler.topic_weights_for_new_table(0)
-    assert len(ws) == 1 and ws[0] > 0
+    assert tables == {0: 1.0} and dishes == {0: 1.0}
 
 
-def test_gamma_zero_never_spawns_topics():
+def test_gamma_zero_never_spawns_topics(monkeypatch):
+    # at gamma = 0 a new table's dish is never a new topic
     rng = SeededRng(5)
     corpus = toy_corpus(rng, n_docs=8)
     hyper = HdpHyper(2, alpha0=0.5, beta=0.1, gamma=0.0)
     sampler = HdpSampler(corpus, hyper, rng)
     start = sampler.n_topics
-    for _ in range(15):
+    for sweep in range(15):
         sampler.sweep()
         assert sampler.n_topics <= start
-        ws = sampler.topic_weights_for_new_table(0)
-        assert ws[-1] == 0.0
+        if sweep % 5 == 4:
+            _, dishes = first_token_shares(sampler, monkeypatch)
+            # the new topic's index: the live topics once the token has left
+            seats, served = sampler.token_table[0], sampler.table_topic[0]
+            alone = seats.count(seats[0]) == 1 and sampler.m_k[served[seats[0]]] == 1
+            assert dishes.get(sampler.n_topics - alone, 0.0) == 0.0
+            assert sum(dishes.values()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gamma_zero_k1_phi_is_smoothed_frequency():

@@ -7,42 +7,38 @@ import pytest
 from topicmodels import lda
 from topicmodels.core import CountTables, SeededRng, run_chain
 from topicmodels.corpus import parse_plain
-from topicmodels.lda import (LdaCvb0, LdaGibbsSampler, LdaHyper, cvb0_update,
-                             gibbs_full_conditional, random_responsibilities)
+from topicmodels.lda import LdaCvb0, LdaGibbsSampler, LdaHyper, random_responsibilities
 
-from oracles import assert_close_distribution, lda_token_oracle, lda_joint_log, normalize, tv_distance
+from first_draw import assert_shares_match, lda_token_shares, put_lda_token_first
+from oracles import assert_close_distribution, lda_token_oracle, lda_joint_log, tv_distance
 
 
-def manual_tables(doc_topic, topic_word):
-    K = len(topic_word)
-    V = len(topic_word[0])
-    tables = CountTables(len(doc_topic), K, V)
-    tables.doc_topic = [list(r) for r in doc_topic]
-    tables.topic_word = [list(r) for r in topic_word]
-    tables.doc_total = [sum(r) for r in doc_topic]
-    tables.topic_total = [sum(r) for r in topic_word]
-    return tables
+def first_token_shares(docs, z, K, alpha, beta, sparse):
+    """``lda_token_shares`` of a sampler over ``docs`` with assignments ``z``."""
+    sampler = LdaGibbsSampler(parse_plain(docs), LdaHyper(K, alpha, beta), SeededRng(0))
+    sampler.z = z
+    return lda_token_shares(sampler, sparse)
 
 
 def test_full_conditional_worked_example():
     # K=2, V=2, alpha=beta=1, excluded counts: n_m=[1,0]; topic 0 holds one
     # token of word 0, topic 1 one token of word 1 -> normalized [0.8, 0.2]
-    tables = manual_tables(doc_topic=[[1, 0]], topic_word=[[1, 0], [0, 1]])
-    ws = gibbs_full_conditional(tables, 0, 0, alpha=1.0, beta=1.0)
-    assert normalize(ws) == pytest.approx([0.8, 0.2], rel=1e-12)
+    for sparse in (False, True):
+        shares = first_token_shares(["w0 w0", "w1"], [[1, 0], [1]], 2, 1.0, 1.0, sparse)
+        assert shares == pytest.approx({0: 0.8, 1: 0.2}, rel=1e-12)
 
 
 def test_full_conditional_k1():
-    tables = manual_tables(doc_topic=[[3]], topic_word=[[2, 1]])
-    ws = gibbs_full_conditional(tables, 0, 1, alpha=0.5, beta=0.5)
-    assert normalize(ws) == [1.0]
+    for sparse in (False, True):
+        assert first_token_shares(["w1 w0 w0 w1"], [[0] * 4], 1, 0.5, 0.5, sparse) == {0: 1.0}
 
 
 def test_full_conditional_all_zero_counts_uniform():
-    for K, V in ((2, 2), (5, 7)):
-        tables = CountTables(1, K, V)
-        ws = gibbs_full_conditional(tables, 0, 0, alpha=0.3, beta=0.7)
-        assert normalize(ws) == pytest.approx([1.0 / K] * K)
+    # a one-token corpus: with the token excluded every count is zero
+    for K in (2, 5):
+        for sparse in (False, True):
+            shares = first_token_shares(["w0"], [[K - 1]], K, 0.3, 0.7, sparse)
+            assert shares == pytest.approx({k: 1.0 / K for k in range(K)})
 
 
 def test_full_conditional_matches_scalar_oracle():
@@ -52,15 +48,13 @@ def test_full_conditional_matches_scalar_oracle():
         docword = [[rng.randrange(V) for _ in range(rng.randrange(1, 7))] for _ in range(3)]
         corpus = parse_plain([" ".join(f"w{v}" for v in doc) for doc in docword])
         sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.3, 0.05), rng)
-        m, n = 1, 0
-        v = corpus.docword[m][n]
-        k = sampler.z[m][n]
-        sampler.tables.decrement(m, k, v)
-        got = sampler.full_conditional(m, v)
-        want = lda_token_oracle(sampler.tables.doc_topic[m], sampler.tables.doc_total[m],
-                       [sampler.tables.topic_word[kk][v] for kk in range(K)],
-                       sampler.tables.topic_total, 0.3, 0.05, corpus.n_words)
-        assert_close_distribution(got, want)
+        tables = put_lda_token_first(sampler, 1, 0)
+        v = corpus.docword[0][0]
+        want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0],
+                       [tables.topic_word[kk][v] for kk in range(K)],
+                       tables.topic_total, 0.3, 0.05, corpus.n_words)
+        for sparse in (False, True):
+            assert_shares_match(lda_token_shares(sampler, sparse), want)
 
 
 def test_fit_gibbs_one_token_theta():
@@ -193,10 +187,35 @@ def test_gibbs_matches_enumerated_posterior_k3(monkeypatch, kernel):
 
 
 def test_cvb0_update_uniform_and_k1():
-    expected = CountTables(1, 4, 3, real=True)
-    assert cvb0_update(expected, 0, 0, 0.1, 0.1) == pytest.approx([0.25] * 4)
-    expected1 = CountTables(1, 1, 3, real=True)
-    assert cvb0_update(expected1, 0, 1, 0.1, 0.1) == [1.0]
+    # a one-token corpus: with the token's own mass excluded every expected
+    # count is zero, so one sweep sets its row to the uniform one
+    corpus = parse_plain(["w0"])
+    solver = LdaCvb0(corpus, LdaHyper(4, 0.1, 0.1), [[[0.1, 0.2, 0.3, 0.4]]])
+    solver.sweep()
+    assert solver.gamma[0][0] == pytest.approx([0.25] * 4)
+    solver1 = LdaCvb0(corpus, LdaHyper(1, 0.1, 0.1), [[[1.0]]])
+    solver1.sweep()
+    assert solver1.gamma[0][0] == [1.0]
+
+
+def test_cvb0_first_update_matches_scalar_oracle():
+    # the first token's new row after one sweep is the token conditional over
+    # the expected counts with that token's own responsibilities taken out
+    rng = SeededRng(13)
+    for _ in range(8):
+        K = rng.randrange(2, 5)
+        corpus = parse_plain([" ".join(f"w{rng.randrange(5)}" for _ in range(rng.randrange(1, 7)))
+                              for _ in range(3)])
+        solver = LdaCvb0(corpus, LdaHyper(K, 0.3, 0.05), random_responsibilities(corpus, K, rng))
+        g, v, tables = solver.gamma[0][0], corpus.docword[0][0], solver.expected
+        want = lda_token_oracle([tables.doc_topic[0][k] - g[k] for k in range(K)],
+                                tables.doc_total[0] - 1,
+                                [tables.topic_word[k][v] - g[k] for k in range(K)],
+                                [tables.topic_total[k] - g[k] for k in range(K)],
+                                0.3, 0.05, corpus.n_words)
+        solver.sweep()
+        assert_close_distribution(solver.gamma[0][0], want)
+        assert sum(solver.gamma[0][0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cvb0_one_sweep_matches_hand_iteration():

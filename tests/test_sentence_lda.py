@@ -5,10 +5,11 @@ import pytest
 
 from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import CorpusError, parse_plain, parse_sentences
-from topicmodels.lda import LdaHyper, gibbs_full_conditional
+from topicmodels.lda import LdaHyper
 from topicmodels.sentence_lda import SentenceLdaSampler
 
-from oracles import assert_close_distribution, sentence_topic_oracle, lda_joint_log, normalize, tv_distance
+from oracles import (assert_close_distribution, lda_joint_log, lda_token_oracle, normalize,
+                     sentence_topic_oracle, tv_distance)
 
 
 def test_requires_sentence_structure():
@@ -28,7 +29,10 @@ def test_one_word_sentences_reduce_to_lda_conditional():
     k_old = sampler._remove_sentence(m, s)
     got = sampler.full_conditional(m, s)
     v = corpus.docword[m][2]
-    want = gibbs_full_conditional(sampler.tables, m, v, hyper.alpha, hyper.beta)
+    tables = sampler.tables
+    want = lda_token_oracle(tables.doc_topic[m], tables.doc_total[m],
+                            [tables.topic_word[k][v] for k in range(hyper.n_topics)],
+                            tables.topic_total, hyper.alpha, hyper.beta, corpus.n_words)
     assert_close_distribution(got, want)
     sampler._add_sentence(m, s, k_old)
 

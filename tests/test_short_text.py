@@ -5,6 +5,8 @@ from topicmodels.corpus import parse_plain
 from topicmodels.short_text import (BtmHyper, BtmSampler, PtmHyper, PtmSampler,
                                     extract_biterms)
 
+from first_draw import (assert_shares_match, biterm_shares, first_draw_shares, ptm_token_draw,
+                        put_biterm_first)
 from oracles import assert_close_distribution, ptm_pseudo_doc_oracle, ptm_token_oracle, btm_biterm_oracle, normalize
 
 
@@ -63,14 +65,12 @@ def test_ptm_topic_conditional_matches_oracle():
         l = sampler.l[m]
         sampler.pseudo.doc_topic[l][k] -= 1
         sampler.pseudo.doc_total[l] -= 1
-        sampler.doc_topic[m][k] -= 1
         sampler.pseudo.topic_word[k][v] -= 1
         sampler.pseudo.topic_total[k] -= 1
-        got = sampler.topic_conditional(m, v)
         want = ptm_token_oracle(sampler.pseudo.doc_topic[l], sampler.pseudo.doc_total[l],
                         [sampler.pseudo.topic_word[kk][v] for kk in range(K)],
                         sampler.pseudo.topic_total, 0.4, 0.2, K, corpus.n_words)
-        assert_close_distribution(got, want)
+        assert_shares_match(first_draw_shares(*ptm_token_draw(sampler, m, n)), want)
 
 
 def test_ptm_doc_counts_conserved():
@@ -166,37 +166,41 @@ def test_extract_biterms_rejects_small_window():
 # ---------------------------------------------------------------- BTM
 
 def test_btm_conditional_uniform_and_k1():
+    # one biterm: with it excluded every count is zero
+    sampler = BtmSampler(parse_plain(["a b"]), BtmHyper(3, window=2), SeededRng(0))
+    assert biterm_shares(sampler) == pytest.approx({k: 1 / 3 for k in range(3)})
     corpus = parse_plain(["a b", "c d"])
-    sampler = BtmSampler(corpus, BtmHyper(3, window=2), SeededRng(0))
-    sampler.n_b = [0] * 3
-    sampler.topic_word = [[0] * corpus.n_words for _ in range(3)]
-    sampler.topic_total = [0] * 3
-    ws = normalize(sampler.full_conditional(0, 1))
-    assert ws == pytest.approx([1 / 3] * 3)
     single = BtmSampler(corpus, BtmHyper(1, window=2), SeededRng(0))
-    assert normalize(single.full_conditional(0, 1)) == [1.0]
+    assert biterm_shares(single) == {0: 1.0}
+
+
+def check_biterm_against_oracle(sampler, i):
+    """The kernel's shares for biterm instance i, drawn first, against the oracle."""
+    K, V = sampler.hyper.n_topics, sampler.corpus.n_words
+    counts = put_biterm_first(sampler, i)
+    w1, w2 = sampler.instances[0]
+    want = btm_biterm_oracle(counts["n_b"],
+                    [counts["topic_word"][kk][w1] for kk in range(K)],
+                    [counts["topic_word"][kk][w2] for kk in range(K)],
+                    counts["topic_total"], sampler.n_biterms, 0.3, 0.15, K, V)
+    assert_shares_match(biterm_shares(sampler), want)
 
 
 def test_btm_conditional_matches_oracle():
+    # each state checks a random biterm and, where there is one, a biterm of
+    # one word twice, whose two slots read the same word-index dict
     rng = SeededRng(47)
+    repeated = 0
     for _ in range(6):
         corpus = make_corpus(rng)
         K = rng.randrange(2, 4)
         sampler = BtmSampler(corpus, BtmHyper(K, alpha=0.3, beta=0.15, window=3), rng)
-        i = rng.randrange(len(sampler.instances))
-        w1, w2 = sampler.instances[i]
-        k = sampler.z[i]
-        sampler.n_b[k] -= 1
-        sampler.topic_word[k][w1] -= 1
-        sampler.topic_word[k][w2] -= 1
-        sampler.topic_total[k] -= 2
-        got = sampler.full_conditional(w1, w2)
-        want = btm_biterm_oracle(sampler.n_b,
-                        [sampler.topic_word[kk][w1] for kk in range(K)],
-                        [sampler.topic_word[kk][w2] for kk in range(K)],
-                        sampler.topic_total, sampler.n_biterms, 0.3, 0.15,
-                        K, corpus.n_words)
-        assert_close_distribution(got, want)
+        check_biterm_against_oracle(sampler, rng.randrange(len(sampler.instances)))
+        same = [i for i, (w1, w2) in enumerate(sampler.instances) if w1 == w2]
+        if same:
+            check_biterm_against_oracle(sampler, same[0])
+            repeated += 1
+    assert repeated == 5
 
 
 def test_btm_word_slots_invariant():

@@ -11,19 +11,13 @@ from topicmodels.lda import LdaGibbsSampler, LdaHyper
 from topicmodels.supervised import (BACKGROUND_LABEL, LabeledLdaHyper, LabeledLdaSampler,
                                     PldaHyper, PldaSampler)
 
+from first_draw import assert_shares_match, lda_token_shares, put_lda_token_first
 from oracles import (assert_close_distribution, labeled_token_oracle, lda_joint_log,
-                     normalize, plda_token_oracle, tv_distance)
+                     plda_token_oracle, tv_distance)
 
 
 def label_corpus(lines):
     return parse_tagged(lines, kind="labels", item_sep=",")
-
-
-def remove_token(sampler, m, n):
-    k = sampler.z[m][n]
-    v = sampler.corpus.docword[m][n]
-    sampler.tables.decrement(m, k, v)
-    return v
 
 
 def enumerated_posterior(corpus, supports, K, alpha, beta):
@@ -93,16 +87,14 @@ def test_plda_reference_sizing():
 def test_labeled_single_label_document_certain():
     corpus = label_corpus(["Security\tw0 w1", "Cloud\tw1"])
     sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(), SeededRng(0))
-    v = remove_token(sampler, 0, 0)
-    ws = sampler.full_conditional(0, v)
-    assert [i for i, w in enumerate(ws) if w > 0] == [corpus.labels[0][0]]
+    # a document with one allowed topic is never drawn: its share is 1
+    assert lda_token_shares(sampler, False) == {corpus.labels[0][0]: 1.0}
 
 
 def test_labeled_all_labels_zero_counts_uniform():
     corpus = label_corpus(["A,B,C\tw0"])
     sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.2, 0.3), SeededRng(0))
-    remove_token(sampler, 0, 0)
-    assert normalize(sampler.full_conditional(0, 0)) == pytest.approx([1 / 3] * 3)
+    assert lda_token_shares(sampler, False) == pytest.approx({k: 1 / 3 for k in range(3)})
 
 
 def test_labeled_conditional_matches_oracle():
@@ -112,20 +104,20 @@ def test_labeled_conditional_matches_oracle():
         corpus = label_corpus(lines)
         hyper = LabeledLdaHyper(0.4, 0.15)
         sampler = LabeledLdaSampler(corpus, hyper, rng)
-        tables = sampler.tables
-        K = tables.n_topics
+        K = sampler.tables.n_topics
         m = rng.randrange(3)
         n = rng.randrange(len(corpus.docword[m]))
-        v = remove_token(sampler, m, n)
-        got = sampler.full_conditional(m, v)
+        tables = put_lda_token_first(sampler, m, n)
+        v = corpus.docword[0][0]
         want = labeled_token_oracle([tables.topic_word[k][v] for k in range(K)],
-                            tables.topic_total, tables.doc_topic[m],
-                            set(sampler.allowed[m]), 0.4, 0.15, K, corpus.n_words)
-        assert_close_distribution(got, want)
+                            tables.topic_total, tables.doc_topic[0],
+                            set(sampler.allowed[0]), 0.4, 0.15, K, corpus.n_words)
+        assert_shares_match(lda_token_shares(sampler, False), want)
 
 
 def test_labeled_vacuous_constraint_equals_lda_conditional():
-    # every doc carries every label: conditionals must match plain LDA's values
+    # every doc carries every label: the restricted walk's shares must match
+    # those of plain LDA's unrestricted walks
     corpus = label_corpus(["A,B\tw0 w1", "A,B\tw1 w2"])
     hyper = LabeledLdaHyper(0.3, 0.2)
     sampler = LabeledLdaSampler(corpus, hyper, SeededRng(3))
@@ -133,13 +125,13 @@ def test_labeled_vacuous_constraint_equals_lda_conditional():
     lda_sampler = LdaGibbsSampler(plain, LdaHyper(2, 0.3, 0.2), SeededRng(9))
     # align the LDA sampler's state with the labeled one
     lda_sampler.z = [list(r) for r in sampler.z]
-    lda_sampler.tables = counts_from_assignments(plain.docword, lda_sampler.z, 2,
-                                                 plain.n_words)
     m, n = 1, 0
-    v = remove_token(sampler, m, n)
-    lda_sampler.tables.decrement(m, sampler.z[m][n], v)
-    assert_close_distribution(sampler.full_conditional(m, v),
-                              lda_sampler.full_conditional(m, v))
+    put_lda_token_first(sampler, m, n)
+    put_lda_token_first(lda_sampler, m, n)
+    restricted = lda_token_shares(sampler, False)
+    for sparse in (False, True):
+        unrestricted = lda_token_shares(lda_sampler, sparse)
+        assert_shares_match(restricted, [unrestricted[k] for k in range(2)])
 
 
 def test_labeled_theta_single_label_forced_mass():
@@ -198,21 +190,15 @@ def test_plda_single_admissible_cell_certain():
     sampler.z[0] = [0, 0]
     sampler.tables = counts_from_assignments(corpus.docword, sampler.z, 2, corpus.n_words)
     assert sampler.tables.topic_word == [[1, 1], [0, 0]]
-    v = remove_token(sampler, 0, 0)
-    ws = sampler.full_conditional(0, v)
-    assert [i for i, w in enumerate(ws) if w > 0] == [0]
+    assert lda_token_shares(sampler, False) == {0: 1.0}
 
 
 def test_plda_zero_counts_uniform_over_admissible():
     corpus = label_corpus(["A\tw0"])
     sampler = PldaSampler(corpus, PldaHyper(2, 0.2, 0.3), SeededRng(0))
-    remove_token(sampler, 0, 0)
-    ws = normalize(sampler.full_conditional(0, 0))
     admissible = sampler.allowed[0]
     assert len(admissible) == 4
-    for t in admissible:
-        assert ws[t] == pytest.approx(0.25)
-    assert sum(ws) == pytest.approx(1.0)
+    assert lda_token_shares(sampler, False) == pytest.approx({t: 0.25 for t in admissible})
 
 
 def test_plda_conditional_matches_oracle():
@@ -222,17 +208,16 @@ def test_plda_conditional_matches_oracle():
         corpus = label_corpus(lines)
         hyper = PldaHyper(2, 0.4, 0.15)
         sampler = PldaSampler(corpus, hyper, rng)
-        tables = sampler.tables
-        K = tables.n_topics
+        K = sampler.tables.n_topics
         m = rng.randrange(3)
         n = rng.randrange(len(corpus.docword[m]))
-        v = remove_token(sampler, m, n)
-        got = sampler.full_conditional(m, v)
-        want = plda_token_oracle(tables.doc_topic[m],
+        tables = put_lda_token_first(sampler, m, n)
+        v = corpus.docword[0][0]
+        want = plda_token_oracle(tables.doc_topic[0],
                          [tables.topic_word[t][v] for t in range(K)],
-                         tables.topic_total, set(sampler.allowed[m]),
+                         tables.topic_total, set(sampler.allowed[0]),
                          0.4, 0.15, K, corpus.n_words)
-        assert_close_distribution(got, want)
+        assert_shares_match(lda_token_shares(sampler, False), want)
 
 
 def test_plda_background_only_document_uses_background_block():
