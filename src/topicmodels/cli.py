@@ -274,7 +274,12 @@ def _run(args, outdir):
     if outdir is not None:
         _require_writable_dir(outdir)
     corpus = _parse(spec.layout, corpus_mod.read_lines(args.input, args.encoding))
-    sampler = _in_flag_terms_on_error(spec, spec.sampler, corpus, hyper, SeededRng(args.seed))
+    try:
+        sampler = _in_flag_terms_on_error(spec, spec.sampler, corpus, hyper, SeededRng(args.seed))
+    except MemoryError:
+        topics = "" if args.topics is None else f"{args.topics} topics, "
+        raise CliError(f"out of memory building the {args.model} sampler for {topics}"
+                       f"V = {corpus.n_words} words and M = {corpus.n_docs} documents") from None
     fitted = run_chain(sampler, args.iterations, _progress(args.model, args.iterations))
     k = spec.count(hyper, fitted) if spec.count else len(fitted.phi)
     if spec.converged:

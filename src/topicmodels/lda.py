@@ -85,7 +85,7 @@ def word_topic_index(docword, z, n_words: int) -> list:
     return index
 
 
-def sweep_sparse_tokens(docword, z, rows, tables: CountTables, word_topics: list,
+def sweep_sparse_tokens(docword, z, rows, topic_word: list, topic_total: list, word_topics: list,
                         alpha: float, beta: float, rng: random.Random) -> None:
     """Resample every token once, documents then positions in index order,
     with the SparseLDA draw (Yao, Mimno & McCallum, KDD 2009).
@@ -93,8 +93,9 @@ def sweep_sparse_tokens(docword, z, rows, tables: CountTables, word_topics: list
     Token n of document m, with topic z[m][n], is drawn from
       (alpha + row_k)(beta + n_kv)/(n_k + V beta)
     where ``row = rows[m]`` is the count row the draw uses: the document's
-    own n_mk in LDA, its pseudo document's N_lk in PTM.  The row, the
-    ``topic_word`` and ``topic_total`` of ``tables`` and ``word_topics``
+    own n_mk in LDA, its pseudo document's N_lk in PTM, its pooled words
+    and links n_mk + c_mk in Link LDA.  V is ``len(word_topics)``.  The
+    row, ``topic_word`` (n_kv), ``topic_total`` (n_k) and ``word_topics``
     (see ``word_topic_index``) move with every draw.
 
     The weight is split as
@@ -108,8 +109,7 @@ def sweep_sparse_tokens(docword, z, rows, tables: CountTables, word_topics: list
     walk over all K topics: a cumulative sum at C speed costs less here
     than keeping each row's topic list, and few draws land there.
     """
-    nkv = tables.topic_word
-    nk = tables.topic_total
+    nkv, nk = topic_word, topic_total
     K = len(nk)
     vbeta = len(word_topics) * beta
     rng_random = rng.random
@@ -222,8 +222,10 @@ class LdaGibbsSampler:
         if self.word_topics is None:
             self._sweep_dense()
         else:
-            sweep_sparse_tokens(self.corpus.docword, self.z, self.tables.doc_topic, self.tables,
-                                self.word_topics, self.hyper.alpha, self.hyper.beta, self.rng)
+            tables = self.tables
+            sweep_sparse_tokens(self.corpus.docword, self.z, tables.doc_topic, tables.topic_word,
+                                tables.topic_total, self.word_topics, self.hyper.alpha,
+                                self.hyper.beta, self.rng)
 
     def _sweep_dense(self) -> None:
         K = self.hyper.n_topics

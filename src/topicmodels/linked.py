@@ -2,8 +2,9 @@
 
 The author-topic model draws an (author, topic) pair jointly for every
 token, so its conditional is a flattened |authors| x K categorical.  Link
-LDA keeps separate word and link count tables that meet only in the shared
-per-document topic factor.
+LDA keeps separate word and link topic counts that meet only in the shared
+per-document row, so both its draws are the SparseLDA token draw of
+``lda.sweep_sparse_tokens``.
 """
 
 import random
@@ -11,7 +12,8 @@ import random
 from .core import (counts_from_assignments, record, require_at_least, require_positive,
                    require_recount, sample_categorical)
 from .corpus import Corpus
-from .lda import LdaHyper, estimate_phi, estimate_theta, smoothed_rows
+from .lda import (LdaHyper, estimate_phi, estimate_theta, smoothed_rows, sweep_sparse_tokens,
+                  word_topic_index)
 
 
 @record
@@ -129,8 +131,11 @@ class LinkLdaFit:
 class LinkLdaSampler:
     """Words and links resampled against a shared per-document topic mixture.
 
-    ``words`` counts the word topics z (n_m^k, n_k^v, n_k) and ``links`` the
-    link topics x (c_m^k, c_k^l, c_k), each a CountTables over the documents.
+    ``doc_topic[m][k]`` pools document m's words and links in topic k
+    (n_mk + c_mk), the row both draws read.  The words' topic counts are
+    ``word_topic`` (n_kv) and ``word_total`` (n_k), the links'
+    ``link_topic`` (c_kl) and ``link_total`` (c_k), each with its word
+    index for the SparseLDA draw, ``word_topics`` and ``link_topics``.
     """
 
     def __init__(self, corpus: Corpus, hyper: LinkLdaHyper, rng: random.Random):
@@ -141,62 +146,46 @@ class LinkLdaSampler:
         self.hyper = hyper
         self.rng = rng
         K = hyper.n_topics
-        self.n_links = len(corpus.meta_vocabulary)
         self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
         self.x = [[rng.randrange(K) for _ in links] for links in corpus.links]
         vars(self).update(self._counts())
 
     def _counts(self) -> dict:
-        """The word tables of z and the link tables of x, by attribute name."""
-        K = self.hyper.n_topics
-        return {"words": counts_from_assignments(self.corpus.docword, self.z, K,
-                                                 self.corpus.n_words),
-                "links": counts_from_assignments(self.corpus.links, self.x, K, self.n_links)}
+        """The pooled rows and the word and link counts of z and x, with
+        their word indices, by attribute name."""
+        K, corpus = self.hyper.n_topics, self.corpus
+        n_links = len(corpus.meta_vocabulary)
+        words = counts_from_assignments(corpus.docword, self.z, K, corpus.n_words)
+        links = counts_from_assignments(corpus.links, self.x, K, n_links)
+        return {"doc_topic": [[n + c for n, c in zip(n_mk, c_mk)]
+                              for n_mk, c_mk in zip(words.doc_topic, links.doc_topic)],
+                "word_topic": words.topic_word, "word_total": words.topic_total,
+                "link_topic": links.topic_word, "link_total": links.topic_total,
+                "word_topics": word_topic_index(corpus.docword, self.z, corpus.n_words),
+                "link_topics": word_topic_index(corpus.links, self.x, n_links)}
 
     def check(self) -> None:
-        """Check both tables against a recount of z and x; raises ValueError."""
+        """Check every table against a recount of z and x; raises ValueError."""
         require_recount(self, self._counts(), "z and x")
 
-    def _conditional(self, own, other, m: int, v: int, smooth: float) -> list:
-        """weight_k = (own_kv + s)/(own_k + |own vocabulary| s) * (own_mk + other_mk + a)."""
-        vocab_smooth = own.n_words * smooth
-        own_mk, other_mk = own.doc_topic[m], other.doc_topic[m]
-        alpha = self.hyper.alpha
-        return [(row[v] + smooth) / (total + vocab_smooth) * (own_mk[k] + other_mk[k] + alpha)
-                for k, (row, total) in enumerate(zip(own.topic_word, own.topic_total))]
-
-    def word_conditional(self, m: int, v: int) -> list:
-        """weight_k = (n_kv + b)/(n_k + V b) * (n_mk + c_mk + a), token excluded."""
-        return self._conditional(self.words, self.links, m, v, self.hyper.beta)
-
-    def link_conditional(self, m: int, l: int) -> list:
-        """weight_k = (c_kl + g)/(c_k + L g) * (c_mk + n_mk + a), link excluded."""
-        return self._conditional(self.links, self.words, m, l, self.hyper.gamma)
-
-    def _resample(self, tables, m: int, items: list, topics: list, conditional) -> None:
-        """Redraw the topic of every word or link of document m in turn."""
-        row, counts, totals = tables.doc_topic[m], tables.topic_word, tables.topic_total
-        for n, v in enumerate(items):
-            k = topics[n]
-            row[k] -= 1
-            counts[k][v] -= 1
-            totals[k] -= 1
-            k = sample_categorical(conditional(m, v), self.rng)
-            topics[n] = k
-            row[k] += 1
-            counts[k][v] += 1
-            totals[k] += 1
-
     def sweep(self) -> None:
-        for m, doc in enumerate(self.corpus.docword):
-            self._resample(self.words, m, doc, self.z[m], self.word_conditional)
-            self._resample(self.links, m, self.corpus.links[m], self.x[m], self.link_conditional)
+        """Resample every word, then every link, with the SparseLDA draw
+        against the pooled rows: a word from
+        (n_mk + c_mk + a)(n_kv + b)/(n_k + V b), a link from
+        (n_mk + c_mk + a)(c_kl + g)/(c_k + L g).  A corpus without links
+        (L = 0) has no link draw."""
+        hyper = self.hyper
+        sweep_sparse_tokens(self.corpus.docword, self.z, self.doc_topic, self.word_topic,
+                            self.word_total, self.word_topics, hyper.alpha, hyper.beta, self.rng)
+        if self.link_topics:
+            sweep_sparse_tokens(self.corpus.links, self.x, self.doc_topic, self.link_topic,
+                                self.link_total, self.link_topics, hyper.alpha, hyper.gamma,
+                                self.rng)
 
     def estimate(self) -> LinkLdaFit:
         """theta pools each document's word and link topic counts."""
         hyper = self.hyper
-        pooled = [[n + c for n, c in zip(n_mk, c_mk)]
-                  for n_mk, c_mk in zip(self.words.doc_topic, self.links.doc_topic)]
-        return LinkLdaFit(theta=smoothed_rows(pooled, [sum(row) for row in pooled], hyper.alpha),
-                          phi=estimate_phi(self.words, hyper.beta),
-                          link_phi=estimate_phi(self.links, hyper.gamma))
+        rows = self.doc_topic
+        return LinkLdaFit(theta=smoothed_rows(rows, [sum(row) for row in rows], hyper.alpha),
+                          phi=smoothed_rows(self.word_topic, self.word_total, hyper.beta),
+                          link_phi=smoothed_rows(self.link_topic, self.link_total, hyper.gamma))

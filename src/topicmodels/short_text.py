@@ -137,7 +137,8 @@ class PtmSampler:
             self.l[m] = l_new
         # phase 2: token topics, each drawn against its pseudo document's row
         sweep_sparse_tokens(self.corpus.docword, self.z, [pseudo_topic[l] for l in self.l],
-                            self.pseudo, self.word_topics, hyper.alpha, hyper.beta, self.rng)
+                            self.pseudo.topic_word, self.pseudo.topic_total, self.word_topics,
+                            hyper.alpha, hyper.beta, self.rng)
         self.doc_topic = _topic_counts(self.z, hyper.n_topics)
 
     def estimate(self) -> PtmFit:
@@ -241,22 +242,22 @@ class BtmSampler:
         its full conditional split into two buckets.
 
         With the biterm (w1, w2) removed, the weight of topic k is
-        A_k (c1 + b)(c2 + b), where c1 and c2 are n_kw1 and n_kw2 and
+        A_k (c1 + b)(c2 + b + s), with c1 and c2 = n_kw1 and n_kw2, s = 1 if
+        w1 = w2 (the second slot sees the first) and s = 0 otherwise, and
           A_k = (n_k + a)/(N_B - 1 + K a) / ((n_k* + V b + 1)(n_k* + V b))
         (n_k biterms and n_k* word slots in topic k) does not depend on the
         biterm.  It is split as
-          smoothing  A_k b^2                  every topic
-          word       A_k (c1 c2 + b (c1 + c2))  the topics holding w1 or w2
+          smoothing  A_k b (b + s)                    every topic
+          word       A_k (c1 (c2 + s) + b (c1 + c2))  the topics holding w1 or w2
         The word bucket is walked first, over the word index: the topics of
         w1, then those of w2 that w1 lacks (a biterm of one word twice reads
-        one dict, so c1 = c2).  The smoothing bucket is b^2 times a running
-        total of A, summed afresh at the start of each sweep, and a draw
-        landing there is found by bisect over the running sums of A.
+        one dict, so c1 = c2).  The smoothing bucket is b (b + s) times a
+        running total of A, summed afresh at the start of each sweep, and a
+        draw landing there is found by bisect over the running sums of A.
         """
         hyper = self.hyper
         K = hyper.n_topics
         alpha, beta = hyper.alpha, hyper.beta
-        beta2 = beta * beta
         denom = self.n_biterms - 1 + K * alpha
         v_beta = self.corpus.n_words * beta
         n_b = self.n_b
@@ -294,20 +295,22 @@ class BtmSampler:
             a_sum += x - A[k]
             A[k] = x
 
+            s = 1 if w1 == w2 else 0
+            smooth = beta * (beta + s)
             q = 0.0
             for k, c in wt1.items():
                 c2 = wt2.get(k, 0)
-                q += A[k] * (c * c2 + beta * (c + c2))
+                q += A[k] * (c * (c2 + s) + beta * (c + c2))
             for k, c in wt2.items():
                 if k not in wt1:
                     q += A[k] * beta * c
-            u = rng_random() * (q + beta2 * a_sum)
+            u = rng_random() * (q + smooth * a_sum)
             if u < q:
                 # the same walk; round-off past its end leaves k at a topic
                 # holding w2 (or w1)
                 for k, c in wt1.items():
                     c2 = wt2.get(k, 0)
-                    u -= A[k] * (c * c2 + beta * (c + c2))
+                    u -= A[k] * (c * (c2 + s) + beta * (c + c2))
                     if u < 0.0:
                         break
                 else:
@@ -317,7 +320,7 @@ class BtmSampler:
                             if u < 0.0:
                                 break
             else:
-                k = min(bisect_right(list(accumulate(A)), (u - q) / beta2), K - 1)
+                k = min(bisect_right(list(accumulate(A)), (u - q) / smooth), K - 1)
 
             z[i] = k
             row = topic_word[k]

@@ -157,18 +157,66 @@ def biterm_shares(sampler) -> dict:
     return first_draw_shares(rerun_sweep(sampler), lambda: sampler.z[0])
 
 
-def ptm_token_draw(sampler, m: int, n: int):
-    """``run`` and ``read`` for the draw of token n of short document m in
-    a ``PtmSampler``'s token step: ``lda.sweep_sparse_tokens`` on a slice
-    holding that token alone, against its pseudo document's row, from a
-    recount of the sampler's state."""
-    v, l, hyper = sampler.corpus.docword[m][n], sampler.l[m], sampler.hyper
-    state = pickle.dumps(sampler._counts())
+def slice_draw(sampler, counts: dict, item: int, topic: int, reads, alpha: float, beta: float):
+    """``run`` and ``read`` for one draw of ``lda.sweep_sparse_tokens`` on a
+    slice holding ``item`` (a word or link id) alone, now in ``topic``.
+    Each run puts the sampler's tables back to ``counts`` (attribute name
+    -> table) and draws against what ``reads()`` returns then: the slice's
+    rows, topic_word, topic_total and word index."""
+    state = pickle.dumps(counts)
     z = []
 
     def run(rng):
         vars(sampler).update(pickle.loads(state))
-        z[:] = [[sampler.z[m][n]]]
-        sweep_sparse_tokens([[v]], z, [sampler.pseudo.doc_topic[l]], sampler.pseudo,
-                            sampler.word_topics, hyper.alpha, hyper.beta, rng)
+        z[:] = [[topic]]
+        sweep_sparse_tokens([[item]], z, *reads(), alpha, beta, rng)
     return run, lambda: z[0][0]
+
+
+def ptm_token_draw(sampler, m: int, n: int):
+    """``slice_draw`` of token n of short document m in a ``PtmSampler``'s
+    token step, against its pseudo document's row, from a recount of the
+    sampler's state."""
+    l, hyper = sampler.l[m], sampler.hyper
+
+    def reads():
+        pseudo = sampler.pseudo
+        return [pseudo.doc_topic[l]], pseudo.topic_word, pseudo.topic_total, sampler.word_topics
+    return slice_draw(sampler, sampler._counts(), sampler.corpus.docword[m][n], sampler.z[m][n],
+                      reads, hyper.alpha, hyper.beta)
+
+
+def linklda_draw(sampler, m: int, i: int, links: bool = False):
+    """``slice_draw`` of word i (or, with ``links``, link i) of document m
+    in a ``LinkLdaSampler``, against the document's pooled row, from the
+    tables the sampler holds now."""
+    hyper = sampler.hyper
+    held = {name: getattr(sampler, name) for name in sampler._counts()}
+    if links:
+        return slice_draw(sampler, held, sampler.corpus.links[m][i], sampler.x[m][i],
+                          lambda: ([sampler.doc_topic[m]], sampler.link_topic,
+                                   sampler.link_total, sampler.link_topics),
+                          hyper.alpha, hyper.gamma)
+    return slice_draw(sampler, held, sampler.corpus.docword[m][i], sampler.z[m][i],
+                      lambda: ([sampler.doc_topic[m]], sampler.word_topic,
+                               sampler.word_total, sampler.word_topics),
+                      hyper.alpha, hyper.beta)
+
+
+def linklda_excluded(sampler, m: int, i: int, links: bool = False) -> tuple:
+    """What ``oracles.linklda_word_oracle`` (or, with ``links``,
+    ``linklda_link_oracle``) takes for the draw of word (link) i of
+    document m, with that item excluded: its column of the topic counts,
+    the topic totals, and document m's own and other topic counts, counted
+    afresh from z and x."""
+    K = sampler.hyper.n_topics
+    counts = sampler._counts()
+    own, other = (sampler.x, sampler.z) if links else (sampler.z, sampler.x)
+    items = sampler.corpus.links if links else sampler.corpus.docword
+    table = counts["link_topic" if links else "word_topic"]
+    totals = counts["link_total" if links else "word_total"]
+    v, k = items[m][i], own[m][i]
+    return ([table[j][v] - (j == k) for j in range(K)],
+            [t - (j == k) for j, t in enumerate(totals)],
+            [own[m].count(j) - (j == k) for j in range(K)],
+            [other[m].count(j) for j in range(K)])

@@ -150,10 +150,12 @@ def ptm_token_oracle(N_lk_row, N_l, n_kv_col, n_k, alpha, beta, K, V):
             for k in range(K)]
 
 
-def btm_biterm_oracle(n_b, n_kv1, n_kv2, n_k, N_B, alpha, beta, K, V):
-    """BTM biterm conditional."""
+def btm_biterm_oracle(n_b, n_kv1, n_kv2, n_k, N_B, alpha, beta, K, V, same):
+    """BTM biterm conditional.  ``same`` marks a biterm of one word twice:
+    its second slot sees the first, so its word factor is (c + b)(c + b + 1)."""
+    s = 1 if same else 0
     return [(n_b[k] + alpha) / (N_B - 1 + K * alpha)
-            * (n_kv1[k] + beta) * (n_kv2[k] + beta)
+            * (n_kv1[k] + beta) * (n_kv2[k] + beta + s)
             / ((n_k[k] + V * beta + 1) * (n_k[k] + V * beta))
             for k in range(K)]
 
@@ -240,4 +242,25 @@ def btm_joint_log(biterms, z, K, V, alpha, beta):
         for v in range(V):
             ll += math.lgamma(n_kv[k][v] + beta)
         ll -= math.lgamma(2 * n_k[k] + V * beta)
+    return ll
+
+
+def linklda_joint_log(docword, links, z, x, K, V, L, alpha, beta, gamma):
+    """Collapsed log joint p(w, links, z, x) for Link LDA up to
+    assignment-independent constants: the words and links of document m
+    share one topic mixture (Dirichlet alpha), each topic draws words
+    (Dirichlet beta) and links (Dirichlet gamma)."""
+    ll = 0.0
+    for zm, xm in zip(z, x):
+        for k in range(K):
+            ll += math.lgamma(zm.count(k) + xm.count(k) + alpha)
+    for items, topics, size, smooth in ((docword, z, V, beta), (links, x, L, gamma)):
+        n_kv = [[0] * size for _ in range(K)]
+        for doc, zm in zip(items, topics):
+            for v, k in zip(doc, zm):
+                n_kv[k][v] += 1
+        for k in range(K):
+            for v in range(size):
+                ll += math.lgamma(n_kv[k][v] + smooth)
+            ll -= math.lgamma(sum(n_kv[k]) + size * smooth)
     return ll

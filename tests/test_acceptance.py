@@ -32,9 +32,10 @@ from oracles import (assert_close_distribution, cosine, lda_token_oracle, senten
                      dmm_doc_oracle, dpmm_doc_oracle, ptm_pseudo_doc_oracle, ptm_token_oracle, btm_biterm_oracle,
                      atm_joint_oracle, linklda_word_oracle, linklda_link_oracle,
                      labeled_token_oracle, plda_token_oracle, lda_joint_log, ptm_joint_log,
-                     btm_joint_log, tv_distance)
+                     btm_joint_log, linklda_joint_log, tv_distance)
 from first_draw import (assert_shares_match, biterm_shares, first_draw_shares, lda_token_shares,
-                        ptm_token_draw, put_biterm_first, put_lda_token_first)
+                        linklda_draw, linklda_excluded, ptm_token_draw, put_biterm_first,
+                        put_lda_token_first)
 
 
 def ok(criterion, detail):
@@ -131,24 +132,65 @@ def test_criterion_1_exact_posterior_ptm():
     ok(1, f"ptm: TV distance {tv:.4f} < 0.02 over 2^3 x 2^5 assignments ({elapsed:.1f}s)")
 
 
-def test_criterion_1_exact_posterior_btm():
-    """BTM's chain over the topics of eight biterms, K = 2.  No biterm is one
-    word twice, so the sampler's conditional is the exact one of the joint."""
+def _btm_criterion_1(lines, window, alpha, beta, n_biterms, seed):
+    """BTM's chain over the topics of the biterms of ``lines``, K = 2,
+    against the collapsed joint."""
     start = time.perf_counter()
-    corpus = parse_plain(["w0 w1 w2", "w1 w3", "w2 w3 w0", "w1 w2"])
+    corpus = parse_plain(lines)
     K, V = 2, corpus.n_words
-    alpha, beta = 0.9, 0.5
-    biterms = [(b.w1, b.w2) for b in extract_biterms(corpus, 3) for _ in range(b.count)]
-    assert len(biterms) == 8 and all(w1 != w2 for w1, w2 in biterms)
+    biterms = [(b.w1, b.w2) for b in extract_biterms(corpus, window) for _ in range(b.count)]
+    assert len(biterms) == n_biterms
     exact = _normalized({zs: btm_joint_log(biterms, zs, K, V, alpha, beta)
-                         for zs in itertools.product(range(K), repeat=8)})
-    sampler = BtmSampler(corpus, BtmHyper(K, alpha, beta, 3), SeededRng(20240603))
+                         for zs in itertools.product(range(K), repeat=n_biterms)})
+    sampler = BtmSampler(corpus, BtmHyper(K, alpha, beta, window), SeededRng(seed))
     assert sampler.instances == biterms
     tv = _chain_tv(sampler, lambda s: tuple(s.z), exact)
     elapsed = time.perf_counter() - start
     assert tv < 0.02, f"total-variation distance {tv:.4f}"
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
+    return biterms, tv, elapsed
+
+
+def test_criterion_1_exact_posterior_btm():
+    """No biterm here is one word twice."""
+    biterms, tv, elapsed = _btm_criterion_1(["w0 w1 w2", "w1 w3", "w2 w3 w0", "w1 w2"],
+                                            3, 0.9, 0.5, 8, 20240603)
+    assert all(w1 != w2 for w1, w2 in biterms)
     ok(1, f"btm: TV distance {tv:.4f} < 0.02 over 2^8 assignments ({elapsed:.1f}s)")
+
+
+def test_criterion_1_exact_posterior_btm_repeated_words():
+    """Two of the four biterms are one word twice, whose second slot sees
+    the first: (c + b)(c + b + 1) in the conditional, not (c + b)^2."""
+    biterms, tv, elapsed = _btm_criterion_1(["a a", "a b", "b b a"], 2, 1.0, 0.5, 4, 20240605)
+    assert sum(w1 == w2 for w1, w2 in biterms) == 2
+    ok(1, f"btm, repeated words: TV distance {tv:.4f} < 0.02 over 2^4 assignments "
+          f"({elapsed:.1f}s)")
+
+
+def test_criterion_1_exact_posterior_link_lda():
+    """Link LDA's chain over the topics of five words and three links, K = 2:
+    2^8 states against the collapsed joint.  The last document has no link."""
+    start = time.perf_counter()
+    corpus = parse_tagged(["100--200\tw0 w1", "200\tw1 w2", " \tw0"], kind="links",
+                          item_sep="--")
+    K, V, L = 2, corpus.n_words, len(corpus.meta_vocabulary)
+    alpha, beta, gamma = 0.9, 0.7, 0.6
+    sizes = [len(d) for d in corpus.docword] + [len(ls) for ls in corpus.links]
+    assert sizes == [2, 2, 1, 2, 1, 0]
+    log_post = {}
+    for flat in itertools.product(range(K), repeat=8):
+        z = [list(flat[0:2]), list(flat[2:4]), list(flat[4:5])]
+        x = [list(flat[5:7]), list(flat[7:8]), []]
+        log_post[flat] = linklda_joint_log(corpus.docword, corpus.links, z, x, K, V, L,
+                                           alpha, beta, gamma)
+    exact = _normalized(log_post)
+    sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, alpha, beta, gamma), SeededRng(20240604))
+    tv = _chain_tv(sampler, lambda s: (*s.z[0], *s.z[1], *s.z[2], *s.x[0], *s.x[1]), exact)
+    elapsed = time.perf_counter() - start
+    assert tv < 0.02, f"total-variation distance {tv:.4f}"
+    assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
+    ok(1, f"link-lda: TV distance {tv:.4f} < 0.02 over 2^8 assignments ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +307,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
                         [counts["topic_word"][kk][w1] for kk in range(K)],
                         [counts["topic_word"][kk][w2] for kk in range(K)],
                         counts["topic_total"], sampler.n_biterms, 0.3, 0.15,
-                        K, corpus.n_words)
+                        K, corpus.n_words, w1 == w2)
         assert_shares_match(biterm_shares(sampler), want)
 
     def atm_case(rng):
@@ -288,43 +330,20 @@ def test_criterion_2_full_conditional_scalar_oracles():
                         sampler.tables.topic_total, authors, 0.4, 0.15, K, corpus.n_words)
         assert_close_distribution(got, [w for row in rows for w in row])
 
-    def link_word_case(rng):
+    def link_case(rng, links):
         lines = [f"{rng.randrange(100, 104)}--{rng.randrange(104, 108)}\t" + doc
                  for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="links", item_sep="--")
         K = rng.randrange(2, 4)
         sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, 0.3, 0.2, 0.4), rng)
         m = rng.randrange(corpus.n_docs)
-        n = rng.randrange(len(corpus.docword[m]))
-        v = corpus.docword[m][n]
-        k = sampler.z[m][n]
-        sampler.words.doc_topic[m][k] -= 1
-        sampler.words.topic_word[k][v] -= 1
-        sampler.words.topic_total[k] -= 1
-        want = linklda_word_oracle(
-            [sampler.words.topic_word[kk][v] for kk in range(K)], sampler.words.topic_total,
-            sampler.words.doc_topic[m], sampler.links.doc_topic[m], 0.3, 0.2,
-            K, corpus.n_words)
-        assert_close_distribution(sampler.word_conditional(m, v), want)
-
-    def link_link_case(rng):
-        lines = [f"{rng.randrange(100, 104)}--{rng.randrange(104, 108)}\t" + doc
-                 for doc in random_docs(rng, 4, 5)]
-        corpus = parse_tagged(lines, kind="links", item_sep="--")
-        K = rng.randrange(2, 4)
-        sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, 0.3, 0.2, 0.4), rng)
-        m = rng.randrange(corpus.n_docs)
-        e = rng.randrange(len(corpus.links[m]))
-        l = corpus.links[m][e]
-        k = sampler.x[m][e]
-        sampler.links.doc_topic[m][k] -= 1
-        sampler.links.topic_word[k][l] -= 1
-        sampler.links.topic_total[k] -= 1
-        want = linklda_link_oracle(
-            [sampler.links.topic_word[kk][l] for kk in range(K)], sampler.links.topic_total,
-            sampler.links.doc_topic[m], sampler.words.doc_topic[m], 0.3, 0.4,
-            K, sampler.n_links)
-        assert_close_distribution(sampler.link_conditional(m, l), want)
+        i = rng.randrange(len((corpus.links if links else corpus.docword)[m]))
+        excluded = linklda_excluded(sampler, m, i, links)
+        if links:
+            want = linklda_link_oracle(*excluded, 0.3, 0.4, K, len(corpus.meta_vocabulary))
+        else:
+            want = linklda_word_oracle(*excluded, 0.3, 0.2, K, corpus.n_words)
+        assert_shares_match(first_draw_shares(*linklda_draw(sampler, m, i, links)), want)
 
     def labeled_case(rng):
         labels = ["A", "B", "C"]
@@ -367,8 +386,8 @@ def test_criterion_2_full_conditional_scalar_oracles():
              ("PTM token", 111, ptm_topic_case),
              ("BTM biterm", 113, btm_case),
              ("ATM author-topic", 115, atm_case),
-             ("Link LDA word", 117, link_word_case),
-             ("Link LDA link", 119, link_link_case),
+             ("Link LDA word", 117, lambda rng: link_case(rng, False)),
+             ("Link LDA link", 119, lambda rng: link_case(rng, True)),
              ("Labeled LDA token", 121, labeled_case),
              ("PLDA token", 123, plda_case)]
     for name, seed, builder in cases:

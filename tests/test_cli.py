@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import topicmodels
-from topicmodels import cli, lda, reports
+from topicmodels import cli, core, lda, reports
 from topicmodels.cli import main
 from topicmodels.core import fields
 from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
@@ -225,11 +225,11 @@ GOLDEN_SHORT_TEXT_K10 = {
         "ab430807792ac3aacd912f512e6ab131475e683603bf77009dbf36e10a9990b9"}),
     "btm": (["-k", "10"], {
         "BTM_doc_topic_10.txt":
-        "d4a55f367df962ef7111c7db9dbaa4181f879d64faf8e25ece937966282b6c3e",
+        "1b8a6a5fcba979f219d2ef23c38078dfe21d4cedffbf307fc191afe4b78082f0",
         "BTM_topic_theta_10.txt":
-        "97d3f5f4fa0958b91be3f73d3f530afa691fae04bac801839e4afb83f68a2637",
+        "8cb8397a4e48b1245723f4b3a0a26e8c2de79aeb6d4018a84228419b3f91f89e",
         "BTM_topic_word_10.txt":
-        "e5365baa438b0763c709f92641aea7a58957fa608784de4462a19653bdcd16ef"}),
+        "979fa87cee97c1c4fc57174cbe1d142d96da090162f8713ec7c3778e3836e1f5"}),
 }
 
 
@@ -281,11 +281,11 @@ GOLDEN_OTHER_MODELS = {
         "6239084e2c34ebe025672bf28530fa1f814f08b8954e9f549f0ef87eff5775b8"}),
     "link-lda": ("links", ["-k", "3"], {
         "LinkLDA_doc_topic_3.txt":
-        "de1ce78c3780341ad0fc996dce9b76f2f45d88eb517683a76bac6323b64d12d5",
+        "3862af967b18ea570dd37004a9f04f979ce2a376c562f996b2f3a8b0a68ad1de",
         "LinkLDA_topic_link_3.txt":
-        "7feb1b3230dc43af0a03b80571b03ff33756ffe05bc98093eddfa27f8805df1c",
+        "73023d38d757a17f8534911554fd7fdf807c69cce46e5374caa9abb370b02a84",
         "LinkLDA_topic_word_3.txt":
-        "22f198796006187f36c78306babce9963ffe34c7b8428e16cde78b8500efff88"}),
+        "2e55a46535a718bb1cb182a752a1206b23fa58ab45ef1cdc5cfb0b94eb946d21"}),
     "labeled-lda": ("labels", [], {
         "LabeledLDA_doc_topic3.txt":
         "ef729ea7cd873cf823377bcca0d91973e24f93ef148d3c5caf189f3beb3752c9",
@@ -577,6 +577,39 @@ def test_output_dir_check_creates_nothing(tmp_path, plain_file):
                 "--iterations", "2", "--output-dir", out]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "LDAGibbs_doc_topic2.txt", "LDAGibbs_topic_word_2.txt"]
+
+
+def test_sampler_out_of_memory_is_one_error_line(tmp_path, plain_file, monkeypatch, capsys):
+    """A MemoryError while the sampler is built names its sizes, before any
+    sweep and with no output directory.  The tables are not allocated: their
+    constructor raises as an allocation of 200,000,000 topics would."""
+    def too_big(self, n_docs, n_topics, n_words, real=False):
+        raise MemoryError
+
+    monkeypatch.setattr(core.CountTables, "__init__", too_big)
+    out = tmp_path / "out"
+    assert run(["fit", "--model", "lda-gibbs", "--input", plain_file, "-k", "200000000",
+                "--iterations", "2", "--output-dir", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: out of memory building the lda-gibbs sampler for 200000000 topics, "
+        "V = 4 words and M = 4 documents"]
+    assert not out.exists()
+
+
+def test_link_lda_fits_a_corpus_without_links(tmp_path):
+    """With every link field empty the link vocabulary is empty (L = 0), so
+    there is no link draw; the topic-link file has a block per topic."""
+    corpus = tmp_path / "links.txt"
+    corpus.write_text("".join(f" \t{line}\n" for line in PLAIN.splitlines()))
+    out = tmp_path / "out"
+    assert run(["fit", "--model", "link-lda", "--input", corpus, "--output-dir", out,
+                "-k", "2", "--iterations", "5"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "LinkLDA_doc_topic_2.txt", "LinkLDA_topic_link_2.txt", "LinkLDA_topic_word_2.txt"]
+    assert len(parse_doc_topic_file(out / "LinkLDA_doc_topic_2.txt")) == 4
+    assert len(parse_topic_word_file(out / "LinkLDA_topic_word_2.txt")) == 2
+    assert [words for _, words in parse_topic_word_file(out / "LinkLDA_topic_link_2.txt")] \
+        == [[], []]
 
 
 def test_nonpositive_top_n_rejected_before_sampling(tmp_path, plain_file, capsys):

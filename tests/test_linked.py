@@ -7,6 +7,7 @@ from topicmodels.linked import AtmSampler, LinkLdaHyper, LinkLdaSampler
 
 from oracles import (assert_close_distribution, atm_joint_oracle, linklda_word_oracle,
                      linklda_link_oracle, normalize)
+from first_draw import assert_shares_match, first_draw_shares, linklda_draw, linklda_excluded
 
 
 def author_corpus(lines):
@@ -125,77 +126,62 @@ def test_atm_recount_each_sweep():
 
 # ---------------------------------------------------------------- Link LDA
 
-def test_linklda_word_conditional_oracle():
-    rng = SeededRng(29)
+def check_linklda_draws(seed, links):
+    """The kernel's shares for a random word (or link) of a random state,
+    drawn first, against the oracle."""
+    rng = SeededRng(seed)
     lines = ["100--200\tw0 w1 w2", "200\tw1 w3", "300--100\tw2 w0"]
     for _ in range(6):
         corpus = link_corpus(lines)
         K = rng.randrange(2, 4)
-        hyper = LinkLdaHyper(K, 0.3, 0.2, 0.4)
-        sampler = LinkLdaSampler(corpus, hyper, rng)
-        m, n = rng.randrange(3), 0
-        v = corpus.docword[m][n]
-        k = sampler.z[m][n]
-        sampler.words.doc_topic[m][k] -= 1
-        sampler.words.topic_word[k][v] -= 1
-        sampler.words.topic_total[k] -= 1
-        got = sampler.word_conditional(m, v)
-        want = linklda_word_oracle(
-            [sampler.words.topic_word[kk][v] for kk in range(K)], sampler.words.topic_total,
-            sampler.words.doc_topic[m], sampler.links.doc_topic[m],
-            0.3, 0.2, K, corpus.n_words)
-        assert_close_distribution(got, want)
+        sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, 0.3, 0.2, 0.4), rng)
+        m = rng.randrange(3)
+        i = rng.randrange(len((corpus.links if links else corpus.docword)[m]))
+        excluded = linklda_excluded(sampler, m, i, links)
+        if links:
+            want = linklda_link_oracle(*excluded, 0.3, 0.4, K, len(corpus.meta_vocabulary))
+        else:
+            want = linklda_word_oracle(*excluded, 0.3, 0.2, K, corpus.n_words)
+        assert_shares_match(first_draw_shares(*linklda_draw(sampler, m, i, links)), want)
+
+
+def test_linklda_word_conditional_oracle():
+    check_linklda_draws(29, links=False)
 
 
 def test_linklda_link_conditional_oracle():
-    rng = SeededRng(37)
-    lines = ["100--200\tw0 w1 w2", "200\tw1 w3", "300--100\tw2 w0"]
-    for _ in range(6):
-        corpus = link_corpus(lines)
-        K = rng.randrange(2, 4)
-        hyper = LinkLdaHyper(K, 0.3, 0.2, 0.4)
-        sampler = LinkLdaSampler(corpus, hyper, rng)
-        m, e = 0, rng.randrange(2)
-        l = corpus.links[m][e]
-        k = sampler.x[m][e]
-        sampler.links.doc_topic[m][k] -= 1
-        sampler.links.topic_word[k][l] -= 1
-        sampler.links.topic_total[k] -= 1
-        got = sampler.link_conditional(m, l)
-        want = linklda_link_oracle(
-            [sampler.links.topic_word[kk][l] for kk in range(K)], sampler.links.topic_total,
-            sampler.links.doc_topic[m], sampler.words.doc_topic[m],
-            0.3, 0.4, K, sampler.n_links)
-        assert_close_distribution(got, want)
+    check_linklda_draws(37, links=True)
 
 
 def test_linklda_zero_counts_uniform():
+    # the tables hold only the item drawn, so with it excluded every count
+    # the draw reads is zero
     corpus = link_corpus(["100\tw0 w1"])
     sampler = LinkLdaSampler(corpus, LinkLdaHyper(3), SeededRng(0))
     K = 3
-    sampler.words.doc_topic[0] = [0] * K
-    sampler.links.doc_topic[0] = [0] * K
-    sampler.words.topic_word = [[0, 0] for _ in range(K)]
-    sampler.words.topic_total = [0] * K
-    sampler.links.topic_word = [[0] for _ in range(K)]
-    sampler.links.topic_total = [0] * K
-    assert normalize(sampler.word_conditional(0, 0)) == pytest.approx([1 / 3] * 3)
-    assert normalize(sampler.link_conditional(0, 0)) == pytest.approx([1 / 3] * 3)
+    for links in (False, True):
+        k = (sampler.x if links else sampler.z)[0][0]
+        only = [int(j == k) for j in range(K)]
+        sampler.doc_topic = [list(only)]
+        if links:
+            sampler.link_topic, sampler.link_total = [[c] for c in only], list(only)
+            sampler.link_topics = [{k: 1}]
+        else:
+            sampler.word_topic, sampler.word_total = [[c, 0] for c in only], list(only)
+            sampler.word_topics = [{k: 1}, {}]
+        shares = first_draw_shares(*linklda_draw(sampler, 0, 0, links))
+        assert shares == pytest.approx({j: 1 / 3 for j in range(K)})
 
 
 def test_linklda_single_link_vocabulary_factor_constant():
     corpus = link_corpus(["100\tw0 w1", "100\tw1"])
     sampler = LinkLdaSampler(corpus, LinkLdaHyper(2, 0.3, 0.2, 0.4), SeededRng(1))
-    m, e = 0, 0
-    k = sampler.x[m][e]
-    sampler.links.doc_topic[m][k] -= 1
-    sampler.links.topic_word[k][0] -= 1
-    sampler.links.topic_total[k] -= 1
-    got = normalize(sampler.link_conditional(m, 0))
-    doc_factor = [sampler.links.doc_topic[m][k] + sampler.words.doc_topic[m][k] + 0.3
-                  for k in range(2)]
+    row = list(sampler.doc_topic[0])
+    row[sampler.x[0][0]] -= 1
+    got = first_draw_shares(*linklda_draw(sampler, 0, 0, links=True))
     # with L=1 the link factor is (c_k + g)/(c_k + g) = 1 for every topic
-    assert got == pytest.approx(normalize(doc_factor), rel=1e-12)
+    want = normalize([c + 0.3 for c in row])
+    assert [got.get(k, 0.0) for k in range(2)] == pytest.approx(want, rel=1e-12)
 
 
 def test_linklda_doc_without_links_theta_is_lda_form():
@@ -206,7 +192,8 @@ def test_linklda_doc_without_links_theta_is_lda_form():
     for _ in range(5):
         sampler.sweep()
     fit = sampler.estimate()
-    n_mk = sampler.words.doc_topic[0]
+    n_mk = [sampler.z[0].count(k) for k in range(2)]
+    assert sampler.doc_topic[0] == n_mk
     want = [(n_mk[k] + 0.3) / (3 + 2 * 0.3) for k in range(2)]
     assert fit.theta[0] == pytest.approx(want, rel=1e-12)
 
@@ -218,11 +205,12 @@ def test_linklda_tables_never_cross_contaminate():
     n_links_total = sum(len(ls) for ls in corpus.links)
     for _ in range(10):
         sampler.sweep()
-        assert sum(sampler.words.topic_total) == n_words_total
-        assert sum(sampler.links.topic_total) == n_links_total
+        assert sum(sampler.word_total) == n_words_total
+        assert sum(sampler.link_total) == n_links_total
         for m in range(corpus.n_docs):
-            assert sum(sampler.words.doc_topic[m]) == len(corpus.docword[m])
-            assert sum(sampler.links.doc_topic[m]) == len(corpus.links[m])
+            assert sum(sampler.doc_topic[m]) == len(corpus.docword[m]) + len(corpus.links[m])
+            assert sampler.doc_topic[m] == [sampler.z[m].count(k) + sampler.x[m].count(k)
+                                            for k in range(2)]
 
 
 def test_linklda_fit_rows_stochastic():
@@ -267,10 +255,14 @@ def test_linklda_check_rejects_a_stale_count():
     sampler.sweep()
     sampler.check()
     k = sampler.x[0][0]
-    sampler.links.topic_word[k][corpus.links[0][0]] += 1
-    with pytest.raises(ValueError, match="links.topic_word"):
+    sampler.link_topic[k][corpus.links[0][0]] += 1
+    with pytest.raises(ValueError, match="link_topic"):
         sampler.check()
-    sampler.links.topic_word[k][corpus.links[0][0]] -= 1
-    sampler.words.doc_topic[1][sampler.z[1][0]] -= 1
-    with pytest.raises(ValueError, match="words.doc_topic"):
+    sampler.link_topic[k][corpus.links[0][0]] -= 1
+    sampler.doc_topic[1][sampler.z[1][0]] -= 1
+    with pytest.raises(ValueError, match="doc_topic"):
+        sampler.check()
+    sampler.doc_topic[1][sampler.z[1][0]] += 1
+    sampler.link_topics[corpus.links[0][0]][k] += 1
+    with pytest.raises(ValueError, match="link_topics"):
         sampler.check()

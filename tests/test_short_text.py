@@ -182,7 +182,7 @@ def check_biterm_against_oracle(sampler, i):
     want = btm_biterm_oracle(counts["n_b"],
                     [counts["topic_word"][kk][w1] for kk in range(K)],
                     [counts["topic_word"][kk][w2] for kk in range(K)],
-                    counts["topic_total"], sampler.n_biterms, 0.3, 0.15, K, V)
+                    counts["topic_total"], sampler.n_biterms, 0.3, 0.15, K, V, w1 == w2)
     assert_shares_match(biterm_shares(sampler), want)
 
 

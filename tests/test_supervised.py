@@ -316,10 +316,10 @@ def test_registry_samplers_pass_check_after_every_sweep(name, flags):
     spec = cli.MODELS[name]
     corpus = tiny_corpus(spec.layout)
     sampler = spec.sampler(corpus, spec.hyper(**flags), SeededRng(5))
-    # lda-gibbs at K = 20, ptm and btm at any K run a bucketed draw, with its
+    # lda-gibbs at K = 20, ptm, btm and link-lda at any K run a bucketed draw, with its
     # word index; lda-gibbs at K = 3 and the label models the dense one
     assert ((getattr(sampler, "word_topics", None) is not None)
-            == (flags.get("n_topics") == 20 or name in ("ptm", "btm")))
+            == (flags.get("n_topics") == 20 or name in ("ptm", "btm", "link-lda")))
     sampler.check()
     for _ in range(8):
         sampler.sweep()
