@@ -121,8 +121,22 @@ class SeededRng(random.Random):
         super().__init__(self.seed_value)
 
 
+# The largest prior parameter accepted.  Long before it a count vanishes in
+# n + a (from a > 2^53 n on), and from about 1.8e308 / K a sum K a overflows
+# to inf, which turns an estimate into zeros or a division by zero.
+MAX_PRIOR = 1e100
+
+
+def _require_at_most_max_prior(name: str, value: float) -> None:
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite")
+    if value > MAX_PRIOR:
+        raise ValueError(f"{name} must be at most {MAX_PRIOR:g}")
+
+
 def require_positive(values: dict) -> None:
-    """Raise ValueError naming the first value that is not a finite number > 0.
+    """Raise ValueError naming the first value that is not a number in
+    (0, MAX_PRIOR].
 
     Written as ``not value > 0`` so that NaN, which fails every comparison,
     is rejected too.
@@ -130,17 +144,16 @@ def require_positive(values: dict) -> None:
     for name, value in values.items():
         if not value > 0:
             raise ValueError(f"{name} must be positive")
-        if value == math.inf:
-            raise ValueError(f"{name} must be finite")
+        _require_at_most_max_prior(name, value)
 
 
 def require_nonnegative(values: dict) -> None:
-    """Raise ValueError naming the first value that is not a finite number >= 0."""
+    """Raise ValueError naming the first value that is not a number in
+    [0, MAX_PRIOR]."""
     for name, value in values.items():
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0")
-        if value == math.inf:
-            raise ValueError(f"{name} must be finite")
+        _require_at_most_max_prior(name, value)
 
 
 def require_at_least(values: dict, low: int = 1) -> None:

@@ -10,8 +10,11 @@ Topic-word files are blocks of
 Doc-topic files carry a "Topic1 Topic2 ... TopicK" header and one
 space-separated probability row per document.  Probabilities are written
 with ``repr`` so identical fits serialize byte-identically and parse back
-exactly.  The writers stream a file line by line, so no file is ever held
-whole in memory.
+exactly.  A Gibbs estimate holds few distinct values (a theta row is
+(n_mk + alpha)/(n_m + K alpha)), so each writer formats through a fresh
+``_Reprs`` cache, which computes the text of each distinct value once.  The
+writers stream a file line by line, so no file is ever held whole in
+memory.
 """
 
 from pathlib import Path
@@ -21,8 +24,25 @@ from .core import fold_sum
 from .evaluation import top_word_ids
 
 
-def _fmt(p: float) -> str:
-    return repr(float(p))
+# The most values one _Reprs stores.  A file whose values are all different
+# (CVB0 or dual-sparse rows) fills it and then formats each value afresh, so
+# the cache stays far below the size of the file it serves.
+REPR_CACHE_SIZE = 1024
+
+
+class _Reprs(dict):
+    """``reprs[p]`` is ``repr(float(p))``, stored the first time it is asked for.
+
+    Zeros and NaN are formatted but never stored: 0.0 and -0.0 are one
+    key with two texts, and NaN equals no key.  Make one per file, so
+    nothing outlives a writer call.
+    """
+
+    def __missing__(self, p) -> str:
+        text = repr(float(p))
+        if p and p == p and len(self) < REPR_CACHE_SIZE:
+            self[p] = text
+        return text
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
@@ -40,6 +60,8 @@ def write_topic_word_file(path, phi: Sequence[Sequence[float]], words: Sequence[
     paren_labels annotate headers as "Topic:1(label)"; related_labels as
     "Topic:1<TAB>Related label:label".
     """
+    reprs = _Reprs()
+
     def lines():
         for k, row in enumerate(phi):
             header = f"Topic:{k + 1}"
@@ -49,28 +71,32 @@ def write_topic_word_file(path, phi: Sequence[Sequence[float]], words: Sequence[
                 header += f"\tRelated label:{related_labels[k]}"
             yield header
             for v in top_word_ids(row, top_n):
-                yield f"{words[v]} :{_fmt(row[v])}"
+                yield f"{words[v]} :{reprs[row[v]]}"
             yield ""
     _write_lines(path, lines())
 
 
 def write_doc_topic_file(path, theta: Sequence[Sequence[float]]) -> None:
+    reprs = _Reprs()
+
     def lines():
         yield " ".join(f"Topic{k + 1}" for k in range(len(theta[0])))
         for row in theta:
-            yield " ".join(_fmt(p) for p in row)
+            yield " ".join(map(reprs.__getitem__, row))
     _write_lines(path, lines())
 
 
 def write_value_lines(path, values: Sequence) -> None:
     """One value per line (cluster weights, cluster ids, ...)."""
-    _write_lines(path, (_fmt(v) if isinstance(v, float) else str(v) for v in values))
+    reprs = _Reprs()
+    _write_lines(path, (reprs[v] if isinstance(v, float) else str(v) for v in values))
 
 
 def write_author_topic_file(path, names: Sequence[str],
                             theta: Sequence[Sequence[float]]) -> None:
     """Author name, TAB, space-separated topic mixture."""
-    _write_lines(path, (f"{name}\t" + " ".join(_fmt(p) for p in row)
+    reprs = _Reprs()
+    _write_lines(path, (f"{name}\t" + " ".join(map(reprs.__getitem__, row))
                         for name, row in zip(names, theta)))
 
 
@@ -78,6 +104,8 @@ def write_topic_author_file(path, author_theta: Sequence[Sequence[float]],
                             names: Sequence[str], n_topics: int, top_n: int) -> None:
     """Per topic, the top authors by their affinity theta[a][k], renormalized
     over the listed authors."""
+    reprs = _Reprs()
+
     def lines():
         for k in range(n_topics):
             column = [author_theta[a][k] for a in range(len(names))]
@@ -85,7 +113,7 @@ def write_topic_author_file(path, author_theta: Sequence[Sequence[float]],
             total = fold_sum(column[a] for a in top)
             yield f"Topic:{k + 1}"
             for a in top:
-                yield f"{names[a]} :{_fmt(column[a] / total)}"
+                yield f"{names[a]} :{reprs[column[a] / total]}"
             yield ""
     _write_lines(path, lines())
 
@@ -97,9 +125,11 @@ def write_sparse_ratio_file(path, ratios: Sequence[float], average: float,
     ``kind`` is "topic_word" or "doc_topic"; the summary line reproduces the
     reference output spelling ("saprse") verbatim.
     """
+    reprs = _Reprs()
+
     def lines():
-        yield from map(_fmt, ratios)
-        yield f"average saprse ratio of {kind}:{_fmt(average)}"
+        yield from map(reprs.__getitem__, ratios)
+        yield f"average saprse ratio of {kind}:{reprs[average]}"
     _write_lines(path, lines())
 
 

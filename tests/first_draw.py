@@ -12,7 +12,9 @@ in id order), so the intervals are summed per outcome.
 
 The tests put the item to check first in the sampler's state (or hand the
 kernel a slice holding only that item), because later draws of a sweep
-reuse running totals that an oracle does not see.
+reuse running totals that an oracle does not see.  Where a sweep makes
+draws of another kind first (PTM's pseudo-document draws, Link LDA's words
+before its links), their uniforms are scripted as a prefix.
 """
 
 import pickle
@@ -116,19 +118,35 @@ def put_lda_token_first(sampler, m: int, n: int):
     return tables
 
 
-def rerun_sweep(sampler, *count_args):
-    """A ``run`` for ``first_draw_shares``: recount the sampler's ``z`` as
-    it is now with its own ``_counts(*count_args)``, then each run puts that
-    state back and sweeps once with the scripted rng."""
+def rerun_sweep(sampler, *count_args, assignments=("z",)):
+    """A ``run`` for ``first_draw_shares``: recount the sampler's
+    assignments (the attributes ``assignments`` names) as they are now with
+    its own ``_counts(*count_args)``, then each run puts that state back and
+    sweeps once with the scripted rng."""
     counts = sampler._counts(*count_args)
     vars(sampler).update(counts)
-    state = pickle.dumps({"z": sampler.z, **counts})
+    state = pickle.dumps({**{name: getattr(sampler, name) for name in assignments}, **counts})
 
     def run(rng):
         vars(sampler).update(pickle.loads(state))
         sampler.rng = rng
         sampler.sweep()
     return run
+
+
+def sweep_draw_shares(sampler, prefix, read, assignments=("z",)) -> dict:
+    """``first_draw_shares`` of the draw that ``sweep()`` itself makes
+    after the draws ``prefix`` scripts, from a recount of the sampler's
+    state (see ``rerun_sweep``).  The sampler is left stopped at that draw,
+    with the item's old topic still in its assignments, so that a recount
+    of them gives the oracle's inputs."""
+    run = rerun_sweep(sampler, assignments=assignments)
+    shares = first_draw_shares(run, read, prefix)
+    try:
+        run(ScriptedRng(prefix))
+    except ScriptEnd:
+        return shares
+    raise AssertionError("the sweep made no draw after the prefix")
 
 
 def lda_token_shares(sampler, sparse: bool) -> dict:
@@ -173,23 +191,49 @@ def slice_draw(sampler, counts: dict, item: int, topic: int, reads, alpha: float
     return run, lambda: z[0][0]
 
 
-def ptm_token_draw(sampler, m: int, n: int):
-    """``slice_draw`` of token n of short document m in a ``PtmSampler``'s
-    token step, against its pseudo document's row, from a recount of the
-    sampler's state."""
-    l, hyper = sampler.l[m], sampler.hyper
+def ptm_token_shares(sampler, m: int, n: int, prefix) -> tuple:
+    """``sweep_draw_shares`` of token n of short document m in a
+    ``PtmSampler``, moved to the front of the state, so that it is the
+    first draw of the token step, after the sweep's pseudo-document draws
+    (one uniform each of ``prefix``).  Returns the shares and what
+    ``oracles.ptm_token_oracle`` takes for that draw, with the token
+    excluded: its pseudo document's row and total, its column of the topic
+    counts and the topic totals, counted afresh from l and z."""
+    for seq in (sampler.corpus.docword, sampler.z, sampler.l):
+        move_to_front(seq, m)
+    move_to_front(sampler.corpus.docword[0], n)
+    move_to_front(sampler.z[0], n)
+    shares = sweep_draw_shares(sampler, prefix, lambda: sampler.z[0][0], ("l", "z"))
+    pseudo = sampler._counts()["pseudo"]
+    l, k, v = sampler.l[0], sampler.z[0][0], sampler.corpus.docword[0][0]
+    return shares, ([c - (j == k) for j, c in enumerate(pseudo.doc_topic[l])],
+                    pseudo.doc_total[l] - 1,
+                    [row[v] - (j == k) for j, row in enumerate(pseudo.topic_word)],
+                    [t - (j == k) for j, t in enumerate(pseudo.topic_total)])
 
-    def reads():
-        pseudo = sampler.pseudo
-        return [pseudo.doc_topic[l]], pseudo.topic_word, pseudo.topic_total, sampler.word_topics
-    return slice_draw(sampler, sampler._counts(), sampler.corpus.docword[m][n], sampler.z[m][n],
-                      reads, hyper.alpha, hyper.beta)
+
+def linklda_shares(sampler, m: int, i: int, links: bool, prefix) -> tuple:
+    """``sweep_draw_shares`` of word i (or, with ``links``, link i) of
+    document m in a ``LinkLdaSampler``, moved to the front of the state:
+    the first draw of the sweep's word step, or the first of its link step,
+    which comes after every word has been drawn (one uniform each of
+    ``prefix``).  Returns the shares and ``linklda_excluded`` of the draw."""
+    corpus = sampler.corpus
+    for seq in (corpus.docword, corpus.links, sampler.z, sampler.x):
+        move_to_front(seq, m)
+    items, own = (corpus.links, "x") if links else (corpus.docword, "z")
+    move_to_front(items[0], i)
+    move_to_front(getattr(sampler, own)[0], i)
+    shares = sweep_draw_shares(sampler, prefix, lambda: getattr(sampler, own)[0][0], ("z", "x"))
+    return shares, linklda_excluded(sampler, 0, 0, links)
 
 
 def linklda_draw(sampler, m: int, i: int, links: bool = False):
     """``slice_draw`` of word i (or, with ``links``, link i) of document m
     in a ``LinkLdaSampler``, against the document's pooled row, from the
-    tables the sampler holds now."""
+    tables the sampler holds now, which a test may have set by hand.  It
+    passes the hyperparameters it names itself, not the ones ``sweep()``
+    passes; ``linklda_shares`` checks those."""
     hyper = sampler.hyper
     held = {name: getattr(sampler, name) for name in sampler._counts()}
     if links:

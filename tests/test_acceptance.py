@@ -33,9 +33,8 @@ from oracles import (assert_close_distribution, cosine, lda_token_oracle, senten
                      atm_joint_oracle, linklda_word_oracle, linklda_link_oracle,
                      labeled_token_oracle, plda_token_oracle, lda_joint_log, ptm_joint_log,
                      btm_joint_log, linklda_joint_log, tv_distance)
-from first_draw import (assert_shares_match, biterm_shares, first_draw_shares, lda_token_shares,
-                        linklda_draw, linklda_excluded, ptm_token_draw, put_biterm_first,
-                        put_lda_token_first)
+from first_draw import (assert_shares_match, biterm_shares, lda_token_shares, linklda_shares,
+                        ptm_token_shares, put_biterm_first, put_lda_token_first)
 
 
 def ok(criterion, detail):
@@ -279,22 +278,16 @@ def test_criterion_2_full_conditional_scalar_oracles():
         assert_close_distribution(sampler.pseudo_doc_conditional(m), want)
 
     def ptm_topic_case(rng):
+        # the first draw of sweep()'s token step, after its scripted
+        # pseudo-document draws
         corpus = parse_plain(random_docs(rng, 5, 5))
         K = 3
         sampler = PtmSampler(corpus, PtmHyper(2, K, 0.4, 0.2, 0.3), rng)
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
-        v = corpus.docword[m][n]
-        k = sampler.z[m][n]
-        l = sampler.l[m]
-        sampler.pseudo.doc_topic[l][k] -= 1
-        sampler.pseudo.doc_total[l] -= 1
-        sampler.pseudo.topic_word[k][v] -= 1
-        sampler.pseudo.topic_total[k] -= 1
-        want = ptm_token_oracle(sampler.pseudo.doc_topic[l], sampler.pseudo.doc_total[l],
-                        [sampler.pseudo.topic_word[kk][v] for kk in range(K)],
-                        sampler.pseudo.topic_total, 0.4, 0.2, K, corpus.n_words)
-        assert_shares_match(first_draw_shares(*ptm_token_draw(sampler, m, n)), want)
+        prefix = [rng.random() for _ in range(corpus.n_docs)]
+        shares, excluded = ptm_token_shares(sampler, m, n, prefix)
+        assert_shares_match(shares, ptm_token_oracle(*excluded, 0.4, 0.2, K, corpus.n_words))
 
     def btm_case(rng):
         corpus = parse_plain(random_docs(rng, 5, 5))
@@ -331,6 +324,8 @@ def test_criterion_2_full_conditional_scalar_oracles():
         assert_close_distribution(got, [w for row in rows for w in row])
 
     def link_case(rng, links):
+        # the first word (or link) draw of sweep() itself; the link step
+        # comes after every word has been drawn, so those draws are scripted
         lines = [f"{rng.randrange(100, 104)}--{rng.randrange(104, 108)}\t" + doc
                  for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="links", item_sep="--")
@@ -338,12 +333,13 @@ def test_criterion_2_full_conditional_scalar_oracles():
         sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, 0.3, 0.2, 0.4), rng)
         m = rng.randrange(corpus.n_docs)
         i = rng.randrange(len((corpus.links if links else corpus.docword)[m]))
-        excluded = linklda_excluded(sampler, m, i, links)
+        prefix = [rng.random() for _ in range(corpus.n_tokens)] if links else []
+        shares, excluded = linklda_shares(sampler, m, i, links, prefix)
         if links:
             want = linklda_link_oracle(*excluded, 0.3, 0.4, K, len(corpus.meta_vocabulary))
         else:
             want = linklda_word_oracle(*excluded, 0.3, 0.2, K, corpus.n_words)
-        assert_shares_match(first_draw_shares(*linklda_draw(sampler, m, i, links)), want)
+        assert_shares_match(shares, want)
 
     def labeled_case(rng):
         labels = ["A", "B", "C"]

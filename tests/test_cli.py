@@ -239,6 +239,23 @@ def test_short_text_golden_bytes_at_k10(tmp_path, model):
     assert_golden(tmp_path, model, GOLDEN, flags, want)
 
 
+# btm at K = 3 and --beta 1, same run settings.  At the default beta the
+# K = 3 chain on GOLDEN settles early, so its hashes above barely see the
+# draws (weighing a biterm of one word twice by (c + b)^2 instead of
+# (c + b)(c + b + 1) leaves them unchanged); here every file changes.
+GOLDEN_BTM_BETA_1 = {
+    "BTM_doc_topic_3.txt":
+    "0b5a35aaea796ba65fd57a21df81df8b27f45e1b7db8a97a916220b26a4f7f0a",
+    "BTM_topic_theta_3.txt":
+    "6d4ec22e18f8d4e105391b7eaf9afab729ab2ab11b0161e1e2344ed4228a6bbe",
+    "BTM_topic_word_3.txt":
+    "91d4f7415c3e7cca0cf8bff6a03ed165c57226f9b3f9f323fc3ff28be6c3bc46"}
+
+
+def test_btm_golden_bytes_at_a_large_beta(tmp_path):
+    assert_golden(tmp_path, "btm", GOLDEN, ["-k", "3", "--beta", "1"], GOLDEN_BTM_BETA_1)
+
+
 def _golden_tagged(meta):
     return "".join(f"{m}\t{line}\n" for m, line in zip(meta, GOLDEN.splitlines()))
 
@@ -658,6 +675,9 @@ def test_nonpositive_top_n_rejected_before_sampling(tmp_path, plain_file, capsys
     ("dual-sparse", ["-k", "2", "--pi-bar", "0.5"], "--pi-bar must be < --pi"),
     ("dual-sparse", ["-k", "2", "--gamma-bar", "0.1"], "--gamma-bar must be < --gamma-strong"),
     ("ptm", ["-k", "2", "--pseudo-docs", "0"], "--pseudo-docs must be >= 1"),
+    # K alpha overflows to inf: BTM's document rows divided 0 by 0 after the sweeps
+    ("btm", ["-k", "2", "--alpha", "1e308"], "alpha must be at most 1e+100"),
+    ("hdp", ["--gamma", "1e101"], "gamma must be at most 1e+100"),
 ])
 def test_invalid_hyperparameters_rejected(tmp_path, capsys, model, flags, message):
     corpus = tmp_path / "corpus.txt"

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from topicmodels.core import (MISSING, CountTables, LogRisingMemo, SamplingError, SeededRng,
-                              counts_from_assignments, exp_normalize, fields, fold_sum,
+from topicmodels.core import (MAX_PRIOR, MISSING, CountTables, LogRisingMemo, SamplingError,
+                              SeededRng, counts_from_assignments, exp_normalize, fields, fold_sum,
                               log_rising_factorial, record, require_at_least,
                               require_nonnegative, require_positive, run_chain,
                               sample_categorical)
@@ -115,6 +115,13 @@ def test_require_positive_rejects_infinity():
         require_positive({"alpha": math.inf, "beta": 1.0})
     with pytest.raises(ValueError, match="^alpha must be positive$"):
         require_positive({"alpha": -math.inf})
+
+
+def test_require_positive_and_nonnegative_reject_a_prior_past_the_largest():
+    for require in (require_positive, require_nonnegative):
+        require({"alpha": MAX_PRIOR})
+        with pytest.raises(ValueError, match=r"^alpha must be at most 1e\+100$"):
+            require({"alpha": MAX_PRIOR * 1.5})
 
 
 def test_require_nonnegative_names_the_parameter():

@@ -7,7 +7,7 @@ from topicmodels.linked import AtmSampler, LinkLdaHyper, LinkLdaSampler
 
 from oracles import (assert_close_distribution, atm_joint_oracle, linklda_word_oracle,
                      linklda_link_oracle, normalize)
-from first_draw import assert_shares_match, first_draw_shares, linklda_draw, linklda_excluded
+from first_draw import assert_shares_match, first_draw_shares, linklda_draw, linklda_shares
 
 
 def author_corpus(lines):
@@ -127,8 +127,9 @@ def test_atm_recount_each_sweep():
 # ---------------------------------------------------------------- Link LDA
 
 def check_linklda_draws(seed, links):
-    """The kernel's shares for a random word (or link) of a random state,
-    drawn first, against the oracle."""
+    """The first word (or link) draw of sweep() itself, for a random item
+    of a random state, against the oracle.  The link step comes after every
+    word has been drawn, so those draws are scripted."""
     rng = SeededRng(seed)
     lines = ["100--200\tw0 w1 w2", "200\tw1 w3", "300--100\tw2 w0"]
     for _ in range(6):
@@ -137,12 +138,13 @@ def check_linklda_draws(seed, links):
         sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, 0.3, 0.2, 0.4), rng)
         m = rng.randrange(3)
         i = rng.randrange(len((corpus.links if links else corpus.docword)[m]))
-        excluded = linklda_excluded(sampler, m, i, links)
+        prefix = [rng.random() for _ in range(corpus.n_tokens)] if links else []
+        shares, excluded = linklda_shares(sampler, m, i, links, prefix)
         if links:
             want = linklda_link_oracle(*excluded, 0.3, 0.4, K, len(corpus.meta_vocabulary))
         else:
             want = linklda_word_oracle(*excluded, 0.3, 0.2, K, corpus.n_words)
-        assert_shares_match(first_draw_shares(*linklda_draw(sampler, m, i, links)), want)
+        assert_shares_match(shares, want)
 
 
 def test_linklda_word_conditional_oracle():

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from array import array
@@ -7,7 +8,8 @@ import pytest
 from topicmodels import cli
 from topicmodels.core import MISSING, SeededRng, fields, run_chain
 from topicmodels.evaluation import top_word_ids
-from topicmodels.reports import (parse_author_topic_file, parse_doc_topic_file,
+from topicmodels.reports import (REPR_CACHE_SIZE, _Reprs, parse_author_topic_file,
+                                 parse_doc_topic_file,
                                  parse_sparse_ratio_file, parse_topic_word_file,
                                  parse_value_lines, write_author_topic_file,
                                  write_doc_topic_file, write_sparse_ratio_file,
@@ -120,6 +122,32 @@ def test_float_repr_round_trips_exactly(tmp_path):
     theta = [[0.03822039986269391, 0.9617796001373061]]
     write_doc_topic_file(path, theta)
     assert parse_doc_topic_file(path) == theta
+
+
+def test_doc_topic_writer_formats_every_value_as_its_repr(tmp_path):
+    # the writers format through a bounded cache of reprs; these rows hold
+    # what a cache could confuse: signed zeros (one key, two texts), NaN
+    # (equal to no key), an int (written as its float), and more distinct
+    # values than the cache holds, then values it stored early on
+    distinct = [1 / (i + 3) for i in range(REPR_CACHE_SIZE + 50)]
+    rows = [[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [math.nan, math.inf], [-math.inf, math.nan],
+            [1, 1.0], [1.0, 1], [0, -0.0],
+            *zip(distinct[::2], distinct[1::2]), distinct[:2], distinct[2:4], [0.5, 0.5]]
+    path = tmp_path / "dt.txt"
+    write_doc_topic_file(path, rows)
+    written = [line.split() for line in path.read_text().splitlines()[1:]]
+    assert written == [[repr(float(p)) for p in row] for row in rows]
+    assert [[repr(p) for p in row] for row in parse_doc_topic_file(path)] == written
+
+
+def test_repr_cache_keeps_no_zero_nor_nan_and_stops_at_its_size():
+    reprs = _Reprs()
+    texts = [reprs[p] for p in (0.0, -0.0, 0, math.nan, -0.0)]
+    assert texts == ["0.0", "-0.0", "0.0", "nan", "-0.0"]
+    assert not reprs
+    for i in range(2 * REPR_CACHE_SIZE):
+        assert reprs[i / 7] == repr(i / 7)
+    assert len(reprs) == REPR_CACHE_SIZE
 
 
 def test_author_topic_round_trip(tmp_path):

@@ -5,8 +5,7 @@ from topicmodels.corpus import parse_plain
 from topicmodels.short_text import (BtmHyper, BtmSampler, PtmHyper, PtmSampler,
                                     extract_biterms)
 
-from first_draw import (assert_shares_match, biterm_shares, first_draw_shares, ptm_token_draw,
-                        put_biterm_first)
+from first_draw import assert_shares_match, biterm_shares, ptm_token_shares, put_biterm_first
 from oracles import assert_close_distribution, ptm_pseudo_doc_oracle, ptm_token_oracle, btm_biterm_oracle, normalize
 
 
@@ -53,24 +52,19 @@ def test_ptm_pseudo_doc_conditional_matches_oracle():
 
 
 def test_ptm_topic_conditional_matches_oracle():
+    # the first draw of sweep()'s token step, after its scripted
+    # pseudo-document draws
     rng = SeededRng(43)
     for _ in range(6):
         corpus = make_corpus(rng)
         P, K = 2, 3
         hyper = PtmHyper(P, K, alpha=0.4, beta=0.2)
         sampler = PtmSampler(corpus, hyper, rng)
-        m, n = rng.randrange(corpus.n_docs), 0
-        v = corpus.docword[m][n]
-        k = sampler.z[m][n]
-        l = sampler.l[m]
-        sampler.pseudo.doc_topic[l][k] -= 1
-        sampler.pseudo.doc_total[l] -= 1
-        sampler.pseudo.topic_word[k][v] -= 1
-        sampler.pseudo.topic_total[k] -= 1
-        want = ptm_token_oracle(sampler.pseudo.doc_topic[l], sampler.pseudo.doc_total[l],
-                        [sampler.pseudo.topic_word[kk][v] for kk in range(K)],
-                        sampler.pseudo.topic_total, 0.4, 0.2, K, corpus.n_words)
-        assert_shares_match(first_draw_shares(*ptm_token_draw(sampler, m, n)), want)
+        m = rng.randrange(corpus.n_docs)
+        n = rng.randrange(len(corpus.docword[m]))
+        prefix = [rng.random() for _ in range(corpus.n_docs)]
+        shares, excluded = ptm_token_shares(sampler, m, n, prefix)
+        assert_shares_match(shares, ptm_token_oracle(*excluded, 0.4, 0.2, K, corpus.n_words))
 
 
 def test_ptm_doc_counts_conserved():
