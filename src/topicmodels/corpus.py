@@ -324,8 +324,7 @@ def parse_sentences(lines: Iterable[str], sep: str = "--") -> Corpus:
 _TAGGED_FIELDS = ("authors", "links", "labels")
 
 
-def parse_tagged(lines: Iterable[str], kind: str, item_sep: str,
-                 field_sep: str = "\t") -> Corpus:
+def parse_tagged(lines: Iterable[str], kind: str, item_sep: str) -> Corpus:
     """Index documents of the form ``metadata<TAB>body``.
 
     ``kind`` selects which corpus field ("authors", "links" or "labels")
@@ -347,11 +346,11 @@ def parse_tagged(lines: Iterable[str], kind: str, item_sep: str,
             dropped += 1
             warn(__name__, "line %d: empty document dropped", lineno)
             continue
-        if line.count(field_sep) != 1:
+        tabs = line.count("\t")
+        if tabs != 1:
             raise ParseError(
-                f"line {lineno}: expected exactly one {field_sep!r} between "
-                f"{kind} and text, found {line.count(field_sep)}")
-        left, right = line.split(field_sep)
+                f"line {lineno}: expected exactly one '\\t' between {kind} and text, found {tabs}")
+        left, right = line.split("\t")
         items = []
         for item in left.split(item_sep):
             item = item.strip()

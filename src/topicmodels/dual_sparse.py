@@ -7,7 +7,8 @@ that underflow in linear space, so the updates run entirely on log-gamma
 differences and come back through a sigmoid of the log odds.
 
 Sweep order per iteration: every alpha_hat, then every beta_hat, then every
-token responsibility kappa.
+token responsibility kappa, the last with ``lda.cvb0_pass`` and the
+selector-gated smoothing as its priors.
 """
 
 import math
@@ -16,7 +17,7 @@ from array import array
 from .core import (expected_counts, fold_sum, record, require_at_least, require_nonnegative,
                    require_positive, require_recount)
 from .corpus import Corpus
-from .lda import EXPECTED_TOLERANCE
+from .lda import EXPECTED_TOLERANCE, cvb0_pass
 
 # selector means are kept strictly inside (0, 1) so the excluded sums
 # A_hat - alpha_hat stay positive even when the sigmoid saturates
@@ -74,6 +75,50 @@ def _sigmoid(odds: float) -> float:
     return e / (1.0 + e)
 
 
+def selector_mean(on: float, off: float, strong: float, weak: float, dim: int,
+                  count: float, total: float, excluded: float) -> float:
+    """New mean of one Bernoulli selector, clamped into the open unit interval;
+    NaN when its log odds are not a number.
+
+    The selector gates ``strong`` smoothing on one cell of a row of ``dim``
+    cells, each of which gets ``weak`` smoothing regardless.  ``count`` is the
+    cell's expected count, ``total`` its row's, ``excluded`` the sum of the
+    row's other selector means, and the selector rate has a Beta(on, off)
+    prior.  For a topic selector these are (s, t, pi, pi_bar, K, n_mk, n_m,
+    A_hat_m - alpha_hat_mk); for a word selector (x, y, word_gamma,
+    word_gamma_bar, V, n_kv, n_k, B_hat_k - beta_hat_kv).
+    """
+    d_weak = dim * weak
+    se = strong * excluded
+    log_on = (math.log(on + excluded)
+              + math.lgamma(count + strong + weak)
+              + _log_beta(strong + d_weak + se, total + se + d_weak))
+    log_off = (math.log(off + dim - 1 - excluded)
+               + math.lgamma(strong + weak)
+               + _log_beta(d_weak + se, total + strong + se + d_weak))
+    odds = log_on - log_off
+    return odds if odds != odds else _clamp(_sigmoid(odds))
+
+
+def selector_pass(means: list, sums: list, counts: list, totals: list, on: float, off: float,
+                  strong: float, weak: float, names: tuple) -> None:
+    """Update every selector mean once, rows then cells in index order, with
+    ``selector_mean``; ``sums`` holds the row sums and moves with them.
+    ``names`` names a row and a cell for the error on non-finite odds."""
+    for r, (row, n_row, total) in enumerate(zip(means, counts, totals)):
+        dim = len(row)
+        row_sum = sums[r]
+        for j, (mean, count) in enumerate(zip(row, n_row)):
+            excluded = row_sum - mean
+            new = selector_mean(on, off, strong, weak, dim, count, total, excluded)
+            if new != new:
+                raise ArithmeticError(
+                    f"non-finite selector odds at {names[0]} {r}, {names[1]} {j}")
+            row[j] = new
+            row_sum = excluded + new
+        sums[r] = row_sum
+
+
 class DualSparseCvb0:
     def __init__(self, corpus: Corpus, hyper: SparseHyper, kappa: list,
                  alpha_hat: list | None = None, beta_hat: list | None = None):
@@ -104,135 +149,48 @@ class DualSparseCvb0:
         require_recount(self, self._counts(), "kappa and the selector means", tolerance)
         self.expected.check(tolerance)
 
-    # -- selector updates -----------------------------------------------------
+    def kappa_pass(self) -> None:
+        """One CVB0 pass over kappa against the selector-gated priors."""
+        cvb0_pass(self.corpus.docword, self.kappa, self.expected, *self.priors())
 
-    def update_alpha_selector(self, m: int, k: int) -> float:
-        """New alpha_hat[m][k]; A_hat[m] is refreshed in place."""
-        h = self.hyper
-        K = h.n_topics
-        a_ex = self.A_hat[m] - self.alpha_hat[m][k]
-        n_mk = self.expected.doc_topic[m][k]
-        n_m = self.expected.doc_total[m]
-        k_pbar = K * h.pi_bar
-        pa = h.pi * a_ex
-        log_on = (math.log(h.s + a_ex)
-                  + math.lgamma(n_mk + h.pi + h.pi_bar)
-                  + _log_beta(h.pi + k_pbar + pa, n_m + pa + k_pbar))
-        log_off = (math.log(h.t + K - 1 - a_ex)
-                   + math.lgamma(h.pi + h.pi_bar)
-                   + _log_beta(k_pbar + pa, n_m + h.pi + pa + k_pbar))
-        odds = log_on - log_off
-        if odds != odds:
-            raise ArithmeticError(
-                f"non-finite topic-selector odds at doc {m}, topic {k}")
-        new = _clamp(_sigmoid(odds))
-        self.alpha_hat[m][k] = new
-        self.A_hat[m] = a_ex + new
-        return new
-
-    def update_beta_selector(self, k: int, v: int) -> float:
-        """New beta_hat[k][v]; B_hat[k] is refreshed in place."""
+    def priors(self) -> tuple:
+        """The smoothing the selectors give the expected counts, as rows over
+        the K topics: per document a_mk = pi alpha_hat_mk + pi_bar, per word
+        b_vk = g beta_hat_kv + g_bar, per topic c_k = g B_hat_k + V g_bar
+        (g is word_gamma)."""
         h = self.hyper
         V = self.corpus.n_words
-        b_ex = self.B_hat[k] - self.beta_hat[k][v]
-        n_kv = self.expected.topic_word[k][v]
-        n_k = self.expected.topic_total[k]
-        v_gbar = V * h.word_gamma_bar
-        gb = h.word_gamma * b_ex
-        log_on = (math.log(h.x + b_ex)
-                  + math.lgamma(n_kv + h.word_gamma + h.word_gamma_bar)
-                  + _log_beta(h.word_gamma + v_gbar + gb, n_k + gb + v_gbar))
-        log_off = (math.log(h.y + V - 1 - b_ex)
-                   + math.lgamma(h.word_gamma + h.word_gamma_bar)
-                   + _log_beta(v_gbar + gb, n_k + h.word_gamma + gb + v_gbar))
-        odds = log_on - log_off
-        if odds != odds:
-            raise ArithmeticError(
-                f"non-finite word-selector odds at topic {k}, word {v}")
-        new = _clamp(_sigmoid(odds))
-        self.beta_hat[k][v] = new
-        self.B_hat[k] = b_ex + new
-        return new
-
-    def kappa_weights(self, m: int, v: int) -> list:
-        """Unnormalized responsibility weights with the token's mass excluded.
-
-        kappa_k ~ (n_mk + pi a_mk + pi_bar)
-                  * (n_kv + g b_kv + g_bar) / (n_k + g B_k + V g_bar)
-        """
-        h = self.hyper
-        K, V = h.n_topics, self.corpus.n_words
-        n_mk = self.expected.doc_topic[m]
-        out = [0.0] * K
-        for k in range(K):
-            out[k] = ((n_mk[k] + h.pi * self.alpha_hat[m][k] + h.pi_bar)
-                      * (self.expected.topic_word[k][v]
-                         + h.word_gamma * self.beta_hat[k][v] + h.word_gamma_bar)
-                      / (self.expected.topic_total[k]
-                         + h.word_gamma * self.B_hat[k] + V * h.word_gamma_bar))
-        return out
-
-    # -- sweep passes -----------------------------------------------------------
-
-    def alpha_pass(self) -> None:
-        for m in range(self.corpus.n_docs):
-            for k in range(self.hyper.n_topics):
-                self.update_alpha_selector(m, k)
-
-    def beta_pass(self) -> None:
-        for k in range(self.hyper.n_topics):
-            for v in range(self.corpus.n_words):
-                self.update_beta_selector(k, v)
-
-    def kappa_pass(self) -> None:
-        K = self.hyper.n_topics
-        ndk = self.expected.doc_topic
-        nkv = self.expected.topic_word
-        nk = self.expected.topic_total
-        for m, doc in enumerate(self.corpus.docword):
-            km = self.kappa[m]
-            nm = ndk[m]
-            for n, v in enumerate(doc):
-                g = km[n]
-                for k in range(K):
-                    gk = g[k]
-                    nm[k] -= gk
-                    nkv[k][v] -= gk
-                    nk[k] -= gk
-                weights = self.kappa_weights(m, v)
-                total = fold_sum(weights)
-                for k in range(K):
-                    gk = weights[k] / total
-                    g[k] = gk
-                    nm[k] += gk
-                    nkv[k][v] += gk
-                    nk[k] += gk
+        g, g_bar = h.word_gamma, h.word_gamma_bar
+        doc = [[h.pi * a + h.pi_bar for a in row] for row in self.alpha_hat]
+        word = [[g * b + g_bar for b in column] for column in zip(*self.beta_hat)]
+        topic = [g * b_sum + V * g_bar for b_sum in self.B_hat]
+        return doc, word, topic
 
     def sweep(self) -> None:
-        self.alpha_pass()
-        self.beta_pass()
+        """Every alpha_hat, then every beta_hat, then every kappa."""
+        h, ex = self.hyper, self.expected
+        selector_pass(self.alpha_hat, self.A_hat, ex.doc_topic, ex.doc_total,
+                      h.s, h.t, h.pi, h.pi_bar, ("doc", "topic"))
+        selector_pass(self.beta_hat, self.B_hat, ex.topic_word, ex.topic_total,
+                      h.x, h.y, h.word_gamma, h.word_gamma_bar, ("topic", "word"))
         self.kappa_pass()
 
-    # -- estimates ---------------------------------------------------------------
-
     def estimate(self) -> SparseFit:
-        h = self.hyper
-        K, V, M = h.n_topics, self.corpus.n_words, self.corpus.n_docs
+        """theta and phi are the expected counts plus the priors of the
+        kappa pass, normalized."""
+        K, V, M = self.hyper.n_topics, self.corpus.n_words, self.corpus.n_docs
+        ex = self.expected
+        doc_prior, word_prior, topic_prior = self.priors()
         theta = []
-        for m in range(M):
-            denom = (self.expected.doc_total[m] + h.pi * self.A_hat[m] + K * h.pi_bar)
-            theta.append(array("d", [(self.expected.doc_topic[m][k]
-                                      + h.pi * self.alpha_hat[m][k] + h.pi_bar) / denom
-                                     for k in range(K)]))
+        for counts, n_m, a in zip(ex.doc_topic, ex.doc_total, doc_prior):
+            denom = n_m + fold_sum(a)
+            theta.append(array("d", [(n + a_k) / denom for n, a_k in zip(counts, a)]))
         phi = []
-        for k in range(K):
-            denom = (self.expected.topic_total[k]
-                     + h.word_gamma * self.B_hat[k] + V * h.word_gamma_bar)
-            phi.append(array("d", [(self.expected.topic_word[k][v]
-                                    + h.word_gamma * self.beta_hat[k][v]
-                                    + h.word_gamma_bar) / denom for v in range(V)]))
-        sparsity_doc = [1.0 - self.A_hat[m] / K for m in range(M)]
-        sparsity_topic = [1.0 - self.B_hat[k] / V for k in range(K)]
+        for k, (counts, n_k, c_k) in enumerate(zip(ex.topic_word, ex.topic_total, topic_prior)):
+            denom = n_k + c_k
+            phi.append(array("d", [(n + b[k]) / denom for n, b in zip(counts, word_prior)]))
+        sparsity_doc = [1.0 - a_sum / K for a_sum in self.A_hat]
+        sparsity_topic = [1.0 - b_sum / V for b_sum in self.B_hat]
         return SparseFit(
             theta=theta, phi=phi,
             sparsity_doc=sparsity_doc, sparsity_topic=sparsity_topic,

@@ -290,6 +290,39 @@ def random_responsibilities(corpus: Corpus, n_topics: int, rng: random.Random) -
     return gamma
 
 
+def cvb0_pass(docword, gamma, tables: CountTables, doc_prior: list, word_prior: list,
+              topic_prior: list) -> None:
+    """Update every token's responsibility once, documents then positions in
+    index order (Teh, Newman & Welling, NIPS 2007, zero order).
+
+    Token n of document m, with word v and responsibilities g = gamma[m][n],
+    takes
+      g_k ~ (n_mk - g_k + a_k)(n_kv - g_k + b_k)/(n_k - g_k + c_k)
+    with ``a = doc_prior[m]``, ``b = word_prior[v]`` and ``c = topic_prior``,
+    each a row over the K topics.  The expected counts in ``tables`` move by
+    the difference of the new and old g; n_m does not change.
+    """
+    c, K = topic_prior, len(topic_prior)
+    ndk, nkv, nk = tables.doc_topic, tables.topic_word, tables.topic_total
+    for doc, gm, nm, a in zip(docword, gamma, ndk, doc_prior):
+        for v, g in zip(doc, gm):
+            b = word_prior[v]
+            total = 0.0
+            new = [0.0] * K
+            for k in range(K):
+                gk = g[k]
+                w = (nm[k] - gk + a[k]) * (nkv[k][v] - gk + b[k]) / (nk[k] - gk + c[k])
+                new[k] = w
+                total += w
+            for k in range(K):
+                gk_new = new[k] / total
+                delta = gk_new - g[k]
+                nm[k] += delta
+                nkv[k][v] += delta
+                nk[k] += delta
+                g[k] = gk_new
+
+
 class LdaCvb0:
     """Deterministic CVB0 fixed-point iteration over token responsibilities."""
 
@@ -314,33 +347,11 @@ class LdaCvb0:
         self.expected.check(tolerance)
 
     def sweep(self) -> None:
-        K = self.hyper.n_topics
-        alpha = self.hyper.alpha
-        beta = self.hyper.beta
-        vbeta = self.corpus.n_words * beta
-        ndk = self.expected.doc_topic
-        nkv = self.expected.topic_word
-        nk = self.expected.topic_total
-        for m, doc in enumerate(self.corpus.docword):
-            gm = self.gamma[m]
-            nm = ndk[m]
-            for n, v in enumerate(doc):
-                g = gm[n]
-                total = 0.0
-                new = [0.0] * K
-                for k in range(K):
-                    gk = g[k]
-                    w = (nm[k] - gk + alpha) \
-                        * (nkv[k][v] - gk + beta) / (nk[k] - gk + vbeta)
-                    new[k] = w
-                    total += w
-                for k in range(K):
-                    gk_new = new[k] / total
-                    delta = gk_new - g[k]
-                    nm[k] += delta
-                    nkv[k][v] += delta
-                    nk[k] += delta
-                    g[k] = gk_new
+        """One CVB0 pass with the constant priors alpha, beta and V beta."""
+        h, M, V = self.hyper, self.corpus.n_docs, self.corpus.n_words
+        K = h.n_topics
+        cvb0_pass(self.corpus.docword, self.gamma, self.expected,
+                  [[h.alpha] * K] * M, [[h.beta] * K] * V, [V * h.beta] * K)
 
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.expected, self.hyper.alpha),

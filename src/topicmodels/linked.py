@@ -12,14 +12,8 @@ import random
 from .core import (counts_from_assignments, record, require_at_least, require_positive,
                    require_recount, sample_categorical)
 from .corpus import Corpus
-from .lda import (LdaHyper, estimate_phi, estimate_theta, smoothed_rows, sweep_sparse_tokens,
-                  word_topic_index)
-
-
-@record
-class AtmFit:
-    theta: list  # A rows of array('d'), one topic mixture per author
-    phi: list    # K rows of array('d') over V words
+from .lda import (FittedLda, LdaHyper, estimate_phi, estimate_theta, smoothed_rows,
+                  sweep_sparse_tokens, word_topic_index)
 
 
 class AtmSampler:
@@ -104,9 +98,10 @@ class AtmSampler:
                 nkv[k][v] += 1
                 nk[k] += 1
 
-    def estimate(self) -> AtmFit:
-        return AtmFit(theta=estimate_theta(self.tables, self.hyper.alpha),
-                      phi=estimate_phi(self.tables, self.hyper.beta))
+    def estimate(self) -> FittedLda:
+        """theta has one row per author."""
+        return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),
+                         phi=estimate_phi(self.tables, self.hyper.beta))
 
 
 @record(frozen=True)

@@ -277,7 +277,10 @@ GOLDEN_LAYOUTS = {
 
 # SHA-256 of the output files of the remaining seven models, same run
 # settings as above, recorded before the topic-word and topic-author
-# writers switched to evaluation.top_word_ids.
+# writers switched to evaluation.top_word_ids.  dual-sparse's were recorded
+# again when its kappa pass became lda.cvb0_pass: its priors are summed
+# before the pass and its expected counts move by differences, which moves
+# its floats by round-off.
 GOLDEN_OTHER_MODELS = {
     "lda-cvb0": ("plain", ["-k", "3"], {
         "CVBLDA_doc_topic3.txt":
@@ -315,13 +318,13 @@ GOLDEN_OTHER_MODELS = {
         "0a8a44f382b574225c43976e87c70a6817a3e385e67b097d8b2001987ce45213"}),
     "dual-sparse": ("plain", ["-k", "3"], {
         "dualSLDA_doc_topic_3.txt":
-        "a80caa0833d0cc55b56299be36e39079502b2ff8116b0cb15a047ae7e87e465f",
+        "ded4be1af2abd32fedeeae77a086b11de8e4627006e35dbde81f795a32815a72",
         "dualSLDA_sparseRatio_DT3.txt":
-        "71946e6f2d5ee512c3238f327a7fb77e3acc3635f8993a4b42b267fc09f17b41",
+        "cea8476244aeca6c08e150baa589aae840a92fd6b35fda07a0ddd513d2fb275f",
         "dualSLDA_sparseRatio_TV3.txt":
         "41cbb53df772cc3f9a4aef0e973e05050a46ef17c9f7dd83c709697c0400fd12",
         "dualSLDA_topic_word_3.txt":
-        "95847667b022265238c3c6c08de57c2f51c401a9d9a83ee84b3885ee6fdb29e6"}),
+        "2a33e1db4afe29d0df034e5dbcb086575f86a13c349bf64f1c89d7e8d41a6ff4"}),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain
-from topicmodels.dual_sparse import DualSparseCvb0, SparseHyper
+from topicmodels.dual_sparse import DualSparseCvb0, SparseHyper, selector_mean
 from topicmodels.lda import LdaCvb0, LdaHyper, random_responsibilities
 
 from oracles import assert_close_distribution
@@ -56,9 +56,13 @@ def test_alpha_selector_matches_linear_oracle():
             want = linear_alpha_oracle(hyper, 3, a_ex,
                                        solver.expected.doc_topic[m][k],
                                        solver.expected.doc_total[m])
-            got = solver.update_alpha_selector(m, k)
+            got = selector_mean(hyper.s, hyper.t, hyper.pi, hyper.pi_bar, 3,
+                                solver.expected.doc_topic[m][k],
+                                solver.expected.doc_total[m], a_ex)
             assert got == pytest.approx(want, rel=1e-10)
             assert 0.0 < got < 1.0
+            solver.alpha_hat[m][k] = got
+            solver.A_hat[m] = a_ex + got
 
 
 def test_beta_selector_matches_linear_oracle():
@@ -72,77 +76,90 @@ def test_beta_selector_matches_linear_oracle():
             want = linear_beta_oracle(hyper, V, b_ex,
                                       solver.expected.topic_word[k][v],
                                       solver.expected.topic_total[k])
-            got = solver.update_beta_selector(k, v)
+            got = selector_mean(hyper.x, hyper.y, hyper.word_gamma, hyper.word_gamma_bar, V,
+                                solver.expected.topic_word[k][v],
+                                solver.expected.topic_total[k], b_ex)
             assert got == pytest.approx(want, rel=1e-10)
             assert 0.0 < got < 1.0
+            solver.beta_hat[k][v] = got
+            solver.B_hat[k] = b_ex + got
 
 
 def test_alpha_selector_monotone_in_expected_count():
     # the gamma function dips below Gamma(pi) on (0, 1), so the selector is
     # only monotone once the expected count clears that well; sweep the tail
     hyper = SparseHyper(4, pi=0.3, pi_bar=1e-6)
-    corpus, solver = small_solver(hyper)
     rest = 2.0
-    values = []
-    for n_mk in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0):
-        solver.expected.doc_topic[0][0] = n_mk
-        solver.expected.doc_total[0] = n_mk + rest
-        solver.alpha_hat[0] = [0.5] * 4
-        solver.A_hat[0] = 2.0
-        values.append(solver.update_alpha_selector(0, 0))
+    a_ex = 2.0 - 0.5  # three other topics at selector mean 0.5
+    values = [selector_mean(hyper.s, hyper.t, hyper.pi, hyper.pi_bar, 4, n_mk, n_mk + rest, a_ex)
+              for n_mk in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0)]
     assert values == sorted(values)
     assert values[-1] > 0.999
 
 
 def test_beta_selector_monotone_in_expected_count():
     hyper = SparseHyper(2, word_gamma=0.3, word_gamma_bar=1e-6)
-    corpus, solver = small_solver(hyper)
-    V = corpus.n_words
-    values = []
-    for n_kv in (1.0, 4.0, 16.0, 128.0):
-        solver.expected.topic_word[0][0] = n_kv
-        solver.expected.topic_total[0] = n_kv + 3.0
-        solver.beta_hat[0] = [0.5] * V
-        solver.B_hat[0] = 0.5 * V
-        values.append(solver.update_beta_selector(0, 0))
+    V = 3
+    b_ex = 0.5 * V - 0.5  # the other words at selector mean 0.5
+    values = [selector_mean(hyper.x, hyper.y, hyper.word_gamma, hyper.word_gamma_bar, V,
+                            n_kv, n_kv + 3.0, b_ex)
+              for n_kv in (1.0, 4.0, 16.0, 128.0)]
     assert values == sorted(values)
     assert values[-1] > 0.99
 
 
-def test_kappa_weights_match_scalar_oracle():
-    hyper = SparseHyper(3, pi=0.4, pi_bar=0.01, word_gamma=0.3,
-                        word_gamma_bar=0.005)
+def test_sweep_updates_selectors_as_the_linear_oracles():
+    # every prior differs from the others, so hyperparameters wired to the
+    # wrong slot of a selector pass change the first cell of its family
+    hyper = SparseHyper(3, s=1.5, t=2.0, x=1.2, y=0.8, pi=0.4, pi_bar=0.01,
+                        word_gamma=0.6, word_gamma_bar=0.02)
     corpus, solver = small_solver(hyper)
-    m, n = 0, 1
+    ex = solver.expected
+    want_alpha = linear_alpha_oracle(hyper, 3, solver.A_hat[0] - solver.alpha_hat[0][0],
+                                     ex.doc_topic[0][0], ex.doc_total[0])
+    want_beta = linear_beta_oracle(hyper, corpus.n_words, solver.B_hat[0] - solver.beta_hat[0][0],
+                                   ex.topic_word[0][0], ex.topic_total[0])
+    solver.sweep()
+    assert solver.alpha_hat[0][0] == pytest.approx(want_alpha, rel=1e-10)
+    assert solver.beta_hat[0][0] == pytest.approx(want_beta, rel=1e-10)
+
+
+@pytest.mark.parametrize("table, cell", [("doc_total", "doc 1, topic 0"),
+                                         ("topic_total", "topic 1, word 0")])
+def test_selector_pass_names_the_cell_with_non_finite_odds(table, cell):
+    corpus, solver = small_solver(SparseHyper(3))
+    getattr(solver.expected, table)[1] = math.nan
+    with pytest.raises(ArithmeticError, match=f"non-finite selector odds at {cell}$"):
+        solver.sweep()
+
+
+@pytest.mark.parametrize("n_topics", [1, 3])
+def test_kappa_pass_matches_scalar_oracle(n_topics):
+    # pi != word_gamma, pi_bar != word_gamma_bar and selectors that differ by
+    # cell, so a prior row wired to the wrong slot of the pass changes the row
+    pi, pi_bar, g, g_bar = 0.4, 0.01, 0.3, 0.005
+    hyper = SparseHyper(n_topics, pi=pi, pi_bar=pi_bar, word_gamma=g, word_gamma_bar=g_bar)
+    corpus, solver = small_solver(hyper)
+    m, n = 0, 0
     v = corpus.docword[m][n]
-    g = solver.kappa[m][n]
-    for k in range(3):
-        gk = g[k]
-        solver.expected.doc_topic[m][k] -= gk
-        solver.expected.topic_word[k][v] -= gk
-        solver.expected.topic_total[k] -= gk
-    got = solver.kappa_weights(m, v)
-    want = []
-    for k in range(3):
-        want.append(
-            (solver.expected.doc_topic[m][k] + 0.4 * solver.alpha_hat[m][k] + 0.01)
-            * (solver.expected.topic_word[k][v]
-               + 0.3 * solver.beta_hat[k][v] + 0.005)
-            / (solver.expected.topic_total[k]
-               + 0.3 * solver.B_hat[k] + corpus.n_words * 0.005))
-    assert_close_distribution(got, want)
-
-
-def test_kappa_k1_certain():
-    hyper = SparseHyper(1)
-    corpus, solver = small_solver(hyper)
-    ws = solver.kappa_weights(0, 0)
-    assert len(ws) == 1 and ws[0] > 0
+    old = list(solver.kappa[m][n])
+    n_mk = [c - gk for c, gk in zip(solver.expected.doc_topic[m], old)]
+    n_kv = [row[v] - gk for row, gk in zip(solver.expected.topic_word, old)]
+    n_k = [c - gk for c, gk in zip(solver.expected.topic_total, old)]
+    solver.sweep()  # the selectors move first, then the first token's kappa
+    alpha_hat, beta_hat, B_hat = solver.alpha_hat[m], solver.beta_hat, solver.B_hat
+    if n_topics > 1:
+        assert len(set(alpha_hat)) == n_topics and len({row[v] for row in beta_hat}) == n_topics
+    want = [(n_mk[k] + pi * alpha_hat[k] + pi_bar)
+            * (n_kv[k] + g * beta_hat[k][v] + g_bar)
+            / (n_k[k] + g * B_hat[k] + corpus.n_words * g_bar)
+            for k in range(n_topics)]
+    assert_close_distribution(solver.kappa[m][n], want)
 
 
 def test_pinned_selectors_reduce_to_plain_cvb0():
-    # alpha_hat = beta_hat = 1, weak priors zero: kappa update equals the
-    # plain CVB0 update with alpha := pi, beta := word_gamma
+    # alpha_hat = beta_hat = 1, weak priors zero: the priors are pi, word_gamma
+    # and V word_gamma exactly, so kappa is the plain CVB0 gamma bit for bit
     corpus = parse_plain(["w0 w1 w2 w0", "w1 w3", "w2 w0 w3"])
     pi, g = 0.25, 0.15
     hyper = SparseHyper(3, pi=pi, pi_bar=0.0, word_gamma=g, word_gamma_bar=0.0)
@@ -155,9 +172,7 @@ def test_pinned_selectors_reduce_to_plain_cvb0():
     for _ in range(5):
         solver.kappa_pass()
         plain.sweep()
-    for m in range(corpus.n_docs):
-        for n in range(len(corpus.docword[m])):
-            assert solver.kappa[m][n] == pytest.approx(plain.gamma[m][n], abs=1e-12)
+    assert solver.kappa == plain.gamma
 
 
 def test_fit_sparsity_outputs():
