@@ -252,6 +252,30 @@ class LogRisingMemo(dict):
         return value
 
 
+def log_unit_weights(logs: Sequence[float], rows: Sequence[Sequence[int]],
+                     totals: Sequence[int], items: Sequence[tuple], n: int,
+                     item_logs: LogRisingMemo, total_logs: LogRisingMemo) -> list[float]:
+    """Per candidate k, logs[k] + sum over (v, c) in ``items`` of
+    log rising(rows[k][v] + b, c), minus log rising(totals[k] + B, n).
+
+    The log weight, up to a constant, of giving one label to a whole unit
+    of n tokens with multiset ``items``: a document to a DMM or DPMM
+    cluster, a sentence to a Sentence-LDA topic, a document's topic counts
+    to a PTM pseudo document.  b and B are the offsets of ``item_logs`` and
+    ``total_logs``; an item seen once adds log(rows[k][v] + b), the float
+    the memo holds.  A caller passes logs[k] = -inf for a candidate with no
+    prior mass, so no log of 0 is taken here.
+    """
+    b = item_logs.offset
+    log = math.log
+    out = []
+    for lw, row, total in zip(logs, rows, totals):
+        for v, c in items:
+            lw += log(row[v] + b) if c == 1 else item_logs[row[v], c]
+        out.append(lw - total_logs[total, n])
+    return out
+
+
 def exp_normalize(log_weights: Sequence[float]) -> list[float]:
     """Turn log weights into weights, subtracting the max first so nothing overflows."""
     m = max(log_weights)

@@ -6,14 +6,17 @@ Cluster bookkeeping:
   cluster_word[k][v] tokens of word v in cluster k
   cluster_total[k]  tokens in cluster k
 Document word multisets are cached as sorted (word, count) item lists.
+The word term of document m in cluster k, in ``core.log_unit_weights``, is
+prod_w rising(n_kw + beta, N_m^w) / rising(n_k + V beta, N_m).
 """
 
 import math
 import random
 from collections import Counter
 
-from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, record, require_at_least,
-                   require_nonnegative, require_positive, require_recount, sample_categorical)
+from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, log_unit_weights, record,
+                   require_at_least, require_nonnegative, require_positive, require_recount,
+                   sample_categorical)
 from .corpus import Corpus
 from .lda import smoothed_rows
 
@@ -79,16 +82,6 @@ class _ClusterTables:
             row[v] -= c
         self.cluster_total[k] -= self.doc_len[m]
 
-    def log_word_term(self, k: int, m: int) -> float:
-        """log of prod_w rising(n_kw + beta, N_m^w) / rising(n_k + V beta, N_m)."""
-        row = self.cluster_word[k]
-        word_logs = self.word_logs
-        beta = word_logs.offset
-        lw = 0.0
-        for v, c in self.doc_items[m]:
-            lw += math.log(row[v] + beta) if c == 1 else word_logs[row[v], c]
-        return lw - self.total_logs[self.cluster_total[k], self.doc_len[m]]
-
     def counts(self, z: list, n_clusters: int) -> dict:
         """The counts of the labels z over ``n_clusters`` clusters, by
         attribute name: every token takes its document's cluster."""
@@ -107,8 +100,7 @@ class _ClusterTables:
 
 def _require_usable(corpus: Corpus, hyper: MixtureHyper) -> None:
     """Reject an empty corpus, and alpha = 0 on a corpus of one document,
-    where the prior's denominator (M - 1 + K alpha, or M - 1 + alpha in
-    DPMM) is zero."""
+    whose draw would find every cluster empty and without prior mass."""
     if corpus.n_docs == 0 or corpus.n_tokens == 0:
         raise ValueError("corpus is empty")
     if corpus.n_docs == 1 and not hyper.alpha > 0:
@@ -131,24 +123,15 @@ class DmmSampler:
         require_recount(self.tables, self.tables.counts(self.z, self.tables.n_clusters), "z")
 
     def full_conditional(self, m: int) -> list:
-        """Cluster weights for document m, its counts already removed.
-
-        weight_k = (n_k + a)/(M - 1 + K a) * word term, in log space.
-        """
-        hyper = self.hyper
-        K = hyper.n_clusters
-        M = self.corpus.n_docs
-        log_prior_denom = math.log(M - 1 + K * hyper.alpha)
-        logs = []
-        for k in range(K):
-            prior = self.tables.n_docs_in[k] + hyper.alpha
-            if prior <= 0.0:
-                logs.append(float("-inf"))
-                continue
-            lw = math.log(prior) - log_prior_denom
-            lw += self.tables.log_word_term(k, m)
-            logs.append(lw)
-        return exp_normalize(logs)
+        """Cluster weights for document m, its counts already removed,
+        proportional to (n_k + a) * word term; an empty cluster at a = 0
+        weighs 0."""
+        alpha = self.hyper.alpha
+        t = self.tables
+        logs = [math.log(n + alpha) if n + alpha > 0 else -math.inf for n in t.n_docs_in]
+        return exp_normalize(log_unit_weights(logs, t.cluster_word, t.cluster_total,
+                                              t.doc_items[m], t.doc_len[m], t.word_logs,
+                                              t.total_logs))
 
     def sweep(self) -> None:
         for m in range(self.corpus.n_docs):
@@ -177,7 +160,12 @@ class DpmmSampler:
             if self.tables.n_docs_in[k] == 0:
                 self._delete_cluster(k)
         # the new-cluster term depends on the document alone
-        self._new_cluster_log = [self._new_cluster_term(m) for m in range(corpus.n_docs)]
+        t = self.tables
+        prior = [math.log(hyper.alpha) if hyper.alpha > 0 else -math.inf]
+        zero = [[0] * corpus.n_words]
+        self._new_cluster_log = [
+            log_unit_weights(prior, zero, [0], items, n, t.word_logs, t.total_logs)[0]
+            for items, n in zip(t.doc_items, t.doc_len)]
 
     @property
     def n_clusters(self) -> int:
@@ -204,32 +192,14 @@ class DpmmSampler:
             if n <= 0:
                 raise ValueError(f"cluster {k} is not live ({n} documents)")
 
-    def _log_denom(self) -> float:
-        return math.log(self.corpus.n_docs - 1 + self.hyper.alpha)
-
-    def _new_cluster_term(self, m: int) -> float:
-        """log of a/(M - 1 + a) * word term with zero counts."""
-        alpha = self.hyper.alpha
-        if not alpha > 0:
-            return float("-inf")
-        tables = self.tables
-        lw = math.log(alpha) - self._log_denom()
-        for _, c in tables.doc_items[m]:
-            lw += tables.word_logs[0, c]
-        return lw - tables.total_logs[0, tables.doc_len[m]]
-
     def full_conditional(self, m: int) -> list:
-        """K live-cluster weights plus one new-cluster weight (last entry).
-
-        live k: n_k/(M - 1 + a) * word term with cluster counts
-        new:    a/(M - 1 + a) * word term with zero counts
-        """
-        log_denom = self._log_denom()
-        logs = []
-        for k in range(self.tables.n_clusters):
-            lw = math.log(self.tables.n_docs_in[k]) - log_denom
-            lw += self.tables.log_word_term(k, m)
-            logs.append(lw)
+        """K live-cluster weights plus one new-cluster weight (last entry),
+        proportional to n_k * word term with cluster counts and to a * word
+        term with zero counts."""
+        t = self.tables
+        logs = log_unit_weights([math.log(n) for n in t.n_docs_in], t.cluster_word,
+                                t.cluster_total, t.doc_items[m], t.doc_len[m], t.word_logs,
+                                t.total_logs)
         logs.append(self._new_cluster_log[m])
         return exp_normalize(logs)
 

@@ -9,8 +9,8 @@ import math
 import random
 from collections import Counter
 
-from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, require_recount,
-                   sample_categorical)
+from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, log_unit_weights,
+                   require_recount, sample_categorical)
 from .corpus import Corpus
 from .lda import FittedLda, LdaHyper, estimate_phi, estimate_theta
 
@@ -30,11 +30,12 @@ class SentenceLdaSampler:
         self.hyper = hyper
         self.rng = rng
         K = hyper.n_topics
-        # per-(doc, sentence) word multisets, as (word, count) item lists
-        self.sentence_words = []
+        # per-(doc, sentence) word multisets, as (word, count) lists, and lengths
+        self.sentence_words, self.sentence_len = [], []
         for m in range(corpus.n_docs):
-            self.sentence_words.append(
-                [sorted(Counter(s).items()) for s in corpus.doc_sentences(m)])
+            sentences = list(corpus.doc_sentences(m))
+            self.sentence_words.append([sorted(Counter(s).items()) for s in sentences])
+            self.sentence_len.append([len(s) for s in sentences])
         self.z = [[rng.randrange(K) for _ in doc_sents]
                   for doc_sents in self.sentence_words]
         vars(self).update(self._counts())
@@ -67,29 +68,17 @@ class SentenceLdaSampler:
             self.tables.increment(m, k, v, c)
 
     def full_conditional(self, m: int, s: int) -> list:
-        """Weights for sentence s of document m, its counts already removed.
+        """Weights for sentence s of document m, its counts already removed,
+        proportional to
 
-        weight_k = (n_mk + a)/(n_m + K a)
-                   * prod_w rising(n_kw + b, N_ms^w) / rising(n_k + V b, N_ms)
-        evaluated in log space and exponentiated against the maximum.
+        (n_mk + a) * prod_w rising(n_kw + b, N_ms^w) / rising(n_k + V b, N_ms)
         """
-        hyper = self.hyper
-        K = hyper.n_topics
-        beta = hyper.beta
-        word_logs = self._word_logs
-        items = self.sentence_words[m][s]
-        n_s = sum(c for _, c in items)
-        n_mk = self.tables.doc_topic[m]
-        doc_log_denom = math.log(self.tables.doc_total[m] + K * hyper.alpha)
-        logs = []
-        for k in range(K):
-            lw = math.log(n_mk[k] + hyper.alpha) - doc_log_denom
-            row = self.tables.topic_word[k]
-            for v, c in items:
-                lw += math.log(row[v] + beta) if c == 1 else word_logs[row[v], c]
-            lw -= self._total_logs[self.tables.topic_total[k], n_s]
-            logs.append(lw)
-        return exp_normalize(logs)
+        alpha = self.hyper.alpha
+        tables = self.tables
+        logs = [math.log(n + alpha) for n in tables.doc_topic[m]]
+        return exp_normalize(log_unit_weights(
+            logs, tables.topic_word, tables.topic_total, self.sentence_words[m][s],
+            self.sentence_len[m][s], self._word_logs, self._total_logs))
 
     def sweep(self) -> None:
         for m, doc_sents in enumerate(self.sentence_words):

@@ -15,8 +15,9 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
-from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, fold_sum, record,
-                   require_at_least, require_positive, require_recount, sample_categorical, warn)
+from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, fold_sum,
+                   log_unit_weights, record, require_at_least, require_positive, require_recount,
+                   sample_categorical, warn)
 from .corpus import Corpus
 from .lda import estimate_phi, estimate_theta, smoothed_rows, sweep_sparse_tokens, word_topic_index
 
@@ -88,32 +89,16 @@ class PtmSampler:
         require_recount(self, self._counts(), "l and z")
 
     def pseudo_doc_conditional(self, m: int) -> list:
-        """Pseudo-document weights for document m, its contribution removed.
+        """Pseudo-document weights for document m, its contribution removed,
+        proportional to
 
-        weight_l = (n_l + lambda)/(M - 1 + P lambda)
-                   * prod_k rising(N_lk + a, n_mk) / rising(N_l + K a, N_m)
+        (n_l + lambda) * prod_k rising(N_lk + a, n_mk) / rising(N_l + K a, N_m)
         """
-        hyper = self.hyper
-        P = hyper.n_pseudo_docs
-        M = self.corpus.n_docs
-        n_m = len(self.corpus.docword[m])
-        doc_counts = [(k, c) for k, c in enumerate(self.doc_topic[m]) if c]
-        log_denom = math.log(M - 1 + P * hyper.doc_lambda)
-        alpha = hyper.alpha
-        log = math.log
-        topic_logs = self._topic_logs
-        total_logs = self._total_logs
-        pseudo_topic = self.pseudo.doc_topic
-        # one pass over the P pseudo documents per factor, each adding its
-        # term in the order of the formula
-        logs = [log(n + hyper.doc_lambda) - log_denom for n in self.n_l]
-        for k, c in doc_counts:
-            if c == 1:
-                logs = [lw + log(row[k] + alpha) for lw, row in zip(logs, pseudo_topic)]
-            else:
-                logs = [lw + topic_logs[row[k], c] for lw, row in zip(logs, pseudo_topic)]
-        return exp_normalize([lw - total_logs[t, n_m]
-                              for lw, t in zip(logs, self.pseudo.doc_total)])
+        lam = self.hyper.doc_lambda
+        items = [(k, c) for k, c in enumerate(self.doc_topic[m]) if c]
+        return exp_normalize(log_unit_weights(
+            [math.log(n + lam) for n in self.n_l], self.pseudo.doc_topic, self.pseudo.doc_total,
+            items, len(self.corpus.docword[m]), self._topic_logs, self._total_logs))
 
     def sweep(self) -> None:
         hyper = self.hyper

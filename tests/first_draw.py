@@ -134,19 +134,80 @@ def rerun_sweep(sampler, *count_args, assignments=("z",)):
     return run
 
 
-def sweep_draw_shares(sampler, prefix, read, assignments=("z",)) -> dict:
+def sweep_draw_shares(sampler, prefix, read, assignments=("z",), run=None) -> dict:
     """``first_draw_shares`` of the draw that ``sweep()`` itself makes
     after the draws ``prefix`` scripts, from a recount of the sampler's
-    state (see ``rerun_sweep``).  The sampler is left stopped at that draw,
-    with the item's old topic still in its assignments, so that a recount
-    of them gives the oracle's inputs."""
-    run = rerun_sweep(sampler, assignments=assignments)
+    state (see ``rerun_sweep``, or pass another ``run``).  The sampler is
+    left stopped at that draw, with the item's old topic still in its
+    assignments, so that a recount of them gives the oracle's inputs."""
+    run = run or rerun_sweep(sampler, assignments=assignments)
     shares = first_draw_shares(run, read, prefix)
     try:
         run(ScriptedRng(prefix))
     except ScriptEnd:
         return shares
     raise AssertionError("the sweep made no draw after the prefix")
+
+
+def cluster_doc_shares(sampler) -> tuple:
+    """``sweep_draw_shares`` of the first document's cluster draw in a
+    ``DmmSampler`` or ``DpmmSampler``.  Their counts live in
+    ``sampler.tables``, which ``rerun_sweep`` does not recount, so each run
+    puts z and those counts back itself.  The outcome is read as the
+    document is added to its cluster: in DPMM the next document's removal
+    can delete a cluster and relabel the last one in z.  Returns the shares
+    and what ``oracles.dmm_doc_oracle`` takes for that draw, with the
+    document excluded: the cluster sizes, word counts and totals, counted
+    afresh from z."""
+    tables = sampler.tables
+    state = pickle.dumps((sampler.z, tables.counts(sampler.z, tables.n_clusters)))
+    add_doc, added = tables.add_doc, []
+
+    def record(m, k):
+        added[:] = [k]
+        add_doc(m, k)
+    tables.add_doc = record
+
+    def run(rng):
+        sampler.z, counts = pickle.loads(state)
+        vars(tables).update(counts)
+        sampler.rng = rng
+        sampler.sweep()
+    shares = sweep_draw_shares(sampler, (), lambda: added[0], run=run)
+    # DPMM has set z[0] to -1: count the document in cluster 0, then take it out
+    counts = tables.counts([0, *sampler.z[1:]], tables.n_clusters)
+    counts["n_docs_in"][0] -= 1
+    for v in sampler.corpus.docword[0]:
+        counts["cluster_word"][0][v] -= 1
+        counts["cluster_total"][0] -= 1
+    return shares, (counts["n_docs_in"], counts["cluster_word"], counts["cluster_total"])
+
+
+def sentence_shares(sampler) -> tuple:
+    """``sweep_draw_shares`` of the first sentence's topic draw in a
+    ``SentenceLdaSampler``.  Returns the shares and the count tables with
+    that sentence excluded, counted afresh from z."""
+    shares = sweep_draw_shares(sampler, (), lambda: sampler.z[0][0])
+    tables = sampler._counts()["tables"]
+    for v in next(sampler.corpus.doc_sentences(0)):
+        tables.decrement(0, sampler.z[0][0], v)
+    return shares, tables
+
+
+def ptm_pseudo_doc_shares(sampler) -> tuple:
+    """``sweep_draw_shares`` of the first short document's pseudo-document
+    draw in a ``PtmSampler``.  Returns the shares and what
+    ``oracles.ptm_pseudo_doc_oracle`` takes first for that draw, with the
+    document excluded: the documents, topic counts and tokens of every
+    pseudo document, counted afresh from l and z."""
+    shares = sweep_draw_shares(sampler, (), lambda: sampler.l[0], ("l", "z"))
+    counts = sampler._counts()
+    l, pseudo = sampler.l[0], counts["pseudo"]
+    counts["n_l"][l] -= 1
+    pseudo.doc_total[l] -= len(sampler.corpus.docword[0])
+    for k in sampler.z[0]:
+        pseudo.doc_topic[l][k] -= 1
+    return shares, (counts["n_l"], pseudo.doc_topic, pseudo.doc_total)
 
 
 def lda_token_shares(sampler, sparse: bool) -> dict:

@@ -697,8 +697,8 @@ def test_invalid_hyperparameters_rejected(tmp_path, capsys, model, flags, messag
 
 
 @pytest.mark.parametrize("model, flags, text", [
-    ("dmm", ["-k", "2", "--alpha"], "apple banana\n"),  # prior denominator M - 1 + K alpha = 0
-    ("dpmm", ["--alpha"], "apple banana\n"),            # M - 1 + alpha = 0
+    ("dmm", ["-k", "2", "--alpha"], "apple banana\n"),  # the lone document, taken out, leaves
+    ("dpmm", ["--alpha"], "apple banana\n"),            # every cluster empty, none with mass
     ("hdp", ["--alpha"], "apple banana\nfig\n"),        # a lone token has no table to sit at
     ("hdp", ["--gamma"], "fig\n"),                      # nor, at gamma 0, a topic to take
 ], ids=["dmm", "dpmm", "hdp-alpha", "hdp-gamma"])

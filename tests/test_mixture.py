@@ -7,6 +7,7 @@ from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.mixture import DmmSampler, DpmmSampler, MixtureHyper
 
+from first_draw import assert_shares_match, cluster_doc_shares
 from oracles import (assert_close_distribution, dmm_doc_oracle, dpmm_doc_oracle, normalize,
                      rising, tv_distance)
 
@@ -61,6 +62,41 @@ def test_dmm_matches_direct_product_oracle():
                         corpus.n_docs, 0.3, 0.2, corpus.n_words)
         assert_close_distribution(got, want)
         sampler.tables.add_doc(m, sampler.z[m])
+
+
+def test_dmm_sweep_draw_matches_direct_product_oracle():
+    # the first draw of sweep() itself, after a few sweeps of the chain
+    rng = SeededRng(17)
+    for _ in range(4):
+        K, V = rng.randrange(2, 5), 5
+        docs = [" ".join(f"w{rng.randrange(V)}" for _ in range(rng.randrange(1, 6)))
+                for _ in range(5)]
+        corpus = parse_plain(docs)
+        sampler = DmmSampler(corpus, MixtureHyper(K, 0.3, 0.2), rng)
+        for _ in range(3):
+            sampler.sweep()
+        shares, excluded = cluster_doc_shares(sampler)
+        assert_shares_match(shares, dmm_doc_oracle(*excluded, corpus.docword[0], corpus.n_docs,
+                                                   0.3, 0.2, corpus.n_words))
+
+
+def test_dmm_alpha_zero_never_fills_an_empty_cluster():
+    # more clusters than documents: every draw meets an empty cluster,
+    # whose prior n_k + alpha is 0 and whose weight must be 0
+    corpus = parse_plain(["a b", "b c c", "a", "c d"])
+    sampler = DmmSampler(corpus, MixtureHyper(5, 0.0, 0.5), SeededRng(11))
+    tables = sampler.tables
+    add_doc, moves = tables.add_doc, []
+
+    def add_checked(m, k):
+        assert tables.n_docs_in[k] > 0, f"document {m} moved into empty cluster {k}"
+        moves.append(k)
+        add_doc(m, k)
+    tables.add_doc = add_checked
+    for _ in range(30):
+        sampler.sweep()
+        sampler.check()
+    assert len(moves) == 30 * corpus.n_docs
 
 
 def test_dmm_label_permutation_symmetry():
@@ -149,6 +185,23 @@ def test_dpmm_matches_combined_rule_oracle():
                          sampler.tables.cluster_total, corpus.docword[m],
                          corpus.n_docs, 0.8, 0.25, corpus.n_words)
         assert_close_distribution(got, want)
+
+
+def test_dpmm_sweep_draw_matches_combined_rule_oracle():
+    # the first draw of sweep() itself, the new-cluster outcome included
+    rng = SeededRng(37)
+    for _ in range(4):
+        V = 5
+        docs = [" ".join(f"w{rng.randrange(V)}" for _ in range(rng.randrange(1, 6)))
+                for _ in range(5)]
+        corpus = parse_plain(docs)
+        sampler = DpmmSampler(corpus, MixtureHyper(3, 0.8, 0.25), rng)
+        for _ in range(3):
+            sampler.sweep()
+        shares, excluded = cluster_doc_shares(sampler)
+        want = dpmm_doc_oracle(*excluded, corpus.docword[0], corpus.n_docs, 0.8, 0.25,
+                               corpus.n_words)
+        assert_shares_match(shares, want)  # the new cluster's share included
 
 
 def test_dpmm_new_cluster_weight_is_zero_count_limit():

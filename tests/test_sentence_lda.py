@@ -8,6 +8,7 @@ from topicmodels.corpus import CorpusError, parse_plain, parse_sentences
 from topicmodels.lda import LdaHyper
 from topicmodels.sentence_lda import SentenceLdaSampler
 
+from first_draw import assert_shares_match, sentence_shares
 from oracles import (assert_close_distribution, lda_joint_log, lda_token_oracle, normalize,
                      sentence_topic_oracle, tv_distance)
 
@@ -65,6 +66,25 @@ def test_full_conditional_matches_direct_product_oracle():
                              sampler.tables.topic_word, sampler.tables.topic_total,
                              sentence, hyper.alpha, hyper.beta, corpus.n_words)
         assert_close_distribution(got, want)
+
+
+def test_sweep_draw_matches_direct_product_oracle():
+    # the first draw of sweep() itself: sentence 0 of document 0
+    rng = SeededRng(19)
+    for _ in range(4):
+        lines = []
+        for _ in range(3):
+            sents = [" ".join(f"w{rng.randrange(5)}" for _ in range(rng.randrange(1, 5)))
+                     for _ in range(rng.randrange(1, 4))]
+            lines.append("--".join(sents))
+        corpus = parse_sentences(lines)
+        hyper = LdaHyper(3, alpha=0.7, beta=0.15)
+        sampler = SentenceLdaSampler(corpus, hyper, rng)
+        shares, t = sentence_shares(sampler)
+        want = sentence_topic_oracle(t.doc_topic[0], t.doc_total[0], t.topic_word, t.topic_total,
+                                     next(corpus.doc_sentences(0)), hyper.alpha, hyper.beta,
+                                     corpus.n_words)
+        assert_shares_match(shares, want)
 
 
 def test_theta_numerator_counts_tokens_not_sentences():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from topicmodels.core import SeededRng, run_chain
@@ -5,7 +7,8 @@ from topicmodels.corpus import parse_plain
 from topicmodels.short_text import (BtmHyper, BtmSampler, PtmHyper, PtmSampler,
                                     extract_biterms)
 
-from first_draw import assert_shares_match, biterm_shares, ptm_token_shares, put_biterm_first
+from first_draw import (assert_shares_match, biterm_shares, ptm_pseudo_doc_shares, ptm_token_shares,
+                        put_biterm_first)
 from oracles import assert_close_distribution, ptm_pseudo_doc_oracle, ptm_token_oracle, btm_biterm_oracle, normalize
 
 
@@ -49,6 +52,20 @@ def test_ptm_pseudo_doc_conditional_matches_oracle():
                         doc_counts, len(corpus.docword[m]), corpus.n_docs,
                         P, K, 0.3, 0.4)
         assert_close_distribution(got, want)
+
+
+def test_ptm_pseudo_doc_sweep_draw_matches_oracle():
+    # the first draw of sweep() itself: document 0's pseudo document
+    rng = SeededRng(47)
+    for _ in range(4):
+        corpus = make_corpus(rng)
+        P, K = rng.randrange(2, 4), rng.randrange(2, 4)
+        sampler = PtmSampler(corpus, PtmHyper(P, K, alpha=0.4, beta=0.2, doc_lambda=0.3), rng)
+        shares, excluded = ptm_pseudo_doc_shares(sampler)
+        doc_counts = Counter(sampler.z[0])
+        want = ptm_pseudo_doc_oracle(*excluded, doc_counts, len(corpus.docword[0]),
+                                     corpus.n_docs, P, K, 0.3, 0.4)
+        assert_shares_match(shares, want)
 
 
 def test_ptm_topic_conditional_matches_oracle():
