@@ -1,9 +1,10 @@
 """Latent Dirichlet allocation, fitted by collapsed Gibbs sampling or by
 zero-order collapsed variational Bayes (CVB0).
 
-The Gibbs sampler also runs LDA with a set of allowed topics per document:
-Labeled LDA and PLDA are that chain, with the sets built from the labels
-(see ``supervised``).
+The Gibbs sampler draws every token with the SparseLDA kernel,
+``sweep_sparse_tokens``, at every K.  It also runs LDA with a set of
+allowed topics per document: Labeled LDA and PLDA are that chain, with the
+sets built from the labels (see ``supervised``).
 
 Count-table notation (mirrored across the whole package):
   n_mk  tokens of document m assigned to topic k
@@ -22,11 +23,6 @@ from itertools import accumulate
 from .core import (CountTables, counts_from_assignments, expected_counts, fold_sum,
                    record, require_at_least, require_positive, require_recount)
 from .corpus import Corpus
-
-# Topic count from which the Gibbs sampler uses the SparseLDA bucketed token
-# kernel instead of the dense O(K) loop.  Below it the dense loop is faster
-# in pure Python; the measured crossover is in CHANGES.md.
-SPARSE_MIN_TOPICS = 12
 
 # The CVB0 sweeps move expected counts by differences, so the tables drift
 # from a recount of the responsibilities by round-off; check() allows this
@@ -85,37 +81,43 @@ def word_topic_index(docword, z, n_words: int) -> list:
     return index
 
 
-def sweep_sparse_tokens(docword, z, rows, topic_word: list, topic_total: list, word_topics: list,
-                        alpha: float, beta: float, rng: random.Random) -> None:
+def sweep_sparse_tokens(docword, z, rows, scales, topic_word: list, topic_total: list,
+                        word_topics: list, alpha: float, beta: float, rng: random.Random) -> None:
     """Resample every token once, documents then positions in index order,
     with the SparseLDA draw (Yao, Mimno & McCallum, KDD 2009).
 
     Token n of document m, with topic z[m][n], is drawn from
-      (alpha + row_k)(beta + n_kv)/(n_k + V beta)
+      scale_k (alpha + row_k)(beta + n_kv)/(n_k + V beta)
     where ``row = rows[m]`` is the count row the draw uses: the document's
     own n_mk in LDA, its pseudo document's N_lk in PTM, its pooled words
-    and links n_mk + c_mk in Link LDA.  V is ``len(word_topics)``.  The
-    row, ``topic_word`` (n_kv), ``topic_total`` (n_k) and ``word_topics``
-    (see ``word_topic_index``) move with every draw.
+    and links n_mk + c_mk in Link LDA.  ``scale = scales[m]`` is 1.0 on the
+    topics the document may use and 0.0 elsewhere (Labeled LDA, PLDA); the
+    unrestricted callers pass one all-ones row for every document, whose
+    draws it leaves as they were, since x * 1.0 == x.  z[m] holds allowed
+    topics only.  V is ``len(word_topics)``.  The row, ``topic_word``
+    (n_kv), ``topic_total`` (n_k) and ``word_topics`` (see
+    ``word_topic_index``) move with every draw.
 
-    The weight is split as
-      s_k = alpha beta / (n_k + V beta)            every topic
-      r_k = row_k beta / (n_k + V beta)            the row's topics
-      q_k = (alpha + row_k) n_kv / (n_k + V beta)  the word's topics
-    With coef_k = (alpha + row_k)/(n_k + V beta), cached per topic,
-    q_k = coef_k n_kv and s_k + r_k = beta coef_k.  q is summed over the
+    With coef_k = scale_k (alpha + row_k)/(n_k + V beta), cached per
+    topic, the weight is split as
+      s_k + r_k = beta coef_k   smoothing and row, every topic
+      q_k = coef_k n_kv         the word's topics
+    A draw moves a token between allowed topics only, where scale_k is 1,
+    so the scale enters coef once per document.  q is summed over the
     word's index only; s + r is a running total, recomputed at the start
     of each document so round-off cannot build up.  s and r share one
     walk over all K topics: a cumulative sum at C speed costs less here
-    than keeping each row's topic list, and few draws land there.
+    than keeping each row's topic list, and few draws land there.  Where
+    round-off runs either walk past its end, the draw takes the walk's last
+    topic with weight.
     """
     nkv, nk = topic_word, topic_total
     K = len(nk)
     vbeta = len(word_topics) * beta
     rng_random = rng.random
     inv = [1.0 / (n + vbeta) for n in nk]  # 1/(n_k + V beta)
-    for doc, zm, nm in zip(docword, z, rows):
-        coef = [(alpha + c) * i for c, i in zip(nm, inv)]
+    for doc, zm, nm, scale in zip(docword, z, rows, scales):
+        coef = [(alpha + c) * i * r for c, i, r in zip(nm, inv, scale)]
         s_r = beta * fold_sum(coef)
         for n, v in enumerate(doc):
             k = zm[n]
@@ -141,13 +143,16 @@ def sweep_sparse_tokens(docword, z, rows, topic_word: list, topic_total: list, w
                 q += coef[k] * c
             u = rng_random() * (q + s_r)
             if u < q:
-                # round-off past the end leaves k at the bucket's last topic
                 for k, c in wt.items():
                     u -= coef[k] * c
                     if u < 0.0:
                         break
+                else:
+                    k = [j for j in wt if coef[j]][-1]
             else:
-                k = min(bisect_right(list(accumulate(coef)), (u - q) / beta), K - 1)
+                k = bisect_right(list(accumulate(coef)), (u - q) / beta)
+                if k == K:
+                    k = [j for j, w in enumerate(coef) if w][-1]
 
             zm[n] = k
             c = nm[k] + 1
@@ -175,10 +180,9 @@ class LdaGibbsSampler:
     resampled.  ``None`` lets every document use all K topics.
     ``topic_labels`` names the topics in the estimate.
 
-    An unrestricted chain with at least ``SPARSE_MIN_TOPICS`` topics runs the
-    SparseLDA kernel (``sweep_sparse_tokens``), which also keeps
-    ``word_topics``: for every word, a dict from each topic holding it to
-    n_kv.  ``tables`` stays the source of truth.
+    Every sweep runs the SparseLDA kernel (``sweep_sparse_tokens``), so the
+    sampler also keeps ``word_topics``: for every word, a dict from each
+    topic holding it to n_kv.  ``tables`` stays the source of truth.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random,
@@ -197,79 +201,44 @@ class LdaGibbsSampler:
         else:
             self.z = [[rng.choice(topics) for _ in doc]
                       for topics, doc in zip(allowed, corpus.docword)]
-        # the sweep walks each document's topics in id order
         self.allowed = None if allowed is None else [sorted(set(ks)) for ks in allowed]
-        vars(self).update(self._counts(allowed is None and K >= SPARSE_MIN_TOPICS))
+        vars(self).update(self._counts())
 
-    def _counts(self, sparse: bool) -> dict:
-        """The count tables of z, and for the sparse kernel its word index,
-        by attribute name: set by __init__ and compared by check()."""
+    def _counts(self) -> dict:
+        """The count tables of z and its word index, by attribute name: set
+        by __init__ and compared by check()."""
         docword, n_words = self.corpus.docword, self.corpus.n_words
         return {"tables": counts_from_assignments(docword, self.z, self.hyper.n_topics, n_words),
-                "word_topics": word_topic_index(docword, self.z, n_words) if sparse else None}
+                "word_topics": word_topic_index(docword, self.z, n_words)}
 
     def check(self) -> None:
-        """Check the count tables and the sparse word index against a recount
-        of z, and z against the allowed topics; raises ValueError."""
-        require_recount(self, self._counts(self.word_topics is not None), "z")
+        """Check the count tables and the word index against a recount of z,
+        and z against the allowed topics; raises ValueError."""
+        require_recount(self, self._counts(), "z")
         for m, (topics, zm) in enumerate(zip(self.allowed or (), self.z)):
             outside = set(zm).difference(topics)
             if outside:
                 raise ValueError(f"doc {m}: topics {sorted(outside)} are not allowed")
 
     def sweep(self) -> None:
-        """Resample every token once, documents then positions in index order."""
-        if self.word_topics is None:
-            self._sweep_dense()
+        """Resample every token once, documents then positions in index
+        order, each within its document's allowed topics; the documents
+        with one allowed topic are left out of the kernel."""
+        K, tables = self.hyper.n_topics, self.tables
+        docs = (self.corpus.docword, self.z, tables.doc_topic)
+        if self.allowed is None:
+            scales = [[1.0] * K] * len(self.z)
         else:
-            tables = self.tables
-            sweep_sparse_tokens(self.corpus.docword, self.z, tables.doc_topic, tables.topic_word,
-                                tables.topic_total, self.word_topics, self.hyper.alpha,
-                                self.hyper.beta, self.rng)
-
-    def _sweep_dense(self) -> None:
-        K = self.hyper.n_topics
-        alpha = self.hyper.alpha
-        beta = self.hyper.beta
-        vbeta = self.corpus.n_words * beta
-        ndk = self.tables.doc_topic
-        nkv = self.tables.topic_word
-        nk = self.tables.topic_total
-        rng_random = self.rng.random
-        weights = [0.0] * K
-        all_topics = range(K)
-        allowed = self.allowed
-        for m, doc in enumerate(self.corpus.docword):
-            topics = all_topics if allowed is None else allowed[m]
-            if len(topics) == 1:
-                continue  # nothing to draw
-            last = topics[-1]
-            zm = self.z[m]
-            nm = ndk[m]
-            for n, v in enumerate(doc):
-                k = zm[n]
-                nm[k] -= 1
-                nkv[k][v] -= 1
-                nk[k] -= 1
-                # the per-document denominator is constant in k, so the
-                # proportional form of the full conditional is enough here
-                total = 0.0
-                for kk in topics:
-                    w = (nm[kk] + alpha) * (nkv[kk][v] + beta) / (nk[kk] + vbeta)
-                    weights[kk] = w
-                    total += w
-                r = rng_random() * total
-                acc = 0.0
-                k_new = last
-                for kk in topics:
-                    acc += weights[kk]
-                    if r < acc:
-                        k_new = kk
-                        break
-                zm[n] = k_new
-                nm[k_new] += 1
-                nkv[k_new][v] += 1
-                nk[k_new] += 1
+            kept = [m for m, topics in enumerate(self.allowed) if len(topics) > 1]
+            docs = [[seq[m] for m in kept] for seq in docs]
+            scales = []
+            for m in kept:
+                scale = [0.0] * K
+                for k in self.allowed[m]:
+                    scale[k] = 1.0
+                scales.append(scale)
+        sweep_sparse_tokens(*docs, scales, tables.topic_word, tables.topic_total,
+                            self.word_topics, self.hyper.alpha, self.hyper.beta, self.rng)
 
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),

@@ -113,17 +113,17 @@ def put_lda_token_first(sampler, m: int, n: int):
             move_to_front(seq, m)
     move_to_front(docword[0], n)
     move_to_front(sampler.z[0], n)
-    tables = sampler._counts(False)["tables"]
+    tables = sampler._counts()["tables"]
     tables.decrement(0, sampler.z[0][0], docword[0][0])
     return tables
 
 
-def rerun_sweep(sampler, *count_args, assignments=("z",)):
+def rerun_sweep(sampler, assignments=("z",)):
     """A ``run`` for ``first_draw_shares``: recount the sampler's
     assignments (the attributes ``assignments`` names) as they are now with
-    its own ``_counts(*count_args)``, then each run puts that state back and
-    sweeps once with the scripted rng."""
-    counts = sampler._counts(*count_args)
+    its own ``_counts()``, then each run puts that state back and sweeps
+    once with the scripted rng."""
+    counts = sampler._counts()
     vars(sampler).update(counts)
     state = pickle.dumps({**{name: getattr(sampler, name) for name in assignments}, **counts})
 
@@ -140,7 +140,7 @@ def sweep_draw_shares(sampler, prefix, read, assignments=("z",), run=None) -> di
     state (see ``rerun_sweep``, or pass another ``run``).  The sampler is
     left stopped at that draw, with the item's old topic still in its
     assignments, so that a recount of them gives the oracle's inputs."""
-    run = run or rerun_sweep(sampler, assignments=assignments)
+    run = run or rerun_sweep(sampler, assignments)
     shares = first_draw_shares(run, read, prefix)
     try:
         run(ScriptedRng(prefix))
@@ -210,11 +210,10 @@ def ptm_pseudo_doc_shares(sampler) -> tuple:
     return shares, (counts["n_l"], pseudo.doc_topic, pseudo.doc_total)
 
 
-def lda_token_shares(sampler, sparse: bool) -> dict:
-    """``first_draw_shares`` of an ``LdaGibbsSampler``'s first token, on the
-    SparseLDA walk or the dense one (restricted to the allowed topics where
-    the sampler has them)."""
-    return first_draw_shares(rerun_sweep(sampler, sparse), lambda: sampler.z[0][0])
+def lda_token_shares(sampler) -> dict:
+    """``first_draw_shares`` of an ``LdaGibbsSampler``'s first token, drawn
+    by ``sweep()`` within the topics its document may use."""
+    return first_draw_shares(rerun_sweep(sampler), lambda: sampler.z[0][0])
 
 
 def put_biterm_first(sampler, i: int) -> dict:
@@ -241,14 +240,15 @@ def slice_draw(sampler, counts: dict, item: int, topic: int, reads, alpha: float
     slice holding ``item`` (a word or link id) alone, now in ``topic``.
     Each run puts the sampler's tables back to ``counts`` (attribute name
     -> table) and draws against what ``reads()`` returns then: the slice's
-    rows, topic_word, topic_total and word index."""
+    rows, topic_word, topic_total and word index.  Every topic is allowed."""
     state = pickle.dumps(counts)
     z = []
 
     def run(rng):
         vars(sampler).update(pickle.loads(state))
         z[:] = [[topic]]
-        sweep_sparse_tokens([[item]], z, *reads(), alpha, beta, rng)
+        rows, *tables = reads()
+        sweep_sparse_tokens([[item]], z, rows, [[1.0] * len(rows[0])], *tables, alpha, beta, rng)
     return run, lambda: z[0][0]
 
 

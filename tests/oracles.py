@@ -66,6 +66,31 @@ def lda_joint_log(docword, z, K, V, alpha, beta):
     return ll
 
 
+def atm_joint_log(docword, x, z, n_authors, K, V, alpha, beta):
+    """Collapsed log joint p(w, x, z | authors) for the author-topic model
+    (Rosen-Zvi et al., UAI 2004) up to assignment-independent constants:
+    one Dirichlet-multinomial over topics per author, one over words per
+    topic.  Each token's author is a uniform pick from its document's
+    authors, a factor that does not depend on the assignment."""
+    n_ak = [[0] * K for _ in range(n_authors)]
+    n_kv = [[0] * V for _ in range(K)]
+    for m, doc in enumerate(docword):
+        for n, v in enumerate(doc):
+            a, k = x[m][n], z[m][n]
+            n_ak[a][k] += 1
+            n_kv[k][v] += 1
+    ll = 0.0
+    for row in n_ak:
+        for c in row:
+            ll += math.lgamma(c + alpha)
+        ll -= math.lgamma(sum(row) + K * alpha)
+    for row in n_kv:
+        for c in row:
+            ll += math.lgamma(c + beta)
+        ll -= math.lgamma(sum(row) + V * beta)
+    return ll
+
+
 # ---------------------------------------------------------------------------
 # per-equation scalar oracles; inputs are plain count arrays with the item
 # under resampling already excluded

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from topicmodels import lda as lda_mod
 from topicmodels.cli import main as cli_main
 from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain, parse_sentences, parse_tagged, preprocess
@@ -26,7 +25,7 @@ from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
                                  write_value_lines)
 from topicmodels.sentence_lda import SentenceLdaSampler
 from topicmodels.short_text import BtmHyper, BtmSampler, PtmHyper, PtmSampler, extract_biterms
-from topicmodels.supervised import LabeledLdaHyper, LabeledLdaSampler, PldaHyper, PldaSampler
+from topicmodels.supervised import LabeledLdaHyper, PldaHyper, labeled_lda_sampler, plda_sampler
 
 from oracles import (assert_close_distribution, cosine, lda_token_oracle, sentence_topic_oracle,
                      dmm_doc_oracle, dpmm_doc_oracle, ptm_pseudo_doc_oracle, ptm_token_oracle, btm_biterm_oracle,
@@ -72,8 +71,7 @@ def _chain_tv(sampler, state, exact):
     return tv_distance({k: c / sweeps for k, c in counts.items()}, exact)
 
 
-def _criterion_1(monkeypatch, kernel):
-    """Run criterion 1 with the Gibbs kernel named ``kernel`` ("dense" or "sparse")."""
+def test_criterion_1_exact_posterior_lda_gibbs():
     start = time.perf_counter()
     corpus = parse_plain(["w0 w1 w2", "w1 w2 w3", "w0 w3"])
     K, V = 2, corpus.n_words
@@ -90,23 +88,12 @@ def _criterion_1(monkeypatch, kernel):
         log_post[flat] = lda_joint_log(corpus.docword, z, K, V, alpha, beta)
     exact = _normalized(log_post)
 
-    monkeypatch.setattr(lda_mod, "SPARSE_MIN_TOPICS", K if kernel == "sparse" else K + 1)
     sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta), SeededRng(20240601))
-    assert (sampler.word_topics is not None) == (kernel == "sparse")
     tv = _chain_tv(sampler, lambda s: (*s.z[0], *s.z[1], *s.z[2]), exact)
     elapsed = time.perf_counter() - start
     assert tv < 0.02, f"total-variation distance {tv:.4f}"
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
-    ok(1, f"{kernel} kernel: TV distance {tv:.4f} < 0.02 over 2^8 assignments "
-          f"({elapsed:.1f}s)")
-
-
-def test_criterion_1_exact_posterior_lda_gibbs(monkeypatch):
-    _criterion_1(monkeypatch, "dense")
-
-
-def test_criterion_1_exact_posterior_lda_gibbs_sparse(monkeypatch):
-    _criterion_1(monkeypatch, "sparse")
+    ok(1, f"lda-gibbs: TV distance {tv:.4f} < 0.02 over 2^8 assignments ({elapsed:.1f}s)")
 
 
 def test_criterion_1_exact_posterior_ptm():
@@ -216,8 +203,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0],
                        [tables.topic_word[k][v] for k in range(K)],
                        tables.topic_total, 0.37, 0.08, corpus.n_words)
-        for sparse in (False, True):  # the dense walk and the SparseLDA walk
-            assert_shares_match(lda_token_shares(sampler, sparse), want)
+        assert_shares_match(lda_token_shares(sampler), want)
 
     def sentence_case(rng):
         lines = ["--".join(" ".join(f"w{rng.randrange(5)}"
@@ -346,7 +332,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         lines = [",".join(sorted(set(rng.choices(labels, k=rng.randrange(1, 3)))))
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels", item_sep=",")
-        sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.4, 0.15), rng)
+        sampler = labeled_lda_sampler(corpus, LabeledLdaHyper(0.4, 0.15), rng)
         K = sampler.tables.n_topics
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
@@ -355,14 +341,14 @@ def test_criterion_2_full_conditional_scalar_oracles():
         want = labeled_token_oracle([tables.topic_word[kk][v] for kk in range(K)],
                             tables.topic_total, tables.doc_topic[0],
                             set(sampler.allowed[0]), 0.4, 0.15, K, corpus.n_words)
-        assert_shares_match(lda_token_shares(sampler, False), want)
+        assert_shares_match(lda_token_shares(sampler), want)
 
     def plda_case(rng):
         labels = ["A", "B"]
         lines = [",".join(sorted(set(rng.choices(labels, k=rng.randrange(1, 3)))))
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels", item_sep=",")
-        sampler = PldaSampler(corpus, PldaHyper(2, 0.4, 0.15), rng)
+        sampler = plda_sampler(corpus, PldaHyper(2, 0.4, 0.15), rng)
         K = sampler.tables.n_topics
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
@@ -372,7 +358,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
                          [tables.topic_word[tt][v] for tt in range(K)],
                          tables.topic_total, set(sampler.allowed[0]),
                          0.4, 0.15, K, corpus.n_words)
-        assert_shares_match(lda_token_shares(sampler, False), want)
+        assert_shares_match(lda_token_shares(sampler), want)
 
     cases = [("LDA token", 101, lda_case),
              ("Sentence-LDA sentence", 103, sentence_case),

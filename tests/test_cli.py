@@ -110,14 +110,16 @@ GOLDEN = "\n".join([
 ]) + "\n"
 
 # SHA-256 of the lda-gibbs output files for GOLDEN at seed 7, 20 sweeps,
-# --top-words 3.  K=5 runs the dense kernel, whose chain predates the sparse
-# one; K=20 runs the sparse kernel.  A change to either sampling sequence
-# must update these and say why.
+# --top-words 3.  Both K run the SparseLDA kernel.  K=20's chain has run on
+# it since the kernel came in; K=5's was recorded again when the dense walk
+# that ran below K=12 was deleted, because the kernel maps a uniform to a
+# topic in another order.  A change to the sampling sequence must update
+# these and say why.
 GOLDEN_LDA_GIBBS = {
     5: {"LDAGibbs_doc_topic5.txt":
-        "cfbaf9ad2c5bee1a72f81e2e52053b818c446749a7e42dcab3294dc6e906d885",
+        "66af219e8417b034a3b97451955a1c5be0a5e7c960af938354bbe5feb9187655",
         "LDAGibbs_topic_word_5.txt":
-        "1c55c4b02ca97ec02fc017bfeae03367a1ca20013d34b4fa89d49b7465d740a3"},
+        "bb33bc3903f3e6d30245059f064549fd4e344acd2ad9b7d601b0c640e5dbbaf9"},
     20: {"LDAGibbs_doc_topic20.txt":
          "4ccddd0831e7d611c60912d4b5d919581873552e9b67ef3d616c1d59e6c55003",
          "LDAGibbs_topic_word_20.txt":
@@ -160,7 +162,6 @@ def assert_golden(tmp_path, model, text, flags, want):
 
 @pytest.mark.parametrize("k", sorted(GOLDEN_LDA_GIBBS))
 def test_lda_gibbs_golden_bytes(tmp_path, k):
-    assert (k >= lda.SPARSE_MIN_TOPICS) == (k == 20)
     assert_golden(tmp_path, "lda-gibbs", GOLDEN, ["-k", k], GOLDEN_LDA_GIBBS[k])
 
 
@@ -280,7 +281,9 @@ GOLDEN_LAYOUTS = {
 # writers switched to evaluation.top_word_ids.  dual-sparse's were recorded
 # again when its kappa pass became lda.cvb0_pass: its priors are summed
 # before the pass and its expected counts move by differences, which moves
-# its floats by round-off.
+# its floats by round-off.  plda's were recorded again when the label models
+# moved from the dense walk to the SparseLDA kernel; labeled-lda's kept
+# their bytes (see GOLDEN_LABELED_LDA_ALPHA_1).
 GOLDEN_OTHER_MODELS = {
     "lda-cvb0": ("plain", ["-k", "3"], {
         "CVBLDA_doc_topic3.txt":
@@ -313,9 +316,9 @@ GOLDEN_OTHER_MODELS = {
         "22a1975274803e813c2e9a4a5588c513e1b267f38469441e69357619579a1700"}),
     "plda": ("labels", ["--label-topics", "2"], {
         "PLDA_doc_topic4.txt":
-        "c0af7e922aad072f2e8f725724e48d764a9c0b57403126639547345228011c86",
+        "4d146e01eb2b84c091f2cd50c406ec353b4086ba74260f742ae1b5aa120f7bc0",
         "PLDA_topic_word_4.txt":
-        "0a8a44f382b574225c43976e87c70a6817a3e385e67b097d8b2001987ce45213"}),
+        "5db6a52aa44b84e4bba1f8d894b5b38ffb12d7e7d929cfe97b2c8e317178f493"}),
     "dual-sparse": ("plain", ["-k", "3"], {
         "dualSLDA_doc_topic_3.txt":
         "ded4be1af2abd32fedeeae77a086b11de8e4627006e35dbde81f795a32815a72",
@@ -337,12 +340,13 @@ def test_other_models_golden_bytes(tmp_path, model):
 # labeled-lda at --alpha 1, same run settings.  At the default alpha every
 # GOLDEN document ends in one topic, so the hashes above barely see the
 # chain's draws; here the multi-label documents keep a mixture, so the bytes
-# change with any change to the random stream.
+# change with any change to the random stream.  Recorded again when the label
+# models moved from the dense walk to the SparseLDA kernel.
 GOLDEN_LABELED_LDA_ALPHA_1 = {
     "LabeledLDA_doc_topic3.txt":
-    "ab739e579924d84619748c650d1fa1693eda3d93cb8b244c50e3f2c02d098652",
+    "4b293237edb9e7a035ad5ae4ac6d237ea51a353535b7454ea8d92e263f18f394",
     "LabeledLDA_topic_word_3.txt":
-    "0995c0e1a124a94085ea7f8659f585274d20a54dd2a550a8dc3c3bd3eab5cbdc"}
+    "1888a0dc9a90b4fe7998a6fa6e63741260606524128a1f9d2f413606fc291645"}
 
 
 def test_labeled_lda_golden_bytes_at_a_large_alpha(tmp_path):
@@ -351,15 +355,16 @@ def test_labeled_lda_golden_bytes_at_a_large_alpha(tmp_path):
 
 
 # stdout of `eval --model lda-gibbs` on GOLDEN at seed 7, 20 sweeps, recorded
-# before coherence shared one corpus scan across topics.  V = 15, so the
+# before coherence shared one corpus scan across topics (K = 5 again with the
+# GOLDEN_LDA_GIBBS chain it evaluates).  V = 15, so the
 # top-20 lists hold every word; at K = 20 each topic holds a few of the 48
 # tokens (three hold none), so most of each list is tied words.
 GOLDEN_EVAL = {
-    5: ("average_coherence_2:\t-0.21972245773362195\n"
-        "average_coherence_3:\t-0.716703787691222\n"
-        "average_coherence_5:\t-2.866815150764888\n"
-        "average_coherence_10:\t-19.685797554377324\n"
-        "average_coherence_20:\t-55.5526741660967\n"),
+    5: ("average_coherence_2:\t-0.05753641449035618\n"
+        "average_coherence_3:\t-0.21972245773362195\n"
+        "average_coherence_5:\t-2.2076477775640226\n"
+        "average_coherence_10:\t-18.63429847997177\n"
+        "average_coherence_20:\t-54.998156421648744\n"),
     20: ("average_coherence_2:\t-0.17068099508303566\n"
          "average_coherence_3:\t-0.5231437371458276\n"
          "average_coherence_5:\t-2.4371158838565288\n"

@@ -13,32 +13,29 @@ from first_draw import assert_shares_match, lda_token_shares, put_lda_token_firs
 from oracles import assert_close_distribution, lda_token_oracle, lda_joint_log, tv_distance
 
 
-def first_token_shares(docs, z, K, alpha, beta, sparse):
+def first_token_shares(docs, z, K, alpha, beta):
     """``lda_token_shares`` of a sampler over ``docs`` with assignments ``z``."""
     sampler = LdaGibbsSampler(parse_plain(docs), LdaHyper(K, alpha, beta), SeededRng(0))
     sampler.z = z
-    return lda_token_shares(sampler, sparse)
+    return lda_token_shares(sampler)
 
 
 def test_full_conditional_worked_example():
     # K=2, V=2, alpha=beta=1, excluded counts: n_m=[1,0]; topic 0 holds one
     # token of word 0, topic 1 one token of word 1 -> normalized [0.8, 0.2]
-    for sparse in (False, True):
-        shares = first_token_shares(["w0 w0", "w1"], [[1, 0], [1]], 2, 1.0, 1.0, sparse)
-        assert shares == pytest.approx({0: 0.8, 1: 0.2}, rel=1e-12)
+    shares = first_token_shares(["w0 w0", "w1"], [[1, 0], [1]], 2, 1.0, 1.0)
+    assert shares == pytest.approx({0: 0.8, 1: 0.2}, rel=1e-12)
 
 
 def test_full_conditional_k1():
-    for sparse in (False, True):
-        assert first_token_shares(["w1 w0 w0 w1"], [[0] * 4], 1, 0.5, 0.5, sparse) == {0: 1.0}
+    assert first_token_shares(["w1 w0 w0 w1"], [[0] * 4], 1, 0.5, 0.5) == {0: 1.0}
 
 
 def test_full_conditional_all_zero_counts_uniform():
     # a one-token corpus: with the token excluded every count is zero
     for K in (2, 5):
-        for sparse in (False, True):
-            shares = first_token_shares(["w0"], [[K - 1]], K, 0.3, 0.7, sparse)
-            assert shares == pytest.approx({k: 1.0 / K for k in range(K)})
+        shares = first_token_shares(["w0"], [[K - 1]], K, 0.3, 0.7)
+        assert shares == pytest.approx({k: 1.0 / K for k in range(K)})
 
 
 def test_full_conditional_matches_scalar_oracle():
@@ -53,8 +50,7 @@ def test_full_conditional_matches_scalar_oracle():
         want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0],
                        [tables.topic_word[kk][v] for kk in range(K)],
                        tables.topic_total, 0.3, 0.05, corpus.n_words)
-        for sparse in (False, True):
-            assert_shares_match(lda_token_shares(sampler, sparse), want)
+        assert_shares_match(lda_token_shares(sampler), want)
 
 
 def test_fit_gibbs_one_token_theta():
@@ -85,17 +81,10 @@ def test_estimates_are_row_stochastic_and_positive():
         assert all(p > 0 for p in row)
 
 
-def use_kernel(monkeypatch, kernel, n_topics):
-    """Make LdaGibbsSampler pick ``kernel`` ("dense" or "sparse") at n_topics."""
-    threshold = n_topics if kernel == "sparse" else n_topics + 1
-    monkeypatch.setattr(lda, "SPARSE_MIN_TOPICS", threshold)
-
-
 def test_gibbs_counts_stay_consistent():
     corpus = parse_plain(["a b c a", "c d", "a d d b"])
-    for K in (lda.SPARSE_MIN_TOPICS - 1, lda.SPARSE_MIN_TOPICS):
+    for K in (11, 12):
         sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1), SeededRng(3))
-        assert (sampler.word_topics is not None) == (K >= lda.SPARSE_MIN_TOPICS)
         for _ in range(10):
             sampler.sweep()
             sampler.check()
@@ -104,8 +93,7 @@ def test_gibbs_counts_stay_consistent():
 
 def test_gibbs_check_catches_stale_sparse_index():
     corpus = parse_plain(["a b c a", "c d", "a d d b"])
-    sampler = LdaGibbsSampler(corpus, LdaHyper(lda.SPARSE_MIN_TOPICS, 0.1, 0.1),
-                              SeededRng(3))
+    sampler = LdaGibbsSampler(corpus, LdaHyper(12, 0.1, 0.1), SeededRng(3))
     sampler.sweep()
     sampler.check()
     v = corpus.docword[0][0]
@@ -119,16 +107,20 @@ def test_gibbs_check_catches_stale_sparse_index():
         sampler.check()
 
 
-def test_gibbs_kernels_share_the_initial_state(monkeypatch):
+def test_gibbs_all_topics_allowed_is_the_unrestricted_chain():
+    # the kernel scales each document's coefficients by 1.0 on its allowed
+    # topics, and x * 1.0 == x: allowing every topic draws the same chain
     corpus = parse_plain(["a b c a e f", "c d e", "a d d b f f"])
     K = 6
-    use_kernel(monkeypatch, "dense", K)
-    dense = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1), SeededRng(8))
-    use_kernel(monkeypatch, "sparse", K)
-    sparse = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1), SeededRng(8))
-    assert sparse.z == dense.z
-    assert sparse.tables.topic_word == dense.tables.topic_word
-    sparse.check()
+    free = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1), SeededRng(8))
+    every = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1), SeededRng(8),
+                            allowed=[list(range(K))] * corpus.n_docs)
+    for _ in range(20):
+        assert every.z == free.z
+        assert every.tables.topic_word == free.tables.topic_word
+        free.sweep()
+        every.sweep()
+    every.check()
 
 
 def enumerated_posterior_tv(texts, K, alpha, beta, seed, sweeps):
@@ -160,28 +152,17 @@ def enumerated_posterior_tv(texts, K, alpha, beta, seed, sweeps):
     return sampler, tv_distance(empirical, exact)
 
 
-def test_gibbs_matches_enumerated_posterior_mini(monkeypatch):
+def test_gibbs_matches_enumerated_posterior_mini():
     # 2 docs, 4 tokens, K=2: empirical assignment distribution vs brute force
-    use_kernel(monkeypatch, "dense", 2)
-    sampler, tv = enumerated_posterior_tv(["a b", "b a"], 2, 1.0, 1.0, 42, 30000)
-    assert sampler.word_topics is None
-    assert tv < 0.05
-
-
-def test_gibbs_matches_enumerated_posterior_mini_sparse(monkeypatch):
-    use_kernel(monkeypatch, "sparse", 2)
     sampler, tv = enumerated_posterior_tv(["a b", "b a"], 2, 1.0, 1.0, 42, 30000)
     sampler.check()
     assert tv < 0.05
 
 
-@pytest.mark.parametrize("kernel", ["dense", "sparse"])
-def test_gibbs_matches_enumerated_posterior_k3(monkeypatch, kernel):
-    # K=3 with unequal alpha and beta, so every bucket of the sparse kernel
+def test_gibbs_matches_enumerated_posterior_k3():
+    # K=3 with unequal alpha and beta, so every bucket of the kernel
     # carries a different share of the mass
-    use_kernel(monkeypatch, kernel, 3)
     sampler, tv = enumerated_posterior_tv(["a b a", "c"], 3, 0.3, 0.5, 9, 30000)
-    assert (sampler.word_topics is not None) == (kernel == "sparse")
     sampler.check()
     assert tv < 0.05
 

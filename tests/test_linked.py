@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from topicmodels.core import SeededRng, run_chain
@@ -5,8 +8,8 @@ from topicmodels.corpus import parse_tagged
 from topicmodels.lda import LdaHyper
 from topicmodels.linked import AtmSampler, LinkLdaHyper, LinkLdaSampler
 
-from oracles import (assert_close_distribution, atm_joint_oracle, linklda_word_oracle,
-                     linklda_link_oracle, normalize)
+from oracles import (assert_close_distribution, atm_joint_log, atm_joint_oracle,
+                     linklda_word_oracle, linklda_link_oracle, normalize, tv_distance)
 from first_draw import assert_shares_match, first_draw_shares, linklda_draw, linklda_shares
 
 
@@ -106,6 +109,40 @@ def test_atm_unseen_author_row_uniform():
             sampler.x[0][n] = 0
     fit = sampler.estimate()
     assert fit.theta[1] == pytest.approx([0.25] * 4)
+
+
+def test_atm_chain_matches_enumerated_posterior():
+    # three tokens, two authors, K = 2: every (author, topic) of each token
+    # against the collapsed joint, 4 x 4 x 2 states.  A sweep that draws
+    # before it takes the token out of the counts settles at TV 0.025-0.027
+    # here (three seeds), this chain at 0.007-0.010.
+    corpus = author_corpus(["A,B\tw0 w1", "B\tw1"])
+    K, alpha, beta = 2, 0.3, 0.2
+    supports = [[(a, k) for a in corpus.authors[m] for k in range(K)]
+                for m, doc in enumerate(corpus.docword) for _ in doc]
+    log_post = {}
+    for cells in itertools.product(*supports):
+        x = [[a for a, _ in cells[:2]], [cells[2][0]]]
+        z = [[k for _, k in cells[:2]], [cells[2][1]]]
+        log_post[cells] = atm_joint_log(corpus.docword, x, z, 2, K, corpus.n_words,
+                                        alpha, beta)
+    mx = max(log_post.values())
+    exact = {cells: math.exp(lp - mx) for cells, lp in log_post.items()}
+    total = sum(exact.values())
+    exact = {cells: p / total for cells, p in exact.items()}
+
+    sampler = AtmSampler(corpus, LdaHyper(K, alpha, beta), SeededRng(23))
+    for _ in range(500):
+        sampler.sweep()
+    sweeps, counts = 80000, {}
+    for _ in range(sweeps):
+        sampler.sweep()
+        key = tuple(zip((a for xm in sampler.x for a in xm), (k for zm in sampler.z for k in zm)))
+        counts[key] = counts.get(key, 0) + 1
+    sampler.check()
+    empirical = {key: c / sweeps for key, c in counts.items()}
+    assert set(empirical) <= set(exact)
+    assert tv_distance(empirical, exact) < 0.02
 
 
 def test_atm_recount_each_sweep():
