@@ -71,29 +71,46 @@ def _chain_tv(sampler, state, exact):
     return tv_distance({k: c / sweeps for k, c in counts.items()}, exact)
 
 
-def test_criterion_1_exact_posterior_lda_gibbs():
+def _criterion_1(K, allowed, label):
+    """Run criterion 1 on K topics, each document's tokens within
+    ``allowed[m]`` (every topic where ``allowed`` is None)."""
     start = time.perf_counter()
     corpus = parse_plain(["w0 w1 w2", "w1 w2 w3", "w0 w3"])
-    K, V = 2, corpus.n_words
+    V = corpus.n_words
     assert corpus.n_tokens == 8 and V == 4 and corpus.n_docs == 3
     alpha = beta = 1.0
     sizes = [len(d) for d in corpus.docword]
+    supports = [allowed[m] if allowed else range(K) for m, s in enumerate(sizes) for _ in range(s)]
 
     log_post = {}
-    for flat in itertools.product(range(K), repeat=8):
+    for flat in itertools.product(*supports):
         z, i = [], 0
         for s in sizes:
             z.append(list(flat[i:i + s]))
             i += s
         log_post[flat] = lda_joint_log(corpus.docword, z, K, V, alpha, beta)
+    assert len(log_post) == 2 ** 8
     exact = _normalized(log_post)
 
-    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta), SeededRng(20240601))
+    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta), SeededRng(20240601),
+                              allowed=allowed)
     tv = _chain_tv(sampler, lambda s: (*s.z[0], *s.z[1], *s.z[2]), exact)
+    sampler.check()
     elapsed = time.perf_counter() - start
     assert tv < 0.02, f"total-variation distance {tv:.4f}"
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
-    ok(1, f"lda-gibbs: TV distance {tv:.4f} < 0.02 over 2^8 assignments ({elapsed:.1f}s)")
+    ok(1, f"lda-gibbs, {label}: TV distance {tv:.4f} < 0.02 over 2^8 assignments "
+          f"({elapsed:.1f}s)")
+
+
+def test_criterion_1_exact_posterior_lda_gibbs():
+    _criterion_1(2, None, "every topic allowed")
+
+
+def test_criterion_1_exact_posterior_lda_gibbs_sparse():
+    # K=3 with two allowed topics per document: the kernel's scale rows
+    # hold a 0.0, and the chain must keep to the restricted posterior
+    _criterion_1(3, [[0, 1], [1, 2], [0, 2]], "sparse allowed-topic rows")
 
 
 def test_criterion_1_exact_posterior_ptm():

@@ -123,13 +123,16 @@ def test_gibbs_all_topics_allowed_is_the_unrestricted_chain():
     every.check()
 
 
-def enumerated_posterior_tv(texts, K, alpha, beta, seed, sweeps):
-    """TV distance between a Gibbs chain's visits and the brute-force posterior."""
+def enumerated_posterior_tv(texts, K, alpha, beta, seed, sweeps, allowed=None):
+    """TV distance between a Gibbs chain's visits and the brute-force
+    posterior, each document's tokens within ``allowed[m]`` (every topic
+    where ``allowed`` is None)."""
     corpus = parse_plain(texts)
     V = corpus.n_words
     sizes = [len(d) for d in corpus.docword]
+    supports = [allowed[m] if allowed else range(K) for m, s in enumerate(sizes) for _ in range(s)]
     log_post = {}
-    for flat in itertools.product(range(K), repeat=sum(sizes)):
+    for flat in itertools.product(*supports):
         z, i = [], 0
         for size in sizes:
             z.append(list(flat[i:i + size]))
@@ -140,7 +143,7 @@ def enumerated_posterior_tv(texts, K, alpha, beta, seed, sweeps):
     total = sum(exact.values())
     exact = {k: v / total for k, v in exact.items()}
 
-    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta), SeededRng(seed))
+    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta), SeededRng(seed), allowed=allowed)
     for _ in range(500):
         sampler.sweep()
     counts = {}
@@ -159,10 +162,22 @@ def test_gibbs_matches_enumerated_posterior_mini():
     assert tv < 0.05
 
 
-def test_gibbs_matches_enumerated_posterior_k3():
+def test_gibbs_matches_enumerated_posterior_mini_sparse():
+    # the mini corpus on K=3 with two allowed topics per document, so each
+    # document's scale row in the kernel holds a 0.0
+    sampler, tv = enumerated_posterior_tv(["a b", "b a"], 3, 1.0, 1.0, 42, 30000,
+                                          allowed=[[0, 2], [1, 2]])
+    sampler.check()
+    assert tv < 0.05
+
+
+# "dense": every topic allowed; "sparse": the first document restricted to
+# two of the three topics while the second keeps all three
+@pytest.mark.parametrize("allowed", [None, [[0, 2], [0, 1, 2]]], ids=["dense", "sparse"])
+def test_gibbs_matches_enumerated_posterior_k3(allowed):
     # K=3 with unequal alpha and beta, so every bucket of the kernel
     # carries a different share of the mass
-    sampler, tv = enumerated_posterior_tv(["a b a", "c"], 3, 0.3, 0.5, 9, 30000)
+    sampler, tv = enumerated_posterior_tv(["a b a", "c"], 3, 0.3, 0.5, 9, 30000, allowed)
     sampler.check()
     assert tv < 0.05
 
