@@ -143,12 +143,12 @@ MODELS = {
         Output("LinkLDA_topic_link_{k}.txt", "topic_link", "link_phi"),
         Output("LinkLDA_doc_topic_{k}.txt", "doc_topic", "theta")),
         layout="links"),
-    "labeled-lda": ModelSpec(supervised.LabeledLdaHyper, supervised.labeled_lda_sampler, (
+    "labeled-lda": ModelSpec(supervised.LabeledLdaHyper, supervised.LabeledLdaSampler, (
         Output("LabeledLDA_topic_word_{k}.txt", "labeled_topic_word", "phi"),
         Output("LabeledLDA_doc_topic{k}.txt", "doc_topic", "theta")),
         layout="labels"),
     # PLDA file names count the labels, the background label included
-    "plda": ModelSpec(supervised.PldaHyper, supervised.plda_sampler, (
+    "plda": ModelSpec(supervised.PldaHyper, supervised.PldaSampler, (
         Output("PLDA_topic_word_{k}.txt", "related_topic_word", "phi"),
         Output("PLDA_doc_topic{k}.txt", "doc_topic", "theta")),
         layout="labels", count=lambda hyper, fitted: len(fitted.phi) // hyper.topics_per_label),

@@ -81,44 +81,46 @@ def word_topic_index(docword, z, n_words: int) -> list:
     return index
 
 
-def sweep_sparse_tokens(docword, z, rows, scales, topic_word: list, topic_total: list,
+def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total: list,
                         word_topics: list, alpha: float, beta: float, rng: random.Random) -> None:
     """Resample every token once, documents then positions in index order,
     with the SparseLDA draw (Yao, Mimno & McCallum, KDD 2009).
 
     Token n of document m, with topic z[m][n], is drawn from
-      scale_k (alpha + row_k)(beta + n_kv)/(n_k + V beta)
-    where ``row = rows[m]`` is the count row the draw uses: the document's
-    own n_mk in LDA, its pseudo document's N_lk in PTM, its pooled words
-    and links n_mk + c_mk in Link LDA.  ``scale = scales[m]`` is 1.0 on the
-    topics the document may use and 0.0 elsewhere (Labeled LDA, PLDA); the
-    unrestricted callers pass one all-ones row for every document, whose
-    draws it leaves as they were, since x * 1.0 == x.  z[m] holds allowed
-    topics only.  V is ``len(word_topics)``.  The row, ``topic_word``
-    (n_kv), ``topic_total`` (n_k) and ``word_topics`` (see
-    ``word_topic_index``) move with every draw.
+      (alpha + row_k)(beta + n_kv)/(n_k + V beta)
+    over the topics k in ``topics[m]``, in increasing order, where
+    ``row = rows[m]`` is the count row the draw uses: the document's own
+    n_mk in LDA, its pseudo document's N_lk in PTM, its pooled words and
+    links n_mk + c_mk in Link LDA.  A document restricted to some topics
+    (Labeled LDA, PLDA) lists them; the unrestricted callers pass
+    ``range(K)`` for every document.  z[m] holds the document's topics
+    only.  V is ``len(word_topics)``.  The row, ``topic_word`` (n_kv),
+    ``topic_total`` (n_k) and ``word_topics`` (see ``word_topic_index``)
+    move with every draw.
 
-    With coef_k = scale_k (alpha + row_k)/(n_k + V beta), cached per
-    topic, the weight is split as
-      s_k + r_k = beta coef_k   smoothing and row, every topic
+    With coef_k = (alpha + row_k)/(n_k + V beta), cached per topic of the
+    document and 0.0 for every other topic, the weight is split as
+      s_k + r_k = beta coef_k   smoothing and row, the document's topics
       q_k = coef_k n_kv         the word's topics
-    A draw moves a token between allowed topics only, where scale_k is 1,
-    so the scale enters coef once per document.  q is summed over the
-    word's index only; s + r is a running total, recomputed at the start
-    of each document so round-off cannot build up.  s and r share one
-    walk over all K topics: a cumulative sum at C speed costs less here
-    than keeping each row's topic list, and few draws land there.  Where
-    round-off runs either walk past its end, the draw takes the walk's last
-    topic with weight.
+    q is summed over the word's index only; s + r is a running total,
+    recomputed at the start of each document so round-off cannot build up.
+    s and r share one walk over the document's topics: a cumulative sum at
+    C speed costs less here than keeping each row's topic list, and few
+    draws land there.  A document with every topic walks coef itself, one
+    with a few topics only their coefficients.  Where round-off runs either
+    walk past its end, the draw takes the walk's last topic with weight.
     """
     nkv, nk = topic_word, topic_total
     K = len(nk)
     vbeta = len(word_topics) * beta
     rng_random = rng.random
     inv = [1.0 / (n + vbeta) for n in nk]  # 1/(n_k + V beta)
-    for doc, zm, nm, scale in zip(docword, z, rows, scales):
-        coef = [(alpha + c) * i * r for c, i, r in zip(nm, inv, scale)]
-        s_r = beta * fold_sum(coef)
+    for doc, zm, nm, ks in zip(docword, z, rows, topics):
+        coef = [0.0] * K
+        for k in ks:
+            coef[k] = (alpha + nm[k]) * inv[k]
+        own = None if len(ks) == K else coef.__getitem__  # walks ks, not all of coef
+        s_r = beta * fold_sum(coef if own is None else map(own, ks))
         for n, v in enumerate(doc):
             k = zm[n]
             wt = word_topics[v]
@@ -150,9 +152,9 @@ def sweep_sparse_tokens(docword, z, rows, scales, topic_word: list, topic_total:
                 else:
                     k = [j for j in wt if coef[j]][-1]
             else:
-                k = bisect_right(list(accumulate(coef)), (u - q) / beta)
-                if k == K:
-                    k = [j for j, w in enumerate(coef) if w][-1]
+                walk = coef if own is None else map(own, ks)
+                j = bisect_right(list(accumulate(walk)), (u - q) / beta)
+                k = ks[min(j, len(ks) - 1)]
 
             zm[n] = k
             c = nm[k] + 1
@@ -201,6 +203,7 @@ class LdaGibbsSampler:
         else:
             self.z = [[rng.choice(topics) for _ in doc]
                       for topics, doc in zip(allowed, corpus.docword)]
+        # the kernel walks each document's topics in id order
         self.allowed = None if allowed is None else [sorted(set(ks)) for ks in allowed]
         vars(self).update(self._counts())
 
@@ -227,17 +230,12 @@ class LdaGibbsSampler:
         K, tables = self.hyper.n_topics, self.tables
         docs = (self.corpus.docword, self.z, tables.doc_topic)
         if self.allowed is None:
-            scales = [[1.0] * K] * len(self.z)
+            topics = [range(K)] * len(self.z)
         else:
-            kept = [m for m, topics in enumerate(self.allowed) if len(topics) > 1]
+            kept = [m for m, ks in enumerate(self.allowed) if len(ks) > 1]
             docs = [[seq[m] for m in kept] for seq in docs]
-            scales = []
-            for m in kept:
-                scale = [0.0] * K
-                for k in self.allowed[m]:
-                    scale[k] = 1.0
-                scales.append(scale)
-        sweep_sparse_tokens(*docs, scales, tables.topic_word, tables.topic_total,
+            topics = [self.allowed[m] for m in kept]
+        sweep_sparse_tokens(*docs, topics, tables.topic_word, tables.topic_total,
                             self.word_topics, self.hyper.alpha, self.hyper.beta, self.rng)
 
     def estimate(self) -> FittedLda:

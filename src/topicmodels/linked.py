@@ -170,11 +170,11 @@ class LinkLdaSampler:
         (n_mk + c_mk + a)(c_kl + g)/(c_k + L g).  A corpus without links
         (L = 0) has no link draw."""
         hyper = self.hyper
-        ones = [[1.0] * hyper.n_topics] * len(self.z)
-        sweep_sparse_tokens(self.corpus.docword, self.z, self.doc_topic, ones, self.word_topic,
+        every = [range(hyper.n_topics)] * len(self.z)
+        sweep_sparse_tokens(self.corpus.docword, self.z, self.doc_topic, every, self.word_topic,
                             self.word_total, self.word_topics, hyper.alpha, hyper.beta, self.rng)
         if self.link_topics:
-            sweep_sparse_tokens(self.corpus.links, self.x, self.doc_topic, ones, self.link_topic,
+            sweep_sparse_tokens(self.corpus.links, self.x, self.doc_topic, every, self.link_topic,
                                 self.link_total, self.link_topics, hyper.alpha, hyper.gamma,
                                 self.rng)
 

@@ -122,7 +122,7 @@ class PtmSampler:
             self.l[m] = l_new
         # phase 2: token topics, each drawn against its pseudo document's row
         sweep_sparse_tokens(self.corpus.docword, self.z, [pseudo_topic[l] for l in self.l],
-                            [[1.0] * hyper.n_topics] * len(self.l), self.pseudo.topic_word,
+                            [range(hyper.n_topics)] * len(self.l), self.pseudo.topic_word,
                             self.pseudo.topic_total, self.word_topics, hyper.alpha, hyper.beta,
                             self.rng)
         self.doc_topic = _topic_counts(self.z, hyper.n_topics)

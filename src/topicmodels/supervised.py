@@ -6,8 +6,8 @@ and restricts every document's tokens to its own label set.  PLDA (Ramage,
 Manning & Dumais, KDD 2011) gives each label a block of topics and appends a
 background label (with its own block) to every document, so the allowed set
 is the union of the document's label blocks plus the background block.  The
-two functions here build those sets and the topic names and return an
-``LdaGibbsSampler``.
+two samplers here are ``LdaGibbsSampler`` subclasses whose constructors only
+build those sets and the topic names.
 """
 
 import random
@@ -39,26 +39,29 @@ class PldaHyper:
         require_positive({"alpha": self.alpha, "beta": self.beta})
 
 
-def labeled_lda_sampler(corpus: Corpus, hyper: LabeledLdaHyper,
-                        rng: random.Random) -> LdaGibbsSampler:
+class LabeledLdaSampler(LdaGibbsSampler):
     """Labeled LDA: topic k is label k, and a document may use its labels only."""
-    corpus.require("labels")
-    if any(not ls for ls in corpus.labels):
-        raise ValueError("every document needs at least one label")
-    names = list(corpus.meta_vocabulary.id_to_word)
-    return LdaGibbsSampler(corpus, LdaHyper(len(names), hyper.alpha, hyper.beta), rng,
-                           allowed=corpus.labels, topic_labels=names)
+
+    def __init__(self, corpus: Corpus, hyper: LabeledLdaHyper, rng: random.Random):
+        corpus.require("labels")
+        if any(not ls for ls in corpus.labels):
+            raise ValueError("every document needs at least one label")
+        names = list(corpus.meta_vocabulary.id_to_word)
+        super().__init__(corpus, LdaHyper(len(names), hyper.alpha, hyper.beta), rng,
+                         allowed=corpus.labels, topic_labels=names)
 
 
-def plda_sampler(corpus: Corpus, hyper: PldaHyper, rng: random.Random) -> LdaGibbsSampler:
+class PldaSampler(LdaGibbsSampler):
     """PLDA: label l owns topics [l T, (l + 1) T) for T topics per label; the
     background label comes last, and every document may use its block."""
-    corpus.require("labels")
-    T = hyper.topics_per_label
-    names = list(corpus.meta_vocabulary.id_to_word) + [BACKGROUND_LABEL]
-    K = len(names) * T
-    background = list(range(K - T, K))
-    allowed = [[t for l in ls for t in range(l * T, (l + 1) * T)] + background
-               for ls in corpus.labels]
-    return LdaGibbsSampler(corpus, LdaHyper(K, hyper.alpha, hyper.beta), rng, allowed=allowed,
-                           topic_labels=[name for name in names for _ in range(T)])
+
+    def __init__(self, corpus: Corpus, hyper: PldaHyper, rng: random.Random):
+        corpus.require("labels")
+        T = hyper.topics_per_label
+        names = list(corpus.meta_vocabulary.id_to_word) + [BACKGROUND_LABEL]
+        K = len(names) * T
+        background = list(range(K - T, K))
+        allowed = [[t for l in ls for t in range(l * T, (l + 1) * T)] + background
+                   for ls in corpus.labels]
+        super().__init__(corpus, LdaHyper(K, hyper.alpha, hyper.beta), rng, allowed=allowed,
+                         topic_labels=[name for name in names for _ in range(T)])

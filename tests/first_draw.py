@@ -248,7 +248,7 @@ def slice_draw(sampler, counts: dict, item: int, topic: int, reads, alpha: float
         vars(sampler).update(pickle.loads(state))
         z[:] = [[topic]]
         rows, *tables = reads()
-        sweep_sparse_tokens([[item]], z, rows, [[1.0] * len(rows[0])], *tables, alpha, beta, rng)
+        sweep_sparse_tokens([[item]], z, rows, [range(len(rows[0]))], *tables, alpha, beta, rng)
     return run, lambda: z[0][0]
 
 

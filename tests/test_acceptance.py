@@ -25,7 +25,7 @@ from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
                                  write_value_lines)
 from topicmodels.sentence_lda import SentenceLdaSampler
 from topicmodels.short_text import BtmHyper, BtmSampler, PtmHyper, PtmSampler, extract_biterms
-from topicmodels.supervised import LabeledLdaHyper, PldaHyper, labeled_lda_sampler, plda_sampler
+from topicmodels.supervised import LabeledLdaHyper, LabeledLdaSampler, PldaHyper, PldaSampler
 
 from oracles import (assert_close_distribution, cosine, lda_token_oracle, sentence_topic_oracle,
                      dmm_doc_oracle, dpmm_doc_oracle, ptm_pseudo_doc_oracle, ptm_token_oracle, btm_biterm_oracle,
@@ -108,8 +108,8 @@ def test_criterion_1_exact_posterior_lda_gibbs():
 
 
 def test_criterion_1_exact_posterior_lda_gibbs_sparse():
-    # K=3 with two allowed topics per document: the kernel's scale rows
-    # hold a 0.0, and the chain must keep to the restricted posterior
+    # K=3 with two allowed topics per document ("sparse" allowed-topic
+    # rows): the chain must keep to the restricted posterior
     _criterion_1(3, [[0, 1], [1, 2], [0, 2]], "sparse allowed-topic rows")
 
 
@@ -349,7 +349,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         lines = [",".join(sorted(set(rng.choices(labels, k=rng.randrange(1, 3)))))
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels", item_sep=",")
-        sampler = labeled_lda_sampler(corpus, LabeledLdaHyper(0.4, 0.15), rng)
+        sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.4, 0.15), rng)
         K = sampler.tables.n_topics
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
@@ -365,7 +365,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         lines = [",".join(sorted(set(rng.choices(labels, k=rng.randrange(1, 3)))))
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels", item_sep=",")
-        sampler = plda_sampler(corpus, PldaHyper(2, 0.4, 0.15), rng)
+        sampler = PldaSampler(corpus, PldaHyper(2, 0.4, 0.15), rng)
         K = sampler.tables.n_topics
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))

@@ -108,8 +108,8 @@ def test_gibbs_check_catches_stale_sparse_index():
 
 
 def test_gibbs_all_topics_allowed_is_the_unrestricted_chain():
-    # the kernel scales each document's coefficients by 1.0 on its allowed
-    # topics, and x * 1.0 == x: allowing every topic draws the same chain
+    # a document allowed every topic walks all of the kernel's cached
+    # coefficients, as an unrestricted one does: both draw the same chain
     corpus = parse_plain(["a b c a e f", "c d e", "a d d b f f"])
     K = 6
     free = LdaGibbsSampler(corpus, LdaHyper(K, 0.1, 0.1), SeededRng(8))
@@ -163,8 +163,8 @@ def test_gibbs_matches_enumerated_posterior_mini():
 
 
 def test_gibbs_matches_enumerated_posterior_mini_sparse():
-    # the mini corpus on K=3 with two allowed topics per document, so each
-    # document's scale row in the kernel holds a 0.0
+    # "sparse" allowed-topic rows: the mini corpus on K=3 with two allowed
+    # topics per document, so the kernel walks a strict subset of the topics
     sampler, tv = enumerated_posterior_tv(["a b", "b a"], 3, 1.0, 1.0, 42, 30000,
                                           allowed=[[0, 2], [1, 2]])
     sampler.check()

@@ -8,8 +8,8 @@ from topicmodels import cli
 from topicmodels.core import SeededRng, counts_from_assignments, run_chain
 from topicmodels.corpus import parse_plain, parse_tagged
 from topicmodels.lda import LdaGibbsSampler, LdaHyper
-from topicmodels.supervised import (BACKGROUND_LABEL, LabeledLdaHyper, PldaHyper,
-                                    labeled_lda_sampler, plda_sampler)
+from topicmodels.supervised import (BACKGROUND_LABEL, LabeledLdaHyper, LabeledLdaSampler,
+                                    PldaHyper, PldaSampler)
 
 from first_draw import (ScriptEnd, ScriptedRng, assert_shares_match, lda_token_shares,
                         put_lda_token_first, rerun_sweep)
@@ -53,16 +53,17 @@ def chain_frequencies(sampler, burn_in, sweeps):
 
 def test_labeled_admissible_is_label_set():
     corpus = label_corpus(["D\tw0", "A,C\tw1", "C,B\tw2", "B,D\tw3"])  # D A C B -> 0 1 2 3
-    sampler = labeled_lda_sampler(corpus, LabeledLdaHyper(), SeededRng(0))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(), SeededRng(0))
     assert sampler.allowed == [[0], [1, 2], [2, 3], [0, 3]]
     assert sampler.tables.n_topics == 4
     with pytest.raises(ValueError):
-        labeled_lda_sampler(label_corpus(["A\tw0", " \tw1"]), LabeledLdaHyper(), SeededRng(0))
+        LabeledLdaSampler(label_corpus(["A\tw0", " \tw1"]), LabeledLdaHyper(),
+                          SeededRng(0))
 
 
 def test_plda_admissible_blocks():
     corpus = label_corpus(["Security\tw0", "Security,Cloud\tw1", " \tw2"])
-    sampler = plda_sampler(corpus, PldaHyper(2), SeededRng(0))
+    sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(0))
     assert sampler.tables.n_topics == 6
     # one label -> its 2 topics plus 2 background topics
     assert sampler.allowed[0] == [0, 1, 4, 5]
@@ -77,7 +78,7 @@ def test_plda_admissible_blocks():
 def test_plda_reference_sizing():
     # 81 labels plus background at 2 topics per label: 164 topics
     corpus = label_corpus([f"L{i}\tw0" for i in range(81)])
-    sampler = plda_sampler(corpus, PldaHyper(2), SeededRng(0))
+    sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(0))
     assert len(set(sampler.topic_labels)) == 82
     assert sampler.tables.n_topics == 164
 
@@ -86,14 +87,14 @@ def test_plda_reference_sizing():
 
 def test_labeled_single_label_document_certain():
     corpus = label_corpus(["Security\tw0 w1", "Cloud\tw1"])
-    sampler = labeled_lda_sampler(corpus, LabeledLdaHyper(), SeededRng(0))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(), SeededRng(0))
     # a document with one allowed topic is never drawn: its share is 1
     assert lda_token_shares(sampler) == {corpus.labels[0][0]: 1.0}
 
 
 def test_labeled_all_labels_zero_counts_uniform():
     corpus = label_corpus(["A,B,C\tw0"])
-    sampler = labeled_lda_sampler(corpus, LabeledLdaHyper(0.2, 0.3), SeededRng(0))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.2, 0.3), SeededRng(0))
     assert lda_token_shares(sampler) == pytest.approx({k: 1 / 3 for k in range(3)})
 
 
@@ -103,7 +104,7 @@ def test_labeled_conditional_matches_oracle():
     for _ in range(6):
         corpus = label_corpus(lines)
         hyper = LabeledLdaHyper(0.4, 0.15)
-        sampler = labeled_lda_sampler(corpus, hyper, rng)
+        sampler = LabeledLdaSampler(corpus, hyper, rng)
         K = sampler.tables.n_topics
         m = rng.randrange(3)
         n = rng.randrange(len(corpus.docword[m]))
@@ -120,7 +121,7 @@ def test_labeled_vacuous_constraint_equals_lda_conditional():
     # those of plain LDA's unrestricted draw
     corpus = label_corpus(["A,B\tw0 w1", "A,B\tw1 w2"])
     hyper = LabeledLdaHyper(0.3, 0.2)
-    sampler = labeled_lda_sampler(corpus, hyper, SeededRng(3))
+    sampler = LabeledLdaSampler(corpus, hyper, SeededRng(3))
     plain = parse_plain(["w0 w1", "w1 w2"])
     lda_sampler = LdaGibbsSampler(plain, LdaHyper(2, 0.3, 0.2), SeededRng(9))
     # align the LDA sampler's state with the labeled one
@@ -136,19 +137,20 @@ def test_labeled_vacuous_constraint_equals_lda_conditional():
 @pytest.mark.parametrize("lines, z, alpha, beta", [
     # beta is so small that q + s + r rounds to q, so u scales to the largest
     # float below q; q (3.4000000000000004) lies above the exact sum of its
-    # terms, and the walk runs past topic 1 to w0's last indexed topic, 2 (label C)
+    # terms, and the walk runs past topic 1 into w0's last indexed topic, 2
+    # (label C), where the draw must not stop
     (["A,B\tw0 w0 w0 w0", "C\tw0", "D\tw1"], [[0, 0, 1, 1], [2], [3]], 0.2, 1e-20),
     # w2 leaves topic 0, and its index keeps topic 2 only, so q = 0; the
-    # running s + r total ends above the fresh cumulative sum, and bisect
-    # runs past the sum's end to topic K - 1 = 3 (label D)
+    # running s + r total ends above the fresh cumulative sum over the
+    # document's topics, and bisect runs past the sum's end, where the
+    # draw must not take topic K - 1 = 3 (label D)
     (["A,B\tw2 w0 w0 w0", "C\tw2", "D\tw1"], [[0, 0, 0, 1], [2], [3]], 0.3, 1.0),
 ], ids=["q-walk-end", "smoothing-walk-end"])
 def test_labeled_round_off_at_a_walk_end_draws_an_allowed_topic(lines, z, alpha, beta):
     # document 0 may use topics 0 and 1 (labels A, B): neither K - 1 nor its
     # word's last indexed topic.  Where round-off runs a walk past its end,
     # the draw must take the walk's last topic with weight, which is 1 here.
-    sampler = labeled_lda_sampler(label_corpus(lines), LabeledLdaHyper(alpha, beta),
-                                  SeededRng(0))
+    sampler = LabeledLdaSampler(label_corpus(lines), LabeledLdaHyper(alpha, beta), SeededRng(0))
     sampler.z = z
     run = rerun_sweep(sampler)
     assert sampler.allowed[0] == [0, 1] and sampler.tables.n_topics == 4
@@ -161,7 +163,7 @@ def test_labeled_round_off_at_a_walk_end_draws_an_allowed_topic(lines, z, alpha,
 def test_labeled_theta_single_label_forced_mass():
     corpus = label_corpus(["Security\tw0 w1 w0"])
     hyper = LabeledLdaHyper(0.1, 0.1)
-    fit = run_chain(labeled_lda_sampler(corpus, hyper, SeededRng(1)), 3)
+    fit = run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(1)), 3)
     K = len(fit.topic_labels)
     assert K == 1
     assert fit.theta[0][0] == pytest.approx((3 + 0.1) / (3 + K * 0.1))
@@ -170,7 +172,7 @@ def test_labeled_theta_single_label_forced_mass():
 def test_labeled_theta_forced_mass_two_topics():
     corpus = label_corpus(["Security\tw0 w1 w0", "Cloud\tw2"])
     hyper = LabeledLdaHyper(0.1, 0.1)
-    fit = run_chain(labeled_lda_sampler(corpus, hyper, SeededRng(1)), 3)
+    fit = run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(1)), 3)
     sec = corpus.meta_vocabulary.id("Security")
     assert fit.theta[0][sec] == pytest.approx((3 + 0.1) / (3 + 2 * 0.1))
     assert fit.topic_labels == ["Security", "Cloud"]
@@ -180,12 +182,12 @@ def test_labeled_rejects_unlabeled_document():
     corpus = label_corpus([" \tw0 w1", "A\tw2"])
     with pytest.raises(ValueError):
         hyper = LabeledLdaHyper()
-        run_chain(labeled_lda_sampler(corpus, hyper, SeededRng(0)), 1)
+        run_chain(LabeledLdaSampler(corpus, hyper, SeededRng(0)), 1)
 
 
 def test_labeled_chain_matches_enumerated_constrained_posterior():
     corpus = label_corpus(["A,B\tw0 w1", "B\tw1 w2", "A,B\tw0"])
-    sampler = labeled_lda_sampler(corpus, LabeledLdaHyper(1.0, 0.5), SeededRng(61))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(1.0, 0.5), SeededRng(61))
     supports = [topics for topics, doc in zip(sampler.allowed, corpus.docword) for _ in doc]
     exact = enumerated_posterior(corpus, supports, sampler.tables.n_topics, 1.0, 0.5)
     empirical = chain_frequencies(sampler, 500, 30000)
@@ -195,7 +197,7 @@ def test_labeled_chain_matches_enumerated_constrained_posterior():
 
 def test_labeled_never_assigns_inadmissible():
     corpus = label_corpus(["A\tw0 w1", "B\tw1 w2", "A,B\tw0 w2"])
-    sampler = labeled_lda_sampler(corpus, LabeledLdaHyper(), SeededRng(5))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(), SeededRng(5))
     for _ in range(20):
         sampler.sweep()
         sampler.check()
@@ -208,7 +210,7 @@ def test_labeled_never_assigns_inadmissible():
 
 def test_plda_single_admissible_cell_certain():
     corpus = label_corpus(["A\tw0 w1"])
-    sampler = plda_sampler(corpus, PldaHyper(1), SeededRng(0))
+    sampler = PldaSampler(corpus, PldaHyper(1), SeededRng(0))
     # probe the op contract directly: one admissible (label, topic) cell
     sampler.allowed[0] = [0]
     sampler.z[0] = [0, 0]
@@ -219,7 +221,7 @@ def test_plda_single_admissible_cell_certain():
 
 def test_plda_zero_counts_uniform_over_admissible():
     corpus = label_corpus(["A\tw0"])
-    sampler = plda_sampler(corpus, PldaHyper(2, 0.2, 0.3), SeededRng(0))
+    sampler = PldaSampler(corpus, PldaHyper(2, 0.2, 0.3), SeededRng(0))
     admissible = sampler.allowed[0]
     assert len(admissible) == 4
     assert lda_token_shares(sampler) == pytest.approx({t: 0.25 for t in admissible})
@@ -231,7 +233,7 @@ def test_plda_conditional_matches_oracle():
     for _ in range(6):
         corpus = label_corpus(lines)
         hyper = PldaHyper(2, 0.4, 0.15)
-        sampler = plda_sampler(corpus, hyper, rng)
+        sampler = PldaSampler(corpus, hyper, rng)
         K = sampler.tables.n_topics
         m = rng.randrange(3)
         n = rng.randrange(len(corpus.docword[m]))
@@ -246,7 +248,7 @@ def test_plda_conditional_matches_oracle():
 
 def test_plda_background_only_document_uses_background_block():
     corpus = label_corpus([" \tw0 w1", "A\tw2"])
-    sampler = plda_sampler(corpus, PldaHyper(2), SeededRng(2))
+    sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(2))
     background = range(sampler.tables.n_topics - 2, sampler.tables.n_topics)
     assert sampler.allowed[0] == list(background)
     assert {sampler.topic_labels[t] for t in background} == {BACKGROUND_LABEL}
@@ -258,14 +260,14 @@ def test_plda_background_only_document_uses_background_block():
 def test_plda_topic_labels_include_background_last():
     corpus = label_corpus(["A\tw0", "B\tw1"])
     hyper = PldaHyper(2)
-    fit = run_chain(plda_sampler(corpus, hyper, SeededRng(3)), 2)
+    fit = run_chain(PldaSampler(corpus, hyper, SeededRng(3)), 2)
     assert fit.topic_labels == ["A", "A", "B", "B",
                                 BACKGROUND_LABEL, BACKGROUND_LABEL]
 
 
 def test_plda_block_bookkeeping_recount():
     corpus = label_corpus(["A,B\tw0 w1 w2", "B\tw1 w3"])
-    sampler = plda_sampler(corpus, PldaHyper(2), SeededRng(4))
+    sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(4))
     for _ in range(10):
         sampler.sweep()
         for m, doc in enumerate(corpus.docword):
@@ -282,7 +284,7 @@ def test_plda_block_bookkeeping_recount():
 def test_plda_theta_phi_stochastic():
     corpus = label_corpus(["A\tw0 w1", "B\tw2"])
     hyper = PldaHyper(2)
-    fit = run_chain(plda_sampler(corpus, hyper, SeededRng(5)), 5)
+    fit = run_chain(PldaSampler(corpus, hyper, SeededRng(5)), 5)
     for row in fit.theta + fit.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
@@ -292,7 +294,7 @@ def test_plda_chain_matches_enumerated_posterior():
     # document lists its labels out of id order; the third is background
     # only, so its tokens have a single allowed topic and are never drawn.
     corpus = label_corpus(["A\tw0 w1", "B,A\tw1 w2", " \tw0 w2"])
-    sampler = plda_sampler(corpus, PldaHyper(1, 1.0, 0.5), SeededRng(67))
+    sampler = PldaSampler(corpus, PldaHyper(1, 1.0, 0.5), SeededRng(67))
     assert corpus.labels[1] == [1, 0]
     assert sampler.allowed == [[0, 2], [0, 1, 2], [2]]
     supports = [topics for topics, doc in zip(sampler.allowed, corpus.docword) for _ in doc]
@@ -352,7 +354,7 @@ def test_registry_samplers_pass_check_after_every_sweep(name, flags):
 
 def test_check_rejects_a_disallowed_or_uncounted_topic():
     corpus = label_corpus(["A\tw0 w1", "B\tw1 w2", "A,B\tw0 w2"])
-    sampler = labeled_lda_sampler(corpus, LabeledLdaHyper(), SeededRng(5))
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(), SeededRng(5))
     sampler.check()
     sampler.z[0][0] = 1  # label B, which document 0 does not carry
     vars(sampler).update(sampler._counts())  # the tables and word index are told
@@ -375,8 +377,8 @@ class CountingRng(SeededRng):
 
 
 @pytest.mark.parametrize("second, make", [
-    ("B", lambda corpus, rng: labeled_lda_sampler(corpus, LabeledLdaHyper(), rng)),
-    (" ", lambda corpus, rng: plda_sampler(corpus, PldaHyper(1), rng))],
+    ("B", lambda corpus, rng: LabeledLdaSampler(corpus, LabeledLdaHyper(), rng)),
+    (" ", lambda corpus, rng: PldaSampler(corpus, PldaHyper(1), rng))],
     ids=["labeled-lda-one-label", "plda-background-only"])
 def test_single_topic_documents_make_no_draw(second, make):
     corpus = label_corpus(["A,B\tw0 w1 w2", second + "\tw1 w2 w3 w3"])
