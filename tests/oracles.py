@@ -91,6 +91,35 @@ def atm_joint_log(docword, x, z, n_authors, K, V, alpha, beta):
     return ll
 
 
+def hdp_joint_log(docword, token_table, table_topic, V, alpha0, beta, gamma):
+    """Collapsed log joint of an HDP seating (Teh, Jordan, Beal & Blei,
+    JASA 2006) up to seating-independent constants: the Chinese restaurant
+    franchise's prior times each topic's Dirichlet-multinomial marginal.
+    Token n of document m sits at table token_table[m][n], which serves
+    topic table_topic[m][t]; the labels are arbitrary, so the joint depends
+    only on the partitions they make.  Each document seats its tokens by a
+    Chinese restaurant process (alpha0), and the franchise gives each table
+    its dish by another over every table of the corpus (gamma)."""
+    m_k, n_kv = Counter(), {}
+    ll = 0.0
+    for doc, seats, served in zip(docword, token_table, table_topic):
+        for t, k in enumerate(served):
+            ll += math.log(alpha0) + math.lgamma(seats.count(t))
+            m_k[k] += 1
+        for n, v in enumerate(doc):
+            row = n_kv.setdefault(served[seats[n]], [0] * V)
+            row[v] += 1
+    m_total = sum(m_k.values())
+    ll -= math.log(rising(gamma, m_total))
+    for k, m in m_k.items():
+        ll += math.log(gamma) + math.lgamma(m)
+        row = n_kv[k]
+        for c in row:
+            ll += math.lgamma(c + beta) - math.lgamma(beta)
+        ll += math.lgamma(V * beta) - math.lgamma(sum(row) + V * beta)
+    return ll
+
+
 # ---------------------------------------------------------------------------
 # per-equation scalar oracles; inputs are plain count arrays with the item
 # under resampling already excluded

@@ -1,3 +1,5 @@
+import itertools
+import math
 import pickle
 
 import pytest
@@ -8,6 +10,7 @@ from topicmodels.corpus import parse_plain
 from topicmodels.hdp import HdpHyper, HdpSampler
 
 from first_draw import assert_shares_match, first_draw_shares, move_to_front
+from oracles import hdp_joint_log, tv_distance
 
 
 def toy_corpus(rng, n_docs=6, v=5, max_len=5):
@@ -229,3 +232,61 @@ def test_fit_reports_surviving_topic_count():
     assert len(fitted.phi) == sampler.n_topics
     for row in fitted.theta + fitted.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
+
+
+def restricted_growth(n):
+    """Every partition of n items as labels 0, 1, ... in order of first use."""
+    if n == 0:
+        yield ()
+        return
+    for head in restricted_growth(n - 1):
+        for label in range(max(head, default=-1) + 2):
+            yield (*head, label)
+
+
+def seating_key(token_table, table_topic):
+    """A seating with its table and topic labels taken out: each document's
+    tables relabelled in order of first use by its tokens, then the topics
+    relabelled in order of first use by the tables, documents in order."""
+    seats, dishes = [], []
+    for tt, served in zip(token_table, table_topic):
+        first = {}
+        seats.append(tuple(first.setdefault(t, len(first)) for t in tt))
+        dishes.extend(served[t] for t in first)
+    first = {}
+    return tuple(seats), tuple(first.setdefault(k, len(first)) for k in dishes)
+
+
+def test_chain_matches_enumerated_posterior():
+    # four tokens in two documents: every label-free seating (each
+    # document's table partition, then a dish partition of all the tables,
+    # 27 in all) against the franchise's collapsed joint.  A new-table weight
+    # without its alpha0 settles at TV 0.058-0.060 here (two seeds), this
+    # chain at 0.008-0.012 (eight seeds)
+    corpus = parse_plain(["a b", "a c"])
+    alpha0, beta, gamma = 0.8, 0.5, 0.6
+    exact = {}
+    for seats in itertools.product(*(restricted_growth(len(doc)) for doc in corpus.docword)):
+        n_tables = [max(s) + 1 for s in seats]
+        for dishes in restricted_growth(sum(n_tables)):
+            served = [list(dishes[:n_tables[0]]), list(dishes[n_tables[0]:])]
+            key = seating_key(seats, served)
+            assert key == (seats, dishes)
+            exact[key] = math.exp(hdp_joint_log(corpus.docword, seats, served, corpus.n_words,
+                                                alpha0, beta, gamma))
+    assert len(exact) == 27
+    total = sum(exact.values())
+    exact = {key: p / total for key, p in exact.items()}
+
+    sampler = HdpSampler(corpus, HdpHyper(2, alpha0, beta, gamma), SeededRng(31))
+    for _ in range(200):
+        sampler.sweep()
+    sweeps, counts = 40000, {}
+    for _ in range(sweeps):
+        sampler.sweep()
+        key = seating_key(sampler.token_table, sampler.table_topic)
+        counts[key] = counts.get(key, 0) + 1
+    sampler.check()
+    empirical = {key: c / sweeps for key, c in counts.items()}
+    assert set(empirical) <= set(exact)
+    assert tv_distance(empirical, exact) < 0.02
