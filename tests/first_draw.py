@@ -50,9 +50,9 @@ class ScriptedRng:
             raise ScriptEnd from None
 
 
-def first_draw_shares(run, read, prefix=()) -> dict:
+def first_draw_shares(run, read, prefix=(), suffix=()) -> dict:
     """Each outcome's share of [0, 1) for the draw that gets the uniform
-    after ``prefix``.
+    after ``prefix``; ``suffix`` scripts the uniforms of the draws after it.
 
     ``run(rng)`` puts the state back as it was and runs the kernel on
     ``rng``, which stops it (``ScriptEnd``) at the first uniform past the
@@ -60,7 +60,7 @@ def first_draw_shares(run, read, prefix=()) -> dict:
     """
     def outcome(u):
         try:
-            run(ScriptedRng([*prefix, u]))
+            run(ScriptedRng([*prefix, u, *suffix]))
         except ScriptEnd:
             pass
         return read()

@@ -4,8 +4,7 @@ import pickle
 
 import pytest
 
-from topicmodels import hdp
-from topicmodels.core import SeededRng, run_chain, sample_categorical
+from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.hdp import HdpHyper, HdpSampler
 
@@ -57,20 +56,28 @@ def check_franchise_invariants(sampler):
     assert sum(sampler.n_k) == corpus.n_tokens
 
 
-def first_token_shares(sampler, monkeypatch):
+def first_token_shares(sampler):
     """The shares of the first two draws of a sweep, for token 0 of document 0:
     its table (the document's tables once it has left them, then a new table)
     and, where a new table has a share, that table's dish (the live topics,
     then a new topic), else None.  The sampler is left as it was."""
-    # the draws are read off sample_categorical, not off the seating plan:
-    # the next token's removal can renumber the document's tables
-    drawn = []
+    # the draws are read as sweep() writes them, the table as the token is
+    # seated and the dish as its new table opens, not off the seating plan
+    # afterwards: the next token's removal can renumber the document's
+    # tables and the topics
+    drawn = {}
 
-    def recording(weights, rng):
-        drawn.append(sample_categorical(weights, rng))
-        return drawn[-1]
+    class Seats(list):
+        def __setitem__(self, n, t):
+            if n == 0:
+                drawn.setdefault("table", t)
+            super().__setitem__(n, t)
 
-    monkeypatch.setattr(hdp, "sample_categorical", recording)
+    class Served(list):
+        def append(self, k):
+            drawn.setdefault("dish", k)
+            super().append(k)
+
     counts = sampler._counts(sampler.n_topics)
     vars(sampler).update(counts)
     state = pickle.dumps({"token_table": sampler.token_table,
@@ -83,16 +90,19 @@ def first_token_shares(sampler, monkeypatch):
     def run(script):
         restore()
         drawn.clear()
+        sampler.token_table[0] = Seats(sampler.token_table[0])
+        sampler.table_topic[0] = Served(sampler.table_topic[0])
         sampler.rng = script
         sampler.sweep()
 
     seats = sampler.token_table[0]
     new_table = len(sampler.table_topic[0]) - (seats.count(seats[0]) == 1)
-    tables = first_draw_shares(run, lambda: drawn[0])
+    # a uniform for the dish draw that follows a new table
+    tables = first_draw_shares(run, lambda: drawn["table"], suffix=(0.5,))
     dishes = None
     if tables.get(new_table, 0.0) > 0.0:
         # the first uniform lands in the new table's interval, the last one
-        dishes = first_draw_shares(run, lambda: drawn[1] if drawn[0] == new_table else None,
+        dishes = first_draw_shares(run, lambda: drawn.get("dish"),
                                    prefix=(1.0 - tables[new_table] / 2,))
     restore()
     sampler.rng = rng
@@ -106,27 +116,27 @@ def put_token_first(sampler, m, n):
         move_to_front(seq, n)
 
 
-def test_table_weights_single_table_alpha_zero(monkeypatch):
+def test_table_weights_single_table_alpha_zero():
     # at alpha0 = 0 the new table (index 1, after the one open table) gets no share
     corpus = parse_plain(["a a a", "b b"])
     hyper = HdpHyper(1, alpha0=0.0, beta=0.1, gamma=0.5)
     sampler = HdpSampler(corpus, hyper, SeededRng(1))
     assert sampler.table_count[0] == [3]
-    tables, dishes = first_token_shares(sampler, monkeypatch)
+    tables, dishes = first_token_shares(sampler)
     assert tables == {0: 1.0} and dishes is None
 
 
-def test_table_weights_no_tables_forces_new(monkeypatch):
+def test_table_weights_no_tables_forces_new():
     # doc 0's only token: its table dies, so the new table (index 0) gets all
     corpus = parse_plain(["a", "b c"])
     sampler = HdpSampler(corpus, HdpHyper(2), SeededRng(2))
-    tables, _ = first_token_shares(sampler, monkeypatch)
+    tables, _ = first_token_shares(sampler)
     remove_token(sampler, 0, 0)
     assert sampler.table_topic[0] == []
     assert tables == {0: 1.0}
 
 
-def test_table_and_topic_weights_match_hand_evaluation(monkeypatch):
+def test_table_and_topic_weights_match_hand_evaluation():
     rng = SeededRng(71)
     for _ in range(6):
         corpus = toy_corpus(rng)
@@ -137,7 +147,7 @@ def test_table_and_topic_weights_match_hand_evaluation(monkeypatch):
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
         put_token_first(sampler, m, n)
-        tables, dishes = first_token_shares(sampler, monkeypatch)
+        tables, dishes = first_token_shares(sampler)
         v = remove_token(sampler, 0, 0)
         K = sampler.n_topics
         V = corpus.n_words
@@ -156,17 +166,17 @@ def test_table_and_topic_weights_match_hand_evaluation(monkeypatch):
         assert_shares_match(dishes, want_topics, rel=1e-12)
 
 
-def test_topic_weights_no_live_topics_forces_new(monkeypatch):
+def test_topic_weights_no_live_topics_forces_new():
     # the corpus's only token: its topic dies, so the new topic (index 0) gets all
     corpus = parse_plain(["a"])
     sampler = HdpSampler(corpus, HdpHyper(1), SeededRng(3))
-    tables, dishes = first_token_shares(sampler, monkeypatch)
+    tables, dishes = first_token_shares(sampler)
     remove_token(sampler, 0, 0)
     assert sampler.n_topics == 0
     assert tables == {0: 1.0} and dishes == {0: 1.0}
 
 
-def test_gamma_zero_never_spawns_topics(monkeypatch):
+def test_gamma_zero_never_spawns_topics():
     # at gamma = 0 a new table's dish is never a new topic
     rng = SeededRng(5)
     corpus = toy_corpus(rng, n_docs=8)
@@ -177,7 +187,7 @@ def test_gamma_zero_never_spawns_topics(monkeypatch):
         sampler.sweep()
         assert sampler.n_topics <= start
         if sweep % 5 == 4:
-            _, dishes = first_token_shares(sampler, monkeypatch)
+            _, dishes = first_token_shares(sampler)
             # the new topic's index: the live topics once the token has left
             seats, served = sampler.token_table[0], sampler.table_topic[0]
             alone = seats.count(seats[0]) == 1 and sampler.m_k[served[seats[0]]] == 1
