@@ -9,15 +9,20 @@ compacted away the moment they empty, so live indices stay contiguous:
   table_count[m][t]  tokens currently seated at that table
   n_kv / n_k         topic-word and topic-total token counts
   m_k / m_total      tables serving topic k, and all tables
+  word_topics[v]     topic -> n_kv for each topic holding word v (the word index)
+  inv_norm[k]        1/(n_k + V beta), cached per topic
 """
 
 import random
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate, compress
+from operator import mul
 
-from .core import (counts_from_assignments, record, require_at_least, require_nonnegative,
-                   require_positive, require_recount, sample_categorical)
+from .core import (counts_from_assignments, fold_sum, record, require_at_least,
+                   require_nonnegative, require_positive, require_recount)
 from .corpus import Corpus
-from .lda import FittedLda, estimate_theta, smoothed_rows
+from .lda import FittedLda, estimate_theta, smoothed_rows, word_topic_index
 
 
 @record(frozen=True)
@@ -74,14 +79,17 @@ class HdpSampler:
         for m, (tt, seats) in enumerate(zip(self.table_topic, self.token_table)):
             if not all(0 <= t < len(tt) for t in seats):
                 raise ValueError(f"doc {m}: a token sits at a table that does not exist")
-        tokens = counts_from_assignments(self.corpus.docword, self._token_topics(), n_topics,
-                                         self.n_words)
+        topics = self._token_topics()
+        tokens = counts_from_assignments(self.corpus.docword, topics, n_topics, self.n_words)
         served = Counter(k for tt in self.table_topic for k in tt)
+        v_beta = self.n_words * self.hyper.beta
         return {"table_count": [[seats.count(t) for t in range(len(tt))]
                                 for tt, seats in zip(self.table_topic, self.token_table)],
                 "n_kv": tokens.topic_word, "n_k": tokens.topic_total,
                 "m_k": [served[k] for k in range(n_topics)],
-                "m_total": sum(map(len, self.table_topic))}
+                "m_total": sum(map(len, self.table_topic)),
+                "word_topics": word_topic_index(self.corpus.docword, topics, self.n_words),
+                "inv_norm": [1.0 / (n + v_beta) for n in tokens.topic_total]}
 
     def check(self) -> None:
         """Check the counts against a recount of the seating plan, and that
@@ -98,16 +106,16 @@ class HdpSampler:
     def _delete_topic(self, k: int) -> None:
         last = self.n_topics - 1
         if k != last:
-            self.n_kv[k] = self.n_kv[last]
-            self.n_k[k] = self.n_k[last]
-            self.m_k[k] = self.m_k[last]
+            for table in (self.n_kv, self.n_k, self.m_k, self.inv_norm):
+                table[k] = table[last]
             for tt in self.table_topic:
                 for t, topic in enumerate(tt):
                     if topic == last:
                         tt[t] = k
-        self.n_kv.pop()
-        self.n_k.pop()
-        self.m_k.pop()
+            for wt in compress(self.word_topics, self.n_kv[k]):
+                wt[k] = wt.pop(last)
+        for table in (self.n_kv, self.n_k, self.m_k, self.inv_norm):
+            table.pop()
 
     def _delete_table(self, m: int, t: int) -> None:
         k = self.table_topic[m][t]
@@ -129,6 +137,7 @@ class HdpSampler:
         self.n_kv.append([0] * self.n_words)
         self.n_k.append(0)
         self.m_k.append(0)
+        self.inv_norm.append(1.0 / (self.n_words * self.hyper.beta))
         return self.n_topics - 1
 
     def _new_table(self, m: int, k: int) -> int:
@@ -146,54 +155,91 @@ class HdpSampler:
         With the token removed, f_k(v) = (n_kv + beta)/(n_k + V beta) for a
         live topic and 1/V for a new one.  The token sits at table t of its
         document with weight n_mt f_{k_mt}(v), or at a new table with weight
-          alpha0 (sum_k m_k/(m_total + gamma) f_k(v) + gamma/(m_total + gamma) 1/V)
+          alpha0 (sum_k m_k f_k(v) + gamma/V) / (m_total + gamma)
         and a new table serves topic k with weight m_k f_k(v), or a new topic
-        with weight gamma/V; each live topic's f_k(v) is computed once for
-        both draws.  The structural edits swap the last table or topic into a
-        freed slot, in place, so the lists held here stay the sampler's own.
+        with weight gamma/V.
+
+        The draws are bucketed as in SparseLDA (Yao, Mimno & McCallum, KDD
+        2009).  With S = sum_k m_k/(n_k + V beta) over every live topic,
+          sum_k m_k f_k(v) = beta S + sum_{k in word_topics[v]} m_k n_kv/(n_k + V beta),
+        so a draw walks only the document's tables and the word's topics.  S
+        is a running total, summed afresh at the start of each document so
+        that round-off cannot build up.  A new table's dish comes from the
+        word bucket first, then the smoothing bucket beta m_k/(n_k + V beta)
+        by a bisect over its running sums, then the new topic.  Where
+        round-off runs a walk past its end, the draw takes the walk's last
+        outcome with weight.  The structural edits swap the last table or
+        topic into a freed slot, in place, so the lists held here stay the
+        sampler's own.
         """
         n_kv, n_k, m_k = self.n_kv, self.n_k, self.m_k
+        word_topics, inv_norm = self.word_topics, self.inv_norm
         beta, gamma, alpha0 = self.hyper.beta, self.hyper.gamma, self.hyper.alpha0
-        inv_v = 1.0 / self.n_words
         v_beta = self.n_words * beta
-        new_topic = gamma * inv_v
-        rng = self.rng
+        new_topic = gamma / self.n_words
+        rng_random = self.rng.random
         for m, doc in enumerate(self.corpus.docword):
             seats = self.token_table[m]
             table_topic = self.table_topic[m]
             table_count = self.table_count[m]
+            smooth = fold_sum(map(mul, m_k, inv_norm))  # S
             for n, v in enumerate(doc):
                 t = seats[n]
                 k = table_topic[t]
+                wt = word_topics[v]
                 n_kv[k][v] -= 1
-                n_k[k] -= 1
+                left = wt[k] - 1
+                if left:
+                    wt[k] = left
+                else:
+                    del wt[k]
+                total = n_k[k] - 1
+                n_k[k] = total
+                inv = 1.0 / (total + v_beta)
+                smooth += m_k[k] * (inv - inv_norm[k])
+                inv_norm[k] = inv
                 table_count[t] -= 1
                 if table_count[t] == 0:
+                    smooth -= inv
                     self._delete_table(m, t)
 
-                denom = self.m_total + gamma
-                acc = gamma / denom * inv_v
-                f = []
-                append = f.append
-                for mk, row, nk in zip(m_k, n_kv, n_k):
-                    fk = (row[v] + beta) / (nk + v_beta)
-                    append(fk)
-                    acc += mk / denom * fk
-                weights = [c * f[k] for c, k in zip(table_count, table_topic)]
-                weights.append(alpha0 * acc)
-                choice = sample_categorical(weights, rng)
+                word = 0.0
+                for k, c in wt.items():
+                    word += m_k[k] * c * inv_norm[k]
+                mass = word + beta * smooth + new_topic
+                weights = [c * (n_kv[k][v] + beta) * inv_norm[k]
+                           for c, k in zip(table_count, table_topic)]
+                weights.append(alpha0 * mass / (self.m_total + gamma))
+                cumulative = list(accumulate(weights))
+                choice = bisect_right(cumulative, rng_random() * cumulative[-1])
+                if choice == len(weights):
+                    choice = max(i for i, w in enumerate(weights) if w)
                 if choice == len(table_topic):
-                    weights = [mk * fk for mk, fk in zip(m_k, f)]
-                    weights.append(new_topic)
-                    k = sample_categorical(weights, rng)
-                    if k == self.n_topics:
-                        k = self._new_topic()
+                    u = rng_random() * mass
+                    if u < word:
+                        for k, c in wt.items():
+                            u -= m_k[k] * c * inv_norm[k]
+                            if u < 0.0:
+                                break
+                    else:
+                        u = (u - word) / beta
+                        if m_k and (u < smooth or not gamma):
+                            j = bisect_right(list(accumulate(map(mul, m_k, inv_norm))), u)
+                            k = min(j, len(m_k) - 1)
+                        else:
+                            k = self._new_topic()
                     choice = self._new_table(m, k)
+                    smooth += inv_norm[k]
                 k = table_topic[choice]
                 seats[n] = choice
                 table_count[choice] += 1
                 n_kv[k][v] += 1
-                n_k[k] += 1
+                wt[k] = wt.get(k, 0) + 1
+                total = n_k[k] + 1
+                n_k[k] = total
+                inv = 1.0 / (total + v_beta)
+                smooth += m_k[k] * (inv - inv_norm[k])
+                inv_norm[k] = inv
 
     def estimate(self) -> FittedLda:
         tokens = counts_from_assignments(self.corpus.docword, self._token_topics(),

@@ -201,10 +201,10 @@ GOLDEN_SHORT_TEXT = {
         "BTM_topic_word_3.txt":
         "b4539cc2ed48c8268266d43d287c8f40870f2dca6f78001419fa5453b4f9f2c5"}),
     "hdp": (["-k", "3", "--alpha", "1.0", "--gamma", "1.0"], {
-        "HDP_doc_topic7.txt":
-        "9163aa5a9c6862cb858de593e59a919113de87e244460aa01ad2b3b7c1c483d7",
-        "HDP_topic_word_7.txt":
-        "8bfa9f935c70964decb0c2cc541ab061e943c2808ca2db5b635a2545431f4094"}),
+        "HDP_doc_topic6.txt":
+        "d23508b58fd23ea23d2fa6d2d86de75cb5d9154a881f2005ae5c8db69f35011a",
+        "HDP_topic_word_6.txt":
+        "f96e920231a7efc4efa9624ca9b4fd254b1e5a9bc17340983ad4b779ac9bba67"}),
 }
 
 
@@ -870,7 +870,7 @@ def test_learnt_counts_are_reported_on_stderr(tmp_path, capsys):
     corpus = tmp_path / "golden.txt"
     corpus.write_text(GOLDEN)
     for model, flags, line in (
-            ("hdp", ["--alpha", "1.0", "--gamma", "1.0"], "hdp: converged to 7 topics\n"),
+            ("hdp", ["--alpha", "1.0", "--gamma", "1.0"], "hdp: converged to 6 topics\n"),
             ("dpmm", ["-k", "2", "--alpha", "2", "--beta", "0.2"],
              "dpmm: converged to 5 clusters\n")):
         assert run(["eval", "--model", model, "--input", corpus, *flags, "--iterations", "20",

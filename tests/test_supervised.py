@@ -342,10 +342,10 @@ def test_registry_samplers_pass_check_after_every_sweep(name, flags):
     spec = cli.MODELS[name]
     corpus = tiny_corpus(spec.layout)
     sampler = spec.sampler(corpus, spec.hyper(**flags), SeededRng(5))
-    # the LDA chains (the label models too), ptm, btm and link-lda run a bucketed
-    # draw at any K, with its word index
+    # the LDA chains (the label models too), ptm, btm, link-lda and hdp run a
+    # bucketed draw at any K, with its word index
     assert ((getattr(sampler, "word_topics", None) is not None)
-            == (name in ("lda-gibbs", "labeled-lda", "plda", "ptm", "btm", "link-lda")))
+            == (name in ("lda-gibbs", "labeled-lda", "plda", "ptm", "btm", "link-lda", "hdp")))
     sampler.check()
     for _ in range(8):
         sampler.sweep()
