@@ -263,15 +263,23 @@ def log_unit_weights(logs: Sequence[float], rows: Sequence[Sequence[int]],
     cluster, a sentence to a Sentence-LDA topic, a document's topic counts
     to a PTM pseudo document.  b and B are the offsets of ``item_logs`` and
     ``total_logs``; an item seen once adds log(rows[k][v] + b), the float
-    the memo holds.  A caller passes logs[k] = -inf for a candidate with no
-    prior mass, so no log of 0 is taken here.
+    the memo holds, and log(b) itself where the count is 0 (0 + b == b, so
+    it is the same float).  A caller passes logs[k] = -inf for a candidate
+    with no prior mass, so no log of 0 is taken here.
     """
     b = item_logs.offset
+    log_b = item_logs[0, 1]
     log = math.log
     out = []
     for lw, row, total in zip(logs, rows, totals):
         for v, c in items:
-            lw += log(row[v] + b) if c == 1 else item_logs[row[v], c]
+            x = row[v]
+            if c != 1:
+                lw += item_logs[x, c]
+            elif x:
+                lw += log(x + b)
+            else:
+                lw += log_b
         out.append(lw - total_logs[total, n])
     return out
 

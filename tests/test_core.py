@@ -4,7 +4,7 @@ import pytest
 
 from topicmodels.core import (MAX_PRIOR, MISSING, CountTables, LogRisingMemo, SamplingError,
                               SeededRng, counts_from_assignments, exp_normalize, fields, fold_sum,
-                              log_rising_factorial, record, require_at_least,
+                              log_rising_factorial, log_unit_weights, record, require_at_least,
                               require_nonnegative, require_positive, run_chain,
                               sample_categorical)
 
@@ -101,6 +101,28 @@ def test_log_rising_memo_keeps_the_domain_check():
     with pytest.raises(ValueError):
         memo[0, 2]
     assert len(memo) == 0
+
+
+def test_log_unit_weights_equal_the_direct_formula_bit_for_bit():
+    # rows mixing zero and nonzero counts, items seen once and more often,
+    # a candidate with no prior mass, and DPMM's all-zero new-cluster row
+    rng = SeededRng(12)
+    V = 7
+    for b, B in ((0.01, V * 0.01), (0.5, V * 0.5), (1e-12, 2.5)):
+        item_logs, total_logs = LogRisingMemo(b), LogRisingMemo(B)
+        for _ in range(20):
+            rows = [[rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(V)] for _ in range(4)]
+            rows.append([0] * V)
+            totals = [sum(row) for row in rows]
+            logs = [math.log(rng.random() + 0.1) for _ in rows[:-2]] + [-math.inf, 0.0]
+            items = sorted({v: rng.choice((1, 1, 2, 3)) for v in rng.sample(range(V), 4)}.items())
+            n = sum(c for _, c in items)
+            want = []
+            for lw, row, total in zip(logs, rows, totals):
+                for v, c in items:
+                    lw += log_rising_factorial(row[v] + b, c)
+                want.append(lw - log_rising_factorial(total + B, n))
+            assert log_unit_weights(logs, rows, totals, items, n, item_logs, total_logs) == want
 
 
 def test_require_positive_names_the_parameter():
