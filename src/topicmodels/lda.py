@@ -18,7 +18,7 @@ hard assignment z with a per-token responsibility vector.
 import random
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .core import (CountTables, counts_from_assignments, expected_counts, fold_sum,
                    record, require_at_least, require_positive, require_recount)
@@ -52,12 +52,19 @@ def smoothed_rows(counts, totals, smooth: float) -> list:
     """Rows of (count + smooth) / (total + dim * smooth); each row is stochastic.
 
     Each row is an ``array('d')``: the same doubles at 8 bytes a cell, not
-    the 40 of a list slot and its float object.
+    the 40 of a list slot and its float object.  A row starts as
+    smooth / denom in every cell, and only its nonzero counts are computed:
+    0 + smooth and -0.0 + smooth are both smooth, so every cell is the
+    double the formula gives.  An empty row (a link vocabulary of none)
+    has a denominator of 0 and no cell to fill.
     """
     out = []
     for row, total in zip(counts, totals):
         denom = total + len(row) * smooth
-        out.append(array("d", [(c + smooth) / denom for c in row]))
+        cells = array("d", [smooth / denom] if row else []) * len(row)
+        for i in compress(range(len(row)), row):
+            cells[i] = (row[i] + smooth) / denom
+        out.append(cells)
     return out
 
 
