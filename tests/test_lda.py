@@ -315,6 +315,17 @@ def test_phi_estimate_allocates_eight_bytes_a_cell():
     assert peak < 12 * K * V, peak / (K * V)
 
 
+def test_smoothed_rows_equal_the_formula_bit_for_bit():
+    # integer and float counts, zeros of both signs, an all-zero row and an
+    # empty one (a link vocabulary of none)
+    counts = [[0, 3, 0, 1], [0.0, -0.0, 2.5, 1e-17], [0, 0, 0], []]
+    totals = [4, 2.5 + 1e-17, 0, 0]
+    for smooth in (0.01, 0.5, 1e-12):
+        want = [[(c + smooth) / (t + len(row) * smooth) for c in row]
+                for row, t in zip(counts, totals)]
+        assert [row.tolist() for row in lda.smoothed_rows(counts, totals, smooth)] == want
+
+
 @pytest.mark.parametrize("gamma, doc", [
     ([[[0.5, 0.5]], [[0.5, 0.5]] * 2], 0),          # one row for three tokens
     ([[[0.5, 0.5]] * 3, [[0.5, 0.5], [1.0]]], 1),   # a row of one topic
