@@ -75,7 +75,8 @@ class HdpSampler:
         return [[tt[t] for t in seats] for tt, seats in zip(self.table_topic, self.token_table)]
 
     def _counts(self, n_topics: int) -> dict:
-        """The counts of the seating plan over ``n_topics`` topics, by attribute name."""
+        """The counts of the seating plan over ``n_topics`` topics, with its
+        word index and the 1/(n_k + V beta) cache, by attribute name."""
         for m, (tt, seats) in enumerate(zip(self.table_topic, self.token_table)):
             if not all(0 <= t < len(tt) for t in seats):
                 raise ValueError(f"doc {m}: a token sits at a table that does not exist")
