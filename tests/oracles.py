@@ -120,6 +120,35 @@ def hdp_joint_log(docword, token_table, table_topic, V, alpha0, beta, gamma):
     return ll
 
 
+def dpmm_joint_log(docword, z, V, alpha, beta):
+    """Collapsed log joint of a DPMM clustering (Neal, JCGS 2000) up to
+    clustering-independent constants: the Chinese restaurant process prior
+    (alpha) over the documents times each cluster's Dirichlet-multinomial
+    marginal of its words (beta).  The labels z are arbitrary, so the joint
+    depends only on the partition they make."""
+    members = {}
+    for doc, k in zip(docword, z):
+        members.setdefault(k, []).append(doc)
+    ll = 0.0
+    for docs in members.values():
+        ll += math.log(alpha) + math.lgamma(len(docs))
+        n_kv = Counter(v for doc in docs for v in doc)
+        for c in n_kv.values():
+            ll += math.lgamma(c + beta) - math.lgamma(beta)
+        ll += math.lgamma(V * beta) - math.lgamma(sum(n_kv.values()) + V * beta)
+    return ll
+
+
+def restricted_growth(n):
+    """Every partition of n items as labels 0, 1, ... in order of first use."""
+    if n == 0:
+        yield ()
+        return
+    for head in restricted_growth(n - 1):
+        for label in range(max(head, default=-1) + 2):
+            yield (*head, label)
+
+
 # ---------------------------------------------------------------------------
 # per-equation scalar oracles; inputs are plain count arrays with the item
 # under resampling already excluded

@@ -9,7 +9,7 @@ from topicmodels.corpus import parse_plain
 from topicmodels.hdp import HdpHyper, HdpSampler
 
 from first_draw import assert_shares_match, first_draw_shares, move_to_front
-from oracles import hdp_joint_log, tv_distance
+from oracles import hdp_joint_log, restricted_growth, tv_distance
 
 
 def toy_corpus(rng, n_docs=6, v=5, max_len=5):
@@ -242,16 +242,6 @@ def test_fit_reports_surviving_topic_count():
     assert len(fitted.phi) == sampler.n_topics
     for row in fitted.theta + fitted.phi:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
-
-
-def restricted_growth(n):
-    """Every partition of n items as labels 0, 1, ... in order of first use."""
-    if n == 0:
-        yield ()
-        return
-    for head in restricted_growth(n - 1):
-        for label in range(max(head, default=-1) + 2):
-            yield (*head, label)
 
 
 def seating_key(token_table, table_topic):

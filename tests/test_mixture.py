@@ -8,8 +8,8 @@ from topicmodels.corpus import parse_plain
 from topicmodels.mixture import DmmSampler, DpmmSampler, MixtureHyper
 
 from first_draw import assert_shares_match, cluster_doc_shares
-from oracles import (assert_close_distribution, dmm_doc_oracle, dpmm_doc_oracle, normalize,
-                     rising, tv_distance)
+from oracles import (assert_close_distribution, dmm_doc_oracle, dpmm_doc_oracle, dpmm_joint_log,
+                     normalize, restricted_growth, rising, tv_distance)
 
 
 def dmm_joint_log(docword, z, K, V, alpha, beta):
@@ -147,6 +147,36 @@ def test_dmm_chain_matches_enumerated_posterior():
         counts[key] = counts.get(key, 0) + 1
     empirical = {k: c / sweeps for k, c in counts.items()}
     assert tv_distance(empirical, exact) < 0.05
+
+
+def test_dpmm_chain_matches_enumerated_posterior():
+    # four documents, one repeating a word: every set partition (Bell number
+    # 15) against the Chinese restaurant process prior times each cluster's
+    # Dirichlet-multinomial marginal.  Cluster labels are taken out by
+    # relabelling z in order of first use.  A live-cluster weight of n_k + a
+    # settles at TV 0.116-0.122 here, a new-cluster weight without its a at
+    # 0.077-0.078 (two seeds each), this chain at 0.007-0.012 (four seeds)
+    corpus = parse_plain(["a b", "a a", "c", "b c"])
+    alpha, beta = 0.8, 0.5
+    exact = {labels: math.exp(dpmm_joint_log(corpus.docword, labels, corpus.n_words, alpha, beta))
+             for labels in restricted_growth(corpus.n_docs)}
+    assert len(exact) == 15
+    total = sum(exact.values())
+    exact = {key: p / total for key, p in exact.items()}
+
+    sampler = DpmmSampler(corpus, MixtureHyper(2, alpha, beta), SeededRng(41))
+    for _ in range(200):
+        sampler.sweep()
+    sweeps, counts = 30000, {}
+    for _ in range(sweeps):
+        sampler.sweep()
+        first = {}
+        key = tuple(first.setdefault(k, len(first)) for k in sampler.z)
+        counts[key] = counts.get(key, 0) + 1
+    sampler.check()
+    empirical = {key: c / sweeps for key, c in counts.items()}
+    assert set(empirical) <= set(exact)
+    assert tv_distance(empirical, exact) < 0.02
 
 
 def test_dpmm_first_document_always_births():
