@@ -9,7 +9,8 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import sub
 from typing import NamedTuple, Sequence
 
 
@@ -252,42 +253,44 @@ class LogRisingMemo(dict):
         return value
 
 
-def log_unit_weights(logs: Sequence[float], rows: Sequence[Sequence[int]],
-                     totals: Sequence[int], items: Sequence[tuple], n: int,
-                     item_logs: LogRisingMemo, total_logs: LogRisingMemo) -> list[float]:
-    """Per candidate k, logs[k] + sum over (v, c) in ``items`` of
-    log rising(rows[k][v] + b, c), minus log rising(totals[k] + B, n).
+def log_unit_weights(logs: Sequence[float], index: Sequence[dict], totals: Sequence[int],
+                     items: Sequence[tuple], n: int, item_logs: LogRisingMemo,
+                     total_logs: LogRisingMemo) -> list[float]:
+    """Per candidate k, logs[k] - log rising(totals[k] + B, n), plus
+    log rising(x + b, c) - log rising(b, c) for each (v, c) in ``items``
+    whose word index ``index[v]`` (candidate -> count) holds k at count x.
 
     The log weight, up to a constant, of giving one label to a whole unit
     of n tokens with multiset ``items``: a document to a DMM or DPMM
     cluster, a sentence to a Sentence-LDA topic, a document's topic counts
     to a PTM pseudo document.  b and B are the offsets of ``item_logs`` and
-    ``total_logs``; an item seen once adds log(rows[k][v] + b), the float
-    the memo holds, and log(b) itself where the count is 0 (0 + b == b, so
-    it is the same float).  A caller passes logs[k] = -inf for a candidate
-    with no prior mass, so no log of 0 is taken here.
+    ``total_logs``.  It is the full log weight
+      logs[k] + sum over (v, c) of log rising(n_kv + b, c) - log rising(totals[k] + B, n)
+    minus sum over (v, c) of log rising(b, c), which is the same for every
+    candidate and cancels when the weights are normalised: a candidate that
+    holds none of the unit's words takes only its first two terms, computed
+    at C speed, and the index adds the rest for the candidates it names.
+    A word seen once adds log(x + b) - log(b), the floats the memo holds.
+    A caller passes logs[k] = -inf for a candidate with no prior mass, so
+    no log of 0 is taken here.
     """
+    out = list(map(sub, logs, map(total_logs.__getitem__, zip(totals, repeat(n)))))
     b = item_logs.offset
-    log_b = item_logs[0, 1]
     log = math.log
-    out = []
-    for lw, row, total in zip(logs, rows, totals):
-        for v, c in items:
-            x = row[v]
-            if c != 1:
-                lw += item_logs[x, c]
-            elif x:
-                lw += log(x + b)
-            else:
-                lw += log_b
-        out.append(lw - total_logs[total, n])
+    for v, c in items:
+        base = item_logs[0, c]
+        if c == 1:
+            for k, x in index[v].items():
+                out[k] += log(x + b) - base
+        else:
+            for k, x in index[v].items():
+                out[k] += item_logs[x, c] - base
     return out
 
 
 def exp_normalize(log_weights: Sequence[float]) -> list[float]:
     """Turn log weights into weights, subtracting the max first so nothing overflows."""
-    m = max(log_weights)
-    return [math.exp(lw - m) for lw in log_weights]
+    return list(map(math.exp, map(sub, log_weights, repeat(max(log_weights)))))
 
 
 class CountTables:

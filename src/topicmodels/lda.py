@@ -52,18 +52,23 @@ def smoothed_rows(counts, totals, smooth: float) -> list:
     """Rows of (count + smooth) / (total + dim * smooth); each row is stochastic.
 
     Each row is an ``array('d')``: the same doubles at 8 bytes a cell, not
-    the 40 of a list slot and its float object.  A row starts as
-    smooth / denom in every cell, and only its nonzero counts are computed:
-    0 + smooth and -0.0 + smooth are both smooth, so every cell is the
-    double the formula gives.  An empty row (a link vocabulary of none)
-    has a denominator of 0 and no cell to fill.
+    the 40 of a list slot and its float object.  A row of integer counts
+    with a zero (a Gibbs row, mostly zeros) starts as smooth / denom in
+    every cell, and only its nonzero counts are computed: 0 + smooth is
+    smooth, so every cell is the double the formula gives.  Every other row
+    is computed cell by cell: a count row with no zero, and the expected
+    counts of CVB0 (a float total), which have none and are not scanned for
+    one.  An empty row (a link vocabulary of none) has no cell to fill.
     """
     out = []
     for row, total in zip(counts, totals):
         denom = total + len(row) * smooth
-        cells = array("d", [smooth / denom] if row else []) * len(row)
-        for i in compress(range(len(row)), row):
-            cells[i] = (row[i] + smooth) / denom
+        if isinstance(total, int) and 0 in row:
+            cells = array("d", [smooth / denom]) * len(row)
+            for i in compress(range(len(row)), row):
+                cells[i] = (row[i] + smooth) / denom
+        else:
+            cells = array("d", [(c + smooth) / denom for c in row])
         out.append(cells)
     return out
 
@@ -103,7 +108,7 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
     ``range(K)`` for every document.  z[m] holds the document's topics
     only.  V is ``len(word_topics)``.  The row, ``topic_word`` (n_kv),
     ``topic_total`` (n_k) and ``word_topics`` (see ``word_topic_index``)
-    move with every draw.
+    move with every draw that changes a topic.
 
     With coef_k = (alpha + row_k)/(n_k + V beta), cached per topic of the
     document and 0.0 for every other topic, the weight is split as
@@ -116,6 +121,13 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
     draws land there.  A document with every topic walks coef itself, one
     with a few topics only their coefficients.  Where round-off runs either
     walk past its end, the draw takes the walk's last topic with weight.
+
+    The token's own topic is weighed with the token taken out, in place,
+    and the tables move only when the draw picks another topic: most draws
+    of a chain that has settled keep their topic.  A kept topic replays the
+    two s + r updates and puts a word-index key of count 1 back at the end
+    of the dict, as a removal and an add would, so the draws and their
+    floats are those of a kernel that moves every token.
     """
     nkv, nk = topic_word, topic_total
     K = len(nk)
@@ -129,23 +141,20 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
         own = None if len(ks) == K else coef.__getitem__  # walks ks, not all of coef
         s_r = beta * fold_sum(coef if own is None else map(own, ks))
         for n, v in enumerate(doc):
-            k = zm[n]
+            k0 = zm[n]
             wt = word_topics[v]
-            c = nm[k] - 1
-            nm[k] = c
-            nkv[k][v] -= 1
-            t = nk[k] - 1
-            nk[k] = t
-            left = wt[k] - 1
-            if left:
-                wt[k] = left
-            else:
-                del wt[k]
-            i = 1.0 / (t + vbeta)
-            inv[k] = i
-            x = (alpha + c) * i
-            s_r += beta * (x - coef[k])
-            coef[k] = x
+            # weigh the token's own topic with the token taken out, in place:
+            # its coefficient and its word-index value (kept at 0 rather than
+            # deleted, which adds exactly 0.0 to q and to the walk)
+            c0 = nm[k0] - 1
+            t0 = nk[k0] - 1
+            i0 = 1.0 / (t0 + vbeta)
+            x0 = (alpha + c0) * i0
+            old = coef[k0]
+            s_r += beta * (x0 - old)
+            coef[k0] = x0
+            left = wt[k0] - 1
+            wt[k0] = left
 
             q = 0.0
             for k, c in wt.items():
@@ -157,12 +166,30 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
                     if u < 0.0:
                         break
                 else:
-                    k = [j for j in wt if coef[j]][-1]
+                    k = [j for j, c in wt.items() if coef[j] * c][-1]
             else:
                 walk = coef if own is None else map(own, ks)
                 j = bisect_right(list(accumulate(walk)), (u - q) / beta)
                 k = ks[min(j, len(ks) - 1)]
 
+            if k == k0:
+                # the topic is kept: put the token back as the tables had it
+                # (a count-1 key goes back at the end, as an add would put it)
+                s_r += beta * (old - x0)
+                coef[k0] = old
+                if left:
+                    wt[k0] = left + 1
+                else:
+                    del wt[k0]
+                    wt[k0] = 1
+                continue
+            # the topic moves: take the token out of k0's tables, into k's
+            nm[k0] = c0
+            nkv[k0][v] -= 1
+            nk[k0] = t0
+            inv[k0] = i0
+            if not left:
+                del wt[k0]
             zm[n] = k
             c = nm[k] + 1
             nm[k] = c

@@ -5,20 +5,23 @@ Cluster bookkeeping:
   n_docs_in[k]      documents currently assigned to cluster k
   cluster_word[k][v] tokens of word v in cluster k
   cluster_total[k]  tokens in cluster k
+  word_clusters[v]  the word index: cluster k -> n_kv for the clusters holding v
 Document word multisets are cached as sorted (word, count) item lists.
 The word term of document m in cluster k, in ``core.log_unit_weights``, is
-prod_w rising(n_kw + beta, N_m^w) / rising(n_k + V beta, N_m).
+prod_w rising(n_kw + beta, N_m^w) / rising(n_k + V beta, N_m), up to a
+factor the same for every cluster.
 """
 
 import math
 import random
 from collections import Counter
+from itertools import compress
 
 from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, log_unit_weights, record,
                    require_at_least, require_nonnegative, require_positive, require_recount,
                    sample_categorical)
 from .corpus import Corpus
-from .lda import smoothed_rows
+from .lda import smoothed_rows, word_topic_index
 
 
 @record(frozen=True)
@@ -71,24 +74,36 @@ class _ClusterTables:
     def add_doc(self, m: int, k: int) -> None:
         self.n_docs_in[k] += 1
         row = self.cluster_word[k]
+        index = self.word_clusters
         for v, c in self.doc_items[m]:
             row[v] += c
+            clusters = index[v]
+            clusters[k] = clusters.get(k, 0) + c
         self.cluster_total[k] += self.doc_len[m]
 
     def remove_doc(self, m: int, k: int) -> None:
         self.n_docs_in[k] -= 1
         row = self.cluster_word[k]
+        index = self.word_clusters
         for v, c in self.doc_items[m]:
             row[v] -= c
+            clusters = index[v]
+            left = clusters[k] - c
+            if left:
+                clusters[k] = left
+            else:
+                del clusters[k]
         self.cluster_total[k] -= self.doc_len[m]
 
     def counts(self, z: list, n_clusters: int) -> dict:
-        """The counts of the labels z over ``n_clusters`` clusters, by
-        attribute name: every token takes its document's cluster."""
-        tokens = counts_from_assignments(self.docword, [[k] * n for k, n in zip(z, self.doc_len)],
-                                         n_clusters, self.n_words)
+        """The counts of the labels z over ``n_clusters`` clusters and their
+        word index, by attribute name: every token takes its document's
+        cluster."""
+        token_z = [[k] * n for k, n in zip(z, self.doc_len)]
+        tokens = counts_from_assignments(self.docword, token_z, n_clusters, self.n_words)
         return {"n_docs_in": [z.count(k) for k in range(n_clusters)],
-                "cluster_word": tokens.topic_word, "cluster_total": tokens.topic_total}
+                "cluster_word": tokens.topic_word, "cluster_total": tokens.topic_total,
+                "word_clusters": word_topic_index(self.docword, token_z, self.n_words)}
 
     def fit(self, z: list, alpha: float, beta: float) -> MixtureFit:
         """The estimate from these counts and the labels z."""
@@ -129,7 +144,7 @@ class DmmSampler:
         alpha = self.hyper.alpha
         t = self.tables
         logs = [math.log(n + alpha) if n + alpha > 0 else -math.inf for n in t.n_docs_in]
-        return exp_normalize(log_unit_weights(logs, t.cluster_word, t.cluster_total,
+        return exp_normalize(log_unit_weights(logs, t.word_clusters, t.cluster_total,
                                               t.doc_items[m], t.doc_len[m], t.word_logs,
                                               t.total_logs))
 
@@ -159,13 +174,11 @@ class DpmmSampler:
         for k in range(self.tables.n_clusters - 1, -1, -1):
             if self.tables.n_docs_in[k] == 0:
                 self._delete_cluster(k)
-        # the new-cluster term depends on the document alone
-        t = self.tables
-        prior = [math.log(hyper.alpha) if hyper.alpha > 0 else -math.inf]
-        zero = [[0] * corpus.n_words]
-        self._new_cluster_log = [
-            log_unit_weights(prior, zero, [0], items, n, t.word_logs, t.total_logs)[0]
-            for items, n in zip(t.doc_items, t.doc_len)]
+        # the new-cluster term depends on the document alone: an empty
+        # cluster holds none of its words, so it is log a - log rising(V beta, N_m)
+        prior = math.log(hyper.alpha) if hyper.alpha > 0 else -math.inf
+        total_logs = self.tables.total_logs
+        self._new_cluster_log = [prior - total_logs[0, n] for n in self.tables.doc_len]
 
     @property
     def n_clusters(self) -> int:
@@ -175,8 +188,11 @@ class DpmmSampler:
         last = self.tables.n_clusters - 1
         if k != last:
             self.tables.n_docs_in[k] = self.tables.n_docs_in[last]
-            self.tables.cluster_word[k] = self.tables.cluster_word[last]
+            row = self.tables.cluster_word[k] = self.tables.cluster_word[last]
             self.tables.cluster_total[k] = self.tables.cluster_total[last]
+            index = self.tables.word_clusters
+            for v in compress(range(len(row)), row):
+                index[v][k] = index[v].pop(last)
             for m, zm in enumerate(self.z):
                 if zm == last:
                     self.z[m] = k
@@ -197,7 +213,7 @@ class DpmmSampler:
         proportional to n_k * word term with cluster counts and to a * word
         term with zero counts."""
         t = self.tables
-        logs = log_unit_weights([math.log(n) for n in t.n_docs_in], t.cluster_word,
+        logs = log_unit_weights([math.log(n) for n in t.n_docs_in], t.word_clusters,
                                 t.cluster_total, t.doc_items[m], t.doc_len[m], t.word_logs,
                                 t.total_logs)
         logs.append(self._new_cluster_log[m])

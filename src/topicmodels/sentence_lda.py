@@ -8,18 +8,22 @@ against the per-sentence maximum.
 import math
 import random
 from collections import Counter
+from itertools import repeat
+from operator import add
 
 from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, log_unit_weights,
                    require_recount, sample_categorical)
 from .corpus import Corpus
-from .lda import FittedLda, LdaHyper, estimate_phi, estimate_theta
+from .lda import FittedLda, LdaHyper, estimate_phi, estimate_theta, word_topic_index
 
 
 class SentenceLdaSampler:
     """Collapsed Gibbs chain over per-sentence topic assignments z_ms.
 
     Count tables track word tokens (not sentences): removing a sentence
-    removes every one of its tokens from its topic.
+    removes every one of its tokens from its topic.  ``word_topics`` is
+    their word index: for every word, a dict from each topic holding it to
+    n_kv.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
@@ -44,28 +48,38 @@ class SentenceLdaSampler:
         self._total_logs = LogRisingMemo(corpus.n_words * hyper.beta)
 
     def _counts(self) -> dict:
-        """The count tables of z, by attribute name: every token takes its
-        sentence's topic."""
+        """The count tables of z and their word index, by attribute name:
+        every token takes its sentence's topic."""
         corpus = self.corpus
         token_z = [[k for k, sentence in zip(zm, corpus.doc_sentences(m)) for _ in sentence]
                    for m, zm in enumerate(self.z)]
         return {"tables": counts_from_assignments(corpus.docword, token_z,
-                                                  self.hyper.n_topics, corpus.n_words)}
+                                                  self.hyper.n_topics, corpus.n_words),
+                "word_topics": word_topic_index(corpus.docword, token_z, corpus.n_words)}
 
     def check(self) -> None:
-        """Check the count tables against a recount of z; raises ValueError."""
+        """Check the count tables and the word index against a recount of z;
+        raises ValueError."""
         require_recount(self, self._counts(), "z")
 
     def _remove_sentence(self, m: int, s: int) -> int:
         k = self.z[m][s]
         for v, c in self.sentence_words[m][s]:
             self.tables.decrement(m, k, v, c)
+            topics = self.word_topics[v]
+            left = topics[k] - c
+            if left:
+                topics[k] = left
+            else:
+                del topics[k]
         return k
 
     def _add_sentence(self, m: int, s: int, k: int) -> None:
         self.z[m][s] = k
         for v, c in self.sentence_words[m][s]:
             self.tables.increment(m, k, v, c)
+            topics = self.word_topics[v]
+            topics[k] = topics.get(k, 0) + c
 
     def full_conditional(self, m: int, s: int) -> list:
         """Weights for sentence s of document m, its counts already removed,
@@ -73,11 +87,10 @@ class SentenceLdaSampler:
 
         (n_mk + a) * prod_w rising(n_kw + b, N_ms^w) / rising(n_k + V b, N_ms)
         """
-        alpha = self.hyper.alpha
         tables = self.tables
-        logs = [math.log(n + alpha) for n in tables.doc_topic[m]]
+        logs = list(map(math.log, map(add, tables.doc_topic[m], repeat(self.hyper.alpha))))
         return exp_normalize(log_unit_weights(
-            logs, tables.topic_word, tables.topic_total, self.sentence_words[m][s],
+            logs, self.word_topics, tables.topic_total, self.sentence_words[m][s],
             self.sentence_len[m][s], self._word_logs, self._total_logs))
 
     def sweep(self) -> None:

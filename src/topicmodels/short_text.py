@@ -13,7 +13,8 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import mul
 
 from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, fold_sum,
                    log_unit_weights, record, require_at_least, require_positive, require_recount,
@@ -88,37 +89,60 @@ class PtmSampler:
         """Check every table against a recount of l and z; raises ValueError."""
         require_recount(self, self._counts(), "l and z")
 
-    def pseudo_doc_conditional(self, m: int) -> list:
+    def topic_pseudo_index(self) -> list:
+        """For every topic k, a dict from each pseudo document l holding it
+        to N_lk: the index of the pseudo-document draw."""
+        index = [{} for _ in range(self.hyper.n_topics)]
+        for l, row in enumerate(self.pseudo.doc_topic):
+            for k in compress(range(len(row)), row):
+                index[k][l] = row[k]
+        return index
+
+    def pseudo_doc_conditional(self, m: int, index: list | None = None) -> list:
         """Pseudo-document weights for document m, its contribution removed,
         proportional to
 
         (n_l + lambda) * prod_k rising(N_lk + a, n_mk) / rising(N_l + K a, N_m)
+
+        ``index`` is ``topic_pseudo_index()`` of the counts as they are now,
+        built afresh if not given.
         """
         lam = self.hyper.doc_lambda
         items = [(k, c) for k, c in enumerate(self.doc_topic[m]) if c]
         return exp_normalize(log_unit_weights(
-            [math.log(n + lam) for n in self.n_l], self.pseudo.doc_topic, self.pseudo.doc_total,
-            items, len(self.corpus.docword[m]), self._topic_logs, self._total_logs))
+            [math.log(n + lam) for n in self.n_l],
+            self.topic_pseudo_index() if index is None else index,
+            self.pseudo.doc_total, items, len(self.corpus.docword[m]), self._topic_logs,
+            self._total_logs))
 
     def sweep(self) -> None:
         hyper = self.hyper
         pseudo_topic = self.pseudo.doc_topic
         pseudo_total = self.pseudo.doc_total
-        # phase 1: pseudo-document assignments
+        # phase 1: pseudo-document assignments, against an index of the rows
+        # that phase 2 of the last sweep left
+        index = self.topic_pseudo_index()
         for m in range(self.corpus.n_docs):
             l_old = self.l[m]
             n_m = len(self.corpus.docword[m])
+            items = [(k, c) for k, c in enumerate(self.doc_topic[m]) if c]
             self.n_l[l_old] -= 1
             pseudo_total[l_old] -= n_m
-            for k, c in enumerate(self.doc_topic[m]):
-                if c:
-                    pseudo_topic[l_old][k] -= c
-            l_new = sample_categorical(self.pseudo_doc_conditional(m), self.rng)
+            row = pseudo_topic[l_old]
+            for k, c in items:
+                left = row[k] - c
+                row[k] = left
+                if left:
+                    index[k][l_old] = left
+                else:
+                    del index[k][l_old]
+            l_new = sample_categorical(self.pseudo_doc_conditional(m, index), self.rng)
             self.n_l[l_new] += 1
             pseudo_total[l_new] += n_m
-            for k, c in enumerate(self.doc_topic[m]):
-                if c:
-                    pseudo_topic[l_new][k] += c
+            row = pseudo_topic[l_new]
+            for k, c in items:
+                row[k] += c
+                index[k][l_new] = row[k]
             self.l[m] = l_new
         # phase 2: token topics, each drawn against its pseudo document's row
         sweep_sparse_tokens(self.corpus.docword, self.z, [pseudo_topic[l] for l in self.l],
@@ -225,21 +249,27 @@ class BtmSampler:
 
     def sweep(self) -> None:
         """Resample every biterm's topic once, in index order, drawing from
-        its full conditional split into two buckets.
+        its full conditional split into three buckets.
 
-        With the biterm (w1, w2) removed, the weight of topic k is
+        With the biterm (w1, w2) taken out, the weight of topic k is
         A_k (c1 + b)(c2 + b + s), with c1 and c2 = n_kw1 and n_kw2, s = 1 if
         w1 = w2 (the second slot sees the first) and s = 0 otherwise, and
           A_k = (n_k + a)/(N_B - 1 + K a) / ((n_k* + V b + 1)(n_k* + V b))
         (n_k biterms and n_k* word slots in topic k) does not depend on the
         biterm.  It is split as
-          smoothing  A_k b (b + s)                    every topic
-          word       A_k (c1 (c2 + s) + b (c1 + c2))  the topics holding w1 or w2
-        The word bucket is walked first, over the word index: the topics of
-        w1, then those of w2 that w1 lacks (a biterm of one word twice reads
-        one dict, so c1 = c2).  The smoothing bucket is b (b + s) times a
-        running total of A, summed afresh at the start of each sweep, and a
-        draw landing there is found by bisect over the running sums of A.
+          first word   A_k c1 (c2 + s + b)  the topics holding w1
+          second word  b A_k c2             the topics holding w2
+          smoothing    b (b + s) A_k        every topic
+        and the buckets are walked in that order, the first two over the
+        word index (a biterm of one word twice reads one dict twice).  The
+        smoothing bucket is a running total of A, summed afresh at the start
+        of each sweep, and a draw landing there is found by bisect over the
+        running sums of A.
+
+        The biterm's own topic is weighed with the biterm taken out, in
+        place: A_k and both index values (a value of 0 stays in the dict and
+        weighs 0).  The tables move only when the draw picks another topic,
+        and A_k with one biterm taken out is cached for every topic.
         """
         hyper = self.hyper
         K = hyper.n_topics
@@ -254,59 +284,65 @@ class BtmSampler:
         rng_random = self.rng.random
         A = [(n + alpha) / denom / ((t + v_beta + 1) * (t + v_beta))
              for n, t in zip(n_b, topic_total)]
+        # A_k with one biterm of topic k taken out; 0.0 where n_k = 0
+        A_out = [(n - 1 + alpha) / denom / ((t - 2 + v_beta + 1) * (t - 2 + v_beta)) if n else 0.0
+                 for n, t in zip(n_b, topic_total)]
         a_sum = fold_sum(A)
         for i, (w1, w2) in enumerate(self.instances):
-            k = z[i]
-            row = topic_word[k]
-            row[w1] -= 1
-            row[w2] -= 1
+            k0 = z[i]
             wt1 = word_topics[w1]
             wt2 = word_topics[w2]
-            left = wt1[k] - 1
-            if left:
-                wt1[k] = left
-            else:
-                del wt1[k]
-            left = wt2[k] - 1
-            if left:
-                wt2[k] = left
-            else:
-                del wt2[k]
-            n = n_b[k] - 1
-            n_b[k] = n
-            t = topic_total[k] - 2
-            topic_total[k] = t
-            tot = t + v_beta
-            x = (n + alpha) / denom / ((tot + 1) * tot)
-            a_sum += x - A[k]
-            A[k] = x
+            old = A[k0]
+            x0 = A[k0] = A_out[k0]
+            wt1[k0] -= 1
+            wt2[k0] -= 1
 
-            s = 1 if w1 == w2 else 0
-            smooth = beta * (beta + s)
-            q = 0.0
+            s = w1 == w2
+            sb = s + beta
+            q1 = 0.0
             for k, c in wt1.items():
-                c2 = wt2.get(k, 0)
-                q += A[k] * (c * (c2 + s) + beta * (c + c2))
+                q1 += A[k] * c * (wt2.get(k, 0) + sb)
+            q2 = 0.0
             for k, c in wt2.items():
-                if k not in wt1:
-                    q += A[k] * beta * c
-            u = rng_random() * (q + smooth * a_sum)
-            if u < q:
-                # the same walk; round-off past its end leaves k at a topic
-                # holding w2 (or w1)
+                q2 += A[k] * c
+            u = rng_random() * (q1 + beta * (q2 + sb * (a_sum + (x0 - old))))
+            if u < q1:
                 for k, c in wt1.items():
-                    c2 = wt2.get(k, 0)
-                    u -= A[k] * (c * (c2 + s) + beta * (c + c2))
+                    u -= A[k] * c * (wt2.get(k, 0) + sb)
                     if u < 0.0:
                         break
-                else:
-                    for k, c in wt2.items():
-                        if k not in wt1:
-                            u -= A[k] * beta * c
-                            if u < 0.0:
-                                break
+                else:  # round-off past the end: the last topic with weight
+                    k = [j for j, c in wt1.items() if c][-1]
             else:
-                k = min(bisect_right(list(accumulate(A)), (u - q) / smooth), K - 1)
+                u = (u - q1) / beta
+                if u < q2:
+                    for k, c in wt2.items():
+                        u -= A[k] * c
+                        if u < 0.0:
+                            break
+                    else:
+                        k = [j for j, c in wt2.items() if c][-1]
+                else:
+                    k = min(bisect_right(list(accumulate(A)), (u - q2) / sb), K - 1)
+
+            if k == k0:
+                A[k0] = old
+                wt1[k0] += 1
+                wt2[k0] += 1
+                continue
+            # the topic moves: take the biterm out of k0's tables, into k's
+            a_sum += x0 - old
+            row = topic_word[k0]
+            row[w1] -= 1
+            row[w2] -= 1
+            n = n_b[k0] = n_b[k0] - 1
+            t = topic_total[k0] = topic_total[k0] - 2
+            tot = t - 2 + v_beta
+            A_out[k0] = (n - 1 + alpha) / denom / ((tot + 1) * tot) if n else 0.0
+            if not wt1[k0]:
+                del wt1[k0]
+            if wt2.get(k0) == 0:
+                del wt2[k0]
 
             z[i] = k
             row = topic_word[k]
@@ -314,16 +350,17 @@ class BtmSampler:
             row[w2] += 1
             wt1[k] = wt1.get(k, 0) + 1
             wt2[k] = wt2.get(k, 0) + 1
-            n = n_b[k] + 1
-            n_b[k] = n
-            t = topic_total[k] + 2
-            topic_total[k] = t
+            n = n_b[k] = n_b[k] + 1
+            t = topic_total[k] = topic_total[k] + 2
             tot = t + v_beta
             x = (n + alpha) / denom / ((tot + 1) * tot)
             a_sum += x - A[k]
+            A_out[k] = A[k]
             A[k] = x
 
     def estimate(self) -> BtmFit:
+        """theta, phi and each document's p(k|m), the mixture of p(k | b)
+        over its biterms weighted by their counts."""
         hyper = self.hyper
         K = hyper.n_topics
         denom = self.n_biterms + K * hyper.alpha
@@ -332,21 +369,21 @@ class BtmSampler:
         by_doc = [[] for _ in range(self.corpus.n_docs)]
         for b in self.biterms:
             by_doc[b.doc].append(b)
-        doc_topic = [self._doc_distribution(m, by_doc[m], theta, phi)
-                     for m in range(self.corpus.n_docs)]
+        # phi read by word: p(k | b) of a biterm takes two columns, not a
+        # cell from each of K rows
+        columns = [array("d", column) for column in zip(*phi)]
+        doc_topic = []
+        for m, doc_biterms in enumerate(by_doc):
+            if not doc_biterms:
+                warn(__name__, "document %d has no biterms; emitting a uniform topic row", m)
+                doc_topic.append(array("d", [1.0 / K]) * K)
+                continue
+            n_m = sum(b.count for b in doc_biterms)
+            out = [0.0] * K
+            for b in doc_biterms:
+                joint = list(map(mul, map(mul, theta, columns[b.w1]), columns[b.w2]))
+                total = fold_sum(joint)
+                c = b.count
+                out = [o + x / total * c / n_m for o, x in zip(out, joint)]
+            doc_topic.append(array("d", out))
         return BtmFit(theta=theta, phi=phi, doc_topic=doc_topic)
-
-    def _doc_distribution(self, m: int, doc_biterms: list, theta: list, phi: list) -> array:
-        """p(k|m): biterm-posterior mixture over the document's biterms."""
-        K = self.hyper.n_topics
-        if not doc_biterms:
-            warn(__name__, "document %d has no biterms; emitting a uniform topic row", m)
-            return array("d", [1.0 / K]) * K
-        n_m = sum(b.count for b in doc_biterms)
-        out = [0.0] * K
-        for b in doc_biterms:
-            joint = [theta[k] * phi[k][b.w1] * phi[k][b.w2] for k in range(K)]
-            total = fold_sum(joint)
-            for k in range(K):
-                out[k] += joint[k] / total * b.count / n_m
-        return array("d", out)

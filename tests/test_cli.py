@@ -170,7 +170,10 @@ def test_lda_gibbs_golden_bytes(tmp_path, k):
 # clusters, tables and topics during the chain, and GOLDEN repeats words
 # inside documents, so the multiplicity-2 rising factorials are used too.
 # The oracle tests check each kernel's draws against tests/oracles.py;
-# these hashes pin the bytes of whole chains.
+# these hashes pin the bytes of whole chains.  The btm entries were recorded
+# again when its draw came to weigh the biterm's own topic in place: a
+# word-index value of 0 now stays in its dict during the draw, and the word
+# bucket is split into a bucket per word, so the sums run in another order.
 GOLDEN_SHORT_TEXT = {
     "dmm": (["-k", "4", "--alpha", "1", "--beta", "0.5"], {
         "DMM_cluster_word_4.txt":
@@ -195,11 +198,11 @@ GOLDEN_SHORT_TEXT = {
         "48d6318ab2657f2a4829eedb06ff11ab821f724fa5e4acc617f3f25620b95e37"}),
     "btm": (["-k", "3"], {
         "BTM_doc_topic_3.txt":
-        "01952c598db1040af350c93f6d12b46c85d7fdf6b0eecc2227ee95734fb791a6",
+        "0b0f1d975f85b50fa5ece8a029a4f9d78fc3787e55d2a781c33ccf4b1fd6d3f9",
         "BTM_topic_theta_3.txt":
-        "aa5016cd1dc276d773da9af8adafbfa0bd8a8b15e47d3e61b8b6420a23a68456",
+        "0d1d81b40789be7697713a449ee4db7f967d3ed619c4e5e0d13272c2d3307059",
         "BTM_topic_word_3.txt":
-        "b4539cc2ed48c8268266d43d287c8f40870f2dca6f78001419fa5453b4f9f2c5"}),
+        "efd15022e6855ecc3567ef08c776995b5c07681c6fc9782990f8b9c69bafea7f"}),
     "hdp": (["-k", "3", "--alpha", "1.0", "--gamma", "1.0"], {
         "HDP_doc_topic6.txt":
         "d23508b58fd23ea23d2fa6d2d86de75cb5d9154a881f2005ae5c8db69f35011a",
@@ -226,11 +229,11 @@ GOLDEN_SHORT_TEXT_K10 = {
         "ab430807792ac3aacd912f512e6ab131475e683603bf77009dbf36e10a9990b9"}),
     "btm": (["-k", "10"], {
         "BTM_doc_topic_10.txt":
-        "1b8a6a5fcba979f219d2ef23c38078dfe21d4cedffbf307fc191afe4b78082f0",
+        "910ebdb63c6364468debbdfbaadfa83ea10df7fbe36ebe4f91cc131fb66d0bc7",
         "BTM_topic_theta_10.txt":
-        "8cb8397a4e48b1245723f4b3a0a26e8c2de79aeb6d4018a84228419b3f91f89e",
+        "b68d9fb9b396abfea31e90c990632eac6c2d7ff7335cf217bc559ba9296fe4bb",
         "BTM_topic_word_10.txt":
-        "979fa87cee97c1c4fc57174cbe1d142d96da090162f8713ec7c3778e3836e1f5"}),
+        "b94519d9d6657cf5da9a3f2a9c22707eff0428e02575cbe7546c04bb685daa1c"}),
 }
 
 
@@ -246,11 +249,11 @@ def test_short_text_golden_bytes_at_k10(tmp_path, model):
 # (c + b)(c + b + 1) leaves them unchanged); here every file changes.
 GOLDEN_BTM_BETA_1 = {
     "BTM_doc_topic_3.txt":
-    "0b5a35aaea796ba65fd57a21df81df8b27f45e1b7db8a97a916220b26a4f7f0a",
+    "e87cecc573fbde596dd938ffbca18b4e560856da0f9c1f9d4c3303beaebf105f",
     "BTM_topic_theta_3.txt":
-    "6d4ec22e18f8d4e105391b7eaf9afab729ab2ab11b0161e1e2344ed4228a6bbe",
+    "019d5b5b6563674c0250b3c1c89753224de89b6d46181eaf8adcc77da5a4d8a2",
     "BTM_topic_word_3.txt":
-    "91d4f7415c3e7cca0cf8bff6a03ed165c57226f9b3f9f323fc3ff28be6c3bc46"}
+    "2aaf115feb513592dbc597cc3796ee0bccdd4098e5e549a47c770a792f88e1b2"}
 
 
 def test_btm_golden_bytes_at_a_large_beta(tmp_path):

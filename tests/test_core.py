@@ -105,7 +105,9 @@ def test_log_rising_memo_keeps_the_domain_check():
 
 def test_log_unit_weights_equal_the_direct_formula_bit_for_bit():
     # rows mixing zero and nonzero counts, items seen once and more often,
-    # a candidate with no prior mass, and DPMM's all-zero new-cluster row
+    # a candidate with no prior mass, and an all-zero row such as a new
+    # DPMM cluster's.  Each weight is the full log weight less
+    # sum of log rising(b, c) over the items, the same for every candidate
     rng = SeededRng(12)
     V = 7
     for b, B in ((0.01, V * 0.01), (0.5, V * 0.5), (1e-12, 2.5)):
@@ -113,16 +115,25 @@ def test_log_unit_weights_equal_the_direct_formula_bit_for_bit():
         for _ in range(20):
             rows = [[rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(V)] for _ in range(4)]
             rows.append([0] * V)
+            index = [{k: row[v] for k, row in enumerate(rows) if row[v]} for v in range(V)]
             totals = [sum(row) for row in rows]
             logs = [math.log(rng.random() + 0.1) for _ in rows[:-2]] + [-math.inf, 0.0]
             items = sorted({v: rng.choice((1, 1, 2, 3)) for v in rng.sample(range(V), 4)}.items())
             n = sum(c for _, c in items)
-            want = []
+            want, full = [], []
             for lw, row, total in zip(logs, rows, totals):
+                w = lw - log_rising_factorial(total + B, n)
                 for v, c in items:
+                    if row[v]:
+                        w += log_rising_factorial(row[v] + b, c) - log_rising_factorial(b, c)
                     lw += log_rising_factorial(row[v] + b, c)
-                want.append(lw - log_rising_factorial(total + B, n))
-            assert log_unit_weights(logs, rows, totals, items, n, item_logs, total_logs) == want
+                want.append(w)
+                full.append(lw - log_rising_factorial(total + B, n))
+            got = log_unit_weights(logs, index, totals, items, n, item_logs, total_logs)
+            assert got == want
+            shift = fold_sum(log_rising_factorial(b, c) for _, c in items)
+            for g, f in zip(got, full):
+                assert g == f == -math.inf or g == pytest.approx(f - shift, rel=1e-12, abs=1e-9)
 
 
 def test_require_positive_names_the_parameter():

@@ -110,6 +110,7 @@ def test_dmm_label_permutation_symmetry():
     t.n_docs_in[0], t.n_docs_in[1] = t.n_docs_in[1], t.n_docs_in[0]
     t.cluster_word[0], t.cluster_word[1] = t.cluster_word[1], t.cluster_word[0]
     t.cluster_total[0], t.cluster_total[1] = t.cluster_total[1], t.cluster_total[0]
+    t.word_clusters = [{1 - k: c for k, c in clusters.items()} for clusters in t.word_clusters]
     after = normalize(sampler.full_conditional(m))
     assert after == pytest.approx(list(reversed(before)), rel=1e-12)
 

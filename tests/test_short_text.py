@@ -3,7 +3,10 @@ from collections import Counter
 import pytest
 
 from topicmodels.core import SeededRng, run_chain
-from topicmodels.corpus import parse_plain
+from topicmodels.corpus import parse_plain, parse_sentences
+from topicmodels.lda import LdaGibbsSampler, LdaHyper
+from topicmodels.mixture import DmmSampler, DpmmSampler, MixtureHyper
+from topicmodels.sentence_lda import SentenceLdaSampler
 from topicmodels.short_text import (BtmHyper, BtmSampler, PtmHyper, PtmSampler,
                                     extract_biterms)
 
@@ -307,19 +310,56 @@ def test_btm_buckets_biterm_of_one_word_twice():
     sweep_checked(sampler, 30)
 
 
-@pytest.mark.parametrize("model", ["btm", "ptm"])
+# every sampler that keeps a word index, how to build it on a corpus, and
+# where its index is
+INDEXED = {
+    "btm": (lambda corpus: BtmSampler(corpus, BtmHyper(3, window=2), SeededRng(13)),
+            lambda sampler: sampler.word_topics),
+    "ptm": (lambda corpus: PtmSampler(corpus, PtmHyper(2, 3), SeededRng(13)),
+            lambda sampler: sampler.word_topics),
+    "lda-gibbs": (lambda corpus: LdaGibbsSampler(corpus, LdaHyper(3), SeededRng(13)),
+                  lambda sampler: sampler.word_topics),
+    "sentence-lda": (lambda corpus: SentenceLdaSampler(corpus, LdaHyper(3), SeededRng(13)),
+                     lambda sampler: sampler.word_topics),
+    "dmm": (lambda corpus: DmmSampler(corpus, MixtureHyper(3, 0.5, 0.5), SeededRng(13)),
+            lambda sampler: sampler.tables.word_clusters),
+    "dpmm": (lambda corpus: DpmmSampler(corpus, MixtureHyper(3, 0.5, 0.5), SeededRng(13)),
+             lambda sampler: sampler.tables.word_clusters),
+}
+
+
+@pytest.mark.parametrize("model", sorted(INDEXED))
 def test_buckets_word_whose_topic_dict_empties(model):
-    # "solo" occurs once, so its word index holds one topic with count 1,
-    # which the draw removes: the dict is empty while the draw is made
-    corpus = parse_plain(["solo a b", "a b c", "b c a"])
+    # "solo" occurs once, so its word index holds one topic (or cluster)
+    # with count 1, which each draw takes to 0: the draw weighs that topic
+    # with the count at 0, and the count comes back in the same topic or
+    # another.  check() recounts every index after every sweep, and the
+    # chain both keeps and moves solo's topic
+    lines = ["solo a b", "a b c", "b c a"]
+    corpus = parse_sentences(lines) if model == "sentence-lda" else parse_plain(lines)
     solo = corpus.vocabulary.word_to_id["solo"]
-    if model == "btm":
-        sampler = BtmSampler(corpus, BtmHyper(3, window=2), SeededRng(13))
-    else:
-        sampler = PtmSampler(corpus, PtmHyper(2, 3), SeededRng(13))
-    assert list(sampler.word_topics[solo].values()) == [1]
-    sweep_checked(sampler, 30)
-    assert list(sampler.word_topics[solo].values()) == [1]
+    build, index = INDEXED[model]
+    sampler = build(corpus)
+    held = []
+    sampler.check()
+    for _ in range(30):
+        assert list(index(sampler)[solo].values()) == [1]
+        held.extend(index(sampler)[solo])
+        sampler.sweep()
+        sampler.check()
+    assert list(index(sampler)[solo].values()) == [1]
+    moves = sum(a != b for a, b in zip(held, held[1:]))
+    assert 0 < moves < len(held) - 1, held
+
+
+def test_btm_buckets_empty_topics_at_unit_v_beta():
+    # V beta = 1 exactly, and more topics than the chain fills: A_k with one
+    # biterm taken out, cached per topic, would divide by
+    # (n_k* - 2 + V beta + 1) = 0 for an empty topic
+    corpus = parse_plain(["a b c d", "a b", "c d"])
+    sampler = BtmSampler(corpus, BtmHyper(6, beta=0.25), SeededRng(1))
+    sweep_checked(sampler, 50)
+    assert 0 in sampler.n_b
 
 
 def test_btm_buckets_k1():

@@ -343,9 +343,11 @@ def test_registry_samplers_pass_check_after_every_sweep(name, flags):
     corpus = tiny_corpus(spec.layout)
     sampler = spec.sampler(corpus, spec.hyper(**flags), SeededRng(5))
     # the LDA chains (the label models too), ptm, btm, link-lda and hdp run a
-    # bucketed draw at any K, with its word index
+    # bucketed draw at any K, with its word index; sentence-lda's unit draw
+    # reads a word index too
     assert ((getattr(sampler, "word_topics", None) is not None)
-            == (name in ("lda-gibbs", "labeled-lda", "plda", "ptm", "btm", "link-lda", "hdp")))
+            == (name in ("lda-gibbs", "labeled-lda", "plda", "ptm", "btm", "link-lda", "hdp",
+                         "sentence-lda")))
     sampler.check()
     for _ in range(8):
         sampler.sweep()
