@@ -276,13 +276,14 @@ def log_unit_weights(logs: Sequence[float], index: Sequence[dict], totals: Seque
     """
     out = list(map(sub, logs, map(total_logs.__getitem__, zip(totals, repeat(n)))))
     b = item_logs.offset
+    log_b = item_logs[0, 1]
     log = math.log
     for v, c in items:
-        base = item_logs[0, c]
         if c == 1:
             for k, x in index[v].items():
-                out[k] += log(x + b) - base
+                out[k] += log(x + b) - log_b
         else:
+            base = item_logs[0, c]
             for k, x in index[v].items():
                 out[k] += item_logs[x, c] - base
     return out

@@ -15,7 +15,8 @@ factor the same for every cluster.
 import math
 import random
 from collections import Counter
-from itertools import compress
+from itertools import compress, repeat
+from operator import add
 
 from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, log_unit_weights, record,
                    require_at_least, require_nonnegative, require_positive, require_recount,
@@ -143,7 +144,10 @@ class DmmSampler:
         weighs 0."""
         alpha = self.hyper.alpha
         t = self.tables
-        logs = [math.log(n + alpha) if n + alpha > 0 else -math.inf for n in t.n_docs_in]
+        if alpha > 0:
+            logs = list(map(math.log, map(add, t.n_docs_in, repeat(alpha))))
+        else:
+            logs = [math.log(n) if n else -math.inf for n in t.n_docs_in]
         return exp_normalize(log_unit_weights(logs, t.word_clusters, t.cluster_total,
                                               t.doc_items[m], t.doc_len[m], t.word_logs,
                                               t.total_logs))
@@ -213,7 +217,7 @@ class DpmmSampler:
         proportional to n_k * word term with cluster counts and to a * word
         term with zero counts."""
         t = self.tables
-        logs = log_unit_weights([math.log(n) for n in t.n_docs_in], t.word_clusters,
+        logs = log_unit_weights(list(map(math.log, t.n_docs_in)), t.word_clusters,
                                 t.cluster_total, t.doc_items[m], t.doc_len[m], t.word_logs,
                                 t.total_logs)
         logs.append(self._new_cluster_log[m])

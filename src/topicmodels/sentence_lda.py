@@ -62,24 +62,33 @@ class SentenceLdaSampler:
         raises ValueError."""
         require_recount(self, self._counts(), "z")
 
-    def _remove_sentence(self, m: int, s: int) -> int:
-        k = self.z[m][s]
+    def _move_sentence(self, m: int, s: int, k: int, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) the tokens of sentence s of
+        document m to or from topic k in the count tables and the word index."""
+        tables, index = self.tables, self.word_topics
+        n = sign * self.sentence_len[m][s]
+        tables.doc_topic[m][k] += n
+        tables.topic_total[k] += n
+        tables.doc_total[m] += n
+        row = tables.topic_word[k]
         for v, c in self.sentence_words[m][s]:
-            self.tables.decrement(m, k, v, c)
-            topics = self.word_topics[v]
-            left = topics[k] - c
+            c *= sign
+            row[v] += c
+            topics = index[v]
+            left = topics.get(k, 0) + c
             if left:
                 topics[k] = left
             else:
                 del topics[k]
+
+    def _remove_sentence(self, m: int, s: int) -> int:
+        k = self.z[m][s]
+        self._move_sentence(m, s, k, -1)
         return k
 
     def _add_sentence(self, m: int, s: int, k: int) -> None:
         self.z[m][s] = k
-        for v, c in self.sentence_words[m][s]:
-            self.tables.increment(m, k, v, c)
-            topics = self.word_topics[v]
-            topics[k] = topics.get(k, 0) + c
+        self._move_sentence(m, s, k, 1)
 
     def full_conditional(self, m: int, s: int) -> list:
         """Weights for sentence s of document m, its counts already removed,

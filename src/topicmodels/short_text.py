@@ -13,8 +13,8 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, compress
-from operator import mul
+from itertools import accumulate, compress, repeat
+from operator import add, mul
 
 from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, fold_sum,
                    log_unit_weights, record, require_at_least, require_positive, require_recount,
@@ -110,7 +110,7 @@ class PtmSampler:
         lam = self.hyper.doc_lambda
         items = [(k, c) for k, c in enumerate(self.doc_topic[m]) if c]
         return exp_normalize(log_unit_weights(
-            [math.log(n + lam) for n in self.n_l],
+            list(map(math.log, map(add, self.n_l, repeat(lam)))),
             self.topic_pseudo_index() if index is None else index,
             self.pseudo.doc_total, items, len(self.corpus.docword[m]), self._topic_logs,
             self._total_logs))
