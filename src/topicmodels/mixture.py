@@ -73,28 +73,27 @@ class _ClusterTables:
         return self.n_clusters - 1
 
     def add_doc(self, m: int, k: int) -> None:
-        self.n_docs_in[k] += 1
-        row = self.cluster_word[k]
-        index = self.word_clusters
-        for v, c in self.doc_items[m]:
-            row[v] += c
-            clusters = index[v]
-            clusters[k] = clusters.get(k, 0) + c
-        self.cluster_total[k] += self.doc_len[m]
+        self._move_doc(m, k, 1)
 
     def remove_doc(self, m: int, k: int) -> None:
-        self.n_docs_in[k] -= 1
+        self._move_doc(m, k, -1)
+
+    def _move_doc(self, m: int, k: int, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) document m to or from cluster k
+        in the counts and the word index."""
+        self.n_docs_in[k] += sign
+        self.cluster_total[k] += sign * self.doc_len[m]
         row = self.cluster_word[k]
         index = self.word_clusters
         for v, c in self.doc_items[m]:
-            row[v] -= c
+            c *= sign
+            row[v] += c
             clusters = index[v]
-            left = clusters[k] - c
+            left = clusters.get(k, 0) + c
             if left:
                 clusters[k] = left
             else:
                 del clusters[k]
-        self.cluster_total[k] -= self.doc_len[m]
 
     def counts(self, z: list, n_clusters: int) -> dict:
         """The counts of the labels z over ``n_clusters`` clusters and their
