@@ -289,6 +289,23 @@ def log_unit_weights(logs: Sequence[float], index: Sequence[dict], totals: Seque
     return out
 
 
+def shift_counts(row: list, index: Sequence[dict], items: Sequence[tuple], k: int,
+                 sign: int) -> None:
+    """Add sign * c to row[v] and to index[v][k] for each (v, c) in
+    ``items``: a unit of words moving into (sign 1) or out of (sign -1)
+    candidate k, whose count row is ``row``, with the word index of
+    ``log_unit_weights``.  A key whose count reaches 0 leaves the index."""
+    for v, c in items:
+        c *= sign
+        row[v] += c
+        counts = index[v]
+        left = counts.get(k, 0) + c
+        if left:
+            counts[k] = left
+        else:
+            del counts[k]
+
+
 def exp_normalize(log_weights: Sequence[float]) -> list[float]:
     """Turn log weights into weights, subtracting the max first so nothing overflows."""
     return list(map(math.exp, map(sub, log_weights, repeat(max(log_weights)))))

@@ -20,7 +20,7 @@ from operator import add
 
 from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, log_unit_weights, record,
                    require_at_least, require_nonnegative, require_positive, require_recount,
-                   sample_categorical)
+                   sample_categorical, shift_counts)
 from .corpus import Corpus
 from .lda import smoothed_rows, word_topic_index
 
@@ -83,17 +83,7 @@ class _ClusterTables:
         in the counts and the word index."""
         self.n_docs_in[k] += sign
         self.cluster_total[k] += sign * self.doc_len[m]
-        row = self.cluster_word[k]
-        index = self.word_clusters
-        for v, c in self.doc_items[m]:
-            c *= sign
-            row[v] += c
-            clusters = index[v]
-            left = clusters.get(k, 0) + c
-            if left:
-                clusters[k] = left
-            else:
-                del clusters[k]
+        shift_counts(self.cluster_word[k], self.word_clusters, self.doc_items[m], k, sign)
 
     def counts(self, z: list, n_clusters: int) -> dict:
         """The counts of the labels z over ``n_clusters`` clusters and their

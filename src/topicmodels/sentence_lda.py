@@ -12,7 +12,7 @@ from itertools import repeat
 from operator import add
 
 from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, log_unit_weights,
-                   require_recount, sample_categorical)
+                   require_recount, sample_categorical, shift_counts)
 from .corpus import Corpus
 from .lda import FittedLda, LdaHyper, estimate_phi, estimate_theta, word_topic_index
 
@@ -65,21 +65,12 @@ class SentenceLdaSampler:
     def _move_sentence(self, m: int, s: int, k: int, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) the tokens of sentence s of
         document m to or from topic k in the count tables and the word index."""
-        tables, index = self.tables, self.word_topics
+        tables = self.tables
         n = sign * self.sentence_len[m][s]
         tables.doc_topic[m][k] += n
         tables.topic_total[k] += n
         tables.doc_total[m] += n
-        row = tables.topic_word[k]
-        for v, c in self.sentence_words[m][s]:
-            c *= sign
-            row[v] += c
-            topics = index[v]
-            left = topics.get(k, 0) + c
-            if left:
-                topics[k] = left
-            else:
-                del topics[k]
+        shift_counts(tables.topic_word[k], self.word_topics, self.sentence_words[m][s], k, sign)
 
     def _remove_sentence(self, m: int, s: int) -> int:
         k = self.z[m][s]

@@ -18,7 +18,7 @@ from operator import add, mul
 
 from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, fold_sum,
                    log_unit_weights, record, require_at_least, require_positive, require_recount,
-                   sample_categorical, warn)
+                   sample_categorical, shift_counts, warn)
 from .corpus import Corpus
 from .lda import estimate_phi, estimate_theta, smoothed_rows, sweep_sparse_tokens, word_topic_index
 
@@ -128,21 +128,11 @@ class PtmSampler:
             items = [(k, c) for k, c in enumerate(self.doc_topic[m]) if c]
             self.n_l[l_old] -= 1
             pseudo_total[l_old] -= n_m
-            row = pseudo_topic[l_old]
-            for k, c in items:
-                left = row[k] - c
-                row[k] = left
-                if left:
-                    index[k][l_old] = left
-                else:
-                    del index[k][l_old]
+            shift_counts(pseudo_topic[l_old], index, items, l_old, -1)
             l_new = sample_categorical(self.pseudo_doc_conditional(m, index), self.rng)
             self.n_l[l_new] += 1
             pseudo_total[l_new] += n_m
-            row = pseudo_topic[l_new]
-            for k, c in items:
-                row[k] += c
-                index[k][l_new] = row[k]
+            shift_counts(pseudo_topic[l_new], index, items, l_new, 1)
             self.l[m] = l_new
         # phase 2: token topics, each drawn against its pseudo document's row
         sweep_sparse_tokens(self.corpus.docword, self.z, [pseudo_topic[l] for l in self.l],
