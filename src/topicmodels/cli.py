@@ -283,7 +283,8 @@ def _run(args, outdir):
     fitted = run_chain(sampler, args.iterations, _progress(args.model, args.iterations))
     k = spec.count(hyper, fitted) if spec.count else len(fitted.phi)
     if spec.converged:
-        print(f"{args.model}: converged to {k} {spec.converged}", file=sys.stderr)
+        unit = spec.converged.removesuffix("s") if k == 1 else spec.converged
+        print(f"{args.model}: converged to {k} {unit}", file=sys.stderr)
     if outdir is not None:
         meta = corpus.meta_vocabulary
         names = None if meta is None else meta.id_to_word

@@ -374,7 +374,7 @@ def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequen
 
     Row m of ``doc_topic`` and ``doc_total`` counts document m, unless
     ``rows[m][n]`` in [0, n_rows) names a row for each token (in ATM its
-    author, in PTM its document's pseudo document).
+    author).
     """
     if rows is None:
         n_rows = len(docword)

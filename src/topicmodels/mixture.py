@@ -1,15 +1,17 @@
 """One-cluster-per-document models: Dirichlet multinomial mixture (fixed K)
 and its Dirichlet-process extension (K grows and shrinks).
 
-Cluster bookkeeping:
-  n_docs_in[k]      documents currently assigned to cluster k
-  cluster_word[k][v] tokens of word v in cluster k
-  cluster_total[k]  tokens in cluster k
-  word_clusters[v]  the word index: cluster k -> n_kv for the clusters holding v
-Document word multisets are cached as sorted (word, count) item lists.
-The word term of document m in cluster k, in ``core.log_unit_weights``, is
-prod_w rising(n_kw + beta, N_m^w) / rising(n_k + V beta, N_m), up to a
-factor the same for every cluster.
+Cluster bookkeeping, ``ClusterTables``, for units that are lists of item
+ids (a document's words here; PTM's short documents, whose items are their
+tokens' topics, with pseudo documents as the clusters):
+  n_docs_in[k]       units currently assigned to cluster k
+  cluster_word[k][v] items v in cluster k
+  cluster_total[k]   items in cluster k
+  word_clusters[v]   the item index: cluster k -> n_kv for the clusters holding v
+Unit item multisets are cached as sorted (item, count) lists.
+The item term of unit m in cluster k, in ``core.log_unit_weights``, is
+prod_v rising(n_kv + b, N_m^v) / rising(n_k + V b, N_m), up to a
+factor the same for every cluster (b = beta, V words in DMM and DPMM).
 """
 
 import math
@@ -49,18 +51,19 @@ class MixtureFit:
     doc_cluster: list  # final assignment per document
 
 
-class _ClusterTables:
-    """The cluster counts of document labels z over K clusters."""
+class ClusterTables:
+    """The cluster counts of labels z over K clusters, for ``units`` (lists
+    of item ids in [0, n_items)) under a symmetric item prior b."""
 
-    def __init__(self, corpus: Corpus, beta: float, z: list, n_clusters: int):
-        self.doc_items = [sorted(Counter(doc).items()) for doc in corpus.docword]
-        self.doc_len = [len(doc) for doc in corpus.docword]
-        self.docword = corpus.docword
-        self.n_words = corpus.n_words
+    def __init__(self, units: list, n_items: int, b: float, z: list, n_clusters: int):
+        self.units = units
+        self.unit_items = [sorted(Counter(unit).items()) for unit in units]
+        self.unit_len = [len(unit) for unit in units]
+        self.n_items = n_items
         vars(self).update(self.counts(z, n_clusters))
-        # rising factorials of n_kw + beta and of n_k + V beta
-        self.word_logs = LogRisingMemo(beta)
-        self.total_logs = LogRisingMemo(corpus.n_words * beta)
+        # rising factorials of n_kv + b and of n_k + V b
+        self.item_logs = LogRisingMemo(b)
+        self.total_logs = LogRisingMemo(n_items * b)
 
     @property
     def n_clusters(self) -> int:
@@ -68,7 +71,7 @@ class _ClusterTables:
 
     def new_cluster(self) -> int:
         self.n_docs_in.append(0)
-        self.cluster_word.append([0] * self.n_words)
+        self.cluster_word.append([0] * self.n_items)
         self.cluster_total.append(0)
         return self.n_clusters - 1
 
@@ -79,21 +82,54 @@ class _ClusterTables:
         self._move_doc(m, k, -1)
 
     def _move_doc(self, m: int, k: int, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) document m to or from cluster k
-        in the counts and the word index."""
+        """Add (sign 1) or remove (sign -1) unit m to or from cluster k
+        in the counts and the item index."""
         self.n_docs_in[k] += sign
-        self.cluster_total[k] += sign * self.doc_len[m]
-        shift_counts(self.cluster_word[k], self.word_clusters, self.doc_items[m], k, sign)
+        self.cluster_total[k] += sign * self.unit_len[m]
+        shift_counts(self.cluster_word[k], self.word_clusters, self.unit_items[m], k, sign)
 
     def counts(self, z: list, n_clusters: int) -> dict:
         """The counts of the labels z over ``n_clusters`` clusters and their
-        word index, by attribute name: every token takes its document's
+        item index, by attribute name: every item takes its unit's
         cluster."""
-        token_z = [[k] * n for k, n in zip(z, self.doc_len)]
-        tokens = counts_from_assignments(self.docword, token_z, n_clusters, self.n_words)
+        token_z = [[k] * n for k, n in zip(z, self.unit_len)]
+        tokens = counts_from_assignments(self.units, token_z, n_clusters, self.n_items)
         return {"n_docs_in": [z.count(k) for k in range(n_clusters)],
                 "cluster_word": tokens.topic_word, "cluster_total": tokens.topic_total,
-                "word_clusters": word_topic_index(self.docword, token_z, self.n_words)}
+                "word_clusters": word_topic_index(self.units, token_z, self.n_items)}
+
+    def refresh(self) -> None:
+        """Rebuild the units' item lists, and the item index from the count
+        rows, after the items of the units and the rows have moved together
+        in place (PTM's token step), in O(K V)."""
+        self.unit_items = [sorted(Counter(unit).items()) for unit in self.units]
+        index = self.word_clusters = [{} for _ in range(self.n_items)]
+        for k, row in enumerate(self.cluster_word):
+            for v in compress(range(len(row)), row):
+                index[v][k] = row[v]
+
+    def weights(self, m: int, prior: float) -> list:
+        """Log weights, up to a constant, of giving unit m (its counts
+        already removed) to each cluster: log(n_k + prior) plus the item
+        term.  An empty cluster at prior 0 weighs -inf."""
+        if prior > 0:
+            logs = list(map(math.log, map(add, self.n_docs_in, repeat(prior))))
+        elif 0 in self.n_docs_in:
+            logs = [math.log(n) if n else -math.inf for n in self.n_docs_in]
+        else:  # every cluster live, as in DPMM
+            logs = list(map(math.log, self.n_docs_in))
+        return log_unit_weights(logs, self.word_clusters, self.cluster_total,
+                                self.unit_items[m], self.unit_len[m], self.item_logs,
+                                self.total_logs)
+
+    def resample(self, z: list, prior: float, rng: random.Random) -> None:
+        """Draw every unit's cluster z[m] once, in index order, from
+        ``weights(m, prior)`` with the unit taken out of its cluster."""
+        for m in range(len(z)):
+            self.remove_doc(m, z[m])
+            k = sample_categorical(exp_normalize(self.weights(m, prior)), rng)
+            z[m] = k
+            self.add_doc(m, k)
 
     def fit(self, z: list, alpha: float, beta: float) -> MixtureFit:
         """The estimate from these counts and the labels z."""
@@ -121,7 +157,8 @@ class DmmSampler:
         self.hyper = hyper
         self.rng = rng
         self.z = [rng.randrange(hyper.n_clusters) for _ in range(corpus.n_docs)]
-        self.tables = _ClusterTables(corpus, hyper.beta, self.z, hyper.n_clusters)
+        self.tables = ClusterTables(corpus.docword, corpus.n_words, hyper.beta, self.z,
+                                    hyper.n_clusters)
 
     def check(self) -> None:
         """Recount the cluster tables from z; raises ValueError on a mismatch."""
@@ -131,22 +168,10 @@ class DmmSampler:
         """Cluster weights for document m, its counts already removed,
         proportional to (n_k + a) * word term; an empty cluster at a = 0
         weighs 0."""
-        alpha = self.hyper.alpha
-        t = self.tables
-        if alpha > 0:
-            logs = list(map(math.log, map(add, t.n_docs_in, repeat(alpha))))
-        else:
-            logs = [math.log(n) if n else -math.inf for n in t.n_docs_in]
-        return exp_normalize(log_unit_weights(logs, t.word_clusters, t.cluster_total,
-                                              t.doc_items[m], t.doc_len[m], t.word_logs,
-                                              t.total_logs))
+        return exp_normalize(self.tables.weights(m, self.hyper.alpha))
 
     def sweep(self) -> None:
-        for m in range(self.corpus.n_docs):
-            self.tables.remove_doc(m, self.z[m])
-            k = sample_categorical(self.full_conditional(m), self.rng)
-            self.z[m] = k
-            self.tables.add_doc(m, k)
+        self.tables.resample(self.z, self.hyper.alpha, self.rng)
 
     def estimate(self) -> MixtureFit:
         return self.tables.fit(self.z, self.hyper.alpha, self.hyper.beta)
@@ -162,7 +187,8 @@ class DpmmSampler:
         self.hyper = hyper
         self.rng = rng
         self.z = [rng.randrange(hyper.n_clusters) for _ in range(corpus.n_docs)]
-        self.tables = _ClusterTables(corpus, hyper.beta, self.z, hyper.n_clusters)
+        self.tables = ClusterTables(corpus.docword, corpus.n_words, hyper.beta, self.z,
+                                    hyper.n_clusters)
         # initial clusters that attracted no document are not live
         for k in range(self.tables.n_clusters - 1, -1, -1):
             if self.tables.n_docs_in[k] == 0:
@@ -171,7 +197,7 @@ class DpmmSampler:
         # cluster holds none of its words, so it is log a - log rising(V beta, N_m)
         prior = math.log(hyper.alpha) if hyper.alpha > 0 else -math.inf
         total_logs = self.tables.total_logs
-        self._new_cluster_log = [prior - total_logs[0, n] for n in self.tables.doc_len]
+        self._new_cluster_log = [prior - total_logs[0, n] for n in self.tables.unit_len]
 
     @property
     def n_clusters(self) -> int:
@@ -205,10 +231,7 @@ class DpmmSampler:
         """K live-cluster weights plus one new-cluster weight (last entry),
         proportional to n_k * word term with cluster counts and to a * word
         term with zero counts."""
-        t = self.tables
-        logs = log_unit_weights(list(map(math.log, t.n_docs_in)), t.word_clusters,
-                                t.cluster_total, t.doc_items[m], t.doc_len[m], t.word_logs,
-                                t.total_logs)
+        logs = self.tables.weights(m, 0.0)
         logs.append(self._new_cluster_log[m])
         return exp_normalize(logs)
 

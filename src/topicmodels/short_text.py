@@ -2,30 +2,26 @@
 
 PTM aggregates short documents into latent pseudo documents; the sweep
 first re-assigns every short document to a pseudo document, then resamples
-every token's topic against its pseudo document's counts.
+every token's topic against its pseudo document's counts.  The first step is
+the DMM document draw (``mixture.ClusterTables``) with pseudo documents as
+the clusters and each document's token topics as its words.
 
 BTM works on biterms: unordered word pairs co-occurring inside a sliding
 window.  Each biterm carries two word slots, so the topic-word tables obey
 sum_v n_kv = 2 n_k at all times.
 """
 
-import math
 import random
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, compress, repeat
-from operator import add, mul
+from itertools import accumulate
+from operator import mul
 
-from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, fold_sum,
-                   log_unit_weights, record, require_at_least, require_positive, require_recount,
-                   sample_categorical, shift_counts, warn)
+from .core import (counts_from_assignments, fold_sum, record, require_at_least, require_positive,
+                   require_recount, warn)
 from .corpus import Corpus
-from .lda import estimate_phi, estimate_theta, smoothed_rows, sweep_sparse_tokens, word_topic_index
-
-
-def _topic_counts(z: list, n_topics: int) -> list:
-    """Per document, its tokens in each topic."""
-    return [[zm.count(k) for k in range(n_topics)] for zm in z]
+from .lda import smoothed_rows, sweep_sparse_tokens, word_topic_index
+from .mixture import ClusterTables
 
 
 @record(frozen=True)
@@ -52,11 +48,14 @@ class PtmFit:
 class PtmSampler:
     """Collapsed Gibbs chain over (document -> pseudo document, token -> topic).
 
-    ``pseudo`` counts tokens by pseudo document: doc_topic[l][k] is N_l^k,
-    doc_total[l] is N_l^*, and topic_word and topic_total are n_k^v and n_k.
-    ``n_l`` counts short documents per pseudo document and ``doc_topic[m][k]``
-    the tokens of short document m in topic k.  The token step is the
-    SparseLDA draw of ``lda.sweep_sparse_tokens`` against each document's
+    The pseudo-document step is the DMM document draw with pseudo documents
+    as the clusters and topics as the words: ``tables`` is a
+    ``mixture.ClusterTables`` over the documents' token topics z (K items,
+    b = alpha, prior lambda), so tables.n_docs_in[l] counts short documents,
+    cluster_word[l][k] is N_l^k, cluster_total[l] is N_l^* and
+    word_clusters the topic -> {pseudo document: N_l^k} index.  topic_word
+    and topic_total are n_k^v and n_k.  The token step is the SparseLDA
+    draw of ``lda.sweep_sparse_tokens`` against each document's
     pseudo-document row, with its word index ``word_topics``.
     """
 
@@ -70,83 +69,43 @@ class PtmSampler:
         self.l = [rng.randrange(P) for _ in range(corpus.n_docs)]
         self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
         vars(self).update(self._counts())
-        # rising factorials of N_lk + a and of N_l + K a
-        self._topic_logs = LogRisingMemo(hyper.alpha)
-        self._total_logs = LogRisingMemo(K * hyper.alpha)
 
     def _counts(self) -> dict:
-        """The count tables of l and z, by attribute name."""
-        P, K = self.hyper.n_pseudo_docs, self.hyper.n_topics
-        docword = self.corpus.docword
-        rows = [[l] * len(doc) for l, doc in zip(self.l, docword)]
-        return {"n_l": [self.l.count(l) for l in range(P)],
-                "pseudo": counts_from_assignments(docword, self.z, K, self.corpus.n_words,
-                                                  rows=rows, n_rows=P),
-                "doc_topic": _topic_counts(self.z, K),
+        """The count tables of l and z, by attribute name.  ``tables`` holds
+        z itself, so whatever rebinds z rebinds the tables with it."""
+        hyper, docword = self.hyper, self.corpus.docword
+        tokens = counts_from_assignments(docword, self.z, hyper.n_topics, self.corpus.n_words)
+        return {"tables": ClusterTables(self.z, hyper.n_topics, hyper.alpha, self.l,
+                                        hyper.n_pseudo_docs),
+                "topic_word": tokens.topic_word, "topic_total": tokens.topic_total,
                 "word_topics": word_topic_index(docword, self.z, self.corpus.n_words)}
 
     def check(self) -> None:
         """Check every table against a recount of l and z; raises ValueError."""
-        require_recount(self, self._counts(), "l and z")
-
-    def topic_pseudo_index(self) -> list:
-        """For every topic k, a dict from each pseudo document l holding it
-        to N_lk: the index of the pseudo-document draw."""
-        index = [{} for _ in range(self.hyper.n_topics)]
-        for l, row in enumerate(self.pseudo.doc_topic):
-            for k in compress(range(len(row)), row):
-                index[k][l] = row[k]
-        return index
-
-    def pseudo_doc_conditional(self, m: int, index: list | None = None) -> list:
-        """Pseudo-document weights for document m, its contribution removed,
-        proportional to
-
-        (n_l + lambda) * prod_k rising(N_lk + a, n_mk) / rising(N_l + K a, N_m)
-
-        ``index`` is ``topic_pseudo_index()`` of the counts as they are now,
-        built afresh if not given.
-        """
-        lam = self.hyper.doc_lambda
-        items = [(k, c) for k, c in enumerate(self.doc_topic[m]) if c]
-        return exp_normalize(log_unit_weights(
-            list(map(math.log, map(add, self.n_l, repeat(lam)))),
-            self.topic_pseudo_index() if index is None else index,
-            self.pseudo.doc_total, items, len(self.corpus.docword[m]), self._topic_logs,
-            self._total_logs))
+        recount = self._counts()
+        tables = recount.pop("tables")
+        require_recount(self.tables, tables.counts(self.l, tables.n_clusters), "l and z")
+        require_recount(self, recount, "z")
 
     def sweep(self) -> None:
-        hyper = self.hyper
-        pseudo_topic = self.pseudo.doc_topic
-        pseudo_total = self.pseudo.doc_total
-        # phase 1: pseudo-document assignments, against an index of the rows
-        # that phase 2 of the last sweep left
-        index = self.topic_pseudo_index()
-        for m in range(self.corpus.n_docs):
-            l_old = self.l[m]
-            n_m = len(self.corpus.docword[m])
-            items = [(k, c) for k, c in enumerate(self.doc_topic[m]) if c]
-            self.n_l[l_old] -= 1
-            pseudo_total[l_old] -= n_m
-            shift_counts(pseudo_topic[l_old], index, items, l_old, -1)
-            l_new = sample_categorical(self.pseudo_doc_conditional(m, index), self.rng)
-            self.n_l[l_new] += 1
-            pseudo_total[l_new] += n_m
-            shift_counts(pseudo_topic[l_new], index, items, l_new, 1)
-            self.l[m] = l_new
+        hyper, tables = self.hyper, self.tables
+        # phase 1: pseudo-document assignments, the DMM document draw
+        tables.resample(self.l, hyper.doc_lambda, self.rng)
         # phase 2: token topics, each drawn against its pseudo document's row
-        sweep_sparse_tokens(self.corpus.docword, self.z, [pseudo_topic[l] for l in self.l],
-                            [range(hyper.n_topics)] * len(self.l), self.pseudo.topic_word,
-                            self.pseudo.topic_total, self.word_topics, hyper.alpha, hyper.beta,
+        sweep_sparse_tokens(self.corpus.docword, self.z, [tables.cluster_word[l] for l in self.l],
+                            [range(hyper.n_topics)] * len(self.l), self.topic_word,
+                            self.topic_total, self.word_topics, hyper.alpha, hyper.beta,
                             self.rng)
-        self.doc_topic = _topic_counts(self.z, hyper.n_topics)
+        tables.refresh()
 
     def estimate(self) -> PtmFit:
         alpha, beta = self.hyper.alpha, self.hyper.beta
-        doc_totals = [len(d) for d in self.corpus.docword]
-        return PtmFit(theta=smoothed_rows(self.doc_topic, doc_totals, alpha),
-                      pseudo_theta=estimate_theta(self.pseudo, alpha),
-                      phi=estimate_phi(self.pseudo, beta), doc_pseudo=list(self.l))
+        tables = self.tables
+        doc_counts = [[zm.count(k) for k in range(self.hyper.n_topics)] for zm in self.z]
+        return PtmFit(theta=smoothed_rows(doc_counts, tables.unit_len, alpha),
+                      pseudo_theta=smoothed_rows(tables.cluster_word, tables.cluster_total, alpha),
+                      phi=smoothed_rows(self.topic_word, self.topic_total, beta),
+                      doc_pseudo=list(self.l))
 
 
 @record(frozen=True)

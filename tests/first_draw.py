@@ -201,13 +201,9 @@ def ptm_pseudo_doc_shares(sampler) -> tuple:
     document excluded: the documents, topic counts and tokens of every
     pseudo document, counted afresh from l and z."""
     shares = sweep_draw_shares(sampler, (), lambda: sampler.l[0], ("l", "z"))
-    counts = sampler._counts()
-    l, pseudo = sampler.l[0], counts["pseudo"]
-    counts["n_l"][l] -= 1
-    pseudo.doc_total[l] -= len(sampler.corpus.docword[0])
-    for k in sampler.z[0]:
-        pseudo.doc_topic[l][k] -= 1
-    return shares, (counts["n_l"], pseudo.doc_topic, pseudo.doc_total)
+    tables = sampler._counts()["tables"]
+    tables.remove_doc(0, sampler.l[0])
+    return shares, (tables.n_docs_in, tables.cluster_word, tables.cluster_total)
 
 
 def lda_token_shares(sampler) -> dict:
@@ -265,12 +261,13 @@ def ptm_token_shares(sampler, m: int, n: int, prefix) -> tuple:
     move_to_front(sampler.corpus.docword[0], n)
     move_to_front(sampler.z[0], n)
     shares = sweep_draw_shares(sampler, prefix, lambda: sampler.z[0][0], ("l", "z"))
-    pseudo = sampler._counts()["pseudo"]
+    counts = sampler._counts()
+    tables = counts["tables"]
     l, k, v = sampler.l[0], sampler.z[0][0], sampler.corpus.docword[0][0]
-    return shares, ([c - (j == k) for j, c in enumerate(pseudo.doc_topic[l])],
-                    pseudo.doc_total[l] - 1,
-                    [row[v] - (j == k) for j, row in enumerate(pseudo.topic_word)],
-                    [t - (j == k) for j, t in enumerate(pseudo.topic_total)])
+    return shares, ([c - (j == k) for j, c in enumerate(tables.cluster_word[l])],
+                    tables.cluster_total[l] - 1,
+                    [row[v] - (j == k) for j, row in enumerate(counts["topic_word"])],
+                    [t - (j == k) for j, t in enumerate(counts["topic_total"])])
 
 
 def linklda_shares(sampler, m: int, i: int, links: bool, prefix) -> tuple:

@@ -8,11 +8,12 @@ timed criteria also assert their runtime budgets.
 import itertools
 import math
 import time
+from collections import Counter
 
 import pytest
 
 from topicmodels.cli import main as cli_main
-from topicmodels.core import SeededRng, run_chain
+from topicmodels.core import SeededRng, exp_normalize, run_chain
 from topicmodels.corpus import parse_plain, parse_sentences, parse_tagged, preprocess
 from topicmodels.dual_sparse import DualSparseCvb0, SparseHyper
 from topicmodels.evaluation import average_coherence, topic_coherence
@@ -268,17 +269,13 @@ def test_criterion_2_full_conditional_scalar_oracles():
         P, K = rng.randrange(2, 4), rng.randrange(2, 4)
         sampler = PtmSampler(corpus, PtmHyper(P, K, 0.4, 0.2, 0.3), rng)
         m = rng.randrange(corpus.n_docs)
-        l = sampler.l[m]
         n_m = len(corpus.docword[m])
-        sampler.n_l[l] -= 1
-        sampler.pseudo.doc_total[l] -= n_m
-        for k, c in enumerate(sampler.doc_topic[m]):
-            if c:
-                sampler.pseudo.doc_topic[l][k] -= c
-        doc_counts = {k: c for k, c in enumerate(sampler.doc_topic[m]) if c}
-        want = ptm_pseudo_doc_oracle(sampler.n_l, sampler.pseudo.doc_topic, sampler.pseudo.doc_total,
+        tables = sampler.tables
+        tables.remove_doc(m, sampler.l[m])
+        doc_counts = Counter(sampler.z[m])
+        want = ptm_pseudo_doc_oracle(tables.n_docs_in, tables.cluster_word, tables.cluster_total,
                         doc_counts, n_m, corpus.n_docs, P, K, 0.3, 0.4)
-        assert_close_distribution(sampler.pseudo_doc_conditional(m), want)
+        assert_close_distribution(exp_normalize(tables.weights(m, 0.3)), want)
 
     def ptm_topic_case(rng):
         # the first draw of sweep()'s token step, after its scripted

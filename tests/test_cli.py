@@ -872,11 +872,15 @@ def test_omitted_flags_take_their_defaults(tmp_path, model):
 def test_learnt_counts_are_reported_on_stderr(tmp_path, capsys):
     corpus = tmp_path / "golden.txt"
     corpus.write_text(GOLDEN)
-    for model, flags, line in (
-            ("hdp", ["--alpha", "1.0", "--gamma", "1.0"], "hdp: converged to 6 topics\n"),
-            ("dpmm", ["-k", "2", "--alpha", "2", "--beta", "0.2"],
-             "dpmm: converged to 5 clusters\n")):
-        assert run(["eval", "--model", model, "--input", corpus, *flags, "--iterations", "20",
+    # at alpha = 0 no cluster is born, and three documents settle in one
+    three = tmp_path / "three.txt"
+    three.write_text("apple banana apple\nbanana cherry\ncherry apple banana\n")
+    for model, text, flags, line in (
+            ("hdp", corpus, ["--alpha", "1.0", "--gamma", "1.0"], "hdp: converged to 6 topics\n"),
+            ("dpmm", corpus, ["-k", "2", "--alpha", "2", "--beta", "0.2"],
+             "dpmm: converged to 5 clusters\n"),
+            ("dpmm", three, ["--alpha", "0"], "dpmm: converged to 1 cluster\n")):
+        assert run(["eval", "--model", model, "--input", text, *flags, "--iterations", "20",
                     "--seed", "7", "--top-n", "2"]) == 0
         err = capsys.readouterr().err
         assert err.endswith(f"{model}: iteration 20/20\n{line}"), err

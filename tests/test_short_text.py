@@ -2,8 +2,8 @@ from collections import Counter
 
 import pytest
 
-from topicmodels.core import SeededRng, run_chain
-from topicmodels.corpus import parse_plain, parse_sentences
+from topicmodels.core import SeededRng, exp_normalize, run_chain
+from topicmodels.corpus import Corpus, Vocabulary, parse_plain, parse_sentences
 from topicmodels.lda import LdaGibbsSampler, LdaHyper
 from topicmodels.mixture import DmmSampler, DpmmSampler, MixtureHyper
 from topicmodels.sentence_lda import SentenceLdaSampler
@@ -23,21 +23,11 @@ def make_corpus(rng, n_docs=5, v=6, max_len=6):
 
 # ---------------------------------------------------------------- PTM
 
-def remove_doc_from_pseudo(sampler, m):
-    l = sampler.l[m]
-    n_m = len(sampler.corpus.docword[m])
-    sampler.n_l[l] -= 1
-    sampler.pseudo.doc_total[l] -= n_m
-    for k, c in enumerate(sampler.doc_topic[m]):
-        if c:
-            sampler.pseudo.doc_topic[l][k] -= c
-
-
 def test_ptm_single_pseudo_doc_certain():
     corpus = parse_plain(["a b", "c"])
     sampler = PtmSampler(corpus, PtmHyper(1, 2), SeededRng(0))
-    remove_doc_from_pseudo(sampler, 0)
-    assert normalize(sampler.pseudo_doc_conditional(0)) == [1.0]
+    sampler.tables.remove_doc(0, sampler.l[0])
+    assert normalize(exp_normalize(sampler.tables.weights(0, sampler.hyper.doc_lambda))) == [1.0]
 
 
 def test_ptm_pseudo_doc_conditional_matches_oracle():
@@ -48,13 +38,43 @@ def test_ptm_pseudo_doc_conditional_matches_oracle():
         hyper = PtmHyper(P, K, alpha=0.4, beta=0.2, doc_lambda=0.3)
         sampler = PtmSampler(corpus, hyper, rng)
         m = rng.randrange(corpus.n_docs)
-        remove_doc_from_pseudo(sampler, m)
-        got = sampler.pseudo_doc_conditional(m)
-        doc_counts = {k: c for k, c in enumerate(sampler.doc_topic[m]) if c}
-        want = ptm_pseudo_doc_oracle(sampler.n_l, sampler.pseudo.doc_topic, sampler.pseudo.doc_total,
+        tables = sampler.tables
+        tables.remove_doc(m, sampler.l[m])
+        got = exp_normalize(tables.weights(m, 0.3))
+        doc_counts = Counter(sampler.z[m])
+        want = ptm_pseudo_doc_oracle(tables.n_docs_in, tables.cluster_word, tables.cluster_total,
                         doc_counts, len(corpus.docword[m]), corpus.n_docs,
                         P, K, 0.3, 0.4)
         assert_close_distribution(got, want)
+
+
+def test_ptm_pseudo_doc_draw_is_the_dmm_draw():
+    # PTM's pseudo-document draw is DMM's document draw with pseudo
+    # documents as clusters, topics as words and (lambda, alpha, K) as
+    # (alpha, beta, V): a DMM chain over documents that are PTM's token
+    # topics, in PTM's pseudo documents, weighs every document the same,
+    # to the bit
+    rng = SeededRng(53)
+    for _ in range(4):
+        corpus = make_corpus(rng, n_docs=6)
+        P, K = rng.randrange(2, 4), rng.randrange(2, 5)
+        lam, alpha = 0.3, 0.4
+        ptm = PtmSampler(corpus, PtmHyper(P, K, alpha=alpha, beta=0.2, doc_lambda=lam), rng)
+        for _ in range(2):
+            ptm.sweep()
+        vocabulary = Vocabulary()
+        for k in range(K):
+            vocabulary.add(f"t{k}")
+        topics = Corpus(docword=[list(zm) for zm in ptm.z], vocabulary=vocabulary)
+        dmm = DmmSampler(topics, MixtureHyper(P, lam, alpha), rng)
+        dmm.z[:] = ptm.l
+        vars(dmm.tables).update(dmm.tables.counts(dmm.z, P))
+        for m in range(corpus.n_docs):
+            ptm.tables.remove_doc(m, ptm.l[m])
+            dmm.tables.remove_doc(m, dmm.z[m])
+            assert exp_normalize(ptm.tables.weights(m, lam)) == dmm.full_conditional(m)
+            ptm.tables.add_doc(m, ptm.l[m])
+            dmm.tables.add_doc(m, dmm.z[m])
 
 
 def test_ptm_pseudo_doc_sweep_draw_matches_oracle():
@@ -93,18 +113,20 @@ def test_ptm_doc_counts_conserved():
     sampler = PtmSampler(corpus, PtmHyper(3, 2), SeededRng(1))
     for _ in range(10):
         sampler.sweep()
-        assert sum(sampler.n_l) == corpus.n_docs
-        assert sum(sampler.pseudo.doc_total) == corpus.n_tokens
+        tables = sampler.tables
+        assert sum(tables.n_docs_in) == corpus.n_docs
+        assert sum(tables.cluster_total) == corpus.n_tokens
         # recount every table from the latent state
         for l in range(3):
             members = [m for m in range(corpus.n_docs) if sampler.l[m] == l]
-            assert sampler.n_l[l] == len(members)
+            assert tables.n_docs_in[l] == len(members)
             for k in range(2):
                 want = sum(1 for m in members for z in sampler.z[m] if z == k)
-                assert sampler.pseudo.doc_topic[l][k] == want
+                assert tables.cluster_word[l][k] == want
         for m in range(corpus.n_docs):
             for k in range(2):
-                assert sampler.doc_topic[m][k] == sum(1 for z in sampler.z[m] if z == k)
+                got = dict(tables.unit_items[m]).get(k, 0)
+                assert got == sum(1 for z in sampler.z[m] if z == k)
 
 
 def test_ptm_check_recounts_every_table():
@@ -114,9 +136,25 @@ def test_ptm_check_recounts_every_table():
         sampler.sweep()
         sampler.check()
     l = sampler.l[0]
-    sampler.pseudo.doc_topic[l][sampler.z[0][0]] += 1
-    with pytest.raises(ValueError, match="pseudo.doc_topic"):
+    sampler.tables.cluster_word[l][sampler.z[0][0]] += 1
+    with pytest.raises(ValueError, match="cluster_word"):
         sampler.check()
+
+
+def test_ptm_check_recounts_pseudo_doc_index():
+    # the topic -> {pseudo document: N_lk} index is rebuilt after each
+    # token step; check() recounts it with the rest of the tables
+    corpus = make_corpus(SeededRng(6), n_docs=8)
+    sampler = PtmSampler(corpus, PtmHyper(3, 2), SeededRng(2))
+    for _ in range(5):
+        sampler.sweep()
+        sampler.check()
+    held = sampler.tables.word_clusters[sampler.z[0][0]]
+    held[sampler.l[0]] += 1
+    with pytest.raises(ValueError, match="word_clusters"):
+        sampler.check()
+    held[sampler.l[0]] -= 1
+    sampler.check()
 
 
 def test_ptm_fit_outputs_are_stochastic():
@@ -375,4 +413,4 @@ def test_ptm_k1():
     sampler = PtmSampler(corpus, PtmHyper(2, 1), SeededRng(15))
     sweep_checked(sampler)
     assert sampler.z == [[0] * len(doc) for doc in corpus.docword]
-    assert sampler.doc_topic == [[len(doc)] for doc in corpus.docword]
+    assert sampler.tables.unit_items == [[(0, len(doc))] for doc in corpus.docword]
