@@ -219,7 +219,17 @@ def test_short_text_golden_bytes(tmp_path, model):
 
 # The same for PTM and BTM at K = 10.  Both have one kernel, the bucketed
 # one, at every K; this pins it above the K = 3 of the entries above.
+# DPMM from K = 10 starts with more clusters than GOLDEN has documents: it
+# deletes empty clusters other than the last, at its start and in its
+# sweeps, before it settles on one cluster.
 GOLDEN_SHORT_TEXT_K10 = {
+    "dpmm": (["-k", "10"], {
+        "DPMM_cluster_word_1.txt":
+        "3a980dfc6f06d2461d7d1f45e9a9bf9733dd5447dfda8b1c01de06adeb2f0220",
+        "DPMM_doc_cluster1.txt":
+        "2de84622a56b51c09e96feabbe375cb7b1fdb1502810076b130475a40a7dc5a1",
+        "DPMM_theta_1.txt":
+        "5717e7c840171019a4eeab5b79a7f894a4986eaff93d04ec5b12c9a189f594bf"}),
     "ptm": (["-k", "10", "--pseudo-docs", "3", "--alpha", "0.5"], {
         "PseudoDTM_doc_topic10.txt":
         "62b99bfc838099849539b648acdab339c6d74cbccc3b9029b7556fa89c8d5dc5",
@@ -338,6 +348,21 @@ GOLDEN_OTHER_MODELS = {
 def test_other_models_golden_bytes(tmp_path, model):
     layout, flags, want = GOLDEN_OTHER_MODELS[model]
     assert_golden(tmp_path, model, GOLDEN_LAYOUTS[layout], flags, want)
+
+
+# sentence-lda at K = 10, same run settings: more topics than the chain
+# fills, and sentences that repeat a word ("cherry cherry apple"), so its
+# draw weighs empty topics and the multiplicity-2 rising factorials.
+GOLDEN_SENTENCE_LDA_K10 = {
+    "SentenceLDA_doc_topic_10.txt":
+    "bdc84489259992d1613e9abfb2840b3b705eac0c677a6d88c5b941758ecff188",
+    "SentenceLDA_topic_word10.txt":
+    "b88560e6a64e73233af33fb043e8a25e14385f55bd1ce91a4a50e7d34f583bb5"}
+
+
+def test_sentence_lda_golden_bytes_at_k10(tmp_path):
+    assert_golden(tmp_path, "sentence-lda", GOLDEN_LAYOUTS["sentences"], ["-k", "10"],
+                  GOLDEN_SENTENCE_LDA_K10)
 
 
 # labeled-lda at --alpha 1, same run settings.  At the default alpha every
