@@ -2,14 +2,19 @@
 and its Dirichlet-process extension (K grows and shrinks).
 
 Cluster bookkeeping, ``ClusterTables``, for units that are lists of item
-ids (a document's words here; PTM's short documents, whose items are their
-tokens' topics, with pseudo documents as the clusters):
+ids (a document's words here; Sentence-LDA's sentences, with topics as the
+clusters; PTM's short documents, whose items are their tokens' topics, with
+pseudo documents as the clusters):
   n_docs_in[k]       units currently assigned to cluster k
   cluster_word[k][v] items v in cluster k
   cluster_total[k]   items in cluster k
   word_clusters[v]   the item index: cluster k -> n_kv for the clusters holding v
-Unit item multisets are cached as sorted (item, count) lists.
-The item term of unit m in cluster k, in ``core.log_unit_weights``, is
+Unit item multisets are cached as sorted (item, count) lists.  The tables
+move these counts themselves, cluster births and deletions included; only
+PTM's token step moves rows from outside, and then calls ``refresh``.
+A unit's log weight in cluster k is the caller's prior log for k (log(n_k
++ alpha) in DMM, log n_k in DPMM, log(n_mk + alpha) in Sentence-LDA) plus
+the item term of ``core.log_unit_weights``,
 prod_v rising(n_kv + b, N_m^v) / rising(n_k + V b, N_m), up to a
 factor the same for every cluster (b = beta, V words in DMM and DPMM).
 """
@@ -22,7 +27,7 @@ from operator import add
 
 from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, log_unit_weights, record,
                    require_at_least, require_nonnegative, require_positive, require_recount,
-                   sample_categorical, shift_counts)
+                   sample_categorical)
 from .corpus import Corpus
 from .lda import smoothed_rows, word_topic_index
 
@@ -75,6 +80,24 @@ class ClusterTables:
         self.cluster_total.append(0)
         return self.n_clusters - 1
 
+    def delete_cluster(self, k: int, z: list) -> None:
+        """Drop cluster k, which holds no unit: the last cluster takes its
+        index in the counts, the item index and the labels z."""
+        last = self.n_clusters - 1
+        if k != last:
+            self.n_docs_in[k] = self.n_docs_in[last]
+            row = self.cluster_word[k] = self.cluster_word[last]
+            self.cluster_total[k] = self.cluster_total[last]
+            index = self.word_clusters
+            for v in compress(range(len(row)), row):
+                index[v][k] = index[v].pop(last)
+            for m, zm in enumerate(z):
+                if zm == last:
+                    z[m] = k
+        self.n_docs_in.pop()
+        self.cluster_word.pop()
+        self.cluster_total.pop()
+
     def add_doc(self, m: int, k: int) -> None:
         self._move_doc(m, k, 1)
 
@@ -83,10 +106,20 @@ class ClusterTables:
 
     def _move_doc(self, m: int, k: int, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) unit m to or from cluster k
-        in the counts and the item index."""
+        in the counts and the item index, where a key whose count reaches 0
+        leaves its dict."""
         self.n_docs_in[k] += sign
         self.cluster_total[k] += sign * self.unit_len[m]
-        shift_counts(self.cluster_word[k], self.word_clusters, self.unit_items[m], k, sign)
+        row, index = self.cluster_word[k], self.word_clusters
+        for v, c in self.unit_items[m]:
+            c *= sign
+            row[v] += c
+            counts = index[v]
+            left = counts.get(k, 0) + c
+            if left:
+                counts[k] = left
+            else:
+                del counts[k]
 
     def counts(self, z: list, n_clusters: int) -> dict:
         """The counts of the labels z over ``n_clusters`` clusters and their
@@ -108,26 +141,32 @@ class ClusterTables:
             for v in compress(range(len(row)), row):
                 index[v][k] = row[v]
 
-    def weights(self, m: int, prior: float) -> list:
-        """Log weights, up to a constant, of giving unit m (its counts
-        already removed) to each cluster: log(n_k + prior) plus the item
-        term.  An empty cluster at prior 0 weighs -inf."""
+    def check(self, z: list, source: str) -> None:
+        """Recount the tables from the labels z; raises ValueError naming
+        the first table that differs."""
+        require_recount(self, self.counts(z, self.n_clusters), source)
+
+    def prior_logs(self, prior: float) -> list:
+        """log(n_k + prior) for every cluster k; an empty cluster at prior 0
+        weighs -inf."""
         if prior > 0:
-            logs = list(map(math.log, map(add, self.n_docs_in, repeat(prior))))
-        elif 0 in self.n_docs_in:
-            logs = [math.log(n) if n else -math.inf for n in self.n_docs_in]
-        else:  # every cluster live, as in DPMM
-            logs = list(map(math.log, self.n_docs_in))
+            return list(map(math.log, map(add, self.n_docs_in, repeat(prior))))
+        return [math.log(n) if n else -math.inf for n in self.n_docs_in]
+
+    def weights(self, m: int, logs: list) -> list:
+        """Log weights, up to a constant, of giving unit m (its counts
+        already removed) to each cluster k: the prior log ``logs[k]`` plus
+        the item term."""
         return log_unit_weights(logs, self.word_clusters, self.cluster_total,
                                 self.unit_items[m], self.unit_len[m], self.item_logs,
                                 self.total_logs)
 
     def resample(self, z: list, prior: float, rng: random.Random) -> None:
-        """Draw every unit's cluster z[m] once, in index order, from
-        ``weights(m, prior)`` with the unit taken out of its cluster."""
+        """Draw every unit's cluster z[m] once, in index order, with the
+        unit taken out of its cluster and prior logs ``prior_logs(prior)``."""
         for m in range(len(z)):
             self.remove_doc(m, z[m])
-            k = sample_categorical(exp_normalize(self.weights(m, prior)), rng)
+            k = sample_categorical(exp_normalize(self.weights(m, self.prior_logs(prior))), rng)
             z[m] = k
             self.add_doc(m, k)
 
@@ -162,13 +201,13 @@ class DmmSampler:
 
     def check(self) -> None:
         """Recount the cluster tables from z; raises ValueError on a mismatch."""
-        require_recount(self.tables, self.tables.counts(self.z, self.tables.n_clusters), "z")
+        self.tables.check(self.z, "z")
 
     def full_conditional(self, m: int) -> list:
         """Cluster weights for document m, its counts already removed,
         proportional to (n_k + a) * word term; an empty cluster at a = 0
         weighs 0."""
-        return exp_normalize(self.tables.weights(m, self.hyper.alpha))
+        return exp_normalize(self.tables.weights(m, self.tables.prior_logs(self.hyper.alpha)))
 
     def sweep(self) -> None:
         self.tables.resample(self.z, self.hyper.alpha, self.rng)
@@ -192,7 +231,7 @@ class DpmmSampler:
         # initial clusters that attracted no document are not live
         for k in range(self.tables.n_clusters - 1, -1, -1):
             if self.tables.n_docs_in[k] == 0:
-                self._delete_cluster(k)
+                self.tables.delete_cluster(k, self.z)
         # the new-cluster term depends on the document alone: an empty
         # cluster holds none of its words, so it is log a - log rising(V beta, N_m)
         prior = math.log(hyper.alpha) if hyper.alpha > 0 else -math.inf
@@ -203,26 +242,10 @@ class DpmmSampler:
     def n_clusters(self) -> int:
         return self.tables.n_clusters
 
-    def _delete_cluster(self, k: int) -> None:
-        last = self.tables.n_clusters - 1
-        if k != last:
-            self.tables.n_docs_in[k] = self.tables.n_docs_in[last]
-            row = self.tables.cluster_word[k] = self.tables.cluster_word[last]
-            self.tables.cluster_total[k] = self.tables.cluster_total[last]
-            index = self.tables.word_clusters
-            for v in compress(range(len(row)), row):
-                index[v][k] = index[v].pop(last)
-            for m, zm in enumerate(self.z):
-                if zm == last:
-                    self.z[m] = k
-        self.tables.n_docs_in.pop()
-        self.tables.cluster_word.pop()
-        self.tables.cluster_total.pop()
-
     def check(self) -> None:
         """Recount the cluster tables from z and require every cluster live;
         raises ValueError on a mismatch."""
-        require_recount(self.tables, self.tables.counts(self.z, self.tables.n_clusters), "z")
+        self.tables.check(self.z, "z")
         for k, n in enumerate(self.tables.n_docs_in):
             if n <= 0:
                 raise ValueError(f"cluster {k} is not live ({n} documents)")
@@ -231,7 +254,7 @@ class DpmmSampler:
         """K live-cluster weights plus one new-cluster weight (last entry),
         proportional to n_k * word term with cluster counts and to a * word
         term with zero counts."""
-        logs = self.tables.weights(m, 0.0)
+        logs = self.tables.weights(m, list(map(math.log, self.tables.n_docs_in)))
         logs.append(self._new_cluster_log[m])
         return exp_normalize(logs)
 
@@ -241,7 +264,7 @@ class DpmmSampler:
             self.tables.remove_doc(m, old)
             self.z[m] = -1
             if self.tables.n_docs_in[old] == 0:
-                self._delete_cluster(old)
+                self.tables.delete_cluster(old, self.z)
             weights = self.full_conditional(m)
             k = sample_categorical(weights, self.rng)
             if k == self.tables.n_clusters:

@@ -1,29 +1,36 @@
 """Sentence-LDA: every word of a sentence shares one topic.
 
-The sentence conditional multiplies rising factorials over the sentence's
-word multiset, so all weights are built in log space and exponentiated
-against the per-sentence maximum.
+A sentence's topic is drawn as a DMM document's cluster is, on the same
+``mixture.ClusterTables``: the sentences are the units, their words the
+items and the topics the clusters.  The draw's prior logs are the
+sentence's document row, log(n_mk + alpha), in place of DMM's cluster
+sizes.  The weights are built in log space and exponentiated against the
+per-sentence maximum.
 """
 
 import math
 import random
-from collections import Counter
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from operator import add
 
-from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, log_unit_weights,
-                   require_recount, sample_categorical, shift_counts)
+from .core import CountTables, exp_normalize, require_recount, sample_categorical
 from .corpus import Corpus
-from .lda import FittedLda, LdaHyper, estimate_phi, estimate_theta, word_topic_index
+from .lda import FittedLda, LdaHyper, estimate_phi, estimate_theta
+from .mixture import ClusterTables
 
 
 class SentenceLdaSampler:
     """Collapsed Gibbs chain over per-sentence topic assignments z_ms.
 
-    Count tables track word tokens (not sentences): removing a sentence
-    removes every one of its tokens from its topic.  ``word_topics`` is
-    their word index: for every word, a dict from each topic holding it to
-    n_kv.
+    ``clusters`` is a ``mixture.ClusterTables`` over the corpus's sentences
+    in order, sentence s of document m being unit first_sentence[m] + s:
+    its cluster_word and cluster_total count word tokens (not sentences) by
+    topic, and word_clusters is their word index.  The LDA samplers' names
+    are views of them: ``tables`` is a CountTables whose topic_word and
+    topic_total are those two rows, beside the document rows doc_topic
+    (tokens of document m in topic k) and doc_total, and ``word_topics`` is
+    the word index.  A sweep moves a sentence out of and back into its own
+    document, so doc_total never changes.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
@@ -33,53 +40,34 @@ class SentenceLdaSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        K = hyper.n_topics
-        # per-(doc, sentence) word multisets, as (word, count) lists, and lengths
-        self.sentence_words, self.sentence_len = [], []
-        for m in range(corpus.n_docs):
-            sentences = list(corpus.doc_sentences(m))
-            self.sentence_words.append([sorted(Counter(s).items()) for s in sentences])
-            self.sentence_len.append([len(s) for s in sentences])
-        self.z = [[rng.randrange(K) for _ in doc_sents]
-                  for doc_sents in self.sentence_words]
+        self.sentences = [s for m in range(corpus.n_docs) for s in corpus.doc_sentences(m)]
+        self.first_sentence = list(accumulate(map(len, corpus.sentences), initial=0))
+        self.z = [[rng.randrange(hyper.n_topics) for _ in ends] for ends in corpus.sentences]
         vars(self).update(self._counts())
-        # rising factorials of n_kw + b and of n_k + V b
-        self._word_logs = LogRisingMemo(hyper.beta)
-        self._total_logs = LogRisingMemo(corpus.n_words * hyper.beta)
 
     def _counts(self) -> dict:
-        """The count tables of z and their word index, by attribute name:
-        every token takes its sentence's topic."""
-        corpus = self.corpus
-        token_z = [[k for k, sentence in zip(zm, corpus.doc_sentences(m)) for _ in sentence]
-                   for m, zm in enumerate(self.z)]
-        return {"tables": counts_from_assignments(corpus.docword, token_z,
-                                                  self.hyper.n_topics, corpus.n_words),
-                "word_topics": word_topic_index(corpus.docword, token_z, corpus.n_words)}
+        """The cluster tables of z, and the count tables and word index that
+        share their rows, by attribute name: every token takes its
+        sentence's topic."""
+        corpus, K = self.corpus, self.hyper.n_topics
+        clusters = ClusterTables(self.sentences, corpus.n_words, self.hyper.beta,
+                                 list(chain.from_iterable(self.z)), K)
+        tables = CountTables(corpus.n_docs, K, 0)
+        tables.topic_word, tables.topic_total = clusters.cluster_word, clusters.cluster_total
+        tables.doc_total = list(map(len, corpus.docword))
+        lengths = iter(clusters.unit_len)
+        for zm, row in zip(self.z, tables.doc_topic):
+            for k, n in zip(zm, lengths):  # zm first: zip stops before taking a length
+                row[k] += n
+        return {"clusters": clusters, "tables": tables, "word_topics": clusters.word_clusters}
 
     def check(self) -> None:
-        """Check the count tables and the word index against a recount of z;
-        raises ValueError."""
-        require_recount(self, self._counts(), "z")
-
-    def _move_sentence(self, m: int, s: int, k: int, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) the tokens of sentence s of
-        document m to or from topic k in the count tables and the word index."""
-        tables = self.tables
-        n = sign * self.sentence_len[m][s]
-        tables.doc_topic[m][k] += n
-        tables.topic_total[k] += n
-        tables.doc_total[m] += n
-        shift_counts(tables.topic_word[k], self.word_topics, self.sentence_words[m][s], k, sign)
-
-    def _remove_sentence(self, m: int, s: int) -> int:
-        k = self.z[m][s]
-        self._move_sentence(m, s, k, -1)
-        return k
-
-    def _add_sentence(self, m: int, s: int, k: int) -> None:
-        self.z[m][s] = k
-        self._move_sentence(m, s, k, 1)
+        """Check the count tables, the word index and the cluster tables
+        against a recount of z; raises ValueError."""
+        recount = self._counts()
+        del recount["clusters"]
+        require_recount(self, recount, "z")
+        self.clusters.check(list(chain.from_iterable(self.z)), "z")
 
     def full_conditional(self, m: int, s: int) -> list:
         """Weights for sentence s of document m, its counts already removed,
@@ -87,18 +75,21 @@ class SentenceLdaSampler:
 
         (n_mk + a) * prod_w rising(n_kw + b, N_ms^w) / rising(n_k + V b, N_ms)
         """
-        tables = self.tables
-        logs = list(map(math.log, map(add, tables.doc_topic[m], repeat(self.hyper.alpha))))
-        return exp_normalize(log_unit_weights(
-            logs, self.word_topics, tables.topic_total, self.sentence_words[m][s],
-            self.sentence_len[m][s], self._word_logs, self._total_logs))
+        logs = list(map(math.log, map(add, self.tables.doc_topic[m], repeat(self.hyper.alpha))))
+        return exp_normalize(self.clusters.weights(self.first_sentence[m] + s, logs))
 
     def sweep(self) -> None:
-        for m, doc_sents in enumerate(self.sentence_words):
-            for s in range(len(doc_sents)):
-                self._remove_sentence(m, s)
-                k = sample_categorical(self.full_conditional(m, s), self.rng)
-                self._add_sentence(m, s, k)
+        clusters, unit_len = self.clusters, self.clusters.unit_len
+        u = 0
+        for m, (zm, row) in enumerate(zip(self.z, self.tables.doc_topic)):
+            for s, k in enumerate(zm):
+                n = unit_len[u]
+                clusters.remove_doc(u, k)
+                row[k] -= n
+                k = zm[s] = sample_categorical(self.full_conditional(m, s), self.rng)
+                clusters.add_doc(u, k)
+                row[k] += n
+                u += 1
 
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),

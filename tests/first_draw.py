@@ -194,6 +194,23 @@ def sentence_shares(sampler) -> tuple:
     return shares, tables
 
 
+def remove_sentence(sampler, m: int, s: int) -> int:
+    """Take sentence s of document m out of a ``SentenceLdaSampler``'s
+    counts, as its sweep does before the sentence's draw; returns its topic."""
+    k, u = sampler.z[m][s], sampler.first_sentence[m] + s
+    sampler.clusters.remove_doc(u, k)
+    sampler.tables.doc_topic[m][k] -= sampler.clusters.unit_len[u]
+    return k
+
+
+def add_sentence(sampler, m: int, s: int, k: int) -> None:
+    """Give sentence s of document m topic k and put it back into the counts."""
+    u = sampler.first_sentence[m] + s
+    sampler.z[m][s] = k
+    sampler.clusters.add_doc(u, k)
+    sampler.tables.doc_topic[m][k] += sampler.clusters.unit_len[u]
+
+
 def ptm_pseudo_doc_shares(sampler) -> tuple:
     """``sweep_draw_shares`` of the first short document's pseudo-document
     draw in a ``PtmSampler``.  Returns the shares and what

@@ -34,7 +34,8 @@ from oracles import (assert_close_distribution, cosine, lda_token_oracle, senten
                      labeled_token_oracle, plda_token_oracle, lda_joint_log, ptm_joint_log,
                      btm_joint_log, linklda_joint_log, tv_distance)
 from first_draw import (assert_shares_match, biterm_shares, lda_token_shares, linklda_shares,
-                        ptm_token_shares, put_biterm_first, put_lda_token_first)
+                        ptm_token_shares, put_biterm_first, put_lda_token_first,
+                        remove_sentence)
 
 
 def ok(criterion, detail):
@@ -232,7 +233,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         sampler = SentenceLdaSampler(corpus, LdaHyper(3, 0.7, 0.15), rng)
         m = rng.randrange(corpus.n_docs)
         s = rng.randrange(len(corpus.sentences[m]))
-        sampler._remove_sentence(m, s)
+        remove_sentence(sampler, m, s)
         sentence = list(corpus.doc_sentences(m))[s]
         want = sentence_topic_oracle(sampler.tables.doc_topic[m], sampler.tables.doc_total[m],
                              sampler.tables.topic_word, sampler.tables.topic_total,
@@ -258,7 +259,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         sampler.tables.remove_doc(m, old)
         sampler.z[m] = -1
         if sampler.tables.n_docs_in[old] == 0:
-            sampler._delete_cluster(old)
+            sampler.tables.delete_cluster(old, sampler.z)
         want = dpmm_doc_oracle(sampler.tables.n_docs_in, sampler.tables.cluster_word,
                          sampler.tables.cluster_total, corpus.docword[m],
                          corpus.n_docs, 0.85, 0.2, corpus.n_words)
@@ -275,7 +276,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         doc_counts = Counter(sampler.z[m])
         want = ptm_pseudo_doc_oracle(tables.n_docs_in, tables.cluster_word, tables.cluster_total,
                         doc_counts, n_m, corpus.n_docs, P, K, 0.3, 0.4)
-        assert_close_distribution(exp_normalize(tables.weights(m, 0.3)), want)
+        assert_close_distribution(exp_normalize(tables.weights(m, tables.prior_logs(0.3))), want)
 
     def ptm_topic_case(rng):
         # the first draw of sweep()'s token step, after its scripted

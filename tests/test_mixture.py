@@ -210,7 +210,7 @@ def test_dpmm_matches_combined_rule_oracle():
         sampler.tables.remove_doc(m, old)
         sampler.z[m] = -1
         if sampler.tables.n_docs_in[old] == 0:
-            sampler._delete_cluster(old)
+            sampler.tables.delete_cluster(old, sampler.z)
         got = sampler.full_conditional(m)
         want = dpmm_doc_oracle(sampler.tables.n_docs_in, sampler.tables.cluster_word,
                          sampler.tables.cluster_total, corpus.docword[m],
@@ -284,6 +284,31 @@ def test_check_recounts_the_cluster_tables(sampler_cls):
     sampler.tables.cluster_word[k][0] -= 1
     sampler.tables.n_docs_in[k] += 1
     with pytest.raises(ValueError, match="n_docs_in"):
+        sampler.check()
+    sampler.tables.n_docs_in[k] -= 1
+    sampler.tables.word_clusters[corpus.docword[0][0]][k] += 1
+    with pytest.raises(ValueError, match="word_clusters"):
+        sampler.check()
+
+
+def test_dpmm_item_index_survives_deleting_a_cluster_before_the_last():
+    # deleting cluster k < last moves the last cluster's counts, item index
+    # entries and labels to index k; check() recounts them after every sweep
+    corpus = parse_plain(["a b a", "b c", "c c a", "a", "d b", "d d e", "e a"])
+    sampler = DpmmSampler(corpus, MixtureHyper(3, 0.5, 0.2), SeededRng(7))
+    tables = sampler.tables
+    deleted, delete = [], tables.delete_cluster
+
+    def recording_delete(k, z):
+        deleted.append((k, tables.n_clusters - 1))
+        delete(k, z)
+    tables.delete_cluster = recording_delete
+    for _ in range(20):
+        sampler.sweep()
+        sampler.check()
+    assert any(k != last for k, last in deleted), deleted
+    tables.word_clusters[corpus.docword[0][0]][sampler.z[0]] += 1
+    with pytest.raises(ValueError, match="word_clusters"):
         sampler.check()
 
 

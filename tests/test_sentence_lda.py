@@ -8,7 +8,7 @@ from topicmodels.corpus import CorpusError, parse_plain, parse_sentences
 from topicmodels.lda import LdaHyper
 from topicmodels.sentence_lda import SentenceLdaSampler
 
-from first_draw import assert_shares_match, sentence_shares
+from first_draw import add_sentence, assert_shares_match, remove_sentence, sentence_shares
 from oracles import (assert_close_distribution, lda_joint_log, lda_token_oracle, normalize,
                      sentence_topic_oracle, tv_distance)
 
@@ -27,7 +27,7 @@ def test_one_word_sentences_reduce_to_lda_conditional():
     hyper = LdaHyper(3, alpha=0.4, beta=0.2)
     sampler = SentenceLdaSampler(corpus, hyper, SeededRng(4))
     m, s = 1, 2
-    k_old = sampler._remove_sentence(m, s)
+    k_old = remove_sentence(sampler, m, s)
     got = sampler.full_conditional(m, s)
     v = corpus.docword[m][2]
     tables = sampler.tables
@@ -35,13 +35,13 @@ def test_one_word_sentences_reduce_to_lda_conditional():
                             [tables.topic_word[k][v] for k in range(hyper.n_topics)],
                             tables.topic_total, hyper.alpha, hyper.beta, corpus.n_words)
     assert_close_distribution(got, want)
-    sampler._add_sentence(m, s, k_old)
+    add_sentence(sampler, m, s, k_old)
 
 
 def test_k1_is_certain():
     corpus = parse_sentences(["a b--c"])
     sampler = SentenceLdaSampler(corpus, LdaHyper(1), SeededRng(0))
-    sampler._remove_sentence(0, 0)
+    remove_sentence(sampler, 0, 0)
     assert normalize(sampler.full_conditional(0, 0)) == [1.0]
 
 
@@ -59,7 +59,7 @@ def test_full_conditional_matches_direct_product_oracle():
         sampler = SentenceLdaSampler(corpus, hyper, rng)
         m = rng.randrange(corpus.n_docs)
         s = rng.randrange(len(corpus.sentences[m]))
-        sampler._remove_sentence(m, s)
+        remove_sentence(sampler, m, s)
         got = sampler.full_conditional(m, s)
         sentence = list(corpus.doc_sentences(m))[s]
         want = sentence_topic_oracle(sampler.tables.doc_topic[m], sampler.tables.doc_total[m],
@@ -151,4 +151,19 @@ def test_check_rejects_a_stale_count():
     k = sampler.z[0][1]
     sampler.tables.topic_word[k][corpus.docword[0][2]] -= 1
     with pytest.raises(ValueError, match="tables.topic_word"):
+        sampler.check()
+
+
+def test_check_recounts_the_word_index_and_the_cluster_tables():
+    corpus = parse_sentences(["a b--c a", "b c--c"])
+    sampler = SentenceLdaSampler(corpus, LdaHyper(2), SeededRng(4))
+    sampler.sweep()
+    sampler.check()
+    k = sampler.z[0][1]
+    sampler.word_topics[corpus.docword[0][2]][k] += 1
+    with pytest.raises(ValueError, match="word_topics"):
+        sampler.check()
+    sampler.word_topics[corpus.docword[0][2]][k] -= 1
+    sampler.clusters.n_docs_in[k] += 1
+    with pytest.raises(ValueError, match="n_docs_in"):
         sampler.check()

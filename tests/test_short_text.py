@@ -27,7 +27,8 @@ def test_ptm_single_pseudo_doc_certain():
     corpus = parse_plain(["a b", "c"])
     sampler = PtmSampler(corpus, PtmHyper(1, 2), SeededRng(0))
     sampler.tables.remove_doc(0, sampler.l[0])
-    assert normalize(exp_normalize(sampler.tables.weights(0, sampler.hyper.doc_lambda))) == [1.0]
+    logs = sampler.tables.prior_logs(sampler.hyper.doc_lambda)
+    assert normalize(exp_normalize(sampler.tables.weights(0, logs))) == [1.0]
 
 
 def test_ptm_pseudo_doc_conditional_matches_oracle():
@@ -40,7 +41,7 @@ def test_ptm_pseudo_doc_conditional_matches_oracle():
         m = rng.randrange(corpus.n_docs)
         tables = sampler.tables
         tables.remove_doc(m, sampler.l[m])
-        got = exp_normalize(tables.weights(m, 0.3))
+        got = exp_normalize(tables.weights(m, tables.prior_logs(0.3)))
         doc_counts = Counter(sampler.z[m])
         want = ptm_pseudo_doc_oracle(tables.n_docs_in, tables.cluster_word, tables.cluster_total,
                         doc_counts, len(corpus.docword[m]), corpus.n_docs,
@@ -72,7 +73,8 @@ def test_ptm_pseudo_doc_draw_is_the_dmm_draw():
         for m in range(corpus.n_docs):
             ptm.tables.remove_doc(m, ptm.l[m])
             dmm.tables.remove_doc(m, dmm.z[m])
-            assert exp_normalize(ptm.tables.weights(m, lam)) == dmm.full_conditional(m)
+            logs = ptm.tables.prior_logs(lam)
+            assert exp_normalize(ptm.tables.weights(m, logs)) == dmm.full_conditional(m)
             ptm.tables.add_doc(m, ptm.l[m])
             dmm.tables.add_doc(m, dmm.z[m])
 
