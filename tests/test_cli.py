@@ -221,8 +221,16 @@ def test_short_text_golden_bytes(tmp_path, model):
 # one, at every K; this pins it above the K = 3 of the entries above.
 # DPMM from K = 10 starts with more clusters than GOLDEN has documents: it
 # deletes empty clusters other than the last, at its start and in its
-# sweeps, before it settles on one cluster.
+# sweeps, before it settles on one cluster.  DMM at K = 10 draws each
+# document over more clusters than GOLDEN has documents, most of them empty.
 GOLDEN_SHORT_TEXT_K10 = {
+    "dmm": (["-k", "10"], {
+        "DMM_cluster_word_10.txt":
+        "ccdd9d4e4a670054ddf3b4f62591f85c8519c1a5da29051649e6b2daab2e57fc",
+        "DMM_doc_cluster10.txt":
+        "deba9e142444395dc5aa8f8c860f4c6c879ba2deb2fba272c001db4899ce4012",
+        "DMM_theta_10.txt":
+        "9cbcfaffc60ccc2932bc8657ba047b0c3ee086314abfbf507109009b0902f67f"}),
     "dpmm": (["-k", "10"], {
         "DPMM_cluster_word_1.txt":
         "3a980dfc6f06d2461d7d1f45e9a9bf9733dd5447dfda8b1c01de06adeb2f0220",
