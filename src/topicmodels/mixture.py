@@ -9,9 +9,8 @@ pseudo documents as the clusters):
   cluster_word[k][v] items v in cluster k
   cluster_total[k]   items in cluster k
   word_clusters[v]   the item index: cluster k -> n_kv for the clusters holding v
-Unit item multisets are cached as sorted (item, count) lists.  The tables
-move these counts themselves, cluster births and deletions included; only
-PTM's token step moves rows from outside, and then calls ``refresh``.
+Unit item multisets are cached as sorted (item, count) lists.  ``counts``
+builds all of these from units and labels; each move keeps them current.
 A unit's log weight in cluster k is the caller's prior log for k (log(n_k
 + alpha) in DMM, log n_k in DPMM, log(n_mk + alpha) in Sentence-LDA) plus
 the item term of ``core.log_unit_weights``,
@@ -25,11 +24,10 @@ from collections import Counter
 from itertools import compress, repeat
 from operator import add
 
-from .core import (LogRisingMemo, counts_from_assignments, exp_normalize, log_unit_weights, record,
-                   require_at_least, require_nonnegative, require_positive, require_recount,
-                   sample_categorical)
+from .core import (LogRisingMemo, exp_normalize, log_unit_weights, record, require_at_least,
+                   require_nonnegative, require_positive, require_recount, sample_categorical)
 from .corpus import Corpus
-from .lda import smoothed_rows, word_topic_index
+from .lda import smoothed_rows
 
 
 @record(frozen=True)
@@ -62,8 +60,6 @@ class ClusterTables:
 
     def __init__(self, units: list, n_items: int, b: float, z: list, n_clusters: int):
         self.units = units
-        self.unit_items = [sorted(Counter(unit).items()) for unit in units]
-        self.unit_len = [len(unit) for unit in units]
         self.n_items = n_items
         vars(self).update(self.counts(z, n_clusters))
         # rising factorials of n_kv + b and of n_k + V b
@@ -122,28 +118,30 @@ class ClusterTables:
                 del counts[k]
 
     def counts(self, z: list, n_clusters: int) -> dict:
-        """The counts of the labels z over ``n_clusters`` clusters and their
-        item index, by attribute name: every item takes its unit's
-        cluster."""
-        token_z = [[k] * n for k, n in zip(z, self.unit_len)]
-        tokens = counts_from_assignments(self.units, token_z, n_clusters, self.n_items)
-        return {"n_docs_in": [z.count(k) for k in range(n_clusters)],
-                "cluster_word": tokens.topic_word, "cluster_total": tokens.topic_total,
-                "word_clusters": word_topic_index(self.units, token_z, self.n_items)}
-
-    def refresh(self) -> None:
-        """Rebuild the units' item lists, and the item index from the count
-        rows, after the items of the units and the rows have moved together
-        in place (PTM's token step), in O(K V)."""
-        self.unit_items = [sorted(Counter(unit).items()) for unit in self.units]
-        index = self.word_clusters = [{} for _ in range(self.n_items)]
-        for k, row in enumerate(self.cluster_word):
-            for v in compress(range(len(row)), row):
-                index[v][k] = row[v]
+        """Everything the tables hold of the units and their labels z over
+        ``n_clusters`` clusters, by attribute name, counted from the units in
+        one pass: every item takes its unit's cluster.  A label outside
+        [0, n_clusters) raises ValueError."""
+        if z and not (0 <= min(z) and max(z) < n_clusters):
+            raise ValueError(f"a label out of range [0, {n_clusters})")
+        unit_items = [sorted(Counter(unit).items()) for unit in self.units]
+        unit_len = list(map(len, self.units))
+        n_docs_in, totals = [0] * n_clusters, [0] * n_clusters
+        rows = [[0] * self.n_items for _ in range(n_clusters)]
+        index = [{} for _ in range(self.n_items)]
+        for k, n, items in zip(z, unit_len, unit_items, strict=True):
+            n_docs_in[k] += 1
+            totals[k] += n
+            row = rows[k]
+            for v, c in items:
+                row[v] += c
+                index[v][k] = index[v].get(k, 0) + c
+        return {"unit_items": unit_items, "unit_len": unit_len, "n_docs_in": n_docs_in,
+                "cluster_word": rows, "cluster_total": totals, "word_clusters": index}
 
     def check(self, z: list, source: str) -> None:
-        """Recount the tables from the labels z; raises ValueError naming
-        the first table that differs."""
+        """Recount the tables and item lists from the units and the labels
+        z; raises ValueError naming the first that differs."""
         require_recount(self, self.counts(z, self.n_clusters), source)
 
     def prior_logs(self, prior: float) -> list:

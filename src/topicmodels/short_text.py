@@ -96,7 +96,8 @@ class PtmSampler:
                             [range(hyper.n_topics)] * len(self.l), self.topic_word,
                             self.topic_total, self.word_topics, hyper.alpha, hyper.beta,
                             self.rng)
-        tables.refresh()
+        # the token step moved the topics in the units: recount the tables
+        vars(tables).update(tables.counts(self.l, hyper.n_pseudo_docs))
 
     def estimate(self) -> PtmFit:
         alpha, beta = self.hyper.alpha, self.hyper.beta

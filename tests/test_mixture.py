@@ -5,7 +5,7 @@ import pytest
 
 from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain
-from topicmodels.mixture import DmmSampler, DpmmSampler, MixtureHyper
+from topicmodels.mixture import ClusterTables, DmmSampler, DpmmSampler, MixtureHyper
 
 from first_draw import assert_shares_match, cluster_doc_shares
 from oracles import (assert_close_distribution, dmm_doc_oracle, dpmm_doc_oracle, dpmm_joint_log,
@@ -289,6 +289,11 @@ def test_check_recounts_the_cluster_tables(sampler_cls):
     sampler.tables.word_clusters[corpus.docword[0][0]][k] += 1
     with pytest.raises(ValueError, match="word_clusters"):
         sampler.check()
+    sampler.tables.word_clusters[corpus.docword[0][0]][k] -= 1
+    v, c = sampler.tables.unit_items[0][0]
+    sampler.tables.unit_items[0][0] = (v, c + 1)
+    with pytest.raises(ValueError, match="unit_items"):
+        sampler.check()
 
 
 def test_dpmm_item_index_survives_deleting_a_cluster_before_the_last():
@@ -310,6 +315,41 @@ def test_dpmm_item_index_survives_deleting_a_cluster_before_the_last():
     tables.word_clusters[corpus.docword[0][0]][sampler.z[0]] += 1
     with pytest.raises(ValueError, match="word_clusters"):
         sampler.check()
+
+
+def test_counts_after_swapping_a_units_items_matches_fresh_tables():
+    # new words for one unit in place, then one counts() call: the tables
+    # equal fresh ones, weigh every unit the same to the bit, and still move
+    corpus = parse_plain(["a b a", "b c", "c c a", "a", "d b", "d d e"])
+    hyper = MixtureHyper(3, 0.5, 0.2)
+    sampler = DmmSampler(corpus, hyper, SeededRng(11))
+    for _ in range(3):
+        sampler.sweep()
+    tables, z = sampler.tables, sampler.z
+    corpus.docword[2][:] = [4, 4, 0, 1]
+    vars(tables).update(tables.counts(z, 3))
+    fresh = ClusterTables(corpus.docword, corpus.n_words, hyper.beta, list(z), 3)
+    for name in fresh.counts(z, 3):
+        assert getattr(tables, name) == getattr(fresh, name), name
+    logs = tables.prior_logs(hyper.alpha)
+    for m in range(corpus.n_docs):
+        assert tables.weights(m, logs) == fresh.weights(m, logs)
+    for _ in range(3):
+        sampler.sweep()
+        sampler.check()
+
+
+def test_a_label_out_of_range_raises():
+    units = [[0, 1], [1]]
+    for z in ([0, 2], [-1, 0]):
+        with pytest.raises(ValueError, match="out of range"):
+            ClusterTables(units, 2, 0.5, z, 2)
+    corpus = parse_plain(["a b a", "b c", "c c a"])
+    sampler = DmmSampler(corpus, MixtureHyper(2, 0.5, 0.2), SeededRng(3))
+    for label in (2, -1):
+        sampler.z[0] = label
+        with pytest.raises(ValueError, match="out of range"):
+            sampler.check()
 
 
 def test_dpmm_check_rejects_a_dead_cluster():

@@ -141,6 +141,12 @@ def test_ptm_check_recounts_every_table():
     sampler.tables.cluster_word[l][sampler.z[0][0]] += 1
     with pytest.raises(ValueError, match="cluster_word"):
         sampler.check()
+    sampler.tables.cluster_word[l][sampler.z[0][0]] -= 1
+    # each document's (topic, count) list, rebuilt after the token step
+    k, c = sampler.tables.unit_items[0][0]
+    sampler.tables.unit_items[0][0] = (k, c + 1)
+    with pytest.raises(ValueError, match="unit_items"):
+        sampler.check()
 
 
 def test_ptm_check_recounts_pseudo_doc_index():
