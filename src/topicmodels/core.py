@@ -9,7 +9,7 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from operator import sub
 from typing import NamedTuple, Sequence
 
@@ -120,6 +120,27 @@ class SeededRng(random.Random):
     def __init__(self, seed: int):
         self.seed_value = int(seed)
         super().__init__(self.seed_value)
+
+
+def draw_below(rng: random.Random, n: int, count: int) -> list[int]:
+    """``[rng.randrange(n) for _ in range(count)]``, the same ints and rng
+    state after: the loop of CPython's ``Random._randbelow_with_getrandbits``
+    (draw n.bit_length() bits until they fall below n) at C speed, in
+    batches no larger than the draws still missing, so none overshoots.
+    ``rng.choice(seq)`` is ``seq[draw_below(rng, len(seq), 1)[0]]``."""
+    if n < 1:
+        raise ValueError(f"cannot draw below {n}")
+    bits, getrandbits = n.bit_length(), rng.getrandbits
+    out = []
+    while len(out) < count:
+        out += filter(n.__gt__, map(getrandbits, repeat(bits, count - len(out))))
+    return out
+
+
+def draw_each(rng: random.Random, n: int, groups: Sequence[Sequence]) -> list[list[int]]:
+    """``[[rng.randrange(n) for _ in g] for g in groups]``, in one ``draw_below``."""
+    flat = draw_below(rng, n, sum(map(len, groups)))
+    return [flat[a:b] for a, b in pairwise(accumulate(map(len, groups), initial=0))]
 
 
 # The largest prior parameter accepted.  Long before it a count vanishes in
@@ -352,41 +373,45 @@ class CountTables:
 def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequence[int]],
                             n_topics: int, n_words: int,
                             rows: Sequence[Sequence[int]] | None = None,
-                            n_rows: int | None = None) -> CountTables:
-    """Build fresh count tables from per-token topic assignments.
+                            n_rows: int | None = None) -> tuple[CountTables, list[dict]]:
+    """Fresh count tables of per-token topic assignments, and their word
+    index: for every word v, a dict from each topic k holding it to n_kv,
+    keys in order of first use (the order the SparseLDA walk follows).
 
     Row m of ``doc_topic`` and ``doc_total`` counts document m, unless
     ``rows[m][n]`` in [0, n_rows) names a row for each token (in ATM its
-    author).
+    author).  One pass over the tokens counts the rows and the index; then
+    ``topic_word`` is filled from the index, and ``topic_total`` sums its rows.
     """
     if rows is None:
         n_rows = len(docword)
+    lengths = list(map(len, docword))
+    if lengths != list(map(len, z)) or rows is not None and lengths != list(map(len, rows)):
+        raise ValueError("topics or rows do not match the documents' tokens")
+    for name, labels, high in (("topic", z, n_topics), ("row", rows, n_rows)):
+        used = set(chain.from_iterable(labels or ()))
+        if used and not (0 <= min(used) and max(used) < high):
+            raise ValueError(f"a {name} out of range [0, {high})")
     tables = CountTables(n_rows, n_topics, n_words)
     doc_topic, topic_word = tables.doc_topic, tables.topic_word
-    topic_total, doc_total = tables.topic_total, tables.doc_total
-    for m, doc in enumerate(docword):
-        zm = z[m]
-        rm = [m] if rows is None else rows[m]
-        if len(zm) != len(doc) or rows is not None and len(rm) != len(doc):
-            raise ValueError(f"doc {m}: topics or rows do not match its {len(doc)} tokens")
-        if doc and not (0 <= min(zm) and max(zm) < n_topics and 0 <= min(rm)
-                        and max(rm) < n_rows):
-            raise ValueError(f"doc {m}: a topic or row out of range "
-                             f"[0, {n_topics}) x [0, {n_rows})")
-        if rows is None:
-            row = doc_topic[m]
-            for v, k in zip(doc, zm):
+    index = [{} for _ in range(n_words)]
+    of_word = index.__getitem__
+    if rows is None:
+        for doc, zm, row in zip(docword, z, doc_topic):
+            for wt, k in zip(map(of_word, doc), zm):
                 row[k] += 1
-                topic_word[k][v] += 1
-                topic_total[k] += 1
-            doc_total[m] = len(doc)
-            continue
-        for v, k, r in zip(doc, zm, rm):
-            doc_topic[r][k] += 1
-            topic_word[k][v] += 1
-            topic_total[k] += 1
-            doc_total[r] += 1
-    return tables
+                wt[k] = wt.get(k, 0) + 1
+    else:
+        for doc, zm, rm in zip(docword, z, rows):
+            for wt, k, r in zip(map(of_word, doc), zm, rm):
+                doc_topic[r][k] += 1
+                wt[k] = wt.get(k, 0) + 1
+    for v, wt in enumerate(index):
+        for k, c in wt.items():
+            topic_word[k][v] = c
+    tables.topic_total = list(map(sum, topic_word))
+    tables.doc_total = lengths if rows is None else list(map(sum, doc_topic))
+    return tables, index
 
 
 def expected_counts(docword: Sequence[Sequence[int]], gamma: Sequence[Sequence[Sequence[float]]],

@@ -204,9 +204,10 @@ def preprocess(line: str, stoplist: StopList | None = None) -> str:
 class Vocabulary:
     """Bijective token <-> index map, indices assigned in first-occurrence order."""
 
-    def __init__(self):
-        self.word_to_id: dict[str, int] = {}
-        self.id_to_word: list[str] = []
+    def __init__(self, ids: dict[str, int] | None = None):
+        """Empty, or the words of ``ids``, whose values are 0, 1, ... in order."""
+        self.word_to_id: dict[str, int] = dict(ids or {})
+        self.id_to_word: list[str] = list(self.word_to_id)
 
     def add(self, word: str) -> int:
         wid = self.word_to_id.get(word)
@@ -227,6 +228,14 @@ class Vocabulary:
 
     def id(self, word: str) -> int:
         return self.word_to_id[word]
+
+
+class _Ids(dict):
+    """word -> id, a missing word taking the next id: ids in first-occurrence order."""
+
+    def __missing__(self, word: str) -> int:
+        wid = self[word] = len(self)
+        return wid
 
 
 @record
@@ -280,7 +289,7 @@ class Corpus:
 
 def parse_plain(lines: Iterable[str]) -> Corpus:
     """Index one preprocessed document per line."""
-    corpus = Corpus()
+    docword, ids = [], _Ids()
     dropped = 0
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
@@ -288,20 +297,19 @@ def parse_plain(lines: Iterable[str]) -> Corpus:
             dropped += 1
             warn(__name__, "line %d: empty document dropped", lineno)
             continue
-        corpus.docword.append([corpus.vocabulary.add(t) for t in tokens])
-    if not corpus.docword:
+        docword.append(list(map(ids.__getitem__, tokens)))
+    if not docword:
         raise CorpusError("corpus is empty: no line contained any token")
     if dropped:
         warn(__name__, "dropped %d empty document(s)", dropped)
-    return corpus
+    return Corpus(docword, Vocabulary(ids))
 
 
 def parse_sentences(lines: Iterable[str], sep: str = "--") -> Corpus:
     """Index documents whose sentences are separated by ``sep``."""
     if not sep:
         raise ValueError("sentence separator must be non-empty")
-    corpus = Corpus()
-    corpus.sentences = []
+    docword, sentences, ids = [], [], _Ids()
     for lineno, line in enumerate(lines, start=1):
         token_ids = []
         offsets = []
@@ -309,16 +317,16 @@ def parse_sentences(lines: Iterable[str], sep: str = "--") -> Corpus:
             tokens = chunk.split()
             if not tokens:
                 continue  # empty sentence (e.g. trailing separator)
-            token_ids.extend(corpus.vocabulary.add(t) for t in tokens)
+            token_ids += map(ids.__getitem__, tokens)
             offsets.append(len(token_ids))
         if not offsets:
             warn(__name__, "line %d: document with no non-empty sentence dropped", lineno)
             continue
-        corpus.docword.append(token_ids)
-        corpus.sentences.append(offsets)
-    if not corpus.docword:
+        docword.append(token_ids)
+        sentences.append(offsets)
+    if not docword:
         raise CorpusError("corpus is empty: no line contained any sentence")
-    return corpus
+    return Corpus(docword, Vocabulary(ids), sentences)
 
 
 _TAGGED_FIELDS = ("authors", "links", "labels")
@@ -336,9 +344,7 @@ def parse_tagged(lines: Iterable[str], kind: str, item_sep: str) -> Corpus:
     """
     if kind not in _TAGGED_FIELDS:
         raise ValueError(f"kind must be one of {_TAGGED_FIELDS}, got {kind!r}")
-    corpus = Corpus()
-    corpus.meta_vocabulary = Vocabulary()
-    meta_lists = []
+    docword, ids, meta_lists, meta_ids = [], _Ids(), [], _Ids()
     dropped = 0
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -363,14 +369,14 @@ def parse_tagged(lines: Iterable[str], kind: str, item_sep: str) -> Corpus:
             dropped += 1
             warn(__name__, "line %d: empty document dropped", lineno)
             continue
-        corpus.docword.append([corpus.vocabulary.add(t) for t in tokens])
-        meta_lists.append([corpus.meta_vocabulary.add(i) for i in items])
-    if not corpus.docword:
+        docword.append(list(map(ids.__getitem__, tokens)))
+        meta_lists.append(list(map(meta_ids.__getitem__, items)))
+    if not docword:
         raise CorpusError("corpus is empty: no line contained any token")
     if dropped:
         warn(__name__, "dropped %d empty document(s)", dropped)
-    setattr(corpus, kind, meta_lists)
-    return corpus
+    return Corpus(docword, Vocabulary(ids), meta_vocabulary=Vocabulary(meta_ids),
+                  **{kind: meta_lists})
 
 
 def read_lines(path, encoding: str = "utf-8") -> list[str]:

@@ -19,10 +19,10 @@ from collections import Counter
 from itertools import accumulate, compress
 from operator import mul
 
-from .core import (counts_from_assignments, fold_sum, record, require_at_least,
+from .core import (counts_from_assignments, draw_each, fold_sum, record, require_at_least,
                    require_nonnegative, require_positive, require_recount)
 from .corpus import Corpus
-from .lda import FittedLda, estimate_theta, smoothed_rows, word_topic_index
+from .lda import FittedLda, estimate_theta, smoothed_rows
 
 
 @record(frozen=True)
@@ -56,10 +56,9 @@ class HdpSampler:
         # uniform topic per token, one table per (doc, topic) in use
         self.token_table = []
         self.table_topic = []
-        for doc in corpus.docword:
+        for topics in draw_each(rng, K0, corpus.docword):
             table_of = {}  # topic -> its table, in order of first use
-            self.token_table.append([table_of.setdefault(rng.randrange(K0), len(table_of))
-                                     for _ in doc])
+            self.token_table.append([table_of.setdefault(k, len(table_of)) for k in topics])
             self.table_topic.append(list(table_of))
         vars(self).update(self._counts(K0))
         for k in range(self.n_topics - 1, -1, -1):
@@ -80,16 +79,15 @@ class HdpSampler:
         for m, (tt, seats) in enumerate(zip(self.table_topic, self.token_table)):
             if not all(0 <= t < len(tt) for t in seats):
                 raise ValueError(f"doc {m}: a token sits at a table that does not exist")
-        topics = self._token_topics()
-        tokens = counts_from_assignments(self.corpus.docword, topics, n_topics, self.n_words)
+        tokens, index = counts_from_assignments(self.corpus.docword, self._token_topics(),
+                                                n_topics, self.n_words)
         served = Counter(k for tt in self.table_topic for k in tt)
         v_beta = self.n_words * self.hyper.beta
         return {"table_count": [[seats.count(t) for t in range(len(tt))]
                                 for tt, seats in zip(self.table_topic, self.token_table)],
                 "n_kv": tokens.topic_word, "n_k": tokens.topic_total,
                 "m_k": [served[k] for k in range(n_topics)],
-                "m_total": sum(map(len, self.table_topic)),
-                "word_topics": word_topic_index(self.corpus.docword, topics, self.n_words),
+                "m_total": sum(map(len, self.table_topic)), "word_topics": index,
                 "inv_norm": [1.0 / (n + v_beta) for n in tokens.topic_total]}
 
     def check(self) -> None:
@@ -244,6 +242,6 @@ class HdpSampler:
 
     def estimate(self) -> FittedLda:
         tokens = counts_from_assignments(self.corpus.docword, self._token_topics(),
-                                         self.n_topics, self.n_words)
+                                         self.n_topics, self.n_words)[0]
         return FittedLda(theta=estimate_theta(tokens, self.hyper.alpha0),
                          phi=smoothed_rows(self.n_kv, self.n_k, self.hyper.beta))

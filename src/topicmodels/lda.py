@@ -20,8 +20,8 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate, compress
 
-from .core import (CountTables, counts_from_assignments, expected_counts, fold_sum,
-                   record, require_at_least, require_positive, require_recount)
+from .core import (CountTables, counts_from_assignments, draw_below, draw_each, expected_counts,
+                   fold_sum, record, require_at_least, require_positive, require_recount)
 from .corpus import Corpus
 
 # The CVB0 sweeps move expected counts by differences, so the tables drift
@@ -81,18 +81,6 @@ def estimate_phi(tables: CountTables, beta: float) -> list:
     return smoothed_rows(tables.topic_word, tables.topic_total, beta)
 
 
-def word_topic_index(docword, z, n_words: int) -> list:
-    """For every word v, a dict from each topic k holding it to n_kv: the
-    word index of the SparseLDA draw.  Keys are in order of first use, which
-    the draw's walk follows."""
-    index = [{} for _ in range(n_words)]
-    for doc, zm in zip(docword, z):
-        for v, k in zip(doc, zm):
-            wt = index[v]
-            wt[k] = wt.get(k, 0) + 1
-    return index
-
-
 def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total: list,
                         word_topics: list, alpha: float, beta: float, rng: random.Random) -> None:
     """Resample every token once, documents then positions in index order,
@@ -107,8 +95,8 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
     (Labeled LDA, PLDA) lists them; the unrestricted callers pass
     ``range(K)`` for every document.  z[m] holds the document's topics
     only.  V is ``len(word_topics)``.  The row, ``topic_word`` (n_kv),
-    ``topic_total`` (n_k) and ``word_topics`` (see ``word_topic_index``)
-    move with every draw that changes a topic.
+    ``topic_total`` (n_k) and ``word_topics`` (the word index that
+    ``core.counts_from_assignments`` builds) move with every topic change.
 
     With coef_k = (alpha + row_k)/(n_k + V beta), cached per topic of the
     document and 0.0 for every other topic, the weight is split as
@@ -231,11 +219,10 @@ class LdaGibbsSampler:
         self.hyper = hyper
         self.rng = rng
         self.topic_labels = topic_labels
-        K = hyper.n_topics
         if allowed is None:
-            self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
-        else:
-            self.z = [[rng.choice(topics) for _ in doc]
+            self.z = draw_each(rng, hyper.n_topics, corpus.docword)
+        else:  # rng.choice(topics) for each token
+            self.z = [list(map(topics.__getitem__, draw_below(rng, len(topics), len(doc))))
                       for topics, doc in zip(allowed, corpus.docword)]
         # the kernel walks each document's topics in id order
         self.allowed = None if allowed is None else [sorted(set(ks)) for ks in allowed]
@@ -244,9 +231,9 @@ class LdaGibbsSampler:
     def _counts(self) -> dict:
         """The count tables of z and its word index, by attribute name: set
         by __init__ and compared by check()."""
-        docword, n_words = self.corpus.docword, self.corpus.n_words
-        return {"tables": counts_from_assignments(docword, self.z, self.hyper.n_topics, n_words),
-                "word_topics": word_topic_index(docword, self.z, n_words)}
+        tables, index = counts_from_assignments(self.corpus.docword, self.z, self.hyper.n_topics,
+                                                self.corpus.n_words)
+        return {"tables": tables, "word_topics": index}
 
     def check(self) -> None:
         """Check the count tables and the word index against a recount of z,

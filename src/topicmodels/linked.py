@@ -9,11 +9,11 @@ per-document row, so both its draws are the SparseLDA token draw of
 
 import random
 
-from .core import (counts_from_assignments, record, require_at_least, require_positive,
-                   require_recount, sample_categorical)
+from .core import (counts_from_assignments, draw_below, draw_each, record, require_at_least,
+                   require_positive, require_recount, sample_categorical)
 from .corpus import Corpus
 from .lda import (FittedLda, LdaHyper, estimate_phi, estimate_theta, smoothed_rows,
-                  sweep_sparse_tokens, word_topic_index)
+                  sweep_sparse_tokens)
 
 
 class AtmSampler:
@@ -33,10 +33,10 @@ class AtmSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        K = hyper.n_topics
-        self.x = [[rng.choice(corpus.authors[m]) for _ in doc]
-                  for m, doc in enumerate(corpus.docword)]
-        self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
+        # rng.choice(authors) for each token, then a topic for each
+        self.x = [list(map(authors.__getitem__, draw_below(rng, len(authors), len(doc))))
+                  for authors, doc in zip(corpus.authors, corpus.docword)]
+        self.z = draw_each(rng, hyper.n_topics, corpus.docword)
         vars(self).update(self._counts())
 
     def _counts(self) -> dict:
@@ -44,7 +44,7 @@ class AtmSampler:
         return {"tables": counts_from_assignments(self.corpus.docword, self.z,
                                                   self.hyper.n_topics, self.corpus.n_words,
                                                   rows=self.x,
-                                                  n_rows=len(self.corpus.meta_vocabulary))}
+                                                  n_rows=len(self.corpus.meta_vocabulary))[0]}
 
     def check(self) -> None:
         """Check every token's author against its document's author list and
@@ -140,9 +140,8 @@ class LinkLdaSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        K = hyper.n_topics
-        self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
-        self.x = [[rng.randrange(K) for _ in links] for links in corpus.links]
+        self.z = draw_each(rng, hyper.n_topics, corpus.docword)
+        self.x = draw_each(rng, hyper.n_topics, corpus.links)
         vars(self).update(self._counts())
 
     def _counts(self) -> dict:
@@ -150,14 +149,13 @@ class LinkLdaSampler:
         their word indices, by attribute name."""
         K, corpus = self.hyper.n_topics, self.corpus
         n_links = len(corpus.meta_vocabulary)
-        words = counts_from_assignments(corpus.docword, self.z, K, corpus.n_words)
-        links = counts_from_assignments(corpus.links, self.x, K, n_links)
+        words, word_topics = counts_from_assignments(corpus.docword, self.z, K, corpus.n_words)
+        links, link_topics = counts_from_assignments(corpus.links, self.x, K, n_links)
         return {"doc_topic": [[n + c for n, c in zip(n_mk, c_mk)]
                               for n_mk, c_mk in zip(words.doc_topic, links.doc_topic)],
                 "word_topic": words.topic_word, "word_total": words.topic_total,
                 "link_topic": links.topic_word, "link_total": links.topic_total,
-                "word_topics": word_topic_index(corpus.docword, self.z, corpus.n_words),
-                "link_topics": word_topic_index(corpus.links, self.x, n_links)}
+                "word_topics": word_topics, "link_topics": link_topics}
 
     def check(self) -> None:
         """Check every table against a recount of z and x; raises ValueError."""

@@ -24,8 +24,9 @@ from collections import Counter
 from itertools import compress, repeat
 from operator import add
 
-from .core import (LogRisingMemo, exp_normalize, log_unit_weights, record, require_at_least,
-                   require_nonnegative, require_positive, require_recount, sample_categorical)
+from .core import (LogRisingMemo, draw_below, exp_normalize, log_unit_weights, record,
+                   require_at_least, require_nonnegative, require_positive, require_recount,
+                   sample_categorical)
 from .corpus import Corpus
 from .lda import smoothed_rows
 
@@ -193,7 +194,7 @@ class DmmSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        self.z = [rng.randrange(hyper.n_clusters) for _ in range(corpus.n_docs)]
+        self.z = draw_below(rng, hyper.n_clusters, corpus.n_docs)
         self.tables = ClusterTables(corpus.docword, corpus.n_words, hyper.beta, self.z,
                                     hyper.n_clusters)
 
@@ -223,7 +224,7 @@ class DpmmSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        self.z = [rng.randrange(hyper.n_clusters) for _ in range(corpus.n_docs)]
+        self.z = draw_below(rng, hyper.n_clusters, corpus.n_docs)
         self.tables = ClusterTables(corpus.docword, corpus.n_words, hyper.beta, self.z,
                                     hyper.n_clusters)
         # initial clusters that attracted no document are not live

@@ -13,7 +13,7 @@ import random
 from itertools import accumulate, chain, repeat
 from operator import add
 
-from .core import CountTables, exp_normalize, require_recount, sample_categorical
+from .core import CountTables, draw_each, exp_normalize, require_recount, sample_categorical
 from .corpus import Corpus
 from .lda import FittedLda, LdaHyper, estimate_phi, estimate_theta
 from .mixture import ClusterTables
@@ -42,7 +42,7 @@ class SentenceLdaSampler:
         self.rng = rng
         self.sentences = [s for m in range(corpus.n_docs) for s in corpus.doc_sentences(m)]
         self.first_sentence = list(accumulate(map(len, corpus.sentences), initial=0))
-        self.z = [[rng.randrange(hyper.n_topics) for _ in ends] for ends in corpus.sentences]
+        self.z = draw_each(rng, hyper.n_topics, corpus.sentences)
         vars(self).update(self._counts())
 
     def _counts(self) -> dict:

@@ -17,10 +17,10 @@ from bisect import bisect_right
 from itertools import accumulate
 from operator import mul
 
-from .core import (counts_from_assignments, fold_sum, record, require_at_least, require_positive,
-                   require_recount, warn)
+from .core import (counts_from_assignments, draw_below, draw_each, fold_sum, record,
+                   require_at_least, require_positive, require_recount, warn)
 from .corpus import Corpus
-from .lda import smoothed_rows, sweep_sparse_tokens, word_topic_index
+from .lda import smoothed_rows, sweep_sparse_tokens
 from .mixture import ClusterTables
 
 
@@ -65,27 +65,28 @@ class PtmSampler:
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
-        P, K = hyper.n_pseudo_docs, hyper.n_topics
-        self.l = [rng.randrange(P) for _ in range(corpus.n_docs)]
-        self.z = [[rng.randrange(K) for _ in doc] for doc in corpus.docword]
+        self.l = draw_below(rng, hyper.n_pseudo_docs, corpus.n_docs)
+        self.z = draw_each(rng, hyper.n_topics, corpus.docword)
         vars(self).update(self._counts())
 
     def _counts(self) -> dict:
         """The count tables of l and z, by attribute name.  ``tables`` holds
         z itself, so whatever rebinds z rebinds the tables with it."""
-        hyper, docword = self.hyper, self.corpus.docword
-        tokens = counts_from_assignments(docword, self.z, hyper.n_topics, self.corpus.n_words)
-        return {"tables": ClusterTables(self.z, hyper.n_topics, hyper.alpha, self.l,
-                                        hyper.n_pseudo_docs),
-                "topic_word": tokens.topic_word, "topic_total": tokens.topic_total,
-                "word_topics": word_topic_index(docword, self.z, self.corpus.n_words)}
+        h = self.hyper
+        return {"tables": ClusterTables(self.z, h.n_topics, h.alpha, self.l, h.n_pseudo_docs),
+                **self._token_counts()}
+
+    def _token_counts(self) -> dict:
+        """The topic-word counts of z and their word index, by attribute name."""
+        tokens, index = counts_from_assignments(self.corpus.docword, self.z, self.hyper.n_topics,
+                                                self.corpus.n_words)
+        return {"topic_word": tokens.topic_word, "topic_total": tokens.topic_total,
+                "word_topics": index}
 
     def check(self) -> None:
         """Check every table against a recount of l and z; raises ValueError."""
-        recount = self._counts()
-        tables = recount.pop("tables")
-        require_recount(self.tables, tables.counts(self.l, tables.n_clusters), "l and z")
-        require_recount(self, recount, "z")
+        self.tables.check(self.l, "l and z")
+        require_recount(self, self._token_counts(), "z")
 
     def sweep(self) -> None:
         hyper, tables = self.hyper, self.tables
@@ -173,7 +174,7 @@ class BtmSampler:
         self.instances = [(b.w1, b.w2) for b in self.biterms for _ in range(b.count)]
         if not self.instances:
             raise ValueError("no document contains two words within the window")
-        self.z = [rng.randrange(hyper.n_topics) for _ in self.instances]
+        self.z = draw_below(rng, hyper.n_topics, len(self.instances))
         vars(self).update(self._counts())
 
     @property
@@ -188,10 +189,9 @@ class BtmSampler:
         K = self.hyper.n_topics
         words = [[w for pair in self.instances for w in pair]]
         topics = [[k for k in self.z for _ in range(2)]]
-        slots = counts_from_assignments(words, topics, K, self.corpus.n_words)
+        slots, index = counts_from_assignments(words, topics, K, self.corpus.n_words)
         return {"n_b": [self.z.count(k) for k in range(K)], "topic_word": slots.topic_word,
-                "topic_total": slots.topic_total,
-                "word_topics": word_topic_index(words, topics, self.corpus.n_words)}
+                "topic_total": slots.topic_total, "word_topics": index}
 
     def check(self) -> None:
         """Check the tables against a recount of z; raises ValueError."""

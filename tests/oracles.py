@@ -347,3 +347,30 @@ def linklda_joint_log(docword, links, z, x, K, V, L, alpha, beta, gamma):
                 ll += math.lgamma(n_kv[k][v] + smooth)
             ll -= math.lgamma(sum(n_kv[k]) + size * smooth)
     return ll
+
+
+def count_tables_two_passes(docword, z, K, V, rows=None, n_rows=None):
+    """The count tables of per-token topics z, one token at a time, then the
+    word index (word v -> {topic k: n_kv}, keys in order of first use) in a
+    second pass over the tokens.  Row m of doc_topic and doc_total counts
+    document m, or with ``rows`` the row rows[m][n] of each token.  Returns
+    (tables by name, index)."""
+    n_rows = len(docword) if rows is None else n_rows
+    doc_topic = [[0] * K for _ in range(n_rows)]
+    topic_word = [[0] * V for _ in range(K)]
+    topic_total = [0] * K
+    doc_total = [0] * n_rows
+    for m, doc in enumerate(docword):
+        for n, v in enumerate(doc):
+            k = z[m][n]
+            r = m if rows is None else rows[m][n]
+            doc_topic[r][k] += 1
+            topic_word[k][v] += 1
+            topic_total[k] += 1
+            doc_total[r] += 1
+    index = [{} for _ in range(V)]
+    for doc, zm in zip(docword, z):
+        for v, k in zip(doc, zm):
+            index[v][k] = index[v].get(k, 0) + 1
+    return ({"doc_topic": doc_topic, "topic_word": topic_word, "topic_total": topic_total,
+             "doc_total": doc_total}, index)

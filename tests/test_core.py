@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
 
 from topicmodels.core import (MAX_PRIOR, MISSING, CountTables, LogRisingMemo, SamplingError,
-                              SeededRng, counts_from_assignments, exp_normalize, fields, fold_sum,
-                              log_rising_factorial, log_unit_weights, record, require_at_least,
-                              require_nonnegative, require_positive, run_chain,
-                              sample_categorical)
+                              SeededRng, counts_from_assignments, draw_below, draw_each,
+                              exp_normalize, fields, fold_sum, log_rising_factorial,
+                              log_unit_weights, record, require_at_least, require_nonnegative,
+                              require_positive, run_chain, sample_categorical)
+
+from oracles import count_tables_two_passes
 
 
 def test_seeded_rng_reproducible():
@@ -216,16 +219,18 @@ def test_exp_normalize_handles_large_logs():
 
 
 def test_counts_from_assignments_single_doc():
-    tables = counts_from_assignments([[0, 1]], [[0, 0]], n_topics=2, n_words=2)
+    tables, index = counts_from_assignments([[0, 1]], [[0, 0]], n_topics=2, n_words=2)
     assert tables.doc_topic[0][0] == 2
     assert tables.topic_total == [2, 0]
     assert tables.topic_word[0] == [1, 1]
+    assert index == [{0: 1}, {0: 1}]
     tables.check()
 
 
 def test_counts_from_assignments_empty():
-    tables = counts_from_assignments([], [], n_topics=3, n_words=4)
+    tables, index = counts_from_assignments([], [], n_topics=3, n_words=4)
     assert tables.topic_total == [0, 0, 0]
+    assert index == [{}, {}, {}, {}]
     tables.check()
 
 
@@ -234,7 +239,7 @@ def test_counts_from_assignments_recount_oracle():
     K, V = 4, 6
     docword = [[rng.randrange(V) for _ in range(rng.randrange(1, 9))] for _ in range(5)]
     z = [[rng.randrange(K) for _ in doc] for doc in docword]
-    tables = counts_from_assignments(docword, z, K, V)
+    tables, _ = counts_from_assignments(docword, z, K, V)
     # independent recount
     for m, doc in enumerate(docword):
         for k in range(K):
@@ -254,8 +259,67 @@ def test_counts_from_assignments_rejects_out_of_range():
         counts_from_assignments([[0]], [[5]], n_topics=2, n_words=1)
 
 
+@pytest.mark.parametrize("z, rows, message", [
+    ([[0, -1]], None, "topic out of range"),
+    ([[0, 2]], None, "topic out of range"),
+    ([[0]], None, "do not match"),
+    ([[0, 1], []], None, "do not match"),
+    ([[0, 1]], [[0, 3]], "row out of range"),
+    ([[0, 1]], [[-1, 0]], "row out of range"),
+    ([[0, 1]], [[0]], "do not match"),
+])
+def test_counts_from_assignments_rejects_bad_labels(z, rows, message):
+    with pytest.raises(ValueError, match=message):
+        counts_from_assignments([[0, 1]], z, 2, 2, rows=rows, n_rows=None if rows is None else 3)
+
+
+@pytest.mark.parametrize("with_rows", [False, True])
+def test_counts_from_assignments_matches_two_pass_oracle(with_rows):
+    # random topics (and rows, as ATM's authors) over documents with
+    # repeated words, empty documents and words no document uses
+    rng = SeededRng(11)
+    for _ in range(30):
+        K, V, R = rng.randrange(1, 6), rng.randrange(1, 9), rng.randrange(1, 4)
+        docword = [[rng.randrange(V) for _ in range(rng.randrange(0, 12))]
+                   for _ in range(rng.randrange(1, 6))]
+        z = [[rng.randrange(K) for _ in doc] for doc in docword]
+        rows = [[rng.randrange(R) for _ in doc] for doc in docword] if with_rows else None
+        tables, index = counts_from_assignments(docword, z, K, V, rows=rows,
+                                                n_rows=R if with_rows else None)
+        want_tables, want_index = count_tables_two_passes(docword, z, K, V, rows, R)
+        assert vars(tables) == want_tables
+        # the key order too: the SparseLDA walk follows it
+        assert [list(d.items()) for d in index] == [list(d.items()) for d in want_index]
+        tables.check()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 100, 1024, 1025])
+def test_draw_below_equals_randrange_and_choice(n):
+    for seed, count in ((1, 0), (2, 1), (3, 7), (4, 500)):
+        want_rng, got_rng = random.Random(seed), SeededRng(seed)
+        want = [want_rng.randrange(n) for _ in range(count)]
+        assert draw_below(got_rng, n, count) == want
+        assert got_rng.getstate() == want_rng.getstate()
+        seq = [f"item{i}" for i in range(n)]
+        assert seq[draw_below(got_rng, n, 1)[0]] == want_rng.choice(seq)
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_draw_each_equals_nested_randrange():
+    groups = [[0] * 3, [], [0], [0] * 12]
+    want_rng, got_rng = random.Random(5), random.Random(5)
+    want = [[want_rng.randrange(20) for _ in g] for g in groups]
+    assert draw_each(got_rng, 20, groups) == want
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_draw_below_rejects_an_empty_range():
+    with pytest.raises(ValueError):
+        draw_below(SeededRng(1), 0, 3)
+
+
 def test_increment_decrement_keeps_invariants():
-    tables = counts_from_assignments([[0, 1], [1]], [[0, 1], [0]], 2, 2)
+    tables, _ = counts_from_assignments([[0, 1], [1]], [[0, 1], [0]], 2, 2)
     tables.decrement(0, 0, 0)
     tables.increment(0, 1, 0)
     tables.check()

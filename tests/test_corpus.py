@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from topicmodels import corpus as corpus_mod
-from topicmodels.corpus import (Corpus, CorpusError, ParseError, StopList,
+from topicmodels.corpus import (Corpus, CorpusError, ParseError, StopList, Vocabulary,
                                 lemmatize, parse_plain, parse_sentences,
                                 parse_tagged, preprocess)
 
@@ -230,6 +230,46 @@ def test_vocabulary_bijection_and_round_trip():
         assert vocab.word_to_id[w] == i
     for line, doc in zip(lines, corpus.docword):
         assert [vocab.word(i) for i in doc] == line.split()
+
+
+def _indexed_by_add(token_lists):
+    """docword and vocabulary of token lists, one ``Vocabulary.add`` per token."""
+    vocabulary = Vocabulary()
+    return [[vocabulary.add(t) for t in tokens] for tokens in token_lists], vocabulary
+
+
+def _same_indexing(got: Vocabulary, want: Vocabulary) -> bool:
+    return (type(got.word_to_id) is dict and got.word_to_id == want.word_to_id
+            and list(got.word_to_id) == list(want.word_to_id)
+            and got.id_to_word == want.id_to_word)
+
+
+def test_parsers_index_as_vocabulary_add_does(caplog):
+    # repeated words within and across lines, and lines each parser drops
+    plain = ["b a b", "", "c a  d b", "   ", "d d e a"]
+    sentences = ["b a -- b c", "", "--", "a -- -- e e b", "d--"]
+    tagged = ["A,B\tb a b", "", "B,A,B\tc a", "C\t  ", "A , C\td d e a"]
+    with caplog.at_level(logging.WARNING):
+        parsed = [parse_plain(plain), parse_sentences(sentences),
+                  parse_tagged(tagged, kind="authors", item_sep=",")]
+    assert [r.getMessage() for r in caplog.records] == [
+        "line 2: empty document dropped", "line 4: empty document dropped",
+        "dropped 2 empty document(s)",
+        "line 2: document with no non-empty sentence dropped",
+        "line 3: document with no non-empty sentence dropped",
+        "line 2: empty document dropped", "line 4: empty document dropped",
+        "dropped 2 empty document(s)"]
+    bodies = [[line.split() for line in plain],
+              [line.replace("--", " ").split() for line in sentences],
+              [line.split("\t")[1].split() for line in tagged if line]]
+    for corpus, tokens in zip(parsed, bodies):
+        docword, vocabulary = _indexed_by_add(filter(None, tokens))
+        assert corpus.docword == docword
+        assert _same_indexing(corpus.vocabulary, vocabulary)
+    assert parsed[1].sentences == [[2, 4], [1, 4], [1]]
+    authors, meta = _indexed_by_add([["A", "B"], ["B", "A"], ["A", "C"]])
+    assert parsed[2].authors == authors
+    assert _same_indexing(parsed[2].meta_vocabulary, meta)
 
 
 def test_token_totals_match_input():

@@ -214,7 +214,7 @@ def test_plda_single_admissible_cell_certain():
     # probe the op contract directly: one admissible (label, topic) cell
     sampler.allowed[0] = [0]
     sampler.z[0] = [0, 0]
-    sampler.tables = counts_from_assignments(corpus.docword, sampler.z, 2, corpus.n_words)
+    sampler.tables = counts_from_assignments(corpus.docword, sampler.z, 2, corpus.n_words)[0]
     assert sampler.tables.topic_word == [[1, 1], [0, 0]]
     assert lda_token_shares(sampler) == {0: 1.0}
 
