@@ -205,7 +205,7 @@ def _parse(layout: str, lines):
         return corpus_mod.parse_plain(lines)
     if layout == "sentences":
         return corpus_mod.parse_sentences(lines)
-    return corpus_mod.parse_tagged(lines, kind=layout, item_sep="--" if layout == "links" else ",")
+    return corpus_mod.parse_tagged(lines, kind=layout)
 
 
 def _add_model_arguments(parser):

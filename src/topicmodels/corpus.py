@@ -8,8 +8,8 @@ cleaned (whitespace-separated tokens); the parsers here only index them.
 Input layouts:
   - plain:      one document per line
   - sentences:  one document per line, sentences separated by "--"
-  - tagged:     metadata TAB body, metadata items separated by "," or "--"
-                (author lists, citation links, label lists)
+  - tagged:     metadata TAB body; the items of an author or label list are
+                separated by ",", citation links by "--"
 """
 
 import functools
@@ -249,19 +249,13 @@ class Corpus:
     meta_vocabulary.
     """
 
-    docword: list | None = None          # None: a new empty list
-    vocabulary: Vocabulary | None = None  # None: a new empty Vocabulary
+    docword: list
+    vocabulary: Vocabulary
     sentences: list | None = None
     authors: list | None = None
     links: list | None = None
     labels: list | None = None
     meta_vocabulary: Vocabulary | None = None
-
-    def __post_init__(self):
-        if self.docword is None:
-            self.docword = []
-        if self.vocabulary is None:
-            self.vocabulary = Vocabulary()
 
     @property
     def n_docs(self) -> int:
@@ -282,9 +276,13 @@ class Corpus:
             yield self.docword[m][start:end]
             start = end
 
-    def require(self, attribute: str) -> None:
-        if getattr(self, attribute) is None:
-            raise CorpusError(f"corpus has no {attribute}; parse the matching input layout first")
+    def require(self, *attributes: str) -> None:
+        """CorpusError for a missing field, then ValueError if no document has a token."""
+        for name in attributes:
+            if getattr(self, name) is None:
+                raise CorpusError(f"corpus has no {name}; parse the matching input layout first")
+        if not any(self.docword):
+            raise ValueError("corpus is empty")
 
 
 def parse_plain(lines: Iterable[str]) -> Corpus:
@@ -305,15 +303,13 @@ def parse_plain(lines: Iterable[str]) -> Corpus:
     return Corpus(docword, Vocabulary(ids))
 
 
-def parse_sentences(lines: Iterable[str], sep: str = "--") -> Corpus:
-    """Index documents whose sentences are separated by ``sep``."""
-    if not sep:
-        raise ValueError("sentence separator must be non-empty")
+def parse_sentences(lines: Iterable[str]) -> Corpus:
+    """Index documents whose sentences are separated by "--"."""
     docword, sentences, ids = [], [], _Ids()
     for lineno, line in enumerate(lines, start=1):
         token_ids = []
         offsets = []
-        for chunk in line.split(sep):
+        for chunk in line.split("--"):
             tokens = chunk.split()
             if not tokens:
                 continue  # empty sentence (e.g. trailing separator)
@@ -332,18 +328,20 @@ def parse_sentences(lines: Iterable[str], sep: str = "--") -> Corpus:
 _TAGGED_FIELDS = ("authors", "links", "labels")
 
 
-def parse_tagged(lines: Iterable[str], kind: str, item_sep: str) -> Corpus:
+def parse_tagged(lines: Iterable[str], kind: str) -> Corpus:
     """Index documents of the form ``metadata<TAB>body``.
 
     ``kind`` selects which corpus field ("authors", "links" or "labels")
-    receives the metadata ids; items are deduplicated per document, with
-    first occurrence deciding both order and vocabulary ids.  An empty
-    metadata field is a parse error for authors (the author-topic model
-    cannot place such a document) but allowed for links and labels, where
-    the models give unannotated documents a sensible meaning.
+    receives the metadata ids.  Links are separated by "--", authors and
+    labels by ","; items are deduplicated per document, with first
+    occurrence deciding both order and vocabulary ids.  An empty metadata
+    field is a parse error for authors (the author-topic model cannot place
+    such a document) but allowed for links and labels, where the models give
+    unannotated documents a sensible meaning.
     """
     if kind not in _TAGGED_FIELDS:
         raise ValueError(f"kind must be one of {_TAGGED_FIELDS}, got {kind!r}")
+    item_sep = "--" if kind == "links" else ","
     docword, ids, meta_lists, meta_ids = [], _Ids(), [], _Ids()
     dropped = 0
     for lineno, line in enumerate(lines, start=1):

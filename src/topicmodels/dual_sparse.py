@@ -122,8 +122,7 @@ def selector_pass(means: list, sums: list, counts: list, totals: list, on: float
 class DualSparseCvb0:
     def __init__(self, corpus: Corpus, hyper: SparseHyper, kappa: list,
                  alpha_hat: list | None = None, beta_hat: list | None = None):
-        if corpus.n_docs == 0 or corpus.n_tokens == 0:
-            raise ValueError("corpus is empty")
+        corpus.require()
         self.corpus = corpus
         self.hyper = hyper
         self.kappa = kappa

@@ -40,8 +40,7 @@ class HdpHyper:
 
 class HdpSampler:
     def __init__(self, corpus: Corpus, hyper: HdpHyper, rng: random.Random):
-        if corpus.n_docs == 0 or corpus.n_tokens == 0:
-            raise ValueError("corpus is empty")
+        corpus.require()
         # at alpha0 = 0 a token alone in its document has no table to sit at,
         # and at gamma = 0 the only token of a corpus has no topic to take
         if not hyper.alpha0 > 0 and any(len(doc) == 1 for doc in corpus.docword):

@@ -211,8 +211,7 @@ class LdaGibbsSampler:
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random,
                  allowed: list | None = None, topic_labels: list | None = None):
-        if corpus.n_docs == 0 or corpus.n_tokens == 0:
-            raise ValueError("corpus is empty")
+        corpus.require()
         if allowed is not None and (len(allowed) != corpus.n_docs or not all(allowed)):
             raise ValueError("allowed needs a nonempty topic list for every document")
         self.corpus = corpus
@@ -315,8 +314,7 @@ class LdaCvb0:
     """Deterministic CVB0 fixed-point iteration over token responsibilities."""
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, gamma: list):
-        if corpus.n_docs == 0 or corpus.n_tokens == 0:
-            raise ValueError("corpus is empty")
+        corpus.require()
         self.corpus = corpus
         self.hyper = hyper
         self.gamma = gamma

@@ -9,8 +9,8 @@ per-document row, so both its draws are the SparseLDA token draw of
 
 import random
 
-from .core import (counts_from_assignments, draw_below, draw_each, record, require_at_least,
-                   require_positive, require_recount, sample_categorical)
+from .core import (counts_from_assignments, draw_below, draw_each, record, require_positive,
+                   require_recount, sample_categorical)
 from .corpus import Corpus
 from .lda import (FittedLda, LdaHyper, estimate_phi, estimate_theta, smoothed_rows,
                   sweep_sparse_tokens)
@@ -26,8 +26,6 @@ class AtmSampler:
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
         corpus.require("authors")
-        if corpus.n_docs == 0 or corpus.n_tokens == 0:
-            raise ValueError("corpus is empty")
         if any(not a for a in corpus.authors):
             raise ValueError("every document needs at least one author")
         self.corpus = corpus
@@ -105,15 +103,12 @@ class AtmSampler:
 
 
 @record(frozen=True)
-class LinkLdaHyper:
-    n_topics: int
-    alpha: float = 0.1
-    beta: float = 0.01
+class LinkLdaHyper(LdaHyper):
     gamma: float = 0.01  # topic-link smoothing
 
     def __post_init__(self):
-        require_at_least({"n_topics": self.n_topics})
-        require_positive({"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma})
+        super().__post_init__()
+        require_positive({"gamma": self.gamma})
 
 
 @record
@@ -135,8 +130,6 @@ class LinkLdaSampler:
 
     def __init__(self, corpus: Corpus, hyper: LinkLdaHyper, rng: random.Random):
         corpus.require("links")
-        if corpus.n_docs == 0 or corpus.n_tokens == 0:
-            raise ValueError("corpus is empty")
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng

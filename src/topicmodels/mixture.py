@@ -180,8 +180,7 @@ class ClusterTables:
 def _require_usable(corpus: Corpus, hyper: MixtureHyper) -> None:
     """Reject an empty corpus, and alpha = 0 on a corpus of one document,
     whose draw would find every cluster empty and without prior mass."""
-    if corpus.n_docs == 0 or corpus.n_tokens == 0:
-        raise ValueError("corpus is empty")
+    corpus.require()
     if corpus.n_docs == 1 and not hyper.alpha > 0:
         raise ValueError("alpha must be > 0 when the corpus has one document")
 

@@ -11,7 +11,7 @@ per-sentence maximum.
 import math
 import random
 from itertools import accumulate, chain, repeat
-from operator import add
+from operator import add, lt
 
 from .core import CountTables, draw_each, exp_normalize, require_recount, sample_categorical
 from .corpus import Corpus
@@ -35,8 +35,12 @@ class SentenceLdaSampler:
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
         corpus.require("sentences")
-        if corpus.n_docs == 0 or corpus.n_tokens == 0:
-            raise ValueError("corpus is empty")
+        if len(corpus.sentences) != corpus.n_docs:
+            raise ValueError("corpus needs one list of sentence ends per document")
+        for m, (doc, ends) in enumerate(zip(corpus.docword, corpus.sentences)):
+            bounds = [0, *ends]  # each sentence ends after the one before, the last with doc
+            if bounds[-1] != len(doc) or not all(map(lt, bounds, ends)):
+                raise ValueError(f"doc {m}: sentence ends {ends} do not split its tokens")
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng

@@ -20,7 +20,7 @@ from operator import mul
 from .core import (counts_from_assignments, draw_below, draw_each, fold_sum, record,
                    require_at_least, require_positive, require_recount, warn)
 from .corpus import Corpus
-from .lda import smoothed_rows, sweep_sparse_tokens
+from .lda import LdaHyper, smoothed_rows, sweep_sparse_tokens
 from .mixture import ClusterTables
 
 
@@ -60,8 +60,7 @@ class PtmSampler:
     """
 
     def __init__(self, corpus: Corpus, hyper: PtmHyper, rng: random.Random):
-        if corpus.n_docs == 0 or corpus.n_tokens == 0:
-            raise ValueError("corpus is empty")
+        corpus.require()
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
@@ -143,15 +142,11 @@ def extract_biterms(corpus: Corpus, window: int) -> list:
 
 
 @record(frozen=True)
-class BtmHyper:
-    n_topics: int
-    alpha: float = 0.1
-    beta: float = 0.01
+class BtmHyper(LdaHyper):
     window: int = 5
 
     def __post_init__(self):
-        require_at_least({"n_topics": self.n_topics})
-        require_positive({"alpha": self.alpha, "beta": self.beta})
+        super().__post_init__()
         require_at_least({"window": self.window}, 2)
 
 
@@ -166,6 +161,7 @@ class BtmSampler:
     """Collapsed Gibbs chain over per-biterm topic assignments."""
 
     def __init__(self, corpus: Corpus, hyper: BtmHyper, rng: random.Random):
+        corpus.require()
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng

@@ -177,8 +177,7 @@ def test_criterion_1_exact_posterior_link_lda():
     """Link LDA's chain over the topics of five words and three links, K = 2:
     2^8 states against the collapsed joint.  The last document has no link."""
     start = time.perf_counter()
-    corpus = parse_tagged(["100--200\tw0 w1", "200\tw1 w2", " \tw0"], kind="links",
-                          item_sep="--")
+    corpus = parse_tagged(["100--200\tw0 w1", "200\tw1 w2", " \tw0"], kind="links")
     K, V, L = 2, corpus.n_words, len(corpus.meta_vocabulary)
     alpha, beta, gamma = 0.9, 0.7, 0.6
     sizes = [len(d) for d in corpus.docword] + [len(ls) for ls in corpus.links]
@@ -307,7 +306,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
     def atm_case(rng):
         lines = [f"A{rng.randrange(3)},A{rng.randrange(3, 5)}\t" + doc
                  for doc in random_docs(rng, 4, 5)]
-        corpus = parse_tagged(lines, kind="authors", item_sep=",")
+        corpus = parse_tagged(lines, kind="authors")
         K = rng.randrange(2, 4)
         sampler = AtmSampler(corpus, LdaHyper(K, 0.4, 0.15), rng)
         m = rng.randrange(corpus.n_docs)
@@ -329,7 +328,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         # comes after every word has been drawn, so those draws are scripted
         lines = [f"{rng.randrange(100, 104)}--{rng.randrange(104, 108)}\t" + doc
                  for doc in random_docs(rng, 4, 5)]
-        corpus = parse_tagged(lines, kind="links", item_sep="--")
+        corpus = parse_tagged(lines, kind="links")
         K = rng.randrange(2, 4)
         sampler = LinkLdaSampler(corpus, LinkLdaHyper(K, 0.3, 0.2, 0.4), rng)
         m = rng.randrange(corpus.n_docs)
@@ -346,7 +345,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         labels = ["A", "B", "C"]
         lines = [",".join(sorted(set(rng.choices(labels, k=rng.randrange(1, 3)))))
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
-        corpus = parse_tagged(lines, kind="labels", item_sep=",")
+        corpus = parse_tagged(lines, kind="labels")
         sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.4, 0.15), rng)
         K = sampler.tables.n_topics
         m = rng.randrange(corpus.n_docs)
@@ -362,7 +361,7 @@ def test_criterion_2_full_conditional_scalar_oracles():
         labels = ["A", "B"]
         lines = [",".join(sorted(set(rng.choices(labels, k=rng.randrange(1, 3)))))
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
-        corpus = parse_tagged(lines, kind="labels", item_sep=",")
+        corpus = parse_tagged(lines, kind="labels")
         sampler = PldaSampler(corpus, PldaHyper(2, 0.4, 0.15), rng)
         K = sampler.tables.n_topics
         m = rng.randrange(corpus.n_docs)

@@ -12,6 +12,7 @@ import topicmodels
 from topicmodels import cli, core, lda, reports
 from topicmodels.cli import main
 from topicmodels.core import fields
+from topicmodels.corpus import Corpus, Vocabulary
 from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
                                  parse_value_lines)
 
@@ -757,6 +758,20 @@ def test_zero_concentration_rejected_where_the_chain_cannot_run(tmp_path, capsys
     # zero concentration stays legal on a corpus that supports it
     corpus.write_text(PLAIN)
     assert run([*args, "--input", corpus]) == 0
+
+
+@pytest.mark.parametrize("docword", [[], [[], []]], ids=["no-document", "empty-documents"])
+@pytest.mark.parametrize("model", sorted(cli.MODELS))
+def test_every_sampler_rejects_a_corpus_with_no_token(model, docword):
+    spec = cli.MODELS[model]
+    hyper = spec.hyper(**{f.name: 2 for f in fields(spec.hyper) if f.default is core.MISSING})
+    layout = {} if spec.layout == "plain" else {spec.layout: [[0]] * len(docword)}
+    corpus = Corpus(docword, Vocabulary(), **layout, meta_vocabulary=Vocabulary({"A": 0}))
+    rng = core.SeededRng(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="corpus is empty"):
+        spec.sampler(corpus, hyper, rng)
+    assert rng.getstate() == state
 
 
 def test_the_chain_length_is_set_by_run_chain_alone():

@@ -187,38 +187,46 @@ def test_parse_sentences_concatenation_matches_plain():
 
 
 def test_parse_tagged_authors():
-    corpus = parse_tagged(["A,B\tx y"], kind="authors", item_sep=",")
+    corpus = parse_tagged(["A,B\tx y"], kind="authors")
     assert corpus.authors == [[0, 1]]
     assert corpus.docword == [[0, 1]]
     assert corpus.meta_vocabulary.id_to_word == ["A", "B"]
 
 
 def test_parse_tagged_links_shape():
-    corpus = parse_tagged(["457720--578743\tgraph cluster"], kind="links", item_sep="--")
+    corpus = parse_tagged(["457720--578743\tgraph cluster"], kind="links")
     assert corpus.links == [[0, 1]]
     assert corpus.meta_vocabulary.id_to_word == ["457720", "578743"]
 
 
+@pytest.mark.parametrize("kind, items", [("links", ["a,b", "c"]), ("authors", ["a", "b--c"]),
+                                         ("labels", ["a", "b--c"])])
+def test_parse_tagged_separator_follows_the_kind(kind, items):
+    corpus = parse_tagged(["a,b--c\tx"], kind=kind)
+    assert getattr(corpus, kind) == [[0, 1]]
+    assert corpus.meta_vocabulary.id_to_word == items
+
+
 def test_parse_tagged_deduplicates():
-    corpus = parse_tagged(["A,A\tx"], kind="authors", item_sep=",")
+    corpus = parse_tagged(["A,A\tx"], kind="authors")
     assert corpus.authors == [[0]]
 
 
 def test_parse_tagged_missing_separator_names_line():
     with pytest.raises(ParseError, match="line 2"):
-        parse_tagged(["A\tx", "B x"], kind="authors", item_sep=",")
+        parse_tagged(["A\tx", "B x"], kind="authors")
 
 
 def test_parse_tagged_empty_authors_rejected():
     with pytest.raises(ParseError):
-        parse_tagged([" \tx y"], kind="authors", item_sep=",")
+        parse_tagged([" \tx y"], kind="authors")
 
 
 def test_parse_tagged_empty_labels_and_links_allowed():
     # unlabeled documents are meaningful for PLDA (background block) and
     # link-less documents for link LDA (theta collapses to the LDA form)
     for kind in ("labels", "links"):
-        corpus = parse_tagged([" \tx y", "A\tz"], kind=kind, item_sep=",")
+        corpus = parse_tagged([" \tx y", "A\tz"], kind=kind)
         assert getattr(corpus, kind) == [[], [0]]
 
 
@@ -251,7 +259,7 @@ def test_parsers_index_as_vocabulary_add_does(caplog):
     tagged = ["A,B\tb a b", "", "B,A,B\tc a", "C\t  ", "A , C\td d e a"]
     with caplog.at_level(logging.WARNING):
         parsed = [parse_plain(plain), parse_sentences(sentences),
-                  parse_tagged(tagged, kind="authors", item_sep=",")]
+                  parse_tagged(tagged, kind="authors")]
     assert [r.getMessage() for r in caplog.records] == [
         "line 2: empty document dropped", "line 4: empty document dropped",
         "dropped 2 empty document(s)",

@@ -14,11 +14,11 @@ from first_draw import assert_shares_match, first_draw_shares, linklda_draw, lin
 
 
 def author_corpus(lines):
-    return parse_tagged(lines, kind="authors", item_sep=",")
+    return parse_tagged(lines, kind="authors")
 
 
 def link_corpus(lines):
-    return parse_tagged(lines, kind="links", item_sep="--")
+    return parse_tagged(lines, kind="links")
 
 
 def remove_token(sampler, m, n):

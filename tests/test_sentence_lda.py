@@ -4,7 +4,7 @@ import math
 import pytest
 
 from topicmodels.core import SeededRng, run_chain
-from topicmodels.corpus import CorpusError, parse_plain, parse_sentences
+from topicmodels.corpus import Corpus, CorpusError, Vocabulary, parse_plain, parse_sentences
 from topicmodels.lda import LdaHyper
 from topicmodels.sentence_lda import SentenceLdaSampler
 
@@ -18,6 +18,26 @@ def test_requires_sentence_structure():
     with pytest.raises(CorpusError):
         hyper = LdaHyper(2)
         run_chain(SentenceLdaSampler(corpus, hyper, SeededRng(0)), 1)
+
+
+@pytest.mark.parametrize("docword, sentences, message", [
+    ([[0, 1]], [[1]], "doc 0: sentence ends"),        # the last sentence stops short
+    ([[0, 1]], [[1, 3]], "doc 0: sentence ends"),     # or runs past the document
+    ([[0, 1]], [[0, 2]], "doc 0: sentence ends"),     # an empty first sentence
+    ([[0, 1]], [[1, 1, 2]], "doc 0: sentence ends"),  # an empty sentence inside
+    ([[0, 1]], [[2, 1, 2]], "doc 0: sentence ends"),  # ends out of order
+    ([[0, 1], [1]], [[2], [2]], "doc 1: sentence ends"),
+    ([[0, 1], [1]], [[2]], "one list of sentence ends per document"),
+    ([[0, 1]], [[2], [1]], "one list of sentence ends per document"),
+], ids=["short", "long", "empty-first", "empty-inside", "unordered", "second-doc", "too-few",
+        "too-many"])
+def test_rejects_sentence_ends_that_do_not_split_the_documents(docword, sentences, message):
+    corpus = Corpus(docword, Vocabulary({"a": 0, "b": 1}), sentences)
+    rng = SeededRng(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=message):
+        SentenceLdaSampler(corpus, LdaHyper(2), rng)
+    assert rng.getstate() == state
 
 
 def test_one_word_sentences_reduce_to_lda_conditional():

@@ -18,7 +18,7 @@ from oracles import (assert_close_distribution, labeled_token_oracle, lda_joint_
 
 
 def label_corpus(lines):
-    return parse_tagged(lines, kind="labels", item_sep=",")
+    return parse_tagged(lines, kind="labels")
 
 
 def enumerated_posterior(corpus, supports, K, alpha, beta):
