@@ -238,6 +238,11 @@ class _Ids(dict):
         return wid
 
 
+# what a row of each per-document field lists, for the error messages
+_ROW_ITEMS = {"sentences": "sentence ends", "authors": "authors", "links": "links",
+              "labels": "labels"}
+
+
 @record
 class Corpus:
     """Indexed documents plus optional per-document structure.
@@ -277,10 +282,15 @@ class Corpus:
             start = end
 
     def require(self, *attributes: str) -> None:
-        """CorpusError for a missing field, then ValueError if no document has a token."""
+        """CorpusError for a missing field, ValueError for a field without one
+        row per document, then ValueError if no document has a token."""
         for name in attributes:
-            if getattr(self, name) is None:
+            rows = getattr(self, name)
+            if rows is None:
                 raise CorpusError(f"corpus has no {name}; parse the matching input layout first")
+            if len(rows) != self.n_docs:
+                raise ValueError(f"corpus needs one list of {_ROW_ITEMS[name]} per document, "
+                                 f"but {name} has {len(rows)} for {self.n_docs} documents")
         if not any(self.docword):
             raise ValueError("corpus is empty")
 

@@ -4,7 +4,11 @@ zero-order collapsed variational Bayes (CVB0).
 The Gibbs sampler draws every token with the SparseLDA kernel,
 ``sweep_sparse_tokens``, at every K.  It also runs LDA with a set of
 allowed topics per document: Labeled LDA and PLDA are that chain, with the
-sets built from the labels (see ``supervised``).
+sets built from the labels (see ``supervised``).  A draw walks the
+token's weight in three parts: q over the topics holding its word, then
+smoothing and row (s + r) over the topics its document's row holds, then
+smoothing alone over the document's other topics, which only a draw that
+runs past the first two reaches.
 
 Count-table notation (mirrored across the whole package):
   n_mk  tokens of document m assigned to topic k
@@ -17,8 +21,9 @@ hard assignment z with a per-token responsibility vector.
 
 import random
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress
+from math import fsum
 
 from .core import (CountTables, counts_from_assignments, draw_below, draw_each, expected_counts,
                    fold_sum, record, require_at_least, require_positive, require_recount)
@@ -92,42 +97,62 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
     ``row = rows[m]`` is the count row the draw uses: the document's own
     n_mk in LDA, its pseudo document's N_lk in PTM, its pooled words and
     links n_mk + c_mk in Link LDA.  A document restricted to some topics
-    (Labeled LDA, PLDA) lists them; the unrestricted callers pass
+    (Labeled LDA, PLDA) lists them; the unrestricted callers pass one
     ``range(K)`` for every document.  z[m] holds the document's topics
     only.  V is ``len(word_topics)``.  The row, ``topic_word`` (n_kv),
     ``topic_total`` (n_k) and ``word_topics`` (the word index that
     ``core.counts_from_assignments`` builds) move with every topic change.
 
-    With coef_k = (alpha + row_k)/(n_k + V beta), cached per topic of the
-    document and 0.0 for every other topic, the weight is split as
-      s_k + r_k = beta coef_k   smoothing and row, the document's topics
-      q_k = coef_k n_kv         the word's topics
-    q is summed over the word's index only; s + r is a running total,
-    recomputed at the start of each document so round-off cannot build up.
-    s and r share one walk over the document's topics: a cumulative sum at
-    C speed costs less here than keeping each row's topic list, and few
-    draws land there.  A document with every topic walks coef itself, one
-    with a few topics only their coefficients.  Where round-off runs either
-    walk past its end, the draw takes the walk's last topic with weight.
+    With coef_k = (alpha + row_k)/(n_k + V beta) over the document's
+    topics and 0.0 for every other topic, a draw walks the weight in three
+    parts, in this order:
+      q_k = coef_k n_kv           the word's topics, in the word index's order
+      s_k + r_k = beta coef_k     the document's list: smoothing and row,
+                                  in list order
+      s_k = beta alpha/(n_k + V beta)   the rest of the document's topics:
+                                  smoothing only, in id order
+    q is summed over the word index only; s + r is a running total over all
+    the document's topics, recomputed at the start of each document so
+    round-off cannot build up.  The list holds the topics with row_k > 0 at
+    the start of the document, in ``topics[m]`` order; a move that gives a
+    topic its first token there appends it, once, and a topic that drops to
+    0 stays on it.  Only a draw that runs past the list walks the rest, as
+    a cumulative sum at C speed with the listed topics zeroed: mostly the
+    draws of a word seen once (q = 0) that land on a topic the row does not
+    hold.  Where round-off runs a walk past its end, the draw takes the last
+    topic with weight.
 
-    The token's own topic is weighed with the token taken out, in place,
-    and the tables move only when the draw picks another topic: most draws
-    of a chain that has settled keep their topic.  A kept topic replays the
-    two s + r updates and puts a word-index key of count 1 back at the end
-    of the dict, as a removal and an add would, so the draws and their
-    floats are those of a kernel that moves every token.
+    The coefficients outlive a document: the topics off its list keep
+    alpha/(n_k + V beta), so only the listed topics are set at its start
+    and put back at its end.  They are built afresh, 0.0 off the document's
+    topics, whenever ``topics[m]`` is not the object the document before
+    passed.
+
+    The token's own topic is weighed with the token taken out, in place:
+    its coefficient, from the cached 1/(n_k - 1 + V beta), and its
+    word-index value.  The tables and the running total move only when the
+    draw picks another topic; a kept topic puts the two values back, so most
+    draws of a chain that has settled write nothing else.
     """
     nkv, nk = topic_word, topic_total
     K = len(nk)
     vbeta = len(word_topics) * beta
     rng_random = rng.random
     inv = [1.0 / (n + vbeta) for n in nk]  # 1/(n_k + V beta)
+    # 1/(n_k - 1 + V beta), the own topic's with the token out; 0.0, never
+    # read, for an empty topic
+    dec = [1.0 / (n - 1 + vbeta) if n else 0.0 for n in nk]
+    coef = ks_before = None
     for doc, zm, nm, ks in zip(docword, z, rows, topics):
-        coef = [0.0] * K
-        for k in ks:
+        if ks is not ks_before:  # smoothing alone, 0.0 off the document's topics
+            coef = [0.0] * K
+            for k in ks:
+                coef[k] = alpha * inv[k]
+            ks_before = ks
+        listed = list(compress(ks, map(nm.__getitem__, ks)))  # the topics the row holds
+        for k in listed:
             coef[k] = (alpha + nm[k]) * inv[k]
-        own = None if len(ks) == K else coef.__getitem__  # walks ks, not all of coef
-        s_r = beta * fold_sum(coef if own is None else map(own, ks))
+        s_r = beta * fsum(coef)
         for n, v in enumerate(doc):
             k0 = zm[n]
             wt = word_topics[v]
@@ -135,19 +160,17 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
             # its coefficient and its word-index value (kept at 0 rather than
             # deleted, which adds exactly 0.0 to q and to the walk)
             c0 = nm[k0] - 1
-            t0 = nk[k0] - 1
-            i0 = 1.0 / (t0 + vbeta)
-            x0 = (alpha + c0) * i0
+            x0 = (alpha + c0) * dec[k0]
             old = coef[k0]
-            s_r += beta * (x0 - old)
             coef[k0] = x0
+            s_r0 = s_r + beta * (x0 - old)
             left = wt[k0] - 1
             wt[k0] = left
 
             q = 0.0
             for k, c in wt.items():
                 q += coef[k] * c
-            u = rng_random() * (q + s_r)
+            u = rng_random() * (q + s_r0)
             if u < q:
                 for k, c in wt.items():
                     u -= coef[k] * c
@@ -156,43 +179,52 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
                 else:
                     k = [j for j, c in wt.items() if coef[j] * c][-1]
             else:
-                walk = coef if own is None else map(own, ks)
-                j = bisect_right(list(accumulate(walk)), (u - q) / beta)
-                k = ks[min(j, len(ks) - 1)]
+                u = (u - q) / beta
+                for k in listed:
+                    u -= coef[k]
+                    if u < 0.0:
+                        break
+                else:  # the topics off the list: smoothing only
+                    rest = coef.copy()
+                    for k in listed:
+                        rest[k] = 0.0
+                    walk = list(accumulate(map(rest.__getitem__, ks)))
+                    j = bisect_right(walk, u)
+                    if j < len(walk):
+                        k = ks[j]
+                    else:  # round-off ran past the end: the last topic with weight
+                        k = ks[bisect_left(walk, walk[-1])] if walk[-1] else listed[-1]
 
-            if k == k0:
-                # the topic is kept: put the token back as the tables had it
-                # (a count-1 key goes back at the end, as an add would put it)
-                s_r += beta * (old - x0)
+            if k == k0:  # the topic is kept: put the token back in place
                 coef[k0] = old
-                if left:
-                    wt[k0] = left + 1
-                else:
-                    del wt[k0]
-                    wt[k0] = 1
+                wt[k0] = left + 1
                 continue
             # the topic moves: take the token out of k0's tables, into k's
             nm[k0] = c0
             nkv[k0][v] -= 1
+            t0 = nk[k0] - 1
             nk[k0] = t0
-            inv[k0] = i0
+            inv[k0] = dec[k0]
+            dec[k0] = 1.0 / (t0 - 1 + vbeta) if t0 else 0.0
             if not left:
                 del wt[k0]
             zm[n] = k
             c = nm[k] + 1
             nm[k] = c
+            if c == 1 and k not in listed:
+                listed.append(k)
             nkv[k][v] += 1
             t = nk[k] + 1
             nk[k] = t
-            if k in wt:
-                wt[k] += 1
-            else:
-                wt[k] = 1
+            wt[k] = wt.get(k, 0) + 1
+            dec[k] = inv[k]
             i = 1.0 / (t + vbeta)
             inv[k] = i
             x = (alpha + c) * i
-            s_r += beta * (x - coef[k])
+            s_r = s_r0 + beta * (x - coef[k])
             coef[k] = x
+        for k in listed:  # back to smoothing alone for the next document
+            coef[k] = alpha * inv[k]
 
 
 class LdaGibbsSampler:

@@ -35,8 +35,6 @@ class SentenceLdaSampler:
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
         corpus.require("sentences")
-        if len(corpus.sentences) != corpus.n_docs:
-            raise ValueError("corpus needs one list of sentence ends per document")
         for m, (doc, ends) in enumerate(zip(corpus.docword, corpus.sentences)):
             bounds = [0, *ends]  # each sentence ends after the one before, the last with doc
             if bounds[-1] != len(doc) or not all(map(lt, bounds, ends)):

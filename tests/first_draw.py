@@ -6,15 +6,20 @@ the rng scripted to hand that draw a chosen u, the outcome as a function of
 u cuts [0, 1) into intervals, and each outcome's total length is its
 normalised weight.  ``first_draw_shares`` finds the cuts with a coarse grid
 and then bisects each one down to one ulp, so the shares can be compared
-with ``oracles.py`` at the oracles' 1e-10 tolerance.  A SparseLDA topic can
-own two intervals (its q share in the word index's order, its s + r share
-in id order), so the intervals are summed per outcome.
+with ``oracles.py`` at the oracles' 1e-10 tolerance.  A SparseLDA draw
+lays its intervals out as q over the word index, in the index's order, then
+s + r over the document's listed topics, in list order, then s over the rest
+of its topics, in id order; a topic can own two of them (its q share and
+its s + r or s share), so the intervals are summed per outcome.
 
 The tests put the item to check first in the sampler's state (or hand the
 kernel a slice holding only that item), because later draws of a sweep
 reuse running totals that an oracle does not see.  Where a sweep makes
 draws of another kind first (PTM's pseudo-document draws, Link LDA's words
-before its links), their uniforms are scripted as a prefix.
+before its links), their uniforms are scripted as a prefix.  A prefix can
+also steer the draws before the probed one (``uniform_for``), to check a
+draw against the state that earlier moves of its own document left; the
+running totals it reuses are then the ones under test.
 """
 
 import pickle
@@ -59,11 +64,7 @@ def first_draw_shares(run, read, prefix=(), suffix=()) -> dict:
     script; ``read()`` then returns that draw's outcome.
     """
     def outcome(u):
-        try:
-            run(ScriptedRng([*prefix, u, *suffix]))
-        except ScriptEnd:
-            pass
-        return read()
+        return draw_outcome(run, read, [*prefix, u, *suffix])
 
     def cut(lo, hi, at_lo):
         """The least u in (lo, hi] whose outcome is not ``at_lo``, given
@@ -87,6 +88,23 @@ def first_draw_shares(run, read, prefix=(), suffix=()) -> dict:
             start, current = edge, outcome(edge)
     shares[current] = shares.get(current, 0.0) + 1.0 - start
     return shares
+
+
+def draw_outcome(run, read, uniforms):
+    """``read()`` after ``run`` on an rng scripted with ``uniforms``."""
+    try:
+        run(ScriptedRng(uniforms))
+    except ScriptEnd:
+        pass
+    return read()
+
+
+def uniform_for(run, read, want, prefix=()) -> float:
+    """A probe uniform that gives the draw after ``prefix`` the outcome
+    ``want``: a script that steers a sweep into a chosen state."""
+    u = next((u for u in PROBES if draw_outcome(run, read, [*prefix, u]) == want), None)
+    assert u is not None, f"no probe uniform draws {want}"
+    return u
 
 
 def assert_shares_match(shares: dict, want: list, rel=1e-10) -> None:

@@ -774,6 +774,21 @@ def test_every_sampler_rejects_a_corpus_with_no_token(model, docword):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("model", sorted(m for m, spec in cli.MODELS.items()
+                                         if spec.layout != "plain"))
+def test_every_metadata_sampler_rejects_a_field_short_of_the_documents(model):
+    # two documents and one row of metadata: rejected before the first draw
+    spec = cli.MODELS[model]
+    hyper = spec.hyper(**{f.name: 2 for f in fields(spec.hyper) if f.default is core.MISSING})
+    corpus = Corpus([[0, 1], [1, 0]], Vocabulary({"a": 0, "b": 1}), **{spec.layout: [[0]]},
+                    meta_vocabulary=Vocabulary({"A": 0}))
+    rng = core.SeededRng(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"but {spec.layout} has 1 for 2 documents"):
+        spec.sampler(corpus, hyper, rng)
+    assert rng.getstate() == state
+
+
 def test_the_chain_length_is_set_by_run_chain_alone():
     assert all(f.name != "iterations" for spec in cli.MODELS.values()
                for f in fields(spec.hyper))

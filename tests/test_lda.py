@@ -9,7 +9,8 @@ from topicmodels.core import CountTables, SeededRng, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.lda import LdaCvb0, LdaGibbsSampler, LdaHyper, random_responsibilities
 
-from first_draw import assert_shares_match, lda_token_shares, put_lda_token_first
+from first_draw import (assert_shares_match, lda_token_shares, put_lda_token_first, rerun_sweep,
+                        sweep_draw_shares, uniform_for)
 from oracles import assert_close_distribution, lda_token_oracle, lda_joint_log, tv_distance
 
 
@@ -51,6 +52,62 @@ def test_full_conditional_matches_scalar_oracle():
                        [tables.topic_word[kk][v] for kk in range(K)],
                        tables.topic_total, 0.3, 0.05, corpus.n_words)
         assert_shares_match(lda_token_shares(sampler), want)
+
+
+# The SparseLDA walk at K = 20.  The first document holds topics 3, 7 and 12;
+# its first token is topic 3's only one there, and its second and third
+# tokens are words seen once, so q is 0 for them once they are taken out and
+# every draw of theirs falls in the document's listed topics or the rest.
+WALK_TEXTS = ["apple once lone date date cherry",
+              "apple cherry date fig", "fig grape apple date", "grape fig cherry"]
+WALK_Z = [[3, 7, 12, 7, 12, 12], [15, 3, 0, 19], [5, 5, 9, 7], [1, 5, 12]]
+WALK_K, WALK_ALPHA, WALK_BETA = 20, 0.5, 0.1
+# a strict subset of the topics for the first document, as Labeled LDA
+# passes its labels: its own topics, topic 15 and three it does not hold
+WALK_ALLOWED = [[0, 3, 7, 9, 12, 15, 18]] + [list(range(WALK_K))] * 3
+
+
+def scripted_walk_shares(allowed, moves: dict) -> tuple:
+    """The shares of the first document's token ``len(moves)`` after a
+    script moves each token n in ``moves`` to topic ``moves[n]``, and its
+    ``lda_token_oracle`` weights, 0.0 outside the document's topics."""
+    corpus = parse_plain(WALK_TEXTS)
+    sampler = LdaGibbsSampler(corpus, LdaHyper(WALK_K, WALK_ALPHA, WALK_BETA), SeededRng(0),
+                              allowed=allowed)
+    sampler.z = [list(zm) for zm in WALK_Z]
+    n = len(moves)
+    run, prefix = rerun_sweep(sampler), ()
+    for i, k in moves.items():
+        prefix += (uniform_for(run, lambda: sampler.z[0][i], k, prefix),)
+    shares = sweep_draw_shares(sampler, prefix, lambda: sampler.z[0][n], run=run)
+    assert sampler.z[0][:n] == list(moves.values())
+    v, k0 = corpus.docword[0][n], sampler.z[0][n]
+    tables = sampler._counts()["tables"]
+    tables.decrement(0, k0, v)
+    column = [row[v] for row in tables.topic_word]
+    assert not any(column)  # q = 0: no other token holds the word
+    want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0], column,
+                            tables.topic_total, WALK_ALPHA, WALK_BETA, corpus.n_words)
+    topics = sampler.allowed[0] if allowed else range(WALK_K)
+    return shares, [w if k in topics else 0.0 for k, w in enumerate(want)]
+
+
+@pytest.mark.parametrize("allowed", [None, WALK_ALLOWED], ids=["unrestricted", "allowed"])
+def test_sparse_walk_after_a_topic_re_enters_the_document(allowed):
+    # the script moves the first token to topic 15, new to the document, so
+    # topic 3 drops to 0, then the second token back into topic 3: the
+    # third token's draw walks 3, 7, 12 and 15, each listed once, then the
+    # rest; a second entry for topic 3 would weigh it twice
+    shares, want = scripted_walk_shares(allowed, {0: 15, 1: 3})
+    assert_shares_match(shares, want)
+
+
+def test_sparse_walk_second_draw_after_a_move_to_a_new_topic():
+    # the script moves the first token to topic 15, new to the document, so
+    # the second token's draw walks 3 (now at 0), 7, 12 and the appended 15,
+    # then the rest without 15
+    shares, want = scripted_walk_shares(None, {0: 15})
+    assert_shares_match(shares, want)
 
 
 def test_fit_gibbs_one_token_theta():
