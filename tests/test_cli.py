@@ -114,17 +114,19 @@ GOLDEN = "\n".join([
 # --top-words 3.  Both K run the SparseLDA kernel.  K=20's chain has run on
 # it since the kernel came in; K=5's was recorded again when the dense walk
 # that ran below K=12 was deleted, because the kernel maps a uniform to a
-# topic in another order.  A change to the sampling sequence must update
-# these and say why.
+# topic in another order.  Both were recorded again when the kernel came to
+# walk the smoothing-and-row part over the document's listed topics first
+# and a kept draw stopped replaying its running total's updates.  A change
+# to the sampling sequence must update these and say why.
 GOLDEN_LDA_GIBBS = {
     5: {"LDAGibbs_doc_topic5.txt":
-        "66af219e8417b034a3b97451955a1c5be0a5e7c960af938354bbe5feb9187655",
+        "526140bda1d16ec21f73fde2034cc1f37267f7faa9a161b723f6dbcc6e5f115c",
         "LDAGibbs_topic_word_5.txt":
-        "bb33bc3903f3e6d30245059f064549fd4e344acd2ad9b7d601b0c640e5dbbaf9"},
+        "2c7649a52511f7904ce3d96263c416790fec417cb790ec96a3ac34aa1ba48198"},
     20: {"LDAGibbs_doc_topic20.txt":
-         "4ccddd0831e7d611c60912d4b5d919581873552e9b67ef3d616c1d59e6c55003",
+         "4242f31de90a29da193c8fc3e364fe89f84ed4b95c1434a12503f49e060eb1a0",
          "LDAGibbs_topic_word_20.txt":
-         "eff911732647c8f39f052a700876c219375b8198c1a746379a1f2cc003954d93"},
+         "ca1f0110865c9f98a52facf9c9f81b2b635eade6d5a0ed87e8304300f38edfeb"},
 }
 
 
@@ -224,6 +226,7 @@ def test_short_text_golden_bytes(tmp_path, model):
 # deletes empty clusters other than the last, at its start and in its
 # sweeps, before it settles on one cluster.  DMM at K = 10 draws each
 # document over more clusters than GOLDEN has documents, most of them empty.
+# ptm's were recorded again with the SparseLDA kernel's listed-topics walk.
 GOLDEN_SHORT_TEXT_K10 = {
     "dmm": (["-k", "10"], {
         "DMM_cluster_word_10.txt":
@@ -241,11 +244,11 @@ GOLDEN_SHORT_TEXT_K10 = {
         "5717e7c840171019a4eeab5b79a7f894a4986eaff93d04ec5b12c9a189f594bf"}),
     "ptm": (["-k", "10", "--pseudo-docs", "3", "--alpha", "0.5"], {
         "PseudoDTM_doc_topic10.txt":
-        "62b99bfc838099849539b648acdab339c6d74cbccc3b9029b7556fa89c8d5dc5",
+        "135b0e189ff31cc40d0417fda96b3d98f4769ba64d2126d49c7466f724621876",
         "PseudoDTM_pseudo_topic10.txt":
-        "1a1dcdabf07a0a8bc93bc3fc1f1808b96772948412343e56c15e4b0f89ca8459",
+        "aaa87f3a02d35a19429bb8c75a898b6f1861e25f60e51603d3091b357d935930",
         "PseudoDTM_topic_word_10.txt":
-        "ab430807792ac3aacd912f512e6ab131475e683603bf77009dbf36e10a9990b9"}),
+        "f989f85938af81fb723e3bff1fc1177ed5a3f5cf076616c8961328690a9b8098"}),
     "btm": (["-k", "10"], {
         "BTM_doc_topic_10.txt":
         "910ebdb63c6364468debbdfbaadfa83ea10df7fbe36ebe4f91cc131fb66d0bc7",
@@ -305,7 +308,9 @@ GOLDEN_LAYOUTS = {
 # before the pass and its expected counts move by differences, which moves
 # its floats by round-off.  plda's were recorded again when the label models
 # moved from the dense walk to the SparseLDA kernel; labeled-lda's kept
-# their bytes (see GOLDEN_LABELED_LDA_ALPHA_1).
+# their bytes (see GOLDEN_LABELED_LDA_ALPHA_1).  link-lda's and plda's were
+# recorded again with the kernel's listed-topics walk; labeled-lda's kept
+# theirs again.
 GOLDEN_OTHER_MODELS = {
     "lda-cvb0": ("plain", ["-k", "3"], {
         "CVBLDA_doc_topic3.txt":
@@ -326,11 +331,11 @@ GOLDEN_OTHER_MODELS = {
         "6239084e2c34ebe025672bf28530fa1f814f08b8954e9f549f0ef87eff5775b8"}),
     "link-lda": ("links", ["-k", "3"], {
         "LinkLDA_doc_topic_3.txt":
-        "3862af967b18ea570dd37004a9f04f979ce2a376c562f996b2f3a8b0a68ad1de",
+        "eb267b3b3908db13f21280adc3f93908f65012f24baf315f90547685ef249cec",
         "LinkLDA_topic_link_3.txt":
         "73023d38d757a17f8534911554fd7fdf807c69cce46e5374caa9abb370b02a84",
         "LinkLDA_topic_word_3.txt":
-        "2e55a46535a718bb1cb182a752a1206b23fa58ab45ef1cdc5cfb0b94eb946d21"}),
+        "fd13835cd498e81d5f03efedc4ea9bfd69c69e63bdd3762d97b19846ff579b87"}),
     "labeled-lda": ("labels", [], {
         "LabeledLDA_doc_topic3.txt":
         "ef729ea7cd873cf823377bcca0d91973e24f93ef148d3c5caf189f3beb3752c9",
@@ -338,9 +343,9 @@ GOLDEN_OTHER_MODELS = {
         "22a1975274803e813c2e9a4a5588c513e1b267f38469441e69357619579a1700"}),
     "plda": ("labels", ["--label-topics", "2"], {
         "PLDA_doc_topic4.txt":
-        "4d146e01eb2b84c091f2cd50c406ec353b4086ba74260f742ae1b5aa120f7bc0",
+        "c0ddaaa731d05d3c6eac2f20516d6ed4afc8b8b2d47a7bb7a8388d72da13c680",
         "PLDA_topic_word_4.txt":
-        "5db6a52aa44b84e4bba1f8d894b5b38ffb12d7e7d929cfe97b2c8e317178f493"}),
+        "25bc379a73eaa337d918435387ac50c55c5fae9af875680300da206fe487ad11"}),
     "dual-sparse": ("plain", ["-k", "3"], {
         "dualSLDA_doc_topic_3.txt":
         "ded4be1af2abd32fedeeae77a086b11de8e4627006e35dbde81f795a32815a72",
@@ -378,12 +383,13 @@ def test_sentence_lda_golden_bytes_at_k10(tmp_path):
 # GOLDEN document ends in one topic, so the hashes above barely see the
 # chain's draws; here the multi-label documents keep a mixture, so the bytes
 # change with any change to the random stream.  Recorded again when the label
-# models moved from the dense walk to the SparseLDA kernel.
+# models moved from the dense walk to the SparseLDA kernel, and when the
+# kernel came to walk the document's listed topics first.
 GOLDEN_LABELED_LDA_ALPHA_1 = {
     "LabeledLDA_doc_topic3.txt":
-    "4b293237edb9e7a035ad5ae4ac6d237ea51a353535b7454ea8d92e263f18f394",
+    "9086b600d4830b85a02eb98ae1fa02f6d633e4dee1d6547b8d8040cff7e5afdc",
     "LabeledLDA_topic_word_3.txt":
-    "1888a0dc9a90b4fe7998a6fa6e63741260606524128a1f9d2f413606fc291645"}
+    "5d78f5d6974f3b6d5f40fd27314e618f895516a1451cdd5b85308f45b3d2865b"}
 
 
 def test_labeled_lda_golden_bytes_at_a_large_alpha(tmp_path):
@@ -393,20 +399,21 @@ def test_labeled_lda_golden_bytes_at_a_large_alpha(tmp_path):
 
 # stdout of `eval --model lda-gibbs` on GOLDEN at seed 7, 20 sweeps, recorded
 # before coherence shared one corpus scan across topics (K = 5 again with the
-# GOLDEN_LDA_GIBBS chain it evaluates).  V = 15, so the
+# GOLDEN_LDA_GIBBS chain it evaluates, and both again with the kernel's
+# listed-topics walk).  V = 15, so the
 # top-20 lists hold every word; at K = 20 each topic holds a few of the 48
 # tokens (three hold none), so most of each list is tied words.
 GOLDEN_EVAL = {
     5: ("average_coherence_2:\t-0.05753641449035618\n"
-        "average_coherence_3:\t-0.21972245773362195\n"
-        "average_coherence_5:\t-2.2076477775640226\n"
-        "average_coherence_10:\t-18.63429847997177\n"
-        "average_coherence_20:\t-54.998156421648744\n"),
-    20: ("average_coherence_2:\t-0.17068099508303566\n"
-         "average_coherence_3:\t-0.5231437371458276\n"
-         "average_coherence_5:\t-2.4371158838565288\n"
-         "average_coherence_10:\t-21.2714367112067\n"
-         "average_coherence_20:\t-58.86664722588097\n"),
+        "average_coherence_3:\t-0.49698132995760014\n"
+        "average_coherence_5:\t-3.7221483745681\n"
+        "average_coherence_10:\t-19.790447183130233\n"
+        "average_coherence_20:\t-55.795953230961594\n"),
+    20: ("average_coherence_2:\t-0.2112275058938521\n"
+         "average_coherence_3:\t-0.5839635033620523\n"
+         "average_coherence_5:\t-2.3017697994704083\n"
+         "average_coherence_10:\t-21.141979778603403\n"
+         "average_coherence_20:\t-58.86732477754988\n"),
 }
 
 
