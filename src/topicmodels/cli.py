@@ -263,6 +263,20 @@ def _require_writable_dir(outdir: Path) -> None:
         raise CliError(f"--output-dir {outdir}: {ancestor} is not writable")
 
 
+def _require_writable_file(path: Path) -> None:
+    """Raise CliError unless ``path`` can be written as a file: not a
+    directory, in an existing directory, and writable.  Creates nothing."""
+    parent = path.absolute().parent
+    if path.is_dir():
+        raise CliError(f"--output {path}: is a directory")
+    if not parent.is_dir():
+        raise CliError(f"--output {path}: {parent} is not an existing directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise CliError(f"--output {path}: {parent} is not writable")
+    if path.exists() and not os.access(path, os.W_OK):
+        raise CliError(f"--output {path}: is not writable")
+
+
 def _run(args, outdir):
     """Parse, fit and, unless ``outdir`` is None, write the model's files.
 
@@ -327,6 +341,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    output = Path(args.output)
+    _require_writable_file(output)
     stoplist = (corpus_mod.StopList.load(args.stoplist, args.encoding)
                 if args.stoplist else corpus_mod.StopList.default())
     lines = corpus_mod.read_lines(args.input, args.encoding)
@@ -340,7 +356,7 @@ def _cmd_preprocess(args) -> int:
             dropped += 1
     if dropped:
         core.warn(__name__, "dropped %d line(s) left empty by cleaning", dropped)
-    Path(args.output).write_text(
+    output.write_text(
         "\n".join(cleaned) + ("\n" if cleaned else ""), encoding=args.encoding)
     print(f"preprocess: wrote {len(cleaned)} documents ({dropped} dropped)",
           file=sys.stderr)

@@ -61,7 +61,8 @@ class ParseError(CorpusError):
 
 @record(frozen=True)
 class StopList:
-    """A set of lowercase stopword tokens."""
+    """A set of lowercase stopword tokens.  Each list keeps its own token
+    cache for ``preprocess``; equality and hash see the words alone."""
 
     words: frozenset
 
@@ -96,6 +97,11 @@ class StopList:
         path = resources.files("topicmodels") / "data" / "default_stopwords.txt"
         text = path.read_text("utf-8")
         return cls.from_words(text.split())
+
+    @functools.cached_property
+    def token_cache(self) -> "_TokenCache":
+        """The cache ``preprocess`` cleans with under this list, made on first use."""
+        return _TokenCache(self.words)
 
 
 def _measure(stem: str) -> int:
@@ -166,26 +172,66 @@ def lemmatize(token: str) -> str:
     return token
 
 
-# Distinct raw tokens whose cleaning is remembered.  Cleaning is a pure
+# Entries in each level of a stop list's token cache.  Cleaning is a pure
 # function of the token, and a corpus repeats its tokens many times over.
 CLEAN_CACHE_SIZE = 1 << 16
 
+_ALNUM = frozenset("0123456789abcdefghijklmnopqrstuvwxyz")
 
-@functools.lru_cache(maxsize=CLEAN_CACHE_SIZE)
-def _clean_token(raw: str) -> tuple[str, str] | None:
-    """(surface, lemma) of one raw token; None for URL, punctuation or number noise."""
+
+def _clean_token(raw: str) -> str | None:
+    """Surface form of one raw token; None for URL, punctuation or number noise."""
     raw = raw.lower()
     if _URL_RE.match(raw):
         return None
-    token = _EDGE_PUNCT_RE.sub("", raw)
+    # the edge regex removes nothing from a token that ends and starts in
+    # [0-9a-z]; the end is tested first, as it more often holds punctuation
+    token = raw if raw[-1] in _ALNUM and raw[0] in _ALNUM else _EDGE_PUNCT_RE.sub("", raw)
     if not token or not _LETTER_RE.search(token):
         return None  # pure punctuation or pure digits
-    return token, lemmatize(token)
+    return token
 
 
-def clean_tokens(line: str) -> list[tuple[str, str]]:
-    """(surface, lemma) pairs after lowercasing and noise removal.  No stopwording."""
-    return [pair for pair in map(_clean_token, line.split()) if pair is not None]
+class _TokenCache(dict):
+    """raw token -> the text it leaves in a cleaned line: its lemma, or ""
+    when cleaning or the stop list drops it.
+
+    A miss looks in ``previous``, then in ``surface``, keyed by the cleaned
+    surface form, so that the raw variants of one word ("Word", "word,",
+    "(word)") share one lemmatize call and one stop test.  Each level holds
+    at most CLEAN_CACHE_SIZE entries.  A full cache hands its entries to
+    ``previous`` and refills, so a token used since the last hand-over stays
+    cached, as in an LRU cache but with no bookkeeping on a hit; a full
+    ``surface`` empties itself.
+    """
+
+    def __init__(self, stop: frozenset):
+        super().__init__()
+        self.stop = stop
+        self.previous: dict[str, str] = {}
+        self.surface: dict[str, str] = {}
+
+    def __missing__(self, raw: str) -> str:
+        text = self.previous.get(raw)
+        if text is None:
+            token = _clean_token(raw)
+            if token is None:
+                text = ""
+            else:
+                surface = self.surface
+                text = surface.get(token)
+                if text is None:
+                    lemma = lemmatize(token)
+                    stop = self.stop
+                    text = "" if token in stop or lemma in stop else lemma
+                    if len(surface) >= CLEAN_CACHE_SIZE:
+                        surface.clear()
+                    surface[token] = text
+        if len(self) >= CLEAN_CACHE_SIZE:
+            self.previous = self.copy()
+            self.clear()
+        self[raw] = text
+        return text
 
 
 def preprocess(line: str, stoplist: StopList | None = None) -> str:
@@ -195,10 +241,9 @@ def preprocess(line: str, stoplist: StopList | None = None) -> str:
     stopword, so inflected stopwords ("novels", "wishing") vanish even
     though the suffix rules run first.
     """
-    stop = (StopList.default() if stoplist is None else stoplist).words
-    kept = [lemma for token, lemma in clean_tokens(line)
-            if token not in stop and lemma not in stop]
-    return " ".join(kept)
+    cache = (StopList.default() if stoplist is None else stoplist).token_cache
+    # a lemma is never empty, so filter(None, ...) drops exactly the dropped tokens
+    return " ".join(filter(None, map(cache.__getitem__, line.split())))
 
 
 class Vocabulary:

@@ -73,6 +73,42 @@ def test_preprocess_custom_stoplist(tmp_path):
     assert out.read_text() == "apple\n"
 
 
+@pytest.mark.parametrize("case", ["missing-parent", "parent-is-a-file", "directory",
+                                  "unwritable-parent", "unwritable-file"])
+def test_preprocess_bad_output_is_one_error_line_before_cleaning(tmp_path, monkeypatch,
+                                                                 capsys, case):
+    raw = tmp_path / "raw.txt"
+    raw.write_text(RAW)
+    out, problem = {
+        "missing-parent": (tmp_path / "missing" / "clean.txt",
+                           f"{tmp_path / 'missing'} is not an existing directory"),
+        "parent-is-a-file": (raw / "clean.txt", f"{raw} is not an existing directory"),
+        "directory": (tmp_path, "is a directory"),
+        "unwritable-parent": (tmp_path / "clean.txt", f"{tmp_path} is not writable"),
+        "unwritable-file": (tmp_path / "clean.txt", "is not writable"),
+    }[case]
+    if case == "unwritable-file":
+        out.write_text("kept\n")
+    if case.startswith("unwritable"):
+        # denied through the permission test: file modes do not bind root
+        denied = out if case == "unwritable-file" else tmp_path
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != denied
+                            and access(path, mode))
+
+    def clean(line, stoplist):
+        raise AssertionError("the input was cleaned before --output was checked")
+
+    def tree():
+        return {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+
+    monkeypatch.setattr(cli.corpus_mod, "preprocess", clean)
+    before = tree()
+    assert run(["preprocess", "--input", raw, "--output", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --output {out}: {problem}"]
+    assert tree() == before
+
+
 def test_fit_lda_gibbs_writes_both_files(tmp_path, plain_file):
     out = tmp_path / "out"
     assert run(["fit", "--model", "lda-gibbs", "--input", plain_file,

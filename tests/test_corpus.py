@@ -48,24 +48,86 @@ NOISY = ("Visit https://Example.com/Path or www.Foo.org NOW!!! The 3 quick-brown
 
 
 def _uncached_preprocess(line, stop):
-    pairs = [corpus_mod._clean_token.__wrapped__(raw) for raw in line.split()]
-    return " ".join(lemma for token, lemma in filter(None, pairs)
-                    if token not in stop and lemma not in stop)
+    kept = []
+    for raw in line.split():
+        token = corpus_mod._clean_token(raw)
+        if token is not None:
+            lemma = lemmatize(token)
+            if token not in stop and lemma not in stop:
+                kept.append(lemma)
+    return " ".join(kept)
 
 
-def test_cached_preprocess_equals_uncached_pipeline():
+def test_cached_preprocess_equals_uncached_pipeline(monkeypatch):
     bundled = StopList.load(Path(corpus_mod.__file__).parent / "data" / "default_stopwords.txt")
     assert bundled == StopList.default()
-    corpus_mod._clean_token.cache_clear()
     first = preprocess(NOISY)
-    second = preprocess(NOISY)  # every token now comes from the cache
-    assert corpus_mod._clean_token.cache_info().hits >= len(NOISY.split())
+
+    def miss(cache, raw):
+        raise AssertionError(f"{raw!r} missed the cache")
+
+    # every token of the second call comes from the cache
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_mod._TokenCache, "__missing__", miss)
+        second = preprocess(NOISY)
     want = _uncached_preprocess(NOISY, bundled.words)
     assert first == second == want
     assert want.split()[:3] == ["visit", "quick-brown", "fox"]
     # an empty stop list keeps stopwords: it is not replaced by the default
     assert preprocess(NOISY, StopList.from_words([])) == _uncached_preprocess(NOISY, set())
     assert "the" in preprocess(NOISY, StopList.from_words([])).split()
+
+
+EQUIVALENCE_LINES = [
+    "ThE aPPle APPLES apple, (apple apple) 'quoted Quoted' \"both\" ...",
+    "\u00abCaf\u00e9\u00bb caf\u00e9 na\u00efve Na\u00efve, \u0130stanbul \u0130STANBUL. "
+    "stra\u00dfe",
+    "HTTP://Example.com hTTps://x.org/Path WWW.Foo.org www.bar ftp://host "
+    "http\u017f://x.org wwwthing http",
+    "2023 1,000 42... (7) covid-19 COVID-19, x86 3d -- !!! \u2014",
+    "novels Novels, wishing WISHING studies stopped stopping analyses was",
+    "apple APPLES the banana Bananas, novels wishing covid-19 2023 \u00abCaf\u00e9\u00bb",
+]
+
+
+@pytest.mark.parametrize("stop", [None, ["apple", "wish", "studies", "covid-19", "caf"], []],
+                         ids=["default", "custom", "empty"])
+def test_cached_preprocess_matches_the_reference_pipeline(stop):
+    stoplist = None if stop is None else StopList.from_words(stop)
+    words = (StopList.default() if stop is None else stoplist).words
+    # each line twice, so that repeated tokens are served from the cache
+    for line in EQUIVALENCE_LINES * 2:
+        assert preprocess(line, stoplist) == _uncached_preprocess(line, words)
+
+
+def test_interleaved_stop_lists_keep_their_own_caches():
+    no_fruit, no_bread = StopList.from_words(["apple"]), StopList.from_words(["bread"])
+    for line in EQUIVALENCE_LINES + ["Apples, bread (apple) BREAD"] * 2:
+        for stoplist in (no_fruit, no_bread):
+            assert preprocess(line, stoplist) == _uncached_preprocess(line, stoplist.words)
+    assert no_fruit.token_cache["Apples,"] == "" and no_bread.token_cache["Apples,"] == "apple"
+    assert no_fruit.token_cache["bread"] == "bread" and no_bread.token_cache["bread"] == ""
+
+
+def test_edge_punctuation_skip_is_exact():
+    for raw in " ".join(EQUIVALENCE_LINES + [NOISY, RAW_EXAMPLE]).split():
+        lowered = raw.lower()
+        if lowered[-1] in corpus_mod._ALNUM and lowered[0] in corpus_mod._ALNUM:
+            assert corpus_mod._EDGE_PUNCT_RE.sub("", lowered) == lowered
+
+
+def test_token_cache_stays_bounded_and_keeps_serving(monkeypatch):
+    monkeypatch.setattr(corpus_mod, "CLEAN_CACHE_SIZE", 8)
+    stoplist = StopList.from_words(["the", "w3"])
+    cache = stoplist.token_cache
+    # 30 words in three raw forms each, then again: with "the", 91 distinct raw tokens
+    lines = [f"W{i} w{i}s (w{i}) the" for i in range(30)] * 2
+    for line in lines:
+        assert preprocess(line, stoplist) == _uncached_preprocess(line, stoplist.words)
+        assert max(len(cache), len(cache.previous), len(cache.surface)) <= 8
+        # the tokens just cleaned were cached, however full the cache was
+        assert all(raw in cache or raw in cache.previous for raw in line.split())
+    assert cache.previous  # the cache filled up and refilled
 
 
 def test_default_stoplist_is_read_once():
