@@ -5,7 +5,7 @@
     topicmodels eval --model lda-gibbs --input clean.txt -k 30 --top-n 5 10 20
 
 Every model is one ``ModelSpec`` in ``MODELS``: its input layout, its Hyper
-class (a ``core.record``), a factory for its sampler and its output files.
+class (a ``core.record``), its sampler class and its output files.
 One runner serves all of them: it parses the input, runs the chain with
 ``core.run_chain`` and writes the files of the model's reference layout
 (topic-word blocks, doc-topic matrices, cluster/theta vectors, sparsity
@@ -87,25 +87,18 @@ _WRITERS = {
 
 class ModelSpec(NamedTuple):
     hyper: type        # the Hyper record; its fields are the model's flags
-    sampler: Callable  # (corpus, hyper, rng) -> sampler with sweep() and estimate()
+    sampler: type      # built as sampler(corpus, hyper, rng); has sweep() and estimate()
     outputs: tuple     # one Output per file, in writing order
     layout: str = "plain"  # input layout: plain, sentences, authors, links or labels
     converged: str = ""    # for a learnt count: its unit in the stderr report
     count: Callable | None = None  # (hyper, fitted) -> k; None means len(fitted.phi)
 
 
-def _cvb0_sampler(cls):
-    """Factory for a CVB0 solver that starts from random responsibilities,
-    drawn from the rng before the solver is built."""
-    return lambda corpus, hyper, rng: cls(
-        corpus, hyper, lda.random_responsibilities(corpus, hyper.n_topics, rng))
-
-
 MODELS = {
     "lda-gibbs": ModelSpec(lda.LdaHyper, lda.LdaGibbsSampler, (
         Output("LDAGibbs_topic_word_{k}.txt", "topic_word", "phi"),
         Output("LDAGibbs_doc_topic{k}.txt", "doc_topic", "theta"))),
-    "lda-cvb0": ModelSpec(lda.LdaHyper, _cvb0_sampler(lda.LdaCvb0), (
+    "lda-cvb0": ModelSpec(lda.LdaHyper, lda.LdaCvb0, (
         Output("CVBLDA_topic_word_{k}.txt", "topic_word", "phi"),
         Output("CVBLDA_doc_topic{k}.txt", "doc_topic", "theta"))),
     "sentence-lda": ModelSpec(lda.LdaHyper, sentence_lda.SentenceLdaSampler, (
@@ -152,7 +145,7 @@ MODELS = {
         Output("PLDA_topic_word_{k}.txt", "related_topic_word", "phi"),
         Output("PLDA_doc_topic{k}.txt", "doc_topic", "theta")),
         layout="labels", count=lambda hyper, fitted: len(fitted.phi) // hyper.topics_per_label),
-    "dual-sparse": ModelSpec(dual_sparse.SparseHyper, _cvb0_sampler(dual_sparse.DualSparseCvb0), (
+    "dual-sparse": ModelSpec(dual_sparse.SparseHyper, dual_sparse.DualSparseCvb0, (
         Output("dualSLDA_topic_word_{k}.txt", "topic_word", "phi"),
         Output("dualSLDA_doc_topic_{k}.txt", "doc_topic", "theta"),
         Output("dualSLDA_sparseRatio_TV{k}.txt", "topic_sparsity", "sparsity_topic"),
@@ -308,24 +301,27 @@ def _run(args, outdir):
 
 
 def _write_outputs(spec: ModelSpec, outdir: Path, run: _Run) -> None:
-    """Write the model's files under temporary names in ``outdir`` and give
-    them their names only once every writer has succeeded; a failed writer
-    leaves no file behind, nor the directory if this call created it."""
-    created = not outdir.exists()
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Write the model's files under temporary names in ``outdir``, then rename
+    them.  A name taken by a directory fails first; any later failure removes
+    the temporary files, and the directory if this call created it."""
     paths = [outdir / out.template.format(k=run.k) for out in spec.outputs]
     parts = [path.with_name(f".{path.name}.part") for path in paths]
+    for path in paths + parts:
+        if path.is_dir():
+            raise CliError(f"--output-dir {outdir}: {path.name} is a directory")
+    created = not outdir.exists()
+    outdir.mkdir(parents=True, exist_ok=True)
     try:
         for out, part in zip(spec.outputs, parts):
             _WRITERS[out.writer](part, getattr(run.fitted, out.field), run)
+        for part, path in zip(parts, paths):
+            part.replace(path)
     except BaseException:
-        for part in parts:
-            part.unlink(missing_ok=True)
+        for file in parts + (paths if created else []):
+            file.unlink(missing_ok=True)
         if created:
             outdir.rmdir()
         raise
-    for part, path in zip(parts, paths):
-        part.replace(path)
 
 
 def _cmd_fit(args) -> int:
@@ -356,8 +352,11 @@ def _cmd_preprocess(args) -> int:
             dropped += 1
     if dropped:
         core.warn(__name__, "dropped %d line(s) left empty by cleaning", dropped)
-    output.write_text(
-        "\n".join(cleaned) + ("\n" if cleaned else ""), encoding=args.encoding)
+    try:  # encoded before the output is opened, so a failure leaves it as it was
+        output.write_bytes(("\n".join(cleaned) + ("\n" if cleaned else "")).encode(args.encoding))
+    except UnicodeEncodeError as exc:
+        raise CliError(f"--encoding {args.encoding} cannot encode {exc.object[exc.start]!a} "
+                       "in the cleaned text") from None
     print(f"preprocess: wrote {len(cleaned)} documents ({dropped} dropped)",
           file=sys.stderr)
     return 0

@@ -341,19 +341,6 @@ class CountTables:
     def n_topics(self) -> int:
         return len(self.topic_total)
 
-    @property
-    def n_words(self) -> int:
-        return len(self.topic_word[0]) if self.topic_word else 0
-
-    def increment(self, m: int, k: int, v: int, amount=1) -> None:
-        self.doc_topic[m][k] += amount
-        self.topic_word[k][v] += amount
-        self.topic_total[k] += amount
-        self.doc_total[m] += amount
-
-    def decrement(self, m: int, k: int, v: int, amount=1) -> None:
-        self.increment(m, k, v, -amount)
-
     def check(self, tolerance: float = 0.0) -> None:
         """Assert the closure invariants; raises ValueError on violation."""
         for m, row in enumerate(self.doc_topic):

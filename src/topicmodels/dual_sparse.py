@@ -12,12 +12,13 @@ selector-gated smoothing as its priors.
 """
 
 import math
+import random
 from array import array
 
 from .core import (expected_counts, fold_sum, record, require_at_least, require_nonnegative,
                    require_positive, require_recount)
 from .corpus import Corpus
-from .lda import EXPECTED_TOLERANCE, cvb0_pass
+from .lda import EXPECTED_TOLERANCE, cvb0_pass, random_responsibilities
 
 # selector means are kept strictly inside (0, 1) so the excluded sums
 # A_hat - alpha_hat stay positive even when the sigmoid saturates
@@ -120,17 +121,13 @@ def selector_pass(means: list, sums: list, counts: list, totals: list, on: float
 
 
 class DualSparseCvb0:
-    def __init__(self, corpus: Corpus, hyper: SparseHyper, kappa: list,
-                 alpha_hat: list | None = None, beta_hat: list | None = None):
+    def __init__(self, corpus: Corpus, hyper: SparseHyper, rng: random.Random):
         corpus.require()
         self.corpus = corpus
         self.hyper = hyper
-        self.kappa = kappa
-        K, V, M = hyper.n_topics, corpus.n_words, corpus.n_docs
-        self.alpha_hat = alpha_hat if alpha_hat is not None \
-            else [[0.5] * K for _ in range(M)]
-        self.beta_hat = beta_hat if beta_hat is not None \
-            else [[0.5] * V for _ in range(K)]
+        self.kappa = random_responsibilities(corpus, hyper.n_topics, rng)
+        self.alpha_hat = [[0.5] * hyper.n_topics for _ in range(corpus.n_docs)]
+        self.beta_hat = [[0.5] * corpus.n_words for _ in range(hyper.n_topics)]
         vars(self).update(self._counts())
 
     def _counts(self) -> dict:

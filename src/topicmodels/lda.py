@@ -343,13 +343,13 @@ def cvb0_pass(docword, gamma, tables: CountTables, doc_prior: list, word_prior: 
 
 
 class LdaCvb0:
-    """Deterministic CVB0 fixed-point iteration over token responsibilities."""
+    """CVB0 fixed-point iteration over token responsibilities, from a random start."""
 
-    def __init__(self, corpus: Corpus, hyper: LdaHyper, gamma: list):
+    def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
         corpus.require()
         self.corpus = corpus
         self.hyper = hyper
-        self.gamma = gamma
+        self.gamma = random_responsibilities(corpus, hyper.n_topics, rng)
         vars(self).update(self._counts())
 
     def _counts(self) -> dict:

@@ -25,6 +25,7 @@ running totals it reuses are then the ones under test.
 import pickle
 from math import nextafter
 
+from topicmodels.core import counts_from_assignments
 from topicmodels.lda import sweep_sparse_tokens
 
 from oracles import assert_close_distribution
@@ -121,6 +122,21 @@ def move_to_front(seq: list, i: int) -> None:
     seq.insert(0, seq.pop(i))
 
 
+def with_state(sampler, **state):
+    """The sampler, given ``state`` (attribute name -> value) and its own ``_counts()`` of it."""
+    vars(sampler).update(state)
+    vars(sampler).update(sampler._counts())
+    return sampler
+
+
+def without_token(sampler, n, z=None):
+    """The count tables of token topics ``z`` (default the sampler's z), counted
+    afresh with token n (an index or a slice) of the first document left out."""
+    docword, z = ([list(row) for row in rows] for rows in (sampler.corpus.docword, z or sampler.z))
+    del docword[0][n], z[0][n]
+    return counts_from_assignments(docword, z, sampler.hyper.n_topics, sampler.corpus.n_words)[0]
+
+
 def put_lda_token_first(sampler, m: int, n: int):
     """Move token n of document m to the front of an ``LdaGibbsSampler``'s
     state, documents and their allowed topics too, and return the count
@@ -131,9 +147,7 @@ def put_lda_token_first(sampler, m: int, n: int):
             move_to_front(seq, m)
     move_to_front(docword[0], n)
     move_to_front(sampler.z[0], n)
-    tables = sampler._counts()["tables"]
-    tables.decrement(0, sampler.z[0][0], docword[0][0])
-    return tables
+    return without_token(sampler, 0)
 
 
 def rerun_sweep(sampler, assignments=("z",)):
@@ -206,10 +220,9 @@ def sentence_shares(sampler) -> tuple:
     ``SentenceLdaSampler``.  Returns the shares and the count tables with
     that sentence excluded, counted afresh from z."""
     shares = sweep_draw_shares(sampler, (), lambda: sampler.z[0][0])
-    tables = sampler._counts()["tables"]
-    for v in next(sampler.corpus.doc_sentences(0)):
-        tables.decrement(0, sampler.z[0][0], v)
-    return shares, tables
+    lengths = iter(sampler.clusters.unit_len)  # zm first: zip stops before taking a length
+    z = [[k for k, n in zip(zm, lengths) for _ in range(n)] for zm in sampler.z]
+    return shares, without_token(sampler, slice(sampler.clusters.unit_len[0]), z)
 
 
 def remove_sentence(sampler, m: int, s: int) -> int:

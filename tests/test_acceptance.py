@@ -18,7 +18,7 @@ from topicmodels.corpus import parse_plain, parse_sentences, parse_tagged, prepr
 from topicmodels.dual_sparse import DualSparseCvb0, SparseHyper
 from topicmodels.evaluation import average_coherence, topic_coherence
 from topicmodels.hdp import HdpHyper, HdpSampler
-from topicmodels.lda import LdaCvb0, LdaGibbsSampler, LdaHyper, random_responsibilities
+from topicmodels.lda import LdaCvb0, LdaGibbsSampler, LdaHyper
 from topicmodels.linked import AtmSampler, LinkLdaHyper, LinkLdaSampler
 from topicmodels.mixture import DmmSampler, DpmmSampler, MixtureHyper
 from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
@@ -35,7 +35,7 @@ from oracles import (assert_close_distribution, cosine, lda_token_oracle, senten
                      btm_joint_log, linklda_joint_log, tv_distance)
 from first_draw import (assert_shares_match, biterm_shares, lda_token_shares, linklda_shares,
                         ptm_token_shares, put_biterm_first, put_lda_token_first,
-                        remove_sentence)
+                        remove_sentence, with_state)
 
 
 def ok(criterion, detail):
@@ -408,8 +408,7 @@ def test_criterion_3_cvb0_conservation():
         assert abs(sum(solver.expected.topic_total) - corpus.n_tokens) <= 1e-6
         sweeps_seen.append(it)
 
-    gamma = random_responsibilities(corpus, 5, SeededRng(271))
-    run_chain(LdaCvb0(corpus, LdaHyper(5, 0.1, 0.01), gamma), 20, check)
+    run_chain(LdaCvb0(corpus, LdaHyper(5, 0.1, 0.01), SeededRng(271)), 20, check)
     assert len(sweeps_seen) == 20
     ok(3, "responsibilities sum to 1 (1e-9) and expected counts to "
           f"{corpus.n_tokens} tokens (1e-6) after each of 20 sweeps")
@@ -425,16 +424,12 @@ def test_criterion_4_dual_sparse_reduction():
     corpus = parse_plain(random_docs(rng, 12, 8, lo=2, hi=9))
     K = 4
     pi, word_gamma = 0.23, 0.11
-    init = random_responsibilities(corpus, K, SeededRng(55))
-    init_copy = [[list(g) for g in doc] for doc in init]
-
-    sparse = DualSparseCvb0(
+    sparse = with_state(DualSparseCvb0(
         corpus, SparseHyper(K, pi=pi, pi_bar=0.0, word_gamma=word_gamma,
-                            word_gamma_bar=0.0),
-        init, alpha_hat=[[1.0] * K for _ in range(corpus.n_docs)],
+                            word_gamma_bar=0.0), SeededRng(55)),
+        alpha_hat=[[1.0] * K for _ in range(corpus.n_docs)],
         beta_hat=[[1.0] * corpus.n_words for _ in range(K)])
-    plain = LdaCvb0(corpus, LdaHyper(K, alpha=pi, beta=word_gamma),
-                    init_copy)
+    plain = LdaCvb0(corpus, LdaHyper(K, alpha=pi, beta=word_gamma), SeededRng(55))
     for sweep in range(20):
         sparse.kappa_pass()  # selectors pinned: only the kappa family moves
         plain.sweep()

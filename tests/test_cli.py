@@ -2,6 +2,7 @@ import builtins
 import contextlib
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,19 @@ def test_preprocess_bad_output_is_one_error_line_before_cleaning(tmp_path, monke
     assert run(["preprocess", "--input", raw, "--output", out]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: --output {out}: {problem}"]
     assert tree() == before
+
+
+def test_preprocess_unencodable_text_leaves_the_output_as_it_was(tmp_path, capsys):
+    # lower() turns İ into i and U+0307, which iso8859_9 has no byte for
+    raw, out = tmp_path / "raw.txt", tmp_path / "clean.txt"
+    raw.write_bytes("İstanbul bazaar\n".encode("iso8859_9"))
+    for before in (None, b"kept\n"):
+        if before:
+            out.write_bytes(before)
+        assert run(["preprocess", "--input", raw, "--output", out, "--encoding", "iso8859_9"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --encoding iso8859_9 cannot encode '\\u0307' in the cleaned text"]
+        assert (out.read_bytes() if out.exists() else None) == before
 
 
 def test_fit_lda_gibbs_writes_both_files(tmp_path, plain_file):
@@ -638,6 +652,34 @@ def test_failing_writer_leaves_no_output_behind(tmp_path, plain_file, monkeypatc
         "LDAGibbs_doc_topic2.txt", "LDAGibbs_topic_word_2.txt", "notes.txt"]
 
 
+@pytest.mark.parametrize("taken", ["LDAGibbs_topic_word_2.txt", "LDAGibbs_doc_topic2.txt",
+                                   ".LDAGibbs_doc_topic2.txt.part"])
+def test_output_name_taken_by_a_directory_changes_nothing(tmp_path, plain_file, capsys, taken):
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    (out / "notes.txt").write_text("mine")
+    assert run(["fit", "--model", "lda-gibbs", "--input", plain_file, "-k", "2",
+                "--iterations", "2", "--output-dir", out]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if "iteration" not in line]
+    assert err == [f"error: --output-dir {out}: {taken} is a directory"]
+    assert sorted(p.name for p in out.rglob("*")) == sorted([taken, "notes.txt"])
+    assert (out / "notes.txt").read_text() == "mine"
+
+
+def test_a_failed_rename_removes_the_directory_the_run_made(tmp_path, plain_file, monkeypatch):
+    replace = Path.replace
+
+    def second_fails(part, path):
+        if path.name == "LDAGibbs_doc_topic2.txt":
+            raise OSError("rename failed")
+        return replace(part, path)
+    monkeypatch.setattr(Path, "replace", second_fails)
+    out = tmp_path / "out"
+    assert run(["fit", "--model", "lda-gibbs", "--input", plain_file, "-k", "2",
+                "--iterations", "2", "--output-dir", out]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("encoding", ["no-such-codec", "rot13"])
 @pytest.mark.parametrize("command", ["fit", "eval", "preprocess"])
 def test_unknown_encoding_is_one_error_line(tmp_path, plain_file, capsys, command, encoding):
@@ -830,6 +872,23 @@ def test_every_metadata_sampler_rejects_a_field_short_of_the_documents(model):
     with pytest.raises(ValueError, match=f"but {spec.layout} has 1 for 2 documents"):
         spec.sampler(corpus, hyper, rng)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("model", sorted(cli.MODELS))
+def test_every_sampler_is_a_class_that_draws_its_own_start(model):
+    # cls(corpus, hyper, rng): two builds from one seed hold the same state and
+    # leave the rng alike; a CVB0 solver starts from random_responsibilities
+    spec = cli.MODELS[model]
+    hyper = spec.hyper(**{f.name: 2 for f in fields(spec.hyper) if f.default is core.MISSING})
+    corpus = cli._parse(spec.layout, GOLDEN_LAYOUTS[spec.layout].splitlines())
+    rngs = [core.SeededRng(7) for _ in range(3)]
+    a, b = ({name: value for name, value in vars(spec.sampler(corpus, hyper, rng)).items()
+             if name not in ("corpus", "rng")} for rng in rngs[:2])
+    assert isinstance(spec.sampler, type) and pickle.dumps(a) == pickle.dumps(b)
+    assert rngs[0].getstate() == rngs[1].getstate()
+    if model in ("lda-cvb0", "dual-sparse"):
+        start = lda.random_responsibilities(corpus, hyper.n_topics, rngs[2])
+        assert a.get("gamma", a.get("kappa")) == start and rngs[2].getstate() == rngs[0].getstate()
 
 
 def test_the_chain_length_is_set_by_run_chain_alone():

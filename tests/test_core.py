@@ -318,14 +318,6 @@ def test_draw_below_rejects_an_empty_range():
         draw_below(SeededRng(1), 0, 3)
 
 
-def test_increment_decrement_keeps_invariants():
-    tables, _ = counts_from_assignments([[0, 1], [1]], [[0, 1], [0]], 2, 2)
-    tables.decrement(0, 0, 0)
-    tables.increment(0, 1, 0)
-    tables.check()
-    assert sum(tables.topic_total) == 3
-
-
 @record(frozen=True)
 class _Base:
     size: int

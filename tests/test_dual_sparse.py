@@ -5,8 +5,9 @@ import pytest
 from topicmodels.core import SeededRng, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.dual_sparse import DualSparseCvb0, SparseHyper, selector_mean
-from topicmodels.lda import LdaCvb0, LdaHyper, random_responsibilities
+from topicmodels.lda import LdaCvb0, LdaHyper
 
+from first_draw import with_state
 from oracles import assert_close_distribution
 
 
@@ -34,16 +35,9 @@ def linear_beta_oracle(h, V, b_ex, n_kv, n_k):
     return on / (on + off)
 
 
-def dual_sparse_solver(corpus, hyper, rng):
-    """The solver as the CLI builds it: random responsibilities drawn from rng."""
-    return DualSparseCvb0(corpus, hyper, random_responsibilities(corpus, hyper.n_topics, rng))
-
-
-def small_solver(hyper, kappa=None):
+def small_solver(hyper):
     corpus = parse_plain(["w0 w1 w2", "w1 w2", "w0 w0"])
-    if kappa is None:
-        kappa = random_responsibilities(corpus, hyper.n_topics, SeededRng(1))
-    return corpus, DualSparseCvb0(corpus, hyper, kappa)
+    return corpus, DualSparseCvb0(corpus, hyper, SeededRng(1))
 
 
 def test_alpha_selector_matches_linear_oracle():
@@ -163,12 +157,10 @@ def test_pinned_selectors_reduce_to_plain_cvb0():
     corpus = parse_plain(["w0 w1 w2 w0", "w1 w3", "w2 w0 w3"])
     pi, g = 0.25, 0.15
     hyper = SparseHyper(3, pi=pi, pi_bar=0.0, word_gamma=g, word_gamma_bar=0.0)
-    init = random_responsibilities(corpus, 3, SeededRng(7))
-    copy = [[list(r) for r in doc] for doc in init]
-    solver = DualSparseCvb0(corpus, hyper, init,
-                            alpha_hat=[[1.0] * 3 for _ in range(corpus.n_docs)],
-                            beta_hat=[[1.0] * corpus.n_words for _ in range(3)])
-    plain = LdaCvb0(corpus, LdaHyper(3, alpha=pi, beta=g), copy)
+    solver = with_state(DualSparseCvb0(corpus, hyper, SeededRng(7)),
+                        alpha_hat=[[1.0] * 3 for _ in range(corpus.n_docs)],
+                        beta_hat=[[1.0] * corpus.n_words for _ in range(3)])
+    plain = LdaCvb0(corpus, LdaHyper(3, alpha=pi, beta=g), SeededRng(7))
     for _ in range(5):
         solver.kappa_pass()
         plain.sweep()
@@ -178,7 +170,7 @@ def test_pinned_selectors_reduce_to_plain_cvb0():
 def test_fit_sparsity_outputs():
     corpus = parse_plain(["w0 w0 w1", "w2 w3", "w0 w3 w3"])
     hyper = SparseHyper(4)
-    fitted = run_chain(dual_sparse_solver(corpus, hyper, SeededRng(3)), 10)
+    fitted = run_chain(DualSparseCvb0(corpus, hyper, SeededRng(3)), 10)
     assert len(fitted.sparsity_doc) == 3
     assert len(fitted.sparsity_topic) == 4
     for s in fitted.sparsity_doc + fitted.sparsity_topic:
@@ -204,7 +196,7 @@ def test_fit_conserves_kappa_mass():
         seen.append(it)
 
     hyper = SparseHyper(2)
-    run_chain(dual_sparse_solver(corpus, hyper, SeededRng(4)), 8, callback)
+    run_chain(DualSparseCvb0(corpus, hyper, SeededRng(4)), 8, callback)
     assert len(seen) == 8
 
 
@@ -218,7 +210,7 @@ def test_selectors_stay_in_open_interval_during_fit():
             assert all(0.0 < b < 1.0 for b in row)
 
     hyper = SparseHyper(3)
-    run_chain(dual_sparse_solver(corpus, hyper, SeededRng(5)), 10, callback)
+    run_chain(DualSparseCvb0(corpus, hyper, SeededRng(5)), 10, callback)
 
 
 def test_hyper_validation():
@@ -235,7 +227,7 @@ def test_hyper_validation():
 ])
 def test_rejects_mis_shaped_responsibilities(kappa, doc):
     with pytest.raises(ValueError, match=f"doc {doc}: responsibilities"):
-        small_solver(SparseHyper(2), kappa)
+        with_state(small_solver(SparseHyper(2))[1], kappa=kappa)
 
 
 def test_check_rejects_a_stale_count_or_selector_sum():

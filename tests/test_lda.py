@@ -7,10 +7,10 @@ import pytest
 from topicmodels import lda
 from topicmodels.core import CountTables, SeededRng, run_chain
 from topicmodels.corpus import parse_plain
-from topicmodels.lda import LdaCvb0, LdaGibbsSampler, LdaHyper, random_responsibilities
+from topicmodels.lda import LdaCvb0, LdaGibbsSampler, LdaHyper
 
 from first_draw import (assert_shares_match, lda_token_shares, put_lda_token_first, rerun_sweep,
-                        sweep_draw_shares, uniform_for)
+                        sweep_draw_shares, uniform_for, with_state, without_token)
 from oracles import assert_close_distribution, lda_token_oracle, lda_joint_log, tv_distance
 
 
@@ -81,9 +81,8 @@ def scripted_walk_shares(allowed, moves: dict) -> tuple:
         prefix += (uniform_for(run, lambda: sampler.z[0][i], k, prefix),)
     shares = sweep_draw_shares(sampler, prefix, lambda: sampler.z[0][n], run=run)
     assert sampler.z[0][:n] == list(moves.values())
-    v, k0 = corpus.docword[0][n], sampler.z[0][n]
-    tables = sampler._counts()["tables"]
-    tables.decrement(0, k0, v)
+    v = corpus.docword[0][n]
+    tables = without_token(sampler, n)
     column = [row[v] for row in tables.topic_word]
     assert not any(column)  # q = 0: no other token holds the word
     want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0], column,
@@ -127,7 +126,7 @@ def test_fit_rejects_empty_corpus():
     with pytest.raises(ValueError):
         LdaGibbsSampler(corpus, LdaHyper(2), SeededRng(0))
     with pytest.raises(ValueError):
-        LdaCvb0(corpus, LdaHyper(2), random_responsibilities(corpus, 2, SeededRng(0)))
+        LdaCvb0(corpus, LdaHyper(2), SeededRng(0))
 
 
 def test_estimates_are_row_stochastic_and_positive():
@@ -243,10 +242,11 @@ def test_cvb0_update_uniform_and_k1():
     # a one-token corpus: with the token's own mass excluded every expected
     # count is zero, so one sweep sets its row to the uniform one
     corpus = parse_plain(["w0"])
-    solver = LdaCvb0(corpus, LdaHyper(4, 0.1, 0.1), [[[0.1, 0.2, 0.3, 0.4]]])
+    solver = with_state(LdaCvb0(corpus, LdaHyper(4, 0.1, 0.1), SeededRng(0)),
+                        gamma=[[[0.1, 0.2, 0.3, 0.4]]])
     solver.sweep()
     assert solver.gamma[0][0] == pytest.approx([0.25] * 4)
-    solver1 = LdaCvb0(corpus, LdaHyper(1, 0.1, 0.1), [[[1.0]]])
+    solver1 = with_state(LdaCvb0(corpus, LdaHyper(1, 0.1, 0.1), SeededRng(0)), gamma=[[[1.0]]])
     solver1.sweep()
     assert solver1.gamma[0][0] == [1.0]
 
@@ -259,7 +259,7 @@ def test_cvb0_first_update_matches_scalar_oracle():
         K = rng.randrange(2, 5)
         corpus = parse_plain([" ".join(f"w{rng.randrange(5)}" for _ in range(rng.randrange(1, 7)))
                               for _ in range(3)])
-        solver = LdaCvb0(corpus, LdaHyper(K, 0.3, 0.05), random_responsibilities(corpus, K, rng))
+        solver = LdaCvb0(corpus, LdaHyper(K, 0.3, 0.05), rng)
         g, v, tables = solver.gamma[0][0], corpus.docword[0][0], solver.expected
         want = lda_token_oracle([tables.doc_topic[0][k] - g[k] for k in range(K)],
                                 tables.doc_total[0] - 1,
@@ -277,7 +277,8 @@ def test_cvb0_one_sweep_matches_hand_iteration():
     alpha, beta = 0.4, 0.2
     K, V = 2, 2
     init = [[[0.3, 0.7], [0.6, 0.4]]]
-    solver = LdaCvb0(corpus, LdaHyper(K, alpha, beta), [[list(g) for g in init[0]]])
+    solver = with_state(LdaCvb0(corpus, LdaHyper(K, alpha, beta), SeededRng(0)),
+                        gamma=[[list(g) for g in init[0]]])
     solver.sweep()
 
     # hand iteration
@@ -307,9 +308,8 @@ def test_cvb0_one_sweep_matches_hand_iteration():
 def test_cvb0_deterministic():
     corpus = parse_plain(["a b c", "b c d", "a d"])
     hyper = LdaHyper(3, 0.1, 0.01)
-    init = random_responsibilities(corpus, 3, SeededRng(8))
-    a = run_chain(LdaCvb0(corpus, hyper, [[list(g) for g in doc] for doc in init]), 15)
-    b = run_chain(LdaCvb0(corpus, hyper, [[list(g) for g in doc] for doc in init]), 15)
+    a = run_chain(LdaCvb0(corpus, hyper, SeededRng(8)), 15)
+    b = run_chain(LdaCvb0(corpus, hyper, SeededRng(8)), 15)
     assert a.theta == b.theta
     assert a.phi == b.phi
 
@@ -317,8 +317,7 @@ def test_cvb0_deterministic():
 def test_cvb0_k1_phi_is_smoothed_frequency():
     corpus = parse_plain(["a a b", "b c"])
     beta = 0.5
-    gamma = random_responsibilities(corpus, 1, SeededRng(1))
-    fitted = run_chain(LdaCvb0(corpus, LdaHyper(1, 0.1, beta), gamma), 3)
+    fitted = run_chain(LdaCvb0(corpus, LdaHyper(1, 0.1, beta), SeededRng(1)), 3)
     assert [row.tolist() for row in fitted.theta] == [[1.0], [1.0]]
     N, V = corpus.n_tokens, corpus.n_words
     freqs = [2, 2, 1]
@@ -341,8 +340,7 @@ def test_cvb0_conserves_totals_each_sweep():
         assert total == pytest.approx(corpus.n_tokens, abs=1e-6)
         seen.append(it)
 
-    gamma = random_responsibilities(corpus, 3, SeededRng(2))
-    run_chain(LdaCvb0(corpus, LdaHyper(3, 0.1, 0.05), gamma), 10, callback)
+    run_chain(LdaCvb0(corpus, LdaHyper(3, 0.1, 0.05), SeededRng(2)), 10, callback)
     assert len(seen) == 10
 
 
@@ -389,13 +387,13 @@ def test_smoothed_rows_equal_the_formula_bit_for_bit():
 ])
 def test_cvb0_rejects_mis_shaped_responsibilities(gamma, doc):
     with pytest.raises(ValueError, match=f"doc {doc}: responsibilities"):
-        LdaCvb0(parse_plain(["a b c", "b c"]), LdaHyper(2), gamma)
+        with_state(LdaCvb0(parse_plain(["a b c", "b c"]), LdaHyper(2), SeededRng(0)), gamma=gamma)
 
 
 def test_cvb0_check_rejects_a_stale_expected_count():
     corpus = parse_plain(["a b c a", "c d", "a d d b"])
     hyper = LdaHyper(3, 0.1, 0.1)
-    solver = LdaCvb0(corpus, hyper, random_responsibilities(corpus, 3, SeededRng(2)))
+    solver = LdaCvb0(corpus, hyper, SeededRng(2))
     for _ in range(20):
         solver.sweep()
         solver.check()

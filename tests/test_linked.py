@@ -10,7 +10,8 @@ from topicmodels.linked import AtmSampler, LinkLdaHyper, LinkLdaSampler
 
 from oracles import (assert_close_distribution, atm_joint_log, atm_joint_oracle,
                      linklda_word_oracle, linklda_link_oracle, normalize, tv_distance)
-from first_draw import assert_shares_match, first_draw_shares, linklda_draw, linklda_shares
+from first_draw import (assert_shares_match, first_draw_shares, linklda_draw, linklda_shares,
+                        with_state)
 
 
 def author_corpus(lines):
@@ -280,10 +281,8 @@ def test_atm_check_rejects_a_stale_count_or_a_stranger_author():
         sampler.check()
     sampler.tables.doc_topic[a][k] -= 1
     # author B (id 1) did not write document 0; the tables follow the move
-    v = corpus.docword[0][0]
-    sampler.tables.decrement(a, k, v)
-    sampler.tables.increment(1, k, v)
     sampler.x[0][0] = 1
+    with_state(sampler)
     with pytest.raises(ValueError, match="not its authors"):
         sampler.check()
 
