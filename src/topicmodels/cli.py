@@ -208,7 +208,6 @@ def _add_model_arguments(parser):
     for flag, kind in _FLAG_TYPES.items():
         parser.add_argument(_option(flag), *(["-k"] if flag == "topics" else []), type=kind)
     parser.add_argument("--iterations", type=int, default=1000)
-    parser.add_argument("--top-words", type=int, default=5, dest="top_words")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
@@ -218,7 +217,7 @@ def _hyper_options(args) -> dict:
     model = args.model
     if args.iterations < 1:
         raise CliError("--iterations must be >= 1")
-    if args.top_words < 1:
+    if getattr(args, "top_words", 1) < 1:
         raise CliError("--top-words must be >= 1")
     if any(n < 1 for n in getattr(args, "top_n", ())):
         raise CliError("--top-n must be >= 1")
@@ -371,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a model and write its output files")
     _add_model_arguments(fit)
     fit.add_argument("--output-dir", required=True, dest="output_dir")
+    fit.add_argument("--top-words", type=int, default=5, dest="top_words")
     fit.set_defaults(func=_cmd_fit)
 
     ev = sub.add_parser("eval", help="fit a model and print coherence scores")

@@ -14,7 +14,7 @@ Input layouts:
 
 import functools
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import record, warn
 

@@ -16,6 +16,7 @@ integer counts.
 
 import heapq
 import math
+from itertools import chain, filterfalse, islice
 from typing import Iterable, Sequence
 
 from .core import fold_sum
@@ -32,12 +33,16 @@ def document_sets(docword: Sequence[Sequence[int]], words: Iterable[int]) -> dic
     return {v: int.from_bytes(row, "little") for v, row in rows.items()}
 
 
-def topic_coherence(docword: Sequence[Sequence[int]], top_words: Sequence[int],
-                    sets: dict | None = None) -> float:
-    """Coherence of one ordered top-word list; 0.0 for fewer than two words.
+def running_coherence(docword: Sequence[Sequence[int]], top_words: Sequence[int],
+                      sets: dict | None = None) -> list:
+    """Coherence of every prefix of one ordered top-word list: item j is
+    the score of the first j words, 0.0 for j < 2.
 
-    ``sets`` may be ``document_sets`` over any superset of ``top_words``, so
-    several topics can share one corpus scan; by default it is built here.
+    The pairs of a prefix are the first pairs of the whole list, in the same
+    order, so item j is the float that ``topic_coherence`` gives the first j
+    words.  ``sets`` may be ``document_sets`` over any superset of
+    ``top_words``, so several topics can share one corpus scan; by default
+    it is built here.
     """
     if sets is None:
         sets = document_sets(docword, top_words)
@@ -47,12 +52,23 @@ def topic_coherence(docword: Sequence[Sequence[int]], top_words: Sequence[int],
     bits = [sets[v] for v in top_words]
     counts = [b.bit_count() for b in bits]
     score = 0.0
+    scores = [score, score][:len(bits) + 1]  # no pair among fewer than two words
     for n in range(1, len(bits)):
         b_n = bits[n]
         for l in range(n):
             co = (b_n & bits[l]).bit_count()
             score += math.log((co + 1) / counts[l])
-    return score
+        scores.append(score)
+    return scores
+
+
+def topic_coherence(docword: Sequence[Sequence[int]], top_words: Sequence[int],
+                    sets: dict | None = None) -> float:
+    """Coherence of one ordered top-word list; 0.0 for fewer than two words.
+
+    ``sets`` is as in ``running_coherence``.
+    """
+    return running_coherence(docword, top_words, sets)[-1]
 
 
 def top_word_ids(phi_row: Sequence[float], n: int) -> list:
@@ -60,10 +76,24 @@ def top_word_ids(phi_row: Sequence[float], n: int) -> list:
 
     ``heapq.nlargest`` equals ``sorted(..., reverse=True)[:n]``, and that
     sort is stable, so equal entries keep index order and the top n are a
-    prefix of the top n + 1.  The row is ranked as a list: a list hands
-    back its stored floats, where an ``array('d')`` key would box a new
-    float for every comparison.
+    prefix of the top n + 1.
+
+    A ``lda.SparseRow`` is ranked over its support, the cells of nonzero
+    count, in O(nnz + n log n): every other cell holds the row's floor, so
+    the top n are the support by value, then the lowest-index cells off it.
+    That holds while the last support cell chosen exceeds the floor; at a
+    prior so large that a count no longer moves its cell, the row is
+    scanned whole.  Any other row is ranked as a list: a list hands back
+    its stored floats, where an ``array('d')`` key would box a new float
+    for every comparison.
     """
+    support = getattr(phi_row, "support", None)
+    if support is not None:
+        top = heapq.nlargest(n, support, key=phi_row.__getitem__)
+        off = filterfalse(set(support).__contains__, range(len(phi_row)))
+        first = next(off)  # the support holds at most half the row
+        if not top or phi_row[top[-1]] > phi_row[first]:
+            return top + list(islice(chain((first,), off), max(n - len(top), 0)))
     values = list(phi_row)
     return heapq.nlargest(n, range(len(values)), key=values.__getitem__)
 
@@ -73,16 +103,17 @@ def average_coherence(docword: Sequence[Sequence[int]], phi: Sequence[Sequence[f
     """Mean topic coherence over all topics, each using its top_n words.
 
     ``top_n`` may also be a sequence of N values; the result is then the
-    list of means, one per N.  Every topic is ranked once, at the largest
-    N, and the corpus is scanned once, for the union of those words; each N
-    scores the first N words of each ranking, so every mean is the float
-    that a call for that N alone gives.
+    list of means, one per N.  Every topic is ranked and scored once, at the
+    largest N, and the corpus is scanned once, for the union of those words;
+    each N reads the running score after the topic's first N words, so every
+    mean is the float that a call for that N alone gives.
     """
     top_ns = [top_n] if isinstance(top_n, int) else list(top_n)
     if not top_ns or min(top_ns) < 1:
         raise ValueError("top_n must be >= 1")
     tops = [top_word_ids(row, max(top_ns)) for row in phi]
     sets = document_sets(docword, (v for top in tops for v in top))
-    means = [fold_sum(topic_coherence(docword, top[:n], sets) for top in tops) / len(tops)
+    running = [running_coherence(docword, top, sets) for top in tops]
+    means = [fold_sum(scores[min(n, len(scores) - 1)] for scores in running) / len(tops)
              for n in top_ns]
     return means[0] if isinstance(top_n, int) else means

@@ -243,4 +243,4 @@ class HdpSampler:
         tokens = counts_from_assignments(self.corpus.docword, self._token_topics(),
                                          self.n_topics, self.n_words)[0]
         return FittedLda(theta=estimate_theta(tokens, self.hyper.alpha0),
-                         phi=smoothed_rows(self.n_kv, self.n_k, self.hyper.beta))
+                         phi=smoothed_rows(self.n_kv, self.n_k, self.hyper.beta, ranked=True))

@@ -53,7 +53,16 @@ class FittedLda:
     topic_labels: list | None = None  # a name per topic, where topics stand for labels
 
 
-def smoothed_rows(counts, totals, smooth: float) -> list:
+class SparseRow(array):
+    """An ``array('d')`` estimate row that also lists its ``support``: the
+    ascending indices (an ``array('I')``) of its nonzero counts.  Every
+    other cell holds the row's floor, smooth / denom, so
+    ``evaluation.top_word_ids`` ranks the support alone."""
+
+    __slots__ = ("support",)
+
+
+def smoothed_rows(counts, totals, smooth: float, ranked: bool = False) -> list:
     """Rows of (count + smooth) / (total + dim * smooth); each row is stochastic.
 
     Each row is an ``array('d')``: the same doubles at 8 bytes a cell, not
@@ -64,14 +73,27 @@ def smoothed_rows(counts, totals, smooth: float) -> list:
     is computed cell by cell: a count row with no zero, and the expected
     counts of CVB0 (a float total), which have none and are not scanned for
     one.  An empty row (a link vocabulary of none) has no cell to fill.
+
+    ``ranked`` marks rows whose top words are listed (phi, not theta): such
+    a row with nonzero counts in at most half its cells is a ``SparseRow``,
+    whose support costs at most 2 bytes a cell.
     """
     out = []
     for row, total in zip(counts, totals):
         denom = total + len(row) * smooth
         if isinstance(total, int) and 0 in row:
-            cells = array("d", [smooth / denom]) * len(row)
-            for i in compress(range(len(row)), row):
+            support = compress(range(len(row)), row)
+            kind = array
+            if ranked:
+                support = array("I", support)
+                if 2 * len(support) <= len(row):
+                    kind = SparseRow
+            cells = kind("d", [smooth / denom])
+            cells *= len(row)  # in place, so the row keeps its kind
+            for i in support:
                 cells[i] = (row[i] + smooth) / denom
+            if kind is SparseRow:
+                cells.support = support
         else:
             cells = array("d", [(c + smooth) / denom for c in row])
         out.append(cells)
@@ -83,7 +105,7 @@ def estimate_theta(tables: CountTables, alpha: float) -> list:
 
 
 def estimate_phi(tables: CountTables, beta: float) -> list:
-    return smoothed_rows(tables.topic_word, tables.topic_total, beta)
+    return smoothed_rows(tables.topic_word, tables.topic_total, beta, ranked=True)
 
 
 def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total: list,

@@ -174,5 +174,7 @@ class LinkLdaSampler:
         hyper = self.hyper
         rows = self.doc_topic
         return LinkLdaFit(theta=smoothed_rows(rows, [sum(row) for row in rows], hyper.alpha),
-                          phi=smoothed_rows(self.word_topic, self.word_total, hyper.beta),
-                          link_phi=smoothed_rows(self.link_topic, self.link_total, hyper.gamma))
+                          phi=smoothed_rows(self.word_topic, self.word_total, hyper.beta,
+                                            ranked=True),
+                          link_phi=smoothed_rows(self.link_topic, self.link_total, hyper.gamma,
+                                                 ranked=True))

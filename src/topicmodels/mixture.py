@@ -173,7 +173,8 @@ class ClusterTables:
         """The estimate from these counts and the labels z."""
         denom = len(z) + self.n_clusters * alpha
         return MixtureFit(theta=[(n + alpha) / denom for n in self.n_docs_in],
-                          phi=smoothed_rows(self.cluster_word, self.cluster_total, beta),
+                          phi=smoothed_rows(self.cluster_word, self.cluster_total, beta,
+                                            ranked=True),
                           doc_cluster=list(z))
 
 

@@ -105,7 +105,7 @@ class PtmSampler:
         doc_counts = [[zm.count(k) for k in range(self.hyper.n_topics)] for zm in self.z]
         return PtmFit(theta=smoothed_rows(doc_counts, tables.unit_len, alpha),
                       pseudo_theta=smoothed_rows(tables.cluster_word, tables.cluster_total, alpha),
-                      phi=smoothed_rows(self.topic_word, self.topic_total, beta),
+                      phi=smoothed_rows(self.topic_word, self.topic_total, beta, ranked=True),
                       doc_pseudo=list(self.l))
 
 
@@ -311,7 +311,7 @@ class BtmSampler:
         K = hyper.n_topics
         denom = self.n_biterms + K * hyper.alpha
         theta = [(n + hyper.alpha) / denom for n in self.n_b]
-        phi = smoothed_rows(self.topic_word, self.topic_total, hyper.beta)
+        phi = smoothed_rows(self.topic_word, self.topic_total, hyper.beta, ranked=True)
         by_doc = [[] for _ in range(self.corpus.n_docs)]
         for b in self.biterms:
             by_doc[b.doc].append(b)

@@ -332,6 +332,23 @@ def test_btm_golden_bytes_at_a_large_beta(tmp_path):
     assert_golden(tmp_path, "btm", GOLDEN, ["-k", "3", "--beta", "1"], GOLDEN_BTM_BETA_1)
 
 
+# lda-gibbs at K = 5 and --beta 1e100, the largest prior accepted, same run
+# settings.  There (c + beta)/d equals beta/d, so every cell of a topic row
+# ties, its nonzero counts too, and the top words are the first in vocabulary
+# order: the support ranking of a sparse row must scan the whole row here.
+# Recorded before topic rows were ranked over their support.
+GOLDEN_LDA_GIBBS_BETA_1E100 = {
+    "LDAGibbs_doc_topic5.txt":
+    "35446d6cb3c4903868fde762371dc748ef81d71fc1f796193214f3bb135d8556",
+    "LDAGibbs_topic_word_5.txt":
+    "c620844137831418d687478a5024e1dd57cbe59231b958e84287c57e210c3bc7"}
+
+
+def test_lda_gibbs_golden_bytes_at_the_largest_beta(tmp_path):
+    assert_golden(tmp_path, "lda-gibbs", GOLDEN, ["-k", "5", "--beta", "1e100"],
+                  GOLDEN_LDA_GIBBS_BETA_1E100)
+
+
 def _golden_tagged(meta):
     return "".join(f"{m}\t{line}\n" for m, line in zip(meta, GOLDEN.splitlines()))
 
@@ -624,6 +641,20 @@ def test_nonpositive_top_words_rejected_before_output(tmp_path, plain_file, caps
         assert rc == 1
         assert "--top-words must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_top_words_is_a_fit_flag_only(tmp_path, plain_file, capsys):
+    # eval writes no topic-word file, so it rejects the flag rather than ignore it
+    flags = ["--model", "lda-gibbs", "--input", plain_file, "-k", "2", "--iterations", "2",
+             "--top-words", "3"]
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --top-words 3" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run(["fit", *flags, "--output-dir", out]) == 0
+    blocks = parse_topic_word_file(out / "LDAGibbs_topic_word_2.txt")
+    assert [len(words) for _, words in blocks] == [3, 3]
 
 
 def test_failing_writer_leaves_no_output_behind(tmp_path, plain_file, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from topicmodels.core import (MAX_PRIOR, MISSING, CountTables, LogRisingMemo, SamplingError,
+from topicmodels.core import (MAX_PRIOR, MISSING, LogRisingMemo, SamplingError,
                               SeededRng, counts_from_assignments, draw_below, draw_each,
                               exp_normalize, fields, fold_sum, log_rising_factorial,
                               log_unit_weights, record, require_at_least, require_nonnegative,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from topicmodels import corpus as corpus_mod
-from topicmodels.corpus import (Corpus, CorpusError, ParseError, StopList, Vocabulary,
+from topicmodels.corpus import (CorpusError, ParseError, StopList, Vocabulary,
                                 lemmatize, parse_plain, parse_sentences,
                                 parse_tagged, preprocess)
 

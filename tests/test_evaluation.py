@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from topicmodels import lda
 from topicmodels.core import SeededRng
-from topicmodels.evaluation import (average_coherence, document_sets, topic_coherence,
-                                    top_word_ids)
+from topicmodels.evaluation import (average_coherence, document_sets, running_coherence,
+                                    topic_coherence, top_word_ids)
 
 
 def test_coherence_hand_count_equal_docs():
@@ -86,6 +87,27 @@ def test_top_word_ids_equals_full_sort():
             assert top_word_ids(row, n) == want_order[:n]
 
 
+@pytest.mark.parametrize("smooth", [0.01, 1.0, 1e100])
+def test_top_word_ids_of_a_sparse_row_equal_the_full_sort(smooth):
+    # smoothed rows of random sparse counts: few count levels, so nonzero
+    # cells tie; rows with fewer nonzero cells than n; n past V.  At 1e100 a
+    # count no longer moves its cell, so the nonzero cells tie with the floor
+    rng = SeededRng(17)
+    counts = [[], [0] * 9, [3] * 6, [0, 4, 0, 4, 0, 0]]  # empty, all zero, no zero
+    for _ in range(300):
+        size = rng.randrange(1, 40)
+        row = [0] * size
+        for v in rng.sample(range(size), rng.randrange(size + 1)):
+            row[v] = rng.choice((1, 2, 2, 5))
+        counts.append(row)
+    rows = lda.smoothed_rows(counts, [sum(row) for row in counts], smooth, ranked=True)
+    assert sum(isinstance(row, lda.SparseRow) for row in rows) > 100
+    for row in rows:
+        want = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+        for n in range(len(row) + 3):
+            assert top_word_ids(row, n) == want[:n]
+
+
 def test_document_sets_are_bitsets_of_documents():
     docword = [[0, 1], [1], [2, 2], [1, 0]]
     assert document_sets(docword, [1, 2, 5, 1]) == {1: 0b1011, 2: 0b0100, 5: 0}
@@ -122,6 +144,15 @@ def test_average_coherence_equals_mean_of_single_topic_scores(seed):
     mixed = [5, n_words + 3, 1, 9, 5]
     assert average_coherence(docword, phi, mixed) == [average_coherence(docword, phi, n)
                                                       for n in mixed]
+
+
+def test_running_coherence_scores_every_prefix():
+    rng = SeededRng(6)
+    docword = [[rng.randrange(9) for _ in range(5)] for _ in range(30)] + [list(range(9))]
+    top = [4, 0, 7, 2, 8, 1]
+    assert running_coherence(docword, top) == [_reference_coherence(docword, top[:j])
+                                               for j in range(len(top) + 1)]
+    assert running_coherence(docword, []) == [0.0]
 
 
 def test_topic_coherence_accepts_sets_of_a_superset():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -368,6 +369,36 @@ def test_phi_estimate_allocates_eight_bytes_a_cell():
         tracemalloc.stop()
     assert len(phi) == K and all(len(row) == V for row in phi)
     assert peak < 12 * K * V, peak / (K * V)
+
+
+def test_sparse_phi_estimate_stays_under_nine_bytes_a_cell():
+    # rows with nonzero counts in 1% of their cells keep their support, 4
+    # bytes a nonzero cell on top of the 8 of every cell
+    K, V = 50, 2000
+    tables = CountTables(1, K, V)
+    for k in range(K):
+        tables.topic_word[k] = [3 if (k + v) % 100 == 0 else 0 for v in range(V)]
+        tables.topic_total[k] = sum(tables.topic_word[k])
+    tracemalloc.start()
+    try:
+        phi = lda.estimate_phi(tables, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(row, lda.SparseRow) and len(row.support) == V // 100 for row in phi)
+    assert peak < 9 * K * V, peak / (K * V)
+
+
+def test_only_ranked_rows_of_few_nonzero_counts_keep_their_support():
+    counts = [[0, 2, 0, 0], [0, 2, 1, 0], [0, 2, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0], []]
+    totals = [sum(row) for row in counts]
+    ranked = lda.smoothed_rows(counts, totals, 0.1, ranked=True)
+    assert [getattr(row, "support", None) for row in ranked] == [
+        array("I", [1]), array("I", [1, 2]), None, None, array("I"), None]
+    assert [row.tolist() for row in ranked] == [
+        row.tolist() for row in lda.smoothed_rows(counts, totals, 0.1)]
+    # theta rows are not ranked, so they carry no support
+    assert all(type(row) is array for row in lda.smoothed_rows(counts, totals, 0.1))
 
 
 def test_smoothed_rows_equal_the_formula_bit_for_bit():

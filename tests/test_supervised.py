@@ -13,8 +13,7 @@ from topicmodels.supervised import (BACKGROUND_LABEL, LabeledLdaHyper, LabeledLd
 
 from first_draw import (ScriptEnd, ScriptedRng, assert_shares_match, lda_token_shares,
                         put_lda_token_first, rerun_sweep)
-from oracles import (assert_close_distribution, labeled_token_oracle, lda_joint_log,
-                     plda_token_oracle, tv_distance)
+from oracles import labeled_token_oracle, lda_joint_log, plda_token_oracle, tv_distance
 
 
 def label_corpus(lines):
