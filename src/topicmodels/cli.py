@@ -21,6 +21,7 @@ import argparse
 import os
 import re
 import sys
+from itertools import takewhile
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -217,6 +218,8 @@ def _hyper_options(args) -> dict:
     model = args.model
     if args.iterations < 1:
         raise CliError("--iterations must be >= 1")
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     if getattr(args, "top_words", 1) < 1:
         raise CliError("--top-words must be >= 1")
     if any(n < 1 for n in getattr(args, "top_n", ())):
@@ -302,13 +305,14 @@ def _run(args, outdir):
 def _write_outputs(spec: ModelSpec, outdir: Path, run: _Run) -> None:
     """Write the model's files under temporary names in ``outdir``, then rename
     them.  A name taken by a directory fails first; any later failure removes
-    the temporary files, and the directory if this call created it."""
+    the temporary files, and every directory this call created: ``outdir``
+    and its ancestors up to the first that existed."""
     paths = [outdir / out.template.format(k=run.k) for out in spec.outputs]
     parts = [path.with_name(f".{path.name}.part") for path in paths]
     for path in paths + parts:
         if path.is_dir():
             raise CliError(f"--output-dir {outdir}: {path.name} is a directory")
-    created = not outdir.exists()
+    created = list(takewhile(lambda d: not d.exists(), [outdir, *outdir.parents]))
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         for out, part in zip(spec.outputs, parts):
@@ -318,8 +322,8 @@ def _write_outputs(spec: ModelSpec, outdir: Path, run: _Run) -> None:
     except BaseException:
         for file in parts + (paths if created else []):
             file.unlink(missing_ok=True)
-        if created:
-            outdir.rmdir()
+        for directory in created:
+            directory.rmdir()
         raise
 
 

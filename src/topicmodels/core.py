@@ -114,11 +114,15 @@ class SeededRng(random.Random):
     """Mersenne Twister seeded with a fixed 64-bit value.
 
     Identical seeds give identical draw sequences on every platform; the
-    underlying generator is CPython's documented ``random.Random``.
+    underlying generator is CPython's documented ``random.Random``.  A
+    negative seed raises ValueError: ``random.Random`` seeds from its
+    absolute value, so it would repeat the chain of its positive twin.
     """
 
     def __init__(self, seed: int):
         self.seed_value = int(seed)
+        if self.seed_value < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed_value}")
         super().__init__(self.seed_value)
 
 

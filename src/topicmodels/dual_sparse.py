@@ -6,19 +6,18 @@ topic k focuses on word v.  Both are ratios of Gamma/Beta-function products
 that underflow in linear space, so the updates run entirely on log-gamma
 differences and come back through a sigmoid of the log odds.
 
-Sweep order per iteration: every alpha_hat, then every beta_hat, then every
-token responsibility kappa, the last with ``lda.cvb0_pass`` and the
-selector-gated smoothing as its priors.
+The solver is ``lda.LdaCvb0`` with the selector-gated smoothing as the
+priors of its CVB0 pass.  Sweep order per iteration: every alpha_hat, then
+every beta_hat, then every token responsibility gamma.
 """
 
 import math
 import random
 from array import array
 
-from .core import (expected_counts, fold_sum, record, require_at_least, require_nonnegative,
-                   require_positive, require_recount)
+from .core import fold_sum, record, require_at_least, require_nonnegative, require_positive
 from .corpus import Corpus
-from .lda import EXPECTED_TOLERANCE, cvb0_pass, random_responsibilities
+from .lda import LdaCvb0, cvb0_pass
 
 # selector means are kept strictly inside (0, 1) so the excluded sums
 # A_hat - alpha_hat stay positive even when the sigmoid saturates
@@ -120,34 +119,20 @@ def selector_pass(means: list, sums: list, counts: list, totals: list, on: float
         sums[r] = row_sum
 
 
-class DualSparseCvb0:
+class DualSparseCvb0(LdaCvb0):
+    """CVB0 LDA whose smoothing the selector means gate."""
+
     def __init__(self, corpus: Corpus, hyper: SparseHyper, rng: random.Random):
-        corpus.require()
-        self.corpus = corpus
-        self.hyper = hyper
-        self.kappa = random_responsibilities(corpus, hyper.n_topics, rng)
+        # the selectors draw nothing, so the start is LdaCvb0's
         self.alpha_hat = [[0.5] * hyper.n_topics for _ in range(corpus.n_docs)]
         self.beta_hat = [[0.5] * corpus.n_words for _ in range(hyper.n_topics)]
-        vars(self).update(self._counts())
+        super().__init__(corpus, hyper, rng)
 
     def _counts(self) -> dict:
-        """The expected counts of kappa and the selector row sums A_hat and
+        """LdaCvb0's expected counts, and the selector row sums A_hat and
         B_hat, by attribute name."""
-        return {"expected": expected_counts(self.corpus.docword, self.kappa,
-                                            self.hyper.n_topics, self.corpus.n_words),
-                "A_hat": [fold_sum(row) for row in self.alpha_hat],
+        return {**super()._counts(), "A_hat": [fold_sum(row) for row in self.alpha_hat],
                 "B_hat": [fold_sum(row) for row in self.beta_hat]}
-
-    def check(self) -> None:
-        """Check the expected counts, A_hat and B_hat against a recount, and the
-        expected counts' closure, within ``lda.EXPECTED_TOLERANCE``; raises ValueError."""
-        tolerance = EXPECTED_TOLERANCE * self.corpus.n_tokens
-        require_recount(self, self._counts(), "kappa and the selector means", tolerance)
-        self.expected.check(tolerance)
-
-    def kappa_pass(self) -> None:
-        """One CVB0 pass over kappa against the selector-gated priors."""
-        cvb0_pass(self.corpus.docword, self.kappa, self.expected, *self.priors())
 
     def priors(self) -> tuple:
         """The smoothing the selectors give the expected counts, as rows over
@@ -163,17 +148,19 @@ class DualSparseCvb0:
         return doc, word, topic
 
     def sweep(self) -> None:
-        """Every alpha_hat, then every beta_hat, then every kappa."""
+        """Every alpha_hat, then every beta_hat, then every gamma; the CVB0
+        pass is called here, not through ``LdaCvb0.sweep``, so that a tracer
+        wrapping both sweeps (perfbench/spans.py) records one span."""
         h, ex = self.hyper, self.expected
         selector_pass(self.alpha_hat, self.A_hat, ex.doc_topic, ex.doc_total,
                       h.s, h.t, h.pi, h.pi_bar, ("doc", "topic"))
         selector_pass(self.beta_hat, self.B_hat, ex.topic_word, ex.topic_total,
                       h.x, h.y, h.word_gamma, h.word_gamma_bar, ("topic", "word"))
-        self.kappa_pass()
+        cvb0_pass(self.corpus.docword, self.gamma, self.expected, *self.priors())
 
     def estimate(self) -> SparseFit:
         """theta and phi are the expected counts plus the priors of the
-        kappa pass, normalized."""
+        CVB0 pass, normalized."""
         K, V, M = self.hyper.n_topics, self.corpus.n_words, self.corpus.n_docs
         ex = self.expected
         doc_prior, word_prior, topic_prior = self.priors()

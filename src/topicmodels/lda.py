@@ -380,18 +380,22 @@ class LdaCvb0:
                                             self.hyper.n_topics, self.corpus.n_words)}
 
     def check(self) -> None:
-        """Check the expected counts against a recount of gamma and their
-        closure, both within ``EXPECTED_TOLERANCE``; raises ValueError."""
+        """Check the tables of ``_counts()`` against a recount and the expected
+        counts' closure, within ``EXPECTED_TOLERANCE``; raises ValueError."""
         tolerance = EXPECTED_TOLERANCE * self.corpus.n_tokens
-        require_recount(self, self._counts(), "gamma", tolerance)
+        require_recount(self, self._counts(), "the solver's state", tolerance)
         self.expected.check(tolerance)
 
-    def sweep(self) -> None:
-        """One CVB0 pass with the constant priors alpha, beta and V beta."""
+    def priors(self) -> tuple:
+        """The (document, word, topic) prior rows of ``cvb0_pass``, each over
+        the K topics: the constants alpha, beta and V beta."""
         h, M, V = self.hyper, self.corpus.n_docs, self.corpus.n_words
         K = h.n_topics
-        cvb0_pass(self.corpus.docword, self.gamma, self.expected,
-                  [[h.alpha] * K] * M, [[h.beta] * K] * V, [V * h.beta] * K)
+        return [[h.alpha] * K] * M, [[h.beta] * K] * V, [V * h.beta] * K
+
+    def sweep(self) -> None:
+        """One CVB0 pass with the priors of ``priors()``."""
+        cvb0_pass(self.corpus.docword, self.gamma, self.expected, *self.priors())
 
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.expected, self.hyper.alpha),

@@ -178,19 +178,14 @@ class ClusterTables:
                           doc_cluster=list(z))
 
 
-def _require_usable(corpus: Corpus, hyper: MixtureHyper) -> None:
-    """Reject an empty corpus, and alpha = 0 on a corpus of one document,
-    whose draw would find every cluster empty and without prior mass."""
-    corpus.require()
-    if corpus.n_docs == 1 and not hyper.alpha > 0:
-        raise ValueError("alpha must be > 0 when the corpus has one document")
-
-
 class DmmSampler:
     """Collapsed Gibbs chain over per-document cluster labels, K fixed."""
 
     def __init__(self, corpus: Corpus, hyper: MixtureHyper, rng: random.Random):
-        _require_usable(corpus, hyper)
+        corpus.require()
+        # at alpha = 0 one document's draw would find every cluster without mass
+        if corpus.n_docs == 1 and not hyper.alpha > 0:
+            raise ValueError("alpha must be > 0 when the corpus has one document")
         self.corpus = corpus
         self.hyper = hyper
         self.rng = rng
@@ -215,18 +210,12 @@ class DmmSampler:
         return self.tables.fit(self.z, self.hyper.alpha, self.hyper.beta)
 
 
-class DpmmSampler:
-    """Nonparametric variant: clusters are born with new documents and die
-    when their last document leaves; live indices stay contiguous."""
+class DpmmSampler(DmmSampler):
+    """DMM whose clusters are born with new documents and die when their
+    last document leaves; live indices stay contiguous."""
 
     def __init__(self, corpus: Corpus, hyper: MixtureHyper, rng: random.Random):
-        _require_usable(corpus, hyper)
-        self.corpus = corpus
-        self.hyper = hyper
-        self.rng = rng
-        self.z = draw_below(rng, hyper.n_clusters, corpus.n_docs)
-        self.tables = ClusterTables(corpus.docword, corpus.n_words, hyper.beta, self.z,
-                                    hyper.n_clusters)
+        super().__init__(corpus, hyper, rng)
         # initial clusters that attracted no document are not live
         for k in range(self.tables.n_clusters - 1, -1, -1):
             if self.tables.n_docs_in[k] == 0:
@@ -244,7 +233,7 @@ class DpmmSampler:
     def check(self) -> None:
         """Recount the cluster tables from z and require every cluster live;
         raises ValueError on a mismatch."""
-        self.tables.check(self.z, "z")
+        super().check()
         for k, n in enumerate(self.tables.n_docs_in):
             if n <= 0:
                 raise ValueError(f"cluster {k} is not live ({n} documents)")
@@ -270,6 +259,3 @@ class DpmmSampler:
                 k = self.tables.new_cluster()
             self.z[m] = k
             self.tables.add_doc(m, k)
-
-    def estimate(self) -> MixtureFit:
-        return self.tables.fit(self.z, self.hyper.alpha, self.hyper.beta)

@@ -431,12 +431,12 @@ def test_criterion_4_dual_sparse_reduction():
         beta_hat=[[1.0] * corpus.n_words for _ in range(K)])
     plain = LdaCvb0(corpus, LdaHyper(K, alpha=pi, beta=word_gamma), SeededRng(55))
     for sweep in range(20):
-        sparse.kappa_pass()  # selectors pinned: only the kappa family moves
+        LdaCvb0.sweep(sparse)  # selectors pinned: only the gamma family moves
         plain.sweep()
-        assert sparse.kappa == plain.gamma, f"sweep {sweep}"
+        assert sparse.gamma == plain.gamma, f"sweep {sweep}"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"runtime {elapsed:.1f}s"
-    ok(4, f"kappa equals CVB0 gamma bit for bit across 20 sweeps ({elapsed:.1f}s)")
+    ok(4, f"gamma equals CVB0 gamma bit for bit across 20 sweeps ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

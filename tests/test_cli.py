@@ -711,6 +711,25 @@ def test_a_failed_rename_removes_the_directory_the_run_made(tmp_path, plain_file
     assert not out.exists()
 
 
+def test_a_failed_write_removes_every_directory_the_run_made(tmp_path, plain_file,
+                                                            monkeypatch):
+    def failing(path, rows):
+        raise OSError("disk full")
+    monkeypatch.setattr(reports, "write_doc_topic_file", failing)
+    assert run(["fit", "--model", "lda-gibbs", "--input", plain_file, "-k", "2",
+                "--iterations", "2", "--output-dir", tmp_path / "new1" / "new2"]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
+
+
+def test_a_negative_seed_is_rejected_before_the_input_is_read(tmp_path, capsys):
+    # random.Random seeds from abs(seed), so --seed=-7 would repeat --seed=7
+    out = tmp_path / "out"
+    assert run(["fit", "--model", "lda-gibbs", "--input", tmp_path / "missing.txt",
+                "--output-dir", out, "-k", "2", "--seed=-7"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("encoding", ["no-such-codec", "rot13"])
 @pytest.mark.parametrize("command", ["fit", "eval", "preprocess"])
 def test_unknown_encoding_is_one_error_line(tmp_path, plain_file, capsys, command, encoding):
@@ -919,7 +938,7 @@ def test_every_sampler_is_a_class_that_draws_its_own_start(model):
     assert rngs[0].getstate() == rngs[1].getstate()
     if model in ("lda-cvb0", "dual-sparse"):
         start = lda.random_responsibilities(corpus, hyper.n_topics, rngs[2])
-        assert a.get("gamma", a.get("kappa")) == start and rngs[2].getstate() == rngs[0].getstate()
+        assert a["gamma"] == start and rngs[2].getstate() == rngs[0].getstate()
 
 
 def test_the_chain_length_is_set_by_run_chain_alone():

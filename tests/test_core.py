@@ -19,6 +19,12 @@ def test_seeded_rng_reproducible():
     assert a.seed_value == 99
 
 
+def test_seeded_rng_rejects_a_negative_seed():
+    # random.Random seeds from abs(seed): -7 would repeat the chain of 7
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SeededRng(-7)
+
+
 def test_sample_categorical_singleton():
     rng = SeededRng(1)
     for _ in range(20):

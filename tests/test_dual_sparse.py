@@ -136,11 +136,11 @@ def test_kappa_pass_matches_scalar_oracle(n_topics):
     corpus, solver = small_solver(hyper)
     m, n = 0, 0
     v = corpus.docword[m][n]
-    old = list(solver.kappa[m][n])
+    old = list(solver.gamma[m][n])
     n_mk = [c - gk for c, gk in zip(solver.expected.doc_topic[m], old)]
     n_kv = [row[v] - gk for row, gk in zip(solver.expected.topic_word, old)]
     n_k = [c - gk for c, gk in zip(solver.expected.topic_total, old)]
-    solver.sweep()  # the selectors move first, then the first token's kappa
+    solver.sweep()  # the selectors move first, then the first token's gamma
     alpha_hat, beta_hat, B_hat = solver.alpha_hat[m], solver.beta_hat, solver.B_hat
     if n_topics > 1:
         assert len(set(alpha_hat)) == n_topics and len({row[v] for row in beta_hat}) == n_topics
@@ -148,12 +148,12 @@ def test_kappa_pass_matches_scalar_oracle(n_topics):
             * (n_kv[k] + g * beta_hat[k][v] + g_bar)
             / (n_k[k] + g * B_hat[k] + corpus.n_words * g_bar)
             for k in range(n_topics)]
-    assert_close_distribution(solver.kappa[m][n], want)
+    assert_close_distribution(solver.gamma[m][n], want)
 
 
 def test_pinned_selectors_reduce_to_plain_cvb0():
     # alpha_hat = beta_hat = 1, weak priors zero: the priors are pi, word_gamma
-    # and V word_gamma exactly, so kappa is the plain CVB0 gamma bit for bit
+    # and V word_gamma exactly, so gamma is the plain CVB0 gamma bit for bit
     corpus = parse_plain(["w0 w1 w2 w0", "w1 w3", "w2 w0 w3"])
     pi, g = 0.25, 0.15
     hyper = SparseHyper(3, pi=pi, pi_bar=0.0, word_gamma=g, word_gamma_bar=0.0)
@@ -162,9 +162,21 @@ def test_pinned_selectors_reduce_to_plain_cvb0():
                         beta_hat=[[1.0] * corpus.n_words for _ in range(3)])
     plain = LdaCvb0(corpus, LdaHyper(3, alpha=pi, beta=g), SeededRng(7))
     for _ in range(5):
-        solver.kappa_pass()
+        LdaCvb0.sweep(solver)
         plain.sweep()
-    assert solver.kappa == plain.gamma
+    assert solver.gamma == plain.gamma
+
+
+def test_open_selectors_give_the_lda_cvb0_priors():
+    # alpha_hat = beta_hat = 1 and zero weak priors: the gated rows are
+    # LdaCvb0's alpha, beta and V beta, cell for cell
+    corpus = parse_plain(["w0 w1 w2 w0", "w1 w3", "w2 w0 w3"])
+    pi, g = 0.25, 0.15
+    hyper = SparseHyper(3, pi=pi, pi_bar=0.0, word_gamma=g, word_gamma_bar=0.0)
+    solver = with_state(DualSparseCvb0(corpus, hyper, SeededRng(7)),
+                        alpha_hat=[[1.0] * 3 for _ in range(corpus.n_docs)],
+                        beta_hat=[[1.0] * corpus.n_words for _ in range(3)])
+    assert solver.priors() == LdaCvb0(corpus, LdaHyper(3, pi, g), SeededRng(7)).priors()
 
 
 def test_fit_sparsity_outputs():
@@ -188,7 +200,7 @@ def test_fit_conserves_kappa_mass():
     seen = []
 
     def callback(solver, it):
-        for doc in solver.kappa:
+        for doc in solver.gamma:
             for g in doc:
                 assert sum(g) == pytest.approx(1.0, abs=1e-9)
         assert sum(solver.expected.topic_total) == pytest.approx(
@@ -227,7 +239,7 @@ def test_hyper_validation():
 ])
 def test_rejects_mis_shaped_responsibilities(kappa, doc):
     with pytest.raises(ValueError, match=f"doc {doc}: responsibilities"):
-        with_state(small_solver(SparseHyper(2))[1], kappa=kappa)
+        with_state(small_solver(SparseHyper(2))[1], gamma=kappa)
 
 
 def test_check_rejects_a_stale_count_or_selector_sum():
