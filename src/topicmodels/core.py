@@ -361,6 +361,17 @@ class CountTables:
             raise ValueError("doc totals and topic totals disagree")
 
 
+def index_rows(index: Sequence[dict], n_rows: int) -> list[list[int]]:
+    """Dense rows of a word index (for every word v, a dict from each row k
+    holding it to its count): rows[k][v] = index[v].get(k, 0), over
+    ``len(index)`` words."""
+    rows = [[0] * len(index) for _ in range(n_rows)]
+    for v, counts in enumerate(index):
+        for k, c in counts.items():
+            rows[k][v] = c
+    return rows
+
+
 def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequence[int]],
                             n_topics: int, n_words: int,
                             rows: Sequence[Sequence[int]] | None = None,
@@ -372,7 +383,8 @@ def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequen
     Row m of ``doc_topic`` and ``doc_total`` counts document m, unless
     ``rows[m][n]`` in [0, n_rows) names a row for each token (in ATM its
     author).  One pass over the tokens counts the rows and the index; then
-    ``topic_word`` is filled from the index, and ``topic_total`` sums its rows.
+    ``topic_word`` is filled from the index by ``index_rows``, and
+    ``topic_total`` sums its rows.
     """
     if rows is None:
         n_rows = len(docword)
@@ -383,8 +395,8 @@ def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequen
         used = set(chain.from_iterable(labels or ()))
         if used and not (0 <= min(used) and max(used) < high):
             raise ValueError(f"a {name} out of range [0, {high})")
-    tables = CountTables(n_rows, n_topics, n_words)
-    doc_topic, topic_word = tables.doc_topic, tables.topic_word
+    tables = CountTables(n_rows, n_topics, 0)
+    doc_topic = tables.doc_topic
     index = [{} for _ in range(n_words)]
     of_word = index.__getitem__
     if rows is None:
@@ -397,10 +409,8 @@ def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequen
             for wt, k, r in zip(map(of_word, doc), zm, rm):
                 doc_topic[r][k] += 1
                 wt[k] = wt.get(k, 0) + 1
-    for v, wt in enumerate(index):
-        for k, c in wt.items():
-            topic_word[k][v] = c
-    tables.topic_total = list(map(sum, topic_word))
+    tables.topic_word = index_rows(index, n_topics)
+    tables.topic_total = list(map(sum, tables.topic_word))
     tables.doc_total = lengths if rows is None else list(map(sum, doc_topic))
     return tables, index
 

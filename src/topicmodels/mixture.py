@@ -6,11 +6,12 @@ ids (a document's words here; Sentence-LDA's sentences, with topics as the
 clusters; PTM's short documents, whose items are their tokens' topics, with
 pseudo documents as the clusters):
   n_docs_in[k]       units currently assigned to cluster k
-  cluster_word[k][v] items v in cluster k
   cluster_total[k]   items in cluster k
   word_clusters[v]   the item index: cluster k -> n_kv for the clusters holding v
 Unit item multisets are cached as sorted (item, count) lists.  ``counts``
 builds all of these from units and labels; each move keeps them current.
+The counts n_kv live in the index alone: a reader that wants them as dense
+rows over the items builds them with ``core.index_rows``.
 A unit's log weight in cluster k is the caller's prior log for k (log(n_k
 + alpha) in DMM, log n_k in DPMM, log(n_mk + alpha) in Sentence-LDA) plus
 the item term of ``core.log_unit_weights``,
@@ -21,12 +22,12 @@ factor the same for every cluster (b = beta, V words in DMM and DPMM).
 import math
 import random
 from collections import Counter
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add
 
-from .core import (LogRisingMemo, draw_below, exp_normalize, log_unit_weights, record,
-                   require_at_least, require_nonnegative, require_positive, require_recount,
-                   sample_categorical)
+from .core import (LogRisingMemo, draw_below, exp_normalize, index_rows, log_unit_weights,
+                   record, require_at_least, require_nonnegative, require_positive,
+                   require_recount, sample_categorical)
 from .corpus import Corpus
 from .lda import smoothed_rows
 
@@ -73,26 +74,26 @@ class ClusterTables:
 
     def new_cluster(self) -> int:
         self.n_docs_in.append(0)
-        self.cluster_word.append([0] * self.n_items)
         self.cluster_total.append(0)
         return self.n_clusters - 1
 
     def delete_cluster(self, k: int, z: list) -> None:
         """Drop cluster k, which holds no unit: the last cluster takes its
-        index in the counts, the item index and the labels z."""
+        index in the counts, the labels z and the item index, whose entries
+        of the last cluster are found through the items of its units."""
         last = self.n_clusters - 1
         if k != last:
             self.n_docs_in[k] = self.n_docs_in[last]
-            row = self.cluster_word[k] = self.cluster_word[last]
             self.cluster_total[k] = self.cluster_total[last]
             index = self.word_clusters
-            for v in compress(range(len(row)), row):
-                index[v][k] = index[v].pop(last)
             for m, zm in enumerate(z):
                 if zm == last:
                     z[m] = k
+                    for v, _ in self.unit_items[m]:
+                        counts = index[v]
+                        if last in counts:  # not yet moved for another unit
+                            counts[k] = counts.pop(last)
         self.n_docs_in.pop()
-        self.cluster_word.pop()
         self.cluster_total.pop()
 
     def add_doc(self, m: int, k: int) -> None:
@@ -107,10 +108,9 @@ class ClusterTables:
         leaves its dict."""
         self.n_docs_in[k] += sign
         self.cluster_total[k] += sign * self.unit_len[m]
-        row, index = self.cluster_word[k], self.word_clusters
+        index = self.word_clusters
         for v, c in self.unit_items[m]:
             c *= sign
-            row[v] += c
             counts = index[v]
             left = counts.get(k, 0) + c
             if left:
@@ -128,17 +128,14 @@ class ClusterTables:
         unit_items = [sorted(Counter(unit).items()) for unit in self.units]
         unit_len = list(map(len, self.units))
         n_docs_in, totals = [0] * n_clusters, [0] * n_clusters
-        rows = [[0] * self.n_items for _ in range(n_clusters)]
         index = [{} for _ in range(self.n_items)]
         for k, n, items in zip(z, unit_len, unit_items, strict=True):
             n_docs_in[k] += 1
             totals[k] += n
-            row = rows[k]
             for v, c in items:
-                row[v] += c
                 index[v][k] = index[v].get(k, 0) + c
         return {"unit_items": unit_items, "unit_len": unit_len, "n_docs_in": n_docs_in,
-                "cluster_word": rows, "cluster_total": totals, "word_clusters": index}
+                "cluster_total": totals, "word_clusters": index}
 
     def check(self, z: list, source: str) -> None:
         """Recount the tables and item lists from the units and the labels
@@ -173,8 +170,8 @@ class ClusterTables:
         """The estimate from these counts and the labels z."""
         denom = len(z) + self.n_clusters * alpha
         return MixtureFit(theta=[(n + alpha) / denom for n in self.n_docs_in],
-                          phi=smoothed_rows(self.cluster_word, self.cluster_total, beta,
-                                            ranked=True),
+                          phi=smoothed_rows(index_rows(self.word_clusters, self.n_clusters),
+                                            self.cluster_total, beta, ranked=True),
                           doc_cluster=list(z))
 
 
@@ -196,12 +193,6 @@ class DmmSampler:
     def check(self) -> None:
         """Recount the cluster tables from z; raises ValueError on a mismatch."""
         self.tables.check(self.z, "z")
-
-    def full_conditional(self, m: int) -> list:
-        """Cluster weights for document m, its counts already removed,
-        proportional to (n_k + a) * word term; an empty cluster at a = 0
-        weighs 0."""
-        return exp_normalize(self.tables.weights(m, self.tables.prior_logs(self.hyper.alpha)))
 
     def sweep(self) -> None:
         self.tables.resample(self.z, self.hyper.alpha, self.rng)

@@ -13,9 +13,9 @@ import random
 from itertools import accumulate, chain, repeat
 from operator import add, lt
 
-from .core import CountTables, draw_each, exp_normalize, require_recount, sample_categorical
+from .core import draw_each, exp_normalize, index_rows, require_recount, sample_categorical
 from .corpus import Corpus
-from .lda import FittedLda, LdaHyper, estimate_phi, estimate_theta
+from .lda import FittedLda, LdaHyper, smoothed_rows
 from .mixture import ClusterTables
 
 
@@ -24,13 +24,12 @@ class SentenceLdaSampler:
 
     ``clusters`` is a ``mixture.ClusterTables`` over the corpus's sentences
     in order, sentence s of document m being unit first_sentence[m] + s:
-    its cluster_word and cluster_total count word tokens (not sentences) by
-    topic, and word_clusters is their word index.  The LDA samplers' names
-    are views of them: ``tables`` is a CountTables whose topic_word and
-    topic_total are those two rows, beside the document rows doc_topic
-    (tokens of document m in topic k) and doc_total, and ``word_topics`` is
-    the word index.  A sweep moves a sentence out of and back into its own
-    document, so doc_total never changes.
+    its cluster_total counts word tokens (not sentences) by topic, and its
+    word index word_clusters, which the LDA samplers' name ``word_topics``
+    also reads, holds n_kv.  Beside them are the document rows doc_topic
+    (tokens of document m in topic k) and doc_total.  A sweep moves a
+    sentence out of and back into its own document, so doc_total never
+    changes.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
@@ -48,23 +47,21 @@ class SentenceLdaSampler:
         vars(self).update(self._counts())
 
     def _counts(self) -> dict:
-        """The cluster tables of z, and the count tables and word index that
-        share their rows, by attribute name: every token takes its
-        sentence's topic."""
+        """The cluster tables of z, their word index and the document rows,
+        by attribute name: every token takes its sentence's topic."""
         corpus, K = self.corpus, self.hyper.n_topics
         clusters = ClusterTables(self.sentences, corpus.n_words, self.hyper.beta,
                                  list(chain.from_iterable(self.z)), K)
-        tables = CountTables(corpus.n_docs, K, 0)
-        tables.topic_word, tables.topic_total = clusters.cluster_word, clusters.cluster_total
-        tables.doc_total = list(map(len, corpus.docword))
+        doc_topic = [[0] * K for _ in range(corpus.n_docs)]
         lengths = iter(clusters.unit_len)
-        for zm, row in zip(self.z, tables.doc_topic):
+        for zm, row in zip(self.z, doc_topic):
             for k, n in zip(zm, lengths):  # zm first: zip stops before taking a length
                 row[k] += n
-        return {"clusters": clusters, "tables": tables, "word_topics": clusters.word_clusters}
+        return {"clusters": clusters, "word_topics": clusters.word_clusters,
+                "doc_topic": doc_topic, "doc_total": list(map(len, corpus.docword))}
 
     def check(self) -> None:
-        """Check the count tables, the word index and the cluster tables
+        """Check the document rows, the word index and the cluster tables
         against a recount of z; raises ValueError."""
         recount = self._counts()
         del recount["clusters"]
@@ -77,13 +74,13 @@ class SentenceLdaSampler:
 
         (n_mk + a) * prod_w rising(n_kw + b, N_ms^w) / rising(n_k + V b, N_ms)
         """
-        logs = list(map(math.log, map(add, self.tables.doc_topic[m], repeat(self.hyper.alpha))))
+        logs = list(map(math.log, map(add, self.doc_topic[m], repeat(self.hyper.alpha))))
         return exp_normalize(self.clusters.weights(self.first_sentence[m] + s, logs))
 
     def sweep(self) -> None:
         clusters, unit_len = self.clusters, self.clusters.unit_len
         u = 0
-        for m, (zm, row) in enumerate(zip(self.z, self.tables.doc_topic)):
+        for m, (zm, row) in enumerate(zip(self.z, self.doc_topic)):
             for s, k in enumerate(zm):
                 n = unit_len[u]
                 clusters.remove_doc(u, k)
@@ -94,5 +91,7 @@ class SentenceLdaSampler:
                 u += 1
 
     def estimate(self) -> FittedLda:
-        return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),
-                         phi=estimate_phi(self.tables, self.hyper.beta))
+        clusters = self.clusters
+        return FittedLda(theta=smoothed_rows(self.doc_topic, self.doc_total, self.hyper.alpha),
+                         phi=smoothed_rows(index_rows(clusters.word_clusters, clusters.n_clusters),
+                                           clusters.cluster_total, self.hyper.beta, ranked=True))

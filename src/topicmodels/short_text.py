@@ -7,7 +7,7 @@ the DMM document draw (``mixture.ClusterTables``) with pseudo documents as
 the clusters and each document's token topics as its words.
 
 BTM works on biterms: unordered word pairs co-occurring inside a sliding
-window.  Each biterm carries two word slots, so the topic-word tables obey
+window.  Each biterm carries two word slots, so the topic-word counts obey
 sum_v n_kv = 2 n_k at all times.
 """
 
@@ -17,8 +17,8 @@ from bisect import bisect_right
 from itertools import accumulate
 from operator import mul
 
-from .core import (counts_from_assignments, draw_below, draw_each, fold_sum, record,
-                   require_at_least, require_positive, require_recount, warn)
+from .core import (counts_from_assignments, draw_below, draw_each, fold_sum, index_rows,
+                   record, require_at_least, require_positive, require_recount, warn)
 from .corpus import Corpus
 from .lda import LdaHyper, smoothed_rows, sweep_sparse_tokens
 from .mixture import ClusterTables
@@ -52,11 +52,12 @@ class PtmSampler:
     as the clusters and topics as the words: ``tables`` is a
     ``mixture.ClusterTables`` over the documents' token topics z (K items,
     b = alpha, prior lambda), so tables.n_docs_in[l] counts short documents,
-    cluster_word[l][k] is N_l^k, cluster_total[l] is N_l^* and
-    word_clusters the topic -> {pseudo document: N_l^k} index.  topic_word
-    and topic_total are n_k^v and n_k.  The token step is the SparseLDA
-    draw of ``lda.sweep_sparse_tokens`` against each document's
-    pseudo-document row, with its word index ``word_topics``.
+    cluster_total[l] is N_l^* and word_clusters the topic -> {pseudo
+    document: N_l^k} index.  topic_word and topic_total are n_k^v and n_k.
+    The token step is the SparseLDA draw of ``lda.sweep_sparse_tokens``
+    against each document's pseudo-document row, with its word index
+    ``word_topics``; the rows N_l^k are built from the index once a sweep,
+    for that step, and once for ``pseudo_theta``.
     """
 
     def __init__(self, corpus: Corpus, hyper: PtmHyper, rng: random.Random):
@@ -92,7 +93,8 @@ class PtmSampler:
         # phase 1: pseudo-document assignments, the DMM document draw
         tables.resample(self.l, hyper.doc_lambda, self.rng)
         # phase 2: token topics, each drawn against its pseudo document's row
-        sweep_sparse_tokens(self.corpus.docword, self.z, [tables.cluster_word[l] for l in self.l],
+        pseudo = index_rows(tables.word_clusters, tables.n_clusters)
+        sweep_sparse_tokens(self.corpus.docword, self.z, [pseudo[l] for l in self.l],
                             [range(hyper.n_topics)] * len(self.l), self.topic_word,
                             self.topic_total, self.word_topics, hyper.alpha, hyper.beta,
                             self.rng)
@@ -104,7 +106,9 @@ class PtmSampler:
         tables = self.tables
         doc_counts = [[zm.count(k) for k in range(self.hyper.n_topics)] for zm in self.z]
         return PtmFit(theta=smoothed_rows(doc_counts, tables.unit_len, alpha),
-                      pseudo_theta=smoothed_rows(tables.cluster_word, tables.cluster_total, alpha),
+                      pseudo_theta=smoothed_rows(index_rows(tables.word_clusters,
+                                                            tables.n_clusters),
+                                                 tables.cluster_total, alpha),
                       phi=smoothed_rows(self.topic_word, self.topic_total, beta, ranked=True),
                       doc_pseudo=list(self.l))
 
@@ -179,15 +183,15 @@ class BtmSampler:
 
     def _counts(self) -> dict:
         """The count tables of the biterm topics z, by attribute name: n_b[k]
-        biterms per topic, and both word slots of every biterm in topic_word
-        and topic_total (counted as one document of all the slots) and in
-        their word index, word_topics."""
+        biterms per topic, and both word slots of every biterm in
+        topic_total and in the word index word_topics (topic -> n_kv for the
+        topics holding word v), counted as one document of all the slots."""
         K = self.hyper.n_topics
         words = [[w for pair in self.instances for w in pair]]
         topics = [[k for k in self.z for _ in range(2)]]
         slots, index = counts_from_assignments(words, topics, K, self.corpus.n_words)
-        return {"n_b": [self.z.count(k) for k in range(K)], "topic_word": slots.topic_word,
-                "topic_total": slots.topic_total, "word_topics": index}
+        return {"n_b": [self.z.count(k) for k in range(K)], "topic_total": slots.topic_total,
+                "word_topics": index}
 
     def check(self) -> None:
         """Check the tables against a recount of z; raises ValueError."""
@@ -223,7 +227,6 @@ class BtmSampler:
         denom = self.n_biterms - 1 + K * alpha
         v_beta = self.corpus.n_words * beta
         n_b = self.n_b
-        topic_word = self.topic_word
         topic_total = self.topic_total
         word_topics = self.word_topics
         z = self.z
@@ -278,9 +281,6 @@ class BtmSampler:
                 continue
             # the topic moves: take the biterm out of k0's tables, into k's
             a_sum += x0 - old
-            row = topic_word[k0]
-            row[w1] -= 1
-            row[w2] -= 1
             n = n_b[k0] = n_b[k0] - 1
             t = topic_total[k0] = topic_total[k0] - 2
             tot = t - 2 + v_beta
@@ -291,9 +291,6 @@ class BtmSampler:
                 del wt2[k0]
 
             z[i] = k
-            row = topic_word[k]
-            row[w1] += 1
-            row[w2] += 1
             wt1[k] = wt1.get(k, 0) + 1
             wt2[k] = wt2.get(k, 0) + 1
             n = n_b[k] = n_b[k] + 1
@@ -311,7 +308,8 @@ class BtmSampler:
         K = hyper.n_topics
         denom = self.n_biterms + K * hyper.alpha
         theta = [(n + hyper.alpha) / denom for n in self.n_b]
-        phi = smoothed_rows(self.topic_word, self.topic_total, hyper.beta, ranked=True)
+        phi = smoothed_rows(index_rows(self.word_topics, K), self.topic_total, hyper.beta,
+                            ranked=True)
         by_doc = [[] for _ in range(self.corpus.n_docs)]
         for b in self.biterms:
             by_doc[b.doc].append(b)

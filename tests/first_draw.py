@@ -25,7 +25,7 @@ running totals it reuses are then the ones under test.
 import pickle
 from math import nextafter
 
-from topicmodels.core import counts_from_assignments
+from topicmodels.core import counts_from_assignments, index_rows
 from topicmodels.lda import sweep_sparse_tokens
 
 from oracles import assert_close_distribution
@@ -208,11 +208,12 @@ def cluster_doc_shares(sampler) -> tuple:
     shares = sweep_draw_shares(sampler, (), lambda: added[0], run=run)
     # DPMM has set z[0] to -1: count the document in cluster 0, then take it out
     counts = tables.counts([0, *sampler.z[1:]], tables.n_clusters)
+    rows = index_rows(counts["word_clusters"], tables.n_clusters)
     counts["n_docs_in"][0] -= 1
     for v in sampler.corpus.docword[0]:
-        counts["cluster_word"][0][v] -= 1
+        rows[0][v] -= 1
         counts["cluster_total"][0] -= 1
-    return shares, (counts["n_docs_in"], counts["cluster_word"], counts["cluster_total"])
+    return shares, (counts["n_docs_in"], rows, counts["cluster_total"])
 
 
 def sentence_shares(sampler) -> tuple:
@@ -230,7 +231,7 @@ def remove_sentence(sampler, m: int, s: int) -> int:
     counts, as its sweep does before the sentence's draw; returns its topic."""
     k, u = sampler.z[m][s], sampler.first_sentence[m] + s
     sampler.clusters.remove_doc(u, k)
-    sampler.tables.doc_topic[m][k] -= sampler.clusters.unit_len[u]
+    sampler.doc_topic[m][k] -= sampler.clusters.unit_len[u]
     return k
 
 
@@ -239,7 +240,7 @@ def add_sentence(sampler, m: int, s: int, k: int) -> None:
     u = sampler.first_sentence[m] + s
     sampler.z[m][s] = k
     sampler.clusters.add_doc(u, k)
-    sampler.tables.doc_topic[m][k] += sampler.clusters.unit_len[u]
+    sampler.doc_topic[m][k] += sampler.clusters.unit_len[u]
 
 
 def ptm_pseudo_doc_shares(sampler) -> tuple:
@@ -251,7 +252,8 @@ def ptm_pseudo_doc_shares(sampler) -> tuple:
     shares = sweep_draw_shares(sampler, (), lambda: sampler.l[0], ("l", "z"))
     tables = sampler._counts()["tables"]
     tables.remove_doc(0, sampler.l[0])
-    return shares, (tables.n_docs_in, tables.cluster_word, tables.cluster_total)
+    return shares, (tables.n_docs_in, index_rows(tables.word_clusters, tables.n_clusters),
+                    tables.cluster_total)
 
 
 def lda_token_shares(sampler) -> dict:
@@ -268,8 +270,8 @@ def put_biterm_first(sampler, i: int) -> dict:
     counts = sampler._counts()
     (w1, w2), k = sampler.instances[0], sampler.z[0]
     counts["n_b"][k] -= 1
-    counts["topic_word"][k][w1] -= 1
-    counts["topic_word"][k][w2] -= 1
+    counts["word_topics"][w1][k] -= 1
+    counts["word_topics"][w2][k] -= 1
     counts["topic_total"][k] -= 2
     return counts
 
@@ -312,7 +314,8 @@ def ptm_token_shares(sampler, m: int, n: int, prefix) -> tuple:
     counts = sampler._counts()
     tables = counts["tables"]
     l, k, v = sampler.l[0], sampler.z[0][0], sampler.corpus.docword[0][0]
-    return shares, ([c - (j == k) for j, c in enumerate(tables.cluster_word[l])],
+    row = index_rows(tables.word_clusters, tables.n_clusters)[l]
+    return shares, ([c - (j == k) for j, c in enumerate(row)],
                     tables.cluster_total[l] - 1,
                     [row[v] - (j == k) for j, row in enumerate(counts["topic_word"])],
                     [t - (j == k) for j, t in enumerate(counts["topic_total"])])

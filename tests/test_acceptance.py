@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from topicmodels.cli import main as cli_main
-from topicmodels.core import SeededRng, exp_normalize, run_chain
+from topicmodels.core import SeededRng, exp_normalize, index_rows, run_chain
 from topicmodels.corpus import parse_plain, parse_sentences, parse_tagged, preprocess
 from topicmodels.dual_sparse import DualSparseCvb0, SparseHyper
 from topicmodels.evaluation import average_coherence, topic_coherence
@@ -234,8 +234,8 @@ def test_criterion_2_full_conditional_scalar_oracles():
         s = rng.randrange(len(corpus.sentences[m]))
         remove_sentence(sampler, m, s)
         sentence = list(corpus.doc_sentences(m))[s]
-        want = sentence_topic_oracle(sampler.tables.doc_topic[m], sampler.tables.doc_total[m],
-                             sampler.tables.topic_word, sampler.tables.topic_total,
+        want = sentence_topic_oracle(sampler.doc_topic[m], sampler.doc_total[m],
+                             index_rows(sampler.word_topics, 3), sampler.clusters.cluster_total,
                              sentence, 0.7, 0.15, corpus.n_words)
         assert_close_distribution(sampler.full_conditional(m, s), want)
 
@@ -245,10 +245,12 @@ def test_criterion_2_full_conditional_scalar_oracles():
         sampler = DmmSampler(corpus, MixtureHyper(K, 0.45, 0.12), rng)
         m = rng.randrange(corpus.n_docs)
         sampler.tables.remove_doc(m, sampler.z[m])
-        want = dmm_doc_oracle(sampler.tables.n_docs_in, sampler.tables.cluster_word,
-                        sampler.tables.cluster_total, corpus.docword[m],
+        tables = sampler.tables
+        want = dmm_doc_oracle(tables.n_docs_in, index_rows(tables.word_clusters, K),
+                        tables.cluster_total, corpus.docword[m],
                         corpus.n_docs, 0.45, 0.12, corpus.n_words)
-        assert_close_distribution(sampler.full_conditional(m), want)
+        assert_close_distribution(exp_normalize(tables.weights(m, tables.prior_logs(0.45))),
+                                  want)
 
     def dpmm_case(rng):
         corpus = parse_plain(random_docs(rng, 6, 5))
@@ -259,8 +261,9 @@ def test_criterion_2_full_conditional_scalar_oracles():
         sampler.z[m] = -1
         if sampler.tables.n_docs_in[old] == 0:
             sampler.tables.delete_cluster(old, sampler.z)
-        want = dpmm_doc_oracle(sampler.tables.n_docs_in, sampler.tables.cluster_word,
-                         sampler.tables.cluster_total, corpus.docword[m],
+        tables = sampler.tables
+        rows = index_rows(tables.word_clusters, tables.n_clusters)
+        want = dpmm_doc_oracle(tables.n_docs_in, rows, tables.cluster_total, corpus.docword[m],
                          corpus.n_docs, 0.85, 0.2, corpus.n_words)
         assert_close_distribution(sampler.full_conditional(m), want)
 
@@ -273,8 +276,8 @@ def test_criterion_2_full_conditional_scalar_oracles():
         tables = sampler.tables
         tables.remove_doc(m, sampler.l[m])
         doc_counts = Counter(sampler.z[m])
-        want = ptm_pseudo_doc_oracle(tables.n_docs_in, tables.cluster_word, tables.cluster_total,
-                        doc_counts, n_m, corpus.n_docs, P, K, 0.3, 0.4)
+        want = ptm_pseudo_doc_oracle(tables.n_docs_in, index_rows(tables.word_clusters, P),
+                        tables.cluster_total, doc_counts, n_m, corpus.n_docs, P, K, 0.3, 0.4)
         assert_close_distribution(exp_normalize(tables.weights(m, tables.prior_logs(0.3))), want)
 
     def ptm_topic_case(rng):
@@ -297,8 +300,8 @@ def test_criterion_2_full_conditional_scalar_oracles():
         counts = put_biterm_first(sampler, i)
         w1, w2 = sampler.instances[0]
         want = btm_biterm_oracle(counts["n_b"],
-                        [counts["topic_word"][kk][w1] for kk in range(K)],
-                        [counts["topic_word"][kk][w2] for kk in range(K)],
+                        [counts["word_topics"][w1].get(kk, 0) for kk in range(K)],
+                        [counts["word_topics"][w2].get(kk, 0) for kk in range(K)],
                         counts["topic_total"], sampler.n_biterms, 0.3, 0.15,
                         K, corpus.n_words, w1 == w2)
         assert_shares_match(biterm_shares(sampler), want)

@@ -5,9 +5,10 @@ import pytest
 
 from topicmodels.core import (MAX_PRIOR, MISSING, LogRisingMemo, SamplingError,
                               SeededRng, counts_from_assignments, draw_below, draw_each,
-                              exp_normalize, fields, fold_sum, log_rising_factorial,
-                              log_unit_weights, record, require_at_least, require_nonnegative,
-                              require_positive, run_chain, sample_categorical)
+                              exp_normalize, fields, fold_sum, index_rows,
+                              log_rising_factorial, log_unit_weights, record, require_at_least,
+                              require_nonnegative, require_positive, run_chain,
+                              sample_categorical)
 
 from oracles import count_tables_two_passes
 
@@ -258,6 +259,20 @@ def test_counts_from_assignments_recount_oracle():
             assert tables.topic_word[k][v] == want
     assert sum(tables.topic_total) == sum(len(d) for d in docword)
     tables.check()
+
+
+def test_index_rows_equal_the_dense_counts():
+    # word 3 is in no document (its dict is empty), topic 1 holds no token,
+    # and n_rows runs past topic 2, the largest key of the index
+    docword, z = [[0, 1, 0], [4, 0], [2]], [[0, 2, 0], [2, 2], [0]]
+    tables, index = counts_from_assignments(docword, z, 4, 5)
+    want = count_tables_two_passes(docword, z, 4, 5)[0]["topic_word"]
+    assert index[3] == {}
+    assert index_rows(index, 4) == tables.topic_word == want
+    assert want == [[2, 0, 1, 0, 0], [0] * 5, [1, 1, 0, 0, 1], [0] * 5]
+    # the rows of the same index over fewer words, and over none
+    assert index_rows(index[:2], 4) == [row[:2] for row in want]
+    assert index_rows([], 2) == [[], []]
 
 
 def test_counts_from_assignments_rejects_out_of_range():

@@ -21,9 +21,9 @@ import pytest
 
 from topicmodels import cli
 from topicmodels.cli import main
-from topicmodels.reports import (parse_author_topic_file, parse_doc_topic_file,
-                                 parse_sparse_ratio_file, parse_topic_word_file,
-                                 parse_value_lines)
+from topicmodels.reports import parse_doc_topic_file, parse_topic_word_file, parse_value_lines
+
+from readers import parse_author_topic_file, parse_sparse_ratio_file
 
 CASES_PER_MODEL = 24
 

@@ -3,13 +3,25 @@ import math
 
 import pytest
 
-from topicmodels.core import SeededRng, run_chain
+from topicmodels.core import SeededRng, exp_normalize, index_rows, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.mixture import ClusterTables, DmmSampler, DpmmSampler, MixtureHyper
 
 from first_draw import assert_shares_match, cluster_doc_shares
 from oracles import (assert_close_distribution, dmm_doc_oracle, dpmm_doc_oracle, dpmm_joint_log,
                      normalize, restricted_growth, rising, tv_distance)
+
+
+def dmm_draw(sampler, m):
+    """The weights of DMM's draw for document m, its counts already
+    removed: what ``ClusterTables.resample`` draws from."""
+    tables = sampler.tables
+    return exp_normalize(tables.weights(m, tables.prior_logs(sampler.hyper.alpha)))
+
+
+def cluster_rows(tables):
+    """The dense n_kv rows of a ``ClusterTables``, read from its index."""
+    return index_rows(tables.word_clusters, tables.n_clusters)
 
 
 def dmm_joint_log(docword, z, K, V, alpha, beta):
@@ -35,7 +47,7 @@ def test_dmm_single_document_prior_only_uniform():
     corpus = parse_plain(["a b a"])
     sampler = DmmSampler(corpus, MixtureHyper(3, 0.5, 0.5), SeededRng(0))
     sampler.tables.remove_doc(0, sampler.z[0])
-    ws = normalize(sampler.full_conditional(0))
+    ws = normalize(dmm_draw(sampler, 0))
     assert ws == pytest.approx([1 / 3] * 3)
 
 
@@ -43,7 +55,7 @@ def test_dmm_k1_certain():
     corpus = parse_plain(["a b", "c"])
     sampler = DmmSampler(corpus, MixtureHyper(1, 0.5, 0.5), SeededRng(0))
     sampler.tables.remove_doc(0, sampler.z[0])
-    assert normalize(sampler.full_conditional(0)) == [1.0]
+    assert normalize(dmm_draw(sampler, 0)) == [1.0]
 
 
 def test_dmm_matches_direct_product_oracle():
@@ -56,8 +68,8 @@ def test_dmm_matches_direct_product_oracle():
         sampler = DmmSampler(corpus, MixtureHyper(K, 0.3, 0.2), rng)
         m = rng.randrange(4)
         sampler.tables.remove_doc(m, sampler.z[m])
-        got = sampler.full_conditional(m)
-        want = dmm_doc_oracle(sampler.tables.n_docs_in, sampler.tables.cluster_word,
+        got = dmm_draw(sampler, m)
+        want = dmm_doc_oracle(sampler.tables.n_docs_in, cluster_rows(sampler.tables),
                         sampler.tables.cluster_total, corpus.docword[m],
                         corpus.n_docs, 0.3, 0.2, corpus.n_words)
         assert_close_distribution(got, want)
@@ -104,14 +116,13 @@ def test_dmm_label_permutation_symmetry():
     sampler = DmmSampler(corpus, MixtureHyper(2, 0.4, 0.3), SeededRng(5))
     m = 0
     sampler.tables.remove_doc(m, sampler.z[m])
-    before = normalize(sampler.full_conditional(m))
+    before = normalize(dmm_draw(sampler, m))
     # swap the two clusters in every table
     t = sampler.tables
     t.n_docs_in[0], t.n_docs_in[1] = t.n_docs_in[1], t.n_docs_in[0]
-    t.cluster_word[0], t.cluster_word[1] = t.cluster_word[1], t.cluster_word[0]
     t.cluster_total[0], t.cluster_total[1] = t.cluster_total[1], t.cluster_total[0]
     t.word_clusters = [{1 - k: c for k, c in clusters.items()} for clusters in t.word_clusters]
-    after = normalize(sampler.full_conditional(m))
+    after = normalize(dmm_draw(sampler, m))
     assert after == pytest.approx(list(reversed(before)), rel=1e-12)
 
 
@@ -212,7 +223,7 @@ def test_dpmm_matches_combined_rule_oracle():
         if sampler.tables.n_docs_in[old] == 0:
             sampler.tables.delete_cluster(old, sampler.z)
         got = sampler.full_conditional(m)
-        want = dpmm_doc_oracle(sampler.tables.n_docs_in, sampler.tables.cluster_word,
+        want = dpmm_doc_oracle(sampler.tables.n_docs_in, cluster_rows(sampler.tables),
                          sampler.tables.cluster_total, corpus.docword[m],
                          corpus.n_docs, 0.8, 0.25, corpus.n_words)
         assert_close_distribution(got, want)
@@ -256,6 +267,7 @@ def test_dpmm_bookkeeping_recount_every_sweep():
     for _ in range(15):
         sampler.sweep()
         K = sampler.n_clusters
+        rows = cluster_rows(sampler.tables)
         assert sum(sampler.tables.n_docs_in) == corpus.n_docs
         assert all(n > 0 for n in sampler.tables.n_docs_in)
         assert all(0 <= z < K for z in sampler.z)
@@ -266,7 +278,7 @@ def test_dpmm_bookkeeping_recount_every_sweep():
             assert sampler.tables.cluster_total[k] == want_total
             for v in range(corpus.n_words):
                 want = sum(corpus.docword[m].count(v) for m in members)
-                assert sampler.tables.cluster_word[k][v] == want
+                assert rows[k][v] == want
 
 
 @pytest.mark.parametrize("sampler_cls", [DmmSampler, DpmmSampler])
@@ -278,10 +290,10 @@ def test_check_recounts_the_cluster_tables(sampler_cls):
         sampler.sweep()
         sampler.check()
     k = sampler.z[0]
-    sampler.tables.cluster_word[k][0] += 1
-    with pytest.raises(ValueError, match="cluster_word"):
+    sampler.tables.word_clusters[corpus.docword[0][0]][k] -= 1
+    with pytest.raises(ValueError, match="word_clusters"):
         sampler.check()
-    sampler.tables.cluster_word[k][0] -= 1
+    sampler.tables.word_clusters[corpus.docword[0][0]][k] += 1
     sampler.tables.n_docs_in[k] += 1
     with pytest.raises(ValueError, match="n_docs_in"):
         sampler.check()
@@ -315,6 +327,39 @@ def test_dpmm_item_index_survives_deleting_a_cluster_before_the_last():
     tables.word_clusters[corpus.docword[0][0]][sampler.z[0]] += 1
     with pytest.raises(ValueError, match="word_clusters"):
         sampler.check()
+
+
+def test_dpmm_relabels_with_many_live_clusters():
+    # ten to eighteen live clusters, born and dying every sweep: each death before
+    # the last relabels the last cluster's documents, counts and item index
+    # entries, found through its documents' items; check() recounts them
+    # all after every sweep
+    rng = SeededRng(23)
+    docs = [" ".join(f"w{rng.randrange(15)}" for _ in range(rng.randrange(1, 6)))
+            for _ in range(36)]
+    corpus = parse_plain(docs)
+    sampler = DpmmSampler(corpus, MixtureHyper(24, 6.0, 0.3), rng)
+    tables = sampler.tables
+    deaths, delete = [], tables.delete_cluster
+    births, new_cluster = [], tables.new_cluster
+
+    def recording_delete(k, z):
+        deaths.append((k, tables.n_clusters - 1))
+        delete(k, z)
+
+    def recording_new():
+        births.append(new_cluster())
+        return births[-1]
+    tables.delete_cluster, tables.new_cluster = recording_delete, recording_new
+    live = [sampler.n_clusters]
+    sampler.check()
+    for _ in range(12):
+        sampler.sweep()
+        sampler.check()
+        live.append(sampler.n_clusters)
+    assert min(live) >= 10, live
+    assert len(births) >= 20, births
+    assert sum(k != last for k, last in deaths) >= 20, deaths
 
 
 def test_counts_after_swapping_a_units_items_matches_fresh_tables():

@@ -8,13 +8,13 @@ import pytest
 from topicmodels import cli
 from topicmodels.core import MISSING, SeededRng, fields, run_chain
 from topicmodels.evaluation import top_word_ids
-from topicmodels.reports import (REPR_CACHE_SIZE, _Reprs, parse_author_topic_file,
-                                 parse_doc_topic_file,
-                                 parse_sparse_ratio_file, parse_topic_word_file,
-                                 parse_value_lines, write_author_topic_file,
+from topicmodels.reports import (REPR_CACHE_SIZE, _Reprs, parse_doc_topic_file,
+                                 parse_topic_word_file, parse_value_lines, write_author_topic_file,
                                  write_doc_topic_file, write_sparse_ratio_file,
                                  write_topic_author_file, write_topic_word_file,
                                  write_value_lines)
+
+from readers import parse_author_topic_file, parse_sparse_ratio_file
 
 
 def test_topic_word_round_trip(tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from topicmodels.core import SeededRng, run_chain
+from topicmodels.core import SeededRng, index_rows, run_chain
 from topicmodels.corpus import Corpus, CorpusError, Vocabulary, parse_plain, parse_sentences
 from topicmodels.lda import LdaHyper
 from topicmodels.sentence_lda import SentenceLdaSampler
@@ -50,10 +50,10 @@ def test_one_word_sentences_reduce_to_lda_conditional():
     k_old = remove_sentence(sampler, m, s)
     got = sampler.full_conditional(m, s)
     v = corpus.docword[m][2]
-    tables = sampler.tables
-    want = lda_token_oracle(tables.doc_topic[m], tables.doc_total[m],
-                            [tables.topic_word[k][v] for k in range(hyper.n_topics)],
-                            tables.topic_total, hyper.alpha, hyper.beta, corpus.n_words)
+    want = lda_token_oracle(sampler.doc_topic[m], sampler.doc_total[m],
+                            [sampler.word_topics[v].get(k, 0) for k in range(hyper.n_topics)],
+                            sampler.clusters.cluster_total, hyper.alpha, hyper.beta,
+                            corpus.n_words)
     assert_close_distribution(got, want)
     add_sentence(sampler, m, s, k_old)
 
@@ -82,8 +82,9 @@ def test_full_conditional_matches_direct_product_oracle():
         remove_sentence(sampler, m, s)
         got = sampler.full_conditional(m, s)
         sentence = list(corpus.doc_sentences(m))[s]
-        want = sentence_topic_oracle(sampler.tables.doc_topic[m], sampler.tables.doc_total[m],
-                             sampler.tables.topic_word, sampler.tables.topic_total,
+        want = sentence_topic_oracle(sampler.doc_topic[m], sampler.doc_total[m],
+                             index_rows(sampler.word_topics, hyper.n_topics),
+                             sampler.clusters.cluster_total,
                              sentence, hyper.alpha, hyper.beta, corpus.n_words)
         assert_close_distribution(got, want)
 
@@ -113,9 +114,9 @@ def test_theta_numerator_counts_tokens_not_sentences():
     sampler = SentenceLdaSampler(corpus, hyper, SeededRng(1))
     for _ in range(3):
         sampler.sweep()
-    assert sum(sampler.tables.doc_topic[0]) == 5
+    assert sum(sampler.doc_topic[0]) == 5
     theta = sampler.estimate().theta[0]
-    n0 = sampler.tables.doc_topic[0][0]
+    n0 = sampler.doc_topic[0][0]
     assert theta[0] == pytest.approx((n0 + 0.1) / (5 + 0.2))
 
 
@@ -124,8 +125,9 @@ def test_token_totals_conserved_each_sweep():
     sampler = SentenceLdaSampler(corpus, LdaHyper(3), SeededRng(2))
     for _ in range(10):
         sampler.sweep()
-        sampler.tables.check()
-        assert sum(sampler.tables.topic_total) == corpus.n_tokens
+        sampler.check()
+        assert list(map(sum, sampler.doc_topic)) == sampler.doc_total
+        assert sum(sampler.clusters.cluster_total) == corpus.n_tokens
 
 
 def test_chain_matches_enumerated_posterior():
@@ -169,8 +171,8 @@ def test_check_rejects_a_stale_count():
     sampler.sweep()
     sampler.check()
     k = sampler.z[0][1]
-    sampler.tables.topic_word[k][corpus.docword[0][2]] -= 1
-    with pytest.raises(ValueError, match="tables.topic_word"):
+    sampler.word_topics[corpus.docword[0][2]][k] -= 1
+    with pytest.raises(ValueError, match="word_topics"):
         sampler.check()
 
 

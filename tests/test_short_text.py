@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from topicmodels.core import SeededRng, exp_normalize, run_chain
+from topicmodels.core import SeededRng, exp_normalize, index_rows, run_chain
 from topicmodels.corpus import Corpus, Vocabulary, parse_plain, parse_sentences
 from topicmodels.lda import LdaGibbsSampler, LdaHyper
 from topicmodels.mixture import DmmSampler, DpmmSampler, MixtureHyper
@@ -43,8 +43,8 @@ def test_ptm_pseudo_doc_conditional_matches_oracle():
         tables.remove_doc(m, sampler.l[m])
         got = exp_normalize(tables.weights(m, tables.prior_logs(0.3)))
         doc_counts = Counter(sampler.z[m])
-        want = ptm_pseudo_doc_oracle(tables.n_docs_in, tables.cluster_word, tables.cluster_total,
-                        doc_counts, len(corpus.docword[m]), corpus.n_docs,
+        want = ptm_pseudo_doc_oracle(tables.n_docs_in, index_rows(tables.word_clusters, P),
+                        tables.cluster_total, doc_counts, len(corpus.docword[m]), corpus.n_docs,
                         P, K, 0.3, 0.4)
         assert_close_distribution(got, want)
 
@@ -74,7 +74,8 @@ def test_ptm_pseudo_doc_draw_is_the_dmm_draw():
             ptm.tables.remove_doc(m, ptm.l[m])
             dmm.tables.remove_doc(m, dmm.z[m])
             logs = ptm.tables.prior_logs(lam)
-            assert exp_normalize(ptm.tables.weights(m, logs)) == dmm.full_conditional(m)
+            assert (exp_normalize(ptm.tables.weights(m, logs))
+                    == exp_normalize(dmm.tables.weights(m, dmm.tables.prior_logs(lam))))
             ptm.tables.add_doc(m, ptm.l[m])
             dmm.tables.add_doc(m, dmm.z[m])
 
@@ -116,6 +117,7 @@ def test_ptm_doc_counts_conserved():
     for _ in range(10):
         sampler.sweep()
         tables = sampler.tables
+        rows = index_rows(tables.word_clusters, 3)
         assert sum(tables.n_docs_in) == corpus.n_docs
         assert sum(tables.cluster_total) == corpus.n_tokens
         # recount every table from the latent state
@@ -124,7 +126,7 @@ def test_ptm_doc_counts_conserved():
             assert tables.n_docs_in[l] == len(members)
             for k in range(2):
                 want = sum(1 for m in members for z in sampler.z[m] if z == k)
-                assert tables.cluster_word[l][k] == want
+                assert rows[l][k] == want
         for m in range(corpus.n_docs):
             for k in range(2):
                 got = dict(tables.unit_items[m]).get(k, 0)
@@ -138,10 +140,10 @@ def test_ptm_check_recounts_every_table():
         sampler.sweep()
         sampler.check()
     l = sampler.l[0]
-    sampler.tables.cluster_word[l][sampler.z[0][0]] += 1
-    with pytest.raises(ValueError, match="cluster_word"):
+    sampler.tables.word_clusters[sampler.z[0][0]][l] += 1
+    with pytest.raises(ValueError, match="word_clusters"):
         sampler.check()
-    sampler.tables.cluster_word[l][sampler.z[0][0]] -= 1
+    sampler.tables.word_clusters[sampler.z[0][0]][l] -= 1
     # each document's (topic, count) list, rebuilt after the token step
     k, c = sampler.tables.unit_items[0][0]
     sampler.tables.unit_items[0][0] = (k, c + 1)
@@ -240,8 +242,8 @@ def check_biterm_against_oracle(sampler, i):
     counts = put_biterm_first(sampler, i)
     w1, w2 = sampler.instances[0]
     want = btm_biterm_oracle(counts["n_b"],
-                    [counts["topic_word"][kk][w1] for kk in range(K)],
-                    [counts["topic_word"][kk][w2] for kk in range(K)],
+                    [counts["word_topics"][w1].get(kk, 0) for kk in range(K)],
+                    [counts["word_topics"][w2].get(kk, 0) for kk in range(K)],
                     counts["topic_total"], sampler.n_biterms, 0.3, 0.15, K, V, w1 == w2)
     assert_shares_match(biterm_shares(sampler), want)
 
@@ -269,8 +271,9 @@ def test_btm_word_slots_invariant():
     sampler = BtmSampler(corpus, BtmHyper(3, window=4), rng)
     for _ in range(10):
         sampler.sweep()
+        rows = index_rows(sampler.word_topics, 3)
         for k in range(3):
-            assert sum(sampler.topic_word[k]) == 2 * sampler.n_b[k]
+            assert sum(rows[k]) == 2 * sampler.n_b[k]
             assert sampler.topic_total[k] == 2 * sampler.n_b[k]
         assert sum(sampler.n_b) == sampler.n_biterms
 
@@ -282,8 +285,8 @@ def test_btm_check_recounts_every_table():
         sampler.sweep()
         sampler.check()
     w1, _ = sampler.instances[0]
-    sampler.topic_word[sampler.z[0]][w1] += 1
-    with pytest.raises(ValueError, match="topic_word"):
+    sampler.word_topics[w1][sampler.z[0]] += 1
+    with pytest.raises(ValueError, match="word_topics"):
         sampler.check()
 
 
