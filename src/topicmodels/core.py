@@ -328,13 +328,15 @@ class CountTables:
     doc_total[m]      n_m^*   tokens of document m
 
     The same layout doubles as the real-valued expected-count tables of the
-    CVB0 algorithms; pass ``real=True`` to start from float zeros.
+    CVB0 algorithms; pass ``real=True`` to start from float zeros, and
+    ``n_words=None`` for no ``topic_word`` (n_kv kept in a word index).
     """
 
-    def __init__(self, n_docs: int, n_topics: int, n_words: int, real: bool = False):
+    def __init__(self, n_docs: int, n_topics: int, n_words: int | None, real: bool = False):
         zero = 0.0 if real else 0
         self.doc_topic = [[zero] * n_topics for _ in range(n_docs)]
-        self.topic_word = [[zero] * n_words for _ in range(n_topics)]
+        if n_words is not None:
+            self.topic_word = [[zero] * n_words for _ in range(n_topics)]
         self.topic_total = [zero] * n_topics
         self.doc_total = [zero] * n_docs
 
@@ -352,7 +354,7 @@ class CountTables:
                 raise ValueError(f"doc {m}: topic counts do not sum to doc total")
             if any(c < -tolerance for c in row):
                 raise ValueError(f"doc {m}: negative count")
-        for k, row in enumerate(self.topic_word):
+        for k, row in enumerate(getattr(self, "topic_word", ())):
             if abs(sum(row) - self.topic_total[k]) > tolerance:
                 raise ValueError(f"topic {k}: word counts do not sum to topic total")
             if any(c < -tolerance for c in row):
@@ -382,9 +384,9 @@ def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequen
 
     Row m of ``doc_topic`` and ``doc_total`` counts document m, unless
     ``rows[m][n]`` in [0, n_rows) names a row for each token (in ATM its
-    author).  One pass over the tokens counts the rows and the index; then
-    ``topic_word`` is filled from the index by ``index_rows``, and
-    ``topic_total`` sums its rows.
+    author).  One pass over the tokens counts the rows and the index, the
+    only home of n_kv (HDP and ATM build dense rows with ``index_rows``);
+    ``topic_total`` sums the rows.
     """
     if rows is None:
         n_rows = len(docword)
@@ -395,7 +397,7 @@ def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequen
         used = set(chain.from_iterable(labels or ()))
         if used and not (0 <= min(used) and max(used) < high):
             raise ValueError(f"a {name} out of range [0, {high})")
-    tables = CountTables(n_rows, n_topics, 0)
+    tables = CountTables(n_rows, n_topics, None)
     doc_topic = tables.doc_topic
     index = [{} for _ in range(n_words)]
     of_word = index.__getitem__
@@ -409,8 +411,8 @@ def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequen
             for wt, k, r in zip(map(of_word, doc), zm, rm):
                 doc_topic[r][k] += 1
                 wt[k] = wt.get(k, 0) + 1
-    tables.topic_word = index_rows(index, n_topics)
-    tables.topic_total = list(map(sum, tables.topic_word))
+    # the column sums of doc_topic, from the zero row: K zeros when there is no row
+    tables.topic_total = list(map(sum, zip(tables.topic_total, *doc_topic)))
     tables.doc_total = lengths if rows is None else list(map(sum, doc_topic))
     return tables, index
 

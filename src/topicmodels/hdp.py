@@ -19,8 +19,8 @@ from collections import Counter
 from itertools import accumulate, compress
 from operator import mul
 
-from .core import (counts_from_assignments, draw_each, fold_sum, record, require_at_least,
-                   require_nonnegative, require_positive, require_recount)
+from .core import (counts_from_assignments, draw_each, fold_sum, index_rows, record,
+                   require_at_least, require_nonnegative, require_positive, require_recount)
 from .corpus import Corpus
 from .lda import FittedLda, estimate_theta, smoothed_rows
 
@@ -84,7 +84,7 @@ class HdpSampler:
         v_beta = self.n_words * self.hyper.beta
         return {"table_count": [[seats.count(t) for t in range(len(tt))]
                                 for tt, seats in zip(self.table_topic, self.token_table)],
-                "n_kv": tokens.topic_word, "n_k": tokens.topic_total,
+                "n_kv": index_rows(index, n_topics), "n_k": tokens.topic_total,
                 "m_k": [served[k] for k in range(n_topics)],
                 "m_total": sum(map(len, self.table_topic)), "word_topics": index,
                 "inv_norm": [1.0 / (n + v_beta) for n in tokens.topic_total]}

@@ -75,29 +75,56 @@ def smoothed_rows(counts, totals, smooth: float, ranked: bool = False) -> list:
     one.  An empty row (a link vocabulary of none) has no cell to fill.
 
     ``ranked`` marks rows whose top words are listed (phi, not theta): such
-    a row with nonzero counts in at most half its cells is a ``SparseRow``,
-    whose support costs at most 2 bytes a cell.
+    an integer row with a zero is built by ``_ranked_row``.
     """
     out = []
     for row, total in zip(counts, totals):
         denom = total + len(row) * smooth
-        if isinstance(total, int) and 0 in row:
-            support = compress(range(len(row)), row)
-            kind = array
-            if ranked:
-                support = array("I", support)
-                if 2 * len(support) <= len(row):
-                    kind = SparseRow
-            cells = kind("d", [smooth / denom])
-            cells *= len(row)  # in place, so the row keeps its kind
-            for i in support:
-                cells[i] = (row[i] + smooth) / denom
-            if kind is SparseRow:
-                cells.support = support
-        else:
+        if not (isinstance(total, int) and 0 in row):
             cells = array("d", [(c + smooth) / denom for c in row])
+        elif ranked:
+            cells = _ranked_row(len(row), array("I", compress(range(len(row)), row)),
+                                compress(row, row), total, smooth)
+        else:
+            cells = array("d", [smooth / denom])
+            cells *= len(row)
+            for i in compress(range(len(row)), row):
+                cells[i] = (row[i] + smooth) / denom
         out.append(cells)
     return out
+
+
+def _ranked_row(width: int, support: array, counts, total: int, smooth: float) -> array:
+    """The row ``smoothed_rows`` fills, of ``width`` cells, from the nonzero
+    ``counts`` at the ascending ids ``support``.  A row with nonzero counts
+    in at most half its cells is a ``SparseRow`` that keeps its support, at
+    most 2 bytes a cell."""
+    denom = total + width * smooth
+    kind = SparseRow if 2 * len(support) <= width else array
+    cells = kind("d", [smooth / denom])
+    cells *= width  # in place, so the row keeps its kind
+    for i, c in zip(support, counts):
+        cells[i] = (c + smooth) / denom
+    if kind is SparseRow:
+        cells.support = support
+    return cells
+
+
+def index_phi(index, totals, smooth: float) -> list:
+    """``smoothed_rows(core.index_rows(index, len(totals)), totals, smooth,
+    ranked=True)``, float for float, kind for kind and support for support,
+    from a word index (word v -> {topic k: n_kv > 0}) in one pass over its
+    entries: no dense count row is built or scanned for zeros.  Over no
+    words (Link LDA without links) every row is an empty ``array``."""
+    if not index:
+        return [array("d") for _ in totals]
+    support, counts = [array("I") for _ in totals], [[] for _ in totals]
+    for v, held in enumerate(index):  # ascending v, so each support is sorted
+        for k, c in held.items():
+            support[k].append(v)
+            counts[k].append(c)
+    return [_ranked_row(len(index), ids, cs, total, smooth)
+            for ids, cs, total in zip(support, counts, totals)]
 
 
 def estimate_theta(tables: CountTables, alpha: float) -> list:
@@ -108,8 +135,8 @@ def estimate_phi(tables: CountTables, beta: float) -> list:
     return smoothed_rows(tables.topic_word, tables.topic_total, beta, ranked=True)
 
 
-def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total: list,
-                        word_topics: list, alpha: float, beta: float, rng: random.Random) -> None:
+def sweep_sparse_tokens(docword, z, rows, topics, topic_total: list, word_topics: list,
+                        alpha: float, beta: float, rng: random.Random) -> None:
     """Resample every token once, documents then positions in index order,
     with the SparseLDA draw (Yao, Mimno & McCallum, KDD 2009).
 
@@ -121,9 +148,9 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
     links n_mk + c_mk in Link LDA.  A document restricted to some topics
     (Labeled LDA, PLDA) lists them; the unrestricted callers pass one
     ``range(K)`` for every document.  z[m] holds the document's topics
-    only.  V is ``len(word_topics)``.  The row, ``topic_word`` (n_kv),
-    ``topic_total`` (n_k) and ``word_topics`` (the word index that
-    ``core.counts_from_assignments`` builds) move with every topic change.
+    only.  V is ``len(word_topics)``.  The row, ``topic_total`` (n_k) and
+    ``word_topics`` (the word index of ``core.counts_from_assignments``,
+    the only home of n_kv) move with every topic change.
 
     With coef_k = (alpha + row_k)/(n_k + V beta) over the document's
     topics and 0.0 for every other topic, a draw walks the weight in three
@@ -156,7 +183,7 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
     draw picks another topic; a kept topic puts the two values back, so most
     draws of a chain that has settled write nothing else.
     """
-    nkv, nk = topic_word, topic_total
+    nk = topic_total
     K = len(nk)
     vbeta = len(word_topics) * beta
     rng_random = rng.random
@@ -223,7 +250,6 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
                 continue
             # the topic moves: take the token out of k0's tables, into k's
             nm[k0] = c0
-            nkv[k0][v] -= 1
             t0 = nk[k0] - 1
             nk[k0] = t0
             inv[k0] = dec[k0]
@@ -235,7 +261,6 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_word: list, topic_total:
             nm[k] = c
             if c == 1 and k not in listed:
                 listed.append(k)
-            nkv[k][v] += 1
             t = nk[k] + 1
             nk[k] = t
             wt[k] = wt.get(k, 0) + 1
@@ -259,8 +284,8 @@ class LdaGibbsSampler:
     ``topic_labels`` names the topics in the estimate.
 
     Every sweep runs the SparseLDA kernel (``sweep_sparse_tokens``), so the
-    sampler also keeps ``word_topics``: for every word, a dict from each
-    topic holding it to n_kv.  ``tables`` stays the source of truth.
+    sampler keeps ``word_topics``: for every word, a dict from each topic
+    holding it to n_kv, beside ``tables``, which holds no dense n_kv.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random,
@@ -309,12 +334,13 @@ class LdaGibbsSampler:
             kept = [m for m, ks in enumerate(self.allowed) if len(ks) > 1]
             docs = [[seq[m] for m in kept] for seq in docs]
             topics = [self.allowed[m] for m in kept]
-        sweep_sparse_tokens(*docs, topics, tables.topic_word, tables.topic_total,
-                            self.word_topics, self.hyper.alpha, self.hyper.beta, self.rng)
+        sweep_sparse_tokens(*docs, topics, tables.topic_total, self.word_topics,
+                            self.hyper.alpha, self.hyper.beta, self.rng)
 
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),
-                         phi=estimate_phi(self.tables, self.hyper.beta),
+                         phi=index_phi(self.word_topics, self.tables.topic_total,
+                                       self.hyper.beta),
                          topic_labels=self.topic_labels)
 
 

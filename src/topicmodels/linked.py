@@ -9,10 +9,10 @@ per-document row, so both its draws are the SparseLDA token draw of
 
 import random
 
-from .core import (counts_from_assignments, draw_below, draw_each, record, require_positive,
-                   require_recount, sample_categorical)
+from .core import (counts_from_assignments, draw_below, draw_each, index_rows, record,
+                   require_positive, require_recount, sample_categorical)
 from .corpus import Corpus
-from .lda import (FittedLda, LdaHyper, estimate_phi, estimate_theta, smoothed_rows,
+from .lda import (FittedLda, LdaHyper, estimate_phi, estimate_theta, index_phi, smoothed_rows,
                   sweep_sparse_tokens)
 
 
@@ -21,7 +21,8 @@ class AtmSampler:
 
     x[m][n] is the author responsible for token n of document m, always a
     member of the document's author list.  ``tables`` has one row per
-    author: doc_topic[a][k] is n_a^k and doc_total[a] is n_a^*.
+    author: doc_topic[a][k] is n_a^k and doc_total[a] is n_a^*, and
+    ``tables.topic_word`` is n_kv, dense for the joint draw.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
@@ -39,10 +40,12 @@ class AtmSampler:
 
     def _counts(self) -> dict:
         """The count tables of x and z, by attribute name."""
-        return {"tables": counts_from_assignments(self.corpus.docword, self.z,
-                                                  self.hyper.n_topics, self.corpus.n_words,
-                                                  rows=self.x,
-                                                  n_rows=len(self.corpus.meta_vocabulary))[0]}
+        K = self.hyper.n_topics
+        tables, index = counts_from_assignments(self.corpus.docword, self.z, K,
+                                                self.corpus.n_words, rows=self.x,
+                                                n_rows=len(self.corpus.meta_vocabulary))
+        tables.topic_word = index_rows(index, K)
+        return {"tables": tables}
 
     def check(self) -> None:
         """Check every token's author against its document's author list and
@@ -123,9 +126,9 @@ class LinkLdaSampler:
 
     ``doc_topic[m][k]`` pools document m's words and links in topic k
     (n_mk + c_mk), the row both draws read.  The words' topic counts are
-    ``word_topic`` (n_kv) and ``word_total`` (n_k), the links'
-    ``link_topic`` (c_kl) and ``link_total`` (c_k), each with its word
-    index for the SparseLDA draw, ``word_topics`` and ``link_topics``.
+    the word index ``word_topics`` (v -> {k: n_kv}) and ``word_total``
+    (n_k), the links' ``link_topics`` (l -> {k: c_kl}) and ``link_total``
+    (c_k): the SparseLDA draws move them, and the estimate reads them.
     """
 
     def __init__(self, corpus: Corpus, hyper: LinkLdaHyper, rng: random.Random):
@@ -138,16 +141,15 @@ class LinkLdaSampler:
         vars(self).update(self._counts())
 
     def _counts(self) -> dict:
-        """The pooled rows and the word and link counts of z and x, with
-        their word indices, by attribute name."""
+        """The pooled rows and the word and link counts of z and x, in their
+        word indices and topic totals, by attribute name."""
         K, corpus = self.hyper.n_topics, self.corpus
         n_links = len(corpus.meta_vocabulary)
         words, word_topics = counts_from_assignments(corpus.docword, self.z, K, corpus.n_words)
         links, link_topics = counts_from_assignments(corpus.links, self.x, K, n_links)
         return {"doc_topic": [[n + c for n, c in zip(n_mk, c_mk)]
                               for n_mk, c_mk in zip(words.doc_topic, links.doc_topic)],
-                "word_topic": words.topic_word, "word_total": words.topic_total,
-                "link_topic": links.topic_word, "link_total": links.topic_total,
+                "word_total": words.topic_total, "link_total": links.topic_total,
                 "word_topics": word_topics, "link_topics": link_topics}
 
     def check(self) -> None:
@@ -162,19 +164,16 @@ class LinkLdaSampler:
         (L = 0) has no link draw."""
         hyper = self.hyper
         every = [range(hyper.n_topics)] * len(self.z)
-        sweep_sparse_tokens(self.corpus.docword, self.z, self.doc_topic, every, self.word_topic,
-                            self.word_total, self.word_topics, hyper.alpha, hyper.beta, self.rng)
+        sweep_sparse_tokens(self.corpus.docword, self.z, self.doc_topic, every, self.word_total,
+                            self.word_topics, hyper.alpha, hyper.beta, self.rng)
         if self.link_topics:
-            sweep_sparse_tokens(self.corpus.links, self.x, self.doc_topic, every, self.link_topic,
-                                self.link_total, self.link_topics, hyper.alpha, hyper.gamma,
-                                self.rng)
+            sweep_sparse_tokens(self.corpus.links, self.x, self.doc_topic, every, self.link_total,
+                                self.link_topics, hyper.alpha, hyper.gamma, self.rng)
 
     def estimate(self) -> LinkLdaFit:
         """theta pools each document's word and link topic counts."""
         hyper = self.hyper
         rows = self.doc_topic
         return LinkLdaFit(theta=smoothed_rows(rows, [sum(row) for row in rows], hyper.alpha),
-                          phi=smoothed_rows(self.word_topic, self.word_total, hyper.beta,
-                                            ranked=True),
-                          link_phi=smoothed_rows(self.link_topic, self.link_total, hyper.gamma,
-                                                 ranked=True))
+                          phi=index_phi(self.word_topics, self.word_total, hyper.beta),
+                          link_phi=index_phi(self.link_topics, self.link_total, hyper.gamma))

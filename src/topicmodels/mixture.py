@@ -10,8 +10,8 @@ pseudo documents as the clusters):
   word_clusters[v]   the item index: cluster k -> n_kv for the clusters holding v
 Unit item multisets are cached as sorted (item, count) lists.  ``counts``
 builds all of these from units and labels; each move keeps them current.
-The counts n_kv live in the index alone: a reader that wants them as dense
-rows over the items builds them with ``core.index_rows``.
+The counts n_kv live in the index alone: ``lda.index_phi`` builds phi from
+it, and ``core.index_rows`` dense rows over the items.
 A unit's log weight in cluster k is the caller's prior log for k (log(n_k
 + alpha) in DMM, log n_k in DPMM, log(n_mk + alpha) in Sentence-LDA) plus
 the item term of ``core.log_unit_weights``,
@@ -25,11 +25,11 @@ from collections import Counter
 from itertools import repeat
 from operator import add
 
-from .core import (LogRisingMemo, draw_below, exp_normalize, index_rows, log_unit_weights,
+from .core import (LogRisingMemo, draw_below, exp_normalize, log_unit_weights,
                    record, require_at_least, require_nonnegative, require_positive,
                    require_recount, sample_categorical)
 from .corpus import Corpus
-from .lda import smoothed_rows
+from .lda import index_phi
 
 
 @record(frozen=True)
@@ -170,8 +170,7 @@ class ClusterTables:
         """The estimate from these counts and the labels z."""
         denom = len(z) + self.n_clusters * alpha
         return MixtureFit(theta=[(n + alpha) / denom for n in self.n_docs_in],
-                          phi=smoothed_rows(index_rows(self.word_clusters, self.n_clusters),
-                                            self.cluster_total, beta, ranked=True),
+                          phi=index_phi(self.word_clusters, self.cluster_total, beta),
                           doc_cluster=list(z))
 
 

@@ -13,9 +13,9 @@ import random
 from itertools import accumulate, chain, repeat
 from operator import add, lt
 
-from .core import draw_each, exp_normalize, index_rows, require_recount, sample_categorical
+from .core import draw_each, exp_normalize, require_recount, sample_categorical
 from .corpus import Corpus
-from .lda import FittedLda, LdaHyper, smoothed_rows
+from .lda import FittedLda, LdaHyper, index_phi, smoothed_rows
 from .mixture import ClusterTables
 
 
@@ -93,5 +93,5 @@ class SentenceLdaSampler:
     def estimate(self) -> FittedLda:
         clusters = self.clusters
         return FittedLda(theta=smoothed_rows(self.doc_topic, self.doc_total, self.hyper.alpha),
-                         phi=smoothed_rows(index_rows(clusters.word_clusters, clusters.n_clusters),
-                                           clusters.cluster_total, self.hyper.beta, ranked=True))
+                         phi=index_phi(clusters.word_clusters, clusters.cluster_total,
+                                       self.hyper.beta))

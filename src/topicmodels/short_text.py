@@ -20,7 +20,7 @@ from operator import mul
 from .core import (counts_from_assignments, draw_below, draw_each, fold_sum, index_rows,
                    record, require_at_least, require_positive, require_recount, warn)
 from .corpus import Corpus
-from .lda import LdaHyper, smoothed_rows, sweep_sparse_tokens
+from .lda import LdaHyper, index_phi, smoothed_rows, sweep_sparse_tokens
 from .mixture import ClusterTables
 
 
@@ -53,11 +53,11 @@ class PtmSampler:
     ``mixture.ClusterTables`` over the documents' token topics z (K items,
     b = alpha, prior lambda), so tables.n_docs_in[l] counts short documents,
     cluster_total[l] is N_l^* and word_clusters the topic -> {pseudo
-    document: N_l^k} index.  topic_word and topic_total are n_k^v and n_k.
-    The token step is the SparseLDA draw of ``lda.sweep_sparse_tokens``
-    against each document's pseudo-document row, with its word index
-    ``word_topics``; the rows N_l^k are built from the index once a sweep,
-    for that step, and once for ``pseudo_theta``.
+    document: N_l^k} index.  topic_total is n_k, and the word index
+    ``word_topics`` (v -> {k: n_kv}) alone holds n_kv.  The token step is
+    the SparseLDA draw of ``lda.sweep_sparse_tokens`` against each
+    document's pseudo-document row; the rows N_l^k are built from the
+    cluster index once a sweep, for that step, and once for ``pseudo_theta``.
     """
 
     def __init__(self, corpus: Corpus, hyper: PtmHyper, rng: random.Random):
@@ -77,11 +77,10 @@ class PtmSampler:
                 **self._token_counts()}
 
     def _token_counts(self) -> dict:
-        """The topic-word counts of z and their word index, by attribute name."""
+        """The topic totals of z and their word index, by attribute name."""
         tokens, index = counts_from_assignments(self.corpus.docword, self.z, self.hyper.n_topics,
                                                 self.corpus.n_words)
-        return {"topic_word": tokens.topic_word, "topic_total": tokens.topic_total,
-                "word_topics": index}
+        return {"topic_total": tokens.topic_total, "word_topics": index}
 
     def check(self) -> None:
         """Check every table against a recount of l and z; raises ValueError."""
@@ -95,9 +94,8 @@ class PtmSampler:
         # phase 2: token topics, each drawn against its pseudo document's row
         pseudo = index_rows(tables.word_clusters, tables.n_clusters)
         sweep_sparse_tokens(self.corpus.docword, self.z, [pseudo[l] for l in self.l],
-                            [range(hyper.n_topics)] * len(self.l), self.topic_word,
-                            self.topic_total, self.word_topics, hyper.alpha, hyper.beta,
-                            self.rng)
+                            [range(hyper.n_topics)] * len(self.l), self.topic_total,
+                            self.word_topics, hyper.alpha, hyper.beta, self.rng)
         # the token step moved the topics in the units: recount the tables
         vars(tables).update(tables.counts(self.l, hyper.n_pseudo_docs))
 
@@ -109,7 +107,7 @@ class PtmSampler:
                       pseudo_theta=smoothed_rows(index_rows(tables.word_clusters,
                                                             tables.n_clusters),
                                                  tables.cluster_total, alpha),
-                      phi=smoothed_rows(self.topic_word, self.topic_total, beta, ranked=True),
+                      phi=index_phi(self.word_topics, self.topic_total, beta),
                       doc_pseudo=list(self.l))
 
 
@@ -308,8 +306,7 @@ class BtmSampler:
         K = hyper.n_topics
         denom = self.n_biterms + K * hyper.alpha
         theta = [(n + hyper.alpha) / denom for n in self.n_b]
-        phi = smoothed_rows(index_rows(self.word_topics, K), self.topic_total, hyper.beta,
-                            ranked=True)
+        phi = index_phi(self.word_topics, self.topic_total, hyper.beta)
         by_doc = [[] for _ in range(self.corpus.n_docs)]
         for b in self.biterms:
             by_doc[b.doc].append(b)

@@ -131,10 +131,15 @@ def with_state(sampler, **state):
 
 def without_token(sampler, n, z=None):
     """The count tables of token topics ``z`` (default the sampler's z), counted
-    afresh with token n (an index or a slice) of the first document left out."""
+    afresh with token n (an index or a slice) of the first document left out.
+    Their ``topic_word`` holds the dense rows of the recount's word index,
+    which the oracles take."""
     docword, z = ([list(row) for row in rows] for rows in (sampler.corpus.docword, z or sampler.z))
     del docword[0][n], z[0][n]
-    return counts_from_assignments(docword, z, sampler.hyper.n_topics, sampler.corpus.n_words)[0]
+    K = sampler.hyper.n_topics
+    tables, index = counts_from_assignments(docword, z, K, sampler.corpus.n_words)
+    tables.topic_word = index_rows(index, K)
+    return tables
 
 
 def put_lda_token_first(sampler, m: int, n: int):
@@ -286,7 +291,7 @@ def slice_draw(sampler, counts: dict, item: int, topic: int, reads, alpha: float
     slice holding ``item`` (a word or link id) alone, now in ``topic``.
     Each run puts the sampler's tables back to ``counts`` (attribute name
     -> table) and draws against what ``reads()`` returns then: the slice's
-    rows, topic_word, topic_total and word index.  Every topic is allowed."""
+    rows, topic_total and word index.  Every topic is allowed."""
     state = pickle.dumps(counts)
     z = []
 
@@ -315,9 +320,10 @@ def ptm_token_shares(sampler, m: int, n: int, prefix) -> tuple:
     tables = counts["tables"]
     l, k, v = sampler.l[0], sampler.z[0][0], sampler.corpus.docword[0][0]
     row = index_rows(tables.word_clusters, tables.n_clusters)[l]
+    held = counts["word_topics"][v]
     return shares, ([c - (j == k) for j, c in enumerate(row)],
                     tables.cluster_total[l] - 1,
-                    [row[v] - (j == k) for j, row in enumerate(counts["topic_word"])],
+                    [held.get(j, 0) - (j == k) for j in range(sampler.hyper.n_topics)],
                     [t - (j == k) for j, t in enumerate(counts["topic_total"])])
 
 
@@ -347,12 +353,12 @@ def linklda_draw(sampler, m: int, i: int, links: bool = False):
     held = {name: getattr(sampler, name) for name in sampler._counts()}
     if links:
         return slice_draw(sampler, held, sampler.corpus.links[m][i], sampler.x[m][i],
-                          lambda: ([sampler.doc_topic[m]], sampler.link_topic,
-                                   sampler.link_total, sampler.link_topics),
+                          lambda: ([sampler.doc_topic[m]], sampler.link_total,
+                                   sampler.link_topics),
                           hyper.alpha, hyper.gamma)
     return slice_draw(sampler, held, sampler.corpus.docword[m][i], sampler.z[m][i],
-                      lambda: ([sampler.doc_topic[m]], sampler.word_topic,
-                               sampler.word_total, sampler.word_topics),
+                      lambda: ([sampler.doc_topic[m]], sampler.word_total,
+                               sampler.word_topics),
                       hyper.alpha, hyper.beta)
 
 
@@ -366,10 +372,10 @@ def linklda_excluded(sampler, m: int, i: int, links: bool = False) -> tuple:
     counts = sampler._counts()
     own, other = (sampler.x, sampler.z) if links else (sampler.z, sampler.x)
     items = sampler.corpus.links if links else sampler.corpus.docword
-    table = counts["link_topic" if links else "word_topic"]
+    index = counts["link_topics" if links else "word_topics"]
     totals = counts["link_total" if links else "word_total"]
     v, k = items[m][i], own[m][i]
-    return ([table[j][v] - (j == k) for j in range(K)],
+    return ([index[v].get(j, 0) - (j == k) for j in range(K)],
             [t - (j == k) for j, t in enumerate(totals)],
             [own[m].count(j) - (j == k) for j in range(K)],
             [other[m].count(j) for j in range(K)])

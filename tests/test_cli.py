@@ -12,7 +12,7 @@ import pytest
 import topicmodels
 from topicmodels import cli, core, lda, reports
 from topicmodels.cli import main
-from topicmodels.core import fields
+from topicmodels.core import fields, run_chain
 from topicmodels.corpus import Corpus, Vocabulary
 from topicmodels.reports import (parse_doc_topic_file, parse_topic_word_file,
                                  parse_value_lines)
@@ -807,6 +807,79 @@ def test_link_lda_fits_a_corpus_without_links(tmp_path):
     assert len(parse_topic_word_file(out / "LinkLDA_topic_word_2.txt")) == 2
     assert [words for _, words in parse_topic_word_file(out / "LinkLDA_topic_link_2.txt")] \
         == [[], []]
+
+
+# Forty documents over three themes of eight words, with a few words of the
+# other themes mixed in, for the reductions between models below: at K = 3
+# and 6 their chains move topics out of documents and back within 30 sweeps.
+_THEMES = [[f"{theme}{i}" for i in range(8)] for theme in ("fruit", "tool", "star")]
+_rng = core.SeededRng(16)
+REDUCTION_LINES = [" ".join(_rng.choice(_THEMES[m % 3] * 4 + _THEMES[(m + 1) % 3])
+                            for _ in range(6 + m % 7)) for m in range(40)]
+
+
+def fitted_rows(tmp_path, model, lines, flags, k):
+    """The words and probabilities of every topic block (all of a topic's
+    words) and the document rows that ``fit`` writes for ``model``."""
+    path = tmp_path / f"{model}.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / model
+    assert run(["fit", "--model", model, "--input", path, "--output-dir", out, *flags,
+                "--iterations", "30", "--top-words", "30", "--seed", "5"]) == 0
+    files = {o.field: out / o.template.format(k=k) for o in cli.MODELS[model].outputs}
+    return ([words for _, words in parse_topic_word_file(files["phi"])],
+            parse_doc_topic_file(files["theta"]))
+
+
+@pytest.mark.parametrize("model, meta, flags, k, lda_k", [
+    ("link-lda", "", ["-k", "3"], 3, 3),               # every link field empty
+    ("labeled-lda", "a,b,c", [], 3, 3),                # every label on every document
+    ("plda", "a,b", ["--label-topics", "2"], 3, 6),    # two labels and the background
+])
+def test_a_model_that_reduces_to_lda_writes_its_rows(tmp_path, model, meta, flags, k, lda_k):
+    # Link LDA without links, Labeled LDA with every document allowed every
+    # label and PLDA with every document allowed every block are lda-gibbs
+    # chains: the same draws, floats and rows; only the topic headers differ
+    tagged = [f"{meta}\t{line}" for line in REDUCTION_LINES]
+    want = fitted_rows(tmp_path, "lda-gibbs", REDUCTION_LINES, ["-k", lda_k], lda_k)
+    assert fitted_rows(tmp_path, model, tagged, flags, k) == want
+
+
+# the models whose Gibbs chains keep n_kv in a word index alone; HDP's
+# seating draw and ATM's joint draw read it densely
+INDEX_MODELS = ["lda-gibbs", "labeled-lda", "plda", "ptm", "link-lda", "btm", "dmm", "dpmm",
+                "sentence-lda"]
+DENSE_NAMES = {"topic_word", "word_topic", "link_topic", "cluster_word", "n_kv"}
+
+
+def dense_word_tables(obj, widths, prefix="") -> list:
+    """The attributes of ``obj``, and of the package objects it holds, that
+    are rows over the words (lists of a length in ``widths``) or carry the
+    name of such a table, whatever they hold: an empty or None stand-in too."""
+    found = []
+    for name, value in vars(obj).items():
+        if name in DENSE_NAMES or (isinstance(value, list) and value and all(
+                isinstance(row, list) and len(row) in widths for row in value)):
+            found.append(prefix + name)
+        elif (name != "corpus" and hasattr(value, "__dict__")
+              and type(value).__module__.startswith("topicmodels.")):
+            found += dense_word_tables(value, widths, f"{prefix}{name}.")
+    return found
+
+
+@pytest.mark.parametrize("model", INDEX_MODELS + ["hdp", "atm"])
+def test_only_hdp_and_atm_keep_a_dense_word_table(model):
+    spec = cli.MODELS[model]
+    hyper = spec.hyper(**{f.name: 2 for f in fields(spec.hyper) if f.default is core.MISSING})
+    corpus = cli._parse(spec.layout, GOLDEN_LAYOUTS[spec.layout].splitlines())
+    widths = {corpus.n_words}
+    if spec.layout == "links":
+        widths.add(len(corpus.meta_vocabulary))
+    sampler = spec.sampler(corpus, hyper, core.SeededRng(3))
+    want = {"hdp": ["n_kv"], "atm": ["tables.topic_word"]}.get(model, [])
+    assert dense_word_tables(sampler, widths) == want
+    run_chain(sampler, 2)
+    assert dense_word_tables(sampler, widths) == want
 
 
 def test_nonpositive_top_n_rejected_before_sampling(tmp_path, plain_file, capsys):

@@ -6,8 +6,9 @@ from array import array
 import pytest
 
 from topicmodels import lda
-from topicmodels.core import CountTables, SeededRng, run_chain
+from topicmodels.core import CountTables, SeededRng, counts_from_assignments, index_rows, run_chain
 from topicmodels.corpus import parse_plain
+from topicmodels.evaluation import top_word_ids
 from topicmodels.lda import LdaCvb0, LdaGibbsSampler, LdaHyper
 
 from first_draw import (assert_shares_match, lda_token_shares, put_lda_token_first, rerun_sweep,
@@ -159,8 +160,8 @@ def test_gibbs_check_catches_stale_sparse_index():
     with pytest.raises(ValueError, match="word_topics"):
         sampler.check()
     sampler.word_topics[v][k] -= 1
-    sampler.tables.topic_word[k][v] += 1
-    with pytest.raises(ValueError):
+    sampler.tables.topic_total[k] += 1
+    with pytest.raises(ValueError, match="topic_total"):
         sampler.check()
 
 
@@ -174,7 +175,7 @@ def test_gibbs_all_topics_allowed_is_the_unrestricted_chain():
                             allowed=[list(range(K))] * corpus.n_docs)
     for _ in range(20):
         assert every.z == free.z
-        assert every.tables.topic_word == free.tables.topic_word
+        assert every.word_topics == free.word_topics
         free.sweep()
         every.sweep()
     every.check()
@@ -410,6 +411,40 @@ def test_smoothed_rows_equal_the_formula_bit_for_bit():
         want = [[(c + smooth) / (t + len(row) * smooth) for c in row]
                 for row, t in zip(counts, totals)]
         assert [row.tolist() for row in lda.smoothed_rows(counts, totals, smooth)] == want
+
+
+def _kinds(rows) -> list:
+    return [(type(row), row.tolist(), getattr(row, "support", None)) for row in rows]
+
+
+@pytest.mark.parametrize("smooth", [0.01, 0.5, 1e100])
+def test_index_phi_equals_the_dense_rows(smooth):
+    # over six words, topic 0 holds every word (no zero cell: a plain
+    # array), topic 1 no token, topic 2 half the words (a SparseRow) and
+    # topic 3 one more (an array); then the word indices of random
+    # assignments, keys in order of first use, and V = 0 (Link LDA without
+    # links)
+    first = [{0: 1, 2: 3, 3: 1}, {3: 2, 0: 4}, {0: 1, 2: 1, 3: 1}, {0: 2}, {2: 1, 0: 5},
+             {3: 1, 0: 1}]
+    cases = [(first, 4)]
+    rng = SeededRng(29)
+    for _ in range(40):
+        K, V = rng.randrange(1, 6), rng.randrange(1, 12)
+        docword = [[rng.randrange(V) for _ in range(rng.randrange(12))] for _ in range(4)]
+        z = [[rng.randrange(K) for _ in doc] for doc in docword]
+        cases.append((counts_from_assignments(docword, z, K, V)[1], K))
+    cases.append(([], 3))
+    for index, K in cases:
+        totals = [sum(held.get(k, 0) for held in index) for k in range(K)]
+        got = lda.index_phi(index, totals, smooth)
+        assert _kinds(got) == _kinds(lda.smoothed_rows(index_rows(index, K), totals, smooth,
+                                                        ranked=True))
+        if index is first:
+            assert [type(row) for row in got] == [array, lda.SparseRow, lda.SparseRow, array]
+    # over no words every row is an empty plain array: a SparseRow of no
+    # cells would make top_word_ids raise StopIteration
+    assert _kinds(got) == [(array, [], None)] * 3
+    assert [top_word_ids(row, 5) for row in got] == [[]] * 3
 
 
 @pytest.mark.parametrize("gamma, doc", [

@@ -204,10 +204,10 @@ def test_linklda_zero_counts_uniform():
         only = [int(j == k) for j in range(K)]
         sampler.doc_topic = [list(only)]
         if links:
-            sampler.link_topic, sampler.link_total = [[c] for c in only], list(only)
+            sampler.link_total = list(only)
             sampler.link_topics = [{k: 1}]
         else:
-            sampler.word_topic, sampler.word_total = [[c, 0] for c in only], list(only)
+            sampler.word_total = list(only)
             sampler.word_topics = [{k: 1}, {}]
         shares = first_draw_shares(*linklda_draw(sampler, 0, 0, links))
         assert shares == pytest.approx({j: 1 / 3 for j in range(K)})
@@ -293,10 +293,10 @@ def test_linklda_check_rejects_a_stale_count():
     sampler.sweep()
     sampler.check()
     k = sampler.x[0][0]
-    sampler.link_topic[k][corpus.links[0][0]] += 1
-    with pytest.raises(ValueError, match="link_topic"):
+    sampler.link_total[k] += 1
+    with pytest.raises(ValueError, match="link_total"):
         sampler.check()
-    sampler.link_topic[k][corpus.links[0][0]] -= 1
+    sampler.link_total[k] -= 1
     sampler.doc_topic[1][sampler.z[1][0]] -= 1
     with pytest.raises(ValueError, match="doc_topic"):
         sampler.check()

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from topicmodels import cli
-from topicmodels.core import SeededRng, counts_from_assignments, run_chain
+from topicmodels.core import SeededRng, counts_from_assignments, index_rows, run_chain
 from topicmodels.corpus import parse_plain, parse_tagged
 from topicmodels.lda import LdaGibbsSampler, LdaHyper
 from topicmodels.supervised import (BACKGROUND_LABEL, LabeledLdaHyper, LabeledLdaSampler,
@@ -213,8 +213,9 @@ def test_plda_single_admissible_cell_certain():
     # probe the op contract directly: one admissible (label, topic) cell
     sampler.allowed[0] = [0]
     sampler.z[0] = [0, 0]
-    sampler.tables = counts_from_assignments(corpus.docword, sampler.z, 2, corpus.n_words)[0]
-    assert sampler.tables.topic_word == [[1, 1], [0, 0]]
+    sampler.tables, sampler.word_topics = counts_from_assignments(corpus.docword, sampler.z, 2,
+                                                                  corpus.n_words)
+    assert index_rows(sampler.word_topics, 2) == [[1, 1], [0, 0]]
     assert lda_token_shares(sampler) == {0: 1.0}
 
 
@@ -277,7 +278,7 @@ def test_plda_block_bookkeeping_recount():
         for m, doc in enumerate(corpus.docword):
             for n, v in enumerate(doc):
                 recount[sampler.z[m][n]][v] += 1
-        assert recount == sampler.tables.topic_word
+        assert recount == index_rows(sampler.word_topics, sampler.tables.n_topics)
 
 
 def test_plda_theta_phi_stochastic():
