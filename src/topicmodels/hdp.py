@@ -22,7 +22,7 @@ from operator import mul
 from .core import (counts_from_assignments, draw_each, fold_sum, index_rows, record,
                    require_at_least, require_nonnegative, require_positive, require_recount)
 from .corpus import Corpus
-from .lda import FittedLda, estimate_theta, smoothed_rows
+from .lda import FittedLda, estimate_theta, index_phi
 
 
 @record(frozen=True)
@@ -243,4 +243,4 @@ class HdpSampler:
         tokens = counts_from_assignments(self.corpus.docword, self._token_topics(),
                                          self.n_topics, self.n_words)[0]
         return FittedLda(theta=estimate_theta(tokens, self.hyper.alpha0),
-                         phi=smoothed_rows(self.n_kv, self.n_k, self.hyper.beta, ranked=True))
+                         phi=index_phi(self.word_topics, self.n_k, self.hyper.beta))

@@ -182,6 +182,13 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_total: list, word_topics
     word-index value.  The tables and the running total move only when the
     draw picks another topic; a kept topic puts the two values back, so most
     draws of a chain that has settled write nothing else.
+
+    Where the word index holds the token's own topic k0 alone, q is the one
+    product x0 (n_k0v - 1), with x0 the coefficient of k0 with the token
+    out, and a draw below it keeps k0 before anything is taken out: it
+    walks no dict and writes nothing.  A draw above it takes the token out
+    in place and walks s + r with the same u.  Every float is the one the
+    general walk computes, so the draws are the same.
     """
     nk = topic_total
     K = len(nk)
@@ -211,15 +218,22 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_total: list, word_topics
             c0 = nm[k0] - 1
             x0 = (alpha + c0) * dec[k0]
             old = coef[k0]
-            coef[k0] = x0
             s_r0 = s_r + beta * (x0 - old)
             left = wt[k0] - 1
-            wt[k0] = left
-
-            q = 0.0
-            for k, c in wt.items():
-                q += coef[k] * c
-            u = rng_random() * (q + s_r0)
+            if len(wt) == 1:  # the word holds k0 alone: q is one product
+                q = x0 * left
+                u = rng_random() * (q + s_r0)
+                if u < q:  # kept, and nothing was taken out
+                    continue
+                coef[k0] = x0
+                wt[k0] = left
+            else:
+                coef[k0] = x0
+                wt[k0] = left
+                q = 0.0
+                for k, c in wt.items():
+                    q += coef[k] * c
+                u = rng_random() * (q + s_r0)
             if u < q:
                 for k, c in wt.items():
                     u -= coef[k] * c

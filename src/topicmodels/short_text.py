@@ -218,6 +218,14 @@ class BtmSampler:
         place: A_k and both index values (a value of 0 stays in the dict and
         weighs 0).  The tables move only when the draw picks another topic,
         and A_k with one biterm taken out is cached for every topic.
+
+        Where both words' index dicts hold the biterm's own topic k0 alone,
+        the two word buckets are one product each, from c2 = n_k0w2 - 1 - s
+        and c1 = c2 if s else n_k0w1 - 1, and a draw that lands in either
+        keeps k0 before anything is taken out: it walks no dict and writes
+        nothing.  A draw past them takes the biterm out in place and bisects
+        the smoothing bucket with the same u.  Every float is the one the
+        general walk computes, so the draws are the same.
         """
         hyper = self.hyper
         K = hyper.n_topics
@@ -240,19 +248,31 @@ class BtmSampler:
             wt1 = word_topics[w1]
             wt2 = word_topics[w2]
             old = A[k0]
-            x0 = A[k0] = A_out[k0]
-            wt1[k0] -= 1
-            wt2[k0] -= 1
-
+            x0 = A_out[k0]
             s = w1 == w2
             sb = s + beta
-            q1 = 0.0
-            for k, c in wt1.items():
-                q1 += A[k] * c * (wt2.get(k, 0) + sb)
-            q2 = 0.0
-            for k, c in wt2.items():
-                q2 += A[k] * c
-            u = rng_random() * (q1 + beta * (q2 + sb * (a_sum + (x0 - old))))
+            if len(wt1) == 1 == len(wt2):  # both words hold k0 alone
+                c2 = wt2[k0] - 1 - s
+                c1 = c2 if s else wt1[k0] - 1
+                q1 = x0 * c1 * (c2 + sb)
+                q2 = x0 * c2
+                u = rng_random() * (q1 + beta * (q2 + sb * (a_sum + (x0 - old))))
+                if u < q1 or (u - q1) / beta < q2:  # kept, and nothing was taken out
+                    continue
+                A[k0] = x0
+                wt1[k0] = c1
+                wt2[k0] = c2
+            else:
+                A[k0] = x0
+                wt1[k0] -= 1
+                wt2[k0] -= 1
+                q1 = 0.0
+                for k, c in wt1.items():
+                    q1 += A[k] * c * (wt2.get(k, 0) + sb)
+                q2 = 0.0
+                for k, c in wt2.items():
+                    q2 += A[k] * c
+                u = rng_random() * (q1 + beta * (q2 + sb * (a_sum + (x0 - old))))
             if u < q1:
                 for k, c in wt1.items():
                     u -= A[k] * c * (wt2.get(k, 0) + sb)

@@ -111,6 +111,30 @@ def test_sparse_walk_second_draw_after_a_move_to_a_new_topic():
     assert_shares_match(shares, want)
 
 
+@pytest.mark.parametrize("texts, z", [
+    # three more tokens of apple, all in topic 3: q = x0 (n_3,apple - 1) > 0,
+    # and a draw below it keeps topic 3 without taking the token out
+    (["apple b apple c", "c apple d", "b d apple"], [[3, 7, 3, 12], [12, 3, 7], [0, 7, 3]]),
+    # apple once: with the token out its value is 0, so q = 0 and every draw
+    # walks s + r
+    (["apple b c", "c b d", "b d c"], [[3, 7, 12], [12, 3, 7], [0, 7, 3]]),
+], ids=["kept-q", "only-token"])
+def test_sparse_draw_of_a_word_its_own_topic_holds_alone(texts, z):
+    # the one-topic path of the SparseLDA draw, at K = 20: the first token's
+    # word index holds its own topic, 3, and no other
+    K, alpha, beta = 20, 0.5, 0.1
+    corpus = parse_plain(texts)
+    sampler = LdaGibbsSampler(corpus, LdaHyper(K, alpha, beta), SeededRng(0))
+    sampler.z = z
+    v = corpus.docword[0][0]
+    assert list(sampler._counts()["word_topics"][v]) == [3]
+    tables = without_token(sampler, 0)
+    want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0],
+                            [row[v] for row in tables.topic_word], tables.topic_total,
+                            alpha, beta, corpus.n_words)
+    assert_shares_match(lda_token_shares(sampler), want)
+
+
 def test_fit_gibbs_one_token_theta():
     corpus = parse_plain(["solo"])
     hyper = LdaHyper(n_topics=3, alpha=0.1, beta=0.01)

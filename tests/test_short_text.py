@@ -265,6 +265,26 @@ def test_btm_conditional_matches_oracle():
     assert repeated == 5
 
 
+@pytest.mark.parametrize("lines, pair", [
+    # a and b, with unequal counts, sit in the probed topic alone
+    (["a b c", "a b", "c d e", "d e c", "b c a", "a d"], (0, 1)),
+    # a biterm of a word twice: both slots read a's one-topic dict, whose
+    # value with the biterm out is n_ka - 2
+    (["a a b", "a a", "c d a", "c d", "b c d"], (0, 0)),
+], ids=["two-words", "one-word-twice"])
+def test_btm_draw_of_words_their_own_topic_holds_alone(lines, pair):
+    # the one-topic path of the BTM draw: every biterm that holds a word of
+    # the probed biterm is in topic 1, so both words' index dicts hold topic
+    # 1 alone; the other biterms spread over K = 3
+    corpus = parse_plain(lines)
+    sampler = BtmSampler(corpus, BtmHyper(3, alpha=0.3, beta=0.15, window=3), SeededRng(0))
+    sampler.z = [1 if set(pair) & set(b) else i % 3 for i, b in enumerate(sampler.instances)]
+    index = sampler._counts()["word_topics"]
+    assert [list(index[w]) for w in pair] == [[1], [1]]
+    assert sum(index[pair[0]].values()) != sum(index[pair[1]].values()) or pair[0] == pair[1]
+    check_biterm_against_oracle(sampler, sampler.instances.index(pair))
+
+
 def test_btm_word_slots_invariant():
     rng = SeededRng(8)
     corpus = make_corpus(rng, n_docs=6)
@@ -425,3 +445,29 @@ def test_ptm_k1():
     sweep_checked(sampler)
     assert sampler.z == [[0] * len(doc) for doc in corpus.docword]
     assert sampler.tables.unit_items == [[(0, len(doc))] for doc in corpus.docword]
+
+
+def planted_corpus(rng, n_docs=40, n_topics=4, words=8, length=10, noise=0.2):
+    """Documents of one planted topic each, over the topic's own words,
+    with a share ``noise`` of tokens from a pool all topics share."""
+    return parse_plain([" ".join(f"w{rng.randrange(30)}" if rng.random() < noise
+                                 else f"t{k}w{rng.randrange(words)}" for _ in range(length))
+                        for k in (rng.randrange(n_topics) for _ in range(n_docs))])
+
+
+@pytest.mark.parametrize("model", ["lda-gibbs", "btm"])
+def test_settled_chain_keeps_its_tables(model):
+    # a chain that settles: by the last sweep, over a third of the draws
+    # find their word (BTM: both words) held by their own topic alone, the
+    # one-topic path that keeps the topic without writing, or takes the
+    # item out and walks on.  check() recounts every table after every sweep
+    corpus = planted_corpus(SeededRng(21))
+    if model == "btm":
+        sampler = BtmSampler(corpus, BtmHyper(4, beta=0.1, window=3), SeededRng(22))
+        items = sampler.instances
+    else:
+        sampler = LdaGibbsSampler(corpus, LdaHyper(20), SeededRng(22))
+        items = [(v,) for doc in corpus.docword for v in doc]
+    sweep_checked(sampler, 30)
+    one_topic = sum(all(len(sampler.word_topics[w]) == 1 for w in item) for item in items)
+    assert one_topic > len(items) / 3

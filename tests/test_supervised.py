@@ -12,7 +12,7 @@ from topicmodels.supervised import (BACKGROUND_LABEL, LabeledLdaHyper, LabeledLd
                                     PldaHyper, PldaSampler)
 
 from first_draw import (ScriptEnd, ScriptedRng, assert_shares_match, lda_token_shares,
-                        put_lda_token_first, rerun_sweep)
+                        put_lda_token_first, rerun_sweep, without_token)
 from oracles import labeled_token_oracle, lda_joint_log, plda_token_oracle, tv_distance
 
 
@@ -113,6 +113,23 @@ def test_labeled_conditional_matches_oracle():
                             tables.topic_total, tables.doc_topic[0],
                             set(sampler.allowed[0]), 0.4, 0.15, K, corpus.n_words)
         assert_shares_match(lda_token_shares(sampler), want)
+
+
+def test_labeled_draw_of_a_word_its_own_topic_holds_alone():
+    # w0 sits in topic 2 (label C) alone, four tokens of it: the first
+    # token's draw takes the one-topic path, within labels A, B and C of K = 4
+    lines = ["A,B,C\tw0 w1 w0", "B,C\tw1 w0 w2", "A,C\tw2 w1 w0", "D\tw3 w1"]
+    corpus = label_corpus(lines)
+    sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.4, 0.15), SeededRng(0))
+    sampler.z = [[2, 0, 2], [1, 2, 2], [0, 2, 2], [3, 3]]
+    K, v = sampler.tables.n_topics, corpus.docword[0][0]
+    assert K == 4 and sampler.allowed[0] == [0, 1, 2]
+    assert list(sampler._counts()["word_topics"][v]) == [2]
+    tables = without_token(sampler, 0)
+    want = labeled_token_oracle([tables.topic_word[k][v] for k in range(K)],
+                                tables.topic_total, tables.doc_topic[0],
+                                set(sampler.allowed[0]), 0.4, 0.15, K, corpus.n_words)
+    assert_shares_match(lda_token_shares(sampler), want)
 
 
 def test_labeled_vacuous_constraint_equals_lda_conditional():
