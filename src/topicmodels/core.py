@@ -385,7 +385,7 @@ def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequen
     Row m of ``doc_topic`` and ``doc_total`` counts document m, unless
     ``rows[m][n]`` in [0, n_rows) names a row for each token (in ATM its
     author).  One pass over the tokens counts the rows and the index, the
-    only home of n_kv (HDP and ATM build dense rows with ``index_rows``);
+    only home of n_kv (``index_rows`` builds dense rows from it);
     ``topic_total`` sums the rows.
     """
     if rows is None:

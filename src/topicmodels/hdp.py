@@ -7,7 +7,7 @@ compacted away the moment they empty, so live indices stay contiguous:
   token_table[m][n]  table of token n in document m (index into that doc's lists)
   table_topic[m][t]  topic served at table t of document m
   table_count[m][t]  tokens currently seated at that table
-  n_kv / n_k         topic-word and topic-total token counts
+  n_k                tokens of topic k
   m_k / m_total      tables serving topic k, and all tables
   word_topics[v]     topic -> n_kv for each topic holding word v (the word index)
   inv_norm[k]        1/(n_k + V beta), cached per topic
@@ -16,11 +16,11 @@ compacted away the moment they empty, so live indices stay contiguous:
 import random
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import mul
 
-from .core import (counts_from_assignments, draw_each, fold_sum, index_rows, record,
-                   require_at_least, require_nonnegative, require_positive, require_recount)
+from .core import (counts_from_assignments, draw_each, fold_sum, record, require_at_least,
+                   require_nonnegative, require_positive, require_recount)
 from .corpus import Corpus
 from .lda import FittedLda, estimate_theta, index_phi
 
@@ -84,8 +84,7 @@ class HdpSampler:
         v_beta = self.n_words * self.hyper.beta
         return {"table_count": [[seats.count(t) for t in range(len(tt))]
                                 for tt, seats in zip(self.table_topic, self.token_table)],
-                "n_kv": index_rows(index, n_topics), "n_k": tokens.topic_total,
-                "m_k": [served[k] for k in range(n_topics)],
+                "n_k": tokens.topic_total, "m_k": [served[k] for k in range(n_topics)],
                 "m_total": sum(map(len, self.table_topic)), "word_topics": index,
                 "inv_norm": [1.0 / (n + v_beta) for n in tokens.topic_total]}
 
@@ -104,15 +103,16 @@ class HdpSampler:
     def _delete_topic(self, k: int) -> None:
         last = self.n_topics - 1
         if k != last:
-            for table in (self.n_kv, self.n_k, self.m_k, self.inv_norm):
+            for table in (self.n_k, self.m_k, self.inv_norm):
                 table[k] = table[last]
             for tt in self.table_topic:
                 for t, topic in enumerate(tt):
                     if topic == last:
                         tt[t] = k
-            for wt in compress(self.word_topics, self.n_kv[k]):
-                wt[k] = wt.pop(last)
-        for table in (self.n_kv, self.n_k, self.m_k, self.inv_norm):
+            for wt in self.word_topics:
+                if last in wt:  # k is in none: topic k holds no token
+                    wt[k] = wt.pop(last)
+        for table in (self.n_k, self.m_k, self.inv_norm):
             table.pop()
 
     def _delete_table(self, m: int, t: int) -> None:
@@ -132,7 +132,6 @@ class HdpSampler:
             self._delete_topic(k)
 
     def _new_topic(self) -> int:
-        self.n_kv.append([0] * self.n_words)
         self.n_k.append(0)
         self.m_k.append(0)
         self.inv_norm.append(1.0 / (self.n_words * self.hyper.beta))
@@ -170,7 +169,7 @@ class HdpSampler:
         topic into a freed slot, in place, so the lists held here stay the
         sampler's own.
         """
-        n_kv, n_k, m_k = self.n_kv, self.n_k, self.m_k
+        n_k, m_k = self.n_k, self.m_k
         word_topics, inv_norm = self.word_topics, self.inv_norm
         beta, gamma, alpha0 = self.hyper.beta, self.hyper.gamma, self.hyper.alpha0
         v_beta = self.n_words * beta
@@ -185,7 +184,6 @@ class HdpSampler:
                 t = seats[n]
                 k = table_topic[t]
                 wt = word_topics[v]
-                n_kv[k][v] -= 1
                 left = wt[k] - 1
                 if left:
                     wt[k] = left
@@ -205,7 +203,7 @@ class HdpSampler:
                 for k, c in wt.items():
                     word += m_k[k] * c * inv_norm[k]
                 mass = word + beta * smooth + new_topic
-                weights = [c * (n_kv[k][v] + beta) * inv_norm[k]
+                weights = [c * (wt.get(k, 0) + beta) * inv_norm[k]
                            for c, k in zip(table_count, table_topic)]
                 weights.append(alpha0 * mass / (self.m_total + gamma))
                 cumulative = list(accumulate(weights))
@@ -231,7 +229,6 @@ class HdpSampler:
                 k = table_topic[choice]
                 seats[n] = choice
                 table_count[choice] += 1
-                n_kv[k][v] += 1
                 wt[k] = wt.get(k, 0) + 1
                 total = n_k[k] + 1
                 n_k[k] = total

@@ -9,10 +9,10 @@ per-document row, so both its draws are the SparseLDA token draw of
 
 import random
 
-from .core import (counts_from_assignments, draw_below, draw_each, index_rows, record,
-                   require_positive, require_recount, sample_categorical)
+from .core import (counts_from_assignments, draw_below, draw_each, record, require_positive,
+                   require_recount, sample_categorical)
 from .corpus import Corpus
-from .lda import (FittedLda, LdaHyper, estimate_phi, estimate_theta, index_phi, smoothed_rows,
+from .lda import (FittedLda, LdaHyper, estimate_theta, index_phi, smoothed_rows,
                   sweep_sparse_tokens)
 
 
@@ -21,8 +21,8 @@ class AtmSampler:
 
     x[m][n] is the author responsible for token n of document m, always a
     member of the document's author list.  ``tables`` has one row per
-    author: doc_topic[a][k] is n_a^k and doc_total[a] is n_a^*, and
-    ``tables.topic_word`` is n_kv, dense for the joint draw.
+    author: doc_topic[a][k] is n_a^k and doc_total[a] is n_a^*.  n_kv lives
+    in the word index ``word_topics`` (v -> {k: n_kv}) alone.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
@@ -39,13 +39,11 @@ class AtmSampler:
         vars(self).update(self._counts())
 
     def _counts(self) -> dict:
-        """The count tables of x and z, by attribute name."""
-        K = self.hyper.n_topics
-        tables, index = counts_from_assignments(self.corpus.docword, self.z, K,
+        """The count tables of x and z and their word index, by attribute name."""
+        tables, index = counts_from_assignments(self.corpus.docword, self.z, self.hyper.n_topics,
                                                 self.corpus.n_words, rows=self.x,
                                                 n_rows=len(self.corpus.meta_vocabulary))
-        tables.topic_word = index_rows(index, K)
-        return {"tables": tables}
+        return {"tables": tables, "word_topics": index}
 
     def check(self) -> None:
         """Check every token's author against its document's author list and
@@ -60,49 +58,53 @@ class AtmSampler:
         """(flat weights, author list) for the joint draw, token excluded.
 
         weight_{a,k} = (n_ak + a)/(n_a + K a) * (n_kv + b)/(n_k + V b),
-        flattened author-major.
+        flattened author-major, with n_kv = 0 for a topic v's dict lacks.
         """
-        hyper = self.hyper
-        tables = self.tables
-        K, V = hyper.n_topics, self.corpus.n_words
-        v_beta = V * hyper.beta
-        word_factor = [(tables.topic_word[k][v] + hyper.beta)
-                       / (tables.topic_total[k] + v_beta) for k in range(K)]
+        hyper, tables = self.hyper, self.tables
+        K, alpha, beta, totals = hyper.n_topics, hyper.alpha, hyper.beta, tables.topic_total
+        v_beta = self.corpus.n_words * beta
+        word_factor = [beta / (n + v_beta) for n in totals]
+        for k, c in self.word_topics[v].items():
+            word_factor[k] = (c + beta) / (totals[k] + v_beta)
         authors = self.corpus.authors[m]
         weights = []
         for a in authors:
             row = tables.doc_topic[a]
-            denom = tables.doc_total[a] + K * hyper.alpha
+            denom = tables.doc_total[a] + K * alpha
             for k in range(K):
-                weights.append((row[k] + hyper.alpha) / denom * word_factor[k])
+                weights.append((row[k] + alpha) / denom * word_factor[k])
         return weights, authors
 
     def sweep(self) -> None:
+        """Redraw every token's (author, topic) pair.  A count of 0 stays in
+        its word's dict during the draw, and goes if the token leaves the topic."""
         K = self.hyper.n_topics
         nak, na = self.tables.doc_topic, self.tables.doc_total
-        nkv, nk = self.tables.topic_word, self.tables.topic_total
+        word_topics, nk = self.word_topics, self.tables.topic_total
         for m, doc in enumerate(self.corpus.docword):
             xm, zm = self.x[m], self.z[m]
             for n, v in enumerate(doc):
-                a, k = xm[n], zm[n]
+                a, k, wt = xm[n], zm[n], word_topics[v]
                 nak[a][k] -= 1
                 na[a] -= 1
-                nkv[k][v] -= 1
+                wt[k] -= 1
                 nk[k] -= 1
                 weights, authors = self.full_conditional(m, v)
                 cell = sample_categorical(weights, self.rng)
-                a, k = authors[cell // K], cell % K
-                xm[n] = a
-                zm[n] = k
-                nak[a][k] += 1
+                a, new = authors[cell // K], cell % K
+                if new != k and not wt[k]:
+                    del wt[k]
+                xm[n], zm[n] = a, new
+                nak[a][new] += 1
                 na[a] += 1
-                nkv[k][v] += 1
-                nk[k] += 1
+                wt[new] = wt.get(new, 0) + 1
+                nk[new] += 1
 
     def estimate(self) -> FittedLda:
         """theta has one row per author."""
         return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),
-                         phi=estimate_phi(self.tables, self.hyper.beta))
+                         phi=index_phi(self.word_topics, self.tables.topic_total,
+                                       self.hyper.beta))
 
 
 @record(frozen=True)

@@ -318,11 +318,12 @@ def test_criterion_2_full_conditional_scalar_oracles():
         v = corpus.docword[m][n]
         sampler.tables.doc_topic[a][k] -= 1
         sampler.tables.doc_total[a] -= 1
-        sampler.tables.topic_word[k][v] -= 1
+        sampler.word_topics[v][k] -= 1
         sampler.tables.topic_total[k] -= 1
         got, authors = sampler.full_conditional(m, v)
+        n_kv = index_rows(sampler.word_topics, K)
         rows = atm_joint_oracle(sampler.tables.doc_topic, sampler.tables.doc_total,
-                        [sampler.tables.topic_word[kk][v] for kk in range(K)],
+                        [n_kv[kk][v] for kk in range(K)],
                         sampler.tables.topic_total, authors, 0.4, 0.15, K, corpus.n_words)
         assert_close_distribution(got, [w for row in rows for w in row])
 

@@ -1,10 +1,11 @@
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import pytest
 
-from topicmodels.core import SeededRng, run_chain
+from topicmodels.core import SeededRng, index_rows, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.hdp import HdpHyper, HdpSampler
 
@@ -23,7 +24,10 @@ def remove_token(sampler, m, n):
     v = sampler.corpus.docword[m][n]
     t = sampler.token_table[m][n]
     k = sampler.table_topic[m][t]
-    sampler.n_kv[k][v] -= 1
+    wt = sampler.word_topics[v]
+    wt[k] -= 1
+    if not wt[k]:
+        del wt[k]
     sampler.n_k[k] -= 1
     sampler.table_count[m][t] -= 1
     if sampler.table_count[m][t] == 0:
@@ -51,7 +55,8 @@ def check_franchise_invariants(sampler):
             assert 0 <= k < K
             m_k[k] += 1
     assert m_k == sampler.m_k
-    assert n_kv == sampler.n_kv
+    assert n_kv == index_rows(sampler.word_topics, K)
+    assert all(all(wt.values()) for wt in sampler.word_topics)
     assert [sum(row) for row in n_kv] == sampler.n_k
     assert sum(sampler.n_k) == corpus.n_tokens
 
@@ -151,9 +156,10 @@ def test_table_and_topic_weights_match_hand_evaluation():
         v = remove_token(sampler, 0, 0)
         K = sampler.n_topics
         V = corpus.n_words
+        n_kv = index_rows(sampler.word_topics, K)
 
         def f(k):
-            return (sampler.n_kv[k][v] + 0.2) / (sampler.n_k[k] + V * 0.2)
+            return (n_kv[k][v] + 0.2) / (sampler.n_k[k] + V * 0.2)
 
         want_tables = [sampler.table_count[0][t] * f(sampler.table_topic[0][t])
                        for t in range(len(sampler.table_topic[0]))]
@@ -174,6 +180,34 @@ def test_topic_weights_no_live_topics_forces_new():
     remove_token(sampler, 0, 0)
     assert sampler.n_topics == 0
     assert tables == {0: 1.0} and dishes == {0: 1.0}
+
+
+def test_new_topic_grows_no_row_over_the_words():
+    # a new topic holds no word, so the word index has nothing to add
+    corpus = parse_plain([" ".join(f"w{v}" for v in range(50_000))])
+    sampler = HdpSampler(corpus, HdpHyper(1), SeededRng(1))
+    tracemalloc.start()
+    try:
+        sampler._new_topic()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
+
+
+def test_state_at_300_topics_is_under_half_a_dense_word_table():
+    rng = SeededRng(8)
+    corpus = parse_plain([" ".join(f"w{rng.randrange(3000)}" for _ in range(20))
+                          for _ in range(200)])
+    K = 300
+    tracemalloc.start()
+    try:
+        sampler = HdpSampler(corpus, HdpHyper(K), rng)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sampler.n_topics > K // 2
+    assert held < K * corpus.n_words * 8 / 2, held / (K * corpus.n_words * 8)
 
 
 def test_gamma_zero_never_spawns_topics():

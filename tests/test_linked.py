@@ -1,9 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
-from topicmodels.core import SeededRng, run_chain
+from topicmodels.core import SeededRng, index_rows, run_chain
 from topicmodels.corpus import parse_tagged
 from topicmodels.lda import LdaHyper
 from topicmodels.linked import AtmSampler, LinkLdaHyper, LinkLdaSampler
@@ -27,7 +28,7 @@ def remove_token(sampler, m, n):
     v = sampler.corpus.docword[m][n]
     sampler.tables.doc_topic[a][k] -= 1
     sampler.tables.doc_total[a] -= 1
-    sampler.tables.topic_word[k][v] -= 1
+    sampler.word_topics[v][k] -= 1
     sampler.tables.topic_total[k] -= 1
     return v
 
@@ -67,8 +68,9 @@ def test_atm_matches_scalar_oracle():
         n = rng.randrange(len(corpus.docword[m]))
         v = remove_token(sampler, m, n)
         got, authors = sampler.full_conditional(m, v)
+        n_kv = index_rows(sampler.word_topics, K)
         want_rows = atm_joint_oracle(sampler.tables.doc_topic, sampler.tables.doc_total,
-                             [sampler.tables.topic_word[k][v] for k in range(K)],
+                             [n_kv[k][v] for k in range(K)],
                              sampler.tables.topic_total, authors, 0.4, 0.15,
                              K, corpus.n_words)
         want = [w for row in want_rows for w in row]
@@ -110,6 +112,22 @@ def test_atm_unseen_author_row_uniform():
             sampler.x[0][n] = 0
     fit = sampler.estimate()
     assert fit.theta[1] == pytest.approx([0.25] * 4)
+
+
+def test_atm_state_at_300_topics_is_under_half_a_dense_word_table():
+    rng = SeededRng(8)
+    corpus = author_corpus([f"A{m % 20},A{m % 7}\t"
+                            + " ".join(f"w{rng.randrange(3000)}" for _ in range(20))
+                            for m in range(200)])
+    K = 300
+    tracemalloc.start()
+    try:
+        sampler = AtmSampler(corpus, LdaHyper(K), rng)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sampler.tables.n_topics == K
+    assert held < K * corpus.n_words * 8 / 2, held / (K * corpus.n_words * 8)
 
 
 def test_atm_chain_matches_enumerated_posterior():
@@ -159,7 +177,7 @@ def test_atm_recount_each_sweep():
                 author_topic[sampler.x[m][n]][sampler.z[m][n]] += 1
                 topic_word[sampler.z[m][n]][v] += 1
         assert author_topic == sampler.tables.doc_topic
-        assert topic_word == sampler.tables.topic_word
+        assert topic_word == index_rows(sampler.word_topics, 3)
 
 
 # ---------------------------------------------------------------- Link LDA
