@@ -62,7 +62,7 @@ class SparseRow(array):
     __slots__ = ("support",)
 
 
-def smoothed_rows(counts, totals, smooth: float, ranked: bool = False) -> list:
+def smoothed_rows(counts, totals, smooth: float) -> list:
     """Rows of (count + smooth) / (total + dim * smooth); each row is stochastic.
 
     Each row is an ``array('d')``: the same doubles at 8 bytes a cell, not
@@ -73,66 +73,55 @@ def smoothed_rows(counts, totals, smooth: float, ranked: bool = False) -> list:
     is computed cell by cell: a count row with no zero, and the expected
     counts of CVB0 (a float total), which have none and are not scanned for
     one.  An empty row (a link vocabulary of none) has no cell to fill.
-
-    ``ranked`` marks rows whose top words are listed (phi, not theta): such
-    an integer row with a zero is built by ``_ranked_row``.
     """
     out = []
     for row, total in zip(counts, totals):
         denom = total + len(row) * smooth
-        if not (isinstance(total, int) and 0 in row):
-            cells = array("d", [(c + smooth) / denom for c in row])
-        elif ranked:
-            cells = _ranked_row(len(row), array("I", compress(range(len(row)), row)),
-                                compress(row, row), total, smooth)
-        else:
+        if isinstance(total, int) and 0 in row:
             cells = array("d", [smooth / denom])
             cells *= len(row)
             for i in compress(range(len(row)), row):
                 cells[i] = (row[i] + smooth) / denom
+        else:
+            cells = array("d", [(c + smooth) / denom for c in row])
         out.append(cells)
     return out
 
 
-def _ranked_row(width: int, support: array, counts, total: int, smooth: float) -> array:
-    """The row ``smoothed_rows`` fills, of ``width`` cells, from the nonzero
-    ``counts`` at the ascending ids ``support``.  A row with nonzero counts
-    in at most half its cells is a ``SparseRow`` that keeps its support, at
-    most 2 bytes a cell."""
-    denom = total + width * smooth
-    kind = SparseRow if 2 * len(support) <= width else array
-    cells = kind("d", [smooth / denom])
-    cells *= width  # in place, so the row keeps its kind
-    for i, c in zip(support, counts):
-        cells[i] = (c + smooth) / denom
-    if kind is SparseRow:
-        cells.support = support
-    return cells
-
-
 def index_phi(index, totals, smooth: float) -> list:
-    """``smoothed_rows(core.index_rows(index, len(totals)), totals, smooth,
-    ranked=True)``, float for float, kind for kind and support for support,
-    from a word index (word v -> {topic k: n_kv > 0}) in one pass over its
-    entries: no dense count row is built or scanned for zeros.  Over no
-    words (Link LDA without links) every row is an empty ``array``."""
-    if not index:
+    """``smoothed_rows(core.index_rows(index, len(totals)), totals, smooth)``,
+    float for float, from a word index (word v -> {topic k: n_kv > 0}) in
+    one pass over its entries: no dense count row is built or scanned for
+    zeros.  Each row starts as its floor, smooth / denom, and only its
+    nonzero counts are computed.  A row with nonzero counts in at most half
+    its cells is a ``SparseRow`` that keeps its support, at most 2 bytes a
+    cell; a topic's support and counts are released once its row is built.
+    Over no words (Link LDA without links) every row is an empty ``array``."""
+    V = len(index)
+    if not V:
         return [array("d") for _ in totals]
     support, counts = [array("I") for _ in totals], [[] for _ in totals]
     for v, held in enumerate(index):  # ascending v, so each support is sorted
         for k, c in held.items():
             support[k].append(v)
             counts[k].append(c)
-    return [_ranked_row(len(index), ids, cs, total, smooth)
-            for ids, cs, total in zip(support, counts, totals)]
+    rows = []
+    for k, total in enumerate(totals):
+        denom = total + V * smooth
+        kind = SparseRow if 2 * len(support[k]) <= V else array
+        cells = kind("d", [smooth / denom])
+        cells *= V  # in place, so the row keeps its kind
+        for i, c in zip(support[k], counts[k]):
+            cells[i] = (c + smooth) / denom
+        if kind is SparseRow:
+            cells.support = support[k]
+        support[k] = counts[k] = None
+        rows.append(cells)
+    return rows
 
 
 def estimate_theta(tables: CountTables, alpha: float) -> list:
     return smoothed_rows(tables.doc_topic, tables.doc_total, alpha)
-
-
-def estimate_phi(tables: CountTables, beta: float) -> list:
-    return smoothed_rows(tables.topic_word, tables.topic_total, beta, ranked=True)
 
 
 def sweep_sparse_tokens(docword, z, rows, topics, topic_total: list, word_topics: list,
@@ -439,4 +428,5 @@ class LdaCvb0:
 
     def estimate(self) -> FittedLda:
         return FittedLda(theta=estimate_theta(self.expected, self.hyper.alpha),
-                         phi=estimate_phi(self.expected, self.hyper.beta))
+                         phi=smoothed_rows(self.expected.topic_word, self.expected.topic_total,
+                                           self.hyper.beta))

@@ -866,10 +866,8 @@ def dense_word_tables(obj, widths, prefix="") -> list:
     return found
 
 
-# the name is kept from before HDP and ATM gave up their dense tables, so that
-# its test ids stay; it checks that no Gibbs chain keeps one
 @pytest.mark.parametrize("model", GIBBS_MODELS)
-def test_only_hdp_and_atm_keep_a_dense_word_table(model):
+def test_no_gibbs_chain_keeps_a_dense_word_table(model):
     spec = cli.MODELS[model]
     hyper = spec.hyper(**{f.name: 2 for f in fields(spec.hyper) if f.default is core.MISSING})
     corpus = cli._parse(spec.layout, GOLDEN_LAYOUTS[spec.layout].splitlines())

@@ -100,7 +100,9 @@ def test_top_word_ids_of_a_sparse_row_equal_the_full_sort(smooth):
         for v in rng.sample(range(size), rng.randrange(size + 1)):
             row[v] = rng.choice((1, 2, 2, 5))
         counts.append(row)
-    rows = lda.smoothed_rows(counts, [sum(row) for row in counts], smooth, ranked=True)
+    # each row is the phi of a one-topic word index
+    rows = [lda.index_phi([{0: c} if c else {} for c in row], [sum(row)], smooth)[0]
+            for row in counts]
     assert sum(isinstance(row, lda.SparseRow) for row in rows) > 100
     for row in rows:
         want = sorted(range(len(row)), key=row.__getitem__, reverse=True)

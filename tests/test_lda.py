@@ -6,7 +6,7 @@ from array import array
 import pytest
 
 from topicmodels import lda
-from topicmodels.core import CountTables, SeededRng, counts_from_assignments, index_rows, run_chain
+from topicmodels.core import SeededRng, counts_from_assignments, index_rows, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.evaluation import top_word_ids
 from topicmodels.lda import LdaCvb0, LdaGibbsSampler, LdaHyper
@@ -379,51 +379,75 @@ def test_top_word_ranking_scale_invariant():
     assert order == order2
 
 
-def test_phi_estimate_allocates_eight_bytes_a_cell():
-    # rows are array('d'), not lists of float objects (about 40 bytes a cell)
-    K, V = 50, 2000
-    tables = CountTables(1, K, V)
-    for k in range(K):
-        tables.topic_word[k] = [(k * v) % 7 for v in range(V)]
-        tables.topic_total[k] = sum(tables.topic_word[k])
+def _traced_peak(build):
+    """The rows ``build()`` returns, and the peak bytes traced while it ran."""
     tracemalloc.start()
     try:
-        phi = lda.estimate_phi(tables, 0.01)
+        rows = build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(phi) == K and all(len(row) == V for row in phi)
-    assert peak < 12 * K * V, peak / (K * V)
+    return rows, peak
+
+
+def _word_index(counts) -> list:
+    """The word index (word v -> {topic k: n_kv > 0}) of dense count rows."""
+    return [{k: row[v] for k, row in enumerate(counts) if row[v]} for v in range(len(counts[0]))]
+
+
+def test_phi_estimate_allocates_eight_bytes_a_cell():
+    # rows are array('d'), not lists of float objects (about 40 bytes a cell):
+    # a Gibbs phi from its word index, and CVB0's from float counts
+    K, V = 50, 2000
+    counts = [[(k * v) % 7 for v in range(V)] for k in range(K)]
+    index, totals = _word_index(counts), [sum(row) for row in counts]
+    expected = [[c + 0.5 for c in row] for row in counts]
+    expected_totals = [sum(row) for row in expected]
+    for build in (lambda: lda.index_phi(index, totals, 0.01),
+                  lambda: lda.smoothed_rows(expected, expected_totals, 0.01)):
+        phi, peak = _traced_peak(build)
+        assert len(phi) == K and all(len(row) == V for row in phi)
+        assert peak < 12 * K * V, peak / (K * V)
 
 
 def test_sparse_phi_estimate_stays_under_nine_bytes_a_cell():
     # rows with nonzero counts in 1% of their cells keep their support, 4
     # bytes a nonzero cell on top of the 8 of every cell
     K, V = 50, 2000
-    tables = CountTables(1, K, V)
-    for k in range(K):
-        tables.topic_word[k] = [3 if (k + v) % 100 == 0 else 0 for v in range(V)]
-        tables.topic_total[k] = sum(tables.topic_word[k])
-    tracemalloc.start()
-    try:
-        phi = lda.estimate_phi(tables, 0.01)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    counts = [[3 if (k + v) % 100 == 0 else 0 for v in range(V)] for k in range(K)]
+    index, totals = _word_index(counts), [sum(row) for row in counts]
+    phi, peak = _traced_peak(lambda: lda.index_phi(index, totals, 0.01))
     assert all(isinstance(row, lda.SparseRow) and len(row.support) == V // 100 for row in phi)
     assert peak < 9 * K * V, peak / (K * V)
 
 
-def test_only_ranked_rows_of_few_nonzero_counts_keep_their_support():
-    counts = [[0, 2, 0, 0], [0, 2, 1, 0], [0, 2, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0], []]
+def _assert_index_phi_is_the_formula(index, K, smooth) -> list:
+    """``index_phi``'s rows, checked against the dense counts: the floats of
+    ``smoothed_rows``, and a ``SparseRow`` that keeps the ascending ids of
+    its nonzero counts exactly when the row has cells and at most half of
+    them hold a nonzero count (else a plain ``array``)."""
+    counts = index_rows(index, K)
     totals = [sum(row) for row in counts]
-    ranked = lda.smoothed_rows(counts, totals, 0.1, ranked=True)
+    got = lda.index_phi(index, totals, smooth)
+    assert [row.tolist() for row in got] == [
+        row.tolist() for row in lda.smoothed_rows(counts, totals, smooth)]
+    for row, want in zip(got, counts):
+        support = [v for v, c in enumerate(want) if c]
+        if want and 2 * len(support) <= len(want):
+            assert type(row) is lda.SparseRow and row.support == array("I", support)
+        else:
+            assert type(row) is array
+    return got
+
+
+def test_only_ranked_rows_of_few_nonzero_counts_keep_their_support():
+    counts = [[0, 2, 0, 0], [0, 2, 1, 0], [0, 2, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0]]
+    ranked = _assert_index_phi_is_the_formula(_word_index(counts), len(counts), 0.1)
     assert [getattr(row, "support", None) for row in ranked] == [
-        array("I", [1]), array("I", [1, 2]), None, None, array("I"), None]
-    assert [row.tolist() for row in ranked] == [
-        row.tolist() for row in lda.smoothed_rows(counts, totals, 0.1)]
+        array("I", [1]), array("I", [1, 2]), None, None, array("I")]
     # theta rows are not ranked, so they carry no support
-    assert all(type(row) is array for row in lda.smoothed_rows(counts, totals, 0.1))
+    assert all(type(row) is array
+               for row in lda.smoothed_rows(counts, [sum(row) for row in counts], 0.1))
 
 
 def test_smoothed_rows_equal_the_formula_bit_for_bit():
@@ -459,10 +483,7 @@ def test_index_phi_equals_the_dense_rows(smooth):
         cases.append((counts_from_assignments(docword, z, K, V)[1], K))
     cases.append(([], 3))
     for index, K in cases:
-        totals = [sum(held.get(k, 0) for held in index) for k in range(K)]
-        got = lda.index_phi(index, totals, smooth)
-        assert _kinds(got) == _kinds(lda.smoothed_rows(index_rows(index, K), totals, smooth,
-                                                        ranked=True))
+        got = _assert_index_phi_is_the_formula(index, K, smooth)
         if index is first:
             assert [type(row) for row in got] == [array, lda.SparseRow, lda.SparseRow, array]
     # over no words every row is an empty plain array: a SparseRow of no
