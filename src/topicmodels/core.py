@@ -8,7 +8,7 @@ floats for the expected-count twins used by the variational algorithms).
 import math
 import random
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, pairwise, repeat
 from operator import sub
 from typing import NamedTuple, Sequence
@@ -216,26 +216,25 @@ def fold_sum(values) -> float:
     return acc
 
 
+def walk_sums(sums: Sequence[float], u: float) -> int:
+    """The index of the first running sum in ``sums`` above ``u``, by bisect;
+    where round-off leaves ``u`` at or past the last sum, the last index with
+    weight (the first whose sum equals the last)."""
+    i = bisect_right(sums, u)
+    return i if i < len(sums) else bisect_left(sums, sums[-1])
+
+
 def sample_categorical(weights: Sequence[float], rng: random.Random) -> int:
     """Draw an index with probability weights[i] / sum(weights).
 
-    Cumulative-sum inversion of a single uniform draw, found by bisect over
-    the running sums.  Weights must be nonnegative, free of NaN, and not all
-    zero.
+    Cumulative-sum inversion of one uniform draw, by ``walk_sums``.  Weights
+    must be nonnegative, free of NaN, and not all zero.
     """
     cumulative = list(accumulate(weights))
     # a NaN weight makes the final sum NaN, which fails the first test
     if not (cumulative and cumulative[-1] > 0.0) or min(weights) < 0.0:
         raise SamplingError("categorical weights must be nonnegative numbers, not all zero")
-    i = bisect_right(cumulative, rng.random() * cumulative[-1])
-    if i < len(cumulative):
-        return i
-    # float round-off can leave the draw microscopically past the final sum;
-    # fall back to the last index carrying mass
-    for i in range(len(cumulative) - 1, -1, -1):
-        if weights[i] > 0.0:
-            return i
-    raise SamplingError("unreachable: no positive weight found")
+    return walk_sums(cumulative, rng.random() * cumulative[-1])
 
 
 def log_rising_factorial(x: float, n: int) -> float:

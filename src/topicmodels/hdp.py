@@ -14,13 +14,12 @@ compacted away the moment they empty, so live indices stay contiguous:
 """
 
 import random
-from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
 from operator import mul
 
 from .core import (counts_from_assignments, draw_each, fold_sum, record, require_at_least,
-                   require_nonnegative, require_positive, require_recount)
+                   require_nonnegative, require_positive, require_recount, walk_sums)
 from .corpus import Corpus
 from .lda import FittedLda, estimate_theta, index_phi
 
@@ -165,9 +164,9 @@ class HdpSampler:
         word bucket first, then the smoothing bucket beta m_k/(n_k + V beta)
         by a bisect over its running sums, then the new topic.  Where
         round-off runs a walk past its end, the draw takes the walk's last
-        outcome with weight.  The structural edits swap the last table or
-        topic into a freed slot, in place, so the lists held here stay the
-        sampler's own.
+        outcome with weight (``core.walk_sums``).  The structural edits
+        swap the last table or topic into a freed slot, in place, so the
+        lists held here stay the sampler's own.
         """
         n_k, m_k = self.n_k, self.m_k
         word_topics, inv_norm = self.word_topics, self.inv_norm
@@ -207,9 +206,7 @@ class HdpSampler:
                            for c, k in zip(table_count, table_topic)]
                 weights.append(alpha0 * mass / (self.m_total + gamma))
                 cumulative = list(accumulate(weights))
-                choice = bisect_right(cumulative, rng_random() * cumulative[-1])
-                if choice == len(weights):
-                    choice = max(i for i, w in enumerate(weights) if w)
+                choice = walk_sums(cumulative, rng_random() * cumulative[-1])
                 if choice == len(table_topic):
                     u = rng_random() * mass
                     if u < word:
@@ -220,8 +217,7 @@ class HdpSampler:
                     else:
                         u = (u - word) / beta
                         if m_k and (u < smooth or not gamma):
-                            j = bisect_right(list(accumulate(map(mul, m_k, inv_norm))), u)
-                            k = min(j, len(m_k) - 1)
+                            k = walk_sums(list(accumulate(map(mul, m_k, inv_norm))), u)
                         else:
                             k = self._new_topic()
                     choice = self._new_table(m, k)

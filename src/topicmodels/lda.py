@@ -21,12 +21,12 @@ hard assignment z with a per-token responsibility vector.
 
 import random
 from array import array
-from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress
 from math import fsum
 
 from .core import (CountTables, counts_from_assignments, draw_below, draw_each, expected_counts,
-                   fold_sum, record, require_at_least, require_positive, require_recount)
+                   fold_sum, record, require_at_least, require_positive, require_recount,
+                   walk_sums)
 from .corpus import Corpus
 
 # The CVB0 sweeps move expected counts by differences, so the tables drift
@@ -151,14 +151,16 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_total: list, word_topics
                                   smoothing only, in id order
     q is summed over the word index only; s + r is a running total over all
     the document's topics, recomputed at the start of each document so
-    round-off cannot build up.  The list holds the topics with row_k > 0 at
-    the start of the document, in ``topics[m]`` order; a move that gives a
-    topic its first token there appends it, once, and a topic that drops to
-    0 stays on it.  Only a draw that runs past the list walks the rest, as
-    a cumulative sum at C speed with the listed topics zeroed: mostly the
-    draws of a word seen once (q = 0) that land on a topic the row does not
-    hold.  Where round-off runs a walk past its end, the draw takes the last
-    topic with weight.
+    round-off cannot build up.  The list holds the row's nonzero topics at
+    the start of the document, in id order; a move that gives a topic its
+    first token there appends it, once, and a topic that drops to 0 stays
+    on it.  Only a draw that runs past the list walks the rest, by
+    ``core.walk_sums`` over the running sums of the whole coefficient row
+    with the listed topics zeroed: mostly the draws of a word seen once
+    (q = 0) that land on a topic the row does not hold.  Both read topics
+    by id, so every caller's row must be 0, as coef_k is 0.0, at each topic
+    k the document may not use.  Where round-off runs a walk past its end,
+    the draw takes the last topic with weight.
 
     The coefficients outlive a document: the topics off its list keep
     alpha/(n_k + V beta), so only the listed topics are set at its start
@@ -194,7 +196,7 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_total: list, word_topics
             for k in ks:
                 coef[k] = alpha * inv[k]
             ks_before = ks
-        listed = list(compress(ks, map(nm.__getitem__, ks)))  # the topics the row holds
+        listed = list(compress(range(K), nm))  # the topics the row holds
         for k in listed:
             coef[k] = (alpha + nm[k]) * inv[k]
         s_r = beta * fsum(coef)
@@ -240,12 +242,8 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_total: list, word_topics
                     rest = coef.copy()
                     for k in listed:
                         rest[k] = 0.0
-                    walk = list(accumulate(map(rest.__getitem__, ks)))
-                    j = bisect_right(walk, u)
-                    if j < len(walk):
-                        k = ks[j]
-                    else:  # round-off ran past the end: the last topic with weight
-                        k = ks[bisect_left(walk, walk[-1])] if walk[-1] else listed[-1]
+                    walk = list(accumulate(rest))
+                    k = walk_sums(walk, u) if walk[-1] else listed[-1]
 
             if k == k0:  # the topic is kept: put the token back in place
                 coef[k0] = old

@@ -13,12 +13,11 @@ sum_v n_kv = 2 n_k at all times.
 
 import random
 from array import array
-from bisect import bisect_right
 from itertools import accumulate
 from operator import mul
 
 from .core import (counts_from_assignments, draw_below, draw_each, fold_sum, index_rows,
-                   record, require_at_least, require_positive, require_recount, warn)
+                   record, require_at_least, require_positive, require_recount, walk_sums, warn)
 from .corpus import Corpus
 from .lda import LdaHyper, index_phi, smoothed_rows, sweep_sparse_tokens
 from .mixture import ClusterTables
@@ -212,7 +211,8 @@ class BtmSampler:
         word index (a biterm of one word twice reads one dict twice).  The
         smoothing bucket is a running total of A, summed afresh at the start
         of each sweep, and a draw landing there is found by bisect over the
-        running sums of A.
+        running sums of A (``core.walk_sums``).  Where round-off runs a walk
+        past its end, the draw takes the last topic with weight.
 
         The biterm's own topic is weighed with the biterm taken out, in
         place: A_k and both index values (a value of 0 stays in the dict and
@@ -290,7 +290,7 @@ class BtmSampler:
                     else:
                         k = [j for j, c in wt2.items() if c][-1]
                 else:
-                    k = min(bisect_right(list(accumulate(A)), (u - q2) / sb), K - 1)
+                    k = walk_sums(list(accumulate(A)), (u - q2) / sb)
 
             if k == k0:
                 A[k0] = old

@@ -776,18 +776,20 @@ def test_output_dir_check_creates_nothing(tmp_path, plain_file):
         "LDAGibbs_doc_topic2.txt", "LDAGibbs_topic_word_2.txt"]
 
 
-def test_sampler_out_of_memory_is_one_error_line(tmp_path, plain_file, monkeypatch, capsys):
+def test_sampler_out_of_memory_is_one_error_line(tmp_path, plain_file):
     """A MemoryError while the sampler is built names its sizes, before any
-    sweep and with no output directory.  The tables are not allocated: their
-    constructor raises as an allocation of 200,000,000 topics would."""
-    def too_big(self, n_docs, n_topics, n_words, real=False):
-        raise MemoryError
-
-    monkeypatch.setattr(core.CountTables, "__init__", too_big)
+    sweep and with no output directory.  The CLI runs in a child process
+    whose address space is capped at 1 GiB, so building 200,000,000 topics
+    fails at its first table, as it would on a machine without the memory,
+    and nothing large is ever allocated."""
     out = tmp_path / "out"
-    assert run(["fit", "--model", "lda-gibbs", "--input", plain_file, "-k", "200000000",
-                "--iterations", "2", "--output-dir", out]) == 1
-    assert capsys.readouterr().err.splitlines() == [
+    done = python("-c", "import resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                  "from topicmodels.cli import main; sys.exit(main(sys.argv[1:]))",
+                  "fit", "--model", "lda-gibbs", "--input", str(plain_file), "-k", "200000000",
+                  "--iterations", "2", "--output-dir", str(out))
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
         "error: out of memory building the lda-gibbs sampler for 200000000 topics, "
         "V = 4 words and M = 4 documents"]
     assert not out.exists()

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -8,7 +9,7 @@ from topicmodels.core import (MAX_PRIOR, MISSING, LogRisingMemo, SamplingError,
                               exp_normalize, fields, fold_sum, index_rows,
                               log_rising_factorial, log_unit_weights, record, require_at_least,
                               require_nonnegative, require_positive, run_chain,
-                              sample_categorical)
+                              sample_categorical, walk_sums)
 
 from oracles import count_tables_two_passes
 
@@ -62,6 +63,18 @@ def test_sample_categorical_frequencies():
     for c, p in zip(counts, probs):
         sigma = math.sqrt(draws * p * (1 - p))
         assert abs(c - draws * p) < 3 * sigma
+
+
+def test_walk_sums_bisects_inside_and_takes_the_last_weight_past_the_end():
+    sums = [0.0, 0.5, 0.5, 2.0, 2.25]  # weights 0, 0.5, 0, 1.5, 0.25
+    for u in (0.0, 0.25, 0.5, 1.0, 1.999, 2.0, 2.2):
+        assert walk_sums(sums, u) == bisect_right(sums, u)
+    assert [walk_sums(sums, u) for u in (0.0, 0.5, 2.0)] == [1, 3, 4]
+    # round-off past the last sum: the last index with weight, here the last
+    assert walk_sums(sums, 2.25) == walk_sums(sums, 3.0) == 4
+    # trailing zero weights: their sums repeat the last one, so not them
+    assert walk_sums([0.0, 1.0, 3.0, 3.0, 3.0], 3.0) == 2
+    assert walk_sums([0.5, 0.5], 0.5) == 0
 
 
 def test_log_rising_factorial_trivial():

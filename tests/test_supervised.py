@@ -263,6 +263,26 @@ def test_plda_conditional_matches_oracle():
         assert_shares_match(lda_token_shares(sampler), want)
 
 
+def test_plda_rest_walk_crosses_barred_topics_by_id():
+    # labels A, B, C own topics 0-1, 2-3 and 4-5, the background 6-7: the
+    # "A,C" document may use {0, 1, 4, 5, 6, 7}.  Its one token sits on 6, so
+    # its list holds 6 alone and a draw past it walks the rest over topic
+    # ids, crossing the barred 2 and 3 and the listed 6
+    lines = ["A\tw1 w2", "B\tw0 w1", "C\tw2 w0", "A,C\tw0"]
+    corpus = label_corpus(lines)
+    sampler = PldaSampler(corpus, PldaHyper(2, 0.4, 0.15), SeededRng(61))
+    assert sampler.allowed[3] == [0, 1, 4, 5, 6, 7]
+    sampler.z[3] = [6]
+    tables = put_lda_token_first(sampler, 3, 0)
+    K, v = sampler.tables.n_topics, corpus.docword[0][0]
+    want = plda_token_oracle(tables.doc_topic[0], [tables.topic_word[t][v] for t in range(K)],
+                             tables.topic_total, set(sampler.allowed[0]),
+                             0.4, 0.15, K, corpus.n_words)
+    shares = lda_token_shares(sampler)
+    assert not {2, 3} & set(shares) and {0, 1, 4, 5, 6, 7} <= set(shares)
+    assert_shares_match(shares, want)
+
+
 def test_plda_background_only_document_uses_background_block():
     corpus = label_corpus([" \tw0 w1", "A\tw2"])
     sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(2))
