@@ -21,7 +21,7 @@ from operator import mul
 from .core import (counts_from_assignments, draw_each, fold_sum, record, require_at_least,
                    require_nonnegative, require_positive, require_recount, walk_sums)
 from .corpus import Corpus
-from .lda import FittedLda, estimate_theta, index_phi
+from .lda import FittedLda, index_phi, smoothed_rows
 
 
 @record(frozen=True)
@@ -67,18 +67,14 @@ class HdpSampler:
     def n_topics(self) -> int:
         return len(self.n_k)
 
-    def _token_topics(self) -> list:
-        """The topic of every token: the topic its table serves."""
-        return [[tt[t] for t in seats] for tt, seats in zip(self.table_topic, self.token_table)]
-
     def _counts(self, n_topics: int) -> dict:
         """The counts of the seating plan over ``n_topics`` topics, with its
         word index and the 1/(n_k + V beta) cache, by attribute name."""
         for m, (tt, seats) in enumerate(zip(self.table_topic, self.token_table)):
             if not all(0 <= t < len(tt) for t in seats):
                 raise ValueError(f"doc {m}: a token sits at a table that does not exist")
-        tokens, index = counts_from_assignments(self.corpus.docword, self._token_topics(),
-                                                n_topics, self.n_words)
+        topics = [[tt[t] for t in seats] for tt, seats in zip(self.table_topic, self.token_table)]
+        tokens, index = counts_from_assignments(self.corpus.docword, topics, n_topics, self.n_words)
         served = Counter(k for tt in self.table_topic for k in tt)
         v_beta = self.n_words * self.hyper.beta
         return {"table_count": [[seats.count(t) for t in range(len(tt))]
@@ -233,7 +229,11 @@ class HdpSampler:
                 inv_norm[k] = inv
 
     def estimate(self) -> FittedLda:
-        tokens = counts_from_assignments(self.corpus.docword, self._token_topics(),
-                                         self.n_topics, self.n_words)[0]
-        return FittedLda(theta=estimate_theta(tokens, self.hyper.alpha0),
-                         phi=index_phi(self.word_topics, self.n_k, self.hyper.beta))
+        """theta's row m adds up document m's table counts by the topic served."""
+        rows = [[0] * self.n_topics for _ in self.table_topic]
+        for row, tt, counts in zip(rows, self.table_topic, self.table_count):
+            for k, c in zip(tt, counts):
+                row[k] += c
+        h = self.hyper
+        return FittedLda(theta=smoothed_rows(rows, map(len, self.corpus.docword), h.alpha0),
+                         phi=index_phi(self.word_topics, self.n_k, h.beta))

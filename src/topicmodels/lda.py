@@ -90,7 +90,8 @@ def smoothed_rows(counts, totals, smooth: float) -> list:
 
 def index_phi(index, totals, smooth: float) -> list:
     """``smoothed_rows(core.index_rows(index, len(totals)), totals, smooth)``,
-    float for float, from a word index (word v -> {topic k: n_kv > 0}) in
+    float for float, from a word index (word v -> {topic k: n_kv > 0}; for
+    PTM's ``pseudo_theta``, topic k -> {pseudo document l: N_l^k > 0}) in
     one pass over its entries: no dense count row is built or scanned for
     zeros.  Each row starts as its floor, smooth / denom, and only its
     nonzero counts are computed.  A row with nonzero counts in at most half
@@ -118,10 +119,6 @@ def index_phi(index, totals, smooth: float) -> list:
         support[k] = counts[k] = None
         rows.append(cells)
     return rows
-
-
-def estimate_theta(tables: CountTables, alpha: float) -> list:
-    return smoothed_rows(tables.doc_topic, tables.doc_total, alpha)
 
 
 def sweep_sparse_tokens(docword, z, rows, topics, topic_total: list, word_topics: list,
@@ -339,9 +336,9 @@ class LdaGibbsSampler:
                             self.hyper.alpha, self.hyper.beta, self.rng)
 
     def estimate(self) -> FittedLda:
-        return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),
-                         phi=index_phi(self.word_topics, self.tables.topic_total,
-                                       self.hyper.beta),
+        t, h = self.tables, self.hyper
+        return FittedLda(theta=smoothed_rows(t.doc_topic, t.doc_total, h.alpha),
+                         phi=index_phi(self.word_topics, t.topic_total, h.beta),
                          topic_labels=self.topic_labels)
 
 
@@ -425,6 +422,6 @@ class LdaCvb0:
         cvb0_pass(self.corpus.docword, self.gamma, self.expected, *self.priors())
 
     def estimate(self) -> FittedLda:
-        return FittedLda(theta=estimate_theta(self.expected, self.hyper.alpha),
-                         phi=smoothed_rows(self.expected.topic_word, self.expected.topic_total,
-                                           self.hyper.beta))
+        t, h = self.expected, self.hyper
+        return FittedLda(theta=smoothed_rows(t.doc_topic, t.doc_total, h.alpha),
+                         phi=smoothed_rows(t.topic_word, t.topic_total, h.beta))

@@ -12,8 +12,7 @@ import random
 from .core import (counts_from_assignments, draw_below, draw_each, record, require_positive,
                    require_recount, sample_categorical)
 from .corpus import Corpus
-from .lda import (FittedLda, LdaHyper, estimate_theta, index_phi, smoothed_rows,
-                  sweep_sparse_tokens)
+from .lda import FittedLda, LdaHyper, index_phi, smoothed_rows, sweep_sparse_tokens
 
 
 class AtmSampler:
@@ -102,9 +101,9 @@ class AtmSampler:
 
     def estimate(self) -> FittedLda:
         """theta has one row per author."""
-        return FittedLda(theta=estimate_theta(self.tables, self.hyper.alpha),
-                         phi=index_phi(self.word_topics, self.tables.topic_total,
-                                       self.hyper.beta))
+        t, h = self.tables, self.hyper
+        return FittedLda(theta=smoothed_rows(t.doc_topic, t.doc_total, h.alpha),
+                         phi=index_phi(self.word_topics, t.topic_total, h.beta))
 
 
 @record(frozen=True)

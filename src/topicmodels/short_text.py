@@ -39,7 +39,7 @@ class PtmHyper:
 @record
 class PtmFit:
     theta: list         # per short document, an array('d') row from its own topic counts
-    pseudo_theta: list  # per pseudo document, an array('d') row
+    pseudo_theta: list  # per pseudo document, an array('d') row (lda.index_phi's)
     phi: list           # K rows of array('d') over V words
     doc_pseudo: list    # final pseudo-document assignment per short document
 
@@ -55,8 +55,10 @@ class PtmSampler:
     document: N_l^k} index.  topic_total is n_k, and the word index
     ``word_topics`` (v -> {k: n_kv}) alone holds n_kv.  The token step is
     the SparseLDA draw of ``lda.sweep_sparse_tokens`` against each
-    document's pseudo-document row; the rows N_l^k are built from the
-    cluster index once a sweep, for that step, and once for ``pseudo_theta``.
+    document's pseudo-document row; the dense rows N_l^k are built from the
+    cluster index once a sweep, for that step.  ``pseudo_theta`` comes from
+    the same index through ``lda.index_phi``, so a pseudo document's row
+    over the topics may be a ``SparseRow``.
     """
 
     def __init__(self, corpus: Corpus, hyper: PtmHyper, rng: random.Random):
@@ -103,9 +105,7 @@ class PtmSampler:
         tables = self.tables
         doc_counts = [[zm.count(k) for k in range(self.hyper.n_topics)] for zm in self.z]
         return PtmFit(theta=smoothed_rows(doc_counts, tables.unit_len, alpha),
-                      pseudo_theta=smoothed_rows(index_rows(tables.word_clusters,
-                                                            tables.n_clusters),
-                                                 tables.cluster_total, alpha),
+                      pseudo_theta=index_phi(tables.word_clusters, tables.cluster_total, alpha),
                       phi=index_phi(self.word_topics, self.topic_total, beta),
                       doc_pseudo=list(self.l))
 

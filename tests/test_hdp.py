@@ -8,6 +8,7 @@ import pytest
 from topicmodels.core import SeededRng, index_rows, run_chain
 from topicmodels.corpus import parse_plain
 from topicmodels.hdp import HdpHyper, HdpSampler
+from topicmodels.lda import smoothed_rows
 
 from first_draw import assert_shares_match, first_draw_shares, move_to_front
 from oracles import hdp_joint_log, restricted_growth, tv_distance
@@ -264,6 +265,26 @@ def test_check_catches_a_stale_seating_plan():
     sampler.m_total += 1
     with pytest.raises(ValueError, match="m_total"):
         sampler.check()
+
+
+def test_theta_adds_up_each_documents_tables_by_topic():
+    # document 0 seats its five tokens at three tables, two of which serve
+    # topic 1: theta's row holds their sum, as a recount of the tokens does
+    corpus = parse_plain(["a b a c b", "c c a"])
+    sampler = HdpSampler(corpus, HdpHyper(2, alpha0=0.3, beta=0.1, gamma=0.5), SeededRng(1))
+    sampler.token_table = [[0, 1, 2, 1, 0], [0, 0, 1]]
+    sampler.table_topic = [[1, 0, 1], [0, 1]]
+    vars(sampler).update(sampler._counts(2))
+    sampler.check()
+    assert sampler.table_count == [[2, 2, 1], [2, 1]]
+    topics = [[tt[t] for t in seats] for tt, seats in zip(sampler.table_topic, sampler.token_table)]
+    counts = [[zm.count(k) for k in range(2)] for zm in topics]
+    assert counts == [[2, 3], [2, 1]]
+    want = smoothed_rows(counts, [len(doc) for doc in corpus.docword], 0.3)
+    got = sampler.estimate().theta
+    assert len(got) == len(want)
+    for row, want_row in zip(got, want):
+        assert row.tolist() == want_row.tolist()
 
 
 def test_fit_reports_surviving_topic_count():

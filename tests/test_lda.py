@@ -10,6 +10,7 @@ from topicmodels.core import SeededRng, counts_from_assignments, index_rows, run
 from topicmodels.corpus import parse_plain
 from topicmodels.evaluation import top_word_ids
 from topicmodels.lda import LdaCvb0, LdaGibbsSampler, LdaHyper
+from topicmodels.short_text import PtmHyper, PtmSampler
 
 from first_draw import (assert_shares_match, lda_token_shares, put_lda_token_first, rerun_sweep,
                         sweep_draw_shares, uniform_for, with_state, without_token)
@@ -470,8 +471,9 @@ def test_index_phi_equals_the_dense_rows(smooth):
     # over six words, topic 0 holds every word (no zero cell: a plain
     # array), topic 1 no token, topic 2 half the words (a SparseRow) and
     # topic 3 one more (an array); then the word indices of random
-    # assignments, keys in order of first use, and V = 0 (Link LDA without
-    # links)
+    # assignments, keys in order of first use, PTM's pseudo-document index
+    # (topic -> {pseudo document: N_l^k}) after five sweeps, with four pseudo
+    # documents for three short ones, and V = 0 (Link LDA without links)
     first = [{0: 1, 2: 3, 3: 1}, {3: 2, 0: 4}, {0: 1, 2: 1, 3: 1}, {0: 2}, {2: 1, 0: 5},
              {3: 1, 0: 1}]
     cases = [(first, 4)]
@@ -481,6 +483,13 @@ def test_index_phi_equals_the_dense_rows(smooth):
         docword = [[rng.randrange(V) for _ in range(rng.randrange(12))] for _ in range(4)]
         z = [[rng.randrange(K) for _ in doc] for doc in docword]
         cases.append((counts_from_assignments(docword, z, K, V)[1], K))
+    ptm = PtmSampler(parse_plain(["a b a c", "c d", "b d d a"]), PtmHyper(4, 3), SeededRng(5))
+    for _ in range(5):
+        ptm.sweep()
+    tables = ptm.tables
+    assert 0 in tables.cluster_total
+    assert list(map(sum, index_rows(tables.word_clusters, 4))) == tables.cluster_total
+    cases.append((tables.word_clusters, 4))
     cases.append(([], 3))
     for index, K in cases:
         got = _assert_index_phi_is_the_formula(index, K, smooth)
