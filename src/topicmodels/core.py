@@ -318,50 +318,6 @@ def exp_normalize(log_weights: Sequence[float]) -> list[float]:
     return list(map(math.exp, map(sub, log_weights, repeat(max(log_weights)))))
 
 
-class CountTables:
-    """Sufficient statistics of a token-level topic assignment.
-
-    doc_topic[m][k]   n_m^k   tokens of document m assigned to topic k
-    topic_word[k][v]  n_k^v   tokens of word v assigned to topic k
-    topic_total[k]    n_k^*   tokens assigned to topic k
-    doc_total[m]      n_m^*   tokens of document m
-
-    The same layout doubles as the real-valued expected-count tables of the
-    CVB0 algorithms; pass ``real=True`` to start from float zeros, and
-    ``n_words=None`` for no ``topic_word`` (n_kv kept in a word index).
-    """
-
-    def __init__(self, n_docs: int, n_topics: int, n_words: int | None, real: bool = False):
-        zero = 0.0 if real else 0
-        self.doc_topic = [[zero] * n_topics for _ in range(n_docs)]
-        if n_words is not None:
-            self.topic_word = [[zero] * n_words for _ in range(n_topics)]
-        self.topic_total = [zero] * n_topics
-        self.doc_total = [zero] * n_docs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CountTables) and vars(self) == vars(other)
-
-    @property
-    def n_topics(self) -> int:
-        return len(self.topic_total)
-
-    def check(self, tolerance: float = 0.0) -> None:
-        """Assert the closure invariants; raises ValueError on violation."""
-        for m, row in enumerate(self.doc_topic):
-            if abs(sum(row) - self.doc_total[m]) > tolerance:
-                raise ValueError(f"doc {m}: topic counts do not sum to doc total")
-            if any(c < -tolerance for c in row):
-                raise ValueError(f"doc {m}: negative count")
-        for k, row in enumerate(getattr(self, "topic_word", ())):
-            if abs(sum(row) - self.topic_total[k]) > tolerance:
-                raise ValueError(f"topic {k}: word counts do not sum to topic total")
-            if any(c < -tolerance for c in row):
-                raise ValueError(f"topic {k}: negative count")
-        if abs(sum(self.doc_total) - sum(self.topic_total)) > tolerance:
-            raise ValueError("doc totals and topic totals disagree")
-
-
 def index_rows(index: Sequence[dict], n_rows: int) -> list[list[int]]:
     """Dense rows of a word index (for every word v, a dict from each row k
     holding it to its count): rows[k][v] = index[v].get(k, 0), over
@@ -376,10 +332,12 @@ def index_rows(index: Sequence[dict], n_rows: int) -> list[list[int]]:
 def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequence[int]],
                             n_topics: int, n_words: int,
                             rows: Sequence[Sequence[int]] | None = None,
-                            n_rows: int | None = None) -> tuple[CountTables, list[dict]]:
-    """Fresh count tables of per-token topic assignments, and their word
-    index: for every word v, a dict from each topic k holding it to n_kv,
-    keys in order of first use (the order the SparseLDA walk follows).
+                            n_rows: int | None = None) -> dict:
+    """Fresh count tables of per-token topic assignments, by attribute name:
+    ``doc_topic`` (n_mk), ``doc_total`` (n_m), ``topic_total`` (n_k) and
+    the word index ``word_topics``: for every word v, a dict from each topic
+    k holding it to n_kv, keys in order of first use (the order the
+    SparseLDA walk follows).
 
     Row m of ``doc_topic`` and ``doc_total`` counts document m, unless
     ``rows[m][n]`` in [0, n_rows) names a row for each token (in ATM its
@@ -396,8 +354,7 @@ def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequen
         used = set(chain.from_iterable(labels or ()))
         if used and not (0 <= min(used) and max(used) < high):
             raise ValueError(f"a {name} out of range [0, {high})")
-    tables = CountTables(n_rows, n_topics, None)
-    doc_topic = tables.doc_topic
+    doc_topic = [[0] * n_topics for _ in range(n_rows)]
     index = [{} for _ in range(n_words)]
     of_word = index.__getitem__
     if rows is None:
@@ -410,15 +367,18 @@ def counts_from_assignments(docword: Sequence[Sequence[int]], z: Sequence[Sequen
             for wt, k, r in zip(map(of_word, doc), zm, rm):
                 doc_topic[r][k] += 1
                 wt[k] = wt.get(k, 0) + 1
-    # the column sums of doc_topic, from the zero row: K zeros when there is no row
-    tables.topic_total = list(map(sum, zip(tables.topic_total, *doc_topic)))
-    tables.doc_total = lengths if rows is None else list(map(sum, doc_topic))
-    return tables, index
+    # the column sums of doc_topic, from a zero row: K zeros when there is no row
+    return {"doc_topic": doc_topic,
+            "doc_total": lengths if rows is None else list(map(sum, doc_topic)),
+            "topic_total": list(map(sum, zip([0] * n_topics, *doc_topic))),
+            "word_topics": index}
 
 
 def expected_counts(docword: Sequence[Sequence[int]], gamma: Sequence[Sequence[Sequence[float]]],
-                    n_topics: int, n_words: int) -> CountTables:
-    """Real-valued count tables of per-token responsibilities gamma[m][n][k].
+                    n_topics: int, n_words: int) -> dict:
+    """Real-valued count tables of per-token responsibilities gamma[m][n][k],
+    by attribute name: the expectations ``doc_topic`` (n_mk), ``topic_word``
+    (n_kv, dense), ``topic_total`` (n_k) and ``doc_total`` (n_m).
 
     Every cell adds the responsibilities in token order, then topic order,
     so float round-off is the same wherever the tables are built.  Raises
@@ -428,14 +388,15 @@ def expected_counts(docword: Sequence[Sequence[int]], gamma: Sequence[Sequence[S
     if len(gamma) != len(docword):
         raise ValueError(f"responsibilities for {len(gamma)} documents, "
                          f"the corpus has {len(docword)}")
-    tables = CountTables(len(docword), n_topics, n_words, real=True)
-    topic_word, topic_total, doc_total = tables.topic_word, tables.topic_total, tables.doc_total
+    doc_topic = [[0.0] * n_topics for _ in docword]
+    topic_word = [[0.0] * n_words for _ in range(n_topics)]
+    topic_total, doc_total = [0.0] * n_topics, [0.0] * len(docword)
     for m, doc in enumerate(docword):
         gm = gamma[m]
         if len(gm) != len(doc) or any(len(g) != n_topics for g in gm):
             raise ValueError(f"doc {m}: responsibilities are not {len(doc)} rows "
                              f"of {n_topics} topics")
-        row = tables.doc_topic[m]
+        row = doc_topic[m]
         total = 0.0
         for v, g in zip(doc, gm):
             for k, gk in enumerate(g):
@@ -444,7 +405,8 @@ def expected_counts(docword: Sequence[Sequence[int]], gamma: Sequence[Sequence[S
                 topic_total[k] += gk
                 total += gk
         doc_total[m] = total
-    return tables
+    return {"doc_topic": doc_topic, "topic_word": topic_word, "topic_total": topic_total,
+            "doc_total": doc_total}
 
 
 def _within(got, want, tolerance: float) -> bool:
@@ -454,18 +416,12 @@ def _within(got, want, tolerance: float) -> bool:
     return abs(got - want) <= tolerance
 
 
-def require_recount(owner, recount: dict, source: str, tolerance: float = 0.0,
-                    prefix: str = "") -> None:
+def require_recount(owner, recount: dict, source: str, tolerance: float = 0.0) -> None:
     """Raise ValueError naming the first table of ``owner`` that differs from
-    its recount in ``recount`` (attribute name -> table).  A CountTables is
-    compared table by table (the message names, say, ``tables.topic_word``);
-    float cells may differ by ``tolerance``.
+    its recount in ``recount`` (attribute name -> table); float cells may
+    differ by ``tolerance``.
     """
     for name, want in recount.items():
         got = getattr(owner, name)
-        if got == want:
-            continue
-        if isinstance(want, CountTables):
-            require_recount(got, vars(want), source, tolerance, f"{prefix}{name}.")
-        elif not (tolerance and _within(got, want, tolerance)):
-            raise ValueError(f"{prefix}{name} disagrees with a recount of {source}")
+        if got != want and not (tolerance and _within(got, want, tolerance)):
+            raise ValueError(f"{name} disagrees with a recount of {source}")

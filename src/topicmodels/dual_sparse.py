@@ -151,25 +151,26 @@ class DualSparseCvb0(LdaCvb0):
         """Every alpha_hat, then every beta_hat, then every gamma; the CVB0
         pass is called here, not through ``LdaCvb0.sweep``, so that a tracer
         wrapping both sweeps (perfbench/spans.py) records one span."""
-        h, ex = self.hyper, self.expected
-        selector_pass(self.alpha_hat, self.A_hat, ex.doc_topic, ex.doc_total,
+        h = self.hyper
+        selector_pass(self.alpha_hat, self.A_hat, self.doc_topic, self.doc_total,
                       h.s, h.t, h.pi, h.pi_bar, ("doc", "topic"))
-        selector_pass(self.beta_hat, self.B_hat, ex.topic_word, ex.topic_total,
+        selector_pass(self.beta_hat, self.B_hat, self.topic_word, self.topic_total,
                       h.x, h.y, h.word_gamma, h.word_gamma_bar, ("topic", "word"))
-        cvb0_pass(self.corpus.docword, self.gamma, self.expected, *self.priors())
+        cvb0_pass(self.corpus.docword, self.gamma, self.doc_topic, self.topic_word,
+                  self.topic_total, *self.priors())
 
     def estimate(self) -> SparseFit:
         """theta and phi are the expected counts plus the priors of the
         CVB0 pass, normalized."""
         K, V, M = self.hyper.n_topics, self.corpus.n_words, self.corpus.n_docs
-        ex = self.expected
         doc_prior, word_prior, topic_prior = self.priors()
         theta = []
-        for counts, n_m, a in zip(ex.doc_topic, ex.doc_total, doc_prior):
+        for counts, n_m, a in zip(self.doc_topic, self.doc_total, doc_prior):
             denom = n_m + fold_sum(a)
             theta.append(array("d", [(n + a_k) / denom for n, a_k in zip(counts, a)]))
         phi = []
-        for k, (counts, n_k, c_k) in enumerate(zip(ex.topic_word, ex.topic_total, topic_prior)):
+        for k, (counts, n_k, c_k) in enumerate(zip(self.topic_word, self.topic_total,
+                                                   topic_prior)):
             denom = n_k + c_k
             phi.append(array("d", [(n + b[k]) / denom for n, b in zip(counts, word_prior)]))
         sparsity_doc = [1.0 - a_sum / K for a_sum in self.A_hat]

@@ -74,14 +74,17 @@ class HdpSampler:
             if not all(0 <= t < len(tt) for t in seats):
                 raise ValueError(f"doc {m}: a token sits at a table that does not exist")
         topics = [[tt[t] for t in seats] for tt, seats in zip(self.table_topic, self.token_table)]
-        tokens, index = counts_from_assignments(self.corpus.docword, topics, n_topics, self.n_words)
+        tokens = counts_from_assignments(self.corpus.docword, topics, n_topics, self.n_words)
+        table_count = [[0] * len(tt) for tt in self.table_topic]
+        for counts, seats in zip(table_count, self.token_table):
+            for t in seats:
+                counts[t] += 1
         served = Counter(k for tt in self.table_topic for k in tt)
         v_beta = self.n_words * self.hyper.beta
-        return {"table_count": [[seats.count(t) for t in range(len(tt))]
-                                for tt, seats in zip(self.table_topic, self.token_table)],
-                "n_k": tokens.topic_total, "m_k": [served[k] for k in range(n_topics)],
-                "m_total": sum(map(len, self.table_topic)), "word_topics": index,
-                "inv_norm": [1.0 / (n + v_beta) for n in tokens.topic_total]}
+        return {"table_count": table_count, "n_k": tokens["topic_total"],
+                "m_k": [served[k] for k in range(n_topics)],
+                "m_total": sum(map(len, self.table_topic)), "word_topics": tokens["word_topics"],
+                "inv_norm": [1.0 / (n + v_beta) for n in tokens["topic_total"]]}
 
     def check(self) -> None:
         """Check the counts against a recount of the seating plan, and that

@@ -24,9 +24,8 @@ from array import array
 from itertools import accumulate, compress
 from math import fsum
 
-from .core import (CountTables, counts_from_assignments, draw_below, draw_each, expected_counts,
-                   fold_sum, record, require_at_least, require_positive, require_recount,
-                   walk_sums)
+from .core import (counts_from_assignments, draw_below, draw_each, expected_counts, fold_sum,
+                   record, require_at_least, require_positive, require_recount, walk_sums)
 from .corpus import Corpus
 
 # The CVB0 sweeps move expected counts by differences, so the tables drift
@@ -273,7 +272,9 @@ def sweep_sparse_tokens(docword, z, rows, topics, topic_total: list, word_topics
 
 
 class LdaGibbsSampler:
-    """Owns the assignment vector z and its count tables for one chain.
+    """Owns the assignment vector z and its count tables for one chain:
+    ``doc_topic`` (n_mk), ``doc_total`` (n_m), ``topic_total`` (n_k) and
+    the word index ``word_topics`` (v -> {k: n_kv}), the only home of n_kv.
 
     ``allowed[m]``, if given, lists the topic ids document m may use: its
     tokens start on a uniform draw from that list and are only resampled
@@ -281,9 +282,8 @@ class LdaGibbsSampler:
     resampled.  ``None`` lets every document use all K topics.
     ``topic_labels`` names the topics in the estimate.
 
-    Every sweep runs the SparseLDA kernel (``sweep_sparse_tokens``), so the
-    sampler keeps ``word_topics``: for every word, a dict from each topic
-    holding it to n_kv, beside ``tables``, which holds no dense n_kv.
+    Every sweep runs the SparseLDA kernel (``sweep_sparse_tokens``), which
+    reads n_kv from the word index.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random,
@@ -307,9 +307,8 @@ class LdaGibbsSampler:
     def _counts(self) -> dict:
         """The count tables of z and its word index, by attribute name: set
         by __init__ and compared by check()."""
-        tables, index = counts_from_assignments(self.corpus.docword, self.z, self.hyper.n_topics,
-                                                self.corpus.n_words)
-        return {"tables": tables, "word_topics": index}
+        return counts_from_assignments(self.corpus.docword, self.z, self.hyper.n_topics,
+                                       self.corpus.n_words)
 
     def check(self) -> None:
         """Check the count tables and the word index against a recount of z,
@@ -324,21 +323,21 @@ class LdaGibbsSampler:
         """Resample every token once, documents then positions in index
         order, each within its document's allowed topics; the documents
         with one allowed topic are left out of the kernel."""
-        K, tables = self.hyper.n_topics, self.tables
-        docs = (self.corpus.docword, self.z, tables.doc_topic)
+        K = self.hyper.n_topics
+        docs = (self.corpus.docword, self.z, self.doc_topic)
         if self.allowed is None:
             topics = [range(K)] * len(self.z)
         else:
             kept = [m for m, ks in enumerate(self.allowed) if len(ks) > 1]
             docs = [[seq[m] for m in kept] for seq in docs]
             topics = [self.allowed[m] for m in kept]
-        sweep_sparse_tokens(*docs, topics, tables.topic_total, self.word_topics,
+        sweep_sparse_tokens(*docs, topics, self.topic_total, self.word_topics,
                             self.hyper.alpha, self.hyper.beta, self.rng)
 
     def estimate(self) -> FittedLda:
-        t, h = self.tables, self.hyper
-        return FittedLda(theta=smoothed_rows(t.doc_topic, t.doc_total, h.alpha),
-                         phi=index_phi(self.word_topics, t.topic_total, h.beta),
+        h = self.hyper
+        return FittedLda(theta=smoothed_rows(self.doc_topic, self.doc_total, h.alpha),
+                         phi=index_phi(self.word_topics, self.topic_total, h.beta),
                          topic_labels=self.topic_labels)
 
 
@@ -355,8 +354,8 @@ def random_responsibilities(corpus: Corpus, n_topics: int, rng: random.Random) -
     return gamma
 
 
-def cvb0_pass(docword, gamma, tables: CountTables, doc_prior: list, word_prior: list,
-              topic_prior: list) -> None:
+def cvb0_pass(docword, gamma, doc_topic: list, topic_word: list, topic_total: list,
+              doc_prior: list, word_prior: list, topic_prior: list) -> None:
     """Update every token's responsibility once, documents then positions in
     index order (Teh, Newman & Welling, NIPS 2007, zero order).
 
@@ -364,12 +363,13 @@ def cvb0_pass(docword, gamma, tables: CountTables, doc_prior: list, word_prior: 
     takes
       g_k ~ (n_mk - g_k + a_k)(n_kv - g_k + b_k)/(n_k - g_k + c_k)
     with ``a = doc_prior[m]``, ``b = word_prior[v]`` and ``c = topic_prior``,
-    each a row over the K topics.  The expected counts in ``tables`` move by
-    the difference of the new and old g; n_m does not change.
+    each a row over the K topics.  The expected counts ``doc_topic`` (n_mk),
+    ``topic_word`` (n_kv) and ``topic_total`` (n_k) move by the difference
+    of the new and old g; n_m does not change.
     """
     c, K = topic_prior, len(topic_prior)
-    ndk, nkv, nk = tables.doc_topic, tables.topic_word, tables.topic_total
-    for doc, gm, nm, a in zip(docword, gamma, ndk, doc_prior):
+    nkv, nk = topic_word, topic_total
+    for doc, gm, nm, a in zip(docword, gamma, doc_topic, doc_prior):
         for v, g in zip(doc, gm):
             b = word_prior[v]
             total = 0.0
@@ -389,7 +389,9 @@ def cvb0_pass(docword, gamma, tables: CountTables, doc_prior: list, word_prior: 
 
 
 class LdaCvb0:
-    """CVB0 fixed-point iteration over token responsibilities, from a random start."""
+    """CVB0 fixed-point iteration over token responsibilities ``gamma``, from
+    a random start, with their expected counts ``doc_topic``, ``topic_word``,
+    ``topic_total`` and ``doc_total``."""
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
         corpus.require()
@@ -400,15 +402,25 @@ class LdaCvb0:
 
     def _counts(self) -> dict:
         """The expected counts of gamma, by attribute name."""
-        return {"expected": expected_counts(self.corpus.docword, self.gamma,
-                                            self.hyper.n_topics, self.corpus.n_words)}
+        return expected_counts(self.corpus.docword, self.gamma, self.hyper.n_topics,
+                               self.corpus.n_words)
 
     def check(self) -> None:
-        """Check the tables of ``_counts()`` against a recount and the expected
-        counts' closure, within ``EXPECTED_TOLERANCE``; raises ValueError."""
+        """Check the tables of ``_counts()`` against a recount, and the
+        expected counts' closure: every row sums to its total, no cell is
+        negative, and the document and topic totals agree, all within
+        ``EXPECTED_TOLERANCE`` per token; raises ValueError."""
         tolerance = EXPECTED_TOLERANCE * self.corpus.n_tokens
         require_recount(self, self._counts(), "the solver's state", tolerance)
-        self.expected.check(tolerance)
+        for rows, totals, row, cell in ((self.doc_topic, self.doc_total, "doc", "topic"),
+                                        (self.topic_word, self.topic_total, "topic", "word")):
+            for i, (counts, total) in enumerate(zip(rows, totals)):
+                if abs(sum(counts) - total) > tolerance:
+                    raise ValueError(f"{row} {i}: {cell} counts do not sum to {row} total")
+                if any(c < -tolerance for c in counts):
+                    raise ValueError(f"{row} {i}: negative count")
+        if abs(sum(self.doc_total) - sum(self.topic_total)) > tolerance:
+            raise ValueError("doc totals and topic totals disagree")
 
     def priors(self) -> tuple:
         """The (document, word, topic) prior rows of ``cvb0_pass``, each over
@@ -419,9 +431,10 @@ class LdaCvb0:
 
     def sweep(self) -> None:
         """One CVB0 pass with the priors of ``priors()``."""
-        cvb0_pass(self.corpus.docword, self.gamma, self.expected, *self.priors())
+        cvb0_pass(self.corpus.docword, self.gamma, self.doc_topic, self.topic_word,
+                  self.topic_total, *self.priors())
 
     def estimate(self) -> FittedLda:
-        t, h = self.expected, self.hyper
-        return FittedLda(theta=smoothed_rows(t.doc_topic, t.doc_total, h.alpha),
-                         phi=smoothed_rows(t.topic_word, t.topic_total, h.beta))
+        h = self.hyper
+        return FittedLda(theta=smoothed_rows(self.doc_topic, self.doc_total, h.alpha),
+                         phi=smoothed_rows(self.topic_word, self.topic_total, h.beta))

@@ -19,9 +19,10 @@ class AtmSampler:
     """Joint (author, topic) collapsed Gibbs chain.
 
     x[m][n] is the author responsible for token n of document m, always a
-    member of the document's author list.  ``tables`` has one row per
-    author: doc_topic[a][k] is n_a^k and doc_total[a] is n_a^*.  n_kv lives
-    in the word index ``word_topics`` (v -> {k: n_kv}) alone.
+    member of the document's author list.  The counts have one row per
+    author: author_topic[a][k] is n_a^k and author_total[a] is n_a^*;
+    topic_total[k] is n_k, and n_kv lives in the word index ``word_topics``
+    (v -> {k: n_kv}) alone.
     """
 
     def __init__(self, corpus: Corpus, hyper: LdaHyper, rng: random.Random):
@@ -39,10 +40,11 @@ class AtmSampler:
 
     def _counts(self) -> dict:
         """The count tables of x and z and their word index, by attribute name."""
-        tables, index = counts_from_assignments(self.corpus.docword, self.z, self.hyper.n_topics,
-                                                self.corpus.n_words, rows=self.x,
-                                                n_rows=len(self.corpus.meta_vocabulary))
-        return {"tables": tables, "word_topics": index}
+        counts = counts_from_assignments(self.corpus.docword, self.z, self.hyper.n_topics,
+                                         self.corpus.n_words, rows=self.x,
+                                         n_rows=len(self.corpus.meta_vocabulary))
+        return {"author_topic": counts.pop("doc_topic"), "author_total": counts.pop("doc_total"),
+                **counts}
 
     def check(self) -> None:
         """Check every token's author against its document's author list and
@@ -59,8 +61,8 @@ class AtmSampler:
         weight_{a,k} = (n_ak + a)/(n_a + K a) * (n_kv + b)/(n_k + V b),
         flattened author-major, with n_kv = 0 for a topic v's dict lacks.
         """
-        hyper, tables = self.hyper, self.tables
-        K, alpha, beta, totals = hyper.n_topics, hyper.alpha, hyper.beta, tables.topic_total
+        hyper = self.hyper
+        K, alpha, beta, totals = hyper.n_topics, hyper.alpha, hyper.beta, self.topic_total
         v_beta = self.corpus.n_words * beta
         word_factor = [beta / (n + v_beta) for n in totals]
         for k, c in self.word_topics[v].items():
@@ -68,8 +70,8 @@ class AtmSampler:
         authors = self.corpus.authors[m]
         weights = []
         for a in authors:
-            row = tables.doc_topic[a]
-            denom = tables.doc_total[a] + K * alpha
+            row = self.author_topic[a]
+            denom = self.author_total[a] + K * alpha
             for k in range(K):
                 weights.append((row[k] + alpha) / denom * word_factor[k])
         return weights, authors
@@ -78,8 +80,8 @@ class AtmSampler:
         """Redraw every token's (author, topic) pair.  A count of 0 stays in
         its word's dict during the draw, and goes if the token leaves the topic."""
         K = self.hyper.n_topics
-        nak, na = self.tables.doc_topic, self.tables.doc_total
-        word_topics, nk = self.word_topics, self.tables.topic_total
+        nak, na = self.author_topic, self.author_total
+        word_topics, nk = self.word_topics, self.topic_total
         for m, doc in enumerate(self.corpus.docword):
             xm, zm = self.x[m], self.z[m]
             for n, v in enumerate(doc):
@@ -101,9 +103,9 @@ class AtmSampler:
 
     def estimate(self) -> FittedLda:
         """theta has one row per author."""
-        t, h = self.tables, self.hyper
-        return FittedLda(theta=smoothed_rows(t.doc_topic, t.doc_total, h.alpha),
-                         phi=index_phi(self.word_topics, t.topic_total, h.beta))
+        h = self.hyper
+        return FittedLda(theta=smoothed_rows(self.author_topic, self.author_total, h.alpha),
+                         phi=index_phi(self.word_topics, self.topic_total, h.beta))
 
 
 @record(frozen=True)
@@ -146,12 +148,12 @@ class LinkLdaSampler:
         word indices and topic totals, by attribute name."""
         K, corpus = self.hyper.n_topics, self.corpus
         n_links = len(corpus.meta_vocabulary)
-        words, word_topics = counts_from_assignments(corpus.docword, self.z, K, corpus.n_words)
-        links, link_topics = counts_from_assignments(corpus.links, self.x, K, n_links)
+        words = counts_from_assignments(corpus.docword, self.z, K, corpus.n_words)
+        links = counts_from_assignments(corpus.links, self.x, K, n_links)
         return {"doc_topic": [[n + c for n, c in zip(n_mk, c_mk)]
-                              for n_mk, c_mk in zip(words.doc_topic, links.doc_topic)],
-                "word_total": words.topic_total, "link_total": links.topic_total,
-                "word_topics": word_topics, "link_topics": link_topics}
+                              for n_mk, c_mk in zip(words["doc_topic"], links["doc_topic"])],
+                "word_total": words["topic_total"], "link_total": links["topic_total"],
+                "word_topics": words["word_topics"], "link_topics": links["word_topics"]}
 
     def check(self) -> None:
         """Check every table against a recount of z and x; raises ValueError."""

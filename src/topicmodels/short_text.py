@@ -79,9 +79,9 @@ class PtmSampler:
 
     def _token_counts(self) -> dict:
         """The topic totals of z and their word index, by attribute name."""
-        tokens, index = counts_from_assignments(self.corpus.docword, self.z, self.hyper.n_topics,
-                                                self.corpus.n_words)
-        return {"topic_total": tokens.topic_total, "word_topics": index}
+        counts = counts_from_assignments(self.corpus.docword, self.z, self.hyper.n_topics,
+                                         self.corpus.n_words)
+        return {"topic_total": counts["topic_total"], "word_topics": counts["word_topics"]}
 
     def check(self) -> None:
         """Check every table against a recount of l and z; raises ValueError."""
@@ -103,7 +103,10 @@ class PtmSampler:
     def estimate(self) -> PtmFit:
         alpha, beta = self.hyper.alpha, self.hyper.beta
         tables = self.tables
-        doc_counts = [[zm.count(k) for k in range(self.hyper.n_topics)] for zm in self.z]
+        doc_counts = [[0] * self.hyper.n_topics for _ in tables.unit_items]
+        for row, items in zip(doc_counts, tables.unit_items):  # (topic, count) pairs
+            for k, c in items:
+                row[k] = c
         return PtmFit(theta=smoothed_rows(doc_counts, tables.unit_len, alpha),
                       pseudo_theta=index_phi(tables.word_clusters, tables.cluster_total, alpha),
                       phi=index_phi(self.word_topics, self.topic_total, beta),
@@ -182,13 +185,13 @@ class BtmSampler:
         """The count tables of the biterm topics z, by attribute name: n_b[k]
         biterms per topic, and both word slots of every biterm in
         topic_total and in the word index word_topics (topic -> n_kv for the
-        topics holding word v), counted as one document of all the slots."""
-        K = self.hyper.n_topics
+        topics holding word v), counted as one document of all the slots:
+        n_b[k] is half topic_total[k]."""
         words = [[w for pair in self.instances for w in pair]]
         topics = [[k for k in self.z for _ in range(2)]]
-        slots, index = counts_from_assignments(words, topics, K, self.corpus.n_words)
-        return {"n_b": [self.z.count(k) for k in range(K)], "topic_total": slots.topic_total,
-                "word_topics": index}
+        slots = counts_from_assignments(words, topics, self.hyper.n_topics, self.corpus.n_words)
+        return {"n_b": [t // 2 for t in slots["topic_total"]],
+                "topic_total": slots["topic_total"], "word_topics": slots["word_topics"]}
 
     def check(self) -> None:
         """Check the tables against a recount of z; raises ValueError."""

@@ -130,22 +130,23 @@ def with_state(sampler, **state):
 
 
 def without_token(sampler, n, z=None):
-    """The count tables of token topics ``z`` (default the sampler's z), counted
-    afresh with token n (an index or a slice) of the first document left out.
-    Their ``topic_word`` holds the dense rows of the recount's word index,
-    which the oracles take."""
+    """The count tables of token topics ``z`` (default the sampler's z), by
+    name, counted afresh with token n (an index or a slice) of the first
+    document left out.  Beside ``core.counts_from_assignments``'s tables,
+    ``topic_word`` holds the dense rows of the recount's word index, which
+    the oracles take."""
     docword, z = ([list(row) for row in rows] for rows in (sampler.corpus.docword, z or sampler.z))
     del docword[0][n], z[0][n]
     K = sampler.hyper.n_topics
-    tables, index = counts_from_assignments(docword, z, K, sampler.corpus.n_words)
-    tables.topic_word = index_rows(index, K)
+    tables = counts_from_assignments(docword, z, K, sampler.corpus.n_words)
+    tables["topic_word"] = index_rows(tables["word_topics"], K)
     return tables
 
 
 def put_lda_token_first(sampler, m: int, n: int):
     """Move token n of document m to the front of an ``LdaGibbsSampler``'s
     state, documents and their allowed topics too, and return the count
-    tables with that token excluded, as the oracles take them."""
+    tables, by name, with that token excluded, as the oracles take them."""
     docword = sampler.corpus.docword
     for seq in (docword, sampler.z, sampler.allowed):
         if seq is not None:
@@ -223,8 +224,8 @@ def cluster_doc_shares(sampler) -> tuple:
 
 def sentence_shares(sampler) -> tuple:
     """``sweep_draw_shares`` of the first sentence's topic draw in a
-    ``SentenceLdaSampler``.  Returns the shares and the count tables with
-    that sentence excluded, counted afresh from z."""
+    ``SentenceLdaSampler``.  Returns the shares and the count tables, by
+    name, with that sentence excluded, counted afresh from z."""
     shares = sweep_draw_shares(sampler, (), lambda: sampler.z[0][0])
     lengths = iter(sampler.clusters.unit_len)  # zm first: zip stops before taking a length
     z = [[k for k, n in zip(zm, lengths) for _ in range(n)] for zm in sampler.z]

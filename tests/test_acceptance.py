@@ -218,9 +218,9 @@ def test_criterion_2_full_conditional_scalar_oracles():
         n = rng.randrange(len(corpus.docword[m]))
         tables = put_lda_token_first(sampler, m, n)
         v = corpus.docword[0][0]
-        want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0],
-                       [tables.topic_word[k][v] for k in range(K)],
-                       tables.topic_total, 0.37, 0.08, corpus.n_words)
+        want = lda_token_oracle(tables["doc_topic"][0], tables["doc_total"][0],
+                       [tables["topic_word"][k][v] for k in range(K)],
+                       tables["topic_total"], 0.37, 0.08, corpus.n_words)
         assert_shares_match(lda_token_shares(sampler), want)
 
     def sentence_case(rng):
@@ -316,15 +316,15 @@ def test_criterion_2_full_conditional_scalar_oracles():
         n = rng.randrange(len(corpus.docword[m]))
         a, k = sampler.x[m][n], sampler.z[m][n]
         v = corpus.docword[m][n]
-        sampler.tables.doc_topic[a][k] -= 1
-        sampler.tables.doc_total[a] -= 1
+        sampler.author_topic[a][k] -= 1
+        sampler.author_total[a] -= 1
         sampler.word_topics[v][k] -= 1
-        sampler.tables.topic_total[k] -= 1
+        sampler.topic_total[k] -= 1
         got, authors = sampler.full_conditional(m, v)
         n_kv = index_rows(sampler.word_topics, K)
-        rows = atm_joint_oracle(sampler.tables.doc_topic, sampler.tables.doc_total,
+        rows = atm_joint_oracle(sampler.author_topic, sampler.author_total,
                         [n_kv[kk][v] for kk in range(K)],
-                        sampler.tables.topic_total, authors, 0.4, 0.15, K, corpus.n_words)
+                        sampler.topic_total, authors, 0.4, 0.15, K, corpus.n_words)
         assert_close_distribution(got, [w for row in rows for w in row])
 
     def link_case(rng, links):
@@ -351,13 +351,13 @@ def test_criterion_2_full_conditional_scalar_oracles():
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels")
         sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.4, 0.15), rng)
-        K = sampler.tables.n_topics
+        K = sampler.hyper.n_topics
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
         tables = put_lda_token_first(sampler, m, n)
         v = corpus.docword[0][0]
-        want = labeled_token_oracle([tables.topic_word[kk][v] for kk in range(K)],
-                            tables.topic_total, tables.doc_topic[0],
+        want = labeled_token_oracle([tables["topic_word"][kk][v] for kk in range(K)],
+                            tables["topic_total"], tables["doc_topic"][0],
                             set(sampler.allowed[0]), 0.4, 0.15, K, corpus.n_words)
         assert_shares_match(lda_token_shares(sampler), want)
 
@@ -367,14 +367,14 @@ def test_criterion_2_full_conditional_scalar_oracles():
                  + "\t" + doc for doc in random_docs(rng, 4, 5)]
         corpus = parse_tagged(lines, kind="labels")
         sampler = PldaSampler(corpus, PldaHyper(2, 0.4, 0.15), rng)
-        K = sampler.tables.n_topics
+        K = sampler.hyper.n_topics
         m = rng.randrange(corpus.n_docs)
         n = rng.randrange(len(corpus.docword[m]))
         tables = put_lda_token_first(sampler, m, n)
         v = corpus.docword[0][0]
-        want = plda_token_oracle(tables.doc_topic[0],
-                         [tables.topic_word[tt][v] for tt in range(K)],
-                         tables.topic_total, set(sampler.allowed[0]),
+        want = plda_token_oracle(tables["doc_topic"][0],
+                         [tables["topic_word"][tt][v] for tt in range(K)],
+                         tables["topic_total"], set(sampler.allowed[0]),
                          0.4, 0.15, K, corpus.n_words)
         assert_shares_match(lda_token_shares(sampler), want)
 
@@ -409,7 +409,7 @@ def test_criterion_3_cvb0_conservation():
         for doc in solver.gamma:
             for g in doc:
                 assert abs(sum(g) - 1.0) <= 1e-9
-        assert abs(sum(solver.expected.topic_total) - corpus.n_tokens) <= 1e-6
+        assert abs(sum(solver.topic_total) - corpus.n_tokens) <= 1e-6
         sweeps_seen.append(it)
 
     run_chain(LdaCvb0(corpus, LdaHyper(5, 0.1, 0.01), SeededRng(271)), 20, check)

@@ -238,20 +238,28 @@ def test_exp_normalize_handles_large_logs():
     assert ws[1] == pytest.approx(math.exp(-1.0))
 
 
+def assert_closed(tables):
+    """The closure of integer count tables: every row sums to its total, and
+    the row totals and the topic totals add up to the same tokens."""
+    assert list(map(sum, tables["doc_topic"])) == tables["doc_total"]
+    assert sum(tables["doc_total"]) == sum(tables["topic_total"])
+
+
 def test_counts_from_assignments_single_doc():
-    tables, index = counts_from_assignments([[0, 1]], [[0, 0]], n_topics=2, n_words=2)
-    assert tables.doc_topic[0][0] == 2
-    assert tables.topic_total == [2, 0]
+    tables = counts_from_assignments([[0, 1]], [[0, 0]], n_topics=2, n_words=2)
+    index = tables["word_topics"]
+    assert tables["doc_topic"][0][0] == 2
+    assert tables["topic_total"] == [2, 0]
     assert index_rows(index, 2)[0] == [1, 1]
     assert index == [{0: 1}, {0: 1}]
-    tables.check()
+    assert_closed(tables)
 
 
 def test_counts_from_assignments_empty():
-    tables, index = counts_from_assignments([], [], n_topics=3, n_words=4)
-    assert tables.topic_total == [0, 0, 0]
-    assert index == [{}, {}, {}, {}]
-    tables.check()
+    tables = counts_from_assignments([], [], n_topics=3, n_words=4)
+    assert tables["topic_total"] == [0, 0, 0]
+    assert tables["word_topics"] == [{}, {}, {}, {}]
+    assert_closed(tables)
 
 
 def test_counts_from_assignments_recount_oracle():
@@ -259,29 +267,31 @@ def test_counts_from_assignments_recount_oracle():
     K, V = 4, 6
     docword = [[rng.randrange(V) for _ in range(rng.randrange(1, 9))] for _ in range(5)]
     z = [[rng.randrange(K) for _ in doc] for doc in docword]
-    tables, index = counts_from_assignments(docword, z, K, V)
+    tables = counts_from_assignments(docword, z, K, V)
+    index = tables["word_topics"]
     # independent recount
     for m, doc in enumerate(docword):
         for k in range(K):
-            assert tables.doc_topic[m][k] == sum(1 for zz in z[m] if zz == k)
-        assert tables.doc_total[m] == len(doc)
+            assert tables["doc_topic"][m][k] == sum(1 for zz in z[m] if zz == k)
+        assert tables["doc_total"][m] == len(doc)
     for k in range(K):
         for v in range(V):
             want = sum(1 for m, doc in enumerate(docword)
                        for n, vv in enumerate(doc) if vv == v and z[m][n] == k)
             assert index[v].get(k, 0) == want
-    assert sum(tables.topic_total) == sum(len(d) for d in docword)
-    tables.check()
+    assert sum(tables["topic_total"]) == sum(len(d) for d in docword)
+    assert_closed(tables)
 
 
 def test_index_rows_equal_the_dense_counts():
     # word 3 is in no document (its dict is empty), topic 1 holds no token,
     # and n_rows runs past topic 2, the largest key of the index
     docword, z = [[0, 1, 0], [4, 0], [2]], [[0, 2, 0], [2, 2], [0]]
-    tables, index = counts_from_assignments(docword, z, 4, 5)
+    tables = counts_from_assignments(docword, z, 4, 5)
+    index = tables["word_topics"]
     want = count_tables_two_passes(docword, z, 4, 5)[0]["topic_word"]
     assert index[3] == {}
-    assert index_rows(index, 4) == want and not hasattr(tables, "topic_word")
+    assert index_rows(index, 4) == want and "topic_word" not in tables
     assert want == [[2, 0, 1, 0, 0], [0] * 5, [1, 1, 0, 0, 1], [0] * 5]
     # the rows of the same index over fewer words, and over none
     assert index_rows(index[:2], 4) == [row[:2] for row in want]
@@ -318,14 +328,15 @@ def test_counts_from_assignments_matches_two_pass_oracle(with_rows):
                    for _ in range(rng.randrange(1, 6))]
         z = [[rng.randrange(K) for _ in doc] for doc in docword]
         rows = [[rng.randrange(R) for _ in doc] for doc in docword] if with_rows else None
-        tables, index = counts_from_assignments(docword, z, K, V, rows=rows,
-                                                n_rows=R if with_rows else None)
+        tables = counts_from_assignments(docword, z, K, V, rows=rows,
+                                         n_rows=R if with_rows else None)
+        index = tables.pop("word_topics")
         want_tables, want_index = count_tables_two_passes(docword, z, K, V, rows, R)
         want_rows = want_tables.pop("topic_word")
-        assert vars(tables) == want_tables and index_rows(index, K) == want_rows
+        assert tables == want_tables and index_rows(index, K) == want_rows
         # the key order too: the SparseLDA walk follows it
         assert [list(d.items()) for d in index] == [list(d.items()) for d in want_index]
-        tables.check()
+        assert_closed(tables)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 100, 1024, 1025])

@@ -48,11 +48,11 @@ def test_alpha_selector_matches_linear_oracle():
         for k in range(hyper.n_topics):
             a_ex = solver.A_hat[m] - solver.alpha_hat[m][k]
             want = linear_alpha_oracle(hyper, 3, a_ex,
-                                       solver.expected.doc_topic[m][k],
-                                       solver.expected.doc_total[m])
+                                       solver.doc_topic[m][k],
+                                       solver.doc_total[m])
             got = selector_mean(hyper.s, hyper.t, hyper.pi, hyper.pi_bar, 3,
-                                solver.expected.doc_topic[m][k],
-                                solver.expected.doc_total[m], a_ex)
+                                solver.doc_topic[m][k],
+                                solver.doc_total[m], a_ex)
             assert got == pytest.approx(want, rel=1e-10)
             assert 0.0 < got < 1.0
             solver.alpha_hat[m][k] = got
@@ -68,11 +68,11 @@ def test_beta_selector_matches_linear_oracle():
         for v in range(V):
             b_ex = solver.B_hat[k] - solver.beta_hat[k][v]
             want = linear_beta_oracle(hyper, V, b_ex,
-                                      solver.expected.topic_word[k][v],
-                                      solver.expected.topic_total[k])
+                                      solver.topic_word[k][v],
+                                      solver.topic_total[k])
             got = selector_mean(hyper.x, hyper.y, hyper.word_gamma, hyper.word_gamma_bar, V,
-                                solver.expected.topic_word[k][v],
-                                solver.expected.topic_total[k], b_ex)
+                                solver.topic_word[k][v],
+                                solver.topic_total[k], b_ex)
             assert got == pytest.approx(want, rel=1e-10)
             assert 0.0 < got < 1.0
             solver.beta_hat[k][v] = got
@@ -108,11 +108,10 @@ def test_sweep_updates_selectors_as_the_linear_oracles():
     hyper = SparseHyper(3, s=1.5, t=2.0, x=1.2, y=0.8, pi=0.4, pi_bar=0.01,
                         word_gamma=0.6, word_gamma_bar=0.02)
     corpus, solver = small_solver(hyper)
-    ex = solver.expected
     want_alpha = linear_alpha_oracle(hyper, 3, solver.A_hat[0] - solver.alpha_hat[0][0],
-                                     ex.doc_topic[0][0], ex.doc_total[0])
+                                     solver.doc_topic[0][0], solver.doc_total[0])
     want_beta = linear_beta_oracle(hyper, corpus.n_words, solver.B_hat[0] - solver.beta_hat[0][0],
-                                   ex.topic_word[0][0], ex.topic_total[0])
+                                   solver.topic_word[0][0], solver.topic_total[0])
     solver.sweep()
     assert solver.alpha_hat[0][0] == pytest.approx(want_alpha, rel=1e-10)
     assert solver.beta_hat[0][0] == pytest.approx(want_beta, rel=1e-10)
@@ -122,7 +121,7 @@ def test_sweep_updates_selectors_as_the_linear_oracles():
                                          ("topic_total", "topic 1, word 0")])
 def test_selector_pass_names_the_cell_with_non_finite_odds(table, cell):
     corpus, solver = small_solver(SparseHyper(3))
-    getattr(solver.expected, table)[1] = math.nan
+    getattr(solver, table)[1] = math.nan
     with pytest.raises(ArithmeticError, match=f"non-finite selector odds at {cell}$"):
         solver.sweep()
 
@@ -137,9 +136,9 @@ def test_kappa_pass_matches_scalar_oracle(n_topics):
     m, n = 0, 0
     v = corpus.docword[m][n]
     old = list(solver.gamma[m][n])
-    n_mk = [c - gk for c, gk in zip(solver.expected.doc_topic[m], old)]
-    n_kv = [row[v] - gk for row, gk in zip(solver.expected.topic_word, old)]
-    n_k = [c - gk for c, gk in zip(solver.expected.topic_total, old)]
+    n_mk = [c - gk for c, gk in zip(solver.doc_topic[m], old)]
+    n_kv = [row[v] - gk for row, gk in zip(solver.topic_word, old)]
+    n_k = [c - gk for c, gk in zip(solver.topic_total, old)]
     solver.sweep()  # the selectors move first, then the first token's gamma
     alpha_hat, beta_hat, B_hat = solver.alpha_hat[m], solver.beta_hat, solver.B_hat
     if n_topics > 1:
@@ -203,7 +202,7 @@ def test_fit_conserves_kappa_mass():
         for doc in solver.gamma:
             for g in doc:
                 assert sum(g) == pytest.approx(1.0, abs=1e-9)
-        assert sum(solver.expected.topic_total) == pytest.approx(
+        assert sum(solver.topic_total) == pytest.approx(
             corpus.n_tokens, abs=1e-6)
         seen.append(it)
 
@@ -247,10 +246,10 @@ def test_check_rejects_a_stale_count_or_selector_sum():
     for _ in range(10):
         solver.sweep()
         solver.check()
-    solver.expected.doc_topic[1][2] += 1.0
-    with pytest.raises(ValueError, match="expected.doc_topic"):
+    solver.doc_topic[1][2] += 1.0
+    with pytest.raises(ValueError, match="doc_topic"):
         solver.check()
-    solver.expected.doc_topic[1][2] -= 1.0
+    solver.doc_topic[1][2] -= 1.0
     solver.check()
     for table in ("A_hat", "B_hat"):
         getattr(solver, table)[0] += 0.25

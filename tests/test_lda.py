@@ -51,9 +51,9 @@ def test_full_conditional_matches_scalar_oracle():
         sampler = LdaGibbsSampler(corpus, LdaHyper(K, 0.3, 0.05), rng)
         tables = put_lda_token_first(sampler, 1, 0)
         v = corpus.docword[0][0]
-        want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0],
-                       [tables.topic_word[kk][v] for kk in range(K)],
-                       tables.topic_total, 0.3, 0.05, corpus.n_words)
+        want = lda_token_oracle(tables["doc_topic"][0], tables["doc_total"][0],
+                       [tables["topic_word"][kk][v] for kk in range(K)],
+                       tables["topic_total"], 0.3, 0.05, corpus.n_words)
         assert_shares_match(lda_token_shares(sampler), want)
 
 
@@ -86,10 +86,10 @@ def scripted_walk_shares(allowed, moves: dict) -> tuple:
     assert sampler.z[0][:n] == list(moves.values())
     v = corpus.docword[0][n]
     tables = without_token(sampler, n)
-    column = [row[v] for row in tables.topic_word]
+    column = [row[v] for row in tables["topic_word"]]
     assert not any(column)  # q = 0: no other token holds the word
-    want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0], column,
-                            tables.topic_total, WALK_ALPHA, WALK_BETA, corpus.n_words)
+    want = lda_token_oracle(tables["doc_topic"][0], tables["doc_total"][0], column,
+                            tables["topic_total"], WALK_ALPHA, WALK_BETA, corpus.n_words)
     topics = sampler.allowed[0] if allowed else range(WALK_K)
     return shares, [w if k in topics else 0.0 for k, w in enumerate(want)]
 
@@ -130,8 +130,8 @@ def test_sparse_draw_of_a_word_its_own_topic_holds_alone(texts, z):
     v = corpus.docword[0][0]
     assert list(sampler._counts()["word_topics"][v]) == [3]
     tables = without_token(sampler, 0)
-    want = lda_token_oracle(tables.doc_topic[0], tables.doc_total[0],
-                            [row[v] for row in tables.topic_word], tables.topic_total,
+    want = lda_token_oracle(tables["doc_topic"][0], tables["doc_total"][0],
+                            [row[v] for row in tables["topic_word"]], tables["topic_total"],
                             alpha, beta, corpus.n_words)
     assert_shares_match(lda_token_shares(sampler), want)
 
@@ -171,7 +171,7 @@ def test_gibbs_counts_stay_consistent():
         for _ in range(10):
             sampler.sweep()
             sampler.check()
-            assert sum(sampler.tables.topic_total) == corpus.n_tokens
+            assert sum(sampler.topic_total) == corpus.n_tokens
 
 
 def test_gibbs_check_catches_stale_sparse_index():
@@ -185,7 +185,7 @@ def test_gibbs_check_catches_stale_sparse_index():
     with pytest.raises(ValueError, match="word_topics"):
         sampler.check()
     sampler.word_topics[v][k] -= 1
-    sampler.tables.topic_total[k] += 1
+    sampler.topic_total[k] += 1
     with pytest.raises(ValueError, match="topic_total"):
         sampler.check()
 
@@ -287,11 +287,11 @@ def test_cvb0_first_update_matches_scalar_oracle():
         corpus = parse_plain([" ".join(f"w{rng.randrange(5)}" for _ in range(rng.randrange(1, 7)))
                               for _ in range(3)])
         solver = LdaCvb0(corpus, LdaHyper(K, 0.3, 0.05), rng)
-        g, v, tables = solver.gamma[0][0], corpus.docword[0][0], solver.expected
-        want = lda_token_oracle([tables.doc_topic[0][k] - g[k] for k in range(K)],
-                                tables.doc_total[0] - 1,
-                                [tables.topic_word[k][v] - g[k] for k in range(K)],
-                                [tables.topic_total[k] - g[k] for k in range(K)],
+        g, v = solver.gamma[0][0], corpus.docword[0][0]
+        want = lda_token_oracle([solver.doc_topic[0][k] - g[k] for k in range(K)],
+                                solver.doc_total[0] - 1,
+                                [solver.topic_word[k][v] - g[k] for k in range(K)],
+                                [solver.topic_total[k] - g[k] for k in range(K)],
                                 0.3, 0.05, corpus.n_words)
         solver.sweep()
         assert_close_distribution(solver.gamma[0][0], want)
@@ -363,7 +363,7 @@ def test_cvb0_conserves_totals_each_sweep():
         for doc_gamma in solver.gamma:
             for g in doc_gamma:
                 assert sum(g) == pytest.approx(1.0, abs=1e-9)
-        total = sum(solver.expected.topic_total)
+        total = sum(solver.topic_total)
         assert total == pytest.approx(corpus.n_tokens, abs=1e-6)
         seen.append(it)
 
@@ -482,7 +482,7 @@ def test_index_phi_equals_the_dense_rows(smooth):
         K, V = rng.randrange(1, 6), rng.randrange(1, 12)
         docword = [[rng.randrange(V) for _ in range(rng.randrange(12))] for _ in range(4)]
         z = [[rng.randrange(K) for _ in doc] for doc in docword]
-        cases.append((counts_from_assignments(docword, z, K, V)[1], K))
+        cases.append((counts_from_assignments(docword, z, K, V)["word_topics"], K))
     ptm = PtmSampler(parse_plain(["a b a c", "c d", "b d d a"]), PtmHyper(4, 3), SeededRng(5))
     for _ in range(5):
         ptm.sweep()
@@ -517,11 +517,56 @@ def test_cvb0_check_rejects_a_stale_expected_count():
     for _ in range(20):
         solver.sweep()
         solver.check()
-    solver.expected.topic_total[1] += 1.0
-    with pytest.raises(ValueError, match="expected.topic_total"):
+    solver.topic_total[1] += 1.0
+    with pytest.raises(ValueError, match="topic_total"):
         solver.check()
-    solver.expected.topic_total[1] -= 1.0
+    solver.topic_total[1] -= 1.0
     solver.check()
     solver.gamma[0][0][0] += 0.5  # a responsibility the tables are not told of
-    with pytest.raises(ValueError, match="expected.doc_topic"):
+    with pytest.raises(ValueError, match="doc_topic"):
+        solver.check()
+
+
+CLOSURE_TEXTS = ["a b c a", "c d", "a d d b"]
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ([1.5, -0.5, 0.0], [1.0, 0.0, 0.0], "doc 0: negative count"),
+    ([1.5, -0.5, 0.0], [0.0, 1.0, 0.0], "topic 1: negative count"),
+], ids=["doc", "topic"])
+def test_cvb0_check_rejects_a_negative_expected_count(first, second, message):
+    # a negative responsibility for the first token (word a): the tables are
+    # their exact recount and every row sums to its total, but topic 1's
+    # only mass is -0.5, in document 0's row or, with the second token in
+    # topic 1, in word a's cell alone
+    corpus = parse_plain(CLOSURE_TEXTS)
+    gamma = [[[1.0, 0.0, 0.0] for _ in doc] for doc in corpus.docword]
+    gamma[0][:2] = [first, second]
+    solver = with_state(LdaCvb0(corpus, LdaHyper(3), SeededRng(2)), gamma=gamma)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solver.check()
+
+
+@pytest.mark.parametrize("drift, message", [
+    ({("doc_topic", 0, 0): 0.6, ("doc_topic", 0, 1): 0.6},
+     "doc 0: topic counts do not sum to doc total"),
+    ({("topic_word", 2, 0): 0.6, ("topic_word", 2, 1): 0.6},
+     "topic 2: word counts do not sum to topic total"),
+    ({("doc_topic", 0, 0): 0.6, ("doc_total", 0): 0.6, ("doc_topic", 1, 0): 0.6,
+      ("doc_total", 1): 0.6}, "doc totals and topic totals disagree"),
+], ids=["doc-row", "topic-row", "totals"])
+def test_cvb0_check_rejects_counts_that_drift_apart(drift, message):
+    # each cell moves by 0.6 of the tolerance, so it agrees with the
+    # recount, but two of them put a row sum, or the sum of the totals,
+    # 1.2 tolerances off
+    corpus = parse_plain(CLOSURE_TEXTS)
+    solver = LdaCvb0(corpus, LdaHyper(3), SeededRng(2))
+    solver.sweep()
+    tolerance = lda.EXPECTED_TOLERANCE * corpus.n_tokens
+    for (name, *at), share in drift.items():
+        cells = getattr(solver, name)
+        for i in at[:-1]:
+            cells = cells[i]
+        cells[at[-1]] += share * tolerance
+    with pytest.raises(ValueError, match=f"^{message}$"):
         solver.check()

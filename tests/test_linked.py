@@ -26,10 +26,10 @@ def link_corpus(lines):
 def remove_token(sampler, m, n):
     a, k = sampler.x[m][n], sampler.z[m][n]
     v = sampler.corpus.docword[m][n]
-    sampler.tables.doc_topic[a][k] -= 1
-    sampler.tables.doc_total[a] -= 1
+    sampler.author_topic[a][k] -= 1
+    sampler.author_total[a] -= 1
     sampler.word_topics[v][k] -= 1
-    sampler.tables.topic_total[k] -= 1
+    sampler.topic_total[k] -= 1
     return v
 
 
@@ -48,8 +48,8 @@ def test_atm_author_marginal_uniform_for_identical_counts():
     corpus = author_corpus(["A,B\tx y x y"])
     sampler = AtmSampler(corpus, LdaHyper(2, 0.3, 0.2), SeededRng(1))
     # overwrite the (already excluded) state with identical author rows
-    sampler.tables.doc_topic = [[1, 2], [1, 2]]
-    sampler.tables.doc_total = [3, 3]
+    sampler.author_topic = [[1, 2], [1, 2]]
+    sampler.author_total = [3, 3]
     weights, authors = sampler.full_conditional(0, 0)
     K = 2
     marginals = [sum(weights[i * K:(i + 1) * K]) for i in range(len(authors))]
@@ -69,9 +69,9 @@ def test_atm_matches_scalar_oracle():
         v = remove_token(sampler, m, n)
         got, authors = sampler.full_conditional(m, v)
         n_kv = index_rows(sampler.word_topics, K)
-        want_rows = atm_joint_oracle(sampler.tables.doc_topic, sampler.tables.doc_total,
+        want_rows = atm_joint_oracle(sampler.author_topic, sampler.author_total,
                              [n_kv[k][v] for k in range(K)],
-                             sampler.tables.topic_total, authors, 0.4, 0.15,
+                             sampler.topic_total, authors, 0.4, 0.15,
                              K, corpus.n_words)
         want = [w for row in want_rows for w in row]
         assert_close_distribution(got, want)
@@ -93,7 +93,7 @@ def test_atm_single_author_theta_is_corpus_mixture():
     fit = sampler.estimate()
     n_total = corpus.n_tokens
     for k in range(2):
-        n_k = sampler.tables.doc_topic[0][k]
+        n_k = sampler.author_topic[0][k]
         assert fit.theta[0][k] == pytest.approx((n_k + 0.3) / (n_total + 0.6))
 
 
@@ -105,10 +105,10 @@ def test_atm_unseen_author_row_uniform():
         a, k = sampler.x[0][n], sampler.z[0][n]
         v = corpus.docword[0][n]
         if a != 0:
-            sampler.tables.doc_topic[a][k] -= 1
-            sampler.tables.doc_total[a] -= 1
-            sampler.tables.doc_topic[0][k] += 1
-            sampler.tables.doc_total[0] += 1
+            sampler.author_topic[a][k] -= 1
+            sampler.author_total[a] -= 1
+            sampler.author_topic[0][k] += 1
+            sampler.author_total[0] += 1
             sampler.x[0][n] = 0
     fit = sampler.estimate()
     assert fit.theta[1] == pytest.approx([0.25] * 4)
@@ -126,7 +126,7 @@ def test_atm_state_at_300_topics_is_under_half_a_dense_word_table():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sampler.tables.n_topics == K
+    assert sampler.hyper.n_topics == K
     assert held < K * corpus.n_words * 8 / 2, held / (K * corpus.n_words * 8)
 
 
@@ -176,7 +176,7 @@ def test_atm_recount_each_sweep():
                 assert sampler.x[m][n] in corpus.authors[m]
                 author_topic[sampler.x[m][n]][sampler.z[m][n]] += 1
                 topic_word[sampler.z[m][n]][v] += 1
-        assert author_topic == sampler.tables.doc_topic
+        assert author_topic == sampler.author_topic
         assert topic_word == index_rows(sampler.word_topics, 3)
 
 
@@ -294,10 +294,10 @@ def test_atm_check_rejects_a_stale_count_or_a_stranger_author():
     sampler.sweep()
     sampler.check()
     a, k = sampler.x[0][0], sampler.z[0][0]
-    sampler.tables.doc_topic[a][k] += 1
-    with pytest.raises(ValueError, match="tables.doc_topic"):
+    sampler.author_topic[a][k] += 1
+    with pytest.raises(ValueError, match="author_topic"):
         sampler.check()
-    sampler.tables.doc_topic[a][k] -= 1
+    sampler.author_topic[a][k] -= 1
     # author B (id 1) did not write document 0; the tables follow the move
     sampler.x[0][0] = 1
     with_state(sampler)

@@ -102,9 +102,9 @@ def test_sweep_draw_matches_direct_product_oracle():
         hyper = LdaHyper(3, alpha=0.7, beta=0.15)
         sampler = SentenceLdaSampler(corpus, hyper, rng)
         shares, t = sentence_shares(sampler)
-        want = sentence_topic_oracle(t.doc_topic[0], t.doc_total[0], t.topic_word, t.topic_total,
-                                     next(corpus.doc_sentences(0)), hyper.alpha, hyper.beta,
-                                     corpus.n_words)
+        want = sentence_topic_oracle(t["doc_topic"][0], t["doc_total"][0], t["topic_word"],
+                                     t["topic_total"], next(corpus.doc_sentences(0)),
+                                     hyper.alpha, hyper.beta, corpus.n_words)
         assert_shares_match(shares, want)
 
 

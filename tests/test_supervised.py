@@ -8,6 +8,7 @@ from topicmodels import cli
 from topicmodels.core import SeededRng, counts_from_assignments, index_rows, run_chain
 from topicmodels.corpus import parse_plain, parse_tagged
 from topicmodels.lda import LdaGibbsSampler, LdaHyper
+from topicmodels.mixture import ClusterTables
 from topicmodels.supervised import (BACKGROUND_LABEL, LabeledLdaHyper, LabeledLdaSampler,
                                     PldaHyper, PldaSampler)
 
@@ -54,7 +55,7 @@ def test_labeled_admissible_is_label_set():
     corpus = label_corpus(["D\tw0", "A,C\tw1", "C,B\tw2", "B,D\tw3"])  # D A C B -> 0 1 2 3
     sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(), SeededRng(0))
     assert sampler.allowed == [[0], [1, 2], [2, 3], [0, 3]]
-    assert sampler.tables.n_topics == 4
+    assert sampler.hyper.n_topics == 4
     with pytest.raises(ValueError):
         LabeledLdaSampler(label_corpus(["A\tw0", " \tw1"]), LabeledLdaHyper(),
                           SeededRng(0))
@@ -63,7 +64,7 @@ def test_labeled_admissible_is_label_set():
 def test_plda_admissible_blocks():
     corpus = label_corpus(["Security\tw0", "Security,Cloud\tw1", " \tw2"])
     sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(0))
-    assert sampler.tables.n_topics == 6
+    assert sampler.hyper.n_topics == 6
     # one label -> its 2 topics plus 2 background topics
     assert sampler.allowed[0] == [0, 1, 4, 5]
     # all labels -> every topic
@@ -79,7 +80,7 @@ def test_plda_reference_sizing():
     corpus = label_corpus([f"L{i}\tw0" for i in range(81)])
     sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(0))
     assert len(set(sampler.topic_labels)) == 82
-    assert sampler.tables.n_topics == 164
+    assert sampler.hyper.n_topics == 164
 
 
 # ---------------------------------------------------------------- Labeled LDA
@@ -104,13 +105,13 @@ def test_labeled_conditional_matches_oracle():
         corpus = label_corpus(lines)
         hyper = LabeledLdaHyper(0.4, 0.15)
         sampler = LabeledLdaSampler(corpus, hyper, rng)
-        K = sampler.tables.n_topics
+        K = sampler.hyper.n_topics
         m = rng.randrange(3)
         n = rng.randrange(len(corpus.docword[m]))
         tables = put_lda_token_first(sampler, m, n)
         v = corpus.docword[0][0]
-        want = labeled_token_oracle([tables.topic_word[k][v] for k in range(K)],
-                            tables.topic_total, tables.doc_topic[0],
+        want = labeled_token_oracle([tables["topic_word"][k][v] for k in range(K)],
+                            tables["topic_total"], tables["doc_topic"][0],
                             set(sampler.allowed[0]), 0.4, 0.15, K, corpus.n_words)
         assert_shares_match(lda_token_shares(sampler), want)
 
@@ -122,12 +123,12 @@ def test_labeled_draw_of_a_word_its_own_topic_holds_alone():
     corpus = label_corpus(lines)
     sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(0.4, 0.15), SeededRng(0))
     sampler.z = [[2, 0, 2], [1, 2, 2], [0, 2, 2], [3, 3]]
-    K, v = sampler.tables.n_topics, corpus.docword[0][0]
+    K, v = sampler.hyper.n_topics, corpus.docword[0][0]
     assert K == 4 and sampler.allowed[0] == [0, 1, 2]
     assert list(sampler._counts()["word_topics"][v]) == [2]
     tables = without_token(sampler, 0)
-    want = labeled_token_oracle([tables.topic_word[k][v] for k in range(K)],
-                                tables.topic_total, tables.doc_topic[0],
+    want = labeled_token_oracle([tables["topic_word"][k][v] for k in range(K)],
+                                tables["topic_total"], tables["doc_topic"][0],
                                 set(sampler.allowed[0]), 0.4, 0.15, K, corpus.n_words)
     assert_shares_match(lda_token_shares(sampler), want)
 
@@ -169,7 +170,7 @@ def test_labeled_round_off_at_a_walk_end_draws_an_allowed_topic(lines, z, alpha,
     sampler = LabeledLdaSampler(label_corpus(lines), LabeledLdaHyper(alpha, beta), SeededRng(0))
     sampler.z = z
     run = rerun_sweep(sampler)
-    assert sampler.allowed[0] == [0, 1] and sampler.tables.n_topics == 4
+    assert sampler.allowed[0] == [0, 1] and sampler.hyper.n_topics == 4
     assert list(sampler.word_topics[sampler.corpus.docword[0][0]])[-1] == 2
     with pytest.raises(ScriptEnd):
         run(ScriptedRng([math.nextafter(1.0, 0.0)]))
@@ -205,7 +206,7 @@ def test_labeled_chain_matches_enumerated_constrained_posterior():
     corpus = label_corpus(["A,B\tw0 w1", "B\tw1 w2", "A,B\tw0"])
     sampler = LabeledLdaSampler(corpus, LabeledLdaHyper(1.0, 0.5), SeededRng(61))
     supports = [topics for topics, doc in zip(sampler.allowed, corpus.docword) for _ in doc]
-    exact = enumerated_posterior(corpus, supports, sampler.tables.n_topics, 1.0, 0.5)
+    exact = enumerated_posterior(corpus, supports, sampler.hyper.n_topics, 1.0, 0.5)
     empirical = chain_frequencies(sampler, 500, 30000)
     assert set(empirical) <= set(exact)  # never an inadmissible assignment
     assert tv_distance(empirical, exact) < 0.05
@@ -230,8 +231,7 @@ def test_plda_single_admissible_cell_certain():
     # probe the op contract directly: one admissible (label, topic) cell
     sampler.allowed[0] = [0]
     sampler.z[0] = [0, 0]
-    sampler.tables, sampler.word_topics = counts_from_assignments(corpus.docword, sampler.z, 2,
-                                                                  corpus.n_words)
+    vars(sampler).update(counts_from_assignments(corpus.docword, sampler.z, 2, corpus.n_words))
     assert index_rows(sampler.word_topics, 2) == [[1, 1], [0, 0]]
     assert lda_token_shares(sampler) == {0: 1.0}
 
@@ -251,14 +251,14 @@ def test_plda_conditional_matches_oracle():
         corpus = label_corpus(lines)
         hyper = PldaHyper(2, 0.4, 0.15)
         sampler = PldaSampler(corpus, hyper, rng)
-        K = sampler.tables.n_topics
+        K = sampler.hyper.n_topics
         m = rng.randrange(3)
         n = rng.randrange(len(corpus.docword[m]))
         tables = put_lda_token_first(sampler, m, n)
         v = corpus.docword[0][0]
-        want = plda_token_oracle(tables.doc_topic[0],
-                         [tables.topic_word[t][v] for t in range(K)],
-                         tables.topic_total, set(sampler.allowed[0]),
+        want = plda_token_oracle(tables["doc_topic"][0],
+                         [tables["topic_word"][t][v] for t in range(K)],
+                         tables["topic_total"], set(sampler.allowed[0]),
                          0.4, 0.15, K, corpus.n_words)
         assert_shares_match(lda_token_shares(sampler), want)
 
@@ -274,9 +274,9 @@ def test_plda_rest_walk_crosses_barred_topics_by_id():
     assert sampler.allowed[3] == [0, 1, 4, 5, 6, 7]
     sampler.z[3] = [6]
     tables = put_lda_token_first(sampler, 3, 0)
-    K, v = sampler.tables.n_topics, corpus.docword[0][0]
-    want = plda_token_oracle(tables.doc_topic[0], [tables.topic_word[t][v] for t in range(K)],
-                             tables.topic_total, set(sampler.allowed[0]),
+    K, v = sampler.hyper.n_topics, corpus.docword[0][0]
+    want = plda_token_oracle(tables["doc_topic"][0], [tables["topic_word"][t][v] for t in range(K)],
+                             tables["topic_total"], set(sampler.allowed[0]),
                              0.4, 0.15, K, corpus.n_words)
     shares = lda_token_shares(sampler)
     assert not {2, 3} & set(shares) and {0, 1, 4, 5, 6, 7} <= set(shares)
@@ -286,7 +286,7 @@ def test_plda_rest_walk_crosses_barred_topics_by_id():
 def test_plda_background_only_document_uses_background_block():
     corpus = label_corpus([" \tw0 w1", "A\tw2"])
     sampler = PldaSampler(corpus, PldaHyper(2), SeededRng(2))
-    background = range(sampler.tables.n_topics - 2, sampler.tables.n_topics)
+    background = range(sampler.hyper.n_topics - 2, sampler.hyper.n_topics)
     assert sampler.allowed[0] == list(background)
     assert {sampler.topic_labels[t] for t in background} == {BACKGROUND_LABEL}
     for _ in range(5):
@@ -308,14 +308,14 @@ def test_plda_block_bookkeeping_recount():
     for _ in range(10):
         sampler.sweep()
         for m, doc in enumerate(corpus.docword):
-            assert sum(sampler.tables.doc_topic[m]) == len(doc)
+            assert sum(sampler.doc_topic[m]) == len(doc)
             admissible = set(sampler.allowed[m])
             assert all(z in admissible for z in sampler.z[m])
-        recount = [[0] * corpus.n_words for _ in range(sampler.tables.n_topics)]
+        recount = [[0] * corpus.n_words for _ in range(sampler.hyper.n_topics)]
         for m, doc in enumerate(corpus.docword):
             for n, v in enumerate(doc):
                 recount[sampler.z[m][n]][v] += 1
-        assert recount == index_rows(sampler.word_topics, sampler.tables.n_topics)
+        assert recount == index_rows(sampler.word_topics, sampler.hyper.n_topics)
 
 
 def test_plda_theta_phi_stochastic():
@@ -335,7 +335,7 @@ def test_plda_chain_matches_enumerated_posterior():
     assert corpus.labels[1] == [1, 0]
     assert sampler.allowed == [[0, 2], [0, 1, 2], [2]]
     supports = [topics for topics, doc in zip(sampler.allowed, corpus.docword) for _ in doc]
-    exact = enumerated_posterior(corpus, supports, sampler.tables.n_topics, 1.0, 0.5)
+    exact = enumerated_posterior(corpus, supports, sampler.hyper.n_topics, 1.0, 0.5)
     empirical = chain_frequencies(sampler, 500, 30000)
     assert set(empirical) <= set(exact)  # never an inadmissible assignment
     assert tv_distance(empirical, exact) < 0.05
@@ -366,15 +366,22 @@ REGISTRY_CASES = [("lda-gibbs", {"n_topics": 3}), ("lda-gibbs", {"n_topics": 20}
                   ("ptm", {"n_pseudo_docs": 3, "n_topics": 3}), ("btm", {"n_topics": 3}),
                   ("atm", {"n_topics": 3}), ("link-lda", {"n_topics": 3}),
                   ("dual-sparse", {"n_topics": 3})]
+REGISTRY_IDS = (["lda-gibbs-k3", "lda-gibbs-k20", "labeled-lda", "plda"]
+                + [name for name, _ in REGISTRY_CASES[4:]])
+# the samplers whose check() recounts the tables their _counts() names; DMM
+# and DPMM recount through ClusterTables.check alone
+RECOUNTED_CASES = [pytest.param(name, flags, id=case_id)
+                   for (name, flags), case_id in zip(REGISTRY_CASES, REGISTRY_IDS)
+                   if name not in ("dmm", "dpmm")]
 
 
 def test_registry_cases_cover_every_model():
     assert {name for name, _ in REGISTRY_CASES} == set(cli.MODELS)
+    assert [name for name, _ in REGISTRY_CASES
+            if not hasattr(cli.MODELS[name].sampler, "_counts")] == ["dmm", "dpmm"]
 
 
-@pytest.mark.parametrize("name, flags", REGISTRY_CASES,
-                         ids=["lda-gibbs-k3", "lda-gibbs-k20", "labeled-lda", "plda"]
-                         + [name for name, _ in REGISTRY_CASES[4:]])
+@pytest.mark.parametrize("name, flags", REGISTRY_CASES, ids=REGISTRY_IDS)
 def test_registry_samplers_pass_check_after_every_sweep(name, flags):
     spec = cli.MODELS[name]
     corpus = tiny_corpus(spec.layout)
@@ -388,6 +395,42 @@ def test_registry_samplers_pass_check_after_every_sweep(name, flags):
     sampler.check()
     for _ in range(8):
         sampler.sweep()
+        sampler.check()
+
+
+def bump_one_cell(owner, name):
+    """Add 1 to one cell of ``owner``'s table ``name``: a scalar count, the
+    first total, the first cell of the first row, or the first entry of a
+    word index.  Returns a function that puts the cell back as it was."""
+    table = getattr(owner, name)
+    if not isinstance(table, list):  # HDP's m_total
+        setattr(owner, name, table + 1)
+        return lambda: setattr(owner, name, table)
+    if isinstance(table[0], dict):
+        cells = next(held for held in table if held)
+        key = next(iter(cells))
+    else:
+        cells, key = (table[0], 0) if isinstance(table[0], list) else (table, 0)
+    old = cells[key]
+    cells[key] = old + 1
+    return lambda: cells.__setitem__(key, old)
+
+
+@pytest.mark.parametrize("name, flags", RECOUNTED_CASES)
+def test_check_names_every_count_table_out_of_step(name, flags):
+    spec = cli.MODELS[name]
+    sampler = spec.sampler(tiny_corpus(spec.layout), spec.hyper(**flags), SeededRng(5))
+    for _ in range(3):
+        sampler.sweep()
+    counts = sampler._counts(sampler.n_topics) if name == "hdp" else sampler._counts()
+    for key, value in counts.items():
+        owner, table = sampler, key
+        if isinstance(value, ClusterTables):  # PTM's, Sentence-LDA's: it recounts itself
+            owner, table = getattr(sampler, key), "cluster_total"
+        restore = bump_one_cell(owner, table)
+        with pytest.raises(ValueError, match=f"^{table} disagrees with a recount"):
+            sampler.check()
+        restore()
         sampler.check()
 
 
